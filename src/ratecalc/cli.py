@@ -6,11 +6,9 @@ into --out.  Exit codes: 0 ok (overall pass), 1 verification failed,
 2 config error, 3 math-domain error, 4 condition failure, 5 cap error,
 6 solver error.  Identical invocations with identical seeds produce
 byte-identical CSV/JSON artifacts; the manifest additionally records
-the wall clock, which is its only run-dependent field.
-
-The environment variable RATECALC_THREADS caps the number of worker
-threads used for independent s-grid points (default 1; parallel and
-serial runs select identical values).
+the wall clock, which is its only run-dependent field.  A command that
+stops on an error still writes a manifest, with pass false and the error
+as its summary, once --out exists.
 """
 
 from __future__ import annotations
@@ -126,14 +124,6 @@ def _resolve_form(form_path: Optional[str], birth_death: Optional[str]):
     return form, {"birth_death": {"kappa": kappa, "c0": c0, "half_width": hw, "n": n}}
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("RATECALC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"RATECALC_THREADS must be an integer, got {raw!r}")
-
-
 def _write_manifest(
     out_dir: str,
     command: str,
@@ -158,12 +148,40 @@ def _write_manifest(
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
+_SELECTORS = ("kernel", "direction", "branch", "kind")
+_INPUT_PATHS = ("ratefn_path", "form_path", "config_path")
+
+
 def _cli_errors(fn):
+    """Map library errors to exit codes, writing a failing manifest first."""
+
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         except RateCalcError as exc:
+            out_dir = kwargs["out_dir"]
+            if os.path.isdir(out_dir):
+                command = [click.get_current_context().info_name]
+                command += [str(kwargs[k]) for k in _SELECTORS if k in kwargs]
+                cfg_dict = None
+                if "config_path" in kwargs:
+                    try:
+                        cfg_dict = _load_config(kwargs["config_path"]).to_json_dict()
+                    except RateCalcError:
+                        pass
+                _write_manifest(
+                    out_dir,
+                    " ".join(command),
+                    [kwargs[k] for k in _INPUT_PATHS if kwargs.get(k)],
+                    cfg_dict,
+                    kwargs.get("seed"),
+                    [name for name in os.listdir(out_dir) if name != "manifest.json"],
+                    t0,
+                    False,
+                    str(exc),
+                )
             click.echo(f"error: {exc}", err=True)
             sys.exit(exc.exit_code)
 
@@ -246,17 +264,6 @@ def cmd_transform(direction, ratefn_path, s_grid, config_path, out_dir):
         verdict = condition(beta, cfg)
         _write_json(os.path.join(out_dir, "verdict.json"), verdict.to_json_dict())
         if verdict.fails:
-            _write_manifest(
-                out_dir,
-                f"transform {direction}",
-                [p for p in (ratefn_path, config_path) if p],
-                cfg.to_json_dict(),
-                None,
-                ["verdict.json"],
-                t0,
-                False,
-                "side condition fails empirically",
-            )
             raise ConditionFailedError(
                 f"{direction}: vanishing side condition fails empirically "
                 f"(trend slope {verdict.trend_slope:.4g})"
@@ -319,7 +326,6 @@ def cmd_verify(form_path, birth_death, s_grid, config_path, seed, restarts, out_
     form, form_desc = _resolve_form(form_path, birth_death)
     cfg = _load_config(config_path)
     s = _parse_grid(s_grid, "s-grid")
-    threads = _thread_count()
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
 
@@ -327,7 +333,7 @@ def cmd_verify(form_path, birth_death, s_grid, config_path, seed, restarts, out_
     solver_cfg = SolverConfig(restarts=restarts, seed=seed)
     empirical = {}
     for kind in ("SP", "SL", "WL", "WP"):
-        emp = empirical_rate(form, kind, s, solver_cfg, threads=threads)
+        emp = empirical_rate(form, kind, s, solver_cfg)
         empirical[kind] = emp
         outputs.extend(_emit_empirical(out_dir, emp))
 

@@ -193,54 +193,6 @@ def level_data(f, mu, delta: float, n_max: int) -> LevelData:
     return LevelData(delta=float(delta), masses_A=tuple(masses_a), masses_Bc=tuple(masses_bc))
 
 
-def _jacobi_eigh(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Cyclic-sweep Jacobi diagonalisation of a symmetric matrix.
-
-    Deterministic and dependency-free; adequate for the dense desk-scale
-    matrices used here (n up to a few hundred).  Converges when the
-    off-diagonal Frobenius norm falls below tol times the matrix norm.
-    """
-    A = np.array(A, dtype=float)
-    n = A.shape[0]
-    V = np.eye(n)
-    if n == 1:
-        return A.diagonal().copy(), V
-    norm = max(float(np.linalg.norm(A)), 1e-300)
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        # Summing the off-diagonal entries directly avoids the cancellation
-        # that a full-norm-minus-diagonal formula hits near convergence.
-        off = math.sqrt(float(np.sum(A[off_mask] ** 2)))
-        if off <= tol * norm:
-            break
-        thresh = off / n
-        for p in range(n - 1):
-            row_p = A[p]
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) < 1e-300 or abs(apq) < 1e-4 * thresh:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p].copy()
-                row_q = A[q].copy()
-                A[p] = c * row_p - s * row_q
-                A[q] = s * row_p + c * row_q
-                A[q, p] = A[p, q]
-                vp = V[:, p].copy()
-                V[:, p] = c * vp - s * V[:, q]
-                V[:, q] = s * vp + c * V[:, q]
-    w = A.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
-
-
 @dataclass(frozen=True)
 class SpectralGap:
     """Spectral gap with the vector achieving it."""
@@ -266,7 +218,7 @@ def spectral_gap(form: FiniteDirichletForm) -> SpectralGap:
     d = 1.0 / np.sqrt(form.mu)
     B = d[:, None] * form.laplacian * d[None, :]
     B = 0.5 * (B + B.T)
-    w, V = _jacobi_eigh(B)
+    w, V = np.linalg.eigh(B)
     gap = float(w[1])
     scale = max(float(w[-1]), 1.0)
     if gap <= 1e-10 * scale:

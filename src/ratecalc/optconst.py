@@ -14,6 +14,10 @@ by |f| preserves every numerator term while not increasing the energy
 WP keeps signed f.  Suprema are computed by projected gradient ascent
 with backtracking and seeded random restarts, and cross-checked against
 an exhaustive angular brute-force oracle on forms with up to 4 states.
+The oracle scans prod(round(span/resolution) + 1) directions over n - 1
+angular axes in blocks of fixed size, so its memory is bounded by one
+block; n = 4 at resolution 1e-3 is 3.9e9 directions, so four-state
+forms are practical only at coarse resolution.
 """
 
 from __future__ import annotations
@@ -318,41 +322,38 @@ def optimal_wp(form, s, cfg: Optional[SolverConfig] = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-_GRID_CACHE: dict = {}
+_ORACLE_BLOCK = 200_000
 
 
-def _direction_grid(n: int, resolution: float, signed: bool) -> np.ndarray:
-    """All directions at the given angular resolution as an (m, n) array.
+def _direction_blocks(n: int, resolution: float, signed: bool):
+    """All directions at the given angular resolution, as (m, n) row blocks.
 
-    Nonnegative directions sweep [0, pi/2] per angle; signed directions
-    sweep the half sphere (objectives are even in f).  Grids are cached
-    per (n, resolution, signed); they are read-only.
+    Direction k has angles phi_i = axis_i[j_i] for the flat index k =
+    ravel(j_1, ..., j_{n-1}) and coordinates f_i = sin(phi_1)...
+    sin(phi_{i-1}) cos(phi_i).  Nonnegative directions sweep [0, pi/2]
+    per angle; signed directions sweep the half sphere (objectives are
+    even in f).  Each block is built from flat indices by gathering from
+    per-axis cos/sin tables, so memory is bounded by one block of
+    _ORACLE_BLOCK rows whatever the grid size.
     """
-    key = (n, float(resolution), bool(signed))
-    cached = _GRID_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    def axis(span: float) -> np.ndarray:
-        return np.linspace(0.0, span, int(round(span / resolution)) + 1)
-
     if n == 1:
-        f = np.ones((1, 1))
-    else:
-        spans = [math.pi / 2] * (n - 1) if not signed else [math.pi] * (n - 2) + [2 * math.pi]
-        grids = np.meshgrid(*[axis(sp) for sp in spans], indexing="ij")
-        phis = np.stack([g.ravel() for g in grids], axis=1)
-        m = phis.shape[0]
-        f = np.empty((m, n))
-        sin_prod = np.ones(m)
+        yield np.ones((1, 1))
+        return
+    spans = [math.pi / 2] * (n - 1) if not signed else [math.pi] * (n - 2) + [2 * math.pi]
+    axes = [np.linspace(0.0, span, int(round(span / resolution)) + 1) for span in spans]
+    cos = [np.cos(a) for a in axes]
+    sin = [np.sin(a) for a in axes]
+    shape = tuple(a.size for a in axes)
+    total = math.prod(shape)
+    for start in range(0, total, _ORACLE_BLOCK):
+        idx = np.unravel_index(np.arange(start, min(start + _ORACLE_BLOCK, total)), shape)
+        f = np.empty((idx[0].size, n))
+        sin_prod = np.ones(idx[0].size)
         for i in range(n - 1):
-            f[:, i] = sin_prod * np.cos(phis[:, i])
-            sin_prod = sin_prod * np.sin(phis[:, i])
+            f[:, i] = sin_prod * cos[i][idx[i]]
+            sin_prod = sin_prod * sin[i][idx[i]]
         f[:, n - 1] = sin_prod
-    f.flags.writeable = False
-    if len(_GRID_CACHE) < 8:
-        _GRID_CACHE[key] = f
-    return f
+        yield f
 
 
 def brute_force_oracle(
@@ -362,6 +363,13 @@ def brute_force_oracle(
 
     Deterministic anti-hallucination oracle for forms with n <= 4; all
     four objectives are scale-invariant, so scanning directions suffices.
+    The scan visits prod(round(span/resolution) + 1) directions over the
+    n - 1 angular axes (span pi/2 for SP, SL and WL; pi, ..., pi, 2*pi for
+    the signed WP scan) and holds one block of 200 000 directions in
+    memory at a time.  Time grows with the direction count: n = 3 at
+    1e-3 is 2.5e6 directions (1.97e7 for WP), n = 4 at 1e-3 is 3.9e9
+    (6.2e10 for WP), so four-state forms are practical only at coarse
+    resolution.
     """
     if form.n > 4:
         raise ConfigError("brute-force oracle supports at most 4 states")
@@ -372,13 +380,10 @@ def brute_force_oracle(
     s = float(s)
     mu = form.mu
     signed = kind == "WP"
-    dirs = _direction_grid(form.n, resolution, signed)
     best = -math.inf
-    block = 200_000
     wmax = float(np.max(form.weights)) if form.n > 1 else 0.0
     e_floor = _E_TINY * max(wmax, 1e-30)
-    for i in range(0, dirs.shape[0], block):
-        F = dirs[i : i + block]
+    for F in _direction_blocks(form.n, resolution, signed):
         E = form.energy_many(F)
         F2 = F * F
         m2 = F2 @ mu
@@ -449,31 +454,20 @@ def empirical_rate(
     kind: str,
     s_grid: Sequence[float],
     cfg: Optional[SolverConfig] = None,
-    threads: int = 1,
 ) -> EmpiricalRateFunction:
     """Per-point optimal values on an ascending s-grid, then envelope.
 
     Grid points are independent work items with per-(s, restart) seeds,
-    so serial and threaded runs select identical maxima.
+    so a point's value does not depend on the rest of the grid.
     """
     cfg = cfg or SolverConfig()
     s = np.asarray(list(s_grid), dtype=float)
     if s.size < 1 or np.any(s <= 0) or np.any(np.diff(s) <= 0):
         raise ConfigError("s grid must be ascending and positive")
 
-    def solve(si: float) -> tuple:
-        value, _, iters = optimal_value(form, kind, float(si), cfg, return_vector=True)
-        return value, iters
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            results = list(pool.map(solve, s))
-    else:
-        results = [solve(si) for si in s]
+    results = [optimal_value(form, kind, float(si), cfg, return_vector=True) for si in s]
     raw = np.array([r[0] for r in results])
-    iters = int(sum(r[1] for r in results))
+    iters = int(sum(r[2] for r in results))
     env = _running_max_from_right(raw)
     return EmpiricalRateFunction(
         kind=kind,

