@@ -39,13 +39,14 @@ from .optconst import (
     empirical_rate,
     optimal_value,
 )
-from .ratefn import RateFunction, fit_exponent, rate_function_from_json
+from .ratefn import LogTabulated, RateFunction, fit_exponent, rate_function_from_json
 from .ratefn import ExpPower, LogPower, PolyPower
 from .transforms import (
     TransformConfig,
     log_grid,
     sl_from_sp,
     sp2sl_condition,
+    sp2sl_window,
     sp_from_sl,
     sp_from_wl,
     wl2sp_condition,
@@ -251,7 +252,11 @@ _DIRECTIONS = {
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_cli_errors
 def cmd_transform(direction, ratefn_path, s_grid, config_path, out_dir):
-    """Apply a rate-function map and emit CSV (s,beta) plus the side-condition verdict."""
+    """Apply a rate-function map and emit CSV (s,beta) plus the side-condition verdict.
+
+    The WL-to-SP map adds a log_beta column; beta reads inf where it
+    leaves double range.
+    """
     t0 = time.perf_counter()
     beta = _load_ratefn(ratefn_path)
     cfg = _load_config(config_path)
@@ -282,8 +287,16 @@ def cmd_transform(direction, ratefn_path, s_grid, config_path, out_dir):
             out = transform(beta, s, cfg, verdict=verdict)
         else:
             out = transform(beta, s, cfg)
-    rows = [(_fmt(a), _fmt(b)) for a, b in out.points]
-    _write_csv(os.path.join(out_dir, "transform.csv"), "s,beta", rows)
+    if isinstance(out, LogTabulated):
+        header = "s,beta,log_beta"
+        s_out, log_beta = np.array(out.log_points, dtype=float).T
+        with np.errstate(over="ignore"):
+            beta_out = np.exp(log_beta)
+        rows = [(_fmt(a), _fmt(b), _fmt(c)) for a, b, c in zip(s_out, beta_out, log_beta)]
+    else:
+        header = "s,beta"
+        rows = [(_fmt(a), _fmt(b)) for a, b in out.points]
+    _write_csv(os.path.join(out_dir, "transform.csv"), header, rows)
     _write_manifest(
         out_dir,
         f"transform {direction}",
@@ -431,8 +444,6 @@ def _example_input(theta: float, branch: str):
 
 
 def _example_default_grid(branch: str, theta: float, beta, cfg: TransformConfig) -> np.ndarray:
-    if branch == "sp2sl":
-        return log_grid(1e-5, 1e-2, 60)
     if branch == "sp2wl":
         # Deep window: the kernel's logarithmic constant drift fades only
         # for log(1/s) in the hundreds, still comfortably inside doubles.
@@ -474,22 +485,13 @@ def cmd_example11(theta, branch, s_grid, config_path, out_dir):
     cfg = _load_config(config_path)
     beta, predicted, model = _example_input(theta, branch)
     os.makedirs(out_dir, exist_ok=True)
-    grid = _parse_grid(s_grid, "s-grid") if s_grid else _example_default_grid(branch, theta, beta, cfg)
-
-    transform = {"sp2sl": sl_from_sp, "sp2wl": wl_from_sp, "sl2sp": sp_from_sl, "wl2sp": sp_from_wl}[branch]
+    grid = _parse_grid(s_grid, "s-grid") if s_grid else None
     if branch == "sp2sl":
-        # The qualifying index for small s grows like 1/s; retry with a
-        # doubled cap until the enumeration fits.
-        n_max = max(cfg.N_max, 50_000)
-        while True:
-            try:
-                out = transform(beta, grid, _with_n_max(cfg, n_max))
-                break
-            except CapError:
-                if n_max >= 1_500_000:
-                    raise
-                n_max *= 2
+        out, grid = _example_sp2sl(beta, grid, cfg)
     else:
+        if grid is None:
+            grid = _example_default_grid(branch, theta, beta, cfg)
+        transform = {"sp2wl": wl_from_sp, "sl2sp": sp_from_sl, "wl2sp": sp_from_wl}[branch]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             out = transform(beta, grid, cfg)
@@ -528,6 +530,37 @@ def cmd_example11(theta, branch, s_grid, config_path, out_dir):
                f"{'pass' if passed else 'FAIL'}")
     if not passed:
         sys.exit(1)
+
+
+# example11 sp2sl builds the xi1 sequence g(n) = C4*n*xi1(delta^(-n+1))
+# to this N_max and, without a user grid, fits over s in
+# [1.02*g(far), g(near)] (transforms.sp2sl_window): there the qualifying
+# index N0(s) runs from about `near` to below `far`, over two decades of
+# n for every theta in [1/2, 1), and never reaches the cap.  A fixed
+# s-window cannot do this: N0(s) grows like s^(-theta/(1-theta)), so
+# s = 1e-5 needs N0 ~ 1e15 at theta = 3/4.
+_SP2SL_N_MAX = 400_000
+_SP2SL_WINDOW = (1_000, 200_000)
+
+
+def _example_sp2sl(beta, grid: Optional[np.ndarray], cfg: TransformConfig):
+    """(sl_from_sp output, grid) for example11, with one xi1 sequence per N_max.
+
+    On a user grid whose qualifying index reaches N_max, N_max doubles
+    from 50 000 up to 1.6e6 and the sequence is built again.
+    """
+    n_max = max(cfg.N_max, _SP2SL_N_MAX if grid is None else 50_000)
+    while True:
+        run_cfg = _with_n_max(cfg, n_max)
+        verdict = sp2sl_condition(beta, run_cfg)
+        if grid is None:
+            grid = log_grid(*sp2sl_window(verdict, run_cfg, *_SP2SL_WINDOW), 60)
+        try:
+            return sl_from_sp(beta, grid, run_cfg, verdict=verdict), grid
+        except CapError:
+            if n_max >= 1_500_000:
+                raise
+            n_max *= 2
 
 
 def _with_n_max(cfg: TransformConfig, n_max: int) -> TransformConfig:

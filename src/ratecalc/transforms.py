@@ -29,13 +29,34 @@ log(t) and log(beta) internally so that arguments far beyond the
 double-precision underflow threshold remain exact.  sp_from_wl likewise
 evaluates beta_WL from log(delta^-n n^-theta), walks its index window
 in blocks, and returns log(beta_SP), whose values leave double range.
+
+The grid infimum of a block of T kernel arguments over R grid points is
+a row-minima problem on a (T x R) matrix that is never formed.  Write
+b = beta(r), non-increasing in r.  For xi1 the log objective is
+log r - log(1 - t*b), and -log(1 - t*b) is supermodular in (t, b)
+(its mixed derivative is 1/(1 - t*b)^2 > 0); since b falls as r grows,
+raising t penalises small r more than large r, so the objective has
+monotone differences in (t, r) and, by Topkis (Oper. Res. 26, 1978),
+its leftmost grid argmin is non-decreasing in t.  For xi2,
+-log(t - b) is submodular in (t, b), so the leftmost argmin is
+non-increasing in t.  The feasible set, {r : t*b < 1} or {r : b < t},
+is an up-set of the grid that shrinks in the same direction.  Rows are
+therefore stably sorted by log t, ascending for xi1 and descending for
+xi2, and minimised by divide and conquer (SMAWK, Aggarwal et al.,
+Algorithmica 2, 1987, is the linear-time reference): each level
+evaluates the middle row of every open row segment over that segment's
+column range, and its leftmost argmin bounds the columns of the rows on
+either side.  A middle row with no finite value hands its whole column
+range to the rows before it; the rows after it are infeasible too.
+This costs about R*log2(T) + 2T cells instead of T*R and returns the
+same minima and the same leftmost argmins as a full sweep.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 import numpy as np
@@ -62,6 +83,7 @@ __all__ = [
     "sl_from_sp",
     "sp_from_sl",
     "sp2sl_condition",
+    "sp2sl_window",
     "wl2sp_condition",
     "log_grid",
 ]
@@ -212,6 +234,27 @@ class TransformConfig:
             raise ConfigError(f"malformed transform config: {exc}")
 
 
+@dataclass(frozen=True, eq=False)
+class _Xi1Sequence:
+    """(n, n*xi1(delta^(-n+1))) for n in ``ns``, and what it was computed from."""
+
+    beta: RateFunction
+    delta: float
+    r_grid: GridSpec
+    ns: np.ndarray
+    values: np.ndarray
+
+    def is_for(self, beta: RateFunction, cfg: TransformConfig, n0: int) -> bool:
+        """Whether this is the sequence of (beta, cfg) on [n0, N_max]."""
+        return (
+            self.beta is beta
+            and self.delta == cfg.delta
+            and self.r_grid == cfg.r_grid
+            and int(self.ns[0]) == n0
+            and int(self.ns[-1]) == cfg.N_max
+        )
+
+
 @dataclass(frozen=True)
 class ConditionVerdict:
     """Empirical verdict for a vanishing side condition.
@@ -219,12 +262,16 @@ class ConditionVerdict:
     ``holds_empirically`` requires a finite tail that decays decisively
     (final value well below the start and a negative log-log trend);
     ``fails_empirically`` flags non-decreasing or flat tails and any
-    infinite or Undefined entry.
+    infinite or Undefined entry.  A verdict from ``sp2sl_condition``
+    also carries the kernel sequence it was read from, so that
+    ``sl_from_sp`` given the verdict reuses it; the sequence is not part
+    of the JSON form.
     """
 
     status: str
     sequence_tail: tuple
     trend_slope: float
+    sequence: Optional[_Xi1Sequence] = field(default=None, repr=False, compare=False)
 
     @property
     def holds(self) -> bool:
@@ -247,36 +294,75 @@ class ConditionVerdict:
 # ---------------------------------------------------------------------------
 
 
+def _cells(log_ts: np.ndarray, r: np.ndarray, log_b: np.ndarray, kind: str) -> np.ndarray:
+    """Kernel objective r/(1 - t*beta(r)) or r/(t - beta(r)), elementwise.
+
+    The arguments broadcast against each other; infeasible and NaN cells
+    are +inf.
+    """
+    if kind == "xi1":
+        # denominator 1 - t*beta(r) = -expm1(log t + log beta)
+        u = log_ts + log_b
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vals = np.where(u < 0.0, r / (-np.expm1(u)), np.inf)
+    else:
+        # denominator t - beta(r) = t * (-expm1(log beta - log t));
+        # value r/(t - beta) = exp(log r - log t) / (-expm1(...))
+        v = log_b - log_ts
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            scaled = np.exp(np.log(r) - log_ts)
+            vals = np.where(v < 0.0, scaled / (-np.expm1(v)), np.inf)
+    return np.where(np.isnan(vals), np.inf, vals)
+
+
 def _grid_pass(
     beta: RateFunction,
     log_ts: np.ndarray,
     r: np.ndarray,
     kind: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Masked kernel values over one r-grid for a block of t's.
+    """Kernel row minima over one r-grid for a block of t's.
 
-    Returns (min value per row, argmin index per row); rows with no
-    feasible grid point get +inf / -1.
+    Returns (min value per row, leftmost argmin index per row); rows with
+    no finite grid value get +inf / -1.  Divide and conquer over the rows
+    sorted so that the leftmost argmin is non-decreasing (see the module
+    docstring); each level is one flat gather over the open segments.
     """
     log_b = beta.log_eval_many(r)
-    if kind == "xi1":
-        # denominator 1 - t*beta(r) = -expm1(log t + log beta)
-        u = log_ts[:, None] + log_b[None, :]
-        with np.errstate(over="ignore", invalid="ignore"):
-            denom = -np.expm1(u)
-            vals = np.where(u < 0.0, r[None, :] / denom, np.inf)
-    else:
-        # denominator t - beta(r) = t * (-expm1(log beta - log t));
-        # value r/(t - beta) = exp(log r - log t) / (-expm1(...))
-        v = log_b[None, :] - log_ts[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            denom = -np.expm1(v)
-            scaled = np.exp(np.log(r)[None, :] - log_ts[:, None])
-            vals = np.where(v < 0.0, scaled / denom, np.inf)
-    vals = np.where(np.isnan(vals), np.inf, vals)
-    best = vals.min(axis=1)
-    idx = np.where(np.isfinite(best), vals.argmin(axis=1), -1)
-    return best, idx
+    order = np.argsort(log_ts if kind == "xi1" else -log_ts, kind="stable")
+    lts = log_ts[order]
+    best = np.full(lts.shape, np.inf)
+    idx = np.full(lts.shape, -1)
+    # Open segments: rows [a, b) of the sorted order, columns [lo, hi].
+    a = np.zeros(min(lts.size, 1), dtype=int)
+    b, lo, hi = a + lts.size, a.copy(), a + r.size - 1
+    while a.size:
+        mid = (a + b) // 2
+        width = hi - lo + 1
+        starts = np.cumsum(width) - width
+        seg = np.repeat(np.arange(mid.size), width)
+        cols = np.arange(starts[-1] + width[-1]) - starts[seg] + lo[seg]
+        vals = _cells(lts[mid][seg], r[cols], log_b[cols], kind)
+        row_min = np.minimum.reduceat(vals, starts)
+        hits = np.flatnonzero(vals == row_min[seg])
+        arg = cols[hits[np.searchsorted(seg[hits], np.arange(mid.size))]]
+        ok = np.isfinite(row_min)
+        best[mid] = row_min
+        idx[mid[ok]] = arg[ok]
+        # An infeasible middle row bounds nothing on its left; the rows on
+        # its right are infeasible as well and stay at +inf / -1.
+        left = a < mid
+        right = ok & (mid + 1 < b)
+        a, b, lo, hi = (
+            np.concatenate([a[left], mid[right] + 1]),
+            np.concatenate([mid[left], b[right]]),
+            np.concatenate([lo[left], arg[right]]),
+            np.concatenate([np.where(ok, arg, hi)[left], hi[right]]),
+        )
+    out_best, out_idx = np.empty_like(best), np.empty_like(idx)
+    out_best[order] = best
+    out_idx[order] = idx
+    return out_best, out_idx
 
 
 def _refine_rows(
@@ -289,19 +375,8 @@ def _refine_rows(
     """One 10x-denser local pass around per-row argmins."""
     steps = np.linspace(-1.0, 1.0, _REFINE_POINTS)
     local = centers[:, None] * ratio ** steps[None, :]
-    flat = local.ravel()
-    log_b = beta.log_eval_many(flat).reshape(local.shape)
-    if kind == "xi1":
-        u = log_ts[:, None] + log_b
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.where(u < 0.0, local / (-np.expm1(u)), np.inf)
-    else:
-        v = log_b - log_ts[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = np.exp(np.log(local) - log_ts[:, None])
-            vals = np.where(v < 0.0, scaled / (-np.expm1(v)), np.inf)
-    vals = np.where(np.isnan(vals), np.inf, vals)
-    return vals.min(axis=1)
+    log_b = beta.log_eval_many(local.ravel()).reshape(local.shape)
+    return _cells(log_ts[:, None], local, log_b, kind).min(axis=1)
 
 
 def _kernel_min(beta: RateFunction, log_ts: np.ndarray, cfg: TransformConfig, kind: str) -> np.ndarray:
@@ -590,11 +665,44 @@ def _sp_kernel_sequence(
 
 
 def sp2sl_condition(beta_sp: RateFunction, cfg: Optional[TransformConfig] = None) -> ConditionVerdict:
-    """Check lim_n n*xi1(delta^(-n+1)) = 0 on the configured window."""
+    """Check lim_n n*xi1(delta^(-n+1)) = 0 on the configured window.
+
+    The verdict carries the kernel sequence it was read from.
+    """
     cfg = cfg or TransformConfig()
+    seq = _xi1_sequence(beta_sp, cfg)
+    return replace(check_vanishing((seq.ns, seq.values), cfg), sequence=seq)
+
+
+def _xi1_sequence(
+    beta_sp: RateFunction, cfg: TransformConfig, verdict: Optional[ConditionVerdict] = None
+) -> _Xi1Sequence:
+    """n*xi1(delta^(-n+1)) on [n0, N_max], or the sequence ``verdict`` carries if it is that one."""
     n0 = cfg.n0 if cfg.n0 is not None else _auto_n0_xi1(beta_sp, cfg)
+    done = verdict.sequence if verdict is not None else None
+    if done is not None and done.is_for(beta_sp, cfg, n0):
+        return done
     ns, seq = _sp_kernel_sequence(beta_sp, cfg, n0, cfg.N_max)
-    return check_vanishing((ns, seq), cfg)
+    return _Xi1Sequence(beta_sp, cfg.delta, cfg.r_grid, ns, seq)
+
+
+def sp2sl_window(verdict: ConditionVerdict, cfg: TransformConfig, n_near: int, n_far: int) -> tuple[float, float]:
+    """The s-range [1.02*g(n_far), g(n_near)], g(n) = C4*n*xi1(delta^(-n+1)).
+
+    ``verdict`` comes from ``sp2sl_condition`` and must hold; g is read
+    from its sequence, with both indices clamped to [n0, N_max].  Over
+    this range the qualifying index N0(s) stays below ``n_far``.
+    """
+    _gate(verdict, "the SP-to-SL map")
+    seq = verdict.sequence
+    near, far = (int(np.clip(n - seq.ns[0], 0, seq.ns.size - 1)) for n in (n_near, n_far))
+    lo, hi = 1.02 * cfg.C4 * float(seq.values[far]), cfg.C4 * float(seq.values[near])
+    if not (0.0 < lo < hi):
+        raise ConfigError(
+            f"no s-window between indices {n_near} and {n_far} on [{int(seq.ns[0])}, {int(seq.ns[-1])}]: "
+            f"C4*n*xi1(delta^(-n+1)) gives [{lo:g}, {hi:g}]"
+        )
+    return lo, hi
 
 
 def _wl_condition_sequence(
@@ -719,11 +827,15 @@ def sl_from_sp(
     cfg: Optional[TransformConfig] = None,
     verdict: Optional[ConditionVerdict] = None,
 ) -> Tabulated:
-    """SL rate function log(delta)*(1 + N0(s)) from an SP rate function."""
+    """SL rate function log(delta)*(1 + N0(s)) from an SP rate function.
+
+    A ``verdict`` from ``sp2sl_condition`` on the same input and config
+    gates the map and lends it its kernel sequence.
+    """
     cfg = cfg or TransformConfig()
     s = _validate_s_grid(s_grid)
-    n0 = cfg.n0 if cfg.n0 is not None else _auto_n0_xi1(beta_sp, cfg)
-    ns, seq = _sp_kernel_sequence(beta_sp, cfg, n0, cfg.N_max)
+    xi1_seq = _xi1_sequence(beta_sp, cfg, verdict)
+    ns, seq = xi1_seq.ns, xi1_seq.values
     if verdict is None:
         verdict = check_vanishing((ns, seq), cfg)
     _gate(verdict, "the SP-to-SL map")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ratecalc import FiniteDirichletForm
+from ratecalc import FiniteDirichletForm, transforms
 
 
 def _form(mu, edges, n):
@@ -48,3 +48,17 @@ def random_form(rng: np.random.Generator, n_max: int = 8) -> FiniteDirichletForm
             wij = rng.uniform(0.0, 1.0)
             w[i, j] = w[j, i] = w[i, j] + wij
     return FiniteDirichletForm(mu=mu, weights=w)
+
+
+@pytest.fixture()
+def kernel_rows(monkeypatch):
+    """The log(t) of every kernel row evaluated while the test runs."""
+    rows = []
+    real = transforms._kernel_min
+
+    def recording(beta, log_ts, cfg, kind):
+        rows.append(np.array(log_ts, dtype=float))
+        return real(beta, log_ts, cfg, kind)
+
+    monkeypatch.setattr(transforms, "_kernel_min", recording)
+    return rows

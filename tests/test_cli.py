@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -12,6 +13,19 @@ from ratecalc.cli import main
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def _row_indices(rows):
+    """The n of each row, all of them xi1 arguments 4^-(n-1)."""
+    return np.rint(1.0 - np.concatenate(rows) / np.log(4.0)).astype(int)
+
+
+def _each_once(rows, n_hi):
+    """All rows are xi1 arguments 4^-(n-1) for n = n0..n_hi, each evaluated once."""
+    ns = _row_indices(rows)
+    assert np.unique(ns).size == ns.size
+    assert ns.max() == n_hi
+    assert np.array_equal(np.sort(ns), np.arange(ns.min(), n_hi + 1))
 
 
 def _write_ratefn(path, obj):
@@ -87,6 +101,18 @@ class TestTransform:
         lines = (out / "transform.csv").read_text().splitlines()
         assert lines[0] == "s,beta"
 
+    def test_sp2sl_evaluates_each_index_once(self, runner, tmp_path, kernel_rows):
+        rf = _write_ratefn(tmp_path / "rf.json", {"family": "exp_power", "C": 1.0, "theta": 0.6})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N_max": 20000}))
+        res = runner.invoke(
+            main,
+            ["transform", "--direction", "sp2sl", "--ratefn", rf, "--s-grid", "1e-3,1,8",
+             "--config", str(cfg), "--out", str(tmp_path / "o")],
+        )
+        assert res.exit_code == 0
+        _each_once(kernel_rows, 20000)
+
     def test_ungated_direction_writes_placeholder_verdict(self, runner, tmp_path):
         rf = _write_ratefn(tmp_path / "rf.json", {"family": "inverse_power", "a": 1.0, "p": 1.0})
         out = tmp_path / "o"
@@ -106,35 +132,45 @@ class TestTransform:
         )
         assert res.exit_code == 5
 
-    def test_overflowing_beta_exits_5(self, runner, tmp_path):
-        # k* = 2000 at s = 1e-3: beta_SP = 4^2000 does not fit in a double.
+    def test_overflowing_beta_writes_log_beta(self, runner, tmp_path):
+        # k* = 2000 at s = 1e-3: beta_SP = 4^2000 does not fit in a double,
+        # so beta reads inf there and log_beta carries the exact value.
         rf = _write_ratefn(tmp_path / "rf.json", {"family": "constant", "B": 2.0})
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k_max": 5000, "N_max": 5000}))
-        res = runner.invoke(
-            main,
-            ["transform", "--direction", "wl2sp", "--ratefn", rf, "--s-grid", "1e-3,1e-2,4",
-             "--config", str(cfg), "--out", str(tmp_path / "o")],
-        )
-        assert res.exit_code == 5
-        assert not (tmp_path / "o" / "transform.csv").exists()
-
-    def test_failure_writes_manifest(self, runner, tmp_path):
-        # beta_SP at s = 0.02 is exp(4950.46), past double range: exit 5.
-        rf = _write_ratefn(tmp_path / "rf.json", {"family": "log_power", "C": 1.0, "q": 0.5})
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"k_max": 4000, "N_max": 4000}))
         out = tmp_path / "o"
         res = runner.invoke(
             main,
-            ["transform", "--direction", "wl2sp", "--ratefn", rf, "--s-grid", "0.02,0.05,20",
+            ["transform", "--direction", "wl2sp", "--ratefn", rf, "--s-grid", "1e-3,1e-2,4",
              "--config", str(cfg), "--out", str(out)],
         )
-        assert res.exit_code == 5
+        assert res.exit_code == 0
+        lines = (out / "transform.csv").read_text().splitlines()
+        assert lines[0] == "s,beta,log_beta"
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert rows[0][0] == pytest.approx(1e-3)
+        assert rows[0][1] == math.inf
+        assert rows[0][2] == 2000 * math.log(4.0)
+        for s, beta, log_beta in rows:
+            assert beta == (math.exp(log_beta) if log_beta < 709 else math.inf)
+        assert rows[-1][2] == 200 * math.log(4.0)
+
+    def test_failure_writes_manifest(self, runner, tmp_path):
+        # n*xi1(4^(-n+1)) does not vanish for ExpPower{1, 1}: exit 4.
+        rf = _write_ratefn(tmp_path / "rf.json", {"family": "exp_power", "C": 1.0, "theta": 1.0})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N_max": 4000}))
+        out = tmp_path / "o"
+        res = runner.invoke(
+            main,
+            ["transform", "--direction", "sp2sl", "--ratefn", rf, "--s-grid", "0.2,1,8",
+             "--config", str(cfg), "--out", str(out)],
+        )
+        assert res.exit_code == 4
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["pass"] is False
-        assert manifest["command"] == "transform wl2sp"
-        assert "exceeds double-precision range" in manifest["summary"]
+        assert manifest["command"] == "transform sp2sl"
+        assert "vanishing side condition fails" in manifest["summary"]
         assert manifest["resolved_config"]["N_max"] == 4000
         assert manifest["outputs"] == ["verdict.json"]
 
@@ -148,6 +184,48 @@ class TestExample11:
         assert rep["predicted_exponent"] == pytest.approx(1.0)
         assert abs(rep["fitted_exponent"] - 1.0) <= 0.15
         assert rep["pass"]
+
+    @pytest.mark.parametrize("theta", ["0.6", "0.75"])
+    def test_sp2sl_default_window_fits(self, runner, tmp_path, theta, kernel_rows):
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["example11", "--theta", theta, "--branch", "sp2sl", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rep = json.loads((out / "report.json").read_text())
+        assert abs(rep["fitted_exponent"] - rep["predicted_exponent"]) <= 0.15
+        _each_once(kernel_rows, 400_000)  # one sequence, no retry
+
+    def test_sp2sl_retry_rebuilds_sequence(self, runner, tmp_path, kernel_rows):
+        # N0(1e-5) lies between 5e4 and 1e5: one retry, from N_max 5e4 to 1e5,
+        # each pass evaluating its window once.
+        out = tmp_path / "o"
+        res = runner.invoke(
+            main,
+            ["example11", "--theta", "0.5", "--branch", "sp2sl", "--s-grid", "1e-5,1e-2,60", "--out", str(out)],
+        )
+        assert res.exit_code == 0, res.output
+        ns = _row_indices(kernel_rows)
+        n0 = ns.min()
+        assert ns.max() == 100_000
+        assert np.array_equal(np.bincount(ns - n0), np.where(np.arange(100_001 - n0) <= 50_000 - n0, 2, 1))
+
+    def test_sp2sl_failing_condition_exits_4(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"slope_tol": 50.0}))
+        res = runner.invoke(
+            main,
+            ["example11", "--theta", "0.5", "--branch", "sp2sl", "--config", str(cfg), "--out", str(tmp_path / "o")],
+        )
+        assert res.exit_code == 4, res.output
+
+    def test_sp2sl_empty_default_window_exits_2(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n0": 200_000}))
+        res = runner.invoke(
+            main,
+            ["example11", "--theta", "0.5", "--branch", "sp2sl", "--config", str(cfg), "--out", str(tmp_path / "o")],
+        )
+        assert res.exit_code == 2, res.output
+        assert "no s-window" in res.output
 
     def test_sp2wl_theta_two(self, runner, tmp_path):
         out = tmp_path / "o"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratecalc import (
     CapError,
@@ -12,6 +13,7 @@ from ratecalc import (
     GridSpec,
     InversePower,
     LogPower,
+    LogTabulated,
     MathDomainError,
     PolyPower,
     RateFunction,
@@ -184,6 +186,175 @@ class TestKernels:
             xi2(Constant(B=1.0), -1.0, CFG)
 
 
+def dense_grid_pass(beta, log_ts, r, kind):
+    """Reference row minima: the full (rows x r-grid) sweep.
+
+    Returns (min value per row, leftmost argmin per row); rows with no
+    finite grid value get +inf / -1.
+    """
+    log_b = beta.log_eval_many(r)
+    if kind == "xi1":
+        u = log_ts[:, None] + log_b[None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            denom = -np.expm1(u)
+            vals = np.where(u < 0.0, r[None, :] / denom, np.inf)
+    else:
+        v = log_b[None, :] - log_ts[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            denom = -np.expm1(v)
+            scaled = np.exp(np.log(r)[None, :] - log_ts[:, None])
+            vals = np.where(v < 0.0, scaled / denom, np.inf)
+    vals = np.where(np.isnan(vals), np.inf, vals)
+    best = vals.min(axis=1)
+    idx = np.where(np.isfinite(best), vals.argmin(axis=1), -1)
+    return best, idx
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+FAMILIES = [
+    ExpPower(C=1.0, theta=0.5),
+    ExpPower(C=0.5, theta=2.0),
+    PolyPower(C=1.0, p=1.0),
+    PolyPower(C=1.0, p=3.0),
+    LogPower(C=1.0, q=0.5),
+    InversePower(a=1.3, p=1.0),
+    Constant(B=2.0),
+    # flat stretches: equal beta over whole runs of grid points
+    Tabulated(points=((1e-3, 40.0), (0.01, 40.0), (0.1, 6.0), (1.0, 6.0), (1e3, 1.5))),
+    LogTabulated(log_points=((1e-4, 30.0), (1e-2, 3.0), (1.0, 3.0), (1e2, 0.1))),
+]
+
+# log t ranges that cover feasible, partly feasible and infeasible rows
+LOG_T_RANGE = {"xi1": (-60.0, 6.0), "xi2": (-6.0, 60.0)}
+
+
+class TestMonotoneRowMinima:
+    """The divide-and-conquer row minima against the full sweep, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["xi1", "xi2"])
+    @pytest.mark.parametrize("beta", FAMILIES, ids=lambda b: type(b).__name__ + repr(b.to_json_dict())[:30])
+    def test_grid_pass_matches_dense(self, beta, kind):
+        rng = np.random.default_rng(5)
+        r = CFG.r_grid.points()
+        log_ts = rng.uniform(*LOG_T_RANGE[kind], 3000)
+        log_ts = np.concatenate([log_ts, log_ts[:300], np.full(7, log_ts[0])])  # duplicates
+        rng.shuffle(log_ts)
+        for rows in (log_ts, log_ts[:1], log_ts[::-1]):
+            best, idx = transforms._grid_pass(beta, rows, r, kind)
+            want_best, want_idx = dense_grid_pass(beta, rows, r, kind)
+            _assert_same_bits(best, want_best)
+            _assert_same_bits(idx, want_idx)
+
+    @pytest.mark.parametrize("kind", ["xi1", "xi2"])
+    def test_infeasible_rows(self, kind):
+        # Constant{2}: xi1 is infeasible for t >= 1/2, xi2 for t <= 2.
+        beta = Constant(B=2.0)
+        r = CFG.r_grid.points()
+        log_ts = np.log(np.array([0.1, 0.6, 5.0, 0.3, 1.0, 2.0, 0.5, 7.0, 30.0]))
+        best, idx = transforms._grid_pass(beta, log_ts, r, kind)
+        want_best, want_idx = dense_grid_pass(beta, log_ts, r, kind)
+        assert np.any(want_idx == -1) and np.any(want_idx >= 0)
+        _assert_same_bits(best, want_best)
+        _assert_same_bits(idx, want_idx)
+        for one in log_ts:
+            _assert_same_bits(transforms._grid_pass(beta, np.array([one]), r, kind)[1],
+                              dense_grid_pass(beta, np.array([one]), r, kind)[1])
+
+    @pytest.mark.parametrize("kind", ["xi1", "xi2"])
+    @pytest.mark.parametrize("beta", FAMILIES, ids=lambda b: type(b).__name__ + repr(b.to_json_dict())[:30])
+    def test_kernel_min_matches_dense(self, beta, kind, monkeypatch):
+        rng = np.random.default_rng(6)
+        log_ts = np.concatenate([rng.uniform(*LOG_T_RANGE[kind], 400), [LOG_T_RANGE[kind][0]] * 3])
+        rng.shuffle(log_ts)
+        got = transforms._kernel_min(beta, log_ts, CFG, kind)
+        single = [transforms._kernel_min(beta, log_ts[i : i + 1], CFG, kind)[0] for i in range(0, 400, 37)]
+        monkeypatch.setattr(transforms, "_grid_pass", dense_grid_pass)
+        _assert_same_bits(got, transforms._kernel_min(beta, log_ts, CFG, kind))
+        _assert_same_bits(single, got[0:400:37])
+
+    def test_grid_extensions_match_dense(self, monkeypatch):
+        # xi1 of ExpPower{1, 1/2} at t = 4^-(n-1) has its minimiser below
+        # r_min for large n; xi1 of InversePower{1, 1} (minimiser 2t) and
+        # xi2 of InversePower{1, 1} (minimiser 2/t) leave the grid at the top.
+        cases = [
+            (ExpPower(C=1.0, theta=0.5), -np.arange(1, 3001) * math.log(4.0), "xi1"),
+            (InversePower(a=1.0, p=1.0), np.log(np.geomspace(1e-12, 1e14, 300)), "xi1"),
+            (InversePower(a=1.0, p=1.0), np.log(np.geomspace(1e-14, 1e12, 300)), "xi2"),
+        ]
+        grids = []
+        real = transforms._grid_pass
+
+        def recording(beta, log_ts, r, kind):
+            grids.append((r[0], r[-1]))
+            return real(beta, log_ts, r, kind)
+
+        monkeypatch.setattr(transforms, "_grid_pass", recording)
+        got = [transforms._kernel_min(beta, lts, CFG, kind) for beta, lts, kind in cases]
+        assert any(hi == CFG.r_grid.r_min for _, hi in grids)  # a left extension ran
+        assert any(lo == CFG.r_grid.r_max for lo, _ in grids)  # a right extension ran
+        monkeypatch.setattr(transforms, "_grid_pass", dense_grid_pass)
+        for (beta, lts, kind), values in zip(cases, got):
+            _assert_same_bits(values, transforms._kernel_min(beta, lts, CFG, kind))
+
+    def test_benchmark_inputs_match_dense(self, monkeypatch):
+        # transform sp2sl on ExpPower{1, 1/2} with N_max = 2e5, and
+        # xi --kernel xi1 on InversePower{a, 1} over t in [1e-3, 1e3].
+        beta = ExpPower(C=1.0, theta=0.5)
+        cfg = TransformConfig(N_max=200_000)
+        n0 = transforms._auto_n0_xi1(beta, cfg)
+        ts = np.log(np.geomspace(1e-3, 1e3, 40))
+        inverse = [InversePower(a=a, p=1.0) for a in (0.5, 0.83, 1.37, 2.0)]
+        ns, seq = transforms._sp_kernel_sequence(beta, cfg, n0, cfg.N_max)
+        xis = [transforms._kernel_min(b, ts, CFG, "xi1") for b in inverse]
+        monkeypatch.setattr(transforms, "_grid_pass", dense_grid_pass)
+        _assert_same_bits(seq, transforms._sp_kernel_sequence(beta, cfg, n0, cfg.N_max)[1])
+        for b, got in zip(inverse, xis):
+            _assert_same_bits(got, transforms._kernel_min(b, ts, CFG, "xi1"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        knots=st.lists(
+            st.tuples(st.floats(-25.0, 25.0), st.sampled_from([0.05, 0.5, 1.0, 2.0, 7.0, 40.0, 1e3])),
+            min_size=1,
+            max_size=8,
+            unique_by=lambda k: round(k[0], 6),
+        ),
+        log_ts=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=60),
+        kind=st.sampled_from(["xi1", "xi2"]),
+    )
+    def test_random_tables_match_dense(self, knots, log_ts, kind):
+        knots = sorted(knots)
+        table = Tabulated(points=tuple((math.exp(x), v) for x, v in knots))
+        r = np.geomspace(1e-12, 1e12, 160)
+        lts = np.array(log_ts + log_ts[:3])
+        best, idx = transforms._grid_pass(table, lts, r, kind)
+        want_best, want_idx = dense_grid_pass(table, lts, r, kind)
+        _assert_same_bits(best, want_best)
+        _assert_same_bits(idx, want_idx)
+
+    def test_work_count(self, monkeypatch):
+        cells = []
+        real = transforms._cells
+
+        def counting(log_ts, r, log_b, kind):
+            cells.append(np.size(log_b))
+            return real(log_ts, r, log_b, kind)
+
+        monkeypatch.setattr(transforms, "_cells", counting)
+        beta = ExpPower(C=1.0, theta=0.5)
+        log_ts = -np.arange(1, 200_001) * math.log(4.0)
+        r = CFG.r_grid.points()
+        transforms._grid_pass(beta, log_ts, r, "xi1")
+        rows, cols = log_ts.size, r.size
+        assert sum(cells) < cols * (math.log2(rows) + 2) + 2 * rows
+        assert len(cells) <= math.ceil(math.log2(rows + 1))  # one flat gather per level
+
+
 class TestConfig:
     def test_delta_must_exceed_two(self):
         with pytest.raises(ConfigError):
@@ -296,6 +467,55 @@ class TestNZero:
     def test_gate_enforced(self):
         with pytest.raises(ConditionFailedError):
             n_zero(ExpPower(C=1.0, theta=1.0), 0.1, CFG)
+
+
+class TestSequenceReuse:
+    BETA = ExpPower(C=1.0, theta=0.6)
+    CFG = TransformConfig(N_max=3000)
+    GRID = log_grid(5e-3, 0.5, 20)
+
+    def test_verdict_lends_its_sequence(self, kernel_rows):
+        verdict = sp2sl_condition(self.BETA, self.CFG)
+        built = sum(r.size for r in kernel_rows)
+        out = sl_from_sp(self.BETA, self.GRID, self.CFG, verdict=verdict)
+        assert built == self.CFG.N_max - int(verdict.sequence.ns[0]) + 1
+        assert sum(r.size for r in kernel_rows) == built
+        assert out.points == sl_from_sp(self.BETA, self.GRID, self.CFG).points
+
+    @pytest.mark.parametrize("other", [TransformConfig(N_max=3000, delta=5.0), TransformConfig(N_max=2000)])
+    def test_foreign_sequence_not_reused(self, kernel_rows, other):
+        verdict = sp2sl_condition(self.BETA, other)
+        kernel_rows.clear()
+        out = sl_from_sp(self.BETA, self.GRID, self.CFG, verdict=verdict)
+        assert sum(r.size for r in kernel_rows) == 3000 - transforms._auto_n0_xi1(self.BETA, self.CFG) + 1
+        assert out.points == sl_from_sp(self.BETA, self.GRID, self.CFG).points
+
+
+class TestSp2slWindow:
+    BETA = ExpPower(C=1.0, theta=0.6)
+
+    def test_window_from_sequence(self):
+        cfg = TransformConfig(N_max=3000)
+        verdict = sp2sl_condition(self.BETA, cfg)
+        lo, hi = transforms.sp2sl_window(verdict, cfg, 100, 2000)
+        seq = verdict.sequence
+        assert lo == 1.02 * float(seq.values[2000 - seq.ns[0]])
+        assert hi == float(seq.values[100 - seq.ns[0]])
+        assert n_zero(self.BETA, lo, cfg) < 2000
+
+    def test_failing_verdict_is_refused(self):
+        cfg = TransformConfig(N_max=3000, slope_tol=50.0)
+        verdict = sp2sl_condition(self.BETA, cfg)
+        assert verdict.fails
+        with pytest.raises(ConditionFailedError):
+            transforms.sp2sl_window(verdict, cfg, 100, 2000)
+
+    @pytest.mark.filterwarnings("ignore:vanishing condition")
+    def test_indices_past_the_sequence_give_config_error(self):
+        cfg = TransformConfig(n0=1500, N_max=3000)
+        verdict = sp2sl_condition(self.BETA, cfg)
+        with pytest.raises(ConfigError, match="no s-window"):
+            transforms.sp2sl_window(verdict, cfg, 100, 1000)
 
 
 class TestSlFromSp:
