@@ -50,9 +50,9 @@ from .transforms import (
     sp_from_sl,
     sp_from_wl,
     wl2sp_condition,
+    wl2sp_window,
     wl_from_sp,
 )
-from .transforms import _wl_suffix_sup
 
 _EXAMPLE_TOLERANCE = 0.15
 
@@ -254,8 +254,8 @@ _DIRECTIONS = {
 def cmd_transform(direction, ratefn_path, s_grid, config_path, out_dir):
     """Apply a rate-function map and emit CSV (s,beta) plus the side-condition verdict.
 
-    The WL-to-SP map adds a log_beta column; beta reads inf where it
-    leaves double range.
+    The WL-to-SP and SL-to-SP maps add a log_beta column; beta reads inf
+    where it leaves double range.
     """
     t0 = time.perf_counter()
     beta = _load_ratefn(ratefn_path)
@@ -450,21 +450,11 @@ def _example_default_grid(branch: str, theta: float, beta, cfg: TransformConfig)
         return log_grid(1e-180, 1e-40, 60)
     if branch == "sl2sp":
         return log_grid(1e-4, 1e-2, 60)
-    # wl2sp: delta^k overflows doubles quickly, so place the window where
-    # the smallest admissible k stays below the cap.
+    # wl2sp: example11 fits beta, so k*(s) stays below 380, where delta^k
+    # fits in a double; the window spans at least a factor 20 in s.
     n0 = cfg.n0 if cfg.n0 is not None else 2
-    n_hi = min(380, cfg.k_max, cfg.N_max)
-    n_lo = n0 + min(3, cfg.N_max - n0)
-    sup = {}
-    for ns, block in _wl_suffix_sup(beta, cfg, n0):
-        for n in (n_lo, n_hi):
-            if ns[0] <= n <= ns[-1]:
-                sup[n] = float(block[n - ns[0]])
-        if ns[0] <= min(n_lo, n_hi):
-            break
-    s_lo = sup[n_hi] * 1.02
-    s_hi = max(sup[n_lo] * 0.98, s_lo * 20.0)
-    return log_grid(s_lo, s_hi, 40)
+    s_lo, s_hi = wl2sp_window(beta, cfg, min(n0 + 3, cfg.N_max), min(380, cfg.k_max, cfg.N_max))
+    return log_grid(s_lo, max(s_hi, s_lo * 20.0), 40)
 
 
 @main.command("example11")
@@ -489,11 +479,11 @@ def cmd_example11(theta, branch, s_grid, config_path, out_dir):
     if branch == "sp2sl":
         out, grid = _example_sp2sl(beta, grid, cfg)
     else:
-        if grid is None:
-            grid = _example_default_grid(branch, theta, beta, cfg)
         transform = {"sp2wl": wl_from_sp, "sl2sp": sp_from_sl, "wl2sp": sp_from_wl}[branch]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
+            if grid is None:
+                grid = _example_default_grid(branch, theta, beta, cfg)
             out = transform(beta, grid, cfg)
 
     pts = list(out.points)

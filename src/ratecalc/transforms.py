@@ -27,8 +27,10 @@ Everything here is pure and deterministic: identical configuration
 produces bit-identical output tables.  Kernel evaluation works with
 log(t) and log(beta) internally so that arguments far beyond the
 double-precision underflow threshold remain exact.  sp_from_wl likewise
-evaluates beta_WL from log(delta^-n n^-theta), walks its index window
-in blocks, and returns log(beta_SP), whose values leave double range.
+evaluates beta_WL from log(delta^-n n^-theta) and walks its index
+window once, in blocks from N_max down, for both the vanishing verdict
+and k*(s).  sp_from_wl and sp_from_sl return log(beta_SP), exact past
+double range.
 
 The grid infimum of a block of T kernel arguments over R grid points is
 a row-minima problem on a (T x R) matrix that is never formed.  Write
@@ -85,6 +87,7 @@ __all__ = [
     "sp2sl_condition",
     "sp2sl_window",
     "wl2sp_condition",
+    "wl2sp_window",
     "log_grid",
 ]
 
@@ -100,9 +103,6 @@ _REFINE_POINTS = 21
 _R_ABS_MIN = 1e-280
 _R_ABS_MAX = 1e280
 _EXT_DECADES = 22.0
-
-# Largest exponent x so that exp(x) stays inside double range.
-_EXP_CAP = 700.0
 
 # Indices per block when the WL-to-SP map walks its index window.
 _BLOCK = 1 << 20
@@ -592,9 +592,9 @@ def _merge_fit(acc: tuple, x: np.ndarray, y: np.ndarray) -> tuple:
 def _vanishing_verdict(blocks, size: int, n_first: int, n_last: int, cfg: TransformConfig) -> ConditionVerdict:
     """The rules of ``check_vanishing`` over ``size`` entries in blocks.
 
-    ``blocks`` yields (ns, vals) pieces of the sequence from left to
-    right.  Only running statistics are kept, so the window may be far
-    longer than what fits in memory at once.
+    ``blocks`` yields (ns, vals) pieces of the sequence from right to
+    left, the last index first.  Only running statistics are kept, so
+    the window may be far longer than what fits in memory at once.
     """
     if size < 4:
         raise ConfigError("vanishing check needs at least 4 sequence values")
@@ -609,22 +609,23 @@ def _vanishing_verdict(blocks, size: int, n_first: int, n_last: int, cfg: Transf
     else:
         picks = tail_start + np.linspace(0, tail_len - 1, 64).astype(int)
 
-    pos = 0
+    pos = size
     first = last = math.nan
     undefined = False
     tail_max = -math.inf
     decreases = False
     half_finite = True
-    prev = np.empty(0)
+    nxt = np.empty(0)
     fit = (0, 0.0, 0.0, 0.0, 0.0)
     pairs = []
     for ns, vals in blocks:
-        if pos == 0:
-            first = float(vals[0])
-        last = float(vals[-1])
+        pos -= vals.size
+        if pos + vals.size == size:
+            last = float(vals[-1])
+        first = float(vals[0])
         undefined = undefined or not np.all(np.isfinite(vals))
         sel = picks[(picks >= pos) & (picks < pos + vals.size)] - pos
-        pairs.extend(zip(ns[sel].tolist(), vals[sel].tolist()))
+        pairs[:0] = zip(ns[sel].tolist(), vals[sel].tolist())
         t = max(tail_start - pos, 0)
         if t < vals.size:
             tail_max = max(tail_max, float(vals[t:].max()))
@@ -632,12 +633,12 @@ def _vanishing_verdict(blocks, size: int, n_first: int, n_last: int, cfg: Transf
         if h < vals.size:
             half_finite = half_finite and bool(np.all(np.isfinite(vals[h:])))
             if half_finite:
-                run = np.concatenate([prev, vals[h:]])
+                run = np.concatenate([vals[h:], nxt])  # nxt: first value of the block on the right
                 decreases = decreases or bool(np.any(np.diff(run) < -1e-9 * np.abs(run[:-1])))
-                prev = run[-1:]
+                nxt = vals[h : h + 1].copy()
                 log_n = np.log(ns[h:].astype(float))
                 fit = _merge_fit(fit, log_n, np.log(np.maximum(vals[h:], 1e-300)))
-        pos += vals.size
+                del run, log_n  # before the next block is built
 
     slope = fit[4] / fit[3] if half_finite else math.nan
     tail = tuple(pairs)
@@ -719,27 +720,54 @@ def _wl_condition_sequence(
         return ns, beta_wl.eval_at_log_many(log_args) / ns
 
 
-def _wl_blocks(beta_wl: RateFunction, cfg: TransformConfig, n0: int, reverse: bool = False):
-    """The WL condition sequence on [n0, N_max] in blocks of _BLOCK indices."""
-    starts = range(n0, cfg.N_max + 1, _BLOCK)
-    for lo in reversed(starts) if reverse else starts:
-        yield _wl_condition_sequence(beta_wl, cfg, lo, min(lo + _BLOCK - 1, cfg.N_max))
+def _wl_walk(beta_wl: RateFunction, cfg: TransformConfig, s=(), at=()):
+    """One walk of the WL condition sequence g on [n0, N_max], in blocks from N_max down.
 
+    Returns the vanishing verdict on g, k*(s) for every s in ``s`` (the
+    smallest k >= n0 with S(k) = sup_{k<=n<=N_max} g(n) <= s) and S at
+    the indices ``at``.  Memory stays bounded for any N_max.
+    """
+    n0 = cfg.n0 if cfg.n0 is not None else 2
+    s, at = np.asarray(s, dtype=float), np.asarray(at, dtype=int)
+    # S is non-increasing in n, so k*(s) is N_max + 1 less the count of n with S(n) <= s.
+    k_star = np.full(s.shape, cfg.N_max + 1)
+    sup_at = np.full(at.shape, np.nan)
 
-def _wl_suffix_sup(beta_wl: RateFunction, cfg: TransformConfig, n0: int):
-    """(ns, sup_{n<=m<=N_max} beta_WL(delta^-m m^-theta)/m) blocks, from N_max down to n0."""
-    carry = -math.inf
-    for ns, g in _wl_blocks(beta_wl, cfg, n0, reverse=True):
-        sup = np.maximum(np.maximum.accumulate(g[::-1])[::-1], carry)
-        carry = sup[0]
-        yield ns, sup
+    def blocks():
+        carry = -math.inf
+        for lo in reversed(range(n0, cfg.N_max + 1, _BLOCK)):
+            ns, g = _wl_condition_sequence(beta_wl, cfg, lo, min(lo + _BLOCK - 1, cfg.N_max))
+            rsup = np.maximum.accumulate(g[::-1])  # S at ns[::-1], once the carry is in
+            np.maximum(rsup, carry, out=rsup)
+            carry = rsup[-1]
+            k_star[:] -= np.searchsorted(rsup, s, side="right")
+            inside = (at >= ns[0]) & (at <= ns[-1])
+            sup_at[inside] = rsup[ns[-1] - at[inside]]
+            del rsup  # before the next block is built
+            yield ns, g
+
+    verdict = _vanishing_verdict(blocks(), cfg.N_max - n0 + 1, n0, cfg.N_max, cfg)
+    return verdict, k_star, sup_at
 
 
 def wl2sp_condition(beta_wl: RateFunction, cfg: Optional[TransformConfig] = None) -> ConditionVerdict:
-    """Check lim_n beta_WL(delta^-n n^-theta)/n = 0 on the window."""
-    cfg = cfg or TransformConfig()
-    n0 = cfg.n0 if cfg.n0 is not None else 2
-    return _vanishing_verdict(_wl_blocks(beta_wl, cfg, n0), cfg.N_max - n0 + 1, n0, cfg.N_max, cfg)
+    """Check lim_n beta_WL(delta^-n n^-theta)/n = 0 on the window, by the walk of ``sp_from_wl``."""
+    return _wl_walk(beta_wl, cfg or TransformConfig())[0]
+
+
+def wl2sp_window(beta_wl: RateFunction, cfg: TransformConfig, n_near: int, n_far: int) -> tuple[float, float]:
+    """The s-range [1.02*S(n_far), 0.98*S(n_near)], S(k) = sup_{k<=n<=N_max} beta_WL(delta^-n n^-theta)/n.
+
+    S is read from one walk of the window [n0, N_max], which must hold
+    both indices and pass the vanishing check.  Over this range k*(s) of
+    ``sp_from_wl`` lies in (n_near, n_far].
+    """
+    verdict, _, (sup_near, sup_far) = _wl_walk(beta_wl, cfg, at=(n_near, n_far))
+    _gate(verdict, "the WL-to-SP map")
+    lo, hi = 1.02 * float(sup_far), 0.98 * float(sup_near)
+    if not (0.0 < lo < hi):
+        raise ConfigError(f"no s-window between indices {n_near} and {n_far}: S gives [{lo:g}, {hi:g}]")
+    return lo, hi
 
 
 def _gate(verdict: ConditionVerdict, what: str) -> None:
@@ -780,15 +808,6 @@ def _clamp_and_tabulate(s: np.ndarray, values: np.ndarray, s0: Optional[float], 
             values[above] = values[~above][-1]
     env = _running_max_from_right(values)
     return table(tuple(zip(s.tolist(), env.tolist())))
-
-
-def _power_of_delta(delta: float, k: int) -> float:
-    x = k * math.log(delta)
-    if x > _EXP_CAP:
-        raise CapError(
-            f"delta^{k} exceeds double-precision range; the requested s is too small"
-        )
-    return math.exp(x)
 
 
 def n_zero(beta_sp: RateFunction, s: float, cfg: Optional[TransformConfig] = None) -> int:
@@ -906,29 +925,19 @@ def sp_from_wl(
     N_max is certified negligible by the vanishing-condition verdict.
     The output grows doubly exponentially, so the table carries
     log(beta_SP) = log(C3) + k*(s)*log(delta), exact past double range.
-    The index window is walked in blocks, so memory stays bounded for
-    any N_max.
+    One walk of the index window from N_max down, in blocks, gives both
+    the verdict and k*(s), so memory stays bounded for any N_max.  A
+    ``verdict`` passed in gates the map before any index is evaluated.
     """
     cfg = cfg or TransformConfig()
     s = _validate_s_grid(s_grid)
-    n0 = cfg.n0 if cfg.n0 is not None else 2
-    if verdict is None:
-        verdict = wl2sp_condition(beta_wl, cfg)
-    _gate(verdict, "the WL-to-SP map")
-
+    if verdict is not None:
+        _gate(verdict, "the WL-to-SP map")
     s0 = cfg.s0 if cfg.s0 is not None else float(s[-1])
     s_eff = np.minimum(s, s0)
-    # The suffix sup is non-increasing, so walking down from N_max the
-    # indices where it exceeds s end at k*(s) - 1.
-    k_star = np.full(s.shape, n0)
-    open_ = np.ones(s.shape, dtype=bool)
-    for ns, sup in _wl_suffix_sup(beta_wl, cfg, n0):
-        above = sup.size - np.searchsorted(sup[::-1], s_eff, side="right")
-        hit = open_ & (above > 0)
-        k_star[hit] = ns[above[hit] - 1] + 1
-        open_ &= ~hit
-        if not np.any(open_):
-            break
+    walked, k_star, _ = _wl_walk(beta_wl, cfg, s_eff)
+    if verdict is None:
+        _gate(walked, "the WL-to-SP map")
 
     k_cap = min(cfg.k_max, cfg.N_max)
     over = np.flatnonzero(k_star > k_cap)
@@ -940,11 +949,13 @@ def sp_from_wl(
     return _clamp_and_tabulate(s, log_values, cfg.s0, LogTabulated)
 
 
-def sp_from_sl(beta_sl: RateFunction, s_grid, cfg: Optional[TransformConfig] = None) -> Tabulated:
+def sp_from_sl(beta_sl: RateFunction, s_grid, cfg: Optional[TransformConfig] = None) -> LogTabulated:
     """SP rate function C5*delta^k*(s) from an SL rate function.
 
     k*(s) is the smallest k >= n0 with xi2(k*log delta) <= C6*s;
     Undefined kernel values are treated as unsatisfiable constraints.
+    The table carries log(beta_SP) = log(C5) + k*(s)*log(delta), exact
+    past double range.
     """
     cfg = cfg or TransformConfig()
     s = _validate_s_grid(s_grid)
@@ -957,12 +968,10 @@ def sp_from_sl(beta_sl: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
 
     s0 = cfg.s0 if cfg.s0 is not None else float(s[-1])
     s_eff = np.minimum(s, s0)
-    values = np.empty(s.shape)
-    for i, si in enumerate(s_eff):
-        ok = np.flatnonzero(xi_vals <= cfg.C6 * si)
-        if ok.size == 0:
-            raise CapError(
-                f"no admissible k <= k_max={cfg.k_max} for s={float(si):g}; increase k_max"
-            )
-        values[i] = cfg.C5 * _power_of_delta(cfg.delta, int(ks[ok[0]]))
-    return _clamp_and_tabulate(s, values, cfg.s0)
+    # The first k with xi2 <= C6*s is the first where the running minimum of xi2 is.
+    idx = np.searchsorted(-np.minimum.accumulate(xi_vals), -cfg.C6 * s_eff)
+    if idx[0] == ks.size:
+        raise CapError(f"no admissible k <= k_max={cfg.k_max} for s={float(s_eff[0]):g}; increase k_max")
+    k_star = ks[idx]
+    log_values = math.log(cfg.C5) + k_star * math.log(cfg.delta)
+    return _clamp_and_tabulate(s, log_values, cfg.s0, LogTabulated)

@@ -155,6 +155,26 @@ class TestTransform:
             assert beta == (math.exp(log_beta) if log_beta < 709 else math.inf)
         assert rows[-1][2] == 200 * math.log(4.0)
 
+    def test_sl2sp_writes_log_beta(self, runner, tmp_path):
+        # k*(1e-6) = 1444 for PolyPower{1, 1}: 4^1444 reads inf in beta.
+        rf = _write_ratefn(tmp_path / "rf.json", {"family": "poly_power", "C": 1.0, "p": 1.0})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k_max": 100_000}))
+        out = tmp_path / "o"
+        res = runner.invoke(
+            main,
+            ["transform", "--direction", "sl2sp", "--ratefn", rf, "--s-grid", "1e-6,1e-4,3",
+             "--config", str(cfg), "--out", str(out)],
+        )
+        assert res.exit_code == 0
+        lines = (out / "transform.csv").read_text().splitlines()
+        assert lines[0] == "s,beta,log_beta"
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert rows[0][1] == math.inf
+        assert rows[0][2] == 1444 * math.log(4.0)
+        for s, beta, log_beta in rows:
+            assert beta == (math.exp(log_beta) if log_beta < 709 else math.inf)
+
     def test_failure_writes_manifest(self, runner, tmp_path):
         # n*xi1(4^(-n+1)) does not vanish for ExpPower{1, 1}: exit 4.
         rf = _write_ratefn(tmp_path / "rf.json", {"family": "exp_power", "C": 1.0, "theta": 1.0})
@@ -239,6 +259,7 @@ class TestExample11:
         out = tmp_path / "o"
         res = runner.invoke(main, ["example11", "--theta", "0.5", "--branch", "sl2sp", "--out", str(out)])
         assert res.exit_code == 0
+        assert (out / "transform.csv").read_text().startswith("s,beta\n")
         rep = json.loads((out / "report.json").read_text())
         assert rep["predicted_exponent"] == pytest.approx(0.5)
         assert rep["pass"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,6 +379,123 @@ class TestConfig:
             TransformConfig.from_json_dict({"delta": 4.0, "bogus": 1})
 
 
+def forward_vanishing_verdict(blocks, size, n_first, n_last, cfg):
+    """Reference fold: the rules of ``check_vanishing`` over blocks fed
+    from left to right, the order the first blocked implementation used."""
+    if size < 4:
+        raise ConfigError("vanishing check needs at least 4 sequence values")
+    if n_last < 2 * n_first:
+        raise ConfigError("N_max must be at least twice n0 for the vanishing check")
+
+    tail_start = size - int(math.ceil(size / 4))
+    half_start = size - int(math.ceil(size / 2))
+    tail_len = size - tail_start
+    if tail_len <= 64:
+        picks = np.arange(tail_start, size)
+    else:
+        picks = tail_start + np.linspace(0, tail_len - 1, 64).astype(int)
+
+    pos = 0
+    first = last = math.nan
+    undefined = False
+    tail_max = -math.inf
+    decreases = False
+    half_finite = True
+    prev = np.empty(0)
+    fit = (0, 0.0, 0.0, 0.0, 0.0)
+    pairs = []
+    for ns, vals in blocks:
+        if pos == 0:
+            first = float(vals[0])
+        last = float(vals[-1])
+        undefined = undefined or not np.all(np.isfinite(vals))
+        sel = picks[(picks >= pos) & (picks < pos + vals.size)] - pos
+        pairs.extend(zip(ns[sel].tolist(), vals[sel].tolist()))
+        t = max(tail_start - pos, 0)
+        if t < vals.size:
+            tail_max = max(tail_max, float(vals[t:].max()))
+        h = max(half_start - pos, 0)
+        if h < vals.size:
+            half_finite = half_finite and bool(np.all(np.isfinite(vals[h:])))
+            if half_finite:
+                run = np.concatenate([prev, vals[h:]])
+                decreases = decreases or bool(np.any(np.diff(run) < -1e-9 * np.abs(run[:-1])))
+                prev = run[-1:]
+                log_n = np.log(ns[h:].astype(float))
+                fit = transforms._merge_fit(fit, log_n, np.log(np.maximum(vals[h:], 1e-300)))
+        pos += vals.size
+
+    slope = fit[4] / fit[3] if half_finite else math.nan
+    tail = tuple(pairs)
+    if undefined:
+        return transforms.ConditionVerdict(transforms.FAILS, tail, slope)
+    if tail_max <= 1e-12 * (1.0 + abs(first)):
+        return transforms.ConditionVerdict(transforms.HOLDS, tail, slope)
+    if not decreases:
+        return transforms.ConditionVerdict(transforms.FAILS, tail, slope)
+    if not (slope < -cfg.slope_tol):
+        return transforms.ConditionVerdict(transforms.FAILS, tail, slope)
+    if last < 0.5 * first:
+        return transforms.ConditionVerdict(transforms.HOLDS, tail, slope)
+    return transforms.ConditionVerdict(transforms.INCONCLUSIVE, tail, slope)
+
+
+# The rule of check_vanishing each shape reaches, and the status it gives.
+_RULE_STATUS = {
+    "undefined": "fails_empirically",
+    "zero_tail": "holds_empirically",
+    "never_decreasing": "fails_empirically",
+    "flat": "fails_empirically",
+    "holds": "holds_empirically",
+    "inconclusive": "inconclusive",
+}
+
+
+@st.composite
+def _rule_sequences(draw, rule):
+    """(ns, vals, block size) whose verdict is decided by ``rule``."""
+    size = draw(st.integers(8, 400))
+    n0 = draw(st.integers(2, max(2, size // 4)))
+    ns = np.arange(n0, n0 + size)
+    x = ns.astype(float)
+    c = draw(st.floats(0.1, 10.0))
+    p = draw(st.floats(1.2, 3.0))
+    if rule == "never_decreasing":
+        vals = c * x**p
+    elif rule == "flat":
+        vals = c * (1.0 + draw(st.floats(0.01, 0.1)) / x)
+    else:
+        vals = c * x**-p
+    if rule == "undefined":
+        vals[draw(st.integers(0, size - 1))] = draw(st.sampled_from([np.nan, np.inf]))
+    elif rule == "zero_tail":
+        vals[draw(st.integers(size // 4, size - int(math.ceil(size / 4)))):] = 0.0
+    elif rule == "inconclusive":
+        vals[0] = vals[-1]
+    return ns, vals, draw(st.integers(1, size + 3))
+
+
+@st.composite
+def _any_sequences(draw):
+    """(ns, vals, block size) with arbitrary finite or non-finite entries."""
+    size = draw(st.integers(4, 200))
+    n0 = draw(st.integers(2, max(2, size - 1)))
+    elems = st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, 1.0, np.nan, np.inf]))
+    vals = np.array(draw(st.lists(elems, min_size=size, max_size=size)))
+    return np.arange(n0, n0 + size), vals, draw(st.integers(1, size + 3))
+
+
+def _assert_reverse_fold_matches(ns, vals, block):
+    chunks = [(ns[i : i + block], vals[i : i + block]) for i in range(0, ns.size, block)]
+    want = forward_vanishing_verdict(chunks, ns.size, int(ns[0]), int(ns[-1]), CFG)
+    got = transforms._vanishing_verdict(chunks[::-1], ns.size, int(ns[0]), int(ns[-1]), CFG)
+    assert got.status == want.status
+    # as arrays, so that NaN entries compare equal
+    np.testing.assert_array_equal(np.array(got.sequence_tail), np.array(want.sequence_tail))
+    assert got.trend_slope == pytest.approx(want.trend_slope, rel=1e-12, nan_ok=True)
+    return want
+
+
 class TestCheckVanishing:
     def test_one_over_n_holds(self):
         ns = np.arange(2, 401)
@@ -428,12 +546,24 @@ class TestCheckVanishing:
         ns = np.arange(2, 402)
         vals = 1.0 / ((ns - 2) // 7 + 1)
         whole = check_vanishing((ns, vals), CFG)
-        blocks = [(ns[i : i + 7], vals[i : i + 7]) for i in range(0, ns.size, 7)]
+        blocks = [(ns[i : i + 7], vals[i : i + 7]) for i in range(0, ns.size, 7)][::-1]
         verdict = transforms._vanishing_verdict(blocks, ns.size, 2, 401, CFG)
         assert whole.status == "holds_empirically"
         assert verdict.status == whole.status
         assert verdict.sequence_tail == whole.sequence_tail
         assert verdict.trend_slope == pytest.approx(whole.trend_slope, rel=1e-12)
+
+    @pytest.mark.parametrize("rule", sorted(_RULE_STATUS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_reverse_fold_matches_forward_reference(self, rule, data):
+        ns, vals, block = data.draw(_rule_sequences(rule))
+        assert _assert_reverse_fold_matches(ns, vals, block).status == _RULE_STATUS[rule]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_any_sequences())
+    def test_reverse_fold_matches_forward_reference_anywhere(self, case):
+        _assert_reverse_fold_matches(*case)
 
     def test_window_too_short_rejected(self):
         ns = np.arange(10, 16)
@@ -638,6 +768,35 @@ class TestSpFromWl:
         for s, log_beta in out.log_points:
             assert log_beta == int(ns[np.flatnonzero(sup <= s)[0]]) * math.log(4.0)
 
+    def test_one_walk_in_bounded_memory(self, monkeypatch):
+        # Eight blocks of 2^16 indices; the verdict and k*(s) come from one
+        # walk of the window, and the memory peak stays near one block's
+        # evaluation (the fold and the suffix sup free theirs per block).
+        block = 1 << 16
+        monkeypatch.setattr(transforms, "_BLOCK", block)
+        cfg = TransformConfig(k_max=8 * block + 1, N_max=8 * block + 1)
+        beta = LogPower(C=1.0, q=0.5)
+        elems = []
+        real = LogPower.eval_at_log_many
+
+        def counted(self, log_s):
+            elems.append(np.size(log_s))
+            return real(self, log_s)
+
+        monkeypatch.setattr(LogPower, "eval_at_log_many", counted)
+        grid = log_grid(0.02, 0.05, 10)
+        tracemalloc.start()
+        try:
+            sp_from_wl(beta, grid, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(elems) == cfg.N_max - 2 + 1
+        assert peak < 9.5 * block * 8
+        elems.clear()
+        wl2sp_condition(beta, cfg)
+        assert sum(elems) == cfg.N_max - 2 + 1
+
     @pytest.mark.parametrize(
         "beta",
         [
@@ -655,7 +814,7 @@ class TestSpFromWl:
 
         def run():
             verdict = wl2sp_condition(beta, cfg)
-            sup = np.concatenate([b for _, b in transforms._wl_suffix_sup(beta, cfg, 2)][::-1])
+            sup = transforms._wl_walk(beta, cfg, at=np.arange(2, 3001))[2]
             try:
                 out = sp_from_wl(beta, grid, cfg, verdict=verdict).log_points
             except ConditionFailedError:
@@ -696,6 +855,14 @@ class TestSpFromSl:
         cfg = TransformConfig(k_max=4)
         with pytest.raises(CapError):
             sp_from_sl(PolyPower(C=1.0, p=1.0), [1e-6], cfg)
+
+    def test_log_values_past_double_range(self):
+        # k*(1e-6) = 1444: beta_SP = 4^1444 does not fit in a double.
+        out = sp_from_sl(PolyPower(C=1.0, p=1.0), [1e-6], TransformConfig(k_max=100_000))
+        assert isinstance(out, LogTabulated)
+        assert out.log_points == ((1e-6, 1444 * math.log(4.0)),)
+        with pytest.raises(CapError):
+            out.points
 
 
 class TestConditionHelpers:
