@@ -6,13 +6,18 @@ into --out.  Exit codes: 0 ok (overall pass), 1 verification failed,
 2 config error, 3 math-domain error, 4 condition failure, 5 cap error,
 6 solver error.  Identical invocations with identical seeds produce
 byte-identical CSV/JSON artifacts; the manifest additionally records
-the wall clock, which is its only run-dependent field.  A command that
-stops on an error still writes a manifest, with pass false and the error
-as its summary, once --out exists.
+the wall clock, which is its only run-dependent field.
+
+Each run keeps one record (_Run) that writes its files and its
+manifest, so the manifest lists exactly the files that run wrote.  A
+command that stops on an error still writes a manifest, with pass false
+and the error as its summary, once --out exists; files an earlier run
+left in --out are not listed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
@@ -52,6 +57,8 @@ from .transforms import (
     wl2sp_condition,
     wl2sp_window,
     wl_from_sp,
+    xi1,
+    xi2,
 )
 
 _EXAMPLE_TOLERANCE = 0.15
@@ -59,13 +66,6 @@ _EXAMPLE_TOLERANCE = 0.15
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
 
 
 def _write_json(path: str, obj) -> None:
@@ -125,64 +125,67 @@ def _resolve_form(form_path: Optional[str], birth_death: Optional[str]):
     return form, {"birth_death": {"kappa": kappa, "c0": c0, "half_width": hw, "n": n}}
 
 
-def _write_manifest(
-    out_dir: str,
-    command: str,
-    config_paths,
-    cfg_dict,
-    seed: Optional[int],
-    outputs,
-    t0: float,
-    passed,
-    summary: str,
-) -> None:
-    manifest = {
-        "command": command,
-        "config_paths": config_paths,
-        "resolved_config": cfg_dict,
-        "seed": seed,
-        "outputs": sorted(outputs),
-        "wall_clock_seconds": time.perf_counter() - t0,
-        "pass": passed,
-        "summary": summary,
-    }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+class _Run:
+    """One command's run record: the files it writes into --out and its manifest.
 
+    The command names itself and its input paths first, sets the resolved
+    config once loaded and writes every file through csv/json, so the
+    manifest lists exactly the files this run wrote, whether it ends in
+    finish(passed, summary) or in an error.
+    """
 
-_SELECTORS = ("kernel", "direction", "branch", "kind")
-_INPUT_PATHS = ("ratefn_path", "form_path", "config_path")
+    def __init__(self, out_dir: str):
+        self.out_dir = out_dir
+        self.t0 = time.perf_counter()
+        self.command = ""
+        self.config_paths: list = []
+        self.resolved_config: dict = {}
+        self.seed: Optional[int] = None
+        self.outputs: set = set()
+
+    def start(self, command: str, *paths: Optional[str], seed: Optional[int] = None) -> None:
+        self.command = command
+        self.config_paths = [p for p in paths if p]
+        self.seed = seed
+
+    def _path(self, name: str) -> str:
+        self.outputs.add(name)
+        return os.path.join(self.out_dir, name)
+
+    def csv(self, name: str, header: str, rows) -> None:
+        with open(self._path(name), "w", newline="") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(row) + "\n")
+
+    def json(self, name: str, obj) -> None:
+        _write_json(self._path(name), obj)
+
+    def finish(self, passed: bool, summary: str) -> None:
+        _write_json(os.path.join(self.out_dir, "manifest.json"), {
+            "command": self.command,
+            "config_paths": self.config_paths,
+            "resolved_config": self.resolved_config,
+            "seed": self.seed,
+            "outputs": sorted(self.outputs),
+            "wall_clock_seconds": time.perf_counter() - self.t0,
+            "pass": passed,
+            "summary": summary,
+        })
 
 
 def _cli_errors(fn):
-    """Map library errors to exit codes, writing a failing manifest first."""
+    """Pass the command its run record in place of --out; map library
+    errors to exit codes, writing a failing manifest first once --out exists."""
 
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
+    def wrapper(*args, out_dir, **kwargs):
+        run = _Run(out_dir)
         try:
-            return fn(*args, **kwargs)
+            return fn(run, *args, **kwargs)
         except RateCalcError as exc:
-            out_dir = kwargs["out_dir"]
             if os.path.isdir(out_dir):
-                command = [click.get_current_context().info_name]
-                command += [str(kwargs[k]) for k in _SELECTORS if k in kwargs]
-                cfg_dict = None
-                if "config_path" in kwargs:
-                    try:
-                        cfg_dict = _load_config(kwargs["config_path"]).to_json_dict()
-                    except RateCalcError:
-                        pass
-                _write_manifest(
-                    out_dir,
-                    " ".join(command),
-                    [kwargs[k] for k in _INPUT_PATHS if kwargs.get(k)],
-                    cfg_dict,
-                    kwargs.get("seed"),
-                    [name for name in os.listdir(out_dir) if name != "manifest.json"],
-                    t0,
-                    False,
-                    str(exc),
-                )
+                run.finish(False, str(exc))
             click.echo(f"error: {exc}", err=True)
             sys.exit(exc.exit_code)
 
@@ -202,38 +205,22 @@ def main():
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_cli_errors
-def cmd_xi(kernel, ratefn_path, t_grid, config_path, out_dir):
+def cmd_xi(run, kernel, ratefn_path, t_grid, config_path):
     """Evaluate a kernel on a t-grid and emit CSV (columns t,xi)."""
-    t0 = time.perf_counter()
+    run.start(f"xi {kernel}", ratefn_path, config_path)
     beta = _load_ratefn(ratefn_path)
     cfg = _load_config(config_path)
+    run.resolved_config = cfg.to_json_dict()
     ts = _parse_grid(t_grid, "t-grid")
-    os.makedirs(out_dir, exist_ok=True)
-    from .transforms import xi1 as k1, xi2 as k2
+    os.makedirs(run.out_dir, exist_ok=True)
 
-    kern = k1 if kernel == "xi1" else k2
+    kern = xi1 if kernel == "xi1" else xi2
     rows = []
     for t in ts:
         v = kern(beta, float(t), cfg)
-        if v.is_undefined:
-            cell = "undefined"
-        elif v.is_pos_inf:
-            cell = "inf"
-        else:
-            cell = _fmt(v.value)
-        rows.append((_fmt(t), cell))
-    _write_csv(os.path.join(out_dir, "xi.csv"), "t,xi", rows)
-    _write_manifest(
-        out_dir,
-        f"xi {kernel}",
-        [p for p in (ratefn_path, config_path) if p],
-        cfg.to_json_dict(),
-        None,
-        ["xi.csv"],
-        t0,
-        True,
-        f"{kernel} evaluated at {len(rows)} points",
-    )
+        rows.append((_fmt(t), "undefined" if v.is_undefined else _fmt(v.value)))
+    run.csv("xi.csv", "t,xi", rows)
+    run.finish(True, f"{kernel} evaluated at {len(rows)} points")
 
 
 _DIRECTIONS = {
@@ -251,23 +238,24 @@ _DIRECTIONS = {
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_cli_errors
-def cmd_transform(direction, ratefn_path, s_grid, config_path, out_dir):
+def cmd_transform(run, direction, ratefn_path, s_grid, config_path):
     """Apply a rate-function map and emit CSV (s,beta) plus the side-condition verdict.
 
     The WL-to-SP and SL-to-SP maps add a log_beta column; beta reads inf
     where it leaves double range.
     """
-    t0 = time.perf_counter()
+    run.start(f"transform {direction}", ratefn_path, config_path)
     beta = _load_ratefn(ratefn_path)
     cfg = _load_config(config_path)
+    run.resolved_config = cfg.to_json_dict()
     s = _parse_grid(s_grid, "s-grid")
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(run.out_dir, exist_ok=True)
     transform, condition = _DIRECTIONS[direction]
 
     verdict = None
     if condition is not None:
         verdict = condition(beta, cfg)
-        _write_json(os.path.join(out_dir, "verdict.json"), verdict.to_json_dict())
+        run.json("verdict.json", verdict.to_json_dict())
         if verdict.fails:
             raise ConditionFailedError(
                 f"{direction}: vanishing side condition fails empirically "
@@ -279,7 +267,7 @@ def cmd_transform(direction, ratefn_path, s_grid, config_path, out_dir):
                 err=True,
             )
     else:
-        _write_json(os.path.join(out_dir, "verdict.json"), {"status": "not_applicable"})
+        run.json("verdict.json", {"status": "not_applicable"})
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -296,26 +284,14 @@ def cmd_transform(direction, ratefn_path, s_grid, config_path, out_dir):
     else:
         header = "s,beta"
         rows = [(_fmt(a), _fmt(b)) for a, b in out.points]
-    _write_csv(os.path.join(out_dir, "transform.csv"), header, rows)
-    _write_manifest(
-        out_dir,
-        f"transform {direction}",
-        [p for p in (ratefn_path, config_path) if p],
-        cfg.to_json_dict(),
-        None,
-        ["transform.csv", "verdict.json"],
-        t0,
-        True,
-        f"{direction} evaluated on {len(rows)} grid points",
-    )
+    run.csv("transform.csv", header, rows)
+    run.finish(True, f"{direction} evaluated on {len(rows)} grid points")
 
 
-def _emit_empirical(out_dir: str, emp) -> list:
+def _emit_empirical(run, emp) -> None:
     base = f"empirical_{emp.kind.lower()}"
-    rows = [(_fmt(a), _fmt(b)) for a, b in zip(emp.s_grid, emp.values)]
-    _write_csv(os.path.join(out_dir, base + ".csv"), "s,beta", rows)
-    _write_json(os.path.join(out_dir, base + ".json"), emp.sidecar_dict())
-    return [base + ".csv", base + ".json"]
+    run.csv(base + ".csv", "s,beta", [(_fmt(a), _fmt(b)) for a, b in zip(emp.s_grid, emp.values)])
+    run.json(base + ".json", emp.sidecar_dict())
 
 
 @main.command("verify")
@@ -327,7 +303,7 @@ def _emit_empirical(out_dir: str, emp) -> list:
 @click.option("--restarts", type=int, default=24, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_cli_errors
-def cmd_verify(form_path, birth_death, s_grid, config_path, seed, restarts, out_dir):
+def cmd_verify(run, form_path, birth_death, s_grid, config_path, seed, restarts):
     """End-to-end check: empirical rates vs the rate-function maps on one form.
 
     Computes empirical SP/SL/WL/WP rate functions, applies the SP-to-SL
@@ -335,12 +311,12 @@ def cmd_verify(form_path, birth_death, s_grid, config_path, seed, restarts, out_
     max-ratio domination constants.  Exit code 0 iff all domination
     reports pass.
     """
-    t0 = time.perf_counter()
+    run.start("verify", form_path, config_path, seed=seed)
     form, form_desc = _resolve_form(form_path, birth_death)
     cfg = _load_config(config_path)
+    run.resolved_config = cfg.to_json_dict()
     s = _parse_grid(s_grid, "s-grid")
-    os.makedirs(out_dir, exist_ok=True)
-    outputs = []
+    os.makedirs(run.out_dir, exist_ok=True)
 
     sg = spectral_gap(form)
     solver_cfg = SolverConfig(restarts=restarts, seed=seed)
@@ -348,13 +324,12 @@ def cmd_verify(form_path, birth_death, s_grid, config_path, seed, restarts, out_
     for kind in ("SP", "SL", "WL", "WP"):
         emp = empirical_rate(form, kind, s, solver_cfg)
         empirical[kind] = emp
-        outputs.extend(_emit_empirical(out_dir, emp))
+        _emit_empirical(run, emp)
 
     tab_sp = empirical["SP"].to_tabulated()
 
     verdict = sp2sl_condition(tab_sp, cfg)
-    _write_json(os.path.join(out_dir, "verdict_sp2sl.json"), verdict.to_json_dict())
-    outputs.append("verdict_sp2sl.json")
+    run.json("verdict_sp2sl.json", verdict.to_json_dict())
     if verdict.fails:
         raise ConditionFailedError(
             "sp2sl side condition fails empirically on the tabulated empirical SP rate"
@@ -364,8 +339,7 @@ def cmd_verify(form_path, birth_death, s_grid, config_path, seed, restarts, out_
         warnings.simplefilter("ignore", RuntimeWarning)
         trans_sl = sl_from_sp(tab_sp, s, cfg, verdict=verdict)
     rows = [(_fmt(a), _fmt(b)) for a, b in trans_sl.points]
-    _write_csv(os.path.join(out_dir, "transformed_sl.csv"), "s,beta", rows)
-    outputs.append("transformed_sl.csv")
+    run.csv("transformed_sl.csv", "s,beta", rows)
     dom_sl = dominates(empirical["SL"], trans_sl)
 
     dominations = {"sl": dom_sl.to_json_dict()}
@@ -385,8 +359,7 @@ def cmd_verify(form_path, birth_death, s_grid, config_path, seed, restarts, out_
         }
     else:
         rows = [(_fmt(a), _fmt(b)) for a, b in trans_wl.points]
-        _write_csv(os.path.join(out_dir, "transformed_wl.csv"), "s,beta", rows)
-        outputs.append("transformed_wl.csv")
+        run.csv("transformed_wl.csv", "s,beta", rows)
         dom_wl = dominates(empirical["WL"], trans_wl)
         dominations["wl"] = dom_wl.to_json_dict()
 
@@ -403,19 +376,8 @@ def cmd_verify(form_path, birth_death, s_grid, config_path, seed, restarts, out_
         "dominations": dominations,
         "pass": overall,
     }
-    _write_json(os.path.join(out_dir, "report.json"), report)
-    outputs.append("report.json")
-    _write_manifest(
-        out_dir,
-        "verify",
-        [p for p in (form_path, config_path) if p],
-        cfg.to_json_dict(),
-        seed,
-        outputs,
-        t0,
-        overall,
-        "all domination reports pass" if overall else "a domination report failed",
-    )
+    run.json("report.json", report)
+    run.finish(overall, "all domination reports pass" if overall else "a domination report failed")
     click.echo(f"verify: {'pass' if overall else 'FAIL'}")
     if not overall:
         sys.exit(1)
@@ -464,17 +426,18 @@ def _example_default_grid(branch: str, theta: float, beta, cfg: TransformConfig)
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_cli_errors
-def cmd_example11(theta, branch, s_grid, config_path, out_dir):
+def cmd_example11(run, theta, branch, s_grid, config_path):
     """Check a closed-form family against its predicted growth exponent.
 
     Builds the canonical input for the branch, runs the transform, fits
     the exponent of the output and compares with the prediction at a
     +-0.15 tolerance.  Exit code 0 iff the fit passes.
     """
-    t0 = time.perf_counter()
+    run.start(f"example11 {branch}", config_path)
     cfg = _load_config(config_path)
+    run.resolved_config = cfg.to_json_dict()
     beta, predicted, model = _example_input(theta, branch)
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(run.out_dir, exist_ok=True)
     grid = _parse_grid(s_grid, "s-grid") if s_grid else None
     if branch == "sp2sl":
         out, grid = _example_sp2sl(beta, grid, cfg)
@@ -502,20 +465,9 @@ def cmd_example11(theta, branch, s_grid, config_path, out_dir):
         "value_spread": max(vals) / min(vals),
         "pass": bool(passed),
     }
-    _write_json(os.path.join(out_dir, "report.json"), report)
-    rows = [(_fmt(a), _fmt(b)) for a, b in pts]
-    _write_csv(os.path.join(out_dir, "transform.csv"), "s,beta", rows)
-    _write_manifest(
-        out_dir,
-        f"example11 {branch}",
-        [config_path] if config_path else [],
-        cfg.to_json_dict(),
-        None,
-        ["report.json", "transform.csv"],
-        t0,
-        bool(passed),
-        f"fitted {fitted:.4f} vs predicted {predicted:.4f}",
-    )
+    run.json("report.json", report)
+    run.csv("transform.csv", "s,beta", [(_fmt(a), _fmt(b)) for a, b in pts])
+    run.finish(bool(passed), f"fitted {fitted:.4f} vs predicted {predicted:.4f}")
     click.echo(f"example11 {branch} theta={theta}: fitted={fitted:.4f} predicted={predicted:.4f} "
                f"{'pass' if passed else 'FAIL'}")
     if not passed:
@@ -541,7 +493,7 @@ def _example_sp2sl(beta, grid: Optional[np.ndarray], cfg: TransformConfig):
     """
     n_max = max(cfg.N_max, _SP2SL_N_MAX if grid is None else 50_000)
     while True:
-        run_cfg = _with_n_max(cfg, n_max)
+        run_cfg = dataclasses.replace(cfg, N_max=n_max)
         verdict = sp2sl_condition(beta, run_cfg)
         if grid is None:
             grid = log_grid(*sp2sl_window(verdict, run_cfg, *_SP2SL_WINDOW), 60)
@@ -553,32 +505,20 @@ def _example_sp2sl(beta, grid: Optional[np.ndarray], cfg: TransformConfig):
             n_max *= 2
 
 
-def _with_n_max(cfg: TransformConfig, n_max: int) -> TransformConfig:
-    d = cfg.to_json_dict()
-    d["N_max"] = int(n_max)
-    return TransformConfig.from_json_dict(d)
-
-
 @main.command("spectrum")
 @click.option("--form", "form_path", type=click.Path(), default=None)
 @click.option("--birth-death", "birth_death", default=None, help="kappa,c0,half_width,n")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_cli_errors
-def cmd_spectrum(form_path, birth_death, out_dir):
+def cmd_spectrum(run, form_path, birth_death):
     """Print the spectral gap of a form."""
-    t0 = time.perf_counter()
+    run.start("spectrum", form_path)
     form, form_desc = _resolve_form(form_path, birth_death)
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(run.out_dir, exist_ok=True)
     sg = spectral_gap(form)
     click.echo(f"gap {_fmt(sg.gap)}")
-    _write_json(
-        os.path.join(out_dir, "spectrum.json"),
-        {"form": form_desc, "gap": sg.gap, "poincare_constant": sg.poincare_constant},
-    )
-    _write_manifest(
-        out_dir, "spectrum", [form_path] if form_path else [], {}, None,
-        ["spectrum.json"], t0, True, f"gap {sg.gap:.6g}",
-    )
+    run.json("spectrum.json", {"form": form_desc, "gap": sg.gap, "poincare_constant": sg.poincare_constant})
+    run.finish(True, f"gap {sg.gap:.6g}")
 
 
 @main.command("optimal")
@@ -590,21 +530,15 @@ def cmd_spectrum(form_path, birth_death, out_dir):
 @click.option("--restarts", type=int, default=24, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_cli_errors
-def cmd_optimal(kind, s, form_path, birth_death, seed, restarts, out_dir):
+def cmd_optimal(run, kind, s, form_path, birth_death, seed, restarts):
     """Evaluate one optimal rate value for a (kind, s) pair."""
-    t0 = time.perf_counter()
+    run.start(f"optimal {kind}", form_path, seed=seed)
     form, form_desc = _resolve_form(form_path, birth_death)
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(run.out_dir, exist_ok=True)
     value = optimal_value(form, kind, s, SolverConfig(restarts=restarts, seed=seed))
     click.echo(f"{kind} {_fmt(s)} {_fmt(value)}")
-    _write_json(
-        os.path.join(out_dir, "optimal.json"),
-        {"form": form_desc, "kind": kind, "s": s, "value": value, "seed": seed},
-    )
-    _write_manifest(
-        out_dir, f"optimal {kind}", [form_path] if form_path else [], {}, seed,
-        ["optimal.json"], t0, True, f"{kind}({s:g}) = {value:.6g}",
-    )
+    run.json("optimal.json", {"form": form_desc, "kind": kind, "s": s, "value": value, "seed": seed})
+    run.finish(True, f"{kind}({s:g}) = {value:.6g}")
 
 
 if __name__ == "__main__":

@@ -112,10 +112,16 @@ FAILS = "fails_empirically"
 INCONCLUSIVE = "inconclusive"
 
 
+# Largest log_grid, 8 MB of float64: refused before anything is allocated.
+_MAX_GRID_POINTS = 1_000_000
+
+
 def log_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    """Log-spaced grid with exact endpoints."""
+    """Log-spaced grid with exact endpoints, at most _MAX_GRID_POINTS points."""
     if not (0 < lo < hi) or count < 2:
         raise ConfigError("log grid needs 0 < lo < hi and count >= 2")
+    if count > _MAX_GRID_POINTS:
+        raise ConfigError(f"log grid of {count} points exceeds the limit of {_MAX_GRID_POINTS}")
     return np.geomspace(lo, hi, int(count))
 
 

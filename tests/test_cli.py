@@ -69,6 +69,22 @@ class TestXi:
         res = runner.invoke(main, ["xi", "--kernel", "xi1", "--ratefn", rf, "--t-grid", "nope", "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
 
+    def test_oversized_grid_is_refused_up_front(self, runner, tmp_path):
+        # 10^15 points would not fit in the address space; log_grid refuses
+        # the count before numpy is asked to allocate it.
+        rf = _write_ratefn(tmp_path / "rf.json", {"family": "inverse_power", "a": 1.0, "p": 1.0})
+        out = tmp_path / "o"
+        out.mkdir()
+        res = runner.invoke(
+            main, ["xi", "--kernel", "xi1", "--ratefn", rf, "--t-grid", "1e-3,1,1000000000000000", "--out", str(out)]
+        )
+        assert res.exit_code == 2, res.output
+        assert "exceeds the limit" in res.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["pass"] is False
+        assert manifest["command"] == "xi xi1"
+        assert manifest["outputs"] == []
+
     def test_bad_t_is_math_domain_error(self, runner, tmp_path):
         rf = _write_ratefn(tmp_path / "rf.json", {"family": "constant", "B": 1.0})
         res = runner.invoke(
@@ -352,3 +368,76 @@ class TestSpectrumAndOptimal:
         assert res.exit_code == 0
         rep = json.loads((out / "optimal.json").read_text())
         assert rep["value"] == pytest.approx(0.25, rel=1e-4)
+
+
+def _two_point_form(tmp_path):
+    form = FiniteDirichletForm(mu=np.array([0.5, 0.5]), weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    p = tmp_path / "form.json"
+    form.save(p)
+    return str(p)
+
+
+_MANIFEST_KEYS = {
+    "command", "config_paths", "resolved_config", "seed", "outputs", "wall_clock_seconds", "pass", "summary",
+}
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["xi", "--kernel", "xi1", "--ratefn", "{rf}", "--t-grid", "0.25,0.5,2"],
+            ["transform", "--direction", "sp2wl", "--ratefn", "{rf}", "--s-grid", "0.2,1,6"],
+            ["verify", "--form", "{form}", "--s-grid", "1e-3,1,4", "--seed", "7", "--restarts", "4"],
+            ["example11", "--theta", "0.5", "--branch", "sl2sp"],
+            ["spectrum", "--form", "{form}"],
+            ["optimal", "--kind", "WP", "--s", "1e-8", "--form", "{form}"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_manifest_lists_exactly_the_files_written(self, runner, tmp_path, args):
+        paths = {
+            "rf": _write_ratefn(tmp_path / "rf.json", {"family": "inverse_power", "a": 1.0, "p": 1.0}),
+            "form": _two_point_form(tmp_path),
+        }
+        out = tmp_path / "o"
+        res = runner.invoke(main, [a.format(**paths) for a in args] + ["--out", str(out)])
+        assert res.exit_code == 0, res.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == _MANIFEST_KEYS
+        assert manifest["pass"] is True
+        assert manifest["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+    def test_failing_run_lists_only_its_own_files(self, runner, tmp_path):
+        out = tmp_path / "o"
+        ok = _write_ratefn(tmp_path / "ok.json", {"family": "inverse_power", "a": 1.0, "p": 1.0})
+        res = runner.invoke(
+            main, ["transform", "--direction", "sp2wl", "--ratefn", ok, "--s-grid", "0.2,1,6", "--out", str(out)]
+        )
+        assert res.exit_code == 0
+        # n*xi1(4^(-n+1)) does not vanish for ExpPower{1, 1}: exit 4 after
+        # verdict.json, before transform.csv is written again.
+        bad = _write_ratefn(tmp_path / "bad.json", {"family": "exp_power", "C": 1.0, "theta": 1.0})
+        res = runner.invoke(
+            main, ["transform", "--direction", "sp2sl", "--ratefn", bad, "--s-grid", "0.2,1,8", "--out", str(out)]
+        )
+        assert res.exit_code == 4
+        assert (out / "transform.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["pass"] is False
+        assert manifest["command"] == "transform sp2sl"
+        assert manifest["outputs"] == ["verdict.json"]
+
+    def test_failing_spectrum_records_empty_config(self, runner, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "stale.csv").write_text("left by an earlier run\n")
+        res = runner.invoke(main, ["spectrum", "--form", str(tmp_path / "missing.json"), "--out", str(out)])
+        assert res.exit_code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == _MANIFEST_KEYS
+        assert manifest["pass"] is False
+        assert manifest["command"] == "spectrum"
+        assert manifest["config_paths"] == [str(tmp_path / "missing.json")]
+        assert manifest["resolved_config"] == {}
+        assert manifest["outputs"] == []
