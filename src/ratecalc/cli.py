@@ -148,6 +148,13 @@ class _Run:
         self.config_paths = [p for p in paths if p]
         self.seed = seed
 
+    def make_out_dir(self) -> None:
+        """Create --out; a path that exists and is not a directory is a config error."""
+        try:
+            os.makedirs(self.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {self.out_dir!r}: {exc}")
+
     def _path(self, name: str) -> str:
         self.outputs.add(name)
         return os.path.join(self.out_dir, name)
@@ -212,7 +219,7 @@ def cmd_xi(run, kernel, ratefn_path, t_grid, config_path):
     cfg = _load_config(config_path)
     run.resolved_config = cfg.to_json_dict()
     ts = _parse_grid(t_grid, "t-grid")
-    os.makedirs(run.out_dir, exist_ok=True)
+    run.make_out_dir()
 
     kern = xi1 if kernel == "xi1" else xi2
     rows = []
@@ -249,7 +256,7 @@ def cmd_transform(run, direction, ratefn_path, s_grid, config_path):
     cfg = _load_config(config_path)
     run.resolved_config = cfg.to_json_dict()
     s = _parse_grid(s_grid, "s-grid")
-    os.makedirs(run.out_dir, exist_ok=True)
+    run.make_out_dir()
     transform, condition = _DIRECTIONS[direction]
 
     verdict = None
@@ -316,7 +323,7 @@ def cmd_verify(run, form_path, birth_death, s_grid, config_path, seed, restarts)
     cfg = _load_config(config_path)
     run.resolved_config = cfg.to_json_dict()
     s = _parse_grid(s_grid, "s-grid")
-    os.makedirs(run.out_dir, exist_ok=True)
+    run.make_out_dir()
 
     sg = spectral_gap(form)
     solver_cfg = SolverConfig(restarts=restarts, seed=seed)
@@ -437,7 +444,7 @@ def cmd_example11(run, theta, branch, s_grid, config_path):
     cfg = _load_config(config_path)
     run.resolved_config = cfg.to_json_dict()
     beta, predicted, model = _example_input(theta, branch)
-    os.makedirs(run.out_dir, exist_ok=True)
+    run.make_out_dir()
     grid = _parse_grid(s_grid, "s-grid") if s_grid else None
     if branch == "sp2sl":
         out, grid = _example_sp2sl(beta, grid, cfg)
@@ -514,7 +521,7 @@ def cmd_spectrum(run, form_path, birth_death):
     """Print the spectral gap of a form."""
     run.start("spectrum", form_path)
     form, form_desc = _resolve_form(form_path, birth_death)
-    os.makedirs(run.out_dir, exist_ok=True)
+    run.make_out_dir()
     sg = spectral_gap(form)
     click.echo(f"gap {_fmt(sg.gap)}")
     run.json("spectrum.json", {"form": form_desc, "gap": sg.gap, "poincare_constant": sg.poincare_constant})
@@ -534,7 +541,7 @@ def cmd_optimal(run, kind, s, form_path, birth_death, seed, restarts):
     """Evaluate one optimal rate value for a (kind, s) pair."""
     run.start(f"optimal {kind}", form_path, seed=seed)
     form, form_desc = _resolve_form(form_path, birth_death)
-    os.makedirs(run.out_dir, exist_ok=True)
+    run.make_out_dir()
     value = optimal_value(form, kind, s, SolverConfig(restarts=restarts, seed=seed))
     click.echo(f"{kind} {_fmt(s)} {_fmt(value)}")
     run.json("optimal.json", {"form": form_desc, "kind": kind, "s": s, "value": value, "seed": seed})

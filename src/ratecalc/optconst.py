@@ -22,9 +22,13 @@ product, so a row's path is bit for bit the same alone or in a block.
 Results are cross-checked against an exhaustive angular brute-force
 oracle on forms with up to 4 states.
 The oracle scans prod(round(span/resolution) + 1) directions over n - 1
-angular axes in blocks of fixed size, so its memory is bounded by one
-block; n = 4 at resolution 1e-3 is 3.9e9 directions, so four-state
-forms are practical only at coarse resolution.
+angular axes in blocks of at most 50 000 directions, each held as n
+per-coordinate columns, so its memory is bounded by one block.  It
+evaluates 4e7-5e7 directions/s on one core of a 2-core x86 machine
+(a 3-state WP scan at 1e-3, 1.97e7 directions, takes 0.4-0.6 s) and
+refuses a scan of more than 1e8 directions up front with ConfigError:
+n = 4 at resolution 1e-3 is 3.9e9 directions, so four-state forms run
+only at coarse resolution.
 """
 
 from __future__ import annotations
@@ -366,38 +370,62 @@ def optimal_wp(form, s, cfg: Optional[SolverConfig] = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-_ORACLE_BLOCK = 200_000
+_ORACLE_BLOCK = 50_000
+_ORACLE_MAX_DIRECTIONS = 10**8
+
+
+def _direction_axes(n: int, resolution: float, signed: bool) -> list:
+    """(span, points) of each of the n - 1 angular axes of the oracle grid."""
+    if n == 1:
+        return []
+    spans = [math.pi / 2] * (n - 1) if not signed else [math.pi] * (n - 2) + [2 * math.pi]
+    return [(span, int(round(span / resolution)) + 1) for span in spans]
 
 
 def _direction_blocks(n: int, resolution: float, signed: bool):
-    """All directions at the given angular resolution, as (m, n) row blocks.
+    """All directions at the given angular resolution, as (n, m) column blocks.
 
     Direction k has angles phi_i = axis_i[j_i] for the flat index k =
     ravel(j_1, ..., j_{n-1}) and coordinates f_i = sin(phi_1)...
-    sin(phi_{i-1}) cos(phi_i).  Nonnegative directions sweep [0, pi/2]
-    per angle; signed directions sweep the half sphere (objectives are
-    even in f).  Each block is built from flat indices by gathering from
-    per-axis cos/sin tables, so memory is bounded by one block of
-    _ORACLE_BLOCK rows whatever the grid size.
+    sin(phi_{i-1}) cos(phi_i), f_n = sin(phi_1)...sin(phi_{n-1}).
+    Nonnegative directions sweep [0, pi/2] per angle; signed directions
+    sweep the whole sphere, [0, pi] per angle and [0, 2*pi] for the last
+    (objectives are even in f, so half of it would do, but the last
+    axis's grid is not closed under a shift of pi, so values would move).
+    Each block is a run of consecutive flat
+    indices: a range of outer indices (all axes but the last) times a
+    slice of the last axis, with at most _ORACLE_BLOCK directions.  The
+    outer factors are gathered once per outer index from per-axis cos/sin
+    tables and broadcast along the slice, so memory is bounded by one
+    block whatever the grid size.
     """
     if n == 1:
         yield np.ones((1, 1))
         return
-    spans = [math.pi / 2] * (n - 1) if not signed else [math.pi] * (n - 2) + [2 * math.pi]
-    axes = [np.linspace(0.0, span, int(round(span / resolution)) + 1) for span in spans]
+    axes = [np.linspace(0.0, span, size) for span, size in _direction_axes(n, resolution, signed)]
     cos = [np.cos(a) for a in axes]
     sin = [np.sin(a) for a in axes]
-    shape = tuple(a.size for a in axes)
-    total = math.prod(shape)
-    for start in range(0, total, _ORACLE_BLOCK):
-        idx = np.unravel_index(np.arange(start, min(start + _ORACLE_BLOCK, total)), shape)
-        f = np.empty((idx[0].size, n))
-        sin_prod = np.ones(idx[0].size)
-        for i in range(n - 1):
-            f[:, i] = sin_prod * cos[i][idx[i]]
+    outer = tuple(a.size for a in axes[:-1])
+    last = axes[-1].size
+    rows = max(1, _ORACLE_BLOCK // last)
+    width = min(last, _ORACLE_BLOCK)
+    n_outer = math.prod(outer)
+    for o in range(0, n_outer, rows):
+        # A leading axis of size 1 lets n = 2, with no outer axis, unravel too.
+        idx = np.unravel_index(np.arange(o, min(o + rows, n_outer)), (1, *outer))[1:]
+        sin_prod = np.ones(min(rows, n_outer - o))
+        heads = []
+        for i in range(n - 2):
+            heads.append(sin_prod * cos[i][idx[i]])
             sin_prod = sin_prod * sin[i][idx[i]]
-        f[:, n - 1] = sin_prod
-        yield f
+        for a in range(0, last, width):
+            b = min(a + width, last)
+            F = np.empty((n, sin_prod.size, b - a))
+            for i, head in enumerate(heads):
+                F[i] = head[:, None]
+            np.multiply.outer(sin_prod, cos[-1][a:b], out=F[n - 2])
+            np.multiply.outer(sin_prod, sin[-1][a:b], out=F[n - 1])
+            yield F.reshape(n, -1)
 
 
 def brute_force_oracle(
@@ -409,11 +437,14 @@ def brute_force_oracle(
     four objectives are scale-invariant, so scanning directions suffices.
     The scan visits prod(round(span/resolution) + 1) directions over the
     n - 1 angular axes (span pi/2 for SP, SL and WL; pi, ..., pi, 2*pi for
-    the signed WP scan) and holds one block of 200 000 directions in
-    memory at a time.  Time grows with the direction count: n = 3 at
-    1e-3 is 2.5e6 directions (1.97e7 for WP), n = 4 at 1e-3 is 3.9e9
-    (6.2e10 for WP), so four-state forms are practical only at coarse
-    resolution.
+    the signed WP scan) and holds one block of 50 000 directions in
+    memory at a time, as n columns.  The energy is the edge sum
+    sum_{i<j} w_ij (f_i - f_j)^2, the mu-moments are products mu @ F and
+    the maxima are taken elementwise across the columns.  A scan of more
+    than 1e8 directions is refused with ConfigError before anything is
+    allocated: n = 3 at 1e-3 is 2.5e6 directions (1.97e7 for WP), n = 4
+    at 1e-3 is 3.9e9 (6.2e10 for WP), so four-state forms run only at
+    coarse resolution (n = 4 WP at 1e-2 is 6.2e7).
     """
     if form.n > 4:
         raise ConfigError("brute-force oracle supports at most 4 states")
@@ -421,39 +452,46 @@ def brute_force_oracle(
         raise ConfigError("oracle resolution must be in (0, 1e-2]")
     if kind not in KINDS:
         raise ConfigError(f"unknown kind {kind!r}")
+    signed = kind == "WP"
+    count = math.prod(size for _, size in _direction_axes(form.n, resolution, signed))
+    if count > _ORACLE_MAX_DIRECTIONS:
+        raise ConfigError(
+            f"oracle scan of {count} directions exceeds the limit of {_ORACLE_MAX_DIRECTIONS}; "
+            "use a coarser resolution"
+        )
     s = float(s)
     mu = form.mu
-    signed = kind == "WP"
+    i_idx, j_idx = np.nonzero(np.triu(form.weights, 1))
+    edges = list(zip(i_idx, j_idx, form.weights[i_idx, j_idx]))
     best = -math.inf
     wmax = float(np.max(form.weights)) if form.n > 1 else 0.0
     e_floor = _E_TINY * max(wmax, 1e-30)
     for F in _direction_blocks(form.n, resolution, signed):
-        E = form.energy_many(F)
+        E = np.zeros(F.shape[1])
+        for i, j, w in edges:
+            E += w * (F[i] - F[j]) ** 2
         F2 = F * F
-        m2 = F2 @ mu
+        m2 = mu @ F2
         if kind == "SP":
-            m1 = np.abs(F) @ mu
+            m1 = mu @ np.abs(F)
             vals = (m2 - s * E) / np.maximum(m1 * m1, 1e-300)
         elif kind == "SL":
             terms = F2 * np.log(np.maximum(F2, _LOG_FLOOR))
-            ent = terms @ mu - m2 * np.log(np.maximum(m2, _LOG_FLOOR))
+            ent = mu @ terms - m2 * np.log(np.maximum(m2, _LOG_FLOOR))
             vals = np.maximum(ent, 0.0) / np.maximum(m2, 1e-300)
             vals = vals - s * E / np.maximum(m2, 1e-300)
-        elif kind == "WL":
-            terms = F2 * np.log(np.maximum(F2, _LOG_FLOOR))
-            ent = np.maximum(terms @ mu - m2 * np.log(np.maximum(m2, _LOG_FLOOR)), 0.0)
-            sup2 = np.max(F, axis=1) ** 2
-            ok = E > e_floor * np.max(F2, axis=1)
-            vals = np.where(ok, (ent - s * sup2) / np.maximum(E, 1e-300), -np.inf)
         else:
-            m = F @ mu
-            var = F2 @ mu - m * m
-            sup2 = np.max(np.abs(F), axis=1) ** 2
-            ok = E > e_floor * np.max(F2, axis=1)
-            vals = np.where(ok, (var - s * sup2) / np.maximum(E, 1e-300), -np.inf)
-        vmax = float(vals.max()) if vals.size else -math.inf
-        if vmax > best:
-            best = vmax
+            # max |f|^2 = max f^2; WL directions are >= 0, so also (max f)^2.
+            sup2 = np.max(F2, axis=0)
+            if kind == "WL":
+                terms = F2 * np.log(np.maximum(F2, _LOG_FLOOR))
+                top = np.maximum(mu @ terms - m2 * np.log(np.maximum(m2, _LOG_FLOOR)), 0.0)
+            else:
+                m = mu @ F
+                top = m2 - m * m
+            ok = E > e_floor * sup2
+            vals = np.where(ok, (top - s * sup2) / np.maximum(E, 1e-300), -np.inf)
+        best = max(best, float(vals.max()))
     return max(best, _FLOOR[kind])
 
 

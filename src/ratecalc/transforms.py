@@ -117,9 +117,9 @@ _MAX_GRID_POINTS = 1_000_000
 
 
 def log_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    """Log-spaced grid with exact endpoints, at most _MAX_GRID_POINTS points."""
-    if not (0 < lo < hi) or count < 2:
-        raise ConfigError("log grid needs 0 < lo < hi and count >= 2")
+    """Log-spaced grid between finite endpoints, exact at both, at most _MAX_GRID_POINTS points."""
+    if not (0 < lo < hi < math.inf) or count < 2:
+        raise ConfigError("log grid needs finite 0 < lo < hi and count >= 2")
     if count > _MAX_GRID_POINTS:
         raise ConfigError(f"log grid of {count} points exceeds the limit of {_MAX_GRID_POINTS}")
     return np.geomspace(lo, hi, int(count))

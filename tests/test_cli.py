@@ -441,3 +441,30 @@ class TestRunRecord:
         assert manifest["config_paths"] == [str(tmp_path / "missing.json")]
         assert manifest["resolved_config"] == {}
         assert manifest["outputs"] == []
+
+    def test_out_naming_a_file_is_config_error(self, runner, tmp_path):
+        out = tmp_path / "F"
+        out.write_text("not a directory\n")
+        res = runner.invoke(main, ["spectrum", "--birth-death", "4,1,2,5", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "cannot create output directory" in res.output
+        assert out.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["xi", "--kernel", "xi1", "--ratefn", "{rf}", "--t-grid", "1e-3,inf,3"],
+            ["transform", "--direction", "sp2wl", "--ratefn", "{rf}", "--s-grid", "1e-3,inf,3"],
+        ],
+        ids=["xi", "transform"],
+    )
+    def test_infinite_grid_bound_is_config_error(self, runner, tmp_path, args):
+        rf = _write_ratefn(tmp_path / "rf.json", {"family": "inverse_power", "a": 1.0, "p": 1.0})
+        out = tmp_path / "o"
+        out.mkdir()
+        res = runner.invoke(main, [a.format(rf=rf) for a in args] + ["--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "log grid needs finite" in res.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["pass"] is False
+        assert manifest["outputs"] == []

@@ -105,6 +105,69 @@ class TestOptimalWp:
             assert wp == pytest.approx(spectral_gap(form).poincare_constant, rel=0.02)
 
 
+def _reference_direction_rows(n, resolution, signed):
+    """The oracle's directions as (m, n) rows, gathered from flat indices."""
+    if n == 1:
+        yield np.ones((1, 1))
+        return
+    spans = [math.pi / 2] * (n - 1) if not signed else [math.pi] * (n - 2) + [2 * math.pi]
+    axes = [np.linspace(0.0, span, int(round(span / resolution)) + 1) for span in spans]
+    cos = [np.cos(a) for a in axes]
+    sin = [np.sin(a) for a in axes]
+    shape = tuple(a.size for a in axes)
+    total = math.prod(shape)
+    for start in range(0, total, 200_000):
+        idx = np.unravel_index(np.arange(start, min(start + 200_000, total)), shape)
+        f = np.empty((idx[0].size, n))
+        sin_prod = np.ones(idx[0].size)
+        for i in range(n - 1):
+            f[:, i] = sin_prod * cos[i][idx[i]]
+            sin_prod = sin_prod * sin[i][idx[i]]
+        f[:, n - 1] = sin_prod
+        yield f
+
+
+def reference_oracle(form, kind, s, resolution):
+    """Row-wise angular scan: energy_many, row moments and row maxima per direction."""
+    mu = form.mu
+    wmax = float(np.max(form.weights)) if form.n > 1 else 0.0
+    e_floor = 1e-14 * max(wmax, 1e-30)
+    best = -math.inf
+    for F in _reference_direction_rows(form.n, resolution, kind == "WP"):
+        E = form.energy_many(F)
+        F2 = F * F
+        m2 = F2 @ mu
+        if kind == "SP":
+            m1 = np.abs(F) @ mu
+            vals = (m2 - s * E) / np.maximum(m1 * m1, 1e-300)
+        elif kind == "SL":
+            terms = F2 * np.log(np.maximum(F2, 1e-300))
+            ent = terms @ mu - m2 * np.log(np.maximum(m2, 1e-300))
+            vals = np.maximum(ent, 0.0) / np.maximum(m2, 1e-300)
+            vals = vals - s * E / np.maximum(m2, 1e-300)
+        elif kind == "WL":
+            terms = F2 * np.log(np.maximum(F2, 1e-300))
+            ent = np.maximum(terms @ mu - m2 * np.log(np.maximum(m2, 1e-300)), 0.0)
+            sup2 = np.max(F, axis=1) ** 2
+            ok = E > e_floor * np.max(F2, axis=1)
+            vals = np.where(ok, (ent - s * sup2) / np.maximum(E, 1e-300), -np.inf)
+        else:
+            m = F @ mu
+            var = F2 @ mu - m * m
+            sup2 = np.max(np.abs(F), axis=1) ** 2
+            ok = E > e_floor * np.max(F2, axis=1)
+            vals = np.where(ok, (var - s * sup2) / np.maximum(E, 1e-300), -np.inf)
+        best = max(best, float(vals.max()))
+    return max(best, 1.0 if kind == "SP" else 0.0)
+
+
+def _four_state_path():
+    w = np.zeros((4, 4))
+    for i in range(3):
+        w[i, i + 1] = w[i + 1, i] = 1.0
+    return FiniteDirichletForm(mu=np.full(4, 0.25), weights=w)
+
+
 class TestOracle:
     def test_rejects_large_forms(self):
         rng = np.random.default_rng(30)
@@ -124,7 +187,7 @@ class TestOracle:
         form = FiniteDirichletForm(mu=np.array([1.0]), weights=np.zeros((1, 1)))
         assert brute_force_oracle(form, "SP", 0.1, 1e-2) == 1.0
 
-    @pytest.mark.parametrize("block", [None, 997])
+    @pytest.mark.parametrize("block", [None, 997, 50])
     def test_streamed_directions_match_meshgrid(self, monkeypatch, block):
         if block is not None:
             monkeypatch.setattr(optconst, "_ORACLE_BLOCK", block)
@@ -140,7 +203,7 @@ class TestOracle:
                     grid[:, i] = sin_prod * np.cos(phis[:, i])
                     sin_prod = sin_prod * np.sin(phis[:, i])
                 grid[:, n - 1] = sin_prod
-                streamed = np.concatenate(list(optconst._direction_blocks(n, res, signed)))
+                streamed = np.concatenate([b.T for b in optconst._direction_blocks(n, res, signed)])
                 assert np.array_equal(streamed, grid), (n, signed)
 
     def test_memory_bounded_by_block(self, fixture_forms):
@@ -154,6 +217,69 @@ class TestOracle:
         finally:
             tracemalloc.stop()
         assert peak < grid_bytes / 2
+
+    @pytest.mark.parametrize("block", [None, 50])
+    def test_blocks_hold_at_most_one_block_of_directions(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(optconst, "_ORACLE_BLOCK", block)
+        for n, signed in ((2, False), (2, True), (3, False), (3, True), (4, False)):
+            total = 0
+            for b in optconst._direction_blocks(n, 1e-2, signed):
+                assert b.shape[0] == n and 0 < b.shape[1] <= optconst._ORACLE_BLOCK
+                total += b.shape[1]
+            assert total == (158 if not signed else 315) ** (n - 2) * (158 if not signed else 629)
+
+    def test_memory_bounded_by_block_along_the_last_axis(self, monkeypatch, two_point_uniform):
+        # At 1e-5 the single axis of a 2-state SP scan has 157 081 points,
+        # 125 times the block: the cos/sin tables are the only arrays that
+        # span the axis, and the kernel works on one block at a time.
+        block = 1256
+        monkeypatch.setattr(optconst, "_ORACLE_BLOCK", block)
+        points = int(round(math.pi / 2 / 1e-5)) + 1
+        tables = 3 * points * 8
+        block_bytes = 2 * block * 8
+        tracemalloc.start()
+        try:
+            value = brute_force_oracle(two_point_uniform, "SP", 0.1, 1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == reference_oracle(two_point_uniform, "SP", 0.1, 1e-5)
+        assert peak < tables + 16 * block_bytes
+
+    def test_direction_budget_refused_up_front(self):
+        # n = 4 at 1e-3 is 1572^3 = 3.9e9 directions (31 GB per column).
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="exceeds the limit"):
+                brute_force_oracle(_four_state_path(), "SP", 0.1, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_direction_budget_boundary(self, monkeypatch, fixture_forms):
+        form = fixture_forms["path3_skewed"]
+        count = 315 * 629  # signed 3-state grid at 1e-2
+        monkeypatch.setattr(optconst, "_ORACLE_MAX_DIRECTIONS", count)
+        assert brute_force_oracle(form, "WP", 0.1, 1e-2) == reference_oracle(form, "WP", 0.1, 1e-2)
+        monkeypatch.setattr(optconst, "_ORACLE_MAX_DIRECTIONS", count - 1)
+        with pytest.raises(ConfigError):
+            brute_force_oracle(form, "WP", 0.1, 1e-2)
+
+    def test_four_state_coarse_scan_matches_reference(self):
+        form = _four_state_path()
+        for kind in ("SP", "WL"):
+            got = brute_force_oracle(form, kind, 0.1, 1e-2)
+            assert got == pytest.approx(reference_oracle(form, kind, 0.1, 1e-2), rel=1e-12, abs=0.0), kind
+
+    def test_matches_row_wise_reference(self, fixture_forms):
+        for name, form in fixture_forms.items():
+            for kind in ("SP", "SL", "WL", "WP"):
+                for s in (0.01, 0.1, 1.0):
+                    got = brute_force_oracle(form, kind, s, 5e-3)
+                    want = reference_oracle(form, kind, s, 5e-3)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (name, kind, s)
 
     def test_resolution_self_consistency(self, fixture_forms):
         form = fixture_forms["path3_skewed"]
