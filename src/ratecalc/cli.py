@@ -278,7 +278,7 @@ def cmd_transform(run, direction, ratefn_path, s_grid, config_path):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        if verdict is not None:
+        if direction == "sp2sl":
             out = transform(beta, s, cfg, verdict=verdict)
         else:
             out = transform(beta, s, cfg)

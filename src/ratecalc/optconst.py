@@ -444,8 +444,11 @@ def brute_force_oracle(
     than 1e8 directions is refused with ConfigError before anything is
     allocated: n = 3 at 1e-3 is 2.5e6 directions (1.97e7 for WP), n = 4
     at 1e-3 is 3.9e9 (6.2e10 for WP), so four-state forms run only at
-    coarse resolution (n = 4 WP at 1e-2 is 6.2e7).
+    coarse resolution (n = 4 WP at 1e-2 is 6.2e7).  An s that is not
+    finite and >= 0 raises MathDomainError; s = 0 is the WP case.
     """
+    if not (isinstance(s, (int, float)) and math.isfinite(s) and s >= 0):
+        raise MathDomainError(f"oracle trade-off s must be finite and >= 0, got {s!r}")
     if form.n > 4:
         raise ConfigError("brute-force oracle supports at most 4 states")
     if not (0 < resolution <= 1e-2):
@@ -511,11 +514,6 @@ class EmpiricalRateFunction:
     seed: int
     envelope_applied: bool
     stats: dict = field(default_factory=dict)
-
-    def eval_many(self, s) -> np.ndarray:
-        tab = np.asarray(self.values)
-        log_s = np.log(np.asarray(s, dtype=float))
-        return np.interp(log_s, np.log(np.asarray(self.s_grid)), tab)
 
     def to_tabulated(self) -> Tabulated:
         """Convert to a RateFunction; requires strictly positive values."""

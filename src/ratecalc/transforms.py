@@ -21,16 +21,27 @@ between rate functions are
 sp_from_wl requires the vanishing condition
 lim_n beta_WL(delta^-n n^-theta)/n = 0 and sl_from_sp requires
 lim_n n*xi1(delta^(-n+1)) = 0; both are checked empirically on a finite
-index window before the maps are applied.
+index window before the maps are applied, and each map gates on the
+verdict of the sequence it reads itself.
+
+Every map reads an index sequence on a window and takes the first index
+where a non-increasing envelope of it crosses s: the running minimum of
+C2*k*delta^-k (wl_from_sp) or of xi2(k*log delta) (sp_from_sl), the
+suffix maximum of C4*n*xi1(delta^(-n+1)) (N0(s) is one index before its
+crossing) and the suffix supremum of beta_WL(delta^-n n^-theta)/n
+(sp_from_wl).  One searchsorted finds the crossing for every s at once.
+wl_from_sp and sp_from_sl evaluate their k-window in blocks only up to
+the first block that admits the smallest s.
 
 Everything here is pure and deterministic: identical configuration
 produces bit-identical output tables.  Kernel evaluation works with
 log(t) and log(beta) internally so that arguments far beyond the
-double-precision underflow threshold remain exact.  sp_from_wl likewise
-evaluates beta_WL from log(delta^-n n^-theta) and walks its index
-window once, in blocks from N_max down, for both the vanishing verdict
-and k*(s).  sp_from_wl and sp_from_sl return log(beta_SP), exact past
-double range.
+double-precision underflow threshold remain exact, and takes any number
+of rows in blocks of _ROWS, so its memory stays bounded.  sp_from_wl
+likewise evaluates beta_WL from log(delta^-n n^-theta) and walks its
+index window once, in blocks from N_max down, for both the vanishing
+verdict and k*(s).  sp_from_wl and sp_from_sl return log(beta_SP),
+exact past double range.
 
 The grid infimum of a block of T kernel arguments over R grid points is
 a row-minima problem on a (T x R) matrix that is never formed.  Write
@@ -59,7 +70,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -107,6 +118,10 @@ _EXT_DECADES = 22.0
 # Indices per block when the WL-to-SP map walks its index window.
 _BLOCK = 1 << 20
 
+# Kernel rows per block, and indices per block when wl_from_sp and
+# sp_from_sl scan their k-window.
+_ROWS = 4096
+
 HOLDS = "holds_empirically"
 FAILS = "fails_empirically"
 INCONCLUSIVE = "inconclusive"
@@ -151,11 +166,8 @@ class GridSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSpec":
-        return cls(
-            r_min=float(d.get("r_min", 1e-8)),
-            r_max=float(d.get("r_max", 1e8)),
-            count=int(d.get("count", 600)),
-        )
+        fields = _json_fields(d, cls, "r_grid")
+        return cls(**{k: v if k == "count" else float(v) for k, v in fields.items()})
 
 
 @dataclass(frozen=True)
@@ -221,44 +233,46 @@ class TransformConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TransformConfig":
-        kwargs = dict(d)
-        grid = kwargs.pop("r_grid", None)
-        if grid is not None:
-            kwargs["r_grid"] = GridSpec.from_json_dict(grid)
-        if kwargs.get("n0") is not None:
-            kwargs["n0"] = int(kwargs["n0"])
-        for key in ("k_max", "N_max"):
-            if key in kwargs:
-                kwargs[key] = int(kwargs[key])
-        known = set(cls.__dataclass_fields__)
-        unknown = set(kwargs) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"malformed transform config: {exc}")
+        kwargs = _json_fields(d, cls, "config")
+        if "r_grid" in kwargs:
+            kwargs["r_grid"] = GridSpec.from_json_dict(kwargs["r_grid"])
+        return cls(**kwargs)
+
+
+# Config fields that count, read as int; n0 and s0 may be null.
+_INTEGER_FIELDS = ("n0", "k_max", "N_max", "count")
+_NULLABLE_FIELDS = ("n0", "s0")
+
+
+def _json_fields(d, cls, what: str) -> dict:
+    """The fields of a JSON config object for ``cls``, each a number
+    (an integral one for _INTEGER_FIELDS, read as int) except r_grid."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(d).__name__}")
+    unknown = set(d) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    fields = dict(d)
+    for key, v in d.items():
+        if key == "r_grid" or (v is None and key in _NULLABLE_FIELDS):
+            continue
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"{what} field {key!r} must be a number, got {v!r}")
+        if key in _INTEGER_FIELDS:
+            if not (math.isfinite(v) and v == math.floor(v)):
+                raise ConfigError(f"{what} field {key!r} must be an integer, got {v!r}")
+            fields[key] = int(v)
+    return fields
 
 
 @dataclass(frozen=True, eq=False)
 class _Xi1Sequence:
-    """(n, n*xi1(delta^(-n+1))) for n in ``ns``, and what it was computed from."""
+    """(n, n*xi1(delta^(-n+1))) for n in ``ns``, and the input and config it was computed for."""
 
     beta: RateFunction
-    delta: float
-    r_grid: GridSpec
+    cfg: TransformConfig
     ns: np.ndarray
     values: np.ndarray
-
-    def is_for(self, beta: RateFunction, cfg: TransformConfig, n0: int) -> bool:
-        """Whether this is the sequence of (beta, cfg) on [n0, N_max]."""
-        return (
-            self.beta is beta
-            and self.delta == cfg.delta
-            and self.r_grid == cfg.r_grid
-            and int(self.ns[0]) == n0
-            and int(self.ns[-1]) == cfg.N_max
-        )
 
 
 @dataclass(frozen=True)
@@ -269,9 +283,9 @@ class ConditionVerdict:
     (final value well below the start and a negative log-log trend);
     ``fails_empirically`` flags non-decreasing or flat tails and any
     infinite or Undefined entry.  A verdict from ``sp2sl_condition``
-    also carries the kernel sequence it was read from, so that
-    ``sl_from_sp`` given the verdict reuses it; the sequence is not part
-    of the JSON form.
+    also carries the kernel sequence it was read from; ``sl_from_sp``
+    given the verdict reuses both only when the sequence is for the
+    same input and config.  The sequence is not part of the JSON form.
     """
 
     status: str
@@ -388,6 +402,19 @@ def _refine_rows(
 def _kernel_min(beta: RateFunction, log_ts: np.ndarray, cfg: TransformConfig, kind: str) -> np.ndarray:
     """Kernel values for a vector of log(t); NaN marks Undefined.
 
+    Rows do not depend on each other, so they are evaluated in blocks of
+    _ROWS and memory stays bounded for any number of rows.
+    """
+    log_ts = np.asarray(log_ts, dtype=float)
+    out = np.empty(log_ts.shape)
+    for i in range(0, log_ts.size, _ROWS):
+        out[i : i + _ROWS] = _kernel_block(beta, log_ts[i : i + _ROWS], cfg, kind)
+    return out
+
+
+def _kernel_block(beta: RateFunction, log_ts: np.ndarray, cfg: TransformConfig, kind: str) -> np.ndarray:
+    """Kernel values for a block of log(t); NaN marks Undefined.
+
     The infimum is taken over the configured log-spaced r-grid with one
     local refinement pass.  Emptiness of the feasible set and the
     vanishing infimum at r -> 0 are decided analytically from the tail
@@ -395,7 +422,6 @@ def _kernel_min(beta: RateFunction, log_ts: np.ndarray, cfg: TransformConfig, ki
     lands on a boundary the grid is extended in that direction (same
     density) before refining.
     """
-    log_ts = np.asarray(log_ts, dtype=float)
     out = np.full(log_ts.shape, np.nan)
     log_b0 = beta.log_limit_at_zero()
     log_binf = beta.log_limit_at_inf()
@@ -489,14 +515,6 @@ def xi2(beta_sl: RateFunction, t: float, cfg: Optional[TransformConfig] = None) 
     return ExtendedValue.undefined() if math.isnan(val) else ExtendedValue.finite(val)
 
 
-def _xi1_chunked(beta: RateFunction, log_ts: np.ndarray, cfg: TransformConfig) -> np.ndarray:
-    out = np.empty(log_ts.shape)
-    block = 4096
-    for i in range(0, log_ts.size, block):
-        out[i : i + block] = _kernel_min(beta, log_ts[i : i + block], cfg, "xi1")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Start-index detection
 # ---------------------------------------------------------------------------
@@ -539,27 +557,11 @@ def _auto_n0_xi2(beta_sl: RateFunction, cfg: TransformConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _seq_to_arrays(seq) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(seq, Mapping):
-        ns = np.array(sorted(seq), dtype=int)
-        vals = np.empty(ns.shape)
-        for i, n in enumerate(ns):
-            ev = seq[int(n)]
-            if ev.is_undefined:
-                vals[i] = np.nan
-            elif ev.is_pos_inf:
-                vals[i] = np.inf
-            else:
-                vals[i] = ev.value
-        return ns, vals
-    ns, vals = seq
-    return np.asarray(ns, dtype=int), np.asarray(vals, dtype=float)
-
-
 def check_vanishing(seq, cfg: TransformConfig) -> ConditionVerdict:
     """Empirical verdict on whether an indexed sequence vanishes.
 
-    Decision rules, in order:
+    ``seq`` is a pair (ns, values) of arrays; NaN marks an Undefined
+    value.  Decision rules, in order:
 
     1. any Undefined or +inf entry: fails;
     2. the last quarter is (numerically) all zero: holds;
@@ -569,7 +571,8 @@ def check_vanishing(seq, cfg: TransformConfig) -> ConditionVerdict:
     5. final value below half the starting value: holds, else
        inconclusive.
     """
-    ns, vals = _seq_to_arrays(seq)
+    ns, vals = seq
+    ns, vals = np.asarray(ns, dtype=int), np.asarray(vals, dtype=float)
     first, last = (int(ns[0]), int(ns[-1])) if ns.size else (0, 0)
     return _vanishing_verdict([(ns, vals)], ns.size, first, last, cfg)
 
@@ -667,8 +670,7 @@ def _sp_kernel_sequence(
     """(n, n*xi1(delta^(-n+1))) for n in [n0, n_hi]; NaN = Undefined."""
     ns = np.arange(n0, n_hi + 1)
     log_ts = -(ns - 1) * math.log(cfg.delta)
-    vals = _xi1_chunked(beta_sp, log_ts, cfg)
-    return ns, ns * vals
+    return ns, ns * _kernel_min(beta_sp, log_ts, cfg, "xi1")
 
 
 def sp2sl_condition(beta_sp: RateFunction, cfg: Optional[TransformConfig] = None) -> ConditionVerdict:
@@ -684,13 +686,13 @@ def sp2sl_condition(beta_sp: RateFunction, cfg: Optional[TransformConfig] = None
 def _xi1_sequence(
     beta_sp: RateFunction, cfg: TransformConfig, verdict: Optional[ConditionVerdict] = None
 ) -> _Xi1Sequence:
-    """n*xi1(delta^(-n+1)) on [n0, N_max], or the sequence ``verdict`` carries if it is that one."""
-    n0 = cfg.n0 if cfg.n0 is not None else _auto_n0_xi1(beta_sp, cfg)
+    """n*xi1(delta^(-n+1)) on [n0, N_max], or the sequence ``verdict`` carries if it is for (beta_sp, cfg)."""
     done = verdict.sequence if verdict is not None else None
-    if done is not None and done.is_for(beta_sp, cfg, n0):
+    if done is not None and done.beta is beta_sp and done.cfg == cfg:
         return done
+    n0 = cfg.n0 if cfg.n0 is not None else _auto_n0_xi1(beta_sp, cfg)
     ns, seq = _sp_kernel_sequence(beta_sp, cfg, n0, cfg.N_max)
-    return _Xi1Sequence(beta_sp, cfg.delta, cfg.r_grid, ns, seq)
+    return _Xi1Sequence(beta_sp, cfg, ns, seq)
 
 
 def sp2sl_window(verdict: ConditionVerdict, cfg: TransformConfig, n_near: int, n_far: int) -> tuple[float, float]:
@@ -816,34 +818,57 @@ def _clamp_and_tabulate(s: np.ndarray, values: np.ndarray, s0: Optional[float], 
     return table(tuple(zip(s.tolist(), env.tolist())))
 
 
+def _first_crossing(env: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """For each s, the first index i with env[i] <= s, or env.size if none; env is non-increasing."""
+    return np.searchsorted(-env, -s)
+
+
+def _k_star(values_at, n0: int, cfg: TransformConfig, s: np.ndarray, s_eff: np.ndarray) -> np.ndarray:
+    """The smallest k in [n0, k_max] with values_at(k) <= s, for each ascending s.
+
+    ``values_at`` maps an array of k to values, NaN for none.  The window
+    is read in blocks of _ROWS up to the first block that admits s[0],
+    so it holds every k*(s).  The cap error reports s_eff[0].
+    """
+    parts = []
+    for lo in range(n0, cfg.k_max + 1, _ROWS):
+        vals = values_at(np.arange(lo, min(lo + _ROWS, cfg.k_max + 1)))
+        parts.append(np.where(np.isnan(vals), np.inf, vals))
+        if np.any(parts[-1] <= s[0]):
+            # The first k with values_at(k) <= s is the first where their running minimum is.
+            return n0 + _first_crossing(np.minimum.accumulate(np.concatenate(parts)), s)
+    raise CapError(f"no admissible k <= k_max={cfg.k_max} for s={float(s_eff[0]):g}; increase k_max")
+
+
+def _n_zero(seq: _Xi1Sequence, s: np.ndarray, cfg: TransformConfig) -> np.ndarray:
+    """N0(s), the largest n with C4*n*xi1(delta^(-n+1)) > s or n0 if none, for each ascending s.
+
+    The suffix maximum of C4*n*xi1 exceeds s exactly up to N0(s), so
+    N0(s) is one index before its first crossing of s.
+    """
+    idx = _first_crossing(_running_max_from_right(cfg.C4 * seq.values), s)
+    if idx[0] == seq.ns.size:
+        raise CapError(
+            f"qualifying set for s={float(s[0]):g} reaches N_max={int(seq.ns[-1])}; increase N_max"
+        )
+    return seq.ns[np.maximum(idx - 1, 0)]
+
+
 def n_zero(beta_sp: RateFunction, s: float, cfg: Optional[TransformConfig] = None) -> int:
     """Largest n in [n0, N_max] with C4*n*xi1(delta^(-n+1)) > s.
 
-    Returns n0 when no index qualifies.  The vanishing condition for the
-    kernel sequence is verified first; a qualifying set that reaches
-    N_max raises a cap error.
+    Returns n0 when no index qualifies.  The sequence and its vanishing
+    verdict come from ``sp2sl_condition``, and the verdict gates the
+    search; a qualifying set that reaches N_max raises a cap error.
     """
     cfg = cfg or TransformConfig()
     if not (isinstance(s, (int, float)) and s > 0):
         raise MathDomainError("n_zero requires s > 0")
     if cfg.s0 is not None and s > cfg.s0:
         raise ConfigError(f"n_zero requires s <= s0 = {cfg.s0}")
-    n0 = cfg.n0 if cfg.n0 is not None else _auto_n0_xi1(beta_sp, cfg)
-    ns, seq = _sp_kernel_sequence(beta_sp, cfg, n0, cfg.N_max)
-    _gate(check_vanishing((ns, seq), cfg), "the SP-to-SL map")
-    return _n_zero_from_sequence(ns, seq, float(s), cfg)
-
-
-def _n_zero_from_sequence(ns: np.ndarray, seq: np.ndarray, s: float, cfg: TransformConfig) -> int:
-    qualifying = cfg.C4 * seq > s
-    if not np.any(qualifying):
-        return int(ns[0])
-    last = int(ns[np.flatnonzero(qualifying)[-1]])
-    if last >= int(ns[-1]):
-        raise CapError(
-            f"qualifying set for s={s:g} reaches N_max={int(ns[-1])}; increase N_max"
-        )
-    return last
+    verdict = sp2sl_condition(beta_sp, cfg)
+    _gate(verdict, "the SP-to-SL map")
+    return int(_n_zero(verdict.sequence, np.array([float(s)]), cfg)[0])
 
 
 def sl_from_sp(
@@ -855,22 +880,19 @@ def sl_from_sp(
     """SL rate function log(delta)*(1 + N0(s)) from an SP rate function.
 
     A ``verdict`` from ``sp2sl_condition`` on the same input and config
-    gates the map and lends it its kernel sequence.
+    lends the map its kernel sequence and gates it.  Any other verdict is
+    ignored: the map builds its sequence and gates on that sequence's
+    own verdict.
     """
     cfg = cfg or TransformConfig()
     s = _validate_s_grid(s_grid)
-    xi1_seq = _xi1_sequence(beta_sp, cfg, verdict)
-    ns, seq = xi1_seq.ns, xi1_seq.values
-    if verdict is None:
-        verdict = check_vanishing((ns, seq), cfg)
+    seq = _xi1_sequence(beta_sp, cfg, verdict)
+    if verdict is None or verdict.sequence is not seq:
+        verdict = check_vanishing((seq.ns, seq.values), cfg)
     _gate(verdict, "the SP-to-SL map")
 
     s0 = cfg.s0 if cfg.s0 is not None else float(s[-1])
-    ld = math.log(cfg.delta)
-    values = np.empty(s.shape)
-    for i, si in enumerate(s):
-        si_eff = min(float(si), s0)
-        values[i] = ld * (1 + _n_zero_from_sequence(ns, seq, si_eff, cfg))
+    values = math.log(cfg.delta) * (1 + _n_zero(seq, np.minimum(s, s0), cfg))
     return _clamp_and_tabulate(s, values, cfg.s0)
 
 
@@ -886,20 +908,13 @@ def wl_from_sp(beta_sp: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     s = _validate_s_grid(s_grid)
     n0 = cfg.n0 if cfg.n0 is not None else _auto_n0_xi1(beta_sp, cfg)
 
-    ks = np.arange(n0, cfg.k_max + 1)
-    with np.errstate(under="ignore"):
-        thresholds = cfg.C2 * np.exp(np.log(ks) - ks * math.log(cfg.delta))
+    def thresholds(ks):
+        with np.errstate(under="ignore"):
+            return cfg.C2 * np.exp(np.log(ks) - ks * math.log(cfg.delta))
 
     s0 = cfg.s0 if cfg.s0 is not None else float(s[-1])
     s_eff = np.minimum(s, s0)
-    k_star = np.empty(s.shape, dtype=int)
-    for i, si in enumerate(s_eff):
-        ok = np.flatnonzero(thresholds <= si)
-        if ok.size == 0:
-            raise CapError(
-                f"no admissible k <= k_max={cfg.k_max} for s={float(si):g}; increase k_max"
-            )
-        k_star[i] = int(ks[ok[0]])
+    k_star = _k_star(thresholds, n0, cfg, s_eff, s_eff)
 
     k_hi = int(k_star.max())
     ns, seq = _sp_kernel_sequence(beta_sp, cfg, n0, k_hi)
@@ -918,12 +933,7 @@ def wl_from_sp(beta_sp: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     return _clamp_and_tabulate(s, values, cfg.s0)
 
 
-def sp_from_wl(
-    beta_wl: RateFunction,
-    s_grid,
-    cfg: Optional[TransformConfig] = None,
-    verdict: Optional[ConditionVerdict] = None,
-) -> LogTabulated:
+def sp_from_wl(beta_wl: RateFunction, s_grid, cfg: Optional[TransformConfig] = None) -> LogTabulated:
     """SP rate function C3*delta^k*(s) from a WL rate function.
 
     k*(s) is the smallest k >= n0 with
@@ -932,18 +942,15 @@ def sp_from_wl(
     The output grows doubly exponentially, so the table carries
     log(beta_SP) = log(C3) + k*(s)*log(delta), exact past double range.
     One walk of the index window from N_max down, in blocks, gives both
-    the verdict and k*(s), so memory stays bounded for any N_max.  A
-    ``verdict`` passed in gates the map before any index is evaluated.
+    the verdict that gates the map and k*(s), so memory stays bounded
+    for any N_max.
     """
     cfg = cfg or TransformConfig()
     s = _validate_s_grid(s_grid)
-    if verdict is not None:
-        _gate(verdict, "the WL-to-SP map")
     s0 = cfg.s0 if cfg.s0 is not None else float(s[-1])
     s_eff = np.minimum(s, s0)
-    walked, k_star, _ = _wl_walk(beta_wl, cfg, s_eff)
-    if verdict is None:
-        _gate(walked, "the WL-to-SP map")
+    verdict, k_star, _ = _wl_walk(beta_wl, cfg, s_eff)
+    _gate(verdict, "the WL-to-SP map")
 
     k_cap = min(cfg.k_max, cfg.N_max)
     over = np.flatnonzero(k_star > k_cap)
@@ -967,17 +974,11 @@ def sp_from_sl(beta_sl: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     s = _validate_s_grid(s_grid)
     n0 = cfg.n0 if cfg.n0 is not None else _auto_n0_xi2(beta_sl, cfg)
 
-    ks = np.arange(n0, cfg.k_max + 1)
-    log_ts = np.log(ks * math.log(cfg.delta))
-    xi_vals = _kernel_min(beta_sl, log_ts, cfg, "xi2")
-    xi_vals = np.where(np.isnan(xi_vals), np.inf, xi_vals)
+    def xi2_at(ks):
+        return _kernel_min(beta_sl, np.log(ks * math.log(cfg.delta)), cfg, "xi2")
 
     s0 = cfg.s0 if cfg.s0 is not None else float(s[-1])
     s_eff = np.minimum(s, s0)
-    # The first k with xi2 <= C6*s is the first where the running minimum of xi2 is.
-    idx = np.searchsorted(-np.minimum.accumulate(xi_vals), -cfg.C6 * s_eff)
-    if idx[0] == ks.size:
-        raise CapError(f"no admissible k <= k_max={cfg.k_max} for s={float(s_eff[0]):g}; increase k_max")
-    k_star = ks[idx]
+    k_star = _k_star(xi2_at, n0, cfg, cfg.C6 * s_eff, s_eff)
     log_values = math.log(cfg.C5) + k_star * math.log(cfg.delta)
     return _clamp_and_tabulate(s, log_values, cfg.s0, LogTabulated)

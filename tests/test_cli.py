@@ -210,6 +210,55 @@ class TestTransform:
         assert manifest["resolved_config"]["N_max"] == 4000
         assert manifest["outputs"] == ["verdict.json"]
 
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ([], "config must be a JSON object"),
+            (3, "config must be a JSON object"),
+            ({"r_grid": 5}, "r_grid must be a JSON object"),
+            ({"r_grid": [1e-8, 1e8]}, "r_grid must be a JSON object"),
+            ({"r_grid": {"cnt": 1200}}, "unknown r_grid keys: ['cnt']"),
+            ({"delta": "4"}, "'delta' must be a number"),
+            ({"n0": "abc"}, "'n0' must be a number"),
+            ({"k_max": True}, "'k_max' must be a number"),
+            ({"C2": None}, "'C2' must be a number"),
+            ({"r_grid": {"r_min": "1e-3"}}, "'r_min' must be a number"),
+            ({"k_max": 2.9}, "'k_max' must be an integer"),
+            ({"n0": 3.5}, "'n0' must be an integer"),
+            ({"N_max": 1e400}, "'N_max' must be an integer"),
+            ({"r_grid": {"count": 700.5}}, "'count' must be an integer"),
+        ],
+    )
+    def test_malformed_config_exits_2(self, runner, tmp_path, config, message):
+        rf = _write_ratefn(tmp_path / "rf.json", {"family": "inverse_power", "a": 1.0, "p": 1.0})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        out.mkdir()
+        res = runner.invoke(
+            main,
+            ["transform", "--direction", "sp2wl", "--ratefn", rf, "--s-grid", "0.2,1,6",
+             "--config", str(cfg), "--out", str(out)],
+        )
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert json.loads((out / "manifest.json").read_text())["pass"] is False
+
+    def test_integral_floats_and_nulls_are_accepted(self, runner, tmp_path):
+        rf = _write_ratefn(tmp_path / "rf.json", {"family": "inverse_power", "a": 1.0, "p": 1.0})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n0": 2.0, "s0": None, "k_max": 500.0, "r_grid": {"r_min": 1, "count": 601.0}}))
+        out = tmp_path / "o"
+        res = runner.invoke(
+            main,
+            ["transform", "--direction", "sp2wl", "--ratefn", rf, "--s-grid", "0.2,1,6",
+             "--config", str(cfg), "--out", str(out)],
+        )
+        assert res.exit_code == 0, res.output
+        resolved = json.loads((out / "manifest.json").read_text())["resolved_config"]
+        assert (resolved["n0"], resolved["s0"], resolved["k_max"]) == (2, None, 500)
+        assert resolved["r_grid"] == {"r_min": 1.0, "r_max": 1e8, "count": 601}
+
 
 class TestExample11:
     def test_sp2sl_half(self, runner, tmp_path):

@@ -187,6 +187,22 @@ class TestOracle:
         form = FiniteDirichletForm(mu=np.array([1.0]), weights=np.zeros((1, 1)))
         assert brute_force_oracle(form, "SP", 0.1, 1e-2) == 1.0
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    @pytest.mark.parametrize("kind", ["SP", "WL", "WP"])
+    def test_rejects_s_outside_domain_up_front(self, fixture_forms, monkeypatch, kind, s):
+        # nan and inf used to return the floor, and s = -1 gave 4319 for WL.
+        def unreachable(*args):
+            raise AssertionError("the scan was set up")
+
+        monkeypatch.setattr(optconst, "_direction_axes", unreachable)
+        monkeypatch.setattr(optconst, "_direction_blocks", unreachable)
+        with pytest.raises(MathDomainError):
+            brute_force_oracle(fixture_forms["tri_skewed"], kind, s, 1e-2)
+
+    def test_zero_s_admitted(self, fixture_forms):
+        form = fixture_forms["tri_skewed"]
+        assert brute_force_oracle(form, "WL", 0, 1e-2) == brute_force_oracle(form, "WL", 0.0, 1e-2) > 0
+
     @pytest.mark.parametrize("block", [None, 997, 50])
     def test_streamed_directions_match_meshgrid(self, monkeypatch, block):
         if block is not None:

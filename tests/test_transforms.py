@@ -35,7 +35,6 @@ from ratecalc import (
 )
 from ratecalc import transforms
 from ratecalc.errors import DegenerateTransformError
-from ratecalc.ratefn import ExtendedValue
 
 CFG = TransformConfig()
 
@@ -196,12 +195,12 @@ def dense_grid_pass(beta, log_ts, r, kind):
     log_b = beta.log_eval_many(r)
     if kind == "xi1":
         u = log_ts[:, None] + log_b[None, :]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             denom = -np.expm1(u)
             vals = np.where(u < 0.0, r[None, :] / denom, np.inf)
     else:
         v = log_b[None, :] - log_ts[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             denom = -np.expm1(v)
             scaled = np.exp(np.log(r)[None, :] - log_ts[:, None])
             vals = np.where(v < 0.0, scaled / denom, np.inf)
@@ -537,10 +536,6 @@ class TestCheckVanishing:
             verdict = sp2sl_condition(ExpPower(C=1.0, theta=theta), CFG)
             assert verdict.status == "holds_empirically"
 
-    def test_mapping_input_accepted(self):
-        seq = {n: ExtendedValue.finite(1.0 / n) for n in range(2, 50)}
-        assert check_vanishing(seq, CFG).status == "holds_empirically"
-
     def test_blocks_match_whole_sequence(self):
         # A staircase that only decreases from one block to the next.
         ns = np.arange(2, 402)
@@ -619,6 +614,273 @@ class TestSequenceReuse:
         out = sl_from_sp(self.BETA, self.GRID, self.CFG, verdict=verdict)
         assert sum(r.size for r in kernel_rows) == 3000 - transforms._auto_n0_xi1(self.BETA, self.CFG) + 1
         assert out.points == sl_from_sp(self.BETA, self.GRID, self.CFG).points
+
+
+def old_n_zero_from_sequence(ns, seq, s, cfg):
+    """N0(s) by the per-s scan the crossing search replaced, kept as the reference."""
+    qualifying = cfg.C4 * seq > s
+    if not np.any(qualifying):
+        return int(ns[0])
+    last = int(ns[np.flatnonzero(qualifying)[-1]])
+    if last >= int(ns[-1]):
+        raise CapError(f"qualifying set for s={s:g} reaches N_max={int(ns[-1])}; increase N_max")
+    return last
+
+
+def old_sl_from_sp_n_zero(ns, seq, s, cfg):
+    """N0 at each s of an sl_from_sp grid by the per-s loop, s clamped at s0."""
+    s0 = cfg.s0 if cfg.s0 is not None else float(s[-1])
+    return [old_n_zero_from_sequence(ns, seq, min(float(si), s0), cfg) for si in s]
+
+
+def old_wl_from_sp_k_star(n0, s, cfg):
+    """k*(s) of wl_from_sp by the per-s loop over the whole window [n0, k_max]."""
+    ks = np.arange(n0, cfg.k_max + 1)
+    with np.errstate(under="ignore"):
+        thresholds = cfg.C2 * np.exp(np.log(ks) - ks * math.log(cfg.delta))
+    s0 = cfg.s0 if cfg.s0 is not None else float(s[-1])
+    k_star = []
+    for si in np.minimum(s, s0):
+        ok = np.flatnonzero(thresholds <= si)
+        if ok.size == 0:
+            raise CapError(f"no admissible k <= k_max={cfg.k_max} for s={float(si):g}; increase k_max")
+        k_star.append(int(ks[ok[0]]))
+    return k_star
+
+
+def old_sp_from_sl_k_star(beta, n0, s, cfg):
+    """k*(s) of sp_from_sl from one kernel call on the whole window [n0, k_max]."""
+    ks = np.arange(n0, cfg.k_max + 1)
+    xi_vals = transforms._kernel_min(beta, np.log(ks * math.log(cfg.delta)), cfg, "xi2")
+    xi_vals = np.where(np.isnan(xi_vals), np.inf, xi_vals)
+    s_eff = np.minimum(s, cfg.s0 if cfg.s0 is not None else float(s[-1]))
+    idx = np.searchsorted(-np.minimum.accumulate(xi_vals), -cfg.C6 * s_eff)
+    if idx[0] == ks.size:
+        raise CapError(f"no admissible k <= k_max={cfg.k_max} for s={float(s_eff[0]):g}; increase k_max")
+    return ks[idx].tolist()
+
+
+def _outcome(fn):
+    """fn()'s value as a list, or the text of the cap error it raises."""
+    try:
+        return [int(v) for v in fn()]
+    except CapError as exc:
+        return f"CapError: {exc}"
+
+
+def _spy(monkeypatch, name):
+    """Record what transforms.<name> returns (or the cap error it raises) on each call."""
+    seen = []
+    real = getattr(transforms, name)
+
+    def spy(*args):
+        try:
+            out = real(*args)
+        except CapError as exc:
+            seen.append(f"CapError: {exc}")
+            raise
+        seen.append([int(v) for v in out])
+        return out
+
+    monkeypatch.setattr(transforms, name, spy)
+    return seen
+
+
+_LEVELS = [0.0, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0]
+
+
+@st.composite
+def _n_zero_cases(draw):
+    """A sequence with ties and zeros, C4, s0 and an ascending s grid that hits its values exactly."""
+    size = draw(st.integers(4, 60))
+    vals = np.array(draw(st.lists(st.sampled_from(_LEVELS) | st.floats(0.0, 10.0), min_size=size, max_size=size)))
+    n0 = draw(st.integers(2, 50))
+    c4 = draw(st.sampled_from([1.0, 0.3, 2.5, 7.0]))
+    s0 = draw(st.none() | st.sampled_from([1e-3, 0.1, 1.0]) | st.floats(1e-3, 20.0))
+    exact = [float(v) for v in c4 * vals if v > 0]
+    picks = draw(st.lists(st.sampled_from(exact) | st.floats(1e-4, 80.0) if exact else st.floats(1e-4, 80.0),
+                          min_size=1, max_size=12))
+    s = np.unique(np.array(picks))
+    return np.arange(n0, n0 + size), vals, TransformConfig(C4=c4, s0=s0), s
+
+
+class TestOneCrossingSearch:
+    """k*(s) and N0(s) from one search against the per-s loops it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_n_zero_cases())
+    def test_n_zero_matches_per_s_loop(self, case):
+        ns, vals, cfg, s = case
+        seq = transforms._Xi1Sequence(None, cfg, ns, vals)
+        s_eff = np.minimum(s, cfg.s0 if cfg.s0 is not None else s[-1])
+        want = _outcome(lambda: old_sl_from_sp_n_zero(ns, vals, s, cfg))
+        assert _outcome(lambda: transforms._n_zero(seq, s_eff, cfg)) == want
+
+    @pytest.mark.parametrize(
+        "beta,cfg,grid",
+        [
+            (InversePower(a=1.0, p=1.0), TransformConfig(n0=2), log_grid(1e-3, 1.0, 30)),
+            (InversePower(a=1.0, p=1.0), TransformConfig(n0=2, C4=2.5, s0=0.3), [0.05, 0.1, 0.5, 1.0]),
+            (ExpPower(C=1.0, theta=0.6), TransformConfig(N_max=3000, C4=0.4), log_grid(5e-3, 0.5, 20)),
+            (ExpPower(C=1.0, theta=0.6), TransformConfig(N_max=3000, delta=5.0, s0=0.05), log_grid(5e-3, 0.5, 20)),
+            (ExpPower(C=1.0, theta=0.5), TransformConfig(N_max=4000, C4=3.0), log_grid(1e-3, 1e-1, 40)),
+            (InversePower(a=1.0, p=1.0), TransformConfig(n0=2, N_max=8), [1e-9, 0.1]),
+        ],
+    )
+    def test_sl_from_sp_matches_per_s_loop(self, beta, cfg, grid, monkeypatch):
+        seq = sp2sl_condition(beta, cfg).sequence
+        want = _outcome(lambda: old_sl_from_sp_n_zero(seq.ns, seq.values, np.asarray(grid), cfg))
+        got = _spy(monkeypatch, "_n_zero")
+        try:
+            out = sl_from_sp(beta, grid, cfg)
+        except CapError:
+            out = None
+        assert got == [want]
+        if out is not None:
+            ld = math.log(cfg.delta)
+            assert out.points == transforms._clamp_and_tabulate(
+                np.asarray(grid), ld * (1 + np.array(want)), cfg.s0).points
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        delta=st.sampled_from([2.01, 2.5, 4.0, math.e, 9.0]),
+        c2=st.sampled_from([1.0, 1e-3, 50.0, 1e6]),
+        n0=st.integers(2, 30),
+        k_max=st.sampled_from([5, 40, 400, 5000, 20_000]),
+        s0=st.none() | st.floats(1e-6, 1.0),
+        lo=st.floats(-300.0, -1.0),
+        span=st.floats(0.5, 200.0),
+        count=st.integers(1, 30),
+    )
+    def test_wl_from_sp_k_star_matches_per_s_loop(self, delta, c2, n0, k_max, s0, lo, span, count):
+        cfg = TransformConfig(delta=delta, C2=c2, n0=n0, k_max=k_max, s0=s0)
+        grid = np.unique(10.0 ** np.linspace(lo, lo + span, count))
+        want = _outcome(lambda: old_wl_from_sp_k_star(n0, grid, cfg))
+        with pytest.MonkeyPatch.context() as mp:
+            got = _spy(mp, "_k_star")
+            try:
+                wl_from_sp(InversePower(a=1.0, p=1.0), grid, cfg)
+            except CapError:
+                pass
+        assert got == [want]
+
+    @pytest.mark.parametrize(
+        "beta,cfg,grid",
+        [
+            (InversePower(a=1.0, p=1.0), TransformConfig(delta=math.e, n0=2), [0.035, 0.17, 0.3]),
+            (PolyPower(C=1.0, p=1.0), TransformConfig(k_max=30_000), log_grid(1e-8, 1e-6, 25)),
+            (PolyPower(C=1.0, p=1.0), TransformConfig(k_max=30_000, C6=0.2, s0=1e-7), log_grid(1e-8, 1e-6, 25)),
+            (PolyPower(C=1.0, p=3.0), TransformConfig(k_max=9_000, C6=3.0), log_grid(1e-6, 1e-2, 30)),
+            (PolyPower(C=1.0, p=1.0), TransformConfig(k_max=4), [1e-6]),
+            (PolyPower(C=1.0, p=1.0), TransformConfig(k_max=5_000), log_grid(1e-9, 1e-6, 10)),
+        ],
+    )
+    def test_sp_from_sl_k_star_matches_whole_window(self, beta, cfg, grid, monkeypatch):
+        n0 = transforms._auto_n0_xi2(beta, cfg) if cfg.n0 is None else cfg.n0
+        want = _outcome(lambda: old_sp_from_sl_k_star(beta, n0, np.asarray(grid), cfg))
+        got = _spy(monkeypatch, "_k_star")
+        try:
+            sp_from_sl(beta, grid, cfg)
+        except CapError:
+            pass
+        assert got == [want]
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        vals=st.lists(st.sampled_from([math.nan, 0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 10.0), min_size=1, max_size=40),
+        s=st.lists(st.floats(1e-3, 12.0), min_size=1, max_size=8, unique=True),
+        n0=st.integers(2, 9),
+        rows=st.sampled_from([1, 3, 4096]),
+    )
+    def test_k_star_matches_per_s_scan(self, vals, s, n0, rows):
+        # Any sequence, NaN and rises included: the first k with a value <= s.
+        vals, s = np.array(vals), np.sort(s)
+        cfg = TransformConfig(k_max=max(n0 + vals.size - 1, 2))
+
+        def per_s():
+            ok = [np.flatnonzero(vals <= si) for si in s]
+            if ok[0].size == 0:
+                raise CapError(f"no admissible k <= k_max={cfg.k_max} for s={float(s[0]):g}; increase k_max")
+            return [n0 + int(i[0]) for i in ok]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transforms, "_ROWS", rows)
+            got = _outcome(lambda: transforms._k_star(lambda ks: vals[ks - n0], n0, cfg, s, s))
+        assert got == _outcome(per_s)
+
+
+class TestOwnVerdictGates:
+    """A holding verdict for another input or config does not gate a map."""
+
+    GRID = log_grid(0.1, 1.0, 12)
+
+    def test_sl_from_sp_refuses_a_verdict_for_another_input(self):
+        holding = sp2sl_condition(ExpPower(C=1.0, theta=0.6), CFG)
+        assert holding.holds
+        with pytest.raises(ConditionFailedError):
+            sl_from_sp(ExpPower(C=1.0, theta=1.0), self.GRID, CFG, verdict=holding)
+
+    def test_sl_from_sp_refuses_a_verdict_for_another_config(self):
+        beta = ExpPower(C=1.0, theta=0.6)
+        holding = sp2sl_condition(beta, TransformConfig(N_max=3000))
+        strict = TransformConfig(N_max=3000, slope_tol=50.0)
+        assert holding.holds and sp2sl_condition(beta, strict).fails
+        with pytest.raises(ConditionFailedError):
+            sl_from_sp(beta, self.GRID, strict, verdict=holding)
+
+    def test_sp_from_wl_gates_on_its_own_walk(self):
+        holding = wl2sp_condition(Constant(B=2.0), CFG)
+        assert holding.holds
+        with pytest.raises(TypeError):
+            sp_from_wl(ExpPower(C=1.0, theta=1.0), [0.1, 0.5], CFG, verdict=holding)
+        with pytest.raises(ConditionFailedError):
+            sp_from_wl(ExpPower(C=1.0, theta=1.0), [0.1, 0.5], CFG)
+
+
+class TestBoundedWindows:
+    """Memory of the k-window maps stays far below one float per window index."""
+
+    def test_kernel_rows_in_blocks(self, monkeypatch):
+        # 20 000 rows at once peak near 19 MB; blocks of 256 stay under 1.5 MB.
+        beta, cfg = ExpPower(C=1.0, theta=0.5), TransformConfig(N_max=20_000)
+        whole = sp2sl_condition(beta, cfg).sequence.values
+        monkeypatch.setattr(transforms, "_ROWS", 256)
+        tracemalloc.start()
+        try:
+            blocked = sp2sl_condition(beta, cfg).sequence.values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _assert_same_bits(blocked, whole)
+        assert peak < 1.5e6
+
+    def test_sp_from_sl_reads_its_window_in_blocks(self):
+        # No k <= 10^6 admits s = 1e-13 (k*(s) ~ 2/sqrt(s) ~ 4e6), so every
+        # block of the window is evaluated; one kernel call on the whole
+        # window peaked at about 1140 MB.
+        cfg = TransformConfig(k_max=1_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapError):
+                sp_from_sl(PolyPower(C=1.0, p=1.0), [1e-13], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * cfg.k_max
+
+    def test_wl_from_sp_stops_at_the_first_admissible_k(self):
+        # k*(s) <= 320 on this grid; the window runs to k_max = 1.5e8.
+        cfg = TransformConfig(k_max=150_000_000, N_max=150_000_000)
+        grid = log_grid(1e-180, 1e-40, 60)
+        tracemalloc.start()
+        try:
+            out = wl_from_sp(ExpPower(C=1.0, theta=2.0), grid, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert out.points == wl_from_sp(ExpPower(C=1.0, theta=2.0), grid, CFG).points
 
 
 class TestSp2slWindow:
@@ -816,7 +1078,7 @@ class TestSpFromWl:
             verdict = wl2sp_condition(beta, cfg)
             sup = transforms._wl_walk(beta, cfg, at=np.arange(2, 3001))[2]
             try:
-                out = sp_from_wl(beta, grid, cfg, verdict=verdict).log_points
+                out = sp_from_wl(beta, grid, cfg).log_points
             except ConditionFailedError:
                 out = None
             return verdict, sup, out
