@@ -223,9 +223,13 @@ class LogPower(RateFunction):
     def _eval_below_tiny(self, log_s):
         if self.q == 0.0:
             return np.full_like(log_s, 2.0 * self.C)
-        # log(1 + 1/s) = -log(s) + log1p(s)
-        with np.errstate(under="ignore"):
-            return self.C * (1.0 + (np.log1p(np.exp(log_s)) - log_s) ** self.q)
+        # log(1 + 1/s) = -log(s) + log1p(s), and log1p(s) < tiny is below
+        # half an ulp of -log(s) > 708, so the sum is -log(s) exactly.
+        out = np.negative(log_s)
+        out **= self.q
+        out += 1.0
+        out *= self.C
+        return out
 
     def limit_at_zero(self):
         return 2.0 * self.C if self.q == 0.0 else math.inf

@@ -40,8 +40,14 @@ double-precision underflow threshold remain exact, and takes any number
 of rows in blocks of _ROWS, so its memory stays bounded.  sp_from_wl
 likewise evaluates beta_WL from log(delta^-n n^-theta) and walks its
 index window once, in blocks from N_max down, for both the vanishing
-verdict and k*(s).  sp_from_wl and sp_from_sl return log(beta_SP),
-exact past double range.
+verdict and k*(s).  Each block is built in arrays reused from block to
+block, and the log n it computes for the argument also serves the
+verdict's log-log fit.  The suffix sup S is non-increasing, so s can
+cross it inside a block only if s lies between S just right of the
+block and the block's maximum; a block with no such s (and no index
+whose S is asked for) takes only its maximum, and each s at or above
+it admits the whole block.  sp_from_wl and sp_from_sl return
+log(beta_SP), exact past double range.
 
 The grid infimum of a block of T kernel arguments over R grid points is
 a row-minima problem on a (T x R) matrix that is never formed.  Write
@@ -153,6 +159,7 @@ class GridSpec:
             raise ConfigError("grid requires 0 < r_min < r_max")
         if self.count < 100:
             raise ConfigError("grid count must be at least 100")
+        _require_finite(self, ("r_min", "r_max", "count"))
 
     def points(self) -> np.ndarray:
         return np.geomspace(self.r_min, self.r_max, self.count)
@@ -212,6 +219,7 @@ class TransformConfig:
             raise ConfigError("k_max and N_max must be at least 2")
         if not (self.slope_tol > 0):
             raise ConfigError("slope_tol must be positive")
+        _require_finite(self, _FINITE_FIELDS)
 
     def to_json_dict(self) -> dict:
         return {
@@ -242,6 +250,16 @@ class TransformConfig:
 # Config fields that count, read as int; n0 and s0 may be null.
 _INTEGER_FIELDS = ("n0", "k_max", "N_max", "count")
 _NULLABLE_FIELDS = ("n0", "s0")
+# Every number of a TransformConfig; each must be finite.
+_FINITE_FIELDS = ("delta", "n0", "s0", "C1", "C2", "C3", "C4", "C5", "C6", "theta_cond", "k_max", "N_max", "slope_tol")
+
+
+def _require_finite(config, names) -> None:
+    """Refuse an infinite number in ``config``; the range checks before it have refused NaN."""
+    for name in names:
+        v = getattr(config, name)
+        if v is not None and not math.isfinite(v):
+            raise ConfigError(f"{name} must be finite, got {v!r}")
 
 
 def _json_fields(d, cls, what: str) -> dict:
@@ -574,18 +592,24 @@ def check_vanishing(seq, cfg: TransformConfig) -> ConditionVerdict:
     ns, vals = seq
     ns, vals = np.asarray(ns, dtype=int), np.asarray(vals, dtype=float)
     first, last = (int(ns[0]), int(ns[-1])) if ns.size else (0, 0)
-    return _vanishing_verdict([(ns, vals)], ns.size, first, last, cfg)
+    return _vanishing_verdict([(ns, np.log(ns), vals)], ns.size, first, last, cfg)
 
 
-def _merge_fit(acc: tuple, x: np.ndarray, y: np.ndarray) -> tuple:
+def _merge_fit(acc: tuple, x: np.ndarray, y: np.ndarray, dx: Optional[np.ndarray] = None) -> tuple:
     """Fold a block into running least-squares sums (Chan et al. 1979).
 
     ``acc`` is (count, mean x, mean y, Sxx, Sxy) with centred sums, so
-    the slope Sxy/Sxx stays accurate over any number of blocks.
+    the slope Sxy/Sxx stays accurate over any number of blocks.  Given
+    ``dx``, scratch of x.size floats, the centred x goes there and y is
+    centred in place instead of into new arrays.
     """
     n_a, mx_a, my_a, sxx_a, sxy_a = acc
     mx_b, my_b = float(x.mean()), float(y.mean())
-    dx = x - mx_b
+    if dx is None:
+        dx, y = x - mx_b, y - my_b
+    else:
+        np.subtract(x, mx_b, out=dx)
+        np.subtract(y, my_b, out=y)
     n = n_a + x.size
     ddx, ddy = mx_b - mx_a, my_b - my_a
     w = n_a * x.size / n
@@ -594,16 +618,18 @@ def _merge_fit(acc: tuple, x: np.ndarray, y: np.ndarray) -> tuple:
         mx_a + ddx * x.size / n,
         my_a + ddy * x.size / n,
         sxx_a + float(dx @ dx) + ddx * ddx * w,
-        sxy_a + float(dx @ (y - my_b)) + ddx * ddy * w,
+        sxy_a + float(dx @ y) + ddx * ddy * w,
     )
 
 
 def _vanishing_verdict(blocks, size: int, n_first: int, n_last: int, cfg: TransformConfig) -> ConditionVerdict:
     """The rules of ``check_vanishing`` over ``size`` entries in blocks.
 
-    ``blocks`` yields (ns, vals) pieces of the sequence from right to
-    left, the last index first.  Only running statistics are kept, so
-    the window may be far longer than what fits in memory at once.
+    ``blocks`` yields (ns, log(ns), vals) pieces of the sequence from
+    right to left, the last index first; ns may be integral floats.
+    Only running statistics and two scratch arrays reused from block to
+    block are kept, so the window may be far longer than what fits in
+    memory at once.
     """
     if size < 4:
         raise ConfigError("vanishing check needs at least 4 sequence values")
@@ -626,28 +652,36 @@ def _vanishing_verdict(blocks, size: int, n_first: int, n_last: int, cfg: Transf
     half_finite = True
     nxt = np.empty(0)
     fit = (0, 0.0, 0.0, 0.0, 0.0)
+    scratch = np.empty((2, 0))  # log(max(vals, 1e-300)) and centred log n of the half window
     pairs = []
-    for ns, vals in blocks:
+    for ns, log_n, vals in blocks:
         pos -= vals.size
         if pos + vals.size == size:
             last = float(vals[-1])
         first = float(vals[0])
-        undefined = undefined or not np.all(np.isfinite(vals))
+        finite = bool(np.isfinite(vals).all())
+        undefined = undefined or not finite
         sel = picks[(picks >= pos) & (picks < pos + vals.size)] - pos
-        pairs[:0] = zip(ns[sel].tolist(), vals[sel].tolist())
+        pairs[:0] = zip(ns[sel].astype(int).tolist(), vals[sel].tolist())
         t = max(tail_start - pos, 0)
         if t < vals.size:
             tail_max = max(tail_max, float(vals[t:].max()))
         h = max(half_start - pos, 0)
-        if h < vals.size:
-            half_finite = half_finite and bool(np.all(np.isfinite(vals[h:])))
+        if h < vals.size and half_finite:
+            half_finite = finite or bool(np.isfinite(vals[h:]).all())
             if half_finite:
-                run = np.concatenate([vals[h:], nxt])  # nxt: first value of the block on the right
-                decreases = decreases or bool(np.any(np.diff(run) < -1e-9 * np.abs(run[:-1])))
-                nxt = vals[h : h + 1].copy()
-                log_n = np.log(ns[h:].astype(float))
-                fit = _merge_fit(fit, log_n, np.log(np.maximum(vals[h:], 1e-300)))
-                del run, log_n  # before the next block is built
+                if not decreases:
+                    run = np.concatenate([vals[h:], nxt])  # nxt: first value of the block on the right
+                    decreases = bool(np.any(np.diff(run) < -1e-9 * np.abs(run[:-1])))
+                    nxt = vals[h : h + 1].copy()
+                    del run  # before the scratch and the next block are built
+                m = vals.size - h
+                if scratch.shape[1] < m:
+                    scratch = np.empty((2, m))
+                np.log(np.maximum(vals[h:], 1e-300, out=scratch[0, :m]), out=scratch[0, :m])
+                fit = _merge_fit(fit, log_n[h:], scratch[0, :m], scratch[1, :m])
+        if pos <= half_start:
+            scratch = None  # the half window is done: free its scratch
 
     slope = fit[4] / fit[3] if half_finite else math.nan
     tail = tuple(pairs)
@@ -715,17 +749,19 @@ def sp2sl_window(verdict: ConditionVerdict, cfg: TransformConfig, n_near: int, n
 
 
 def _wl_condition_sequence(
-    beta_wl: RateFunction, cfg: TransformConfig, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(n, beta_WL(delta^-n n^-theta)/n) for n in [lo, hi].
+    beta_wl: RateFunction, cfg: TransformConfig, ns: np.ndarray, log_n: np.ndarray, work: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """beta_WL(delta^-n n^-theta)/n at the integral floats ``ns``, written into ``out``.
 
+    ``log_n`` holds log(ns) and ``work`` is scratch of the same size.
     The argument is passed as its logarithm, so indices whose argument
     lies far below double range are evaluated exactly.
     """
-    ns = np.arange(lo, hi + 1)
-    log_args = -(ns * math.log(cfg.delta) + cfg.theta_cond * np.log(ns))
+    log_args = np.multiply(ns, math.log(cfg.delta), out=work)
+    log_args += np.multiply(log_n, cfg.theta_cond, out=out)
+    np.negative(log_args, out=log_args)
     with np.errstate(over="ignore"):
-        return ns, beta_wl.eval_at_log_many(log_args) / ns
+        return np.divide(beta_wl.eval_at_log_many(log_args), ns, out=out)
 
 
 def _wl_walk(beta_wl: RateFunction, cfg: TransformConfig, s=(), at=()):
@@ -733,7 +769,9 @@ def _wl_walk(beta_wl: RateFunction, cfg: TransformConfig, s=(), at=()):
 
     Returns the vanishing verdict on g, k*(s) for every s in ``s`` (the
     smallest k >= n0 with S(k) = sup_{k<=n<=N_max} g(n) <= s) and S at
-    the indices ``at``.  Memory stays bounded for any N_max.
+    the indices ``at``.  Each block is built in arrays reused from block
+    to block, and its log n serves the verdict's fit too, so memory
+    stays bounded for any N_max.
     """
     n0 = cfg.n0 if cfg.n0 is not None else 2
     s, at = np.asarray(s, dtype=float), np.asarray(at, dtype=int)
@@ -742,17 +780,32 @@ def _wl_walk(beta_wl: RateFunction, cfg: TransformConfig, s=(), at=()):
     sup_at = np.full(at.shape, np.nan)
 
     def blocks():
-        carry = -math.inf
+        carry = -math.inf  # S just right of the block
+        ns = np.empty(0)
         for lo in reversed(range(n0, cfg.N_max + 1, _BLOCK)):
-            ns, g = _wl_condition_sequence(beta_wl, cfg, lo, min(lo + _BLOCK - 1, cfg.N_max))
-            rsup = np.maximum.accumulate(g[::-1])  # S at ns[::-1], once the carry is in
-            np.maximum(rsup, carry, out=rsup)
-            carry = rsup[-1]
-            k_star[:] -= np.searchsorted(rsup, s, side="right")
-            inside = (at >= ns[0]) & (at <= ns[-1])
-            sup_at[inside] = rsup[ns[-1] - at[inside]]
-            del rsup  # before the next block is built
-            yield ns, g
+            hi = min(lo + _BLOCK - 1, cfg.N_max)
+            if ns.size == hi - lo + 1:
+                ns -= _BLOCK  # only a full block is followed by one of its size: the one below it
+            else:
+                ns = np.arange(lo, hi + 1, dtype=float)
+                log_n, work, g = np.empty(ns.size), np.empty(ns.size), np.empty(ns.size)
+            np.log(ns, out=log_n)
+            _wl_condition_sequence(beta_wl, cfg, ns, log_n, work, g)
+            # S rises from carry to top across the block, right to left.
+            top = float(np.maximum(carry, g.max()))
+            if math.isfinite(top) and not (np.any((carry <= s) & (s < top)) or np.any((lo <= at) & (at <= hi))):
+                # No s crosses S inside the block and no S is asked for: the
+                # suffix sup is not needed, each s >= top admits the whole block.
+                k_star[s >= top] -= g.size
+                carry = top
+            else:
+                rsup = np.maximum.accumulate(g[::-1], out=work)  # S at ns[::-1], once the carry is in
+                np.maximum(rsup, carry, out=rsup)
+                carry = rsup[-1]
+                k_star[:] -= np.searchsorted(rsup, s, side="right")
+                inside = (at >= lo) & (at <= hi)
+                sup_at[inside] = rsup[hi - at[inside]]
+            yield ns, log_n, g
 
     verdict = _vanishing_verdict(blocks(), cfg.N_max - n0 + 1, n0, cfg.N_max, cfg)
     return verdict, k_star, sup_at

@@ -244,6 +244,36 @@ class TestTransform:
         assert message in res.output
         assert json.loads((out / "manifest.json").read_text())["pass"] is False
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"delta": math.inf}, "delta must be finite"),
+            ({"C2": math.inf}, "C2 must be finite"),
+            ({"C1": -math.inf}, "C1 must be positive"),
+            ({"theta_cond": math.inf}, "theta_cond must be finite"),
+            ({"slope_tol": math.inf}, "slope_tol must be finite"),
+            ({"s0": math.inf}, "s0 must be finite"),
+            ({"r_grid": {"r_max": math.inf}}, "r_max must be finite"),
+        ],
+    )
+    def test_infinite_config_exits_2(self, runner, tmp_path, config, message):
+        # JSON Infinity; {"delta": Infinity} used to exit 0 with beta = 1.88e-280.
+        rf = _write_ratefn(tmp_path / "rf.json", {"family": "inverse_power", "a": 1.0, "p": 1.0})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert "Infinity" in cfg.read_text()
+        out = tmp_path / "o"
+        out.mkdir()
+        res = runner.invoke(
+            main,
+            ["transform", "--direction", "sp2wl", "--ratefn", rf, "--s-grid", "0.2,1,6",
+             "--config", str(cfg), "--out", str(out)],
+        )
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert json.loads((out / "manifest.json").read_text())["pass"] is False
+        assert not (out / "transform.csv").exists()
+
     def test_integral_floats_and_nulls_are_accepted(self, runner, tmp_path):
         rf = _write_ratefn(tmp_path / "rf.json", {"family": "inverse_power", "a": 1.0, "p": 1.0})
         cfg = tmp_path / "cfg.json"

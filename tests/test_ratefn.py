@@ -133,6 +133,23 @@ class TestEvalAtLog:
         log_s = np.array([-708.3, -708.5, -745.0, -800.0, -1e8])
         np.testing.assert_allclose(rf.eval_at_log_many(log_s), 1.5 * (1.0 + np.sqrt(-log_s)), rtol=1e-15)
 
+    @pytest.mark.parametrize("q", [0.25, 0.5, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("C", [1.0, 0.3, 7.0])
+    def test_log_power_below_underflow_matches_log1p_form(self, q, C):
+        # C*(1 + (-log s)**q) is the sum log1p(s) - log(s) rounded: log1p(s) < tiny
+        # is below half an ulp of -log(s) > 708.
+        tiny = math.log(np.finfo(float).tiny)
+        rng = np.random.default_rng(3)
+        log_s = np.concatenate([
+            [tiny, np.nextafter(tiny, -np.inf), -745.2, -745.14, -746.0, -1e15],
+            -np.geomspace(-tiny, 1e15, 100_001),
+            -rng.uniform(-tiny, 1e4, 10_000),
+        ])
+        with np.errstate(under="ignore"):
+            old = C * (1.0 + (np.log1p(np.exp(log_s)) - log_s) ** q)
+        new = LogPower(C=C, q=q)._eval_below_tiny(log_s)
+        assert new.tobytes() == old.tobytes()
+
     @pytest.mark.parametrize(
         "rf", [PolyPower(C=1.0, p=0.01), InversePower(a=2.0, p=0.01), Constant(B=3.0)], ids=lambda r: type(r).__name__
     )

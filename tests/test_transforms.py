@@ -377,6 +377,28 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TransformConfig.from_json_dict({"delta": 4.0, "bogus": 1})
 
+    @pytest.mark.parametrize(
+        "name", ["delta", "s0", "C1", "C2", "C3", "C4", "C5", "C6", "theta_cond", "slope_tol", "n0", "k_max", "N_max"]
+    )
+    def test_infinite_number_rejected(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            TransformConfig(**{name: math.inf})
+        if name not in ("n0", "k_max", "N_max"):  # JSON integers are refused as non-integral first
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                TransformConfig.from_json_dict({name: math.inf})
+
+    @pytest.mark.parametrize("name", ["r_min", "r_max", "count"])
+    def test_infinite_grid_number_rejected(self, name):
+        with pytest.raises(ConfigError):
+            GridSpec(**{name: math.inf})
+        if name == "r_max":
+            with pytest.raises(ConfigError, match="r_max must be finite"):
+                TransformConfig.from_json_dict({"r_grid": {"r_max": math.inf}})
+
+    def test_null_start_and_clamp_admitted(self):
+        cfg = TransformConfig.from_json_dict({"n0": None, "s0": None, "delta": 1e300, "C3": 1e-300})
+        assert (cfg.n0, cfg.s0, cfg.delta, cfg.C3) == (None, None, 1e300, 1e-300)
+
 
 def forward_vanishing_verdict(blocks, size, n_first, n_last, cfg):
     """Reference fold: the rules of ``check_vanishing`` over blocks fed
@@ -487,7 +509,8 @@ def _any_sequences(draw):
 def _assert_reverse_fold_matches(ns, vals, block):
     chunks = [(ns[i : i + block], vals[i : i + block]) for i in range(0, ns.size, block)]
     want = forward_vanishing_verdict(chunks, ns.size, int(ns[0]), int(ns[-1]), CFG)
-    got = transforms._vanishing_verdict(chunks[::-1], ns.size, int(ns[0]), int(ns[-1]), CFG)
+    reverse = [(n, np.log(n), v) for n, v in chunks[::-1]]
+    got = transforms._vanishing_verdict(reverse, ns.size, int(ns[0]), int(ns[-1]), CFG)
     assert got.status == want.status
     # as arrays, so that NaN entries compare equal
     np.testing.assert_array_equal(np.array(got.sequence_tail), np.array(want.sequence_tail))
@@ -541,7 +564,7 @@ class TestCheckVanishing:
         ns = np.arange(2, 402)
         vals = 1.0 / ((ns - 2) // 7 + 1)
         whole = check_vanishing((ns, vals), CFG)
-        blocks = [(ns[i : i + 7], vals[i : i + 7]) for i in range(0, ns.size, 7)][::-1]
+        blocks = [(ns[i : i + 7], np.log(ns[i : i + 7]), vals[i : i + 7]) for i in range(0, ns.size, 7)][::-1]
         verdict = transforms._vanishing_verdict(blocks, ns.size, 2, 401, CFG)
         assert whole.status == "holds_empirically"
         assert verdict.status == whole.status
@@ -1059,6 +1082,25 @@ class TestSpFromWl:
         wl2sp_condition(beta, cfg)
         assert sum(elems) == cfg.N_max - 2 + 1
 
+    def test_peak_does_not_grow_with_the_window(self, monkeypatch):
+        # The walk builds every block in the arrays of the block before, so
+        # 32 blocks of 2^16 indices peak within one block of 8 blocks.
+        block = 1 << 16
+        monkeypatch.setattr(transforms, "_BLOCK", block)
+        beta = LogPower(C=1.0, q=0.5)
+        grid = log_grid(0.02, 0.05, 10)
+
+        def peak(blocks):
+            cfg = TransformConfig(k_max=blocks * block + 1, N_max=blocks * block + 1)
+            tracemalloc.start()
+            try:
+                sp_from_wl(beta, grid, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(32) <= peak(8) + 8 * block
+
     @pytest.mark.parametrize(
         "beta",
         [
@@ -1091,6 +1133,252 @@ class TestSpFromWl:
         assert verdict.status == whole_verdict.status
         assert verdict.sequence_tail == whole_verdict.sequence_tail
         assert verdict.trend_slope == pytest.approx(whole_verdict.trend_slope, rel=1e-12, nan_ok=True)
+
+
+# The block walk of the WL-to-SP map as it was before its blocks reused
+# their arrays and skipped the suffix sup where no s crosses: the
+# reference that the walk must match bit for bit.
+
+
+def old_wl_condition_sequence(beta_wl, cfg, lo, hi):
+    ns = np.arange(lo, hi + 1)
+    log_args = -(ns * math.log(cfg.delta) + cfg.theta_cond * np.log(ns))
+    with np.errstate(over="ignore"):
+        return ns, beta_wl.eval_at_log_many(log_args) / ns
+
+
+def old_merge_fit(acc, x, y):
+    n_a, mx_a, my_a, sxx_a, sxy_a = acc
+    mx_b, my_b = float(x.mean()), float(y.mean())
+    dx = x - mx_b
+    n = n_a + x.size
+    ddx, ddy = mx_b - mx_a, my_b - my_a
+    w = n_a * x.size / n
+    return (
+        n,
+        mx_a + ddx * x.size / n,
+        my_a + ddy * x.size / n,
+        sxx_a + float(dx @ dx) + ddx * ddx * w,
+        sxy_a + float(dx @ (y - my_b)) + ddx * ddy * w,
+    )
+
+
+def old_vanishing_verdict(blocks, size, n_first, n_last, cfg):
+    """The reverse fold over (ns, vals) blocks, the last index first."""
+    if size < 4:
+        raise ConfigError("vanishing check needs at least 4 sequence values")
+    if n_last < 2 * n_first:
+        raise ConfigError("N_max must be at least twice n0 for the vanishing check")
+
+    tail_start = size - int(math.ceil(size / 4))
+    half_start = size - int(math.ceil(size / 2))
+    tail_len = size - tail_start
+    if tail_len <= 64:
+        picks = np.arange(tail_start, size)
+    else:
+        picks = tail_start + np.linspace(0, tail_len - 1, 64).astype(int)
+
+    pos = size
+    first = last = math.nan
+    undefined = False
+    tail_max = -math.inf
+    decreases = False
+    half_finite = True
+    nxt = np.empty(0)
+    fit = (0, 0.0, 0.0, 0.0, 0.0)
+    pairs = []
+    for ns, vals in blocks:
+        pos -= vals.size
+        if pos + vals.size == size:
+            last = float(vals[-1])
+        first = float(vals[0])
+        undefined = undefined or not np.all(np.isfinite(vals))
+        sel = picks[(picks >= pos) & (picks < pos + vals.size)] - pos
+        pairs[:0] = zip(ns[sel].tolist(), vals[sel].tolist())
+        t = max(tail_start - pos, 0)
+        if t < vals.size:
+            tail_max = max(tail_max, float(vals[t:].max()))
+        h = max(half_start - pos, 0)
+        if h < vals.size:
+            half_finite = half_finite and bool(np.all(np.isfinite(vals[h:])))
+            if half_finite:
+                run = np.concatenate([vals[h:], nxt])
+                decreases = decreases or bool(np.any(np.diff(run) < -1e-9 * np.abs(run[:-1])))
+                nxt = vals[h : h + 1].copy()
+                log_n = np.log(ns[h:].astype(float))
+                fit = old_merge_fit(fit, log_n, np.log(np.maximum(vals[h:], 1e-300)))
+
+    slope = fit[4] / fit[3] if half_finite else math.nan
+    tail = tuple(pairs)
+    if undefined:
+        return transforms.ConditionVerdict(transforms.FAILS, tail, slope)
+    if tail_max <= 1e-12 * (1.0 + abs(first)):
+        return transforms.ConditionVerdict(transforms.HOLDS, tail, slope)
+    if not decreases:
+        return transforms.ConditionVerdict(transforms.FAILS, tail, slope)
+    if not (slope < -cfg.slope_tol):
+        return transforms.ConditionVerdict(transforms.FAILS, tail, slope)
+    if last < 0.5 * first:
+        return transforms.ConditionVerdict(transforms.HOLDS, tail, slope)
+    return transforms.ConditionVerdict(transforms.INCONCLUSIVE, tail, slope)
+
+
+def old_wl_walk(beta_wl, cfg, s=(), at=()):
+    n0 = cfg.n0 if cfg.n0 is not None else 2
+    s, at = np.asarray(s, dtype=float), np.asarray(at, dtype=int)
+    k_star = np.full(s.shape, cfg.N_max + 1)
+    sup_at = np.full(at.shape, np.nan)
+
+    def blocks():
+        carry = -math.inf
+        for lo in reversed(range(n0, cfg.N_max + 1, transforms._BLOCK)):
+            ns, g = old_wl_condition_sequence(beta_wl, cfg, lo, min(lo + transforms._BLOCK - 1, cfg.N_max))
+            rsup = np.maximum.accumulate(g[::-1])
+            np.maximum(rsup, carry, out=rsup)
+            carry = rsup[-1]
+            k_star[:] -= np.searchsorted(rsup, s, side="right")
+            inside = (at >= ns[0]) & (at <= ns[-1])
+            sup_at[inside] = rsup[ns[-1] - at[inside]]
+            yield ns, g
+
+    verdict = old_vanishing_verdict(blocks(), cfg.N_max - n0 + 1, n0, cfg.N_max, cfg)
+    return verdict, k_star, sup_at
+
+
+class _NanBand(RateFunction):
+    """``base`` with NaN for log(s) in [lo, hi]: an Undefined stretch of the WL sequence."""
+
+    def __init__(self, base, lo, hi):
+        self.base, self.lo, self.hi = base, lo, hi
+
+    def eval_many(self, s):
+        return self.eval_at_log_many(np.log(s))
+
+    def eval_at_log_many(self, log_s):
+        out = self.base.eval_at_log_many(log_s)
+        out[(log_s >= self.lo) & (log_s <= self.hi)] = np.nan
+        return out
+
+    def limit_at_zero(self):
+        return self.base.limit_at_zero()
+
+    def limit_at_inf(self):
+        return self.base.limit_at_inf()
+
+    def to_json_dict(self):
+        return {"family": "nan_band"}
+
+
+class _Jagged(RateFunction):
+    """Values 2 + sin(37 log s): not monotone, so the WL sequence rises and
+    falls from one index to the next and S(k) stays above g(k) inside blocks."""
+
+    def eval_many(self, s):
+        return self.eval_at_log_many(np.log(s))
+
+    def eval_at_log_many(self, log_s):
+        return 2.0 + np.sin(37.0 * np.asarray(log_s, dtype=float))
+
+    def limit_at_zero(self):
+        return 3.0
+
+    def limit_at_inf(self):
+        return 1.0
+
+    def to_json_dict(self):
+        return {"family": "jagged"}
+
+
+# A step in beta_WL: a bump in the WL sequence near n = 47 (delta 4, theta 1).
+_STEP = Tabulated(points=((1e-30, 50.0), (1e-29, 1.0)))
+
+_WALK_INPUTS = [
+    LogPower(C=1.0, q=0.0),
+    LogPower(C=1.0, q=0.5),
+    LogPower(C=2.0, q=1.0),
+    LogPower(C=0.5, q=1.5),
+    Constant(B=2.0),
+    PolyPower(C=1.0, p=0.002),
+    InversePower(a=3.0, p=0.001),
+    ExpPower(C=1.0, theta=1.0),  # the sequence is +inf past its first few indices
+    _STEP,
+    _NanBand(LogPower(C=1.0, q=0.5), -900.0, -850.0),  # NaN near n = 610
+    _Jagged(),
+]
+
+_WALK_IDS = ["LogPower0", "LogPower0.5", "LogPower1", "LogPower1.5", "Constant", "PolyPower", "InversePower",
+             "ExpPower", "TabulatedStep", "NanBand", "Jagged"]
+
+# (delta, n0, theta_cond, N_max)
+_WALK_CONFIGS = [(4.0, None, 1.0, 1000), (2.5, 3, 1.5, 801), (7.0, 11, 3.0, 700)]
+
+
+def _walk_edges(lo, hi, block):
+    """The first and last index of every block of [lo, hi], and their neighbours."""
+    tops = np.arange(lo, hi + 1, block)
+    edges = np.concatenate([tops - 1, tops, tops + block - 1, tops + block, [lo, hi]])
+    return np.unique(np.clip(edges, lo, hi))
+
+
+class TestWalkMatchesReference:
+    """``_wl_walk`` against the walk before max-only blocks and reused arrays: equal bits."""
+
+    @pytest.mark.parametrize("config", _WALK_CONFIGS, ids=lambda c: f"delta{c[0]}-n0{c[1]}-theta{c[2]}")
+    @pytest.mark.parametrize("beta", _WALK_INPUTS, ids=_WALK_IDS)
+    def test_verdict_k_star_and_sup_equal(self, beta, config, monkeypatch):
+        delta, n0, theta, n_max = config
+        cfg = TransformConfig(delta=delta, n0=n0, theta_cond=theta, k_max=n_max, N_max=n_max)
+        lo = n0 if n0 is not None else 2
+        s_all = old_wl_walk(beta, cfg, at=np.arange(lo, n_max + 1))[2]
+        finite = np.unique(s_all[np.isfinite(s_all) & (s_all > 0)])
+        # sparse s leave most blocks without a crossing; dense s add S at
+        # block edges (ties), midpoints between two S and s below every S
+        sparse = np.geomspace(1e-6, 1e3, 40)
+        between = finite[:-1] + np.diff(finite) / 2 if finite.size > 1 else np.empty(0)
+        below = [np.nextafter(finite.min(), 0)] if finite.size else []
+        for block in (1, 7, 4096, transforms._BLOCK):
+            monkeypatch.setattr(transforms, "_BLOCK", block)
+            edges = _walk_edges(lo, n_max, block)
+            at_edges = s_all[edges - lo]
+            dense = np.concatenate([sparse, at_edges[np.isfinite(at_edges)], between, below])
+            dense = dense[(dense > 0) & np.isfinite(dense)]
+            for s, at in ((sparse, np.array([], dtype=int)), (dense, edges)):
+                want = old_wl_walk(beta, cfg, s, at)
+                got = transforms._wl_walk(beta, cfg, s, at)
+                assert got[0].status == want[0].status
+                # status, tail and trend slope, bit for bit and with NaN equal to NaN
+                assert repr(got[0]) == repr(want[0])
+                assert got[1].tolist() == want[1].tolist()
+                assert repr(got[2].tolist()) == repr(want[2].tolist())
+
+    @pytest.mark.parametrize("beta", [LogPower(C=1.0, q=0.5), _Jagged(), _STEP], ids=["LogPower", "Jagged", "TabulatedStep"])
+    def test_crossings_on_every_block_edge(self, beta, monkeypatch):
+        # s = S at the first index of a block is the carry into the block
+        # below, and lies in no other block's range [carry, top).
+        cfg = TransformConfig(k_max=3000, N_max=3000)
+        s_all = old_wl_walk(beta, cfg, at=np.arange(2, 3001))[2]
+        for block in (7, 64, 4096):
+            monkeypatch.setattr(transforms, "_BLOCK", block)
+            carries = s_all[np.arange(2, 3001, block) - 2]
+            edges = s_all[_walk_edges(2, 3000, block) - 2]
+            for s in (carries, np.nextafter(carries, 0), np.nextafter(carries, np.inf),
+                      np.concatenate([edges, np.nextafter(edges, 0)])):
+                want, got = old_wl_walk(beta, cfg, s), transforms._wl_walk(beta, cfg, s)
+                assert got[1].tolist() == want[1].tolist()
+                assert repr(got[0]) == repr(want[0])
+
+    def test_sp_from_wl_unchanged(self):
+        # The deep window of acceptance 2e, cut to 2.5e6 indices: two blocks and a part.
+        cfg = TransformConfig(k_max=2_500_000, N_max=2_500_000)
+        beta = LogPower(C=1.0, q=0.5)
+        grid = log_grid(1e-3, 1e-2, 30)
+        s_eff = np.minimum(grid, grid[-1])
+        want = old_wl_walk(beta, cfg, s_eff)
+        got = transforms._wl_walk(beta, cfg, s_eff)
+        assert got[1].tolist() == want[1].tolist()
+        assert repr(got[0]) == repr(want[0])
+        log_values = math.log(cfg.C3) + want[1] * math.log(cfg.delta)
+        assert [v for _, v in sp_from_wl(beta, grid, cfg).log_points] == log_values.tolist()
 
 
 class TestSpFromSl:
