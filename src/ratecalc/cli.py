@@ -48,13 +48,13 @@ from .ratefn import LogTabulated, RateFunction, fit_exponent, rate_function_from
 from .ratefn import ExpPower, LogPower, PolyPower
 from .transforms import (
     TransformConfig,
+    _wl_map,
     log_grid,
     sl_from_sp,
     sp2sl_condition,
     sp2sl_window,
     sp_from_sl,
     sp_from_wl,
-    wl2sp_condition,
     wl2sp_window,
     wl_from_sp,
     xi1,
@@ -230,11 +230,19 @@ def cmd_xi(run, kernel, ratefn_path, t_grid, config_path):
     run.finish(True, f"{kernel} evaluated at {len(rows)} points")
 
 
+def _sp2sl(beta, s, cfg):
+    verdict = sp2sl_condition(beta, cfg)
+    return verdict, functools.partial(sl_from_sp, beta, s, cfg, verdict=verdict)
+
+
+# Each direction maps (beta, s, cfg) to its side-condition verdict, or None,
+# and a call that computes the map once the verdict is written and gated.
+# For wl2sp one walk of the WL index window gives both the verdict and k*(s).
 _DIRECTIONS = {
-    "sp2wl": (wl_from_sp, None),
-    "wl2sp": (sp_from_wl, wl2sp_condition),
-    "sp2sl": (sl_from_sp, sp2sl_condition),
-    "sl2sp": (sp_from_sl, None),
+    "sp2wl": lambda beta, s, cfg: (None, functools.partial(wl_from_sp, beta, s, cfg)),
+    "wl2sp": _wl_map,
+    "sp2sl": _sp2sl,
+    "sl2sp": lambda beta, s, cfg: (None, functools.partial(sp_from_sl, beta, s, cfg)),
 }
 
 
@@ -257,11 +265,8 @@ def cmd_transform(run, direction, ratefn_path, s_grid, config_path):
     run.resolved_config = cfg.to_json_dict()
     s = _parse_grid(s_grid, "s-grid")
     run.make_out_dir()
-    transform, condition = _DIRECTIONS[direction]
-
-    verdict = None
-    if condition is not None:
-        verdict = condition(beta, cfg)
+    verdict, transform = _DIRECTIONS[direction](beta, s, cfg)
+    if verdict is not None:
         run.json("verdict.json", verdict.to_json_dict())
         if verdict.fails:
             raise ConditionFailedError(
@@ -278,10 +283,7 @@ def cmd_transform(run, direction, ratefn_path, s_grid, config_path):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        if direction == "sp2sl":
-            out = transform(beta, s, cfg, verdict=verdict)
-        else:
-            out = transform(beta, s, cfg)
+        out = transform()
     if isinstance(out, LogTabulated):
         header = "s,beta,log_beta"
         s_out, log_beta = np.array(out.log_points, dtype=float).T

@@ -13,12 +13,17 @@ by |f| preserves every numerator term while not increasing the energy
 (contraction property); the variance in WP is not monotone under |.| so
 WP keeps signed f.  Suprema are computed by projected gradient ascent
 with Armijo backtracking from structured starts and seeded random
-restarts.  All starts of one (kind, s) ascend together as one (m, n)
-block: each row keeps its own step, backtracking, stall counter and
-iteration budget and leaves the block when it stops, and F L is computed
-once per accepted iterate for both the value and the next gradient.
-Every row reduction is an einsum or elementwise form, never a BLAS
-product, so a row's path is bit for bit the same alone or in a block.
+restarts.  All starts of one kind, at every s of the grid, ascend
+together as (m, n) blocks with s carried per row: each row keeps its own
+trade-off, step, backtracking, stall counter and iteration budget and
+leaves the block when it stops, and F L is computed once per accepted
+iterate for both the value and the next gradient.  Every row reduction
+is an einsum or elementwise form, never a BLAS product, so a row's path
+is bit for bit the same alone or in a block, and a grid point's value
+does not depend on the rest of the grid.  The structured starts,
+spectral certificate included, are built once per kind; the flattened
+(s, start) rows run in blocks of at most _BLOCK_CELLS cells, so memory
+stays bounded for any grid.
 Results are cross-checked against an exhaustive angular brute-force
 oracle on forms with up to 4 states.
 The oracle scans prod(round(span/resolution) + 1) directions over n - 1
@@ -64,6 +69,8 @@ _KIND_ID = {k: i for i, k in enumerate(KINDS)}
 _FLOOR = {"SP": 1.0, "SL": 0.0, "WL": 0.0, "WP": 0.0}
 _LOG_FLOOR = 1e-300
 _E_TINY = 1e-14
+# Rows x n of one ascent block: verify's 6 s x 31 starts on n = 41 fit in one.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -119,17 +126,17 @@ def _ent_log_term(F: np.ndarray, m2: np.ndarray) -> np.ndarray:
 class _Objective:
     """Scale-invariant objective of one kind on (m, n) blocks of rows.
 
-    Every reduction runs row by row (einsum or elementwise, never a BLAS
-    product), so a row's projection, value and gradient are bit for bit
-    the same whichever rows share its block.
+    Each row carries its own trade-off s.  Every reduction runs row by
+    row (einsum or elementwise, never a BLAS product), so a row's
+    projection, value and gradient are bit for bit the same whichever
+    rows share its block.
     """
 
-    def __init__(self, kind: str, form: FiniteDirichletForm, s: float):
+    def __init__(self, kind: str, form: FiniteDirichletForm):
         if kind not in KINDS:
             raise ConfigError(f"unknown kind {kind!r}; expected one of {KINDS}")
         self.kind = kind
         self.form = form
-        self.s = float(s)
         self.mu = form.mu
         self.lap = form.laplacian
         wmax = float(np.max(form.weights)) if form.n > 1 else 0.0
@@ -149,9 +156,9 @@ class _Objective:
         P = np.clip(F, 0.0 if self.kind == "WL" else -1.0, 1.0)
         return P, np.max(np.abs(P), axis=1) >= 1e-12
 
-    def evaluate(self, F: np.ndarray, LF: np.ndarray) -> np.ndarray:
-        """Objective of each row of F, given LF = apply_lap(F); -inf where undefined."""
-        mu, s = self.mu, self.s
+    def evaluate(self, F: np.ndarray, LF: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Objective of each row of F at its s, given LF = apply_lap(F); -inf where undefined."""
+        mu = self.mu
         E = np.maximum(np.einsum("ij,ij->i", F, LF), 0.0)
         F2 = F * F
         if self.kind == "SP":
@@ -168,22 +175,22 @@ class _Objective:
             top = _rowdot((F - m[:, None]) ** 2, mu) - s * sup2
         return np.where(E > self.e_floor * sup2, top / E, -math.inf)
 
-    def grad(self, F: np.ndarray, LF: np.ndarray) -> np.ndarray:
-        """Gradient of the objective at each row of F, given LF = apply_lap(F)."""
-        mu, s = self.mu, self.s
+    def grad(self, F: np.ndarray, LF: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Gradient of the objective at each row of F at its s, given LF = apply_lap(F)."""
+        mu = self.mu
         E = np.maximum(np.einsum("ij,ij->i", F, LF), 0.0)
         F2 = F * F
         if self.kind == "SP":
             m1 = _rowdot(np.abs(F), mu)[:, None]
             num = (_rowdot(F2, mu) - s * E)[:, None]
             den = m1 * m1
-            gnum = 2.0 * mu * F - 2.0 * s * LF
+            gnum = 2.0 * mu * F - 2.0 * s[:, None] * LF
             gden = 2.0 * m1 * mu * np.sign(F)
             return (gnum * den - num * gden) / np.maximum(den * den, 1e-300)
         if self.kind == "SL":
             m2 = _rowdot(F2, mu)
             num = (_entropy_rows(F2, m2, mu) - s * E)[:, None]
-            gnum = 2.0 * mu * _ent_log_term(F, m2) - 2.0 * s * LF
+            gnum = 2.0 * mu * _ent_log_term(F, m2) - 2.0 * s[:, None] * LF
             gden = 2.0 * mu * F
             m2 = m2[:, None]
             return (gnum * m2 - num * gden) / np.maximum(m2 * m2, 1e-300)
@@ -235,23 +242,25 @@ class _Objective:
         return starts
 
 
-def _ascend_block(obj: _Objective, F0: np.ndarray, cfg: SolverConfig) -> tuple:
+def _ascend_block(obj: _Objective, F0: np.ndarray, s: np.ndarray, cfg: SolverConfig) -> tuple:
     """Projected-gradient ascent of every row of the (m, n) block F0 at once.
 
-    Each row follows the rules of a lone ascent: its own step, Armijo
-    backtracking of at most 60 halvings down to cfg.step_min, stall
-    counter and max_iters.  A row leaves the active set when it stops.
-    LF = F L is computed once per accepted iterate; the line search uses
-    it for the candidate's value and the next iteration for its gradient.
+    Row i ascends the objective at trade-off s[i] and follows the rules
+    of a lone ascent: its own step, Armijo backtracking of at most 60
+    halvings down to cfg.step_min, stall counter and max_iters.  A row
+    leaves the active set when it stops.  LF = F L is computed once per
+    accepted iterate; the line search uses it for the candidate's value
+    and the next iteration for its gradient.
 
     Returns (values, F, iterations, admissible) per row; a start that
     projects to nothing or has no finite value is inadmissible, with
     value -inf and 0 iterations.
     """
+    s = np.asarray(s, dtype=float)
     with np.errstate(all="ignore"):
         F, ok = obj.project(np.asarray(F0, dtype=float))
         LF = obj.apply_lap(F)
-        val = obj.evaluate(F, LF)
+        val = obj.evaluate(F, LF, s)
         ok &= np.isfinite(val)
         val[~ok] = -math.inf
         m = F.shape[0]
@@ -261,11 +270,11 @@ def _ascend_block(obj: _Objective, F0: np.ndarray, cfg: SolverConfig) -> tuple:
         act = np.flatnonzero(ok)
         while act.size:
             iters[act] += 1
-            G = obj.grad(F[act], LF[act])
+            G = obj.grad(F[act], LF[act], s[act])
             g2 = np.einsum("ij,ij->i", G, G)
             live = np.isfinite(g2) & (g2 >= 1e-300)
             act, G, g2 = act[live], G[live], g2[live]
-            base, base_val = F[act], val[act]
+            base, base_val, base_s = F[act], val[act], s[act]
             alpha = step[act]
             new_val = np.empty(act.size)
             accepted = np.zeros(act.size, dtype=bool)
@@ -276,7 +285,7 @@ def _ascend_block(obj: _Objective, F0: np.ndarray, cfg: SolverConfig) -> tuple:
                 a = alpha[search]
                 P, pok = obj.project(base[search] + a[:, None] * G[search])
                 LP = obj.apply_lap(P)
-                pval = obj.evaluate(P, LP)
+                pval = obj.evaluate(P, LP, base_s[search])
                 good = pok & (pval > base_val[search] + cfg.armijo * a * g2[search])
                 hit = search[good]
                 F[act[hit]], LF[act[hit]] = P[good], LP[good]
@@ -299,13 +308,62 @@ def _seed_tuple(seed: int, kind: str, s: float, restart: int) -> tuple:
     return (int(seed) & 0xFFFFFFFF, _KIND_ID[kind], s_bits, int(restart))
 
 
-def _start_block(obj: _Objective, cfg: SolverConfig) -> np.ndarray:
-    """The structured starts, then cfg.restarts seeded random starts, as rows."""
-    starts = obj.structured_starts()
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(_seed_tuple(cfg.seed, obj.kind, obj.s, r))
-        starts.append(obj.random_start(rng))
-    return np.array(starts)
+def _start_block(
+    obj: _Objective, structured: np.ndarray, s: np.ndarray, start: np.ndarray, cfg: SolverConfig
+) -> np.ndarray:
+    """Start rows: row i is start start[i] of trade-off s[i].
+
+    Each s has the structured starts (rows of ``structured``), then
+    cfg.restarts random starts, restart r seeded by (cfg.seed, kind, s, r).
+    """
+    k = structured.shape[0]
+    F0 = structured[np.minimum(start, k - 1)]
+    for i in np.flatnonzero(start >= k):
+        rng = np.random.default_rng(_seed_tuple(cfg.seed, obj.kind, s[i], start[i] - k))
+        F0[i] = obj.random_start(rng)
+    return F0
+
+
+def _solve_grid(form: FiniteDirichletForm, kind: str, s: np.ndarray, cfg: SolverConfig) -> tuple:
+    """Solver suprema of one kind at every trade-off of the array s.
+
+    Every s has its structured starts, built once for the kind, and its
+    cfg.restarts seeded random starts.  These (s, start) rows, s by s in
+    the order of the array, ascend in blocks of at most _BLOCK_CELLS
+    cells (rows x n); a block may split one s's rows.  Rows never
+    interact, so each s gets the bits it gets when solved alone.
+
+    Returns (values, best vectors, iterations) per s: the first row in
+    row order with the largest admissible value, clamped below by the
+    trivial bound of the kind (1 for SP, 0 otherwise), and the
+    iterations of all its rows.  An s with no admissible row takes the
+    floor and a zero vector where that is the supremum (n = 1, WL, WP).
+    """
+    obj = _Objective(kind, form)
+    structured = np.array(obj.structured_starts())
+    per_s = structured.shape[0] + cfg.restarts
+    total = s.size * per_s
+    best = np.full(s.size, -math.inf)
+    best_f = np.zeros((s.size, form.n))
+    iters = np.zeros(s.size, dtype=int)
+    rows = max(1, _BLOCK_CELLS // form.n)
+    for lo in range(0, total, rows):
+        hi = min(lo + rows, total)
+        si, start = np.divmod(np.arange(lo, hi), per_s)
+        F0 = _start_block(obj, structured, s[si], start, cfg)
+        vals, F, it, _ = _ascend_block(obj, F0, s[si], cfg)
+        for j in range(si[0], si[-1] + 1):
+            # The rows of s[j] in this block are rows a..b-1.
+            a, b = max(j * per_s, lo) - lo, min((j + 1) * per_s, hi) - lo
+            iters[j] += it[a:b].sum()
+            r = a + int(np.argmax(vals[a:b]))
+            # Strictly larger only: an equal value in a later block is not the first best.
+            if vals[r] > best[j]:
+                best[j], best_f[j] = vals[r], F[r]
+    # Admissible rows have finite values, so best stays -inf only where no row is admissible.
+    if np.isneginf(best).any() and form.n > 1 and kind in ("SP", "SL"):
+        raise SolverError(f"no restart produced an admissible value for kind {kind}")
+    return np.maximum(best, _FLOOR[kind]), best_f, iters
 
 
 def optimal_value(
@@ -317,32 +375,18 @@ def optimal_value(
 ):
     """Solver supremum for one (kind, s); deterministic given the seed.
 
-    Ascends the structured starts plus cfg.restarts seeded random
-    restarts as one block and keeps the first best admissible value, clamped below by the trivial
+    The one-point case of the grid solve: the structured starts plus
+    cfg.restarts seeded random restarts ascend as one block, and the
+    first best admissible value is kept, clamped below by the trivial
     bound of the kind (1 for SP, 0 otherwise).
     """
     cfg = cfg or SolverConfig()
     if not (isinstance(s, (int, float)) and math.isfinite(s) and s > 0):
         raise MathDomainError(f"trade-off s must be positive, got {s!r}")
-    obj = _Objective(kind, form, s)
-    vals, F, iters, ok = _ascend_block(obj, _start_block(obj, cfg), cfg)
-    iters_total = int(iters.sum())
-    floor = _FLOOR[kind]
-    if not ok.any():
-        if form.n == 1 or kind in ("WL", "WP"):
-            # No admissible nonconstant direction; the floor is the supremum.
-            value = floor
-            best_f = np.zeros(form.n)
-        else:
-            raise SolverError(f"no restart produced an admissible value for kind {kind}")
-    else:
-        # The first row with the largest value, as a serial `val > best` scan.
-        best = int(np.argmax(vals))
-        value = max(float(vals[best]), floor)
-        best_f = F[best].copy()
+    values, best_f, iters = _solve_grid(form, kind, np.array([float(s)]), cfg)
     if return_vector:
-        return value, best_f, iters_total
-    return value
+        return float(values[0]), best_f[0], int(iters[0])
+    return float(values[0])
 
 
 def optimal_sp(form, s, cfg: Optional[SolverConfig] = None) -> float:
@@ -537,17 +581,20 @@ def empirical_rate(
 ) -> EmpiricalRateFunction:
     """Per-point optimal values on an ascending s-grid, then envelope.
 
-    Grid points are independent work items with per-(s, restart) seeds,
-    so a point's value does not depend on the rest of the grid.
+    Every start of the kind at every grid point ascends in one grid
+    solve, in blocks of bounded size.  Rows carry their own s and
+    per-(s, restart) seeds and never interact, so each point gets the
+    value ``optimal_value`` gives it alone, whatever the rest of the grid.
     """
     cfg = cfg or SolverConfig()
     s = np.asarray(list(s_grid), dtype=float)
     if s.size < 1 or np.any(s <= 0) or np.any(np.diff(s) <= 0):
         raise ConfigError("s grid must be ascending and positive")
+    bad = s[~np.isfinite(s)]
+    if bad.size:
+        raise MathDomainError(f"trade-off s must be positive, got {float(bad[0])!r}")
 
-    results = [optimal_value(form, kind, float(si), cfg, return_vector=True) for si in s]
-    raw = np.array([r[0] for r in results])
-    iters = int(sum(r[2] for r in results))
+    raw, _, iters = _solve_grid(form, kind, s, cfg)
     env = _running_max_from_right(raw)
     return EmpiricalRateFunction(
         kind=kind,
@@ -556,7 +603,7 @@ def empirical_rate(
         restarts=cfg.restarts,
         seed=cfg.seed,
         envelope_applied=True,
-        stats={"iterations_total": iters, "raw_values": [float(v) for v in raw]},
+        stats={"iterations_total": int(iters.sum()), "raw_values": [float(v) for v in raw]},
     )
 
 

@@ -986,6 +986,34 @@ def wl_from_sp(beta_sp: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     return _clamp_and_tabulate(s, values, cfg.s0)
 
 
+def _wl_map(beta_wl: RateFunction, s: np.ndarray, cfg: TransformConfig) -> tuple:
+    """The WL-to-SP verdict from one walk of the index window, and a call that finishes the map.
+
+    The walk gives the verdict and k*(s) for the nonempty array ``s`` at
+    once; a caller writes or gates the verdict before it makes the call.
+    The call checks the grid (so ``transform`` refuses a bad grid after
+    writing the verdict, as it does for the other gated map), raises
+    CapError where k*(s) passes min(k_max, N_max) and otherwise returns
+    the table of ``sp_from_wl``.
+    """
+    s0 = cfg.s0 if cfg.s0 is not None else float(s[-1])
+    s_eff = np.minimum(s, s0)
+    verdict, k_star, _ = _wl_walk(beta_wl, cfg, s_eff)
+
+    def table() -> LogTabulated:
+        _validate_s_grid(s)
+        k_cap = min(cfg.k_max, cfg.N_max)
+        over = np.flatnonzero(k_star > k_cap)
+        if over.size:
+            raise CapError(
+                f"no admissible k <= {k_cap} for s={float(s_eff[over[0]]):g}; increase k_max/N_max"
+            )
+        log_values = math.log(cfg.C3) + k_star * math.log(cfg.delta)
+        return _clamp_and_tabulate(s, log_values, cfg.s0, LogTabulated)
+
+    return verdict, table
+
+
 def sp_from_wl(beta_wl: RateFunction, s_grid, cfg: Optional[TransformConfig] = None) -> LogTabulated:
     """SP rate function C3*delta^k*(s) from a WL rate function.
 
@@ -999,20 +1027,9 @@ def sp_from_wl(beta_wl: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     for any N_max.
     """
     cfg = cfg or TransformConfig()
-    s = _validate_s_grid(s_grid)
-    s0 = cfg.s0 if cfg.s0 is not None else float(s[-1])
-    s_eff = np.minimum(s, s0)
-    verdict, k_star, _ = _wl_walk(beta_wl, cfg, s_eff)
+    verdict, table = _wl_map(beta_wl, _validate_s_grid(s_grid), cfg)
     _gate(verdict, "the WL-to-SP map")
-
-    k_cap = min(cfg.k_max, cfg.N_max)
-    over = np.flatnonzero(k_star > k_cap)
-    if over.size:
-        raise CapError(
-            f"no admissible k <= {k_cap} for s={float(s_eff[over[0]]):g}; increase k_max/N_max"
-        )
-    log_values = math.log(cfg.C3) + k_star * math.log(cfg.delta)
-    return _clamp_and_tabulate(s, log_values, cfg.s0, LogTabulated)
+    return table()
 
 
 def sp_from_sl(beta_sl: RateFunction, s_grid, cfg: Optional[TransformConfig] = None) -> LogTabulated:

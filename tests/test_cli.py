@@ -148,6 +148,39 @@ class TestTransform:
         )
         assert res.exit_code == 5
 
+    @pytest.mark.parametrize(
+        "ratefn, grid, exit_code",
+        [
+            ({"family": "constant", "B": 2.0}, "1e-3,1e-2,4", 0),
+            ({"family": "inverse_power", "a": 1.0, "p": 1.0}, "1e-3,1e-1,5", 4),
+            ({"family": "log_power", "C": 1.0, "q": 0.5}, "1e-4,1e-2,6", 5),
+        ],
+    )
+    def test_wl2sp_walks_the_window_once(self, runner, tmp_path, monkeypatch, ratefn, grid, exit_code):
+        # verdict.json and k*(s) come from one walk of [n0, N_max], whatever the exit.
+        from ratecalc import transforms
+
+        ns = []
+        real = transforms._wl_condition_sequence
+
+        def recording(beta, cfg, block, *rest):
+            ns.append(block.copy())
+            return real(beta, cfg, block, *rest)
+
+        monkeypatch.setattr(transforms, "_wl_condition_sequence", recording)
+        rf = _write_ratefn(tmp_path / "rf.json", ratefn)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k_max": 3000, "N_max": 3000}))
+        out = tmp_path / "o"
+        res = runner.invoke(
+            main,
+            ["transform", "--direction", "wl2sp", "--ratefn", rf, "--s-grid", grid,
+             "--config", str(cfg), "--out", str(out)],
+        )
+        assert res.exit_code == exit_code
+        assert (out / "verdict.json").exists() and (out / "transform.csv").exists() == (exit_code == 0)
+        assert np.array_equal(np.sort(np.concatenate(ns)), np.arange(2, 3001))
+
     def test_overflowing_beta_writes_log_beta(self, runner, tmp_path):
         # k* = 2000 at s = 1e-3: beta_SP = 4^2000 does not fit in a double,
         # so beta reads inf there and log_beta carries the exact value.

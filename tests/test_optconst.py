@@ -506,8 +506,15 @@ def _ref_ascend(obj, f0, cfg):
 
 
 def _starts(form, kind, s, cfg):
-    obj = optconst._Objective(kind, form, s)
-    return obj, optconst._start_block(obj, cfg)
+    obj = optconst._Objective(kind, form)
+    structured = np.array(obj.structured_starts())
+    m = structured.shape[0] + cfg.restarts
+    return obj, optconst._start_block(obj, structured, np.full(m, float(s)), np.arange(m), cfg)
+
+
+def _at(s, F0):
+    """The trade-off s for every row of F0."""
+    return np.full(F0.shape[0], float(s))
 
 
 def _ref_optimal_value(form, kind, s, cfg):
@@ -551,11 +558,11 @@ class TestBatchedAscent:
     @staticmethod
     def _assert_rows_batch_invariant(form, kind, s, cfg):
         obj, F0 = _starts(form, kind, s, cfg)
-        vals, F, iters, ok = optconst._ascend_block(obj, F0, cfg)
+        vals, F, iters, ok = optconst._ascend_block(obj, F0, _at(s, F0), cfg)
         assert ok.all()
-        rev = optconst._ascend_block(obj, F0[::-1], cfg)
+        rev = optconst._ascend_block(obj, F0[::-1], _at(s, F0), cfg)
         for i in range(F0.shape[0]):
-            v1, f1, it1, ok1 = optconst._ascend_block(obj, F0[i : i + 1], cfg)
+            v1, f1, it1, ok1 = optconst._ascend_block(obj, F0[i : i + 1], _at(s, F0[i : i + 1]), cfg)
             assert (v1[0], it1[0], ok1[0]) == (vals[i], iters[i], ok[i]), (kind, i)
             assert np.array_equal(f1[0], F[i]), (kind, i)
             j = F0.shape[0] - 1 - i
@@ -578,7 +585,7 @@ class TestBatchedAscent:
         # from different vectors; the solver keeps the first of them.
         form = fixture_forms["two_skewed"]
         obj, F0 = _starts(form, "WP", 0.1, CFG)
-        vals, F, _, _ = optconst._ascend_block(obj, F0, CFG)
+        vals, F, _, _ = optconst._ascend_block(obj, F0, _at(0.1, F0), CFG)
         ties = np.flatnonzero(vals == vals.max())
         assert ties.size > 1 and not all(np.array_equal(F[ties[0]], F[j]) for j in ties[1:])
         value, f, _ = optimal_value(form, "WP", 0.1, CFG, return_vector=True)
@@ -588,10 +595,130 @@ class TestBatchedAscent:
         form = fixture_forms["path3_skewed"]
         obj, F0 = _starts(form, "SP", 0.1, CFG)
         block = np.vstack([-np.ones((1, form.n)), F0])
-        vals, F, iters, ok = optconst._ascend_block(obj, block, CFG)
+        vals, F, iters, ok = optconst._ascend_block(obj, block, _at(0.1, block), CFG)
         assert not ok[0] and vals[0] == -math.inf and iters[0] == 0
-        alone = optconst._ascend_block(obj, F0, CFG)
+        alone = optconst._ascend_block(obj, F0, _at(0.1, F0), CFG)
         assert np.array_equal(vals[1:], alone[0]) and np.array_equal(iters[1:], alone[2])
+
+
+# ---------------------------------------------------------------------------
+# Grid solve against the per-s loop
+# ---------------------------------------------------------------------------
+
+
+def _per_s_solve(form, kind, s, cfg):
+    """One s on its own: its starts ascend as one block, and the first best
+    admissible row is kept, clamped to the floor; (value, vector, iterations)."""
+    obj, F0 = _starts(form, kind, s, cfg)
+    vals, F, iters, ok = optconst._ascend_block(obj, F0, _at(s, F0), cfg)
+    floor = optconst._FLOOR[kind]
+    if not ok.any():
+        return floor, np.zeros(form.n), int(iters.sum())
+    best = int(np.argmax(vals))
+    return max(float(vals[best]), floor), F[best].copy(), int(iters.sum())
+
+
+def _assert_grid_matches_per_s_loop(monkeypatch, form, kind, grid, cfg):
+    """empirical_rate, and the best vectors of its grid solve, equal the per-s loop's bit for bit."""
+    solves = []
+    real = optconst._solve_grid
+
+    def recording(*args):
+        solves.append(real(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(optconst, "_solve_grid", recording)
+    emp = empirical_rate(form, kind, grid, cfg)
+    monkeypatch.setattr(optconst, "_solve_grid", real)
+    ref = [_per_s_solve(form, kind, float(s), cfg) for s in grid]
+    values, vectors, iters = solves[0]
+    raw = [r[0] for r in ref]
+    assert emp.stats["raw_values"] == raw and values.tolist() == raw, kind
+    assert np.array_equal(emp.values, np.maximum.accumulate(raw[::-1])[::-1]), kind
+    assert all(np.array_equal(v, r[1]) for v, r in zip(vectors, ref)), kind
+    assert iters.tolist() == [r[2] for r in ref], kind
+    assert emp.stats["iterations_total"] == sum(r[2] for r in ref), kind
+
+
+class TestGridSolve:
+    def test_matches_per_s_loop_on_chain(self, monkeypatch):
+        # The verify grid of the n = 41 chain: 6 s x 31 starts fit in one block.
+        chain = build_birth_death(4.0, 1.0, 2.0, 41)
+        grid = [float(s) for s in np.geomspace(1e-3, 1.0, 6)]
+        assert 6 * 31 * chain.n <= optconst._BLOCK_CELLS
+        for kind in ("SP", "SL", "WL", "WP"):
+            _assert_grid_matches_per_s_loop(monkeypatch, chain, kind, grid, SolverConfig(seed=7))
+
+    def test_matches_per_s_loop_on_fixtures(self, fixture_forms, monkeypatch):
+        # WP rows are signed.
+        for form in fixture_forms.values():
+            for kind in ("SP", "SL", "WL", "WP"):
+                _assert_grid_matches_per_s_loop(monkeypatch, form, kind, (0.01, 0.1, 1.0), CFG)
+
+    @pytest.mark.parametrize("rows", ["1", "7", "per_s-1", "per_s+1"])
+    def test_blocks_split_inside_one_s(self, fixture_forms, monkeypatch, rows):
+        cfg = SolverConfig(restarts=6, seed=3)
+        for name in ("two_skewed", "tri_skewed"):
+            form = fixture_forms[name]
+            per_s = len(optconst._Objective("SP", form).structured_starts()) + cfg.restarts
+            block = {"1": 1, "7": 7, "per_s-1": per_s - 1, "per_s+1": per_s + 1}[rows]
+            monkeypatch.setattr(optconst, "_BLOCK_CELLS", block * form.n)
+            for kind in ("SP", "SL", "WL", "WP"):
+                _assert_grid_matches_per_s_loop(monkeypatch, form, kind, (0.01, 0.1, 1.0), cfg)
+
+    def test_point_alone_equals_point_in_longer_grid(self, fixture_forms):
+        form = fixture_forms["path3_skewed"]
+        grid = np.geomspace(1e-3, 1.0, 9)
+        for kind in ("SP", "SL", "WL", "WP"):
+            values, vectors, iters = optconst._solve_grid(form, kind, grid, CFG)
+            short = empirical_rate(form, kind, grid[3:6], CFG)
+            assert short.stats["raw_values"] == values[3:6].tolist()
+            for i, s in enumerate(grid):
+                value, f, it = optimal_value(form, kind, float(s), CFG, return_vector=True)
+                assert (value, it) == (values[i], iters[i]) and np.array_equal(f, vectors[i]), (kind, i)
+
+    @pytest.mark.parametrize("grid", [[math.nan], [0.1, math.nan], [0.1, 0.2, math.inf], [math.nan, 0.1]])
+    def test_non_finite_s_raises_math_domain_error(self, fixture_forms, grid):
+        with pytest.raises(MathDomainError):
+            empirical_rate(fixture_forms["tri_skewed"], "SP", grid, CFG)
+
+    @pytest.mark.parametrize("grid", [[0.2, 0.1], [0.1, 0.1], [math.inf, 0.1], [], [0.0, 0.1]])
+    def test_unordered_grid_raises_config_error(self, fixture_forms, grid):
+        with pytest.raises(ConfigError):
+            empirical_rate(fixture_forms["tri_skewed"], "SP", grid, CFG)
+
+    def test_spectral_gap_once_per_kind(self, fixture_forms, monkeypatch):
+        calls = []
+        real = optconst.spectral_gap
+
+        def counting(form):
+            calls.append(form)
+            return real(form)
+
+        monkeypatch.setattr(optconst, "spectral_gap", counting)
+        for kind in ("SP", "SL", "WL", "WP"):
+            calls.clear()
+            empirical_rate(fixture_forms["tri_skewed"], kind, np.geomspace(1e-3, 1.0, 6), CFG)
+            assert len(calls) == 1, kind
+
+    def test_memory_bounded_by_block(self):
+        # 400 s x 31 starts x 41 states is 7.8 blocks of cells; the ascent
+        # holds one block at a time, so only the per-s results grow.
+        chain = build_birth_death(4.0, 1.0, 2.0, 41)
+        cfg = SolverConfig(max_iters=2, seed=7)
+        peaks = {}
+        for count in (6, 400):
+            grid = np.geomspace(1e-3, 1.0, count)
+            tracemalloc.start()
+            try:
+                optconst._solve_grid(chain, "SL", grid, cfg)
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # One block's ascent holds ~14 block-sized arrays at its peak; the
+        # 400-point grid would hold ~110 if it ascended as one block.
+        assert 400 * 31 * chain.n > 7 * optconst._BLOCK_CELLS
+        assert peaks[400] - peaks[6] < 24 * 8 * optconst._BLOCK_CELLS + 400 * 8 * (chain.n + 4)
 
 
 class TestSolverConfig:
