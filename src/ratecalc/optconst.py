@@ -27,11 +27,13 @@ stays bounded for any grid.
 Results are cross-checked against an exhaustive angular brute-force
 oracle on forms with up to 4 states.
 The oracle scans prod(round(span/resolution) + 1) directions over n - 1
-angular axes in blocks of at most 50 000 directions, each held as n
-per-coordinate columns, so its memory is bounded by one block.  It
-evaluates 4e7-5e7 directions/s on one core of a 2-core x86 machine
-(a 3-state WP scan at 1e-3, 1.97e7 directions, takes 0.4-0.6 s) and
-refuses a scan of more than 1e8 directions up front with ConfigError:
+angular axes in blocks of at most 2^14 directions, each held as n
+per-coordinate columns, so its memory is bounded by one block, and a
+block's columns (128 KiB each) and temporaries stay in a core's L2
+cache.  It evaluates about 4.5e7 directions/s on one core of a 2-core
+x86 machine (a 3-state WP scan at 1e-3, 1.97e7 directions, takes
+0.43-0.49 s; 0.77-0.81 s in blocks of 50 000) and refuses a scan of
+more than 1e8 directions up front with ConfigError:
 n = 4 at resolution 1e-3 is 3.9e9 directions, so four-state forms run
 only at coarse resolution.
 """
@@ -414,7 +416,8 @@ def optimal_wp(form, s, cfg: Optional[SolverConfig] = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-_ORACLE_BLOCK = 50_000
+# Directions per oracle block: n columns of 128 KiB, inside a core's L2.
+_ORACLE_BLOCK = 1 << 14
 _ORACLE_MAX_DIRECTIONS = 10**8
 
 
@@ -481,14 +484,15 @@ def brute_force_oracle(
     four objectives are scale-invariant, so scanning directions suffices.
     The scan visits prod(round(span/resolution) + 1) directions over the
     n - 1 angular axes (span pi/2 for SP, SL and WL; pi, ..., pi, 2*pi for
-    the signed WP scan) and holds one block of 50 000 directions in
-    memory at a time, as n columns.  The energy is the edge sum
-    sum_{i<j} w_ij (f_i - f_j)^2, the mu-moments are products mu @ F and
-    the maxima are taken elementwise across the columns.  A scan of more
-    than 1e8 directions is refused with ConfigError before anything is
-    allocated: n = 3 at 1e-3 is 2.5e6 directions (1.97e7 for WP), n = 4
-    at 1e-3 is 3.9e9 (6.2e10 for WP), so four-state forms run only at
-    coarse resolution (n = 4 WP at 1e-2 is 6.2e7).  An s that is not
+    the signed WP scan) and holds one block of at most _ORACLE_BLOCK =
+    2^14 directions in memory at a time, as n columns.  The energy is
+    the edge sum sum_{i<j} w_ij (f_i - f_j)^2, the mu-moments are
+    products mu @ F and the maxima are taken elementwise across the
+    columns.  A scan of more than 1e8 directions is refused with
+    ConfigError before anything is allocated: n = 3 at 1e-3 is 2.5e6
+    directions (1.97e7 for WP), n = 4 at 1e-3 is 3.9e9 (6.2e10 for WP),
+    so four-state forms run only at coarse resolution (n = 4 WP at 1e-2
+    is 6.2e7).  An s that is not
     finite and >= 0 raises MathDomainError; s = 0 is the WP case.
     """
     if not (isinstance(s, (int, float)) and math.isfinite(s) and s >= 0):

@@ -42,11 +42,15 @@ likewise evaluates beta_WL from log(delta^-n n^-theta) and walks its
 index window once, in blocks from N_max down, for both the vanishing
 verdict and k*(s).  Each block is built in arrays reused from block to
 block, and the log n it computes for the argument also serves the
-verdict's log-log fit.  The suffix sup S is non-increasing, so s can
+verdict's log-log fit.  Blocks of _BLOCK = 2^15 indices keep those
+arrays (about 1.5 MB) in a core's L2 cache, so the walk of 1.5e8
+indices takes about half as long as in blocks of 2^20, and its memory
+is a few MB for any N_max.  The suffix sup S is non-increasing, so s can
 cross it inside a block only if s lies between S just right of the
-block and the block's maximum; a block with no such s (and no index
-whose S is asked for) takes only its maximum, and each s at or above
-it admits the whole block.  sp_from_wl and sp_from_sl return
+block and the block's maximum (one searchsorted on the sorted s); a
+block with no such s, and outside the range of indices whose S is asked
+for, takes only its maximum, and each s at or above it admits the whole
+block.  sp_from_wl and sp_from_sl return
 log(beta_SP), exact past double range.
 
 The grid infimum of a block of T kernel arguments over R grid points is
@@ -121,8 +125,15 @@ _R_ABS_MIN = 1e-280
 _R_ABS_MAX = 1e280
 _EXT_DECADES = 22.0
 
-# Indices per block when the WL-to-SP map walks its index window.
-_BLOCK = 1 << 20
+# Indices per block when the WL-to-SP map walks its index window.  A
+# block's arrays (ns, log n, the WL sequence, one work array and the
+# verdict fit's two scratch rows) take 6 x 256 KiB at 2^15, inside a
+# core's 2 MiB L2, where at 2^20 they took 48 MB and each of the ~10
+# passes per block streamed from L3 or memory.  On a 2-core x86 machine
+# the walk of 1.5e8 indices took 2.0-2.3 s at 2^15 against 3.9-4.5 s at
+# 2^20; 2^14 to 2^17 were within noise of 2^15, and 2^13 was slower
+# again, from the fixed cost per block.
+_BLOCK = 1 << 15
 
 # Kernel rows per block, and indices per block when wl_from_sp and
 # sp_from_sl scan their k-window.
@@ -650,10 +661,11 @@ def _vanishing_verdict(blocks, size: int, n_first: int, n_last: int, cfg: Transf
     tail_max = -math.inf
     decreases = False
     half_finite = True
-    nxt = np.empty(0)
+    nxt = None  # the first value of the half window in the block on the right
     fit = (0, 0.0, 0.0, 0.0, 0.0)
     scratch = np.empty((2, 0))  # log(max(vals, 1e-300)) and centred log n of the half window
     pairs = []
+    done = picks.size  # picks[done:] are in the blocks already seen
     for ns, log_n, vals in blocks:
         pos -= vals.size
         if pos + vals.size == size:
@@ -661,8 +673,11 @@ def _vanishing_verdict(blocks, size: int, n_first: int, n_last: int, cfg: Transf
         first = float(vals[0])
         finite = bool(np.isfinite(vals).all())
         undefined = undefined or not finite
-        sel = picks[(picks >= pos) & (picks < pos + vals.size)] - pos
-        pairs[:0] = zip(ns[sel].astype(int).tolist(), vals[sel].tolist())
+        i = int(picks.searchsorted(pos))
+        if i < done:
+            sel = picks[i:done] - pos
+            pairs[:0] = zip(ns[sel].astype(int).tolist(), vals[sel].tolist())
+            done = i
         t = max(tail_start - pos, 0)
         if t < vals.size:
             tail_max = max(tail_max, float(vals[t:].max()))
@@ -670,14 +685,18 @@ def _vanishing_verdict(blocks, size: int, n_first: int, n_last: int, cfg: Transf
         if h < vals.size and half_finite:
             half_finite = finite or bool(np.isfinite(vals[h:]).all())
             if half_finite:
-                if not decreases:
-                    run = np.concatenate([vals[h:], nxt])  # nxt: first value of the block on the right
-                    decreases = bool(np.any(np.diff(run) < -1e-9 * np.abs(run[:-1])))
-                    nxt = vals[h : h + 1].copy()
-                    del run  # before the scratch and the next block are built
                 m = vals.size - h
                 if scratch.shape[1] < m:
                     scratch = np.empty((2, m))
+                if not decreases:
+                    # run[i+1] - run[i] < -1e-9 |run[i]| on the run vals[h:] then nxt, as in np.diff
+                    step, bound = scratch[:, : m - 1]
+                    np.subtract(vals[h + 1 :], vals[h:-1], out=step)
+                    np.multiply(np.abs(vals[h:-1], out=bound), -1e-9, out=bound)
+                    end = float(vals[-1])
+                    decreases = bool((step < bound).any()) or (nxt is not None and nxt - end < -1e-9 * abs(end))
+                    del step, bound  # views that would keep the scratch alive past the half window
+                    nxt = float(vals[h])
                 np.log(np.maximum(vals[h:], 1e-300, out=scratch[0, :m]), out=scratch[0, :m])
                 fit = _merge_fit(fit, log_n[h:], scratch[0, :m], scratch[1, :m])
         if pos <= half_start:
@@ -779,23 +798,29 @@ def _wl_walk(beta_wl: RateFunction, cfg: TransformConfig, s=(), at=()):
     k_star = np.full(s.shape, cfg.N_max + 1)
     sup_at = np.full(at.shape, np.nan)
 
+    s_sorted = np.sort(s)  # NaN last, and never inside [carry, top)
+    at_min, at_max = (at.min(), at.max()) if at.size else (math.inf, -math.inf)
+
     def blocks():
         carry = -math.inf  # S just right of the block
-        ns = np.empty(0)
+        rows = np.empty((4, min(_BLOCK, cfg.N_max - n0 + 1)))  # one block's ns, log n, work and g
+        ns = rows[0, :0]
         for lo in reversed(range(n0, cfg.N_max + 1, _BLOCK)):
             hi = min(lo + _BLOCK - 1, cfg.N_max)
             if ns.size == hi - lo + 1:
                 ns -= _BLOCK  # only a full block is followed by one of its size: the one below it
-            else:
-                ns = np.arange(lo, hi + 1, dtype=float)
-                log_n, work, g = np.empty(ns.size), np.empty(ns.size), np.empty(ns.size)
+            else:  # the first block, and the first full block below a partial one
+                ns, log_n, work, g = rows[:, : hi - lo + 1]
+                ns[:] = np.arange(lo, hi + 1)
             np.log(ns, out=log_n)
             _wl_condition_sequence(beta_wl, cfg, ns, log_n, work, g)
             # S rises from carry to top across the block, right to left.
             top = float(np.maximum(carry, g.max()))
-            if math.isfinite(top) and not (np.any((carry <= s) & (s < top)) or np.any((lo <= at) & (at <= hi))):
-                # No s crosses S inside the block and no S is asked for: the
-                # suffix sup is not needed, each s >= top admits the whole block.
+            i, j = s_sorted.searchsorted((carry, top))  # s_sorted[i:j] lie in [carry, top)
+            if math.isfinite(top) and i == j and not (at_min <= hi and lo <= at_max):
+                # No s crosses S inside the block, which lies outside the range of
+                # indices whose S is asked for: the suffix sup is not needed, and
+                # each s >= top admits the whole block.
                 k_star[s >= top] -= g.size
                 carry = top
             else:

@@ -1101,6 +1101,22 @@ class TestSpFromWl:
 
         assert peak(32) <= peak(8) + 8 * block
 
+    @pytest.mark.parametrize("extra", [1, 0], ids=["whole-blocks", "partial-top-block"])
+    def test_peak_at_the_production_block_size(self, extra):
+        # 64 blocks of the real _BLOCK peak near 7 blocks of floats: the
+        # block's four arrays, the fold's two scratch rows and the
+        # evaluation's temporaries.  A partial top block shares the arrays
+        # of the full blocks below it instead of being followed by new ones.
+        block = transforms._BLOCK
+        cfg = TransformConfig(k_max=64 * block + extra, N_max=64 * block + extra)
+        tracemalloc.start()
+        try:
+            sp_from_wl(LogPower(C=1.0, q=0.5), log_grid(0.02, 0.05, 10), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * block
+
     @pytest.mark.parametrize(
         "beta",
         [
@@ -1368,7 +1384,7 @@ class TestWalkMatchesReference:
                 assert repr(got[0]) == repr(want[0])
 
     def test_sp_from_wl_unchanged(self):
-        # The deep window of acceptance 2e, cut to 2.5e6 indices: two blocks and a part.
+        # The deep window of acceptance 2e, cut to 2.5e6 indices: 76 blocks of 2^15 and a part.
         cfg = TransformConfig(k_max=2_500_000, N_max=2_500_000)
         beta = LogPower(C=1.0, q=0.5)
         grid = log_grid(1e-3, 1e-2, 30)
