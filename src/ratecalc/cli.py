@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -38,16 +39,12 @@ from .errors import (
     DegenerateTransformError,
     RateCalcError,
 )
-from .optconst import (
-    SolverConfig,
-    dominates,
-    empirical_rate,
-    optimal_value,
-)
+from .optconst import KINDS, SolverConfig, dominates, empirical_rate, optimal_value
 from .ratefn import LogTabulated, RateFunction, fit_exponent, rate_function_from_json
 from .ratefn import ExpPower, LogPower, PolyPower
 from .transforms import (
     TransformConfig,
+    _kernel_min,
     _wl_map,
     log_grid,
     sl_from_sp,
@@ -57,8 +54,6 @@ from .transforms import (
     sp_from_wl,
     wl2sp_window,
     wl_from_sp,
-    xi1,
-    xi2,
 )
 
 _EXAMPLE_TOLERANCE = 0.15
@@ -221,13 +216,23 @@ def cmd_xi(run, kernel, ratefn_path, t_grid, config_path):
     ts = _parse_grid(t_grid, "t-grid")
     run.make_out_dir()
 
-    kern = xi1 if kernel == "xi1" else xi2
-    rows = []
-    for t in ts:
-        v = kern(beta, float(t), cfg)
-        rows.append((_fmt(t), "undefined" if v.is_undefined else _fmt(v.value)))
+    # math.log, as xi1 and xi2 take it: np.log can differ in the last bit.
+    vals = _kernel_min(beta, np.array([math.log(t) for t in ts.tolist()]), cfg, kernel)
+    rows = [(_fmt(t), "undefined" if np.isnan(v) else _fmt(v)) for t, v in zip(ts, vals)]
     run.csv("xi.csv", "t,xi", rows)
     run.finish(True, f"{kernel} evaluated at {len(rows)} points")
+
+
+def _gate(run, name: str, direction: str, verdict) -> None:
+    """Write the side-condition verdict; stop on a failing one (exit 4), warn on an inconclusive one."""
+    run.json(name, verdict.to_json_dict())
+    if verdict.fails:
+        raise ConditionFailedError(
+            f"{direction}: vanishing side condition fails empirically "
+            f"(trend slope {verdict.trend_slope:.4g})"
+        )
+    if verdict.status == "inconclusive":
+        click.echo(f"warning: {direction} side condition is empirically inconclusive", err=True)
 
 
 def _sp2sl(beta, s, cfg):
@@ -267,17 +272,7 @@ def cmd_transform(run, direction, ratefn_path, s_grid, config_path):
     run.make_out_dir()
     verdict, transform = _DIRECTIONS[direction](beta, s, cfg)
     if verdict is not None:
-        run.json("verdict.json", verdict.to_json_dict())
-        if verdict.fails:
-            raise ConditionFailedError(
-                f"{direction}: vanishing side condition fails empirically "
-                f"(trend slope {verdict.trend_slope:.4g})"
-            )
-        if verdict.status == "inconclusive":
-            click.echo(
-                f"warning: {direction} side condition is empirically inconclusive",
-                err=True,
-            )
+        _gate(run, "verdict.json", direction, verdict)
     else:
         run.json("verdict.json", {"status": "not_applicable"})
 
@@ -330,7 +325,7 @@ def cmd_verify(run, form_path, birth_death, s_grid, config_path, seed, restarts)
     sg = spectral_gap(form)
     solver_cfg = SolverConfig(restarts=restarts, seed=seed)
     empirical = {}
-    for kind in ("SP", "SL", "WL", "WP"):
+    for kind in KINDS:
         emp = empirical_rate(form, kind, s, solver_cfg)
         empirical[kind] = emp
         _emit_empirical(run, emp)
@@ -338,11 +333,7 @@ def cmd_verify(run, form_path, birth_death, s_grid, config_path, seed, restarts)
     tab_sp = empirical["SP"].to_tabulated()
 
     verdict = sp2sl_condition(tab_sp, cfg)
-    run.json("verdict_sp2sl.json", verdict.to_json_dict())
-    if verdict.fails:
-        raise ConditionFailedError(
-            "sp2sl side condition fails empirically on the tabulated empirical SP rate"
-        )
+    _gate(run, "verdict_sp2sl.json", "sp2sl", verdict)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -531,7 +522,7 @@ def cmd_spectrum(run, form_path, birth_death):
 
 
 @main.command("optimal")
-@click.option("--kind", type=click.Choice(["SP", "SL", "WL", "WP"]), required=True)
+@click.option("--kind", type=click.Choice(KINDS), required=True)
 @click.option("--s", type=float, required=True)
 @click.option("--form", "form_path", type=click.Path(), default=None)
 @click.option("--birth-death", "birth_death", default=None, help="kappa,c0,half_width,n")

@@ -1,29 +1,32 @@
 """Optimal rate-function values on a finite Dirichlet form.
 
-For each inequality kind the optimal constant at trade-off s is a
-supremum of a scale-invariant ratio over test functions:
+Each inequality kind reads a(f) <= s*b(f) + beta(s)*c(f) for every test
+function f, and its optimal constant at trade-off s is the supremum of
+the scale-invariant ratio (a - s*b)/c over the kind's domain:
 
-    SP: (mu(f^2) - s*E(f)) / mu(|f|)^2   over f >= 0       (>= 1)
-    SL: (Ent(f^2) - s*E(f)) / mu(f^2)    over f >= 0       (>= 0)
-    WL: (Ent(f^2) - s*|f|_inf^2) / E(f)  over nonconstant f >= 0
-    WP: (Var(f) - s*|f|_inf^2) / E(f)    over nonconstant f (signed)
+    kind  a         b           c           domain
+    SP    mu(f^2)   E(f)        mu(|f|)^2   f >= 0                 (beta >= 1)
+    SL    Ent(f^2)  E(f)        mu(f^2)     f >= 0                 (>= 0)
+    WL    Ent(f^2)  |f|_inf^2   E(f)        nonconstant f >= 0     (>= 0)
+    WP    Var(f)    |f|_inf^2   E(f)        nonconstant f, signed  (>= 0)
 
-SP, SL and WL restrict to f >= 0, which is lossless because replacing f
-by |f| preserves every numerator term while not increasing the energy
-(contraction property); the variance in WP is not monotone under |.| so
-WP keeps signed f.  Suprema are computed by projected gradient ascent
-with Armijo backtracking from structured starts and seeded random
-restarts.  All starts of one kind, at every s of the grid, ascend
-together as (m, n) blocks with s carried per row: each row keeps its own
-trade-off, step, backtracking, stall counter and iteration budget and
-leaves the block when it stops, and F L is computed once per accepted
-iterate for both the value and the next gradient.  Every row reduction
-is an einsum or elementwise form, never a BLAS product, so a row's path
-is bit for bit the same alone or in a block, and a grid point's value
-does not depend on the rest of the grid.  The structured starts,
-spectral certificate included, are built once per kind; the flattened
-(s, start) rows run in blocks of at most _BLOCK_CELLS cells, so memory
-stays bounded for any grid.
+The solver's value and gradient and certify_inequality read each kind's
+terms from one definition (_INEQUALITIES).  f >= 0 is lossless for SP,
+SL and WL: |f| keeps every term but E(f), which it does not raise
+(contraction); Var is not monotone under |.|, so WP keeps signed f.
+Suprema are computed by projected gradient ascent with Armijo
+backtracking from structured starts and seeded random restarts.  All
+starts of one kind, at every s of the grid, ascend together as (m, n)
+blocks with s carried per row: each row keeps its own trade-off, step,
+backtracking, stall counter and iteration budget and leaves the block
+when it stops, and F L is computed once per accepted iterate for both
+the value and the next gradient.  Every row reduction is an einsum or
+elementwise form, never a BLAS product, so a row's path is bit for bit
+the same alone or in a block, and a grid point's value does not depend
+on the rest of the grid.  The structured starts, spectral certificate
+included, are built once per kind; the flattened (s, start) rows run in
+blocks of at most _BLOCK_CELLS cells, so memory stays bounded for any
+grid.
 Results are cross-checked against an exhaustive angular brute-force
 oracle on forms with up to 4 states.
 The oracle scans prod(round(span/resolution) + 1) directions over n - 1
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -66,9 +69,6 @@ __all__ = [
     "certify_inequality",
 ]
 
-KINDS = ("SP", "SL", "WL", "WP")
-_KIND_ID = {k: i for i, k in enumerate(KINDS)}
-_FLOOR = {"SP": 1.0, "SL": 0.0, "WL": 0.0, "WP": 0.0}
 _LOG_FLOOR = 1e-300
 _E_TINY = 1e-14
 # Rows x n of one ascent block: verify's 6 s x 31 starts on n = 41 fit in one.
@@ -114,19 +114,86 @@ def _entropy_rows(F2: np.ndarray, m2: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.maximum(_rowdot(terms, mu) - m2 * np.log(np.maximum(m2, _LOG_FLOOR)), 0.0)
 
 
-def _ent_log_term(F: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Gradient factor f*log(f^2/mu(f^2)) of the entropy of f^2, per row.
+def _ent_log_term(F: np.ndarray, F2: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Gradient factor f*log(f^2/mu(f^2)) of the entropy of f^2, per row, given F2 = F*F.
 
     Exact zeros of f contribute a zero derivative (subgradient choice at
     the kink, validated against the brute-force oracle).
     """
-    F2 = F * F
     logs = np.log(np.maximum(F2, _LOG_FLOOR)) - np.log(np.maximum(m2, _LOG_FLOOR))[:, None]
     return np.where(F2 > _LOG_FLOOR, F * logs, 0.0)
 
 
+# Terms: (F, F2 = F*F, m2 = mu(F2), energies E, LF = F L, mu) -> (row values,
+# thunk of their gradients).
+def _mass2(F, F2, m2, E, LF, mu):
+    return m2, lambda: 2.0 * mu * F
+
+
+def _mass1_sq(F, F2, m2, E, LF, mu):
+    m1 = _rowdot(np.abs(F), mu)
+    return m1 * m1, lambda: 2.0 * m1[:, None] * mu * np.sign(F)
+
+
+def _ent(F, F2, m2, E, LF, mu):
+    return _entropy_rows(F2, m2, mu), lambda: 2.0 * mu * _ent_log_term(F, F2, m2)
+
+
+def _var(F, F2, m2, E, LF, mu):
+    D = F - _rowdot(F, mu)[:, None]
+    return _rowdot(D**2, mu), lambda: 2.0 * mu * D
+
+
+def _energy(F, F2, m2, E, LF, mu):
+    return E, lambda: 2.0 * LF
+
+
+def _sup2(F, F2, m2, E, LF, mu):
+    """|f|_inf^2; its gradient is 2 f at the first argmax of |f| and 0 elsewhere."""
+    return np.max(np.abs(F), axis=1) ** 2, lambda: np.where(
+        np.arange(F.shape[1]) == np.argmax(np.abs(F), axis=1)[:, None], 2.0 * F, 0.0
+    )
+
+
+@dataclass(frozen=True)
+class _Inequality:
+    """a(f) <= s*b(f) + beta*c(f); beta(s) is sup (a - s*b)/c, at least floor.
+
+    The domain is f in [lo, 1]^n, or, with sphere, f >= lo = 0 scaled to
+    mu(f^2) = 1.  A row is admissible where c > 0, or, where c is the
+    energy, which vanishes on constants, where c > e_floor * b.
+    """
+
+    a: Callable
+    b: Callable
+    c: Callable
+    floor: float
+    sphere: bool
+    lo: float = 0.0
+
+    def terms(self, F: np.ndarray, E: np.ndarray, LF: Optional[np.ndarray], mu: np.ndarray) -> list:
+        """[(a, grad a), (b, grad b), (c, grad c)] of each row of F; the gradients need LF."""
+        F2 = F * F
+        m2 = _rowdot(F2, mu)
+        return [t(F, F2, m2, E, LF, mu) for t in (self.a, self.b, self.c)]
+
+    def admissible(self, b: np.ndarray, c: np.ndarray, e_floor: float) -> np.ndarray:
+        return c > e_floor * b if self.c is _energy else c > 0.0
+
+
+_INEQUALITIES = {
+    "SP": _Inequality(_mass2, _energy, _mass1_sq, floor=1.0, sphere=True),
+    "SL": _Inequality(_ent, _energy, _mass2, floor=0.0, sphere=True),
+    "WL": _Inequality(_ent, _sup2, _energy, floor=0.0, sphere=False),
+    "WP": _Inequality(_var, _sup2, _energy, floor=0.0, sphere=False, lo=-1.0),
+}
+KINDS = tuple(_INEQUALITIES)
+_KIND_ID = {k: i for i, k in enumerate(KINDS)}
+_FLOOR = {k: q.floor for k, q in _INEQUALITIES.items()}
+
+
 class _Objective:
-    """Scale-invariant objective of one kind on (m, n) blocks of rows.
+    """(a - s*b)/c of one kind on (m, n) blocks of rows.
 
     Each row carries its own trade-off s.  Every reduction runs row by
     row (einsum or elementwise, never a BLAS product), so a row's
@@ -138,6 +205,7 @@ class _Objective:
         if kind not in KINDS:
             raise ConfigError(f"unknown kind {kind!r}; expected one of {KINDS}")
         self.kind = kind
+        self.ineq = _INEQUALITIES[kind]
         self.form = form
         self.mu = form.mu
         self.lap = form.laplacian
@@ -149,75 +217,34 @@ class _Objective:
         return np.einsum("ij,jk->ik", F, self.lap)
 
     def project(self, F: np.ndarray) -> tuple:
-        """Rows projected onto the feasible set, and the mask of admissible rows."""
-        if self.kind in ("SP", "SL"):
+        """Rows projected onto the domain, and the mask of admissible rows."""
+        if self.ineq.sphere:
             P = np.maximum(F, 0.0)
             nrm = np.sqrt(_rowdot(P * P, self.mu))
             ok = nrm >= 1e-150
             return P / np.where(ok, nrm, 1.0)[:, None], ok
-        P = np.clip(F, 0.0 if self.kind == "WL" else -1.0, 1.0)
+        P = np.clip(F, self.ineq.lo, 1.0)
         return P, np.max(np.abs(P), axis=1) >= 1e-12
 
+    def _terms(self, F: np.ndarray, LF: np.ndarray) -> list:
+        return self.ineq.terms(F, np.maximum(np.einsum("ij,ij->i", F, LF), 0.0), LF, self.mu)
+
     def evaluate(self, F: np.ndarray, LF: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Objective of each row of F at its s, given LF = apply_lap(F); -inf where undefined."""
-        mu = self.mu
-        E = np.maximum(np.einsum("ij,ij->i", F, LF), 0.0)
-        F2 = F * F
-        if self.kind == "SP":
-            m1 = _rowdot(np.abs(F), mu)
-            return np.where(m1 > 0.0, (_rowdot(F2, mu) - s * E) / (m1 * m1), -math.inf)
-        if self.kind == "SL":
-            m2 = _rowdot(F2, mu)
-            return np.where(m2 > 0.0, (_entropy_rows(F2, m2, mu) - s * E) / m2, -math.inf)
-        sup2 = np.max(np.abs(F), axis=1) ** 2
-        if self.kind == "WL":
-            top = _entropy_rows(F2, _rowdot(F2, mu), mu) - s * np.max(F, axis=1) ** 2
-        else:
-            m = _rowdot(F, mu)
-            top = _rowdot((F - m[:, None]) ** 2, mu) - s * sup2
-        return np.where(E > self.e_floor * sup2, top / E, -math.inf)
+        """(a - s*b)/c of each row of F at its s, given LF = apply_lap(F); -inf where inadmissible."""
+        (a, _), (b, _), (c, _) = self._terms(F, LF)
+        return np.where(self.ineq.admissible(b, c, self.e_floor), (a - s * b) / c, -math.inf)
 
     def grad(self, F: np.ndarray, LF: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Gradient of the objective at each row of F at its s, given LF = apply_lap(F)."""
-        mu = self.mu
-        E = np.maximum(np.einsum("ij,ij->i", F, LF), 0.0)
-        F2 = F * F
-        if self.kind == "SP":
-            m1 = _rowdot(np.abs(F), mu)[:, None]
-            num = (_rowdot(F2, mu) - s * E)[:, None]
-            den = m1 * m1
-            gnum = 2.0 * mu * F - 2.0 * s[:, None] * LF
-            gden = 2.0 * m1 * mu * np.sign(F)
-            return (gnum * den - num * gden) / np.maximum(den * den, 1e-300)
-        if self.kind == "SL":
-            m2 = _rowdot(F2, mu)
-            num = (_entropy_rows(F2, m2, mu) - s * E)[:, None]
-            gnum = 2.0 * mu * _ent_log_term(F, m2) - 2.0 * s[:, None] * LF
-            gden = 2.0 * mu * F
-            m2 = m2[:, None]
-            return (gnum * m2 - num * gden) / np.maximum(m2 * m2, 1e-300)
-        rows = np.arange(F.shape[0])
-        if self.kind == "WL":
-            m2 = _rowdot(F2, mu)
-            num = _entropy_rows(F2, m2, mu) - s * np.max(F, axis=1) ** 2
-            gnum = 2.0 * mu * _ent_log_term(F, m2)
-            am = np.argmax(F, axis=1)
-        else:
-            m = _rowdot(F, mu)
-            num = _rowdot((F - m[:, None]) ** 2, mu) - s * np.max(np.abs(F), axis=1) ** 2
-            gnum = 2.0 * mu * (F - m[:, None])
-            am = np.argmax(np.abs(F), axis=1)
-        gnum[rows, am] -= 2.0 * s * F[rows, am]
-        E = E[:, None]
-        return (gnum * E - num[:, None] * (2.0 * LF)) / np.maximum(E * E, 1e-300)
+        """((grad a - s grad b) c - (a - s*b) grad c) / c^2 at each row of F at its s."""
+        (a, ga), (b, gb), (c, gc) = self._terms(F, LF)
+        g = ga() - s[:, None] * gb()
+        c = c[:, None]
+        return (g * c - (a - s * b)[:, None] * gc()) / np.maximum(c * c, 1e-300)
 
     def random_start(self, rng: np.random.Generator) -> np.ndarray:
-        n = self.form.n
-        if self.kind in ("SP", "SL"):
-            return np.abs(rng.standard_normal(n))
-        if self.kind == "WL":
-            return rng.uniform(0.0, 1.0, n)
-        return rng.uniform(-1.0, 1.0, n)
+        if self.ineq.sphere:
+            return np.abs(rng.standard_normal(self.form.n))
+        return rng.uniform(self.ineq.lo, 1.0, self.form.n)
 
     def structured_starts(self) -> list:
         n = self.form.n
@@ -238,7 +265,7 @@ class _Objective:
         if n >= 2:
             try:
                 cert = spectral_gap(self.form).certificate
-                starts.append(cert.copy() if self.kind == "WP" else np.abs(cert))
+                starts.append(cert.copy() if self.ineq.lo < 0 else np.abs(cert))
             except SingularityError:
                 pass
         return starts
@@ -363,9 +390,9 @@ def _solve_grid(form: FiniteDirichletForm, kind: str, s: np.ndarray, cfg: Solver
             if vals[r] > best[j]:
                 best[j], best_f[j] = vals[r], F[r]
     # Admissible rows have finite values, so best stays -inf only where no row is admissible.
-    if np.isneginf(best).any() and form.n > 1 and kind in ("SP", "SL"):
+    if np.isneginf(best).any() and form.n > 1 and obj.ineq.sphere:
         raise SolverError(f"no restart produced an admissible value for kind {kind}")
-    return np.maximum(best, _FLOOR[kind]), best_f, iters
+    return np.maximum(best, obj.ineq.floor), best_f, iters
 
 
 def optimal_value(
@@ -654,8 +681,8 @@ def certify_inequality(
 ) -> tuple:
     """Check the inequality for beta (inflated) on random test functions.
 
-    Returns (passed, worst_margin) where each margin is rhs - lhs scaled
-    by max(1, lhs); a certified beta has all margins finite and >= -1e-12.
+    Returns (passed, worst_margin), each margin (s*b + beta*c - a) /
+    max(1, |a|); a certified beta has all margins finite and >= -1e-12.
     This converts the solver's lower-bound-biased output into a checked
     admissible constant.  A non-finite beta raises MathDomainError and
     n_samples < 1 raises ConfigError, since neither can be checked.
@@ -669,24 +696,7 @@ def certify_inequality(
     rng = np.random.default_rng((int(seed) & 0xFFFFFFFF, _KIND_ID[kind], n_samples))
     # One (n_samples, n) draw is the same stream as n_samples draws of n.
     F = rng.standard_normal((n_samples, form.n))
-    mu = form.mu
-    beta_infl = beta * (1.0 + inflation)
-    E = form.energy_many(F)
-    F2 = F * F
-    m2 = _rowdot(F2, mu)
-    if kind == "SP":
-        lhs = m2
-        rhs = s * E + beta_infl * _rowdot(np.abs(F), mu) ** 2
-    elif kind == "SL":
-        lhs = _entropy_rows(F2, m2, mu)
-        rhs = s * E + beta_infl * m2
-    else:
-        if kind == "WL":
-            lhs = _entropy_rows(F2, m2, mu)
-        else:
-            m = _rowdot(F, mu)
-            lhs = _rowdot((F - m[:, None]) ** 2, mu)
-        rhs = beta_infl * E + s * np.max(np.abs(F), axis=1) ** 2
-    margins = (rhs - lhs) / np.maximum(1.0, np.abs(lhs))
+    (a, _), (b, _), (c, _) = _INEQUALITIES[kind].terms(F, form.energy_many(F), None, form.mu)
+    margins = (s * b + beta * (1.0 + inflation) * c - a) / np.maximum(1.0, np.abs(a))
     worst = float(np.min(margins))
     return bool(np.all(np.isfinite(margins)) and worst >= -1e-12), worst

@@ -606,21 +606,18 @@ def check_vanishing(seq, cfg: TransformConfig) -> ConditionVerdict:
     return _vanishing_verdict([(ns, np.log(ns), vals)], ns.size, first, last, cfg)
 
 
-def _merge_fit(acc: tuple, x: np.ndarray, y: np.ndarray, dx: Optional[np.ndarray] = None) -> tuple:
+def _merge_fit(acc: tuple, x: np.ndarray, y: np.ndarray, dx: np.ndarray) -> tuple:
     """Fold a block into running least-squares sums (Chan et al. 1979).
 
     ``acc`` is (count, mean x, mean y, Sxx, Sxy) with centred sums, so
-    the slope Sxy/Sxx stays accurate over any number of blocks.  Given
-    ``dx``, scratch of x.size floats, the centred x goes there and y is
-    centred in place instead of into new arrays.
+    the slope Sxy/Sxx stays accurate over any number of blocks.  The
+    centred x goes into ``dx``, scratch of x.size floats, and y is
+    centred in place.
     """
     n_a, mx_a, my_a, sxx_a, sxy_a = acc
     mx_b, my_b = float(x.mean()), float(y.mean())
-    if dx is None:
-        dx, y = x - mx_b, y - my_b
-    else:
-        np.subtract(x, mx_b, out=dx)
-        np.subtract(y, my_b, out=y)
+    np.subtract(x, mx_b, out=dx)
+    np.subtract(y, my_b, out=y)
     n = n_a + x.size
     ddx, ddy = mx_b - mx_a, my_b - my_a
     w = n_a * x.size / n

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ratecalc import FiniteDirichletForm
+from ratecalc import FiniteDirichletForm, log_grid, rate_function_from_json, xi1, xi2
+from ratecalc import cli
 from ratecalc.cli import main
 
 
@@ -63,6 +65,30 @@ class TestXi:
         assert manifest["pass"] is True
         for name in manifest["outputs"]:
             assert (out / name).exists()
+
+    @pytest.mark.parametrize(
+        "kernel,family,grid,undefined",
+        [
+            ("xi1", {"family": "inverse_power", "a": 1.0, "p": 1.0}, "1e-3,1e3,40", False),
+            ("xi1", {"family": "exp_power", "C": 1.0, "theta": 0.5}, "1e-3,10,40", True),
+            ("xi2", {"family": "log_power", "C": 1.0, "q": 0.5}, "1e-2,1e2,40", True),
+            ("xi2", {"family": "constant", "B": 5.0}, "1,10,40", True),
+            ("xi1", {"family": "table", "points": [[1e-3, 50.0], [1.0, 4.0], [1e3, 2.0]]}, "1e-2,1,40", True),
+        ],
+    )
+    def test_one_kernel_call_equals_the_per_point_loop(self, runner, tmp_path, kernel, family, grid, undefined):
+        rf = _write_ratefn(tmp_path / "rf.json", family)
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["xi", "--kernel", kernel, "--ratefn", rf, "--t-grid", grid, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        beta = rate_function_from_json(family)
+        lo, hi, count = grid.split(",")
+        want = ["t,xi"]
+        for t in log_grid(float(lo), float(hi), int(count)):
+            v = {"xi1": xi1, "xi2": xi2}[kernel](beta, float(t))
+            want.append(f"{float(t):.17g}," + ("undefined" if v.is_undefined else f"{v.value:.17g}"))
+        assert (out / "xi.csv").read_text().splitlines() == want
+        assert any(line.endswith("undefined") for line in want) == undefined
 
     def test_bad_grid_is_config_error(self, runner, tmp_path):
         rf = _write_ratefn(tmp_path / "rf.json", {"family": "constant", "B": 1.0})
@@ -446,6 +472,20 @@ class TestVerify:
         assert rep["dominations"]["sl"]["fitted_constant"] > 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
+
+    def test_inconclusive_sp2sl_verdict_is_reported(self, runner, tmp_path, monkeypatch):
+        real = cli.sp2sl_condition
+        monkeypatch.setattr(
+            cli, "sp2sl_condition", lambda *a: dataclasses.replace(real(*a), status="inconclusive")
+        )
+        out = tmp_path / "o"
+        res = runner.invoke(
+            main,
+            ["verify", "--birth-death", "4,1,2,11", "--s-grid", "1e-3,1,6", "--seed", "7", "--out", str(out)],
+        )
+        assert res.exit_code == 0, res.output
+        assert "warning: sp2sl side condition is empirically inconclusive" in res.output
+        assert json.loads((out / "verdict_sp2sl.json").read_text())["status"] == "inconclusive"
 
     def test_disconnected_exits_3(self, runner, tmp_path):
         w = np.zeros((4, 4))

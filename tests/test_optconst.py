@@ -792,3 +792,132 @@ class TestCertifyInequality:
     def test_non_finite_margin_fails(self, two_point_uniform):
         ok, worst = certify_inequality(two_point_uniform, "SP", math.nan, 10.0, n_samples=50)
         assert not ok and math.isnan(worst)
+
+
+# ---------------------------------------------------------------------------
+# One (a, b, c) definition per kind against the per-kind value and gradient
+# ---------------------------------------------------------------------------
+
+
+def _ladder_evaluate(obj, F, LF, s):
+    """The batched value written out kind by kind, kept as a reference."""
+    mu, rowdot = obj.mu, optconst._rowdot
+    E = np.maximum(np.einsum("ij,ij->i", F, LF), 0.0)
+    F2 = F * F
+    if obj.kind == "SP":
+        m1 = rowdot(np.abs(F), mu)
+        return np.where(m1 > 0.0, (rowdot(F2, mu) - s * E) / (m1 * m1), -math.inf)
+    if obj.kind == "SL":
+        m2 = rowdot(F2, mu)
+        return np.where(m2 > 0.0, (optconst._entropy_rows(F2, m2, mu) - s * E) / m2, -math.inf)
+    sup2 = np.max(np.abs(F), axis=1) ** 2
+    if obj.kind == "WL":
+        top = optconst._entropy_rows(F2, rowdot(F2, mu), mu) - s * np.max(F, axis=1) ** 2
+    else:
+        m = rowdot(F, mu)
+        top = rowdot((F - m[:, None]) ** 2, mu) - s * sup2
+    return np.where(E > obj.e_floor * sup2, top / E, -math.inf)
+
+
+def _ladder_grad(obj, F, LF, s):
+    """The batched gradient written out kind by kind, kept as a reference."""
+    mu, rowdot = obj.mu, optconst._rowdot
+    E = np.maximum(np.einsum("ij,ij->i", F, LF), 0.0)
+    F2 = F * F
+    if obj.kind == "SP":
+        m1 = rowdot(np.abs(F), mu)[:, None]
+        num = (rowdot(F2, mu) - s * E)[:, None]
+        den = m1 * m1
+        gnum = 2.0 * mu * F - 2.0 * s[:, None] * LF
+        gden = 2.0 * m1 * mu * np.sign(F)
+        return (gnum * den - num * gden) / np.maximum(den * den, 1e-300)
+    if obj.kind == "SL":
+        m2 = rowdot(F2, mu)
+        num = (optconst._entropy_rows(F2, m2, mu) - s * E)[:, None]
+        gnum = 2.0 * mu * optconst._ent_log_term(F, F2, m2) - 2.0 * s[:, None] * LF
+        m2 = m2[:, None]
+        return (gnum * m2 - num * (2.0 * mu * F)) / np.maximum(m2 * m2, 1e-300)
+    rows = np.arange(F.shape[0])
+    if obj.kind == "WL":
+        m2 = rowdot(F2, mu)
+        num = optconst._entropy_rows(F2, m2, mu) - s * np.max(F, axis=1) ** 2
+        gnum = 2.0 * mu * optconst._ent_log_term(F, F2, m2)
+        am = np.argmax(F, axis=1)
+    else:
+        m = rowdot(F, mu)
+        num = rowdot((F - m[:, None]) ** 2, mu) - s * np.max(np.abs(F), axis=1) ** 2
+        gnum = 2.0 * mu * (F - m[:, None])
+        am = np.argmax(np.abs(F), axis=1)
+    gnum[rows, am] -= 2.0 * s * F[rows, am]
+    E = E[:, None]
+    return (gnum * E - num[:, None] * (2.0 * LF)) / np.maximum(E * E, 1e-300)
+
+
+def _domain_block(obj, rng):
+    """Rows of the kind's domain, and a per-row s.
+
+    Random rows with exact zeros, projected, have in the box ties of the
+    largest |f| at 1 (and -1 for WP, where the largest f and the largest
+    |f| then sit at different states).  The zero row, a constant row and a
+    nearly constant one (0 < E <= e_floor |f|_inf^2 for WL and WP) close
+    the block; the last two are inadmissible exactly where c is the energy.
+    """
+    n = obj.form.n
+    special = [np.linspace(-1.0, 1.0, n), np.zeros(n), np.full(n, 0.5), 0.5 + 1e-10 * np.arange(n)]
+    raw = rng.uniform(-3.0, 3.0, (60, n))
+    raw[rng.random(raw.shape) < 0.2] = 0.0
+    F, _ = obj.project(np.vstack([raw, *special]))
+    return F, rng.uniform(1e-3, 2.0, F.shape[0])
+
+
+class TestInequalityDefinition:
+    @pytest.mark.parametrize("kind", ["SP", "SL", "WL", "WP"])
+    def test_value_and_gradient_match_the_per_kind_reference(self, fixture_forms, kind):
+        rng = np.random.default_rng(11)
+        forms = [*fixture_forms.values(), build_birth_death(4.0, 1.0, 2.0, 41)]
+        for form in forms:
+            obj = optconst._Objective(kind, form)
+            F, s = _domain_block(obj, rng)
+            LF = obj.apply_lap(F)
+            with np.errstate(all="ignore"):
+                pairs = [
+                    (obj.evaluate(F, LF, s), _ladder_evaluate(obj, F, LF, s)),
+                    (obj.grad(F, LF, s), _ladder_grad(obj, F, LF, s)),
+                ]
+            for got, want in pairs:
+                assert got.tobytes() == want.tobytes(), (kind, form.n)
+
+    @pytest.mark.parametrize("kind", ["SP", "SL", "WL", "WP"])
+    def test_block_holds_inadmissible_rows_and_wp_sign_ties(self, fixture_forms, kind):
+        form = fixture_forms["path3_skewed"]
+        obj = optconst._Objective(kind, form)
+        F, s = _domain_block(obj, np.random.default_rng(11))
+        LF = obj.apply_lap(F)
+        with np.errstate(all="ignore"):
+            vals = obj.evaluate(F, LF, s)
+        # The zero row, then the constant and nearly constant rows.
+        sphere = kind in ("SP", "SL")
+        assert np.isneginf(vals[-3:]).tolist() == [True, not sphere, not sphere]
+        assert (F[:60] == 0.0).any(axis=1).sum() > 5
+        tied = (np.abs(F) == np.abs(F).max(axis=1, keepdims=True)).sum(axis=1) > 1
+        assert sphere or (tied & np.isfinite(vals)).sum() > 5
+        if kind == "WP":
+            assert (np.argmax(F, axis=1) != np.argmax(np.abs(F), axis=1)).sum() > 10
+
+    @pytest.mark.parametrize("kind", ["SP", "SL", "WL", "WP"])
+    def test_value_is_the_equality_point_of_the_inequality(self, fixture_forms, kind):
+        # At beta = value(f), certify's margin on f, s*b + beta*c - a with
+        # E = energy_many(f), vanishes against its largest term (and 1, as
+        # certify's margins are scaled by max(1, |a|)).
+        rng = np.random.default_rng(5)
+        for form in [*fixture_forms.values(), build_birth_death(4.0, 1.0, 2.0, 41)]:
+            obj = optconst._Objective(kind, form)
+            F, s = _domain_block(obj, rng)
+            with np.errstate(all="ignore"):
+                vals = obj.evaluate(F, obj.apply_lap(F), s)
+            ok = np.isfinite(vals)
+            F, s, vals = F[ok], s[ok], vals[ok]
+            ineq = optconst._INEQUALITIES[kind]
+            (a, _), (b, _), (c, _) = ineq.terms(F, form.energy_many(F), None, form.mu)
+            scale = np.maximum.reduce([np.ones_like(a), np.abs(a), s * b, np.abs(vals) * c])
+            assert np.all(np.abs(s * b + vals * c - a) <= 1e-12 * scale), (kind, form.n)

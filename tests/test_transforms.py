@@ -443,7 +443,9 @@ def forward_vanishing_verdict(blocks, size, n_first, n_last, cfg):
                 decreases = decreases or bool(np.any(np.diff(run) < -1e-9 * np.abs(run[:-1])))
                 prev = run[-1:]
                 log_n = np.log(ns[h:].astype(float))
-                fit = transforms._merge_fit(fit, log_n, np.log(np.maximum(vals[h:], 1e-300)))
+                fit = transforms._merge_fit(
+                    fit, log_n, np.log(np.maximum(vals[h:], 1e-300)), np.empty_like(log_n)
+                )
         pos += vals.size
 
     slope = fit[4] / fit[3] if half_finite else math.nan
