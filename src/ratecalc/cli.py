@@ -45,10 +45,10 @@ from .ratefn import ExpPower, LogPower, PolyPower
 from .transforms import (
     TransformConfig,
     _kernel_min,
+    _sl_map,
     _wl_map,
     log_grid,
     sl_from_sp,
-    sp2sl_condition,
     sp2sl_window,
     sp_from_sl,
     sp_from_wl,
@@ -235,18 +235,13 @@ def _gate(run, name: str, direction: str, verdict) -> None:
         click.echo(f"warning: {direction} side condition is empirically inconclusive", err=True)
 
 
-def _sp2sl(beta, s, cfg):
-    verdict = sp2sl_condition(beta, cfg)
-    return verdict, functools.partial(sl_from_sp, beta, s, cfg, verdict=verdict)
-
-
 # Each direction maps (beta, s, cfg) to its side-condition verdict, or None,
 # and a call that computes the map once the verdict is written and gated.
-# For wl2sp one walk of the WL index window gives both the verdict and k*(s).
+# A gated map reads its index sequence once, for the verdict and the table.
 _DIRECTIONS = {
     "sp2wl": lambda beta, s, cfg: (None, functools.partial(wl_from_sp, beta, s, cfg)),
     "wl2sp": _wl_map,
-    "sp2sl": _sp2sl,
+    "sp2sl": _sl_map,
     "sl2sp": lambda beta, s, cfg: (None, functools.partial(sp_from_sl, beta, s, cfg)),
 }
 
@@ -276,9 +271,7 @@ def cmd_transform(run, direction, ratefn_path, s_grid, config_path):
     else:
         run.json("verdict.json", {"status": "not_applicable"})
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        out = transform()
+    out = transform()
     if isinstance(out, LogTabulated):
         header = "s,beta,log_beta"
         s_out, log_beta = np.array(out.log_points, dtype=float).T
@@ -332,12 +325,9 @@ def cmd_verify(run, form_path, birth_death, s_grid, config_path, seed, restarts)
 
     tab_sp = empirical["SP"].to_tabulated()
 
-    verdict = sp2sl_condition(tab_sp, cfg)
+    verdict, sl_table = _sl_map(tab_sp, s, cfg)
     _gate(run, "verdict_sp2sl.json", "sp2sl", verdict)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        trans_sl = sl_from_sp(tab_sp, s, cfg, verdict=verdict)
+    trans_sl = sl_table()
     rows = [(_fmt(a), _fmt(b)) for a, b in trans_sl.points]
     run.csv("transformed_sl.csv", "s,beta", rows)
     dom_sl = dominates(empirical["SL"], trans_sl)
@@ -488,17 +478,16 @@ _SP2SL_WINDOW = (1_000, 200_000)
 def _example_sp2sl(beta, grid: Optional[np.ndarray], cfg: TransformConfig):
     """(sl_from_sp output, grid) for example11, with one xi1 sequence per N_max.
 
-    On a user grid whose qualifying index reaches N_max, N_max doubles
-    from 50 000 up to 1.6e6 and the sequence is built again.
+    The default grid is read from g at the two window indices, once.  On
+    a user grid whose qualifying index reaches N_max, N_max doubles from
+    50 000 up to 1.6e6 and the sequence is built again.
     """
     n_max = max(cfg.N_max, _SP2SL_N_MAX if grid is None else 50_000)
+    if grid is None:
+        grid = log_grid(*sp2sl_window(beta, dataclasses.replace(cfg, N_max=n_max), *_SP2SL_WINDOW), 60)
     while True:
-        run_cfg = dataclasses.replace(cfg, N_max=n_max)
-        verdict = sp2sl_condition(beta, run_cfg)
-        if grid is None:
-            grid = log_grid(*sp2sl_window(verdict, run_cfg, *_SP2SL_WINDOW), 60)
         try:
-            return sl_from_sp(beta, grid, run_cfg, verdict=verdict), grid
+            return sl_from_sp(beta, grid, dataclasses.replace(cfg, N_max=n_max)), grid
         except CapError:
             if n_max >= 1_500_000:
                 raise

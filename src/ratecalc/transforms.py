@@ -21,8 +21,10 @@ between rate functions are
 sp_from_wl requires the vanishing condition
 lim_n beta_WL(delta^-n n^-theta)/n = 0 and sl_from_sp requires
 lim_n n*xi1(delta^(-n+1)) = 0; both are checked empirically on a finite
-index window before the maps are applied, and each map gates on the
-verdict of the sequence it reads itself.
+index window before the maps are applied.  Both gated maps have one
+shape: _wl_map and _sl_map read their index sequence once and return
+its verdict with a call that finishes the map from the same sequence,
+so each map gates on the verdict of the sequence it reads itself.
 
 Every map reads an index sequence on a window and takes the first index
 where a non-increasing envelope of it crosses s: the running minimum of
@@ -79,7 +81,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -170,7 +172,7 @@ class GridSpec:
             raise ConfigError("grid requires 0 < r_min < r_max")
         if self.count < 100:
             raise ConfigError("grid count must be at least 100")
-        _require_finite(self, ("r_min", "r_max", "count"))
+        _require_finite(self)
 
     def points(self) -> np.ndarray:
         return np.geomspace(self.r_min, self.r_max, self.count)
@@ -180,12 +182,12 @@ class GridSpec:
         return (self.r_max / self.r_min) ** (1.0 / (self.count - 1))
 
     def to_json_dict(self) -> dict:
-        return {"r_min": self.r_min, "r_max": self.r_max, "count": self.count}
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSpec":
-        fields = _json_fields(d, cls, "r_grid")
-        return cls(**{k: v if k == "count" else float(v) for k, v in fields.items()})
+        kwargs = _json_fields(d, cls, "r_grid")
+        return cls(**{k: v if k == "count" else float(v) for k, v in kwargs.items()})
 
 
 @dataclass(frozen=True)
@@ -230,25 +232,10 @@ class TransformConfig:
             raise ConfigError("k_max and N_max must be at least 2")
         if not (self.slope_tol > 0):
             raise ConfigError("slope_tol must be positive")
-        _require_finite(self, _FINITE_FIELDS)
+        _require_finite(self)
 
     def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "n0": self.n0,
-            "s0": self.s0,
-            "C1": self.C1,
-            "C2": self.C2,
-            "C3": self.C3,
-            "C4": self.C4,
-            "C5": self.C5,
-            "C6": self.C6,
-            "theta_cond": self.theta_cond,
-            "r_grid": self.r_grid.to_json_dict(),
-            "k_max": self.k_max,
-            "N_max": self.N_max,
-            "slope_tol": self.slope_tol,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TransformConfig":
@@ -261,16 +248,18 @@ class TransformConfig:
 # Config fields that count, read as int; n0 and s0 may be null.
 _INTEGER_FIELDS = ("n0", "k_max", "N_max", "count")
 _NULLABLE_FIELDS = ("n0", "s0")
-# Every number of a TransformConfig; each must be finite.
-_FINITE_FIELDS = ("delta", "n0", "s0", "C1", "C2", "C3", "C4", "C5", "C6", "theta_cond", "k_max", "N_max", "slope_tol")
 
 
-def _require_finite(config, names) -> None:
-    """Refuse an infinite number in ``config``; the range checks before it have refused NaN."""
-    for name in names:
-        v = getattr(config, name)
-        if v is not None and not math.isfinite(v):
-            raise ConfigError(f"{name} must be finite, got {v!r}")
+def _require_finite(config) -> None:
+    """Refuse an infinite number among the fields of ``config``, in field order.
+
+    The range checks before it have refused NaN; None and a nested
+    GridSpec, which checks itself, are skipped.
+    """
+    for f in fields(config):
+        v = getattr(config, f.name)
+        if v is not None and not isinstance(v, GridSpec) and not math.isfinite(v):
+            raise ConfigError(f"{f.name} must be finite, got {v!r}")
 
 
 def _json_fields(d, cls, what: str) -> dict:
@@ -281,7 +270,7 @@ def _json_fields(d, cls, what: str) -> dict:
     unknown = set(d) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    fields = dict(d)
+    kwargs = dict(d)
     for key, v in d.items():
         if key == "r_grid" or (v is None and key in _NULLABLE_FIELDS):
             continue
@@ -290,18 +279,8 @@ def _json_fields(d, cls, what: str) -> dict:
         if key in _INTEGER_FIELDS:
             if not (math.isfinite(v) and v == math.floor(v)):
                 raise ConfigError(f"{what} field {key!r} must be an integer, got {v!r}")
-            fields[key] = int(v)
-    return fields
-
-
-@dataclass(frozen=True, eq=False)
-class _Xi1Sequence:
-    """(n, n*xi1(delta^(-n+1))) for n in ``ns``, and the input and config it was computed for."""
-
-    beta: RateFunction
-    cfg: TransformConfig
-    ns: np.ndarray
-    values: np.ndarray
+            kwargs[key] = int(v)
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -311,16 +290,12 @@ class ConditionVerdict:
     ``holds_empirically`` requires a finite tail that decays decisively
     (final value well below the start and a negative log-log trend);
     ``fails_empirically`` flags non-decreasing or flat tails and any
-    infinite or Undefined entry.  A verdict from ``sp2sl_condition``
-    also carries the kernel sequence it was read from; ``sl_from_sp``
-    given the verdict reuses both only when the sequence is for the
-    same input and config.  The sequence is not part of the JSON form.
+    infinite or Undefined entry.
     """
 
     status: str
     sequence_tail: tuple
     trend_slope: float
-    sequence: Optional[_Xi1Sequence] = field(default=None, repr=False, compare=False)
 
     @property
     def holds(self) -> bool:
@@ -714,51 +689,46 @@ def _vanishing_verdict(blocks, size: int, n_first: int, n_last: int, cfg: Transf
     return ConditionVerdict(INCONCLUSIVE, tail, slope)
 
 
+def _xi1_terms(beta_sp: RateFunction, cfg: TransformConfig, ns: np.ndarray) -> np.ndarray:
+    """n*xi1(delta^(-n+1)) at the integers ``ns`` in one kernel call; NaN = Undefined."""
+    return ns * _kernel_min(beta_sp, -(ns - 1) * math.log(cfg.delta), cfg, "xi1")
+
+
 def _sp_kernel_sequence(
     beta_sp: RateFunction, cfg: TransformConfig, n0: int, n_hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(n, n*xi1(delta^(-n+1))) for n in [n0, n_hi]; NaN = Undefined."""
     ns = np.arange(n0, n_hi + 1)
-    log_ts = -(ns - 1) * math.log(cfg.delta)
-    return ns, ns * _kernel_min(beta_sp, log_ts, cfg, "xi1")
+    return ns, _xi1_terms(beta_sp, cfg, ns)
+
+
+def _xi1_sequence(beta_sp: RateFunction, cfg: TransformConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(ns, values): n*xi1(delta^(-n+1)) on [n0, N_max]."""
+    n0 = cfg.n0 if cfg.n0 is not None else _auto_n0_xi1(beta_sp, cfg)
+    return _sp_kernel_sequence(beta_sp, cfg, n0, cfg.N_max)
 
 
 def sp2sl_condition(beta_sp: RateFunction, cfg: Optional[TransformConfig] = None) -> ConditionVerdict:
-    """Check lim_n n*xi1(delta^(-n+1)) = 0 on the configured window.
-
-    The verdict carries the kernel sequence it was read from.
-    """
+    """Check lim_n n*xi1(delta^(-n+1)) = 0 on the configured window [n0, N_max]."""
     cfg = cfg or TransformConfig()
-    seq = _xi1_sequence(beta_sp, cfg)
-    return replace(check_vanishing((seq.ns, seq.values), cfg), sequence=seq)
+    return check_vanishing(_xi1_sequence(beta_sp, cfg), cfg)
 
 
-def _xi1_sequence(
-    beta_sp: RateFunction, cfg: TransformConfig, verdict: Optional[ConditionVerdict] = None
-) -> _Xi1Sequence:
-    """n*xi1(delta^(-n+1)) on [n0, N_max], or the sequence ``verdict`` carries if it is for (beta_sp, cfg)."""
-    done = verdict.sequence if verdict is not None else None
-    if done is not None and done.beta is beta_sp and done.cfg == cfg:
-        return done
-    n0 = cfg.n0 if cfg.n0 is not None else _auto_n0_xi1(beta_sp, cfg)
-    ns, seq = _sp_kernel_sequence(beta_sp, cfg, n0, cfg.N_max)
-    return _Xi1Sequence(beta_sp, cfg, ns, seq)
-
-
-def sp2sl_window(verdict: ConditionVerdict, cfg: TransformConfig, n_near: int, n_far: int) -> tuple[float, float]:
+def sp2sl_window(beta_sp: RateFunction, cfg: TransformConfig, n_near: int, n_far: int) -> tuple[float, float]:
     """The s-range [1.02*g(n_far), g(n_near)], g(n) = C4*n*xi1(delta^(-n+1)).
 
-    ``verdict`` comes from ``sp2sl_condition`` and must hold; g is read
-    from its sequence, with both indices clamped to [n0, N_max].  Over
-    this range the qualifying index N0(s) stays below ``n_far``.
+    g is evaluated at the two indices, each clamped to [n0, N_max], in
+    one kernel call; kernel rows do not depend on their block, so these
+    are the bits of the map's own sequence.  The window does not gate:
+    the map that reads it does.  Over this range the qualifying index
+    N0(s) stays below ``n_far``.
     """
-    _gate(verdict, "the SP-to-SL map")
-    seq = verdict.sequence
-    near, far = (int(np.clip(n - seq.ns[0], 0, seq.ns.size - 1)) for n in (n_near, n_far))
-    lo, hi = 1.02 * cfg.C4 * float(seq.values[far]), cfg.C4 * float(seq.values[near])
+    n0 = cfg.n0 if cfg.n0 is not None else _auto_n0_xi1(beta_sp, cfg)
+    g_near, g_far = _xi1_terms(beta_sp, cfg, np.clip((n_near, n_far), n0, cfg.N_max)).tolist()
+    lo, hi = 1.02 * cfg.C4 * g_far, cfg.C4 * g_near
     if not (0.0 < lo < hi):
         raise ConfigError(
-            f"no s-window between indices {n_near} and {n_far} on [{int(seq.ns[0])}, {int(seq.ns[-1])}]: "
+            f"no s-window between indices {n_near} and {n_far} on [{n0}, {cfg.N_max}]: "
             f"C4*n*xi1(delta^(-n+1)) gives [{lo:g}, {hi:g}]"
         )
     return lo, hi
@@ -915,60 +885,69 @@ def _k_star(values_at, n0: int, cfg: TransformConfig, s: np.ndarray, s_eff: np.n
     raise CapError(f"no admissible k <= k_max={cfg.k_max} for s={float(s_eff[0]):g}; increase k_max")
 
 
-def _n_zero(seq: _Xi1Sequence, s: np.ndarray, cfg: TransformConfig) -> np.ndarray:
+def _n_zero(ns: np.ndarray, values: np.ndarray, s: np.ndarray, cfg: TransformConfig) -> np.ndarray:
     """N0(s), the largest n with C4*n*xi1(delta^(-n+1)) > s or n0 if none, for each ascending s.
 
-    The suffix maximum of C4*n*xi1 exceeds s exactly up to N0(s), so
-    N0(s) is one index before its first crossing of s.
+    ``values`` holds n*xi1(delta^(-n+1)) at ``ns``.  The suffix maximum
+    of C4*n*xi1 exceeds s exactly up to N0(s), so N0(s) is one index
+    before its first crossing of s.
     """
-    idx = _first_crossing(_running_max_from_right(cfg.C4 * seq.values), s)
-    if idx[0] == seq.ns.size:
+    idx = _first_crossing(_running_max_from_right(cfg.C4 * values), s)
+    if idx[0] == ns.size:
         raise CapError(
-            f"qualifying set for s={float(s[0]):g} reaches N_max={int(seq.ns[-1])}; increase N_max"
+            f"qualifying set for s={float(s[0]):g} reaches N_max={int(ns[-1])}; increase N_max"
         )
-    return seq.ns[np.maximum(idx - 1, 0)]
+    return ns[np.maximum(idx - 1, 0)]
 
 
 def n_zero(beta_sp: RateFunction, s: float, cfg: Optional[TransformConfig] = None) -> int:
     """Largest n in [n0, N_max] with C4*n*xi1(delta^(-n+1)) > s.
 
-    Returns n0 when no index qualifies.  The sequence and its vanishing
-    verdict come from ``sp2sl_condition``, and the verdict gates the
-    search; a qualifying set that reaches N_max raises a cap error.
+    Returns n0 when no index qualifies.  The vanishing verdict of the
+    sequence on [n0, N_max] gates the search over that same sequence; a
+    qualifying set that reaches N_max raises a cap error.
     """
     cfg = cfg or TransformConfig()
     if not (isinstance(s, (int, float)) and s > 0):
         raise MathDomainError("n_zero requires s > 0")
     if cfg.s0 is not None and s > cfg.s0:
         raise ConfigError(f"n_zero requires s <= s0 = {cfg.s0}")
-    verdict = sp2sl_condition(beta_sp, cfg)
-    _gate(verdict, "the SP-to-SL map")
-    return int(_n_zero(verdict.sequence, np.array([float(s)]), cfg)[0])
+    ns, values = _xi1_sequence(beta_sp, cfg)
+    _gate(check_vanishing((ns, values), cfg), "the SP-to-SL map")
+    return int(_n_zero(ns, values, np.array([float(s)]), cfg)[0])
 
 
-def sl_from_sp(
-    beta_sp: RateFunction,
-    s_grid,
-    cfg: Optional[TransformConfig] = None,
-    verdict: Optional[ConditionVerdict] = None,
-) -> Tabulated:
+def _sl_map(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig) -> tuple:
+    """The SP-to-SL verdict on one xi1 sequence, and a call that finishes the map.
+
+    The sequence n*xi1(delta^(-n+1)) on [n0, N_max] is built once for
+    both; a caller writes or gates the verdict before it makes the call.
+    The call checks the nonempty grid ``s`` (so ``transform`` refuses a
+    bad grid after writing the verdict, as it does for the other gated
+    map), finds N0(s), raising CapError where the qualifying set reaches
+    N_max, and returns the table of ``sl_from_sp``.
+    """
+    ns, values = _xi1_sequence(beta_sp, cfg)
+
+    def table() -> Tabulated:
+        _validate_s_grid(s)
+        s0 = cfg.s0 if cfg.s0 is not None else float(s[-1])
+        rates = math.log(cfg.delta) * (1 + _n_zero(ns, values, np.minimum(s, s0), cfg))
+        return _clamp_and_tabulate(s, rates, cfg.s0)
+
+    return check_vanishing((ns, values), cfg), table
+
+
+def sl_from_sp(beta_sp: RateFunction, s_grid, cfg: Optional[TransformConfig] = None) -> Tabulated:
     """SL rate function log(delta)*(1 + N0(s)) from an SP rate function.
 
-    A ``verdict`` from ``sp2sl_condition`` on the same input and config
-    lends the map its kernel sequence and gates it.  Any other verdict is
-    ignored: the map builds its sequence and gates on that sequence's
-    own verdict.
+    One xi1 sequence on [n0, N_max] gives both the vanishing verdict
+    that gates the map and N0(s).
     """
     cfg = cfg or TransformConfig()
-    s = _validate_s_grid(s_grid)
-    seq = _xi1_sequence(beta_sp, cfg, verdict)
-    if verdict is None or verdict.sequence is not seq:
-        verdict = check_vanishing((seq.ns, seq.values), cfg)
+    verdict, table = _sl_map(beta_sp, _validate_s_grid(s_grid), cfg)
     _gate(verdict, "the SP-to-SL map")
-
-    s0 = cfg.s0 if cfg.s0 is not None else float(s[-1])
-    values = math.log(cfg.delta) * (1 + _n_zero(seq, np.minimum(s, s0), cfg))
-    return _clamp_and_tabulate(s, values, cfg.s0)
+    return table()
 
 
 def wl_from_sp(beta_sp: RateFunction, s_grid, cfg: Optional[TransformConfig] = None) -> Tabulated:

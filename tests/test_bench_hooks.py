@@ -11,6 +11,7 @@ from ratecalc import (
     PolyPower,
     TransformConfig,
     sl_from_sp,
+    sp2sl_condition,
     sp_from_sl,
     sp_from_wl,
     wl2sp_condition,
@@ -19,7 +20,7 @@ from ratecalc import (
 import ratecalc
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACED_MAPS = ("sp_from_wl", "wl2sp_condition", "sl_from_sp", "sp_from_sl", "wl_from_sp")
+TRACED_MAPS = ("sp_from_wl", "wl2sp_condition", "sl_from_sp", "sp2sl_condition", "sp_from_sl", "wl_from_sp")
 
 
 def test_tracer_hooks_cover_the_benchmark_metrics(monkeypatch):
@@ -37,6 +38,7 @@ def test_tracer_hooks_cover_the_benchmark_metrics(monkeypatch):
             ratecalc.sp_from_wl(Constant(B=2.0), [0.1, 0.5], cfg)
             ratecalc.wl2sp_condition(Constant(B=2.0), cfg)
             ratecalc.sl_from_sp(InversePower(a=1.0, p=1.0), [0.05, 0.5], cfg)
+            ratecalc.sp2sl_condition(InversePower(a=1.0, p=1.0), cfg)
             ratecalc.sp_from_sl(PolyPower(C=1.0, p=1.0), [0.05, 0.5], cfg)
             ratecalc.wl_from_sp(InversePower(a=1.0, p=1.0), [0.2, 1.0], cfg)
 
@@ -47,6 +49,7 @@ def test_tracer_hooks_cover_the_benchmark_metrics(monkeypatch):
         tracer.uninstall()
     assert ratecalc.sp_from_wl is sp_from_wl and ratecalc.wl2sp_condition is wl2sp_condition
     assert ratecalc.sl_from_sp is sl_from_sp and ratecalc.sp_from_sl is sp_from_sl
+    assert ratecalc.sp2sl_condition is sp2sl_condition
     assert ratecalc.wl_from_sp is wl_from_sp
 
     for name in TRACED_MAPS:

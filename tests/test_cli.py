@@ -366,7 +366,9 @@ class TestExample11:
         assert res.exit_code == 0, res.output
         rep = json.loads((out / "report.json").read_text())
         assert abs(rep["fitted_exponent"] - rep["predicted_exponent"]) <= 0.15
-        _each_once(kernel_rows, 400_000)  # one sequence, no retry
+        # The window's two rows in their own kernel call, then one sequence, no retry.
+        assert _row_indices(kernel_rows[:1]).tolist() == [1000, 200_000]
+        _each_once(kernel_rows[1:], 400_000)
 
     def test_sp2sl_retry_rebuilds_sequence(self, runner, tmp_path, kernel_rows):
         # N0(1e-5) lies between 5e4 and 1e5: one retry, from N_max 5e4 to 1e5,
@@ -473,11 +475,28 @@ class TestVerify:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
 
-    def test_inconclusive_sp2sl_verdict_is_reported(self, runner, tmp_path, monkeypatch):
-        real = cli.sp2sl_condition
-        monkeypatch.setattr(
-            cli, "sp2sl_condition", lambda *a: dataclasses.replace(real(*a), status="inconclusive")
+    def test_one_sp2sl_sequence(self, runner, tmp_path, kernel_rows):
+        # The SP-to-SL verdict and table read one sequence on [n0, N_max]; the
+        # only other kernel rows are the [n0, k*] prefix that wl_from_sp reads.
+        res = runner.invoke(
+            main,
+            ["verify", "--birth-death", "4,1,2,11", "--s-grid", "1e-3,1,6", "--seed", "7", "--out", str(tmp_path / "o")],
         )
+        assert res.exit_code == 0, res.output
+        sequence, prefix = (_row_indices([rows]) for rows in kernel_rows)
+        n0 = sequence[0]
+        k_star = min(k for k in range(n0, 401) if k * 4.0**-k <= 1e-3)
+        assert np.array_equal(sequence, np.arange(n0, 401))
+        assert np.array_equal(prefix, np.arange(n0, k_star + 1))
+
+    def test_inconclusive_sp2sl_verdict_is_reported(self, runner, tmp_path, monkeypatch):
+        real = cli._sl_map
+
+        def inconclusive(*a):
+            verdict, table = real(*a)
+            return dataclasses.replace(verdict, status="inconclusive"), table
+
+        monkeypatch.setattr(cli, "_sl_map", inconclusive)
         out = tmp_path / "o"
         res = runner.invoke(
             main,

@@ -921,3 +921,17 @@ class TestInequalityDefinition:
             (a, _), (b, _), (c, _) = ineq.terms(F, form.energy_many(F), None, form.mu)
             scale = np.maximum.reduce([np.ones_like(a), np.abs(a), s * b, np.abs(vals) * c])
             assert np.all(np.abs(s * b + vals * c - a) <= 1e-12 * scale), (kind, form.n)
+
+    @pytest.mark.parametrize("kind", ["SP", "SL"])
+    def test_sphere_kinds_ignore_the_energy_floor(self, kind):
+        # A heavy edge next to a tiny mass: on the projected row (1, 0), c
+        # (SP: mu(|f|)^2 = 1e-12, SL: mu(f^2) = 1) lies below e_floor*b = 1e10,
+        # yet the row is admissible, as c > 0 is the rule where c is no energy.
+        weights = np.array([[0.0, 1e6], [1e6, 0.0]])
+        obj = optconst._Objective(kind, FiniteDirichletForm(mu=np.array([1e-12, 1 - 1e-12]), weights=weights))
+        F, ok = obj.project(np.array([[1.0, 0.0]]))
+        LF, s = obj.apply_lap(F), np.array([1e-3])
+        (a, _), (b, _), (c, _) = obj._terms(F, LF)
+        assert ok[0] and 0.0 < c[0] < obj.e_floor * b[0]
+        value = obj.evaluate(F, LF, s)
+        assert np.isfinite(value[0]) and value[0] == ((a - s * b) / c)[0]

@@ -373,6 +373,16 @@ class TestConfig:
         back = TransformConfig.from_json_dict(cfg.to_json_dict())
         assert back == cfg
 
+    @pytest.mark.parametrize("cfg", [TransformConfig(), TransformConfig(n0=3, s0=0.5, k_max=1000)])
+    def test_json_dict_holds_every_field(self, cfg):
+        # The manifest's resolved_config, as the field-by-field dict wrote it.
+        assert cfg.to_json_dict() == {
+            "delta": cfg.delta, "n0": cfg.n0, "s0": cfg.s0, "C1": cfg.C1, "C2": cfg.C2, "C3": cfg.C3,
+            "C4": cfg.C4, "C5": cfg.C5, "C6": cfg.C6, "theta_cond": cfg.theta_cond,
+            "r_grid": {"r_min": 1e-8, "r_max": 1e8, "count": 600},
+            "k_max": cfg.k_max, "N_max": cfg.N_max, "slope_tol": cfg.slope_tol,
+        }
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             TransformConfig.from_json_dict({"delta": 4.0, "bogus": 1})
@@ -619,28 +629,6 @@ class TestNZero:
             n_zero(ExpPower(C=1.0, theta=1.0), 0.1, CFG)
 
 
-class TestSequenceReuse:
-    BETA = ExpPower(C=1.0, theta=0.6)
-    CFG = TransformConfig(N_max=3000)
-    GRID = log_grid(5e-3, 0.5, 20)
-
-    def test_verdict_lends_its_sequence(self, kernel_rows):
-        verdict = sp2sl_condition(self.BETA, self.CFG)
-        built = sum(r.size for r in kernel_rows)
-        out = sl_from_sp(self.BETA, self.GRID, self.CFG, verdict=verdict)
-        assert built == self.CFG.N_max - int(verdict.sequence.ns[0]) + 1
-        assert sum(r.size for r in kernel_rows) == built
-        assert out.points == sl_from_sp(self.BETA, self.GRID, self.CFG).points
-
-    @pytest.mark.parametrize("other", [TransformConfig(N_max=3000, delta=5.0), TransformConfig(N_max=2000)])
-    def test_foreign_sequence_not_reused(self, kernel_rows, other):
-        verdict = sp2sl_condition(self.BETA, other)
-        kernel_rows.clear()
-        out = sl_from_sp(self.BETA, self.GRID, self.CFG, verdict=verdict)
-        assert sum(r.size for r in kernel_rows) == 3000 - transforms._auto_n0_xi1(self.BETA, self.CFG) + 1
-        assert out.points == sl_from_sp(self.BETA, self.GRID, self.CFG).points
-
-
 def old_n_zero_from_sequence(ns, seq, s, cfg):
     """N0(s) by the per-s scan the crossing search replaced, kept as the reference."""
     qualifying = cfg.C4 * seq > s
@@ -736,10 +724,9 @@ class TestOneCrossingSearch:
     @given(_n_zero_cases())
     def test_n_zero_matches_per_s_loop(self, case):
         ns, vals, cfg, s = case
-        seq = transforms._Xi1Sequence(None, cfg, ns, vals)
         s_eff = np.minimum(s, cfg.s0 if cfg.s0 is not None else s[-1])
         want = _outcome(lambda: old_sl_from_sp_n_zero(ns, vals, s, cfg))
-        assert _outcome(lambda: transforms._n_zero(seq, s_eff, cfg)) == want
+        assert _outcome(lambda: transforms._n_zero(ns, vals, s_eff, cfg)) == want
 
     @pytest.mark.parametrize(
         "beta,cfg,grid",
@@ -753,8 +740,8 @@ class TestOneCrossingSearch:
         ],
     )
     def test_sl_from_sp_matches_per_s_loop(self, beta, cfg, grid, monkeypatch):
-        seq = sp2sl_condition(beta, cfg).sequence
-        want = _outcome(lambda: old_sl_from_sp_n_zero(seq.ns, seq.values, np.asarray(grid), cfg))
+        ns, vals = transforms._xi1_sequence(beta, cfg)
+        want = _outcome(lambda: old_sl_from_sp_n_zero(ns, vals, np.asarray(grid), cfg))
         got = _spy(monkeypatch, "_n_zero")
         try:
             out = sl_from_sp(beta, grid, cfg)
@@ -836,23 +823,17 @@ class TestOneCrossingSearch:
 
 
 class TestOwnVerdictGates:
-    """A holding verdict for another input or config does not gate a map."""
+    """A gated map takes no verdict: it gates on that of the sequence it reads."""
 
     GRID = log_grid(0.1, 1.0, 12)
 
-    def test_sl_from_sp_refuses_a_verdict_for_another_input(self):
+    def test_sl_from_sp_gates_on_its_own_sequence(self):
         holding = sp2sl_condition(ExpPower(C=1.0, theta=0.6), CFG)
         assert holding.holds
-        with pytest.raises(ConditionFailedError):
+        with pytest.raises(TypeError):
             sl_from_sp(ExpPower(C=1.0, theta=1.0), self.GRID, CFG, verdict=holding)
-
-    def test_sl_from_sp_refuses_a_verdict_for_another_config(self):
-        beta = ExpPower(C=1.0, theta=0.6)
-        holding = sp2sl_condition(beta, TransformConfig(N_max=3000))
-        strict = TransformConfig(N_max=3000, slope_tol=50.0)
-        assert holding.holds and sp2sl_condition(beta, strict).fails
         with pytest.raises(ConditionFailedError):
-            sl_from_sp(beta, self.GRID, strict, verdict=holding)
+            sl_from_sp(ExpPower(C=1.0, theta=1.0), self.GRID, CFG)
 
     def test_sp_from_wl_gates_on_its_own_walk(self):
         holding = wl2sp_condition(Constant(B=2.0), CFG)
@@ -869,11 +850,11 @@ class TestBoundedWindows:
     def test_kernel_rows_in_blocks(self, monkeypatch):
         # 20 000 rows at once peak near 19 MB; blocks of 256 stay under 1.5 MB.
         beta, cfg = ExpPower(C=1.0, theta=0.5), TransformConfig(N_max=20_000)
-        whole = sp2sl_condition(beta, cfg).sequence.values
+        whole = transforms._xi1_sequence(beta, cfg)[1]
         monkeypatch.setattr(transforms, "_ROWS", 256)
         tracemalloc.start()
         try:
-            blocked = sp2sl_condition(beta, cfg).sequence.values
+            blocked = transforms._xi1_sequence(beta, cfg)[1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -912,27 +893,18 @@ class TestSp2slWindow:
     BETA = ExpPower(C=1.0, theta=0.6)
 
     def test_window_from_sequence(self):
+        # Two rows in their own kernel call give the sequence's bits.
         cfg = TransformConfig(N_max=3000)
-        verdict = sp2sl_condition(self.BETA, cfg)
-        lo, hi = transforms.sp2sl_window(verdict, cfg, 100, 2000)
-        seq = verdict.sequence
-        assert lo == 1.02 * float(seq.values[2000 - seq.ns[0]])
-        assert hi == float(seq.values[100 - seq.ns[0]])
+        lo, hi = transforms.sp2sl_window(self.BETA, cfg, 100, 2000)
+        ns, vals = transforms._xi1_sequence(self.BETA, cfg)
+        assert lo == 1.02 * float(vals[2000 - ns[0]])
+        assert hi == float(vals[100 - ns[0]])
         assert n_zero(self.BETA, lo, cfg) < 2000
 
-    def test_failing_verdict_is_refused(self):
-        cfg = TransformConfig(N_max=3000, slope_tol=50.0)
-        verdict = sp2sl_condition(self.BETA, cfg)
-        assert verdict.fails
-        with pytest.raises(ConditionFailedError):
-            transforms.sp2sl_window(verdict, cfg, 100, 2000)
-
-    @pytest.mark.filterwarnings("ignore:vanishing condition")
     def test_indices_past_the_sequence_give_config_error(self):
         cfg = TransformConfig(n0=1500, N_max=3000)
-        verdict = sp2sl_condition(self.BETA, cfg)
         with pytest.raises(ConfigError, match="no s-window"):
-            transforms.sp2sl_window(verdict, cfg, 100, 1000)
+            transforms.sp2sl_window(self.BETA, cfg, 100, 1000)
 
 
 class TestSlFromSp:
