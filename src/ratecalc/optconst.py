@@ -29,21 +29,29 @@ blocks of at most _BLOCK_CELLS cells, so memory stays bounded for any
 grid.
 Results are cross-checked against an exhaustive angular brute-force
 oracle on forms with up to 4 states.
-The oracle scans prod(round(span/resolution) + 1) directions over n - 1
-angular axes in blocks of at most 2^14 directions, each held as n
-per-coordinate columns, so its memory is bounded by one block, and a
-block's columns (128 KiB each) and temporaries stay in a core's L2
-cache.  It evaluates about 4.5e7 directions/s on one core of a 2-core
-x86 machine (a 3-state WP scan at 1e-3, 1.97e7 directions, takes
-0.43-0.49 s; 0.77-0.81 s in blocks of 50 000) and refuses a scan of
-more than 1e8 directions up front with ConfigError:
-n = 4 at resolution 1e-3 is 3.9e9 directions, so four-state forms run
-only at coarse resolution.
+The oracle's grid has prod(round(span/resolution) + 1) directions over
+n - 1 angular axes, cut into tiles of at most 1024 directions.  One
+vectorised interval-arithmetic pass bounds every tile's computed values
+from above; tiles are then evaluated in order of decreasing bound, in
+blocks of at most 2^14 directions held as n per-coordinate columns, and
+the scan stops at the first bound below the running maximum, so it
+returns the full scan's maximum (repr-equal on every fixture value).  On
+one core of a 2-core x86 machine, three-state scans at resolution 1e-3
+with s > 0 evaluate a median 0.5% (WP) to 12% (WL) of their directions
+and take 1-72 ms each (the 72 fixture scans of acceptance 4 take about
+0.5 s, against 7.5-12 s for the full scan); where no tile can be
+skipped (tri_uniform WP at s = 0, every direction a Poincare optimiser)
+each of the 1.97e7 directions is evaluated once, in about the full
+scan's time (median 0.65 s against 0.63 s over 6 runs).  A scan of
+more than 1e8 directions is refused up front with ConfigError: n = 4 at
+resolution 1e-3 is 3.9e9 directions, so four-state forms run only at
+coarse resolution.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -395,6 +403,16 @@ def _solve_grid(form: FiniteDirichletForm, kind: str, s: np.ndarray, cfg: Solver
     return np.maximum(best, obj.ineq.floor), best_f, iters
 
 
+def _trade_off(s, what: str, allow_zero: bool) -> float:
+    """s as a float: a real, non-bool scalar that is finite and > 0 (>= 0 if allow_zero)."""
+    if isinstance(s, bool) or not isinstance(s, numbers.Real):
+        raise MathDomainError(f"{what} must be a real number, got {s!r}")
+    x = float(s)
+    if not (math.isfinite(x) and (x >= 0.0 if allow_zero else x > 0.0)):
+        raise MathDomainError(f"{what} must be finite and {'>= 0' if allow_zero else 'positive'}, got {s!r}")
+    return x
+
+
 def optimal_value(
     form: FiniteDirichletForm,
     kind: str,
@@ -410,9 +428,8 @@ def optimal_value(
     bound of the kind (1 for SP, 0 otherwise).
     """
     cfg = cfg or SolverConfig()
-    if not (isinstance(s, (int, float)) and math.isfinite(s) and s > 0):
-        raise MathDomainError(f"trade-off s must be positive, got {s!r}")
-    values, best_f, iters = _solve_grid(form, kind, np.array([float(s)]), cfg)
+    s = _trade_off(s, "trade-off s", allow_zero=False)
+    values, best_f, iters = _solve_grid(form, kind, np.array([s]), cfg)
     if return_vector:
         return float(values[0]), best_f[0], int(iters[0])
     return float(values[0])
@@ -456,50 +473,254 @@ def _direction_axes(n: int, resolution: float, signed: bool) -> list:
     return [(span, int(round(span / resolution)) + 1) for span in spans]
 
 
-def _direction_blocks(n: int, resolution: float, signed: bool):
-    """All directions at the given angular resolution, as (n, m) column blocks.
+class _AngleTiles:
+    """The oracle's angle grid, cut into tiles.
 
-    Direction k has angles phi_i = axis_i[j_i] for the flat index k =
-    ravel(j_1, ..., j_{n-1}) and coordinates f_i = sin(phi_1)...
+    Axis i has the angles linspace(0, span_i, size_i) of _direction_axes,
+    and direction (j_1, ..., j_{n-1}) has coordinates f_i = sin(phi_1)...
     sin(phi_{i-1}) cos(phi_i), f_n = sin(phi_1)...sin(phi_{n-1}).
     Nonnegative directions sweep [0, pi/2] per angle; signed directions
     sweep the whole sphere, [0, pi] per angle and [0, 2*pi] for the last
     (objectives are even in f, so half of it would do, but the last
     axis's grid is not closed under a shift of pi, so values would move).
-    Each block is a run of consecutive flat
-    indices: a range of outer indices (all axes but the last) times a
-    slice of the last axis, with at most _ORACLE_BLOCK directions.  The
-    outer factors are gathered once per outer index from per-axis cos/sin
-    tables and broadcast along the slice, so memory is bounded by one
-    block whatever the grid size.
+    A tile is a range of `side` consecutive indices on every axis (fewer
+    at an axis's end), with side^(n-1) <= _ORACLE_BLOCK // 16; tiles are
+    numbered in C order of their first indices.
     """
-    if n == 1:
-        yield np.ones((1, 1))
-        return
-    axes = [np.linspace(0.0, span, size) for span, size in _direction_axes(n, resolution, signed)]
-    cos = [np.cos(a) for a in axes]
-    sin = [np.sin(a) for a in axes]
-    outer = tuple(a.size for a in axes[:-1])
-    last = axes[-1].size
-    rows = max(1, _ORACLE_BLOCK // last)
-    width = min(last, _ORACLE_BLOCK)
-    n_outer = math.prod(outer)
-    for o in range(0, n_outer, rows):
-        # A leading axis of size 1 lets n = 2, with no outer axis, unravel too.
-        idx = np.unravel_index(np.arange(o, min(o + rows, n_outer)), (1, *outer))[1:]
-        sin_prod = np.ones(min(rows, n_outer - o))
-        heads = []
-        for i in range(n - 2):
-            heads.append(sin_prod * cos[i][idx[i]])
-            sin_prod = sin_prod * sin[i][idx[i]]
-        for a in range(0, last, width):
-            b = min(a + width, last)
-            F = np.empty((n, sin_prod.size, b - a))
-            for i, head in enumerate(heads):
-                F[i] = head[:, None]
-            np.multiply.outer(sin_prod, cos[-1][a:b], out=F[n - 2])
-            np.multiply.outer(sin_prod, sin[-1][a:b], out=F[n - 1])
-            yield F.reshape(n, -1)
+
+    def __init__(self, n: int, resolution: float, signed: bool):
+        axes = [np.linspace(0.0, span, size) for span, size in _direction_axes(n, resolution, signed)]
+        self.cos = [np.cos(a) for a in axes]
+        self.sin = [np.sin(a) for a in axes]
+        cap = max(1, _ORACLE_BLOCK // 16)
+        side = max(1, round(cap ** (1.0 / (n - 1))))
+        if side ** (n - 1) > cap:  # rounded up past the root
+            side -= 1
+        self.side = side
+        self.shape = tuple(-(-a.size // side) for a in axes)
+        self.count = math.prod(self.shape)
+        # Tiles per evaluation block: at most _ORACLE_BLOCK directions.
+        self.per_block = max(1, _ORACLE_BLOCK // side ** len(axes))
+
+    def enclosures(self, tiles: np.ndarray) -> tuple:
+        """(lo, hi), each (n, len(tiles)): the table products a tile's directions take lie in [lo, hi].
+
+        An axis's cos and sin ranges over a tile are the min and max of its
+        table entries there, critical points included; the coordinate
+        ranges are their interval products, taken in the order the scan
+        takes its products.  These enclose exact products of table
+        entries: the rounding of the scan's products is left to the
+        caller's slack.
+        """
+        first = np.unravel_index(np.asarray(tiles), self.shape)
+
+        def table_range(table, i):
+            starts = np.arange(0, table.size, self.side)
+            return np.minimum.reduceat(table, starts)[first[i]], np.maximum.reduceat(table, starts)[first[i]]
+
+        lo, hi = [], []
+        sin_prod = (1.0, 1.0)
+        for i in range(len(self.cos)):
+            coord = _interval_product(sin_prod, table_range(self.cos[i], i))
+            lo.append(coord[0])
+            hi.append(coord[1])
+            sin_prod = _interval_product(sin_prod, table_range(self.sin[i], i))
+        lo.append(sin_prod[0])
+        hi.append(sin_prod[1])
+        return np.stack(lo), np.stack(hi)
+
+    def directions(self, tiles: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Every direction of the given tiles, as n columns, tile by tile in C order.
+
+        Coordinates are gathered from the cos/sin tables and multiplied in
+        the order f_i = (...(1 * sin_1) * ... * sin_{i-1}) * cos_i, each
+        product formed once per index prefix and broadcast, so every
+        direction has the same bits whichever tiles it is gathered with.
+        The block is a C-ordered view into out, a flat buffer of at least
+        2 * n * len(tiles) * side^(n-1) floats (allocated when None).
+        """
+        d = len(self.cos)
+        n = d + 1
+        g, side = len(tiles), self.side
+        size = g * side**d
+        if out is None:
+            out = np.empty(2 * n * size)
+        first = np.unravel_index(np.asarray(tiles), self.shape)
+        F = out[: n * size].reshape((n, g) + (side,) * d)
+        keep = None
+        sin_prod = np.ones((g,) + (1,) * d)
+        for i in range(d):
+            view = [g] + [1] * d
+            view[i + 1] = side
+            idx = (first[i][:, None] * side + np.arange(side)).reshape(view)
+            if idx.max() >= self.cos[i].size:
+                inside = idx < self.cos[i].size
+                keep = inside if keep is None else keep & inside
+                idx = np.minimum(idx, self.cos[i].size - 1)
+            if i < d - 1:
+                F[i] = sin_prod * self.cos[i][idx]
+                sin_prod = sin_prod * self.sin[i][idx]
+            else:
+                np.multiply(sin_prod, self.cos[i][idx], out=F[i])
+                np.multiply(sin_prod, self.sin[i][idx], out=F[n - 1])
+        F = F.reshape(n, size)
+        if keep is None:
+            return F
+        kept = np.broadcast_to(keep, (g,) + (side,) * d).ravel()
+        m = int(np.count_nonzero(kept))
+        # Compacted into a C-ordered block: mu @ F takes another BLAS kernel,
+        # with other roundings, on a Fortran-ordered one (as F[:, mask] gives).
+        return np.compress(kept, F, axis=1, out=out[n * size : n * (size + m)].reshape(n, m))
+
+
+def _interval_product(x: tuple, y: tuple) -> tuple:
+    """[min, max] of the four corner products of intervals x and y (any signs)."""
+    corners = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+    return np.minimum.reduce(corners), np.maximum.reduce(corners)
+
+
+def _oracle_values(
+    kind: str, F: np.ndarray, s: float, mu: np.ndarray, edges: list, e_floor: float, work: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The kind's value of each column of F (n, m); -inf where WL/WP's energy vanishes.
+
+    SP (m2 - s*E)/mu(|f|)^2, SL max(Ent, 0)/m2 - s*E/m2, WL and WP
+    (top - s*sup2)/E, evaluated in place: the same float operations in
+    the same order as those expressions.  The temporaries and the result
+    are views into work, a flat buffer of at least (2n + 5) m floats
+    (allocated when None), so a scan that passes one buffer allocates
+    nothing per block.
+    """
+    n, m = F.shape
+    if work is None:
+        work = np.empty((2 * n + 5) * m)
+    F2, terms = work[: n * m].reshape(n, m), work[n * m : 2 * n * m].reshape(n, m)
+    E, d, m2, top, tmp = work[2 * n * m : (2 * n + 5) * m].reshape(5, m)
+    E[:] = 0.0
+    for i, j, w in edges:
+        np.subtract(F[i], F[j], out=d)
+        d *= d
+        d *= w
+        E += d
+    np.multiply(F, F, out=F2)
+    np.matmul(mu, F2, out=m2)
+    if kind == "SP":
+        np.matmul(mu, np.abs(F, out=terms), out=top)
+        top *= top
+        E *= s
+        m2 -= E
+        m2 /= np.maximum(top, 1e-300, out=top)
+        return m2
+    if kind == "WP":
+        np.matmul(mu, F, out=top)
+        top *= top
+        np.subtract(m2, top, out=top)
+    else:
+        np.maximum(F2, _LOG_FLOOR, out=terms)
+        np.log(terms, out=terms)
+        terms *= F2
+        np.matmul(mu, terms, out=top)
+        np.maximum(m2, _LOG_FLOOR, out=tmp)
+        np.log(tmp, out=tmp)
+        tmp *= m2
+        top -= tmp
+        np.maximum(top, 0.0, out=top)
+        if kind == "SL":
+            np.maximum(m2, 1e-300, out=m2)
+            top /= m2
+            E *= s
+            E /= m2
+            top -= E
+            return top
+    # max |f|^2 = max f^2; WL directions are >= 0, so also (max f)^2.
+    sup2 = np.max(F2, axis=0, out=d)
+    ok = E > np.multiply(e_floor, sup2, out=tmp)
+    sup2 *= s
+    top -= sup2
+    top /= np.maximum(E, 1e-300, out=E)
+    top[~ok] = -np.inf
+    return top
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    x = np.maximum(x, 0.0)
+    return x * np.log(np.maximum(x, _LOG_FLOOR))
+
+
+def _tile_bounds(
+    kind: str, form: FiniteDirichletForm, s: float, lo: np.ndarray, hi: np.ndarray, gap: Optional[float]
+) -> np.ndarray:
+    """Per tile, an upper bound of every value _oracle_values computes on its directions.
+
+    lo, hi (n, tiles) enclose the tiles' coordinates as exact table
+    products.  Interval arithmetic encloses the kind's terms a, b, c
+    (value (a - s*b)/c): m2 = mu(f^2), m = mu(f), mu(|f|), E as the edge
+    sum of squared difference intervals, sup2 = max f^2, and Ent from the
+    convex x log x (largest at an end of an interval, smallest at 1/e if
+    inside).  Every enclosure is widened by an absolute slack far above
+    the rounding of the float evaluation (coordinates, moments and x log x
+    are O(1) on the unit sphere; E's slack scales with the weights), so
+    the bound holds for the computed values, not only the exact ones.
+    The numerator's upper bound is divided by c's lower bound where it is
+    >= 0 and by c's upper bound where it is negative; a c whose lower
+    bound is <= 0 leaves the tile unbounded (inf).
+
+    Given the spectral gap (WP only; None where the oracle cannot trust
+    it), Var(f) <= E(f)/gap also bounds the value by 1/lam -
+    s*sup2_lo/E_hi, with lam the gap scaled down by 1e-9 relative.  Near the
+    constant direction, where E is tiny, the rounding of Var (an O(1)
+    cancellation) divided by E can lift a computed Var/E above 1/gap, so
+    this cut is taken only on tiles whose E_lo keeps that lift under a
+    quarter of the margin.
+    """
+    pad = 1e-13
+    lo, hi = lo - pad, hi + pad
+    mu = form.mu
+    straddle = (lo < 0.0) & (hi > 0.0)
+    sq_lo = np.where(straddle, 0.0, np.minimum(lo * lo, hi * hi)) - pad
+    sq_hi = np.maximum(lo * lo, hi * hi) + pad
+    m2_lo, m2_hi = mu @ sq_lo - pad, mu @ sq_hi + pad
+    i_idx, j_idx = np.nonzero(np.triu(form.weights, 1))
+    w = form.weights[i_idx, j_idx]
+    d_lo, d_hi = lo[i_idx] - hi[j_idx], hi[i_idx] - lo[j_idx]
+    d_abs_hi = np.maximum(-d_lo, d_hi)
+    d_abs_lo = np.maximum(np.maximum(d_lo, -d_hi), 0.0)
+    e_pad = pad * (1.0 + float(w.sum()))
+    E_lo, E_hi = w @ (d_abs_lo * d_abs_lo) - e_pad, w @ (d_abs_hi * d_abs_hi) + e_pad
+    sup2_lo, sup2_hi = sq_lo.max(axis=0), sq_hi.max(axis=0)
+
+    def ent_hi():
+        m2_min = np.where(
+            (m2_lo <= 1 / math.e) & (m2_hi >= 1 / math.e), -1 / math.e, np.minimum(_xlogx(m2_lo), _xlogx(m2_hi))
+        )
+        top = mu @ np.maximum(_xlogx(sq_lo), _xlogx(sq_hi)) - m2_min + 2 * pad
+        return np.maximum(top, 0.0)
+
+    if kind == "SP":
+        abs_lo = np.where(straddle, 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+        m1_lo = np.maximum(mu @ abs_lo - pad, 0.0)
+        m1_hi = mu @ np.maximum(np.abs(lo), np.abs(hi)) + pad
+        a_hi, b_lo, b_hi, c_lo, c_hi = m2_hi, E_lo, E_hi, m1_lo * m1_lo - pad, m1_hi * m1_hi + pad
+    elif kind == "SL":
+        a_hi, b_lo, b_hi, c_lo, c_hi = ent_hi(), E_lo, E_hi, m2_lo, m2_hi
+    elif kind == "WL":
+        a_hi, b_lo, b_hi, c_lo, c_hi = ent_hi(), sup2_lo, sup2_hi, E_lo, E_hi
+    else:
+        m_lo, m_hi = mu @ lo - pad, mu @ hi + pad
+        msq_lo = np.where((m_lo < 0.0) & (m_hi > 0.0), 0.0, np.minimum(m_lo * m_lo, m_hi * m_hi))
+        a_hi, b_lo, b_hi, c_lo, c_hi = m2_hi - msq_lo + pad, sup2_lo, sup2_hi, E_lo, E_hi
+    top = a_hi - s * b_lo + pad * (1.0 + np.abs(a_hi) + s * np.abs(b_hi))
+    bounded = c_lo > 0.0
+    c = np.where(bounded, np.where(top >= 0.0, c_lo, c_hi), 1.0)
+    bound = top / c
+    # The evaluation's own rounding (two quotients for SL) is relative to |a| + s|b| over c.
+    spread = (np.abs(a_hi) + s * np.abs(b_hi)) / np.where(bounded, c_lo, 1.0)
+    bound = np.where(bounded, bound + pad * (1.0 + np.abs(bound) + spread), math.inf)
+    if gap is not None:
+        cut = E_lo * 1e-9 >= 4.0 * pad * (1.0 + s) * gap
+        poincare = 1.0 / (gap * (1.0 - 1e-9)) - s * sup2_lo / np.where(cut, E_hi, 1.0)
+        bound = np.where(cut, np.minimum(bound, poincare + pad * (1.0 + np.abs(poincare))), bound)
+    return bound
 
 
 def brute_force_oracle(
@@ -509,21 +730,32 @@ def brute_force_oracle(
 
     Deterministic anti-hallucination oracle for forms with n <= 4; all
     four objectives are scale-invariant, so scanning directions suffices.
-    The scan visits prod(round(span/resolution) + 1) directions over the
-    n - 1 angular axes (span pi/2 for SP, SL and WL; pi, ..., pi, 2*pi for
-    the signed WP scan) and holds one block of at most _ORACLE_BLOCK =
-    2^14 directions in memory at a time, as n columns.  The energy is
-    the edge sum sum_{i<j} w_ij (f_i - f_j)^2, the mu-moments are
-    products mu @ F and the maxima are taken elementwise across the
-    columns.  A scan of more than 1e8 directions is refused with
-    ConfigError before anything is allocated: n = 3 at 1e-3 is 2.5e6
-    directions (1.97e7 for WP), n = 4 at 1e-3 is 3.9e9 (6.2e10 for WP),
-    so four-state forms run only at coarse resolution (n = 4 WP at 1e-2
-    is 6.2e7).  An s that is not
-    finite and >= 0 raises MathDomainError; s = 0 is the WP case.
+    The result is the largest value over the prod(round(span/resolution)
+    + 1) directions of n - 1 angular axes (span pi/2 for SP, SL and WL;
+    pi, ..., pi, 2*pi for the signed WP scan), clamped below by the
+    kind's floor.  The energy is the edge sum sum_{i<j} w_ij (f_i -
+    f_j)^2, the mu-moments are products mu @ F and the maxima are taken
+    elementwise across the columns.
+
+    The grid is cut into tiles of at most _ORACLE_BLOCK / 16 directions
+    (_AngleTiles), and one vectorised pass bounds every tile's values
+    from above (_tile_bounds).  Tiles are evaluated in order of
+    decreasing bound, in blocks of at most _ORACLE_BLOCK = 2^14
+    directions held as n columns in buffers kept for the whole scan,
+    starting from the floor, and the scan stops at the first bound below
+    the running maximum: the skipped tiles cannot reach it, so the value
+    is the maximum of the same per-direction values over the same grid.
+    Where nothing can be skipped (every direction of tri_uniform WP at
+    s = 0 is a Poincare optimiser) each direction is evaluated once.
+
+    A scan of more than 1e8 directions is refused with ConfigError before
+    anything is allocated: n = 3 at 1e-3 is 2.5e6 directions (1.97e7 for
+    WP), n = 4 at 1e-3 is 3.9e9 (6.2e10 for WP), so four-state forms run
+    only at coarse resolution (n = 4 WP at 1e-2 is 6.2e7).  An s that is
+    not a real, finite number >= 0 (a bool included) raises
+    MathDomainError; s = 0 is the WP case.
     """
-    if not (isinstance(s, (int, float)) and math.isfinite(s) and s >= 0):
-        raise MathDomainError(f"oracle trade-off s must be finite and >= 0, got {s!r}")
+    s = _trade_off(s, "oracle trade-off s", allow_zero=True)
     if form.n > 4:
         raise ConfigError("brute-force oracle supports at most 4 states")
     if not (0 < resolution <= 1e-2):
@@ -537,40 +769,44 @@ def brute_force_oracle(
             f"oracle scan of {count} directions exceeds the limit of {_ORACLE_MAX_DIRECTIONS}; "
             "use a coarser resolution"
         )
-    s = float(s)
-    mu = form.mu
     i_idx, j_idx = np.nonzero(np.triu(form.weights, 1))
     edges = list(zip(i_idx, j_idx, form.weights[i_idx, j_idx]))
-    best = -math.inf
     wmax = float(np.max(form.weights)) if form.n > 1 else 0.0
     e_floor = _E_TINY * max(wmax, 1e-30)
-    for F in _direction_blocks(form.n, resolution, signed):
-        E = np.zeros(F.shape[1])
-        for i, j, w in edges:
-            E += w * (F[i] - F[j]) ** 2
-        F2 = F * F
-        m2 = mu @ F2
-        if kind == "SP":
-            m1 = mu @ np.abs(F)
-            vals = (m2 - s * E) / np.maximum(m1 * m1, 1e-300)
-        elif kind == "SL":
-            terms = F2 * np.log(np.maximum(F2, _LOG_FLOOR))
-            ent = mu @ terms - m2 * np.log(np.maximum(m2, _LOG_FLOOR))
-            vals = np.maximum(ent, 0.0) / np.maximum(m2, 1e-300)
-            vals = vals - s * E / np.maximum(m2, 1e-300)
-        else:
-            # max |f|^2 = max f^2; WL directions are >= 0, so also (max f)^2.
-            sup2 = np.max(F2, axis=0)
-            if kind == "WL":
-                terms = F2 * np.log(np.maximum(F2, _LOG_FLOOR))
-                top = np.maximum(mu @ terms - m2 * np.log(np.maximum(m2, _LOG_FLOOR)), 0.0)
-            else:
-                m = mu @ F
-                top = m2 - m * m
-            ok = E > e_floor * sup2
-            vals = np.where(ok, (top - s * sup2) / np.maximum(E, 1e-300), -np.inf)
+    best = _FLOOR[kind]
+    if form.n == 1:
+        return max(best, float(_oracle_values(kind, np.ones((1, 1)), s, form.mu, edges, e_floor).max()))
+    gap = None
+    if signed:
+        try:
+            gap = spectral_gap(form).gap
+        except SingularityError:
+            pass
+        # eigh's error is about 1e-15 of the generator's norm, here bounded
+        # by Gershgorin: the cut's 1e-9 margin covers it for gaps over 1e-6 of that.
+        if gap is not None and gap < 1e-6 * 2.0 * float(np.max(np.diag(form.laplacian))) / float(np.min(form.mu)):
+            gap = None
+    tiles = _AngleTiles(form.n, resolution, signed)
+    # Bounded in slabs of _ORACLE_BLOCK // 4 tiles: the bound's temporaries,
+    # some twenty arrays of n x slab floats, stay within an evaluation block's.
+    slab = max(1, _ORACLE_BLOCK // 4)
+    bounds = np.concatenate([
+        _tile_bounds(kind, form, s, *tiles.enclosures(np.arange(a, min(a + slab, tiles.count))), gap)
+        for a in range(0, tiles.count, slab)
+    ])
+    order = np.argsort(-bounds, kind="stable")
+    # One pair of buffers serves every block: fresh arrays per block made
+    # malloc return their pages to the system and fault them in again.
+    most = tiles.per_block * tiles.side ** (form.n - 1)
+    dirs, work = np.empty(2 * form.n * most), np.empty((2 * form.n + 5) * most)
+    for k in range(0, order.size, tiles.per_block):
+        block = order[k : k + tiles.per_block]
+        block = block[bounds[block] >= best]
+        if not block.size:
+            break
+        vals = _oracle_values(kind, tiles.directions(block, dirs), s, form.mu, edges, e_floor, work)
         best = max(best, float(vals.max()))
-    return max(best, _FLOOR[kind])
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import make_fixture_forms
 
 from ratecalc import (
     ConfigError,
     FiniteDirichletForm,
     MathDomainError,
+    SingularityError,
     SolverConfig,
     Tabulated,
     brute_force_oracle,
@@ -161,6 +163,107 @@ def reference_oracle(form, kind, s, resolution):
     return max(best, 1.0 if kind == "SP" else 0.0)
 
 
+def _streamed_direction_blocks(n, resolution, signed, block=1 << 14):
+    """The oracle's directions in the streamed layout it had before tiling, as (n, m) column blocks.
+
+    Runs of consecutive flat indices, each a range of outer indices (all
+    axes but the last) times a slice of the last axis, at most ``block``
+    directions; the outer factors are gathered once per outer index and
+    broadcast along the slice.
+    """
+    if n == 1:
+        yield np.ones((1, 1))
+        return
+    axes = [np.linspace(0.0, span, size) for span, size in optconst._direction_axes(n, resolution, signed)]
+    cos = [np.cos(a) for a in axes]
+    sin = [np.sin(a) for a in axes]
+    outer = tuple(a.size for a in axes[:-1])
+    last = axes[-1].size
+    rows = max(1, block // last)
+    width = min(last, block)
+    n_outer = math.prod(outer)
+    for o in range(0, n_outer, rows):
+        idx = np.unravel_index(np.arange(o, min(o + rows, n_outer)), (1, *outer))[1:]
+        sin_prod = np.ones(min(rows, n_outer - o))
+        heads = []
+        for i in range(n - 2):
+            heads.append(sin_prod * cos[i][idx[i]])
+            sin_prod = sin_prod * sin[i][idx[i]]
+        for a in range(0, last, width):
+            b = min(a + width, last)
+            F = np.empty((n, sin_prod.size, b - a))
+            for i, head in enumerate(heads):
+                F[i] = head[:, None]
+            np.multiply.outer(sin_prod, cos[-1][a:b], out=F[n - 2])
+            np.multiply.outer(sin_prod, sin[-1][a:b], out=F[n - 1])
+            yield F.reshape(n, -1)
+
+
+def streamed_oracle(form, kind, s, resolution):
+    """The full column-wise scan of every direction, block by block, as the oracle ran before tiling."""
+    mu = form.mu
+    i_idx, j_idx = np.nonzero(np.triu(form.weights, 1))
+    edges = list(zip(i_idx, j_idx, form.weights[i_idx, j_idx]))
+    best = -math.inf
+    wmax = float(np.max(form.weights)) if form.n > 1 else 0.0
+    e_floor = 1e-14 * max(wmax, 1e-30)
+    for F in _streamed_direction_blocks(form.n, resolution, kind == "WP"):
+        E = np.zeros(F.shape[1])
+        for i, j, w in edges:
+            E += w * (F[i] - F[j]) ** 2
+        F2 = F * F
+        m2 = mu @ F2
+        if kind == "SP":
+            m1 = mu @ np.abs(F)
+            vals = (m2 - s * E) / np.maximum(m1 * m1, 1e-300)
+        elif kind == "SL":
+            terms = F2 * np.log(np.maximum(F2, 1e-300))
+            ent = mu @ terms - m2 * np.log(np.maximum(m2, 1e-300))
+            vals = np.maximum(ent, 0.0) / np.maximum(m2, 1e-300)
+            vals = vals - s * E / np.maximum(m2, 1e-300)
+        else:
+            sup2 = np.max(F2, axis=0)
+            if kind == "WL":
+                terms = F2 * np.log(np.maximum(F2, 1e-300))
+                top = np.maximum(mu @ terms - m2 * np.log(np.maximum(m2, 1e-300)), 0.0)
+            else:
+                m = mu @ F
+                top = m2 - m * m
+            ok = E > e_floor * sup2
+            vals = np.where(ok, (top - s * sup2) / np.maximum(E, 1e-300), -np.inf)
+        best = max(best, float(vals.max()))
+    return max(best, 1.0 if kind == "SP" else 0.0)
+
+
+def _meshgrid_directions(n, resolution, signed):
+    """Every direction of the oracle grid as (m, n) rows, from a meshgrid of its angles."""
+    spans = [math.pi / 2] * (n - 1) if not signed else [math.pi] * (n - 2) + [2 * math.pi]
+    axes = [np.linspace(0.0, sp, int(round(sp / resolution)) + 1) for sp in spans]
+    phis = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    grid = np.empty((phis.shape[0], n))
+    sin_prod = np.ones(phis.shape[0])
+    for i in range(n - 1):
+        grid[:, i] = sin_prod * np.cos(phis[:, i])
+        sin_prod = sin_prod * np.sin(phis[:, i])
+    grid[:, n - 1] = sin_prod
+    return grid
+
+
+def _tile_blocks(tiles):
+    """Every tile, in order, gathered as the scan gathers them: (tile ids, (n, m) block)."""
+    for a in range(0, tiles.count, tiles.per_block):
+        ids = np.arange(a, min(a + tiles.per_block, tiles.count))
+        yield ids, tiles.directions(ids)
+
+
+def _tile_order(tiles):
+    """The grid's flat indices in the order the tiles list them: by tile, then in C order inside it."""
+    sizes = [table.size for table in tiles.cos]
+    j = np.unravel_index(np.arange(math.prod(sizes)), sizes)
+    tile = np.ravel_multi_index([jk // tiles.side for jk in j], tiles.shape)
+    return np.lexsort(j[::-1] + (tile,))
+
+
 def _four_state_path():
     w = np.zeros((4, 4))
     for i in range(3):
@@ -187,7 +290,7 @@ class TestOracle:
         form = FiniteDirichletForm(mu=np.array([1.0]), weights=np.zeros((1, 1)))
         assert brute_force_oracle(form, "SP", 0.1, 1e-2) == 1.0
 
-    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, -1.0, -1e-300, True, np.bool_(False), "0.1"])
     @pytest.mark.parametrize("kind", ["SP", "WL", "WP"])
     def test_rejects_s_outside_domain_up_front(self, fixture_forms, monkeypatch, kind, s):
         # nan and inf used to return the floor, and s = -1 gave 4319 for WL.
@@ -195,7 +298,9 @@ class TestOracle:
             raise AssertionError("the scan was set up")
 
         monkeypatch.setattr(optconst, "_direction_axes", unreachable)
-        monkeypatch.setattr(optconst, "_direction_blocks", unreachable)
+        monkeypatch.setattr(optconst, "_AngleTiles", unreachable)
+        monkeypatch.setattr(optconst, "_tile_bounds", unreachable)
+        monkeypatch.setattr(optconst, "_oracle_values", unreachable)
         with pytest.raises(MathDomainError):
             brute_force_oracle(fixture_forms["tri_skewed"], kind, s, 1e-2)
 
@@ -205,22 +310,15 @@ class TestOracle:
 
     @pytest.mark.parametrize("block", [None, 997, 50])
     def test_streamed_directions_match_meshgrid(self, monkeypatch, block):
+        # The tile blocks hold every grid direction exactly once, with the meshgrid's bits.
         if block is not None:
             monkeypatch.setattr(optconst, "_ORACLE_BLOCK", block)
-        res = 1e-2
-        for n in (2, 3):
+        for n, res in ((2, 1e-2), (3, 1e-2), (4, 5e-2)):
             for signed in (False, True):
-                spans = [math.pi / 2] * (n - 1) if not signed else [math.pi] * (n - 2) + [2 * math.pi]
-                axes = [np.linspace(0.0, sp, int(round(sp / res)) + 1) for sp in spans]
-                phis = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-                grid = np.empty((phis.shape[0], n))
-                sin_prod = np.ones(phis.shape[0])
-                for i in range(n - 1):
-                    grid[:, i] = sin_prod * np.cos(phis[:, i])
-                    sin_prod = sin_prod * np.sin(phis[:, i])
-                grid[:, n - 1] = sin_prod
-                streamed = np.concatenate([b.T for b in optconst._direction_blocks(n, res, signed)])
-                assert np.array_equal(streamed, grid), (n, signed)
+                grid = _meshgrid_directions(n, res, signed)
+                tiles = optconst._AngleTiles(n, res, signed)
+                streamed = np.concatenate([b.T for _, b in _tile_blocks(tiles)])
+                assert np.array_equal(streamed, grid[_tile_order(tiles)]), (n, signed)
 
     def test_memory_bounded_by_block(self, fixture_forms):
         # The signed 3-state grid at 2e-3 has 1572 * 3143 directions:
@@ -234,13 +332,15 @@ class TestOracle:
             tracemalloc.stop()
         assert peak < grid_bytes / 2
 
-    @pytest.mark.parametrize("block", [None, 50])
+    @pytest.mark.parametrize("block", [None, 997, 50])
     def test_blocks_hold_at_most_one_block_of_directions(self, monkeypatch, block):
         if block is not None:
             monkeypatch.setattr(optconst, "_ORACLE_BLOCK", block)
         for n, signed in ((2, False), (2, True), (3, False), (3, True), (4, False)):
             total = 0
-            for b in optconst._direction_blocks(n, 1e-2, signed):
+            tiles = optconst._AngleTiles(n, 1e-2, signed)
+            assert 0 < tiles.side ** (n - 1) <= max(1, optconst._ORACLE_BLOCK // 16)
+            for _, b in _tile_blocks(tiles):
                 assert b.shape[0] == n and 0 < b.shape[1] <= optconst._ORACLE_BLOCK
                 total += b.shape[1]
             assert total == (158 if not signed else 315) ** (n - 2) * (158 if not signed else 629)
@@ -303,6 +403,214 @@ class TestOracle:
             a = brute_force_oracle(form, kind, 0.05, 2e-3)
             b = brute_force_oracle(form, kind, 0.05, 1e-3)
             assert a == pytest.approx(b, rel=5e-3, abs=1e-9)
+
+
+def _forms_of_sizes(seed, sizes):
+    """One conftest.random_form per requested state count, drawn in order from one generator."""
+    from conftest import random_form
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in sizes:
+        form = random_form(rng, n_max=4)
+        while form.n != n:
+            form = random_form(rng, n_max=4)
+        out.append(form)
+    return out
+
+
+def _oracle_gap(form, kind):
+    """The spectral gap the oracle's WP bound uses; None where it has none."""
+    if kind != "WP":
+        return None
+    try:
+        return spectral_gap(form).gap
+    except SingularityError:
+        return None
+
+
+def _tile_maxima(tiles, form, kind, s):
+    """The largest value _oracle_values computes on each tile's directions, in the scan's blocks."""
+    i_idx, j_idx = np.nonzero(np.triu(form.weights, 1))
+    edges = list(zip(i_idx, j_idx, form.weights[i_idx, j_idx]))
+    e_floor = 1e-14 * max(float(np.max(form.weights)), 1e-30)
+    out = np.empty(tiles.count)
+    for ids, F in _tile_blocks(tiles):
+        first = np.unravel_index(ids, tiles.shape)
+        sizes = np.ones(ids.size, dtype=int)
+        for i, table in enumerate(tiles.cos):
+            sizes *= np.minimum(tiles.side, table.size - first[i] * tiles.side)
+        vals = optconst._oracle_values(kind, F, s, form.mu, edges, e_floor)
+        out[ids] = np.maximum.reduceat(vals, np.concatenate([[0], np.cumsum(sizes)[:-1]]))
+    return out
+
+
+def _bound_shortfalls(form, kind, s, resolution):
+    """Tiles whose bound is below the largest value computed on their directions, as (tile, bound, max)."""
+    signed = kind == "WP"
+    tiles = optconst._AngleTiles(form.n, resolution, signed)
+    lo, hi = tiles.enclosures(np.arange(tiles.count))
+    bounds = optconst._tile_bounds(kind, form, s, lo, hi, _oracle_gap(form, kind))
+    maxima = _tile_maxima(tiles, form, kind, s)
+    bad = np.flatnonzero(~(bounds >= maxima))
+    return [(int(t), float(bounds[t]), float(maxima[t])) for t in bad[:3]]
+
+
+TRADE_OFFS = (0.0, 1e-3, 0.01, 0.1, 1.0, 10.0)
+
+
+class TestTiledOracle:
+    @pytest.mark.parametrize("name", sorted(make_fixture_forms()))
+    def test_matches_streamed_scan_on_fixtures(self, fixture_forms, name):
+        form = fixture_forms[name]
+        for kind in ("SP", "SL", "WL", "WP"):
+            for s in (1e-3, 0.1, 1.0):
+                got = brute_force_oracle(form, kind, s, 1e-3)
+                assert repr(got) == repr(streamed_oracle(form, kind, s, 1e-3)), (kind, s)
+
+    @pytest.mark.parametrize("name", ["tri_uniform", "path3_uniform"])
+    @pytest.mark.parametrize("kind", ["WL", "WP"])
+    def test_matches_streamed_scan_at_zero(self, fixture_forms, name, kind):
+        form = fixture_forms[name]
+        assert repr(brute_force_oracle(form, kind, 0.0, 1e-3)) == repr(streamed_oracle(form, kind, 0.0, 1e-3))
+
+    def test_matches_streamed_scan_on_random_forms(self):
+        for form in _forms_of_sizes(41, (2, 2, 3, 3, 4)):
+            for kind in ("SP", "SL", "WL", "WP"):
+                for s in (0.0, 0.01, 1.0) if form.n < 4 else (0.1,):
+                    got = brute_force_oracle(form, kind, s, 1e-2)
+                    assert repr(got) == repr(streamed_oracle(form, kind, s, 1e-2)), (form.n, kind, s)
+
+    @pytest.mark.parametrize("n, resolution", [(2, 1e-3), (3, 1e-2), (4, 5e-2)])
+    def test_bound_holds_for_computed_values(self, n, resolution):
+        for form in _forms_of_sizes(7 + n, (n, n)):
+            for kind in ("SP", "SL", "WL", "WP"):
+                for s in TRADE_OFFS:
+                    assert _bound_shortfalls(form, kind, s, resolution) == [], (kind, s)
+
+    @pytest.mark.parametrize("n, resolution", [(2, 1e-2), (3, 5e-2), (4, 1e-1)])
+    def test_bound_holds_on_tiles_of_a_few_directions(self, monkeypatch, n, resolution):
+        # Tiles of 1-4 directions leave the interval arithmetic nothing to
+        # widen: only the slack separates a bound from the values it bounds.
+        monkeypatch.setattr(optconst, "_ORACLE_BLOCK", 64)
+        for form in _forms_of_sizes(17 + n, (n,)):
+            for kind in ("SP", "SL", "WL", "WP"):
+                for s in TRADE_OFFS:
+                    assert _bound_shortfalls(form, kind, s, resolution) == [], (kind, s)
+
+    @pytest.mark.parametrize("block", [None, 16])
+    def test_bound_holds_next_to_the_constant_direction(self, two_point_uniform, monkeypatch, block):
+        # On two states every nonconstant f has Var/E = 1/gap exactly, and at
+        # 2*pi/6281 a grid angle lies 1.25e-4 from pi/4, where the computed
+        # Var/E exceeds 1/gap by ~1e-8 relative: the Poincare cut must not
+        # reach that direction's tile, even when the tile is that one direction.
+        if block is not None:
+            monkeypatch.setattr(optconst, "_ORACLE_BLOCK", block)
+        resolution = 2 * math.pi / 6281
+        assert streamed_oracle(two_point_uniform, "WP", 0.0, resolution) > 0.25 * (1 + 1e-9)
+        assert _bound_shortfalls(two_point_uniform, "WP", 0.0, resolution) == []
+        got = brute_force_oracle(two_point_uniform, "WP", 0.0, resolution)
+        assert repr(got) == repr(streamed_oracle(two_point_uniform, "WP", 0.0, resolution))
+
+    def test_poincare_cut_needs_a_gap_eigh_resolves(self, monkeypatch):
+        # A mass of 1e-8 puts the generator's norm near 1e8 times its gap,
+        # where eigh's error could exceed the cut's 1e-9 margin.
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 0] = w[1, 2] = w[2, 1] = 1.0
+        form = FiniteDirichletForm(mu=np.array([1e-8, 0.5, 0.5 - 1e-8]), weights=w)
+        gaps = []
+        real = optconst._tile_bounds
+
+        def recording(kind, form, s, lo, hi, gap):
+            gaps.append(gap)
+            return real(kind, form, s, lo, hi, gap)
+
+        monkeypatch.setattr(optconst, "_tile_bounds", recording)
+        got = brute_force_oracle(form, "WP", 0.1, 1e-2)
+        assert gaps and all(g is None for g in gaps)
+        assert repr(got) == repr(streamed_oracle(form, "WP", 0.1, 1e-2))
+        gaps.clear()
+        brute_force_oracle(_four_state_path(), "WP", 0.1, 1e-2)
+        assert gaps and all(g == spectral_gap(_four_state_path()).gap for g in gaps)
+
+    def test_prunes_most_of_a_wp_scan(self, fixture_forms, monkeypatch):
+        counted = []
+        real = optconst._oracle_values
+
+        def counting(kind, F, *args):
+            counted.append(F.shape[1])
+            return real(kind, F, *args)
+
+        monkeypatch.setattr(optconst, "_oracle_values", counting)
+        form = fixture_forms["tri_skewed"]
+        got = brute_force_oracle(form, "WP", 0.01, 1e-3)
+        assert sum(counted) < 0.05 * 3143 * 6284
+        monkeypatch.setattr(optconst, "_oracle_values", real)
+        assert repr(got) == repr(streamed_oracle(form, "WP", 0.01, 1e-3))
+
+    def test_unpruned_scan_evaluates_each_direction_once(self, fixture_forms, monkeypatch):
+        # Every nonconstant direction of tri_uniform has Var/E = 1/9, so at
+        # s = 0 no tile's bound falls below the running maximum.
+        counted = []
+        real = optconst._oracle_values
+
+        def counting(kind, F, *args):
+            counted.append(F.shape[1])
+            return real(kind, F, *args)
+
+        monkeypatch.setattr(optconst, "_oracle_values", counting)
+        brute_force_oracle(fixture_forms["tri_uniform"], "WP", 0.0, 5e-3)
+        assert sum(counted) == 629 * 1258
+
+    def test_wl_above_threshold_is_the_floor(self, fixture_forms, monkeypatch):
+        counted = []
+        real = optconst._oracle_values
+
+        def counting(kind, F, *args):
+            counted.append(F.shape[1])
+            return real(kind, F, *args)
+
+        monkeypatch.setattr(optconst, "_oracle_values", counting)
+        for name in ("path3_uniform", "path3_skewed", "tri_uniform", "tri_skewed"):
+            assert brute_force_oracle(fixture_forms[name], "WL", 1.0, 1e-3) == 0.0, name
+        assert sum(counted) < 0.01 * 4 * 1572**2
+
+    def test_four_state_wp_scan_memory(self):
+        # 315 * 315 * 629 = 6.2e7 directions, 1.5 GB per coordinate if held at once.
+        tracemalloc.start()
+        try:
+            got = brute_force_oracle(_four_state_path(), "WP", 0.1, 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got > 0.0
+        assert peak < 16_000_000
+
+
+class TestTradeOffTypes:
+    @pytest.mark.parametrize("s", [np.float32(0.1), np.float64(0.1), np.int64(1), 1])
+    def test_oracle_takes_any_real_scalar(self, fixture_forms, s):
+        form = fixture_forms["path3_skewed"]
+        for kind in ("SP", "WP"):
+            assert brute_force_oracle(form, kind, s, 1e-2) == brute_force_oracle(form, kind, float(s), 1e-2)
+
+    @pytest.mark.parametrize("s", [np.float32(0.1), np.int64(1)])
+    def test_solver_takes_any_real_scalar(self, two_point_uniform, s):
+        cfg = SolverConfig(restarts=2, max_iters=50, seed=1)
+        for kind, solve in zip(("SP", "SL", "WL", "WP"), (optimal_sp, optimal_sl, optimal_wl, optimal_wp)):
+            want = optimal_value(two_point_uniform, kind, float(s), cfg)
+            assert optimal_value(two_point_uniform, kind, s, cfg) == want
+            assert solve(two_point_uniform, s, cfg) == want
+
+    @pytest.mark.parametrize("s", [True, False, np.bool_(True), "1", None, 1 + 0j])
+    def test_non_reals_and_bools_refused(self, two_point_uniform, s):
+        with pytest.raises(MathDomainError):
+            brute_force_oracle(two_point_uniform, "WP", s, 1e-2)
+        for kind, solve in zip(("SP", "SL", "WL", "WP"), (optimal_sp, optimal_sl, optimal_wl, optimal_wp)):
+            with pytest.raises(MathDomainError):
+                optimal_value(two_point_uniform, kind, s)
+            with pytest.raises(MathDomainError):
+                solve(two_point_uniform, s)
 
 
 class TestEmpiricalRate:
