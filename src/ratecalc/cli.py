@@ -46,6 +46,7 @@ from .transforms import (
     TransformConfig,
     _kernel_min,
     _sl_map,
+    _start_index,
     _wl_map,
     log_grid,
     sl_from_sp,
@@ -404,7 +405,7 @@ def _example_default_grid(branch: str, theta: float, beta, cfg: TransformConfig)
         return log_grid(1e-4, 1e-2, 60)
     # wl2sp: example11 fits beta, so k*(s) stays below 380, where delta^k
     # fits in a double; the window spans at least a factor 20 in s.
-    n0 = cfg.n0 if cfg.n0 is not None else 2
+    n0 = _start_index(beta, cfg, "wl")
     s_lo, s_hi = wl2sp_window(beta, cfg, min(n0 + 3, cfg.N_max), min(380, cfg.k_max, cfg.N_max))
     return log_grid(s_lo, max(s_hi, s_lo * 20.0), 40)
 

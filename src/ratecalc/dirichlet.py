@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MathDomainError, SingularityError
+from .errors import ConfigError, MathDomainError, SingularityError, _json_number
 
 __all__ = [
     "FiniteDirichletForm",
@@ -112,28 +112,33 @@ class FiniteDirichletForm:
         return np.maximum(np.einsum("ij,jk,ik->i", F, self._lap, F), 0.0)
 
     def to_json_dict(self) -> dict:
-        edges = []
-        n = self.n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.weights[i, j] > 0:
-                    edges.append([i, j, float(self.weights[i, j])])
-        return {"mu": [float(x) for x in self.mu], "edges": edges}
+        i, j = np.nonzero(np.triu(self.weights, 1) > 0)
+        edges = [[a, b, w] for a, b, w in zip(i.tolist(), j.tolist(), self.weights[i, j].tolist())]
+        return {"mu": self.mu.tolist(), "edges": edges}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FiniteDirichletForm":
+        """The form of {"mu": [numbers], "edges": [[i, j, weight], ...]}.
+
+        Anything else, a bool or a string where a number goes included,
+        raises ConfigError.
+        """
         try:
-            mu = np.asarray(d["mu"], dtype=float)
-            edges = d["edges"]
+            mu, edges = d["mu"], d["edges"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed form JSON: {exc}")
+        if not isinstance(mu, (list, tuple)) or not isinstance(edges, (list, tuple)):
+            raise ConfigError("form JSON 'mu' and 'edges' must be lists")
+        mu = np.array([_json_number(x, "mu entry") for x in mu], dtype=float)
         n = mu.size
         w = np.zeros((n, n))
-        for i, j, wij in edges:
-            i, j = int(i), int(j)
+        for edge in edges:
+            if not isinstance(edge, (list, tuple)) or len(edge) != 3:
+                raise ConfigError(f"edge {edge!r} must be [i, j, weight]")
+            i, j = (_json_number(k, "edge index", integral=True) for k in edge[:2])
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ConfigError(f"edge ({i}, {j}) out of range or a self-loop")
-            w[i, j] = w[j, i] = float(wij)
+            w[i, j] = w[j, i] = _json_number(edge[2], "edge weight")
         return cls(mu=mu, weights=w)
 
     def save(self, path) -> None:
@@ -254,6 +259,6 @@ def build_birth_death(
     mu = np.exp(log_mu)
     mu /= mu.sum()
     w = np.zeros((n, n))
-    for i in range(n - 1):
-        w[i, i + 1] = w[i + 1, i] = (mu[i] + mu[i + 1]) / (2.0 * h * h)
+    i = np.arange(n - 1)
+    w[i, i + 1] = w[i + 1, i] = (mu[:-1] + mu[1:]) / (2.0 * h * h)
     return FiniteDirichletForm(mu=mu, weights=w)

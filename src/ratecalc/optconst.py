@@ -81,34 +81,28 @@ _LOG_FLOOR = 1e-300
 _E_TINY = 1e-14
 # Rows x n of one ascent block: verify's 6 s x 31 starts on n = 41 fit in one.
 _BLOCK_CELLS = 1 << 16
+# Projected-gradient ascent: iterations per start, the relative gain that
+# counts as a stall, the Armijo sufficient-increase factor, and the first
+# and smallest step of the backtracking line search.
+_MAX_ITERS = 500
+_REL_TOL = 1e-10
+_ARMIJO = 1e-4
+_STEP_INIT = 1.0
+_STEP_MIN = 1e-18
+# Relative slack of certify_inequality's beta.
+_INFLATION = 1e-9
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Projected-gradient settings; >= 20 restarts per evaluation."""
+    """Seeded random restarts per evaluation, 24 by default; the ascent settings are module constants."""
 
     restarts: int = 24
-    max_iters: int = 500
-    rel_tol: float = 1e-10
-    armijo: float = 1e-4
-    step_init: float = 1.0
-    step_min: float = 1e-18
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ConfigError("solver needs at least one restart")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be positive")
-        # NaN fails every comparison below, so each check also rejects it.
-        if not (0.0 < self.step_init < math.inf):
-            raise ConfigError(f"step_init must be positive and finite, got {self.step_init!r}")
-        if not (0.0 < self.step_min <= self.step_init):
-            raise ConfigError(f"step_min must be in (0, step_init], got {self.step_min!r}")
-        if not (0.0 <= self.armijo < 1.0):
-            raise ConfigError(f"armijo must be in [0, 1), got {self.armijo!r}")
-        if not (0.0 <= self.rel_tol < math.inf):
-            raise ConfigError(f"rel_tol must be nonnegative and finite, got {self.rel_tol!r}")
 
 
 def _rowdot(A: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -279,12 +273,12 @@ class _Objective:
         return starts
 
 
-def _ascend_block(obj: _Objective, F0: np.ndarray, s: np.ndarray, cfg: SolverConfig) -> tuple:
+def _ascend_block(obj: _Objective, F0: np.ndarray, s: np.ndarray) -> tuple:
     """Projected-gradient ascent of every row of the (m, n) block F0 at once.
 
     Row i ascends the objective at trade-off s[i] and follows the rules
     of a lone ascent: its own step, Armijo backtracking of at most 60
-    halvings down to cfg.step_min, stall counter and max_iters.  A row
+    halvings down to _STEP_MIN, stall counter and _MAX_ITERS.  A row
     leaves the active set when it stops.  LF = F L is computed once per
     accepted iterate; the line search uses it for the candidate's value
     and the next iteration for its gradient.
@@ -301,7 +295,7 @@ def _ascend_block(obj: _Objective, F0: np.ndarray, s: np.ndarray, cfg: SolverCon
         ok &= np.isfinite(val)
         val[~ok] = -math.inf
         m = F.shape[0]
-        step = np.full(m, float(cfg.step_init))
+        step = np.full(m, _STEP_INIT)
         stall = np.zeros(m, dtype=int)
         iters = np.zeros(m, dtype=int)
         act = np.flatnonzero(ok)
@@ -323,20 +317,20 @@ def _ascend_block(obj: _Objective, F0: np.ndarray, s: np.ndarray, cfg: SolverCon
                 P, pok = obj.project(base[search] + a[:, None] * G[search])
                 LP = obj.apply_lap(P)
                 pval = obj.evaluate(P, LP, base_s[search])
-                good = pok & (pval > base_val[search] + cfg.armijo * a * g2[search])
+                good = pok & (pval > base_val[search] + _ARMIJO * a * g2[search])
                 hit = search[good]
                 F[act[hit]], LF[act[hit]] = P[good], LP[good]
                 new_val[hit] = pval[good]
                 accepted[hit] = True
                 search = search[~good]
                 alpha[search] *= 0.5
-                search = search[alpha[search] >= cfg.step_min]
+                search = search[alpha[search] >= _STEP_MIN]
             act, alpha, new_val = act[accepted], alpha[accepted], new_val[accepted]
             gain = new_val - val[act]
             val[act] = new_val
             step[act] = np.minimum(alpha * 2.0, 1e6)
-            stall[act] = np.where(gain <= cfg.rel_tol * (1.0 + np.abs(new_val)), stall[act] + 1, 0)
-            act = act[(stall[act] < 3) & (iters[act] < cfg.max_iters)]
+            stall[act] = np.where(gain <= _REL_TOL * (1.0 + np.abs(new_val)), stall[act] + 1, 0)
+            act = act[(stall[act] < 3) & (iters[act] < _MAX_ITERS)]
     return val, F, iters, ok
 
 
@@ -388,7 +382,7 @@ def _solve_grid(form: FiniteDirichletForm, kind: str, s: np.ndarray, cfg: Solver
         hi = min(lo + rows, total)
         si, start = np.divmod(np.arange(lo, hi), per_s)
         F0 = _start_block(obj, structured, s[si], start, cfg)
-        vals, F, it, _ = _ascend_block(obj, F0, s[si], cfg)
+        vals, F, it, _ = _ascend_block(obj, F0, s[si])
         for j in range(si[0], si[-1] + 1):
             # The rows of s[j] in this block are rows a..b-1.
             a, b = max(j * per_s, lo) - lo, min((j + 1) * per_s, hi) - lo
@@ -823,7 +817,6 @@ class EmpiricalRateFunction:
     values: tuple
     restarts: int
     seed: int
-    envelope_applied: bool
     stats: dict = field(default_factory=dict)
 
     def to_tabulated(self) -> Tabulated:
@@ -835,7 +828,7 @@ class EmpiricalRateFunction:
             "kind": self.kind,
             "seed": self.seed,
             "restarts": self.restarts,
-            "envelope_applied": self.envelope_applied,
+            "envelope_applied": True,
             "solver_stats": self.stats,
         }
 
@@ -869,7 +862,6 @@ def empirical_rate(
         values=tuple(float(v) for v in env),
         restarts=cfg.restarts,
         seed=cfg.seed,
-        envelope_applied=True,
         stats={"iterations_total": int(iters.sum()), "raw_values": [float(v) for v in raw]},
     )
 
@@ -913,9 +905,8 @@ def certify_inequality(
     beta: float,
     n_samples: int = 1000,
     seed: int = 0,
-    inflation: float = 1e-9,
 ) -> tuple:
-    """Check the inequality for beta (inflated) on random test functions.
+    """Check the inequality for beta, inflated by a relative _INFLATION, on random test functions.
 
     Returns (passed, worst_margin), each margin (s*b + beta*c - a) /
     max(1, |a|); a certified beta has all margins finite and >= -1e-12.
@@ -933,6 +924,6 @@ def certify_inequality(
     # One (n_samples, n) draw is the same stream as n_samples draws of n.
     F = rng.standard_normal((n_samples, form.n))
     (a, _), (b, _), (c, _) = _INEQUALITIES[kind].terms(F, form.energy_many(F), None, form.mu)
-    margins = (s * b + beta * (1.0 + inflation) * c - a) / np.maximum(1.0, np.abs(a))
+    margins = (s * b + beta * (1.0 + _INFLATION) * c - a) / np.maximum(1.0, np.abs(a))
     worst = float(np.min(margins))
     return bool(np.all(np.isfinite(margins)) and worst >= -1e-12), worst

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapError, ConfigError, FitError, MathDomainError
+from .errors import CapError, ConfigError, FitError, MathDomainError, _json_number, _require_finite
 
 __all__ = [
     "RateFunction",
@@ -139,6 +139,7 @@ class ExpPower(RateFunction):
             raise ConfigError("ExpPower requires C > 0")
         if not (self.theta >= 0.5):
             raise ConfigError("ExpPower requires theta >= 1/2")
+        _require_finite(self)
 
     def eval_many(self, s):
         s = _positive_array(s)
@@ -177,6 +178,7 @@ class PolyPower(RateFunction):
     def __post_init__(self):
         if not (self.C > 0 and self.p > 0):
             raise ConfigError("PolyPower requires C > 0 and p > 0")
+        _require_finite(self)
 
     def eval_many(self, s):
         s = _positive_array(s)
@@ -213,6 +215,7 @@ class LogPower(RateFunction):
             raise ConfigError("LogPower requires C > 0")
         if not (self.q >= 0):
             raise ConfigError("LogPower requires q >= 0")
+        _require_finite(self)
 
     def eval_many(self, s):
         s = _positive_array(s)
@@ -251,6 +254,7 @@ class InversePower(RateFunction):
     def __post_init__(self):
         if not (self.a > 0 and self.p > 0):
             raise ConfigError("InversePower requires a > 0 and p > 0")
+        _require_finite(self)
 
     def eval_many(self, s):
         s = _positive_array(s)
@@ -284,6 +288,7 @@ class Constant(RateFunction):
     def __post_init__(self):
         if not (self.B > 0):
             raise ConfigError("Constant requires B > 0")
+        _require_finite(self)
 
     def eval_many(self, s):
         s = _positive_array(s)
@@ -423,28 +428,40 @@ class LogTabulated(RateFunction):
         return {"family": "log_table", "log_points": [[a, b] for a, b in self.log_points]}
 
 
+def _param(d: dict, key: str) -> float:
+    return float(_json_number(d[key], f"rate function field {key!r}"))
+
+
+def _pairs(d: dict, key: str) -> tuple:
+    return tuple(
+        (float(_json_number(a, f"{key} entry")), float(_json_number(b, f"{key} entry"))) for a, b in d[key]
+    )
+
+
 _FAMILIES = {
-    "exp_power": lambda d: ExpPower(C=float(d["C"]), theta=float(d["theta"])),
-    "poly_power": lambda d: PolyPower(C=float(d["C"]), p=float(d["p"])),
-    "log_power": lambda d: LogPower(C=float(d["C"]), q=float(d["q"])),
-    "inverse_power": lambda d: InversePower(a=float(d["a"]), p=float(d["p"])),
-    "constant": lambda d: Constant(B=float(d["B"])),
-    "table": lambda d: Tabulated(points=tuple((float(a), float(b)) for a, b in d["points"])),
-    "log_table": lambda d: LogTabulated(
-        log_points=tuple((float(a), float(b)) for a, b in d["log_points"])
-    ),
+    "exp_power": lambda d: ExpPower(C=_param(d, "C"), theta=_param(d, "theta")),
+    "poly_power": lambda d: PolyPower(C=_param(d, "C"), p=_param(d, "p")),
+    "log_power": lambda d: LogPower(C=_param(d, "C"), q=_param(d, "q")),
+    "inverse_power": lambda d: InversePower(a=_param(d, "a"), p=_param(d, "p")),
+    "constant": lambda d: Constant(B=_param(d, "B")),
+    "table": lambda d: Tabulated(points=_pairs(d, "points")),
+    "log_table": lambda d: LogTabulated(log_points=_pairs(d, "log_points")),
 }
 
 
 def rate_function_from_json(d: dict) -> RateFunction:
-    """Rebuild a rate function from its ``to_json_dict`` form."""
+    """Rebuild a rate function from its ``to_json_dict`` form.
+
+    Every parameter and table entry must be a finite JSON number: a bool,
+    a string, Infinity or NaN raises ConfigError.
+    """
     try:
         family = d["family"]
     except (TypeError, KeyError):
         raise ConfigError("rate function JSON must carry a 'family' key")
     try:
         builder = _FAMILIES[family]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ConfigError(f"unknown rate function family {family!r}")
     try:
         return builder(d)
@@ -554,20 +571,14 @@ def monotone_envelope(points: Sequence[tuple]) -> Tabulated:
 _FIT_MODELS = ("log-log-power", "log-log-log", "log-of-log")
 
 
-def _linfit_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope and residual sum of squares of y on x."""
+def _linfit_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y on x."""
     A = np.column_stack([x, np.ones_like(x)])
     coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    return float(coef[0]), float(resid @ resid)
+    return float(coef[0])
 
 
-def fit_exponent(
-    samples: Sequence[tuple],
-    model: str,
-    s_range: tuple,
-    subtract_floor: bool = False,
-) -> float:
+def fit_exponent(samples: Sequence[tuple], model: str, s_range: tuple) -> float:
     """Least-squares exponent of a linearised growth model.
 
     Models (y regressed on x over samples with s inside ``s_range``):
@@ -579,10 +590,7 @@ def fit_exponent(
     * ``log-of-log``: y = log(log(value)), x = log(1/s); recovers theta
       for value ~ exp(c * s**-theta).
 
-    With ``subtract_floor`` the additive constant of families like
-    C*(1 + s**-p) is estimated first (1-D search over the floor c that
-    minimises the fit residual) and removed before regressing.  The fit
-    range must be supplied by the caller; growth orders hold only
+    The fit range must be supplied by the caller; growth orders hold only
     asymptotically, so no default window is guessed.
     """
     if model not in _FIT_MODELS:
@@ -599,39 +607,8 @@ def fit_exponent(
         raise FitError("fit requires positive finite values")
 
     if model == "log-of-log":
-        if subtract_floor:
-            raise ConfigError("floor subtraction does not apply to the log-of-log model")
         if np.any(v <= 1.0):
             raise FitError("log-of-log model requires values > 1")
-        x = np.log(1.0 / s)
-        y = np.log(np.log(v))
-        return _linfit_slope(x, y)[0]
-
+        return _linfit_slope(np.log(1.0 / s), np.log(np.log(v)))
     x = np.log(1.0 / s) if model == "log-log-power" else np.log(np.log1p(1.0 / s))
-
-    def slope_sse(floor: float) -> tuple[float, float]:
-        return _linfit_slope(x, np.log(v - floor))
-
-    if not subtract_floor:
-        return slope_sse(0.0)[0]
-
-    # Golden-section search for the floor minimising the residual.
-    lo_c, hi_c = 0.0, float(v.min()) * (1.0 - 1e-9)
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo_c, hi_c
-    c1 = b - phi * (b - a)
-    c2 = a + phi * (b - a)
-    f1, f2 = slope_sse(c1)[1], slope_sse(c2)[1]
-    for _ in range(200):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = slope_sse(c1)[1]
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = slope_sse(c2)[1]
-    best_c = 0.5 * (a + b)
-    if slope_sse(0.0)[1] <= slope_sse(best_c)[1]:
-        best_c = 0.0
-    return slope_sse(best_c)[0]
+    return _linfit_slope(x, np.log(v))

@@ -81,7 +81,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -92,6 +92,8 @@ from .errors import (
     ConfigError,
     DegenerateTransformError,
     MathDomainError,
+    _json_number,
+    _require_finite,
 )
 from .ratefn import ExtendedValue, LogTabulated, RateFunction, Tabulated, _running_max_from_right
 
@@ -250,18 +252,6 @@ _INTEGER_FIELDS = ("n0", "k_max", "N_max", "count")
 _NULLABLE_FIELDS = ("n0", "s0")
 
 
-def _require_finite(config) -> None:
-    """Refuse an infinite number among the fields of ``config``, in field order.
-
-    The range checks before it have refused NaN; None and a nested
-    GridSpec, which checks itself, are skipped.
-    """
-    for f in fields(config):
-        v = getattr(config, f.name)
-        if v is not None and not isinstance(v, GridSpec) and not math.isfinite(v):
-            raise ConfigError(f"{f.name} must be finite, got {v!r}")
-
-
 def _json_fields(d, cls, what: str) -> dict:
     """The fields of a JSON config object for ``cls``, each a number
     (an integral one for _INTEGER_FIELDS, read as int) except r_grid."""
@@ -274,12 +264,7 @@ def _json_fields(d, cls, what: str) -> dict:
     for key, v in d.items():
         if key == "r_grid" or (v is None and key in _NULLABLE_FIELDS):
             continue
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{what} field {key!r} must be a number, got {v!r}")
-        if key in _INTEGER_FIELDS:
-            if not (math.isfinite(v) and v == math.floor(v)):
-                raise ConfigError(f"{what} field {key!r} must be an integer, got {v!r}")
-            kwargs[key] = int(v)
+        kwargs[key] = _json_number(v, f"{what} field {key!r}", integral=key in _INTEGER_FIELDS)
     return kwargs
 
 
@@ -549,11 +534,23 @@ def _auto_n0_xi2(beta_sl: RateFunction, cfg: TransformConfig) -> int:
     ld = math.log(cfg.delta)
     if log_binf == -math.inf:
         return 2
-    binf = math.exp(log_binf)
+    # A limit at or past ld*(k_max + 1), perhaps past double range, is
+    # capped there: its k0 exceeds k_max either way.
+    binf = math.exp(min(log_binf, math.log(ld) + math.log(cfg.k_max + 1)))
     k0 = max(2, int(math.floor(binf / ld)) + 1)
     if k0 > cfg.k_max:
         raise CapError("auto-detected n0 exceeds k_max; increase k_max or set n0")
     return k0
+
+
+_AUTO_N0 = {"xi1": _auto_n0_xi1, "xi2": _auto_n0_xi2, "wl": lambda beta, cfg: 2}
+
+
+def _start_index(beta: RateFunction, cfg: TransformConfig, sequence: str) -> int:
+    """The start index n0 of a map's index sequence: cfg.n0, or by default
+    the sequence's smallest usable index, auto-detected for the xi1 and xi2
+    kernel sequences and 2 for the WL condition sequence."""
+    return cfg.n0 if cfg.n0 is not None else _AUTO_N0[sequence](beta, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +701,7 @@ def _sp_kernel_sequence(
 
 def _xi1_sequence(beta_sp: RateFunction, cfg: TransformConfig) -> tuple[np.ndarray, np.ndarray]:
     """(ns, values): n*xi1(delta^(-n+1)) on [n0, N_max]."""
-    n0 = cfg.n0 if cfg.n0 is not None else _auto_n0_xi1(beta_sp, cfg)
-    return _sp_kernel_sequence(beta_sp, cfg, n0, cfg.N_max)
+    return _sp_kernel_sequence(beta_sp, cfg, _start_index(beta_sp, cfg, "xi1"), cfg.N_max)
 
 
 def sp2sl_condition(beta_sp: RateFunction, cfg: Optional[TransformConfig] = None) -> ConditionVerdict:
@@ -723,7 +719,7 @@ def sp2sl_window(beta_sp: RateFunction, cfg: TransformConfig, n_near: int, n_far
     the map that reads it does.  Over this range the qualifying index
     N0(s) stays below ``n_far``.
     """
-    n0 = cfg.n0 if cfg.n0 is not None else _auto_n0_xi1(beta_sp, cfg)
+    n0 = _start_index(beta_sp, cfg, "xi1")
     g_near, g_far = _xi1_terms(beta_sp, cfg, np.clip((n_near, n_far), n0, cfg.N_max)).tolist()
     lo, hi = 1.02 * cfg.C4 * g_far, cfg.C4 * g_near
     if not (0.0 < lo < hi):
@@ -759,7 +755,7 @@ def _wl_walk(beta_wl: RateFunction, cfg: TransformConfig, s=(), at=()):
     to block, and its log n serves the verdict's fit too, so memory
     stays bounded for any N_max.
     """
-    n0 = cfg.n0 if cfg.n0 is not None else 2
+    n0 = _start_index(beta_wl, cfg, "wl")
     s, at = np.asarray(s, dtype=float), np.asarray(at, dtype=int)
     # S is non-increasing in n, so k*(s) is N_max + 1 less the count of n with S(n) <= s.
     k_star = np.full(s.shape, cfg.N_max + 1)
@@ -960,7 +956,7 @@ def wl_from_sp(beta_sp: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     """
     cfg = cfg or TransformConfig()
     s = _validate_s_grid(s_grid)
-    n0 = cfg.n0 if cfg.n0 is not None else _auto_n0_xi1(beta_sp, cfg)
+    n0 = _start_index(beta_sp, cfg, "xi1")
 
     def thresholds(ks):
         with np.errstate(under="ignore"):
@@ -1043,7 +1039,7 @@ def sp_from_sl(beta_sl: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     """
     cfg = cfg or TransformConfig()
     s = _validate_s_grid(s_grid)
-    n0 = cfg.n0 if cfg.n0 is not None else _auto_n0_xi2(beta_sl, cfg)
+    n0 = _start_index(beta_sl, cfg, "xi2")
 
     def xi2_at(ks):
         return _kernel_min(beta_sl, np.log(ks * math.log(cfg.delta)), cfg, "xi2")

@@ -44,6 +44,7 @@ from ratecalc import (
     xi1,
     xi2,
 )
+from ratecalc import optconst
 from ratecalc.cli import main as cli_main
 
 from conftest import make_fixture_forms, random_form
@@ -328,9 +329,10 @@ class TestCriterion5Properties:
         assert checked == 200
         _report("5 (transform monotonicity)", True, f"{checked} randomized transform outputs")
 
-    def test_empirical_sp_at_least_one(self):
+    def test_empirical_sp_at_least_one(self, monkeypatch):
         rng = np.random.default_rng(107)
-        quick = SolverConfig(restarts=5, max_iters=120, seed=1)
+        monkeypatch.setattr(optconst, "_MAX_ITERS", 120)
+        quick = SolverConfig(restarts=5, seed=1)
         for _ in range(200):
             form = random_form(rng, n_max=4)
             s = float(rng.uniform(1e-3, 10.0))

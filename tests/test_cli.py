@@ -90,6 +90,24 @@ class TestXi:
         assert (out / "xi.csv").read_text().splitlines() == want
         assert any(line.endswith("undefined") for line in want) == undefined
 
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            ('{"family": "constant", "B": Infinity}', "B must be finite"),
+            ('{"family": "poly_power", "C": true, "p": 1}', "'C' must be a number"),
+            ('{"family": "poly_power", "C": "1.5", "p": 1}', "'C' must be a number"),
+        ],
+    )
+    def test_non_numeric_or_infinite_ratefn_exits_2(self, runner, tmp_path, blob, message):
+        rf = tmp_path / "rf.json"
+        rf.write_text(blob)
+        out = tmp_path / "out"
+        out.mkdir()
+        res = runner.invoke(main, ["xi", "--kernel", "xi1", "--ratefn", str(rf), "--t-grid", "0.25,0.5,2", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert not (out / "xi.csv").exists()
+
     def test_bad_grid_is_config_error(self, runner, tmp_path):
         rf = _write_ratefn(tmp_path / "rf.json", {"family": "constant", "B": 1.0})
         res = runner.invoke(main, ["xi", "--kernel", "xi1", "--ratefn", rf, "--t-grid", "nope", "--out", str(tmp_path / "o")])
@@ -249,6 +267,15 @@ class TestTransform:
         assert rows[0][2] == 1444 * math.log(4.0)
         for s, beta, log_beta in rows:
             assert beta == (math.exp(log_beta) if log_beta < 709 else math.inf)
+
+    def test_sl2sp_limit_past_double_range_exits_5(self, runner, tmp_path):
+        rf = _write_ratefn(tmp_path / "rf.json", {"family": "log_table", "log_points": [[1e-3, 900], [1, 800]]})
+        res = runner.invoke(
+            main,
+            ["transform", "--direction", "sl2sp", "--ratefn", rf, "--s-grid", "1e-3,1,4", "--out", str(tmp_path / "o")],
+        )
+        assert res.exit_code == 5, res.output
+        assert "exceeds k_max" in res.output
 
     def test_failure_writes_manifest(self, runner, tmp_path):
         # n*xi1(4^(-n+1)) does not vanish for ExpPower{1, 1}: exit 4.
@@ -529,6 +556,25 @@ class TestSpectrumAndOptimal:
         res = runner.invoke(main, ["spectrum", "--form", str(p), "--out", str(tmp_path / "o")])
         assert res.exit_code == 0
         assert float(res.output.split()[1]) == pytest.approx(4.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            {"mu": [0.5, 0.5], "edges": [[0, 1]]},
+            {"mu": ["a", 0.5], "edges": [[0, 1, 1.0]]},
+            {"mu": [0.5, 0.5], "edges": 5},
+            {"mu": [0.5, 0.5], "edges": [[0, 1, True]]},
+            {"mu": [0.5, 0.5], "edges": [[0, 1, "2"]]},
+        ],
+    )
+    def test_malformed_form_exits_2(self, runner, tmp_path, form):
+        p = tmp_path / "form.json"
+        p.write_text(json.dumps(form))
+        out = tmp_path / "o"
+        out.mkdir()
+        res = runner.invoke(main, ["spectrum", "--form", str(p), "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert json.loads((out / "manifest.json").read_text())["pass"] is False
 
     def test_optimal_single_point(self, runner, tmp_path):
         form = FiniteDirichletForm(mu=np.array([0.5, 0.5]), weights=np.array([[0.0, 1.0], [1.0, 0.0]]))

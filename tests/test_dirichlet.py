@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -78,6 +79,28 @@ class TestFormValidation:
         back = FiniteDirichletForm.from_json_dict(form.to_json_dict())
         np.testing.assert_allclose(back.mu, form.mu, rtol=1e-15)
         np.testing.assert_allclose(back.weights, form.weights, rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            {"mu": [0.5, 0.5], "edges": [[0, 1]]},
+            {"mu": ["a", 0.5], "edges": [[0, 1, 1.0]]},
+            {"mu": [0.5, 0.5], "edges": 5},
+            {"mu": [0.5, 0.5], "edges": [[0, 1, True]]},
+            {"mu": [0.5, 0.5], "edges": [[0, 1, "2"]]},
+            {"mu": [0.5, 0.5], "edges": [["0", 1, 1.0]]},
+            {"mu": [0.5, 0.5], "edges": [[0.5, 1, 1.0]]},
+        ],
+    )
+    def test_malformed_json_is_config_error(self, d):
+        with pytest.raises(ConfigError):
+            FiniteDirichletForm.from_json_dict(d)
+
+    @pytest.mark.parametrize("n", [3, 41, 201])
+    def test_json_dict_matches_pair_loop(self, n):
+        rng = np.random.default_rng(n)
+        for form in (build_birth_death(4.0, 1.0, 2.0, n), random_form(rng, n_max=n)):
+            assert json.dumps(form.to_json_dict()) == json.dumps(_loop_json_dict(form))
 
 
 class TestEntropy:
@@ -274,7 +297,39 @@ class TestSpectralGap:
         assert lead > 0
 
 
+def _loop_json_dict(form):
+    """to_json_dict written as a loop over all index pairs, kept as a reference."""
+    edges = []
+    for i in range(form.n):
+        for j in range(i + 1, form.n):
+            if form.weights[i, j] > 0:
+                edges.append([i, j, float(form.weights[i, j])])
+    return {"mu": [float(x) for x in form.mu], "edges": edges}
+
+
+def _loop_birth_death(kappa, c0, half_width, n):
+    """build_birth_death with its weights filled edge by edge, kept as a reference."""
+    x = np.linspace(-half_width, half_width, n)
+    h = x[1] - x[0]
+    log_mu = -(c0 * np.abs(x) ** kappa)
+    log_mu -= log_mu.max()
+    mu = np.exp(log_mu)
+    mu /= mu.sum()
+    w = np.zeros((n, n))
+    for i in range(n - 1):
+        w[i, i + 1] = w[i + 1, i] = (mu[i] + mu[i + 1]) / (2.0 * h * h)
+    return FiniteDirichletForm(mu=mu, weights=w)
+
+
 class TestBirthDeath:
+    @pytest.mark.parametrize("n", [3, 41, 201])
+    def test_matches_edge_loop(self, n):
+        for kappa, c0, half_width in ((4.0, 1.0, 2.0), (2.0, 0.5, 7.0), (1.5, 3.0, 0.3)):
+            form = build_birth_death(kappa, c0, half_width, n)
+            ref = _loop_birth_death(kappa, c0, half_width, n)
+            assert form.mu.tobytes() == ref.mu.tobytes()
+            assert form.weights.tobytes() == ref.weights.tobytes()
+
     def test_symmetry_of_measure(self):
         form = build_birth_death(kappa=2.0, c0=0.5, half_width=4.0, n=41)
         np.testing.assert_allclose(form.mu, form.mu[::-1], rtol=1e-13)

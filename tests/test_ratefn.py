@@ -227,12 +227,6 @@ class TestFitExponent:
         pts = list(zip(s, s**-2.0))
         assert fit_exponent(pts, "log-log-power", (1e-4, 1.0)) == pytest.approx(2.0, abs=1e-9)
 
-    def test_exact_power_law_with_floor_search(self):
-        s = np.geomspace(1e-4, 1.0, 40)
-        pts = list(zip(s, 3.0 * s**-1.5))
-        fit = fit_exponent(pts, "log-log-power", (1e-4, 1.0), subtract_floor=True)
-        assert fit == pytest.approx(1.5, abs=1e-6)
-
     def test_log_power_family(self):
         s = np.geomspace(1e-6, 1e-3, 30)
         pts = list(zip(s, np.log1p(1.0 / s) ** 0.5))
@@ -244,12 +238,6 @@ class TestFitExponent:
         s = np.geomspace(1e-5, 1e-3, 30)
         pts = list(zip(s, np.exp(s**-0.5)))
         assert fit_exponent(pts, "log-of-log", (1e-5, 1e-3)) == pytest.approx(0.5, abs=0.05)
-
-    def test_additive_floor_recovered(self):
-        s = np.geomspace(1e-8, 1e-4, 60)
-        pts = list(zip(s, 3.0 + 0.8 * np.log1p(1.0 / s) ** 0.5))
-        fit = fit_exponent(pts, "log-log-log", (1e-8, 1e-4), subtract_floor=True)
-        assert fit == pytest.approx(0.5, abs=1e-6)
 
     def test_too_few_samples(self):
         pts = [(0.1 * (i + 1), 1.0) for i in range(5)]
@@ -282,3 +270,19 @@ class TestJson:
     def test_missing_family(self):
         with pytest.raises(ConfigError):
             rate_function_from_json({})
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            {"family": "constant", "B": math.inf},
+            {"family": "inverse_power", "a": 1.0, "p": math.inf},
+            {"family": "exp_power", "C": True, "theta": 1.0},
+            {"family": "poly_power", "C": "1.5", "p": 1.0},
+            {"family": "table", "points": [[1e-3, True], [1.0, 1.0]]},
+            {"family": "log_table", "log_points": [["1e-3", 900.0], [1.0, 800.0]]},
+            {"family": ["constant"], "B": 1.0},
+        ],
+    )
+    def test_bools_strings_and_infinities_refused(self, d):
+        with pytest.raises(ConfigError):
+            rate_function_from_json(json.loads(json.dumps(d)))

@@ -788,7 +788,7 @@ class TestOneCrossingSearch:
         ],
     )
     def test_sp_from_sl_k_star_matches_whole_window(self, beta, cfg, grid, monkeypatch):
-        n0 = transforms._auto_n0_xi2(beta, cfg) if cfg.n0 is None else cfg.n0
+        n0 = transforms._start_index(beta, cfg, "xi2")
         want = _outcome(lambda: old_sp_from_sl_k_star(beta, n0, np.asarray(grid), cfg))
         got = _spy(monkeypatch, "_k_star")
         try:
@@ -1396,6 +1396,13 @@ class TestSpFromSl:
         with pytest.raises(CapError):
             sp_from_sl(PolyPower(C=1.0, p=1.0), [1e-6], cfg)
 
+    def test_limit_past_double_range_is_cap_error(self):
+        # lim beta_SL = e^800 at infinity does not fit in a double; its
+        # start index k0 = floor(e^800/log 4) + 1 passes any k_max.
+        beta = LogTabulated(log_points=((1e-3, 900.0), (1.0, 800.0)))
+        with pytest.raises(CapError):
+            sp_from_sl(beta, [1e-3, 1e-2], CFG)
+
     def test_log_values_past_double_range(self):
         # k*(1e-6) = 1444: beta_SP = 4^1444 does not fit in a double.
         out = sp_from_sl(PolyPower(C=1.0, p=1.0), [1e-6], TransformConfig(k_max=100_000))
@@ -1403,6 +1410,18 @@ class TestSpFromSl:
         assert out.log_points == ((1e-6, 1444 * math.log(4.0)),)
         with pytest.raises(CapError):
             out.points
+
+
+class TestStartIndex:
+    def test_default_per_sequence(self):
+        # Constant 3 at delta = 4: xi1 skips n with 3*4^-(n-1) > 1/8, xi2
+        # needs k*log 4 > 3, and the WL condition sequence starts at 2.
+        beta = Constant(B=3.0)
+        assert [transforms._start_index(beta, CFG, q) for q in ("xi1", "xi2", "wl")] == [4, 3, 2]
+
+    @pytest.mark.parametrize("sequence", ["xi1", "xi2", "wl"])
+    def test_configured_n0_wins(self, sequence):
+        assert transforms._start_index(Constant(B=3.0), TransformConfig(n0=7), sequence) == 7
 
 
 class TestConditionHelpers:
