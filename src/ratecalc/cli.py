@@ -308,6 +308,14 @@ def cmd_verify(run, form_path, birth_death, s_grid, config_path, seed, restarts)
     and SP-to-WL maps to the tabulated empirical SP, and reports the
     max-ratio domination constants.  Exit code 0 iff all domination
     reports pass.
+
+    The four kinds never interact, so each is solved in its own forked
+    worker process, as many at once as the process may use cores (at
+    most four; there is no setting).  Every worker has ended before the
+    first file is written; the results are then written in KINDS order,
+    and a kind that failed raises its error there, as a serial loop
+    would, so files, manifests and exit codes do not depend on the
+    workers.
     """
     run.start("verify", form_path, config_path, seed=seed)
     form, form_desc = _resolve_form(form_path, birth_death)
@@ -316,13 +324,20 @@ def cmd_verify(run, form_path, birth_death, s_grid, config_path, seed, restarts)
     s = _parse_grid(s_grid, "s-grid")
     run.make_out_dir()
 
+    # Imported here: only verify starts worker processes, so no other command pays for the import.
+    import concurrent.futures
+    import multiprocessing
+
     sg = spectral_gap(form)
     solver_cfg = SolverConfig(restarts=restarts, seed=seed)
+    workers = min(len(KINDS), len(os.sched_getaffinity(0)))
+    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(empirical_rate, form, kind, s, solver_cfg) for kind in KINDS]
     empirical = {}
-    for kind in KINDS:
-        emp = empirical_rate(form, kind, s, solver_cfg)
-        empirical[kind] = emp
-        _emit_empirical(run, emp)
+    for kind, future in zip(KINDS, futures):
+        # The first kind that failed raises its error here, after the kinds before it are written.
+        empirical[kind] = future.result()
+        _emit_empirical(run, empirical[kind])
 
     tab_sp = empirical["SP"].to_tabulated()
 

@@ -121,7 +121,8 @@ class FiniteDirichletForm:
         """The form of {"mu": [numbers], "edges": [[i, j, weight], ...]}.
 
         Anything else, a bool or a string where a number goes included,
-        raises ConfigError.
+        raises ConfigError, and so does a second edge between the same two
+        states, in either orientation.
         """
         try:
             mu, edges = d["mu"], d["edges"]
@@ -132,12 +133,20 @@ class FiniteDirichletForm:
         mu = np.array([_json_number(x, "mu entry") for x in mu], dtype=float)
         n = mu.size
         w = np.zeros((n, n))
-        for edge in edges:
+        seen = {}  # (min(i, j), max(i, j)) -> position of its edge
+        for pos, edge in enumerate(edges):
             if not isinstance(edge, (list, tuple)) or len(edge) != 3:
                 raise ConfigError(f"edge {edge!r} must be [i, j, weight]")
             i, j = (_json_number(k, "edge index", integral=True) for k in edge[:2])
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ConfigError(f"edge ({i}, {j}) out of range or a self-loop")
+            pair = (min(i, j), max(i, j))
+            if pair in seen:
+                raise ConfigError(
+                    f"edges[{seen[pair]}] = {edges[seen[pair]]!r} and edges[{pos}] = {edge!r} "
+                    f"both join states {pair[0]} and {pair[1]}"
+                )
+            seen[pair] = pos
             w[i, j] = w[j, i] = _json_number(edge[2], "edge weight")
         return cls(mu=mu, weights=w)
 

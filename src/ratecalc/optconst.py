@@ -20,7 +20,12 @@ starts of one kind, at every s of the grid, ascend together as (m, n)
 blocks with s carried per row: each row keeps its own trade-off, step,
 backtracking, stall counter and iteration budget and leaves the block
 when it stops, and F L is computed once per accepted iterate for both
-the value and the next gradient.  Every row reduction is an einsum or
+the value and the next gradient.  The Armijo line search tests its 60
+halvings in rounds of 1, 2, 4, 8, 16 and 29 (_HALVING_ROUNDS): each row
+still searching stacks the round's candidate steps alpha * 2^-j into one
+evaluation and takes the first that passes, which is the step and
+iterate one halving at a time gives, since scaling by a power of two is
+exact.  Every row reduction is an einsum or
 elementwise form, never a BLAS product, so a row's path is bit for bit
 the same alone or in a block, and a grid point's value does not depend
 on the rest of the grid.  The structured starts, spectral certificate
@@ -89,6 +94,8 @@ _REL_TOL = 1e-10
 _ARMIJO = 1e-4
 _STEP_INIT = 1.0
 _STEP_MIN = 1e-18
+# Armijo candidates tested per round of the line search, 60 in all.
+_HALVING_ROUNDS = (1, 2, 4, 8, 16, 29)
 # Relative slack of certify_inequality's beta.
 _INFLATION = 1e-9
 
@@ -283,6 +290,14 @@ def _ascend_block(obj: _Objective, F0: np.ndarray, s: np.ndarray) -> tuple:
     accepted iterate; the line search uses it for the candidate's value
     and the next iteration for its gradient.
 
+    The line search runs in the rounds of _HALVING_ROUNDS.  In a round,
+    every row still searching stacks its candidates alpha * 2^-j (those
+    not below _STEP_MIN) into one projection and evaluation, in stacks
+    of at most max(m, _BLOCK_CELLS // n) rows, and takes the first j
+    that passes Armijo; a row with no pass goes on to the next round.
+    The candidates are exactly those of repeated halving and rows never
+    interact, so every row gets the bits of one halving per round.
+
     Returns (values, F, iterations, admissible) per row; a start that
     projects to nothing or has no finite value is inadmissible, with
     value -inf and 0 iterations.
@@ -295,6 +310,8 @@ def _ascend_block(obj: _Objective, F0: np.ndarray, s: np.ndarray) -> tuple:
         ok &= np.isfinite(val)
         val[~ok] = -math.inf
         m = F.shape[0]
+        # Candidate rows per stack of the line search: one block's worth, or m.
+        cap = max(m, _BLOCK_CELLS // F.shape[1])
         step = np.full(m, _STEP_INIT)
         stall = np.zeros(m, dtype=int)
         iters = np.zeros(m, dtype=int)
@@ -310,21 +327,29 @@ def _ascend_block(obj: _Objective, F0: np.ndarray, s: np.ndarray) -> tuple:
             new_val = np.empty(act.size)
             accepted = np.zeros(act.size, dtype=bool)
             search = np.arange(act.size)
-            for _ in range(60):
+            first = 0
+            for width in _HALVING_ROUNDS:
+                per = max(1, cap // width)
+                for lo in range(0, search.size, per):
+                    chunk = search[lo : lo + per]
+                    # Candidate j of a row is alpha * 2^-j: exactly what j halvings give.
+                    a = np.ldexp(alpha[chunk, None], -np.arange(first, first + width))
+                    i, j = np.nonzero(a >= _STEP_MIN)
+                    rows, a = chunk[i], a[i, j]
+                    P, pok = obj.project(base[rows] + a[:, None] * G[rows])
+                    LP = obj.apply_lap(P)
+                    pval = obj.evaluate(P, LP, base_s[rows])
+                    good = np.flatnonzero(pok & (pval > base_val[rows] + _ARMIJO * a * g2[rows]))
+                    # Stacks run row by row in increasing j: a row's first pass is its first entry.
+                    hit, k = np.unique(rows[good], return_index=True)
+                    k = good[k]
+                    F[act[hit]], LF[act[hit]] = P[k], LP[k]
+                    new_val[hit], alpha[hit] = pval[k], a[k]
+                    accepted[hit] = True
+                first += width
+                search = search[~accepted[search] & (np.ldexp(alpha[search], -first) >= _STEP_MIN)]
                 if not search.size:
                     break
-                a = alpha[search]
-                P, pok = obj.project(base[search] + a[:, None] * G[search])
-                LP = obj.apply_lap(P)
-                pval = obj.evaluate(P, LP, base_s[search])
-                good = pok & (pval > base_val[search] + _ARMIJO * a * g2[search])
-                hit = search[good]
-                F[act[hit]], LF[act[hit]] = P[good], LP[good]
-                new_val[hit] = pval[good]
-                accepted[hit] = True
-                search = search[~good]
-                alpha[search] *= 0.5
-                search = search[alpha[search] >= _STEP_MIN]
             act, alpha, new_val = act[accepted], alpha[accepted], new_val[accepted]
             gain = new_val - val[act]
             val[act] = new_val

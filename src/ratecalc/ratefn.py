@@ -438,14 +438,15 @@ def _pairs(d: dict, key: str) -> tuple:
     )
 
 
+# family -> (class, its fields); a table's field holds pairs, any other field a number.
 _FAMILIES = {
-    "exp_power": lambda d: ExpPower(C=_param(d, "C"), theta=_param(d, "theta")),
-    "poly_power": lambda d: PolyPower(C=_param(d, "C"), p=_param(d, "p")),
-    "log_power": lambda d: LogPower(C=_param(d, "C"), q=_param(d, "q")),
-    "inverse_power": lambda d: InversePower(a=_param(d, "a"), p=_param(d, "p")),
-    "constant": lambda d: Constant(B=_param(d, "B")),
-    "table": lambda d: Tabulated(points=_pairs(d, "points")),
-    "log_table": lambda d: LogTabulated(log_points=_pairs(d, "log_points")),
+    "exp_power": (ExpPower, ("C", "theta")),
+    "poly_power": (PolyPower, ("C", "p")),
+    "log_power": (LogPower, ("C", "q")),
+    "inverse_power": (InversePower, ("a", "p")),
+    "constant": (Constant, ("B",)),
+    "table": (Tabulated, ("points",)),
+    "log_table": (LogTabulated, ("log_points",)),
 }
 
 
@@ -453,18 +454,23 @@ def rate_function_from_json(d: dict) -> RateFunction:
     """Rebuild a rate function from its ``to_json_dict`` form.
 
     Every parameter and table entry must be a finite JSON number: a bool,
-    a string, Infinity or NaN raises ConfigError.
+    a string, Infinity or NaN raises ConfigError, and so does a key that
+    the family does not take.
     """
     try:
         family = d["family"]
     except (TypeError, KeyError):
         raise ConfigError("rate function JSON must carry a 'family' key")
     try:
-        builder = _FAMILIES[family]
+        cls, keys = _FAMILIES[family]
     except (KeyError, TypeError):
         raise ConfigError(f"unknown rate function family {family!r}")
+    unknown = set(d) - {"family", *keys}
+    if unknown:
+        raise ConfigError(f"unknown rate function keys for family {family!r}: {sorted(unknown)}")
+    read = _pairs if cls in (Tabulated, LogTabulated) else _param
     try:
-        return builder(d)
+        return cls(**{key: read(d, key) for key in keys})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed rate function JSON: {exc}")
 

@@ -1,14 +1,15 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ratecalc import FiniteDirichletForm, log_grid, rate_function_from_json, xi1, xi2
-from ratecalc import cli
+from ratecalc import FiniteDirichletForm, KINDS, SolverConfig, SolverError, empirical_rate, log_grid
+from ratecalc import cli, optconst, rate_function_from_json, xi1, xi2
 from ratecalc.cli import main
 
 
@@ -533,6 +534,48 @@ class TestVerify:
         assert "warning: sp2sl side condition is empirically inconclusive" in res.output
         assert json.loads((out / "verdict_sp2sl.json").read_text())["status"] == "inconclusive"
 
+    def test_artifacts_equal_in_process_solves(self, runner, tmp_path):
+        # Each kind is solved in a worker process; its files are byte for byte
+        # the ones the same empirical_rate call writes in this process.
+        out, ref = tmp_path / "o", tmp_path / "ref"
+        res = runner.invoke(
+            main,
+            ["verify", "--birth-death", "4,1,2,11", "--s-grid", "1e-3,1,6", "--seed", "7", "--out", str(out)],
+        )
+        assert res.exit_code == 0, res.output
+        form, _ = cli._resolve_form(None, "4,1,2,11")
+        run = cli._Run(str(ref))
+        run.make_out_dir()
+        for kind in KINDS:
+            cli._emit_empirical(run, empirical_rate(form, kind, log_grid(1e-3, 1.0, 6), SolverConfig(seed=7)))
+        assert len(run.outputs) == 8
+        for name in run.outputs:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+        assert multiprocessing.active_children() == []
+
+    def test_solver_error_in_a_worker_exits_6(self, runner, tmp_path, monkeypatch):
+        # SL and WP fail: the kinds before the first failure are written, as
+        # in a serial loop, and SL's error is the one reported.
+        real = optconst._solve_grid
+
+        def failing(form, kind, s, cfg):
+            if kind in ("SL", "WP"):
+                raise SolverError(f"no restart produced an admissible value for kind {kind}")
+            return real(form, kind, s, cfg)
+
+        monkeypatch.setattr(optconst, "_solve_grid", failing)
+        out = tmp_path / "o"
+        res = runner.invoke(
+            main,
+            ["verify", "--birth-death", "4,1,2,11", "--s-grid", "1e-3,1,6", "--seed", "7", "--out", str(out)],
+        )
+        assert res.exit_code == 6, res.output
+        assert "error: no restart produced an admissible value for kind SL" in res.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["summary"] == "no restart produced an admissible value for kind SL"
+        assert manifest["outputs"] == ["empirical_sp.csv", "empirical_sp.json"]
+        assert multiprocessing.active_children() == []
+
     def test_disconnected_exits_3(self, runner, tmp_path):
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 1.0
@@ -574,6 +617,16 @@ class TestSpectrumAndOptimal:
         out.mkdir()
         res = runner.invoke(main, ["spectrum", "--form", str(p), "--out", str(out)])
         assert res.exit_code == 2, res.output
+        assert json.loads((out / "manifest.json").read_text())["pass"] is False
+
+    def test_repeated_edge_exits_2(self, runner, tmp_path):
+        p = tmp_path / "form.json"
+        p.write_text(json.dumps({"mu": [0.5, 0.5], "edges": [[0, 1, 1.0], [1, 0, 3.0]]}))
+        out = tmp_path / "o"
+        out.mkdir()
+        res = runner.invoke(main, ["spectrum", "--form", str(p), "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "edges[0] = [0, 1, 1.0] and edges[1] = [1, 0, 3.0]" in res.output
         assert json.loads((out / "manifest.json").read_text())["pass"] is False
 
     def test_optimal_single_point(self, runner, tmp_path):

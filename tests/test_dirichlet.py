@@ -96,6 +96,19 @@ class TestFormValidation:
         with pytest.raises(ConfigError):
             FiniteDirichletForm.from_json_dict(d)
 
+    @pytest.mark.parametrize(
+        "edges,first,second",
+        [
+            ([[0, 1, 1.0], [1, 0, 3.0]], "edges[0] = [0, 1, 1.0]", "edges[1] = [1, 0, 3.0]"),
+            ([[0, 1, 1.0], [1, 2, 1.0], [0, 1, 1.0]], "edges[0] = [0, 1, 1.0]", "edges[2] = [0, 1, 1.0]"),
+        ],
+    )
+    def test_repeated_edge_is_config_error(self, edges, first, second):
+        with pytest.raises(ConfigError) as err:
+            FiniteDirichletForm.from_json_dict({"mu": [0.4, 0.3, 0.3], "edges": edges})
+        assert first in str(err.value) and second in str(err.value)
+        assert "join states 0 and 1" in str(err.value)
+
     @pytest.mark.parametrize("n", [3, 41, 201])
     def test_json_dict_matches_pair_loop(self, n):
         rng = np.random.default_rng(n)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import make_fixture_forms
+from conftest import make_fixture_forms, random_form
 
 from ratecalc import (
     ConfigError,
@@ -908,6 +908,138 @@ class TestBatchedAscent:
         assert not ok[0] and vals[0] == -math.inf and iters[0] == 0
         alone = optconst._ascend_block(obj, F0, _at(0.1, F0))
         assert np.array_equal(vals[1:], alone[0]) and np.array_equal(iters[1:], alone[2])
+
+
+# ---------------------------------------------------------------------------
+# Halving rounds against the one-halving-per-round line search
+# ---------------------------------------------------------------------------
+
+
+def _ascend_block_one_halving_per_round(obj, F0, s):
+    """The block ascent whose line search tests one halving per round, kept as a reference."""
+    s = np.asarray(s, dtype=float)
+    with np.errstate(all="ignore"):
+        F, ok = obj.project(np.asarray(F0, dtype=float))
+        LF = obj.apply_lap(F)
+        val = obj.evaluate(F, LF, s)
+        ok &= np.isfinite(val)
+        val[~ok] = -math.inf
+        m = F.shape[0]
+        step = np.full(m, optconst._STEP_INIT)
+        stall = np.zeros(m, dtype=int)
+        iters = np.zeros(m, dtype=int)
+        act = np.flatnonzero(ok)
+        while act.size:
+            iters[act] += 1
+            G = obj.grad(F[act], LF[act], s[act])
+            g2 = np.einsum("ij,ij->i", G, G)
+            live = np.isfinite(g2) & (g2 >= 1e-300)
+            act, G, g2 = act[live], G[live], g2[live]
+            base, base_val, base_s = F[act], val[act], s[act]
+            alpha = step[act]
+            new_val = np.empty(act.size)
+            accepted = np.zeros(act.size, dtype=bool)
+            search = np.arange(act.size)
+            for _ in range(60):
+                if not search.size:
+                    break
+                a = alpha[search]
+                P, pok = obj.project(base[search] + a[:, None] * G[search])
+                LP = obj.apply_lap(P)
+                pval = obj.evaluate(P, LP, base_s[search])
+                good = pok & (pval > base_val[search] + optconst._ARMIJO * a * g2[search])
+                hit = search[good]
+                F[act[hit]], LF[act[hit]] = P[good], LP[good]
+                new_val[hit] = pval[good]
+                accepted[hit] = True
+                search = search[~good]
+                alpha[search] *= 0.5
+                search = search[alpha[search] >= optconst._STEP_MIN]
+            act, alpha, new_val = act[accepted], alpha[accepted], new_val[accepted]
+            gain = new_val - val[act]
+            val[act] = new_val
+            step[act] = np.minimum(alpha * 2.0, 1e6)
+            stall[act] = np.where(gain <= optconst._REL_TOL * (1.0 + np.abs(new_val)), stall[act] + 1, 0)
+            act = act[(stall[act] < 3) & (iters[act] < optconst._MAX_ITERS)]
+    return val, F, iters, ok
+
+
+def _grid_block(form, kind, grid, cfg):
+    """The objective and the (s, start) rows of a grid solve, with each row's s."""
+    obj = optconst._Objective(kind, form)
+    structured = np.array(obj.structured_starts())
+    per_s = structured.shape[0] + cfg.restarts
+    si, start = np.divmod(np.arange(len(grid) * per_s), per_s)
+    s = np.asarray(grid, dtype=float)[si]
+    return obj, optconst._start_block(obj, structured, s, start, cfg), s
+
+
+def _assert_line_searches_agree(form, kind, grid, cfg):
+    obj, F0, s = _grid_block(form, kind, grid, cfg)
+    new = optconst._ascend_block(obj, F0, s)
+    ref = _ascend_block_one_halving_per_round(obj, F0, s)
+    for got, want, what in zip(new, ref, ("values", "F", "iterations", "ok")):
+        assert got.dtype == want.dtype and np.array_equal(got, want), (kind, what)
+    return new[2]
+
+
+class TestHalvingRounds:
+    def test_rounds_hold_sixty_candidates(self):
+        assert sum(optconst._HALVING_ROUNDS) == 60
+
+    def test_matches_reference_on_chain(self):
+        # The verify grid of the n = 41 chain, every kind, one block per kind.
+        chain = build_birth_death(4.0, 1.0, 2.0, 41)
+        grid = np.geomspace(1e-3, 1.0, 6)
+        for kind in optconst.KINDS:
+            _assert_line_searches_agree(chain, kind, grid, SolverConfig(seed=7))
+
+    def test_matches_reference_on_fixtures(self, fixture_forms):
+        for form in fixture_forms.values():
+            for kind in optconst.KINDS:
+                _assert_line_searches_agree(form, kind, (0.01, 0.1, 1.0), CFG)
+
+    def test_matches_reference_on_random_forms(self):
+        rng = np.random.default_rng(17)
+        for i in range(4):
+            form = random_form(rng, n_max=8)
+            for kind in optconst.KINDS:
+                _assert_line_searches_agree(form, kind, (1e-3, 0.05, 0.5), SolverConfig(restarts=6, seed=i))
+
+    @pytest.mark.parametrize("step_init", [1.0, 1e-10, 3e-17])
+    def test_rows_that_never_pass_stop_where_the_reference_stops(self, fixture_forms, monkeypatch, step_init):
+        # No candidate passes Armijo: from a step of 1 every row tests all 60
+        # halvings; from smaller steps the row reaches _STEP_MIN inside a round.
+        monkeypatch.setattr(optconst, "_ARMIJO", math.inf)
+        monkeypatch.setattr(optconst, "_STEP_INIT", step_init)
+        for name in ("two_skewed", "tri_skewed"):
+            for kind in optconst.KINDS:
+                iters = _assert_line_searches_agree(fixture_forms[name], kind, (0.01, 0.1, 1.0), CFG)
+                assert set(iters.tolist()) <= {0, 1}, (name, kind)
+
+    @pytest.mark.parametrize("step_min", [0.05, 1e-4])
+    def test_step_floor_stops_rows_where_the_reference_stops(self, monkeypatch, step_min):
+        # A floor the halvings reach inside a round: candidates below it would
+        # pass Armijo on some rows, and neither line search may test them.
+        monkeypatch.setattr(optconst, "_STEP_MIN", step_min)
+        chain = build_birth_death(4.0, 1.0, 2.0, 11)
+        for kind in optconst.KINDS:
+            _assert_line_searches_agree(chain, kind, (1e-3, 0.03, 1.0), SolverConfig(restarts=6, seed=7))
+
+    def test_late_passes_match_reference(self, fixture_forms, monkeypatch):
+        # Armijo near 1 accepts only once the step is small enough for the
+        # linear model, so accepted candidates fall in every round.
+        monkeypatch.setattr(optconst, "_ARMIJO", 0.999)
+        for kind in optconst.KINDS:
+            _assert_line_searches_agree(fixture_forms["tri_skewed"], kind, (0.01, 0.1, 1.0), CFG)
+
+    def test_stacks_split_at_one_block(self, fixture_forms, monkeypatch):
+        # With a block of 2 cells a stack holds at most one row's candidates
+        # per round, so a round runs as several stacks.
+        monkeypatch.setattr(optconst, "_BLOCK_CELLS", 2)
+        form = fixture_forms["path3_skewed"]
+        for kind in optconst.KINDS:
+            _assert_line_searches_agree(form, kind, (0.01, 0.1), SolverConfig(restarts=4, seed=5))
 
 
 # ---------------------------------------------------------------------------

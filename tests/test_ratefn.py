@@ -263,6 +263,25 @@ class TestJson:
         s = np.geomspace(1e-3, 1e3, 20)
         np.testing.assert_allclose(back.eval_many(s), rf.eval_many(s), rtol=1e-15)
 
+    @pytest.mark.parametrize("rf", ALL_VARIANTS, ids=lambda r: type(r).__name__)
+    def test_round_trip_keys_are_exactly_the_family_fields(self, rf):
+        d = rf.to_json_dict()
+        assert rate_function_from_json(d) == rf
+        with pytest.raises(ConfigError, match="unknown rate function keys"):
+            rate_function_from_json({**d, "Bogus": 5})
+
+    @pytest.mark.parametrize(
+        "d,key",
+        [
+            ({"family": "constant", "B": 1.0, "Bogus": 5}, "Bogus"),
+            ({"family": "table", "points": [[1e-3, 2.0], [1.0, 1.0]], "log_points": [[1e-3, 2.0]]}, "log_points"),
+            ({"family": "exp_power", "C": 1.0, "theta": 1.0, "q": 0.5}, "q"),
+        ],
+    )
+    def test_unknown_keys_refused(self, d, key):
+        with pytest.raises(ConfigError, match=f"unknown rate function keys.*'{key}'"):
+            rate_function_from_json(d)
+
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
             rate_function_from_json({"family": "mystery"})
