@@ -48,6 +48,8 @@ from .transforms import (
     _sl_map,
     _start_index,
     _wl_map,
+    _wl_table,
+    _xi1_sequence,
     log_grid,
     sl_from_sp,
     sp2sl_window,
@@ -341,7 +343,9 @@ def cmd_verify(run, form_path, birth_death, s_grid, config_path, seed, restarts)
 
     tab_sp = empirical["SP"].to_tabulated()
 
-    verdict, sl_table = _sl_map(tab_sp, s, cfg)
+    # One xi1 sequence on [n0, N_max] serves the SP-to-SL map and the sup window of the SP-to-WL map.
+    sequence = _xi1_sequence(tab_sp, cfg)
+    verdict, sl_table = _sl_map(tab_sp, s, cfg, sequence)
     _gate(run, "verdict_sp2sl.json", "sp2sl", verdict)
     trans_sl = sl_table()
     rows = [(_fmt(a), _fmt(b)) for a, b in trans_sl.points]
@@ -351,7 +355,7 @@ def cmd_verify(run, form_path, birth_death, s_grid, config_path, seed, restarts)
     dominations = {"sl": dom_sl.to_json_dict()}
     wl_degenerate = False
     try:
-        trans_wl = wl_from_sp(tab_sp, s, cfg)
+        trans_wl = _wl_table(tab_sp, s, cfg, sequence)
     except DegenerateTransformError as exc:
         # The kernel sequence vanished on the whole sup window: the form
         # is so small that every truncation slice is empty and the weak

@@ -76,14 +76,20 @@ class FiniteDirichletForm:
             raise ConfigError(f"weights must be {n}x{n}")
         if not np.all(np.isfinite(w)):
             raise ConfigError("weights must be finite")
-        if np.max(np.abs(w - w.T)) > 1e-12 * max(1.0, float(np.max(np.abs(w)))):
-            raise ConfigError("weights must be symmetric")
-        w = 0.5 * (w + w.T)
-        if np.any(np.abs(np.diag(w)) > 0):
-            raise ConfigError("weights must have zero diagonal")
-        if np.any(w < 0):
-            raise ConfigError("weights must be nonnegative")
-        lap = np.diag(w.sum(axis=1)) - w
+        # Weights near the double limit overflow below; the checks after each step refuse the result.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.max(np.abs(w - w.T)) > 1e-12 * max(1.0, float(np.max(np.abs(w)))):
+                raise ConfigError("weights must be symmetric")
+            w = 0.5 * (w + w.T)
+            if not np.all(np.isfinite(w)):
+                raise ConfigError("symmetrised weights overflow double range")
+            if np.any(np.abs(np.diag(w)) > 0):
+                raise ConfigError("weights must have zero diagonal")
+            if np.any(w < 0):
+                raise ConfigError("weights must be nonnegative")
+            lap = np.diag(w.sum(axis=1)) - w
+        if not np.all(np.isfinite(lap)):
+            raise ConfigError("Laplacian overflows double range: a state's total weight exceeds it")
         mu.flags.writeable = False
         w.flags.writeable = False
         lap.flags.writeable = False

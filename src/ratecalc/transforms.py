@@ -47,13 +47,27 @@ block, and the log n it computes for the argument also serves the
 verdict's log-log fit.  Blocks of _BLOCK = 2^15 indices keep those
 arrays (about 1.5 MB) in a core's L2 cache, so the walk of 1.5e8
 indices takes about half as long as in blocks of 2^20, and its memory
-is a few MB for any N_max.  The suffix sup S is non-increasing, so s can
-cross it inside a block only if s lies between S just right of the
-block and the block's maximum (one searchsorted on the sorted s); a
-block with no such s, and outside the range of indices whose S is asked
-for, takes only its maximum, and each s at or above it admits the whole
-block.  sp_from_wl and sp_from_sl return
+is a few MB for any N_max.  sp_from_wl and sp_from_sl return
 log(beta_SP), exact past double range.
+
+Both block loops spread over the usable cores through _in_order: the
+kernel's blocks of rows, and the walk's blocks in groups of 16.  A
+worker reduces each block of the walk to what the fold needs of it
+(_verdict_part and _sup_part), and this process folds those from right
+to left, carrying S just right of the block.  With L the block's own
+suffix sup, S(n) = max(L(n), carry) <= s iff L(n) <= s and carry <= s,
+so a block builds L only for the s between its last value and its
+maximum (one searchsorted on the sorted s) or where S is asked for at
+its indices; each s at or above the maximum admits the whole block once
+the carry admits it.  The same tasks run in this process, one after the
+other, where the work is too small to pay for a pool, one core is
+usable or the caller is a daemonic process; there is no setting.  No
+value depends on where a task ran: kernel rows do not depend on their
+block, and the verdict's fit sums are numpy's pairwise reductions, not
+BLAS dots, whose rounding depends on the BLAS thread count.  On a
+2-core x86 machine the walk of 1.5e8 indices took 1.33-1.43 s in two
+workers against 1.99-2.23 s in one process, and the 4e5 xi1 rows of
+example11 sp2sl 0.37-0.42 s against 0.49-0.66 s (three runs each).
 
 The grid infimum of a block of T kernel arguments over R grid points is
 a row-minima problem on a (T x R) matrix that is never formed.  Write
@@ -79,10 +93,12 @@ same minima and the same leftmost argmins as a full sweep.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -142,6 +158,17 @@ _BLOCK = 1 << 15
 # Kernel rows per block, and indices per block when wl_from_sp and
 # sp_from_sl scan their k-window.
 _ROWS = 4096
+
+# Indices per task of the WL walk: 16 blocks of 2^15.  On a 2-core x86
+# machine such a group takes 8-11 ms, about as long as a kernel block of
+# _ROWS rows on the default r-grid (8-15 ms).
+_GROUP = 1 << 19
+
+# Fewest tasks of that size that _in_order hands to forked workers.  A
+# pool of two workers took 15-30 ms to start and join on that machine,
+# so at 8 tasks, 60-120 ms of work, two workers save 30-60 ms of it,
+# more than the pool costs.
+_POOL_MIN_TASKS = 8
 
 HOLDS = "holds_empirically"
 FAILS = "fails_empirically"
@@ -299,6 +326,54 @@ class ConditionVerdict:
 
 
 # ---------------------------------------------------------------------------
+# Block tasks
+# ---------------------------------------------------------------------------
+
+
+def _in_order(task, items):
+    """Yield task(item) for every item, in item order.
+
+    The items go as a queue to min(usable cores, items) worker processes
+    forked from this one.  They inherit ``task`` with the process image,
+    so it need not pickle; only items and results do.  The tasks run
+    here instead, one after the other, when one core is usable, when
+    there are fewer than _POOL_MIN_TASKS of them (the callers make their
+    tasks about 10 ms long) or when this process is daemonic, which may
+    not have children.  There is no setting.  A result does not depend
+    on where its task ran.  A task that raises raises here, the first in
+    item order, with its own type and message, and every worker has
+    ended before the generator finishes.
+    """
+    items = list(items)
+    workers = min(len(os.sched_getaffinity(0)), len(items))
+    if workers > 1 and len(items) >= _POOL_MIN_TASKS:
+        # Imported here, as in cli.cmd_verify: calls that stay in this process do not pay for it.
+        import multiprocessing
+
+        if not multiprocessing.current_process().daemon:
+            import concurrent.futures
+
+            with concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"), initializer=_adopt, initargs=(task,)
+            ) as pool:
+                yield from pool.map(_run_adopted, items)
+            return
+    yield from map(task, items)
+
+
+_ADOPTED = None  # in a worker of _in_order: the task it runs
+
+
+def _adopt(task) -> None:
+    global _ADOPTED
+    _ADOPTED = task
+
+
+def _run_adopted(item):
+    return _ADOPTED(item)
+
+
+# ---------------------------------------------------------------------------
 # Kernel evaluation
 # ---------------------------------------------------------------------------
 
@@ -392,12 +467,16 @@ def _kernel_min(beta: RateFunction, log_ts: np.ndarray, cfg: TransformConfig, ki
     """Kernel values for a vector of log(t); NaN marks Undefined.
 
     Rows do not depend on each other, so they are evaluated in blocks of
-    _ROWS and memory stays bounded for any number of rows.
+    _ROWS, each a task of ``_in_order``: memory stays bounded for any
+    number of rows, and a row's value does not depend on its block or
+    on where the block runs.
     """
     log_ts = np.asarray(log_ts, dtype=float)
     out = np.empty(log_ts.shape)
-    for i in range(0, log_ts.size, _ROWS):
-        out[i : i + _ROWS] = _kernel_block(beta, log_ts[i : i + _ROWS], cfg, kind)
+    starts = range(0, log_ts.size, _ROWS)
+    blocks = _in_order(lambda i: _kernel_block(beta, log_ts[i : i + _ROWS], cfg, kind), starts)
+    for i, vals in zip(starts, blocks):
+        out[i : i + _ROWS] = vals
     return out
 
 
@@ -578,44 +657,20 @@ def check_vanishing(seq, cfg: TransformConfig) -> ConditionVerdict:
     return _vanishing_verdict([(ns, np.log(ns), vals)], ns.size, first, last, cfg)
 
 
-def _merge_fit(acc: tuple, x: np.ndarray, y: np.ndarray, dx: np.ndarray) -> tuple:
-    """Fold a block into running least-squares sums (Chan et al. 1979).
+class _Layout(NamedTuple):
+    """Where the rules of ``check_vanishing`` look in a window of ``size`` entries."""
 
-    ``acc`` is (count, mean x, mean y, Sxx, Sxy) with centred sums, so
-    the slope Sxy/Sxx stays accurate over any number of blocks.  The
-    centred x goes into ``dx``, scratch of x.size floats, and y is
-    centred in place.
-    """
-    n_a, mx_a, my_a, sxx_a, sxy_a = acc
-    mx_b, my_b = float(x.mean()), float(y.mean())
-    np.subtract(x, mx_b, out=dx)
-    np.subtract(y, my_b, out=y)
-    n = n_a + x.size
-    ddx, ddy = mx_b - mx_a, my_b - my_a
-    w = n_a * x.size / n
-    return (
-        n,
-        mx_a + ddx * x.size / n,
-        my_a + ddy * x.size / n,
-        sxx_a + float(dx @ dx) + ddx * ddx * w,
-        sxy_a + float(dx @ y) + ddx * ddy * w,
-    )
+    size: int
+    tail_start: int  # the last quarter
+    half_start: int  # the last half
+    picks: np.ndarray  # positions of the verdict's sequence_tail, at most 64 of the last quarter
 
 
-def _vanishing_verdict(blocks, size: int, n_first: int, n_last: int, cfg: TransformConfig) -> ConditionVerdict:
-    """The rules of ``check_vanishing`` over ``size`` entries in blocks.
-
-    ``blocks`` yields (ns, log(ns), vals) pieces of the sequence from
-    right to left, the last index first; ns may be integral floats.
-    Only running statistics and two scratch arrays reused from block to
-    block are kept, so the window may be far longer than what fits in
-    memory at once.
-    """
+def _verdict_layout(size: int, n_first: int, n_last: int) -> _Layout:
     if size < 4:
         raise ConfigError("vanishing check needs at least 4 sequence values")
     if n_last < 2 * n_first:
         raise ConfigError("N_max must be at least twice n0 for the vanishing check")
-
     tail_start = size - int(math.ceil(size / 4))
     half_start = size - int(math.ceil(size / 2))
     tail_len = size - tail_start
@@ -623,8 +678,91 @@ def _vanishing_verdict(blocks, size: int, n_first: int, n_last: int, cfg: Transf
         picks = np.arange(tail_start, size)
     else:
         picks = tail_start + np.linspace(0, tail_len - 1, 64).astype(int)
+    return _Layout(size, tail_start, half_start, picks)
 
-    pos = size
+
+def _fit_sums(x: np.ndarray, y: np.ndarray, dx: np.ndarray) -> tuple:
+    """(count, mean x, mean y, Sxx, Sxy) of one block, the sums centred on its means.
+
+    ``y`` is overwritten and ``dx`` is scratch of x.size floats.  The
+    sums are numpy's pairwise reductions, never a BLAS dot: OpenBLAS
+    splits a dot of more than 10 000 entries over its threads, so its
+    rounding, and the trend slope, would depend on their number.
+    """
+    mx, my = float(x.mean()), float(y.mean())
+    np.subtract(x, mx, out=dx)
+    np.subtract(y, my, out=y)
+    sxy = float(np.multiply(dx, y, out=y).sum())
+    sxx = float(np.multiply(dx, dx, out=dx).sum())
+    return x.size, mx, my, sxx, sxy
+
+
+def _merge_fit(acc: tuple, part: tuple) -> tuple:
+    """Fold a block's least-squares sums into running ones (Chan et al. 1979).
+
+    Both are (count, mean x, mean y, Sxx, Sxy) with centred sums, so the
+    slope Sxy/Sxx stays accurate over any number of blocks.
+    """
+    n_a, mx_a, my_a, sxx_a, sxy_a = acc
+    m, mx_b, my_b, sxx_b, sxy_b = part
+    n = n_a + m
+    ddx, ddy = mx_b - mx_a, my_b - my_a
+    w = n_a * m / n
+    return (
+        n,
+        mx_a + ddx * m / n,
+        my_a + ddy * m / n,
+        sxx_a + sxx_b + ddx * ddx * w,
+        sxy_a + sxy_b + ddx * ddy * w,
+    )
+
+
+def _verdict_part(layout: _Layout, pos: int, ns, log_n, vals, scratch=None, check_decrease: bool = True) -> tuple:
+    """What the rules of ``check_vanishing`` need of the block ``vals``,
+    the entries [pos, pos + vals.size) of the window.
+
+    Returns (size, first value, last value, all finite, the tail picks
+    as (n, value) pairs, the maximum of the block's part of the last
+    quarter or -inf, half).  ``half`` is None for a block left of the
+    last half; otherwise (that part finite, it decreases somewhere, its
+    first value, its fit sums or None where it is not finite).  ``ns``
+    may be integral floats.  ``scratch`` is two rows of at least
+    vals.size floats for the last half, made here if None.  Without
+    ``check_decrease`` the decrease test is skipped and reads False: a
+    block on the right, folded before this one, already decreases.
+    """
+    finite = bool(np.isfinite(vals).all())
+    i, j = layout.picks.searchsorted((pos, pos + vals.size))
+    sel = layout.picks[i:j] - pos
+    pairs = list(zip(ns[sel].astype(int).tolist(), vals[sel].tolist()))
+    t = max(layout.tail_start - pos, 0)
+    tail_max = float(vals[t:].max()) if t < vals.size else -math.inf
+    h = max(layout.half_start - pos, 0)
+    half = None
+    if h < vals.size:
+        half_finite = finite or bool(np.isfinite(vals[h:]).all())
+        decreases, fit = False, None
+        if half_finite:
+            m = vals.size - h
+            if scratch is None:
+                scratch = np.empty((2, m))
+            if check_decrease:
+                # run[i+1] - run[i] < -1e-9 |run[i]| on the run vals[h:], as in np.diff
+                step, bound = scratch[:, : m - 1]
+                np.subtract(vals[h + 1 :], vals[h:-1], out=step)
+                np.multiply(np.abs(vals[h:-1], out=bound), -1e-9, out=bound)
+                decreases = bool((step < bound).any())
+            y, dx = scratch[:, :m]
+            np.log(np.maximum(vals[h:], 1e-300, out=y), out=y)
+            fit = _fit_sums(log_n[h:], y, dx)
+        half = (half_finite, decreases, float(vals[h]), fit)
+    return vals.size, float(vals[0]), float(vals[-1]), finite, pairs, tail_max, half
+
+
+def _fold_verdict(parts, layout: _Layout, cfg: TransformConfig) -> ConditionVerdict:
+    """The rules of ``check_vanishing`` from the ``_verdict_part`` of
+    every block of the window, from right to left, the last index first."""
+    pos = layout.size
     first = last = math.nan
     undefined = False
     tail_max = -math.inf
@@ -632,44 +770,22 @@ def _vanishing_verdict(blocks, size: int, n_first: int, n_last: int, cfg: Transf
     half_finite = True
     nxt = None  # the first value of the half window in the block on the right
     fit = (0, 0.0, 0.0, 0.0, 0.0)
-    scratch = np.empty((2, 0))  # log(max(vals, 1e-300)) and centred log n of the half window
     pairs = []
-    done = picks.size  # picks[done:] are in the blocks already seen
-    for ns, log_n, vals in blocks:
-        pos -= vals.size
-        if pos + vals.size == size:
-            last = float(vals[-1])
-        first = float(vals[0])
-        finite = bool(np.isfinite(vals).all())
+    for size, head, end, finite, block_pairs, block_tail_max, half in parts:
+        if pos == layout.size:
+            last = end
+        pos -= size
+        first = head
         undefined = undefined or not finite
-        i = int(picks.searchsorted(pos))
-        if i < done:
-            sel = picks[i:done] - pos
-            pairs[:0] = zip(ns[sel].astype(int).tolist(), vals[sel].tolist())
-            done = i
-        t = max(tail_start - pos, 0)
-        if t < vals.size:
-            tail_max = max(tail_max, float(vals[t:].max()))
-        h = max(half_start - pos, 0)
-        if h < vals.size and half_finite:
-            half_finite = finite or bool(np.isfinite(vals[h:]).all())
+        pairs[:0] = block_pairs
+        tail_max = max(tail_max, block_tail_max)
+        if half is not None and half_finite:
+            half_finite, block_decreases, half_head, block_fit = half
             if half_finite:
-                m = vals.size - h
-                if scratch.shape[1] < m:
-                    scratch = np.empty((2, m))
-                if not decreases:
-                    # run[i+1] - run[i] < -1e-9 |run[i]| on the run vals[h:] then nxt, as in np.diff
-                    step, bound = scratch[:, : m - 1]
-                    np.subtract(vals[h + 1 :], vals[h:-1], out=step)
-                    np.multiply(np.abs(vals[h:-1], out=bound), -1e-9, out=bound)
-                    end = float(vals[-1])
-                    decreases = bool((step < bound).any()) or (nxt is not None and nxt - end < -1e-9 * abs(end))
-                    del step, bound  # views that would keep the scratch alive past the half window
-                    nxt = float(vals[h])
-                np.log(np.maximum(vals[h:], 1e-300, out=scratch[0, :m]), out=scratch[0, :m])
-                fit = _merge_fit(fit, log_n[h:], scratch[0, :m], scratch[1, :m])
-        if pos <= half_start:
-            scratch = None  # the half window is done: free its scratch
+                # a decrease inside the block, or from its last value to the block on the right
+                decreases = decreases or block_decreases or (nxt is not None and nxt - end < -1e-9 * abs(end))
+                nxt = half_head
+                fit = _merge_fit(fit, block_fit)
 
     slope = fit[4] / fit[3] if half_finite else math.nan
     tail = tuple(pairs)
@@ -684,6 +800,23 @@ def _vanishing_verdict(blocks, size: int, n_first: int, n_last: int, cfg: Transf
     if last < 0.5 * first:
         return ConditionVerdict(HOLDS, tail, slope)
     return ConditionVerdict(INCONCLUSIVE, tail, slope)
+
+
+def _vanishing_verdict(blocks, size: int, n_first: int, n_last: int, cfg: TransformConfig) -> ConditionVerdict:
+    """The rules of ``check_vanishing`` over ``size`` entries in blocks.
+
+    ``blocks`` yields (ns, log(ns), vals) pieces of the sequence from
+    right to left, the last index first; ns may be integral floats.
+    """
+    layout = _verdict_layout(size, n_first, n_last)
+
+    def parts():
+        pos = size
+        for ns, log_n, vals in blocks:
+            pos -= vals.size
+            yield _verdict_part(layout, pos, ns, log_n, vals)
+
+    return _fold_verdict(parts(), layout, cfg)
 
 
 def _xi1_terms(beta_sp: RateFunction, cfg: TransformConfig, ns: np.ndarray) -> np.ndarray:
@@ -751,52 +884,102 @@ def _wl_walk(beta_wl: RateFunction, cfg: TransformConfig, s=(), at=()):
 
     Returns the vanishing verdict on g, k*(s) for every s in ``s`` (the
     smallest k >= n0 with S(k) = sup_{k<=n<=N_max} g(n) <= s) and S at
-    the indices ``at``.  Each block is built in arrays reused from block
-    to block, and its log n serves the verdict's fit too, so memory
-    stays bounded for any N_max.
+    the indices ``at``.  The blocks go to ``_in_order`` in groups of
+    about _GROUP indices, the top group first; each gives the parts of
+    its blocks (``_walk_group``), and this process folds them from right
+    to left, carrying S just right of the block.  The values do not
+    depend on where a group runs, and memory stays bounded for any N_max.
     """
     n0 = _start_index(beta_wl, cfg, "wl")
+    layout = _verdict_layout(cfg.N_max - n0 + 1, n0, cfg.N_max)
     s, at = np.asarray(s, dtype=float), np.asarray(at, dtype=int)
-    # S is non-increasing in n, so k*(s) is N_max + 1 less the count of n with S(n) <= s.
-    k_star = np.full(s.shape, cfg.N_max + 1)
+    order = np.argsort(s, kind="stable")
+    s_sorted = s[order]
+    # S is non-increasing in n, so k*(s) is N_max + 1 less the count of n with
+    # S(n) <= s: ``whole[k]`` counts, as differences over k, the blocks that all
+    # of s_sorted[k:] admit whole, and ``crossed`` the rest.
+    whole = np.zeros(s.size + 1, dtype=np.int64)
+    crossed = np.zeros(s.size, dtype=np.int64)
     sup_at = np.full(at.shape, np.nan)
 
-    s_sorted = np.sort(s)  # NaN last, and never inside [carry, top)
-    at_min, at_max = (at.min(), at.max()) if at.size else (math.inf, -math.inf)
+    starts = range(n0, cfg.N_max + 1, _BLOCK)
+    per = max(1, _GROUP // _BLOCK)
+    groups = [starts[i : i + per] for i in reversed(range(0, len(starts), per))]
+    task = functools.partial(_walk_group, beta_wl, cfg, layout, n0, s_sorted, at)
 
-    def blocks():
+    def parts():
         carry = -math.inf  # S just right of the block
-        rows = np.empty((4, min(_BLOCK, cfg.N_max - n0 + 1)))  # one block's ns, log n, work and g
-        ns = rows[0, :0]
-        for lo in reversed(range(n0, cfg.N_max + 1, _BLOCK)):
-            hi = min(lo + _BLOCK - 1, cfg.N_max)
-            if ns.size == hi - lo + 1:
-                ns -= _BLOCK  # only a full block is followed by one of its size: the one below it
-            else:  # the first block, and the first full block below a partial one
-                ns, log_n, work, g = rows[:, : hi - lo + 1]
-                ns[:] = np.arange(lo, hi + 1)
-            np.log(ns, out=log_n)
-            _wl_condition_sequence(beta_wl, cfg, ns, log_n, work, g)
-            # S rises from carry to top across the block, right to left.
-            top = float(np.maximum(carry, g.max()))
-            i, j = s_sorted.searchsorted((carry, top))  # s_sorted[i:j] lie in [carry, top)
-            if math.isfinite(top) and i == j and not (at_min <= hi and lo <= at_max):
-                # No s crosses S inside the block, which lies outside the range of
-                # indices whose S is asked for: the suffix sup is not needed, and
-                # each s >= top admits the whole block.
-                k_star[s >= top] -= g.size
-                carry = top
-            else:
-                rsup = np.maximum.accumulate(g[::-1], out=work)  # S at ns[::-1], once the carry is in
-                np.maximum(rsup, carry, out=rsup)
-                carry = rsup[-1]
-                k_star[:] -= np.searchsorted(rsup, s, side="right")
-                inside = (at >= lo) & (at <= hi)
-                sup_at[inside] = rsup[hi - at[inside]]
-            yield ns, log_n, g
+        for group in _in_order(task, groups):
+            for part, (top, i0, i1, counts, inside, local) in group:
+                # S(n) = max(local sup, carry) <= s iff both are: only s_sorted[c0:] can admit n.
+                c0 = int(s_sorted.searchsorted(carry))
+                whole[max(c0, i1)] += part[0]
+                if counts is not None:
+                    c = max(c0, i0)
+                    crossed[c:i1] += counts[c - i0 :]
+                    sup_at[inside] = np.maximum(local, carry)
+                carry = float(np.maximum(carry, top))
+                yield part
 
-    verdict = _vanishing_verdict(blocks(), cfg.N_max - n0 + 1, n0, cfg.N_max, cfg)
+    verdict = _fold_verdict(parts(), layout, cfg)
+    k_star = np.empty(s.shape, dtype=np.int64)
+    k_star[order] = cfg.N_max + 1 - np.cumsum(whole[:-1]) - crossed
     return verdict, k_star, sup_at
+
+
+def _walk_group(beta_wl, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, at, starts: range) -> list:
+    """(verdict part, sup part) of each WL walk block that starts at ``starts``, the top block first.
+
+    The blocks are built in arrays reused from block to block, and the
+    log n each computes for the argument also serves the verdict's fit.
+    The sup part is ``_sup_part``'s.  Once a block decreases, the blocks
+    after it here skip the decrease test (see ``_verdict_part``).
+    """
+    rows = np.empty((4, min(_BLOCK, cfg.N_max - starts[0] + 1)))  # one block's ns, log n, work and g
+    # the fit's two rows, while the group reaches into the last half
+    reaches_half = min(starts[-1] + _BLOCK, cfg.N_max + 1) - n0 > layout.half_start
+    scratch = np.empty((2, rows.shape[1])) if reaches_half else None
+    ns = rows[0, :0]
+    decreasing = False
+    out = []
+    for lo in reversed(starts):
+        hi = min(lo + _BLOCK - 1, cfg.N_max)
+        if ns.size == hi - lo + 1:
+            ns -= _BLOCK  # only a full block is followed by one of its size: the one below it
+        else:  # the first block, and the first full block below a partial one
+            ns, log_n, work, g = rows[:, : hi - lo + 1]
+            ns[:] = np.arange(lo, hi + 1)
+        np.log(ns, out=log_n)
+        _wl_condition_sequence(beta_wl, cfg, ns, log_n, work, g)
+        sup = _sup_part(g, work, s_sorted, at, lo, hi)
+        part = _verdict_part(layout, lo - n0, ns, log_n, g, scratch, not decreasing)
+        decreasing = decreasing or (part[6] is not None and part[6][1])
+        if lo - n0 <= layout.half_start:
+            scratch = None  # the half window is done: free its scratch
+        out.append((part, sup))
+    return out
+
+
+def _sup_part(g: np.ndarray, work: np.ndarray, s_sorted: np.ndarray, at: np.ndarray, lo: int, hi: int) -> tuple:
+    """What k*(s) and S at ``at`` need of the block g = g(lo..hi), whatever S is right of it.
+
+    With L(n) = max g[n..hi], the local suffix sup, S(n) = max(L(n), S(hi + 1)).
+    Returns (max g, i0, i1, counts, inside, local): s_sorted[:i0] lie
+    below g[hi], so no L(n) is at or below them, and s_sorted[i1:] at or
+    above max g, which every L(n) is; ``counts`` holds the count of n
+    with L(n) <= s for s_sorted[i0:i1], ``inside`` the positions in
+    ``at`` of the indices in the block and ``local`` their L.  Only a
+    block with such an s or such an index builds L, in ``work``;
+    otherwise counts and local are None.  NaN in g makes i0, i1 = 0,
+    s_sorted.size, and L reads NaN from it on.
+    """
+    top = float(g.max())
+    i0, i1 = (0, s_sorted.size) if math.isnan(top) else s_sorted.searchsorted((g[-1], top)).tolist()
+    inside = np.flatnonzero((at >= lo) & (at <= hi))
+    if i0 == i1 and not inside.size:
+        return top, i0, i1, None, inside, None
+    local = np.maximum.accumulate(g[::-1], out=work)  # L at ns[::-1]
+    return top, i0, i1, local.searchsorted(s_sorted[i0:i1], side="right"), inside, local[hi - at[inside]]
 
 
 def wl2sp_condition(beta_wl: RateFunction, cfg: Optional[TransformConfig] = None) -> ConditionVerdict:
@@ -913,17 +1096,18 @@ def n_zero(beta_sp: RateFunction, s: float, cfg: Optional[TransformConfig] = Non
     return int(_n_zero(ns, values, np.array([float(s)]), cfg)[0])
 
 
-def _sl_map(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig) -> tuple:
+def _sl_map(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig, sequence=None) -> tuple:
     """The SP-to-SL verdict on one xi1 sequence, and a call that finishes the map.
 
     The sequence n*xi1(delta^(-n+1)) on [n0, N_max] is built once for
-    both; a caller writes or gates the verdict before it makes the call.
+    both, unless ``sequence`` is that of ``_xi1_sequence(beta_sp, cfg)``
+    already; a caller writes or gates the verdict before it makes the call.
     The call checks the nonempty grid ``s`` (so ``transform`` refuses a
     bad grid after writing the verdict, as it does for the other gated
     map), finds N0(s), raising CapError where the qualifying set reaches
     N_max, and returns the table of ``sl_from_sp``.
     """
-    ns, values = _xi1_sequence(beta_sp, cfg)
+    ns, values = sequence if sequence is not None else _xi1_sequence(beta_sp, cfg)
 
     def table() -> Tabulated:
         _validate_s_grid(s)
@@ -954,8 +1138,17 @@ def wl_from_sp(beta_sp: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     admissible k of the running sup is attained there because the sup is
     non-decreasing in k).
     """
-    cfg = cfg or TransformConfig()
-    s = _validate_s_grid(s_grid)
+    return _wl_table(beta_sp, _validate_s_grid(s_grid), cfg or TransformConfig())
+
+
+def _wl_table(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig, sequence=None) -> Tabulated:
+    """The table of ``wl_from_sp`` on the checked grid ``s``.
+
+    Where ``sequence`` is that of ``_xi1_sequence(beta_sp, cfg)`` and
+    holds every k*(s), the sup window is read from it instead of being
+    evaluated again; kernel rows do not depend on their block, so the
+    values are the same.
+    """
     n0 = _start_index(beta_sp, cfg, "xi1")
 
     def thresholds(ks):
@@ -967,7 +1160,10 @@ def wl_from_sp(beta_sp: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     k_star = _k_star(thresholds, n0, cfg, s_eff, s_eff)
 
     k_hi = int(k_star.max())
-    ns, seq = _sp_kernel_sequence(beta_sp, cfg, n0, k_hi)
+    if sequence is not None and k_hi <= sequence[0][-1]:
+        ns, seq = (a[: k_hi - n0 + 1] for a in sequence)
+    else:
+        ns, seq = _sp_kernel_sequence(beta_sp, cfg, n0, k_hi)
     if np.any(np.isnan(seq)):
         bad = int(ns[np.flatnonzero(np.isnan(seq))[0]])
         raise MathDomainError(

@@ -1,7 +1,16 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from ratecalc import FiniteDirichletForm, transforms
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def _form(mu, edges, n):

@@ -504,18 +504,26 @@ class TestVerify:
         assert manifest["seed"] == 7
 
     def test_one_sp2sl_sequence(self, runner, tmp_path, kernel_rows):
-        # The SP-to-SL verdict and table read one sequence on [n0, N_max]; the
-        # only other kernel rows are the [n0, k*] prefix that wl_from_sp reads.
+        # The SP-to-SL verdict and table read one sequence on [n0, N_max], and
+        # the SP-to-WL map reads its [n0, k*] sup window from it.
         res = runner.invoke(
             main,
             ["verify", "--birth-death", "4,1,2,11", "--s-grid", "1e-3,1,6", "--seed", "7", "--out", str(tmp_path / "o")],
         )
         assert res.exit_code == 0, res.output
-        sequence, prefix = (_row_indices([rows]) for rows in kernel_rows)
-        n0 = sequence[0]
-        k_star = min(k for k in range(n0, 401) if k * 4.0**-k <= 1e-3)
-        assert np.array_equal(sequence, np.arange(n0, 401))
-        assert np.array_equal(prefix, np.arange(n0, k_star + 1))
+        (sequence,) = (_row_indices([rows]) for rows in kernel_rows)
+        assert np.array_equal(sequence, np.arange(sequence[0], 401))
+        assert json.loads((tmp_path / "o" / "report.json").read_text())["wl_transform_degenerate"] is False
+
+    def test_each_xi1_row_once_on_the_n41_chain(self, runner, tmp_path, kernel_rows):
+        res = runner.invoke(
+            main,
+            ["verify", "--birth-death", "4,1,2,41", "--s-grid", "1e-3,1,6", "--seed", "7", "--out", str(tmp_path / "o")],
+        )
+        assert res.exit_code == 0, res.output
+        _each_once(kernel_rows, 400)
+        assert _row_indices(kernel_rows).min() == 3
+        assert (tmp_path / "o" / "transformed_wl.csv").exists()
 
     def test_inconclusive_sp2sl_verdict_is_reported(self, runner, tmp_path, monkeypatch):
         real = cli._sl_map
@@ -628,6 +636,20 @@ class TestSpectrumAndOptimal:
         assert res.exit_code == 2, res.output
         assert "edges[0] = [0, 1, 1.0] and edges[1] = [1, 0, 3.0]" in res.output
         assert json.loads((out / "manifest.json").read_text())["pass"] is False
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_overflowing_weight_exits_2(self, runner, tmp_path, command):
+        # 1e308 + 1e308 overflows when the weights are symmetrised.
+        p = tmp_path / "form.json"
+        p.write_text(json.dumps({"mu": [0.5, 0.5], "edges": [[0, 1, 1e308]]}))
+        out = tmp_path / "o"
+        out.mkdir()
+        res = runner.invoke(main, [command, "--form", str(p), "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "symmetrised weights overflow double range" in res.output
+        assert json.loads((out / "manifest.json").read_text())["pass"] is False
+        assert sorted(os.listdir(out)) == ["manifest.json"]
 
     def test_optimal_single_point(self, runner, tmp_path):
         form = FiniteDirichletForm(mu=np.array([0.5, 0.5]), weights=np.array([[0.0, 1.0], [1.0, 0.0]]))

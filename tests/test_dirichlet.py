@@ -109,6 +109,24 @@ class TestFormValidation:
         assert first in str(err.value) and second in str(err.value)
         assert "join states 0 and 1" in str(err.value)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "d,message",
+        [
+            ({"mu": [0.5, 0.5], "edges": [[0, 1, 1e308]]}, "symmetrised weights overflow"),
+            # each weight fits, their sum at state 0 does not
+            ({"mu": [0.25] * 4, "edges": [[0, 1, 6e307], [0, 2, 6e307], [0, 3, 6e307]]}, "Laplacian overflows"),
+        ],
+    )
+    def test_overflowing_weights_are_config_error(self, d, message):
+        with pytest.raises(ConfigError, match=message):
+            FiniteDirichletForm.from_json_dict(d)
+
+    @pytest.mark.filterwarnings("error")
+    def test_weights_near_the_limit_admitted(self):
+        form = FiniteDirichletForm.from_json_dict({"mu": [0.25] * 4, "edges": [[0, 1, 8e307], [0, 2, 8e307]]})
+        assert form.laplacian[0, 0] == 1.6e308
+
     @pytest.mark.parametrize("n", [3, 41, 201])
     def test_json_dict_matches_pair_loop(self, n):
         rng = np.random.default_rng(n)

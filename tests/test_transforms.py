@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -453,9 +457,8 @@ def forward_vanishing_verdict(blocks, size, n_first, n_last, cfg):
                 decreases = decreases or bool(np.any(np.diff(run) < -1e-9 * np.abs(run[:-1])))
                 prev = run[-1:]
                 log_n = np.log(ns[h:].astype(float))
-                fit = transforms._merge_fit(
-                    fit, log_n, np.log(np.maximum(vals[h:], 1e-300)), np.empty_like(log_n)
-                )
+                y = np.log(np.maximum(vals[h:], 1e-300))
+                fit = transforms._merge_fit(fit, transforms._fit_sums(log_n, y, np.empty_like(log_n)))
         pos += vals.size
 
     slope = fit[4] / fit[3] if half_finite else math.nan
@@ -979,6 +982,18 @@ class TestWlFromSp:
         with pytest.raises(DegenerateTransformError):
             wl_from_sp(tab, log_grid(1e-3, 1.0, 12), CFG)
 
+    @pytest.mark.parametrize("n_max", [6, 7, 400])
+    def test_sup_window_read_from_the_xi1_sequence(self, n_max, kernel_rows):
+        # k* = 7 at s = 1e-3: a sequence to N_max >= 7 holds the sup window,
+        # a shorter one does not and the window is evaluated.
+        beta, s = ExpPower(C=1.0, theta=0.5), log_grid(1e-3, 1.0, 6)
+        cfg = TransformConfig(k_max=400, N_max=n_max)
+        sequence = transforms._xi1_sequence(beta, cfg)
+        want = wl_from_sp(beta, s, cfg).points
+        kernel_rows.clear()
+        assert transforms._wl_table(beta, s, cfg, sequence).points == want
+        assert len(kernel_rows) == (n_max < 7)
+
 
 class TestSpFromWl:
     def test_constant_rate_exact_indices(self):
@@ -1138,6 +1153,8 @@ def old_wl_condition_sequence(beta_wl, cfg, lo, hi):
 
 
 def old_merge_fit(acc, x, y):
+    # The sums are numpy's pairwise ones, as in the walk: a BLAS dot's
+    # rounding depends on its thread count.
     n_a, mx_a, my_a, sxx_a, sxy_a = acc
     mx_b, my_b = float(x.mean()), float(y.mean())
     dx = x - mx_b
@@ -1148,8 +1165,8 @@ def old_merge_fit(acc, x, y):
         n,
         mx_a + ddx * x.size / n,
         my_a + ddy * x.size / n,
-        sxx_a + float(dx @ dx) + ddx * ddx * w,
-        sxy_a + float(dx @ (y - my_b)) + ddx * ddy * w,
+        sxx_a + float((dx * dx).sum()) + ddx * ddx * w,
+        sxy_a + float((dx * (y - my_b)).sum()) + ddx * ddy * w,
     )
 
 
@@ -1369,6 +1386,196 @@ class TestWalkMatchesReference:
         assert repr(got[0]) == repr(want[0])
         log_values = math.log(cfg.C3) + want[1] * math.log(cfg.delta)
         assert [v for _, v in sp_from_wl(beta, grid, cfg).log_points] == log_values.tolist()
+
+
+class _Raising(RateFunction):
+    """LogPower{1, 1/2} that raises MathDomainError, naming the band, on a
+    block that holds a log(s) in one of ``bands``."""
+
+    def __init__(self, bands):
+        self.bands = bands
+
+    def eval_many(self, s):
+        return self.eval_at_log_many(np.log(s))
+
+    def eval_at_log_many(self, log_s):
+        for lo, hi in self.bands:
+            if np.any((log_s >= lo) & (log_s <= hi)):
+                raise MathDomainError(f"no value on [{lo}, {hi}]")
+        return LogPower(C=1.0, q=0.5).eval_at_log_many(log_s)
+
+    def limit_at_zero(self):
+        return math.inf
+
+    def limit_at_inf(self):
+        return 1.0
+
+    def to_json_dict(self):
+        return {"family": "raising"}
+
+
+# 137 blocks of 2^15 and a partial one: 9 groups, enough for the workers.
+_DEEP = 4_500_000
+
+
+def _log_arg(n):
+    """log(delta^-n n^-theta) at delta 4, theta 1."""
+    return -(n * math.log(4.0) + math.log(n))
+
+
+def _one_core(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def _record_pids(monkeypatch, tmp_path, name):
+    """Wrap transforms.<name> so that each call, in whatever process,
+    appends that process's id to a file; returns the reader of the ids."""
+    real = getattr(transforms, name)
+    path = tmp_path / f"{name}.pids"
+
+    def recording(*args):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(transforms, name, recording)
+    return lambda: set(map(int, path.read_text().split())) if path.exists() else set()
+
+
+def _deep_log_points(n_max):
+    cfg = TransformConfig(k_max=n_max, N_max=n_max)
+    return sp_from_wl(LogPower(C=1.0, q=0.5), log_grid(1e-3, 1e-2, 12), cfg).log_points
+
+
+_MANY_CORES = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one usable core: no workers")
+
+
+class TestBlockTasks:
+    """The WL walk's groups and the kernel's row blocks give the same bits
+    in forked workers as in this process, and raise the same errors."""
+
+    @pytest.mark.parametrize(
+        "beta",
+        [
+            LogPower(C=1.0, q=0.5),
+            LogPower(C=1.0, q=1.5),  # fails: the sequence grows like sqrt(n)
+            _NanBand(LogPower(C=1.0, q=0.5), _log_arg(3_030_000), _log_arg(2_960_000)),
+            ExpPower(C=1.0, theta=1.0),  # +inf past its first few indices
+        ],
+        ids=["LogPower0.5", "LogPower1.5", "NanBand", "ExpPower"],
+    )
+    def test_walk_equals_one_core(self, beta, monkeypatch, tmp_path):
+        cfg = TransformConfig(k_max=_DEEP, N_max=_DEEP)
+        # block edges, the partial top block and indices inside groups
+        edges = np.unique(np.clip(np.concatenate([np.arange(2, _DEEP + 1, transforms._BLOCK) + d for d in (-1, 0, 1)]),
+                                  2, _DEEP))
+        at = np.concatenate([edges, [2, 3, 1_000_001, _DEEP - 1, _DEEP]])
+        pids = _record_pids(monkeypatch, tmp_path, "_wl_condition_sequence")
+        sup = transforms._wl_walk(beta, cfg, at=at)[2]
+        finite = sup[np.isfinite(sup)]
+        s = np.concatenate([log_grid(1e-4, 1e-2, 30), finite[:: max(1, finite.size // 200)],
+                            np.nextafter(finite[::97], 0)])
+        s = s[(s > 0) & np.isfinite(s)]
+        got = transforms._wl_walk(beta, cfg, s, at)
+        if len(os.sched_getaffinity(0)) > 1:
+            assert pids() - {os.getpid()}, "no block ran in a worker"
+        _one_core(monkeypatch)
+        path = tmp_path / "_wl_condition_sequence.pids"
+        path.unlink()
+        want = transforms._wl_walk(beta, cfg, s, at)
+        assert pids() == {os.getpid()}
+        assert got[0].status == want[0].status
+        # status, tail and trend slope, bit for bit and with NaN equal to NaN
+        assert repr(got[0]) == repr(want[0])
+        assert got[1].tolist() == want[1].tolist()
+        assert repr(got[2].tolist()) == repr(want[2].tolist())
+
+    @pytest.mark.parametrize("kind", ["xi1", "xi2"])
+    def test_kernel_rows_equal_one_core(self, kind, monkeypatch, tmp_path):
+        # 9 blocks and a partial one
+        ns = np.arange(2, 9 * transforms._ROWS + 60)
+        if kind == "xi1":
+            beta, log_ts = ExpPower(C=1.0, theta=0.5), -(ns - 1) * math.log(4.0)
+        else:
+            beta, log_ts = PolyPower(C=1.0, p=1.0), np.log(ns * math.log(4.0))
+        pids = _record_pids(monkeypatch, tmp_path, "_kernel_block")
+        got = transforms._kernel_min(beta, log_ts, CFG, kind)
+        if len(os.sched_getaffinity(0)) > 1:
+            assert pids() - {os.getpid()}, "no block ran in a worker"
+        _one_core(monkeypatch)
+        _assert_same_bits(got, transforms._kernel_min(beta, log_ts, CFG, kind))
+
+    @_MANY_CORES
+    def test_walk_error_is_the_first_in_walk_order(self, monkeypatch):
+        # Blocks near n = 4e6 and n = 1e6 raise; the walk goes from N_max down.
+        beta = _Raising([(_log_arg(1_000_010), _log_arg(1_000_000)), (_log_arg(4_000_010), _log_arg(4_000_000))])
+        cfg = TransformConfig(k_max=_DEEP, N_max=_DEEP)
+        with pytest.raises(MathDomainError) as in_workers:
+            sp_from_wl(beta, [1e-3], cfg)
+        _one_core(monkeypatch)
+        with pytest.raises(MathDomainError) as in_process:
+            sp_from_wl(beta, [1e-3], cfg)
+        assert type(in_workers.value) is type(in_process.value)
+        assert str(in_workers.value) == str(in_process.value) == f"no value on [{_log_arg(4_000_010)}, {_log_arg(4_000_000)}]"
+
+    @_MANY_CORES
+    def test_kernel_error_is_the_first_in_row_order(self, monkeypatch):
+        real = transforms._kernel_block
+
+        def failing(beta, log_ts, cfg, kind):
+            if log_ts.size == transforms._ROWS and log_ts[0] in (starts[3], starts[6]):
+                raise CapError(f"block at {log_ts[0]!r}")
+            return real(beta, log_ts, cfg, kind)
+
+        log_ts = -np.arange(1, 10 * transforms._ROWS + 1) * math.log(4.0)
+        starts = log_ts[:: transforms._ROWS]
+        monkeypatch.setattr(transforms, "_kernel_block", failing)
+        errors = []
+        for cores in (None, 1):
+            if cores:
+                _one_core(monkeypatch)
+            with pytest.raises(CapError) as err:
+                transforms._kernel_min(ExpPower(C=1.0, theta=0.5), log_ts, CFG, "xi1")
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1] == (CapError, f"block at {starts[3]!r}")
+
+    def test_one_core_keeps_the_work_here(self, monkeypatch, tmp_path):
+        _one_core(monkeypatch)
+        pids = _record_pids(monkeypatch, tmp_path, "_wl_condition_sequence")
+        got = _deep_log_points(_DEEP)
+        assert pids() == {os.getpid()}
+        monkeypatch.undo()
+        assert got == _deep_log_points(_DEEP)
+
+    def test_daemonic_caller_runs_in_process(self):
+        # A multiprocessing.Pool worker is daemonic and may not start children.
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            got = pool.apply_async(_deep_log_points, (_DEEP,)).get(timeout=120)
+        finally:
+            pool.close()
+            pool.join()
+        assert got == _deep_log_points(_DEEP)
+
+    def test_fit_sums_do_not_depend_on_blas_threads(self):
+        # OpenBLAS splits a dot of more than 10 000 entries over its threads;
+        # the fit sums of both a walk and a half window of 20 000 entries do not.
+        code = (
+            "import numpy as np\n"
+            "from ratecalc import LogPower, TransformConfig, check_vanishing, transforms\n"
+            "walk = transforms._wl_walk(LogPower(C=1.0, q=0.25), TransformConfig(k_max=100_000, N_max=100_000))[0]\n"
+            "ns = np.arange(2, 40_002)\n"
+            "whole = check_vanishing((ns, ns**-1.5 * (1.0 + 0.5 * np.sin(ns))), TransformConfig())\n"
+            "print(repr(walk.trend_slope), repr(whole.trend_slope))\n"
+        )
+        src = os.path.dirname(os.path.dirname(transforms.__file__))
+        slopes = [
+            subprocess.run([sys.executable, "-c", code], env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src),
+                           capture_output=True, text=True, check=True).stdout
+            for threads in ("1", "2")
+        ]
+        assert slopes[0] == slopes[1]
+        assert len(slopes[0].split()) == 2
 
 
 class TestSpFromSl:
