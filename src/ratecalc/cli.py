@@ -44,6 +44,7 @@ from .ratefn import LogTabulated, RateFunction, fit_exponent, rate_function_from
 from .ratefn import ExpPower, LogPower, PolyPower
 from .transforms import (
     TransformConfig,
+    _in_order,
     _kernel_min,
     _sl_map,
     _start_index,
@@ -311,13 +312,12 @@ def cmd_verify(run, form_path, birth_death, s_grid, config_path, seed, restarts)
     max-ratio domination constants.  Exit code 0 iff all domination
     reports pass.
 
-    The four kinds never interact, so each is solved in its own forked
-    worker process, as many at once as the process may use cores (at
-    most four; there is no setting).  Every worker has ended before the
-    first file is written; the results are then written in KINDS order,
-    and a kind that failed raises its error there, as a serial loop
-    would, so files, manifests and exit codes do not depend on the
-    workers.
+    The four kinds never interact, so each is a task of
+    transforms._in_order, solved in a forked worker where it may start
+    one.  Each kind is written as it comes back, in KINDS order; the
+    first that failed raises its error once the kinds before it are
+    written and every worker has ended, so files, manifests and exit
+    codes do not depend on the workers.
     """
     run.start("verify", form_path, config_path, seed=seed)
     form, form_desc = _resolve_form(form_path, birth_death)
@@ -326,20 +326,12 @@ def cmd_verify(run, form_path, birth_death, s_grid, config_path, seed, restarts)
     s = _parse_grid(s_grid, "s-grid")
     run.make_out_dir()
 
-    # Imported here: only verify starts worker processes, so no other command pays for the import.
-    import concurrent.futures
-    import multiprocessing
-
     sg = spectral_gap(form)
-    solver_cfg = SolverConfig(restarts=restarts, seed=seed)
-    workers = min(len(KINDS), len(os.sched_getaffinity(0)))
-    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(empirical_rate, form, kind, s, solver_cfg) for kind in KINDS]
+    solve = functools.partial(empirical_rate, form, s_grid=s, cfg=SolverConfig(restarts=restarts, seed=seed))
     empirical = {}
-    for kind, future in zip(KINDS, futures):
-        # The first kind that failed raises its error here, after the kinds before it are written.
-        empirical[kind] = future.result()
-        _emit_empirical(run, empirical[kind])
+    for emp in _in_order(solve, KINDS, min_tasks=2):
+        empirical[emp.kind] = emp
+        _emit_empirical(run, emp)
 
     tab_sp = empirical["SP"].to_tabulated()
 
@@ -348,12 +340,8 @@ def cmd_verify(run, form_path, birth_death, s_grid, config_path, seed, restarts)
     verdict, sl_table = _sl_map(tab_sp, s, cfg, sequence)
     _gate(run, "verdict_sp2sl.json", "sp2sl", verdict)
     trans_sl = sl_table()
-    rows = [(_fmt(a), _fmt(b)) for a, b in trans_sl.points]
-    run.csv("transformed_sl.csv", "s,beta", rows)
-    dom_sl = dominates(empirical["SL"], trans_sl)
-
-    dominations = {"sl": dom_sl.to_json_dict()}
-    wl_degenerate = False
+    run.csv("transformed_sl.csv", "s,beta", [(_fmt(a), _fmt(b)) for a, b in trans_sl.points])
+    dominations = {"sl": dominates(empirical["SL"], trans_sl).to_json_dict()}
     try:
         trans_wl = _wl_table(tab_sp, s, cfg, sequence)
     except DegenerateTransformError as exc:
@@ -361,17 +349,10 @@ def cmd_verify(run, form_path, birth_death, s_grid, config_path, seed, restarts)
         # is so small that every truncation slice is empty and the weak
         # log-Sobolev content reduces to the Poincare inequality; report
         # the domination as trivially satisfied and move on.
-        wl_degenerate = True
-        dominations["wl"] = {
-            "degenerate": True,
-            "passed": True,
-            "note": str(exc),
-        }
+        dominations["wl"] = {"degenerate": True, "passed": True, "note": str(exc)}
     else:
-        rows = [(_fmt(a), _fmt(b)) for a, b in trans_wl.points]
-        run.csv("transformed_wl.csv", "s,beta", rows)
-        dom_wl = dominates(empirical["WL"], trans_wl)
-        dominations["wl"] = dom_wl.to_json_dict()
+        run.csv("transformed_wl.csv", "s,beta", [(_fmt(a), _fmt(b)) for a, b in trans_wl.points])
+        dominations["wl"] = dominates(empirical["WL"], trans_wl).to_json_dict()
 
     overall = all(d.get("passed", False) for d in dominations.values())
     report = {
@@ -382,7 +363,7 @@ def cmd_verify(run, form_path, birth_death, s_grid, config_path, seed, restarts)
         "restarts": restarts,
         "spectral_gap": sg.gap,
         "poincare_constant": sg.poincare_constant,
-        "wl_transform_degenerate": wl_degenerate,
+        "wl_transform_degenerate": "degenerate" in dominations["wl"],
         "dominations": dominations,
         "pass": overall,
     }

@@ -231,13 +231,17 @@ def spectral_gap(form: FiniteDirichletForm) -> SpectralGap:
     Computed as the second-smallest eigenvalue of the mu-symmetrised
     generator; the returned certificate vector attains the ratio to
     within 1e-8 relative.  Raises SingularityError when the weight graph
-    is disconnected (gap numerically zero).
+    is disconnected (gap numerically zero) or when a generator entry
+    L[i, j] / sqrt(mu_i mu_j) leaves double range, as a valid form allows.
     """
     if form.n < 2:
         raise ConfigError("spectral gap needs at least 2 states")
     d = 1.0 / np.sqrt(form.mu)
-    B = d[:, None] * form.laplacian * d[None, :]
-    B = 0.5 * (B + B.T)
+    with np.errstate(over="ignore"):
+        B = d[:, None] * form.laplacian * d[None, :]
+        B = 0.5 * (B + B.T)
+    if not np.all(np.isfinite(B)):
+        raise SingularityError("spectral gap overflows double range")
     w, V = np.linalg.eigh(B)
     gap = float(w[1])
     scale = max(float(w[-1]), 1.0)

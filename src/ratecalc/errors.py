@@ -31,7 +31,7 @@ class FitError(MathDomainError):
 
 
 class SingularityError(MathDomainError):
-    """Spectral gap numerically zero (disconnected weight graph)."""
+    """Spectral gap numerically zero (disconnected weight graph) or out of double range."""
 
 
 class DegenerateTransformError(MathDomainError):

@@ -190,6 +190,11 @@ class _Inequality:
         return c > e_floor * b if self.c is _energy else c > 0.0
 
 
+def _energy_floor(form: FiniteDirichletForm) -> float:
+    """The energy per unit of b below which a row counts as constant: _E_TINY times the largest weight."""
+    return _E_TINY * max(float(np.max(form.weights)), 1e-30)
+
+
 _INEQUALITIES = {
     "SP": _Inequality(_mass2, _energy, _mass1_sq, floor=1.0, sphere=True),
     "SL": _Inequality(_ent, _energy, _mass2, floor=0.0, sphere=True),
@@ -218,8 +223,7 @@ class _Objective:
         self.form = form
         self.mu = form.mu
         self.lap = form.laplacian
-        wmax = float(np.max(form.weights)) if form.n > 1 else 0.0
-        self.e_floor = _E_TINY * max(wmax, 1e-30)
+        self.e_floor = _energy_floor(form)
 
     def apply_lap(self, F: np.ndarray) -> np.ndarray:
         """F L, row by row; L is symmetric, so row i is L f_i."""
@@ -790,8 +794,7 @@ def brute_force_oracle(
         )
     i_idx, j_idx = np.nonzero(np.triu(form.weights, 1))
     edges = list(zip(i_idx, j_idx, form.weights[i_idx, j_idx]))
-    wmax = float(np.max(form.weights)) if form.n > 1 else 0.0
-    e_floor = _E_TINY * max(wmax, 1e-30)
+    e_floor = _energy_floor(form)
     best = _FLOOR[kind]
     if form.n == 1:
         return max(best, float(_oracle_values(kind, np.ones((1, 1)), s, form.mu, edges, e_floor).max()))

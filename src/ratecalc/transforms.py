@@ -50,16 +50,16 @@ indices takes about half as long as in blocks of 2^20, and its memory
 is a few MB for any N_max.  sp_from_wl and sp_from_sl return
 log(beta_SP), exact past double range.
 
-Both block loops spread over the usable cores through _in_order: the
-kernel's blocks of rows, and the walk's blocks in groups of 16.  A
-worker reduces each block of the walk to what the fold needs of it
-(_verdict_part and _sup_part), and this process folds those from right
-to left, carrying S just right of the block.  With L the block's own
-suffix sup, S(n) = max(L(n), carry) <= s iff L(n) <= s and carry <= s,
-so a block builds L only for the s between its last value and its
-maximum (one searchsorted on the sorted s) or where S is asked for at
-its indices; each s at or above the maximum admits the whole block once
-the carry admits it.  The same tasks run in this process, one after the
+Three loops spread over the usable cores through _in_order: the
+kernel's blocks of rows, the walk's blocks in groups of 16, and the
+solves of cli.cmd_verify's four kinds.  A worker reduces each block of
+the walk to what the fold needs of it (_verdict_part and _sup_part),
+and this process folds those from right to left, carrying S just right
+of the block.  With L the block's own suffix sup, S(n) = max(L(n),
+carry) <= s iff L(n) <= s and carry <= s, so a block builds L only for
+the s between its last value and its maximum (one searchsorted on the
+sorted s) or where S is asked for at its indices; each s at or above
+the maximum admits the whole block once the carry admits it.  The same tasks run in this process, one after the
 other, where the work is too small to pay for a pool, one core is
 usable or the caller is a daemonic process; there is no setting.  No
 value depends on where a task ran: kernel rows do not depend on their
@@ -330,24 +330,25 @@ class ConditionVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _in_order(task, items):
+def _in_order(task, items, min_tasks=_POOL_MIN_TASKS):
     """Yield task(item) for every item, in item order.
 
     The items go as a queue to min(usable cores, items) worker processes
     forked from this one.  They inherit ``task`` with the process image,
     so it need not pickle; only items and results do.  The tasks run
     here instead, one after the other, when one core is usable, when
-    there are fewer than _POOL_MIN_TASKS of them (the callers make their
-    tasks about 10 ms long) or when this process is daemonic, which may
-    not have children.  There is no setting.  A result does not depend
+    there are fewer than ``min_tasks`` of them (_POOL_MIN_TASKS for the
+    maps' tasks of about 10 ms; cli.cmd_verify passes 2 for its solves
+    of about 0.5 s) or when this process is daemonic, which may not have
+    children.  There is no user setting.  A result does not depend
     on where its task ran.  A task that raises raises here, the first in
     item order, with its own type and message, and every worker has
     ended before the generator finishes.
     """
     items = list(items)
     workers = min(len(os.sched_getaffinity(0)), len(items))
-    if workers > 1 and len(items) >= _POOL_MIN_TASKS:
-        # Imported here, as in cli.cmd_verify: calls that stay in this process do not pay for it.
+    if workers > 1 and len(items) >= min_tasks:
+        # Imported here: calls that stay in this process do not pay for it.
         import multiprocessing
 
         if not multiprocessing.current_process().daemon:
@@ -1032,6 +1033,11 @@ def _validate_s_grid(s_grid) -> np.ndarray:
     return s
 
 
+def _clamped(s: np.ndarray, cfg: TransformConfig) -> np.ndarray:
+    """The grid s clamped at cfg.s0, or at its own last point where s0 is None."""
+    return np.minimum(s, cfg.s0 if cfg.s0 is not None else float(s[-1]))
+
+
 def _clamp_and_tabulate(s: np.ndarray, values: np.ndarray, s0: Optional[float], table=Tabulated):
     if s0 is not None:
         above = s > s0
@@ -1111,8 +1117,7 @@ def _sl_map(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig, sequence
 
     def table() -> Tabulated:
         _validate_s_grid(s)
-        s0 = cfg.s0 if cfg.s0 is not None else float(s[-1])
-        rates = math.log(cfg.delta) * (1 + _n_zero(ns, values, np.minimum(s, s0), cfg))
+        rates = math.log(cfg.delta) * (1 + _n_zero(ns, values, _clamped(s, cfg), cfg))
         return _clamp_and_tabulate(s, rates, cfg.s0)
 
     return check_vanishing((ns, values), cfg), table
@@ -1155,8 +1160,7 @@ def _wl_table(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig, sequen
         with np.errstate(under="ignore"):
             return cfg.C2 * np.exp(np.log(ks) - ks * math.log(cfg.delta))
 
-    s0 = cfg.s0 if cfg.s0 is not None else float(s[-1])
-    s_eff = np.minimum(s, s0)
+    s_eff = _clamped(s, cfg)
     k_star = _k_star(thresholds, n0, cfg, s_eff, s_eff)
 
     k_hi = int(k_star.max())
@@ -1189,8 +1193,7 @@ def _wl_map(beta_wl: RateFunction, s: np.ndarray, cfg: TransformConfig) -> tuple
     CapError where k*(s) passes min(k_max, N_max) and otherwise returns
     the table of ``sp_from_wl``.
     """
-    s0 = cfg.s0 if cfg.s0 is not None else float(s[-1])
-    s_eff = np.minimum(s, s0)
+    s_eff = _clamped(s, cfg)
     verdict, k_star, _ = _wl_walk(beta_wl, cfg, s_eff)
 
     def table() -> LogTabulated:
@@ -1240,8 +1243,7 @@ def sp_from_sl(beta_sl: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     def xi2_at(ks):
         return _kernel_min(beta_sl, np.log(ks * math.log(cfg.delta)), cfg, "xi2")
 
-    s0 = cfg.s0 if cfg.s0 is not None else float(s[-1])
-    s_eff = np.minimum(s, s0)
+    s_eff = _clamped(s, cfg)
     k_star = _k_star(xi2_at, n0, cfg, cfg.C6 * s_eff, s_eff)
     log_values = math.log(cfg.C5) + k_star * math.log(cfg.delta)
     return _clamp_and_tabulate(s, log_values, cfg.s0, LogTabulated)

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,37 @@ def no_child_left():
     """Fail a test that leaves a child process running."""
     yield
     assert multiprocessing.active_children() == []
+
+
+# Skips a test that needs worker processes on a machine with one usable core.
+MANY_CORES = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one usable core: no workers")
+
+
+@pytest.fixture()
+def one_core(monkeypatch):
+    """A call that makes one core usable, as far as the package can tell, for the rest of the test."""
+    return lambda: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.fixture()
+def record_pids(monkeypatch, tmp_path):
+    """A call that wraps module.<name> so that each call, in whatever
+    process, appends that process's id to tmp_path/<name>.pids, and
+    returns the reader of the ids."""
+
+    def wrap(module, name):
+        real = getattr(module, name)
+        path = tmp_path / f"{name}.pids"
+
+        def recording(*args, **kwargs):
+            with open(path, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+        return lambda: set(map(int, path.read_text().split())) if path.exists() else set()
+
+    return wrap
 
 
 def _form(mu, edges, n):

@@ -476,6 +476,15 @@ class TestExample11:
         assert res.exit_code == 2
 
 
+_VERIFY_11 = ["verify", "--birth-death", "4,1,2,11", "--s-grid", "1e-3,1,6", "--seed", "7"]
+
+
+def _invoke(args):
+    """Exit code, output and process id of the command line ``args`` run in this process."""
+    res = CliRunner().invoke(main, args)
+    return res.exit_code, res.output, os.getpid()
+
+
 class TestVerify:
     def test_two_point_passes_with_degenerate_wl(self, runner, tmp_path):
         form = FiniteDirichletForm(mu=np.array([0.5, 0.5]), weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -542,22 +551,52 @@ class TestVerify:
         assert "warning: sp2sl side condition is empirically inconclusive" in res.output
         assert json.loads((out / "verdict_sp2sl.json").read_text())["status"] == "inconclusive"
 
-    def test_artifacts_equal_in_process_solves(self, runner, tmp_path):
-        # Each kind is solved in a worker process; its files are byte for byte
-        # the ones the same empirical_rate call writes in this process.
-        out, ref = tmp_path / "o", tmp_path / "ref"
-        res = runner.invoke(
-            main,
-            ["verify", "--birth-death", "4,1,2,11", "--s-grid", "1e-3,1,6", "--seed", "7", "--out", str(out)],
-        )
-        assert res.exit_code == 0, res.output
+    @pytest.fixture(scope="class")
+    def reference_run(self, tmp_path_factory):
+        """A verify run on the n=11 chain, and the files of its kinds as empirical_rate calls in this process write them."""
+        out = tmp_path_factory.mktemp("verify")
+        assert _invoke(_VERIFY_11 + ["--out", str(out / "o")])[0] == 0
         form, _ = cli._resolve_form(None, "4,1,2,11")
-        run = cli._Run(str(ref))
+        run = cli._Run(str(out / "ref"))
         run.make_out_dir()
         for kind in KINDS:
             cli._emit_empirical(run, empirical_rate(form, kind, log_grid(1e-3, 1.0, 6), SolverConfig(seed=7)))
         assert len(run.outputs) == 8
-        for name in run.outputs:
+        return out / "o", out / "ref", run.outputs
+
+    @pytest.mark.parametrize("where", ["workers", "one_core", "daemonic"])
+    def test_artifacts_equal_in_process_solves(self, tmp_path, reference_run, one_core, record_pids, where):
+        # The kinds are solved in worker processes where more than one core
+        # is usable and the caller may have children, and in the caller
+        # otherwise, as in a multiprocessing.Pool worker.  The files are
+        # byte for byte those of another run, and the kinds' files those
+        # that the same empirical_rate calls write in this process.
+        first, ref, empirical = reference_run
+        out = tmp_path / "o"
+        pids = record_pids(optconst, "_solve_grid")
+        args = _VERIFY_11 + ["--out", str(out)]
+        if where == "daemonic":
+            pool = multiprocessing.get_context("fork").Pool(1)
+            try:
+                code, output, caller = pool.apply_async(_invoke, (args,)).get(timeout=120)
+            finally:
+                pool.close()
+                pool.join()
+        else:
+            if where == "one_core":
+                one_core()
+            code, output, caller = _invoke(args)
+        assert code == 0, output
+        in_caller = where != "workers" or len(os.sched_getaffinity(0)) == 1
+        if in_caller:
+            assert pids() == {caller}
+        else:
+            assert pids() and caller not in pids()
+        names = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert names == json.loads((first / "manifest.json").read_text())["outputs"]
+        for name in names:
+            assert (out / name).read_bytes() == (first / name).read_bytes(), name
+        for name in empirical:
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
         assert multiprocessing.active_children() == []
 
@@ -648,6 +687,19 @@ class TestSpectrumAndOptimal:
         res = runner.invoke(main, [command, "--form", str(p), "--out", str(out)])
         assert res.exit_code == 2, res.output
         assert "symmetrised weights overflow double range" in res.output
+        assert json.loads((out / "manifest.json").read_text())["pass"] is False
+        assert sorted(os.listdir(out)) == ["manifest.json"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_overflowing_gap_exits_3(self, runner, tmp_path, command):
+        # The form admits these numbers, but d L d reaches 1e150 / 1e-200.
+        p = tmp_path / "form.json"
+        p.write_text(json.dumps({"mu": [1e-200, 1.0], "edges": [[0, 1, 1e150]]}))
+        out = tmp_path / "o"
+        res = runner.invoke(main, [command, "--form", str(p), "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert "error: spectral gap overflows double range" in res.output
         assert json.loads((out / "manifest.json").read_text())["pass"] is False
         assert sorted(os.listdir(out)) == ["manifest.json"]
 

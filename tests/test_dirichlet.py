@@ -286,6 +286,18 @@ class TestSpectralGap:
         with pytest.raises(SingularityError):
             spectral_gap(form)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            {"mu": [1e-200, 1.0], "edges": [[0, 1, 1e150]]},
+            {"mu": [0.25] * 4, "edges": [[0, 1, 8e307], [0, 2, 8e307]]},  # admitted near the weight limit
+        ],
+    )
+    def test_generator_out_of_double_range_raises(self, blob):
+        with pytest.raises(SingularityError, match="^spectral gap overflows double range$"):
+            spectral_gap(FiniteDirichletForm.from_json_dict(blob))
+
     def test_gap_against_characteristic_polynomial(self):
         # The mu-symmetrised generator B of a 2-state form has the
         # characteristic polynomial x^2 - tr(B) x + det(B).

@@ -39,6 +39,7 @@ from ratecalc import (
 )
 from ratecalc import transforms
 from ratecalc.errors import DegenerateTransformError
+from conftest import MANY_CORES
 
 CFG = TransformConfig()
 
@@ -1423,31 +1424,9 @@ def _log_arg(n):
     return -(n * math.log(4.0) + math.log(n))
 
 
-def _one_core(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-
-def _record_pids(monkeypatch, tmp_path, name):
-    """Wrap transforms.<name> so that each call, in whatever process,
-    appends that process's id to a file; returns the reader of the ids."""
-    real = getattr(transforms, name)
-    path = tmp_path / f"{name}.pids"
-
-    def recording(*args):
-        with open(path, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real(*args)
-
-    monkeypatch.setattr(transforms, name, recording)
-    return lambda: set(map(int, path.read_text().split())) if path.exists() else set()
-
-
 def _deep_log_points(n_max):
     cfg = TransformConfig(k_max=n_max, N_max=n_max)
     return sp_from_wl(LogPower(C=1.0, q=0.5), log_grid(1e-3, 1e-2, 12), cfg).log_points
-
-
-_MANY_CORES = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one usable core: no workers")
 
 
 class TestBlockTasks:
@@ -1464,13 +1443,13 @@ class TestBlockTasks:
         ],
         ids=["LogPower0.5", "LogPower1.5", "NanBand", "ExpPower"],
     )
-    def test_walk_equals_one_core(self, beta, monkeypatch, tmp_path):
+    def test_walk_equals_one_core(self, beta, tmp_path, one_core, record_pids):
         cfg = TransformConfig(k_max=_DEEP, N_max=_DEEP)
         # block edges, the partial top block and indices inside groups
         edges = np.unique(np.clip(np.concatenate([np.arange(2, _DEEP + 1, transforms._BLOCK) + d for d in (-1, 0, 1)]),
                                   2, _DEEP))
         at = np.concatenate([edges, [2, 3, 1_000_001, _DEEP - 1, _DEEP]])
-        pids = _record_pids(monkeypatch, tmp_path, "_wl_condition_sequence")
+        pids = record_pids(transforms, "_wl_condition_sequence")
         sup = transforms._wl_walk(beta, cfg, at=at)[2]
         finite = sup[np.isfinite(sup)]
         s = np.concatenate([log_grid(1e-4, 1e-2, 30), finite[:: max(1, finite.size // 200)],
@@ -1479,7 +1458,7 @@ class TestBlockTasks:
         got = transforms._wl_walk(beta, cfg, s, at)
         if len(os.sched_getaffinity(0)) > 1:
             assert pids() - {os.getpid()}, "no block ran in a worker"
-        _one_core(monkeypatch)
+        one_core()
         path = tmp_path / "_wl_condition_sequence.pids"
         path.unlink()
         want = transforms._wl_walk(beta, cfg, s, at)
@@ -1491,35 +1470,35 @@ class TestBlockTasks:
         assert repr(got[2].tolist()) == repr(want[2].tolist())
 
     @pytest.mark.parametrize("kind", ["xi1", "xi2"])
-    def test_kernel_rows_equal_one_core(self, kind, monkeypatch, tmp_path):
+    def test_kernel_rows_equal_one_core(self, kind, one_core, record_pids):
         # 9 blocks and a partial one
         ns = np.arange(2, 9 * transforms._ROWS + 60)
         if kind == "xi1":
             beta, log_ts = ExpPower(C=1.0, theta=0.5), -(ns - 1) * math.log(4.0)
         else:
             beta, log_ts = PolyPower(C=1.0, p=1.0), np.log(ns * math.log(4.0))
-        pids = _record_pids(monkeypatch, tmp_path, "_kernel_block")
+        pids = record_pids(transforms, "_kernel_block")
         got = transforms._kernel_min(beta, log_ts, CFG, kind)
         if len(os.sched_getaffinity(0)) > 1:
             assert pids() - {os.getpid()}, "no block ran in a worker"
-        _one_core(monkeypatch)
+        one_core()
         _assert_same_bits(got, transforms._kernel_min(beta, log_ts, CFG, kind))
 
-    @_MANY_CORES
-    def test_walk_error_is_the_first_in_walk_order(self, monkeypatch):
+    @MANY_CORES
+    def test_walk_error_is_the_first_in_walk_order(self, one_core):
         # Blocks near n = 4e6 and n = 1e6 raise; the walk goes from N_max down.
         beta = _Raising([(_log_arg(1_000_010), _log_arg(1_000_000)), (_log_arg(4_000_010), _log_arg(4_000_000))])
         cfg = TransformConfig(k_max=_DEEP, N_max=_DEEP)
         with pytest.raises(MathDomainError) as in_workers:
             sp_from_wl(beta, [1e-3], cfg)
-        _one_core(monkeypatch)
+        one_core()
         with pytest.raises(MathDomainError) as in_process:
             sp_from_wl(beta, [1e-3], cfg)
         assert type(in_workers.value) is type(in_process.value)
         assert str(in_workers.value) == str(in_process.value) == f"no value on [{_log_arg(4_000_010)}, {_log_arg(4_000_000)}]"
 
-    @_MANY_CORES
-    def test_kernel_error_is_the_first_in_row_order(self, monkeypatch):
+    @MANY_CORES
+    def test_kernel_error_is_the_first_in_row_order(self, monkeypatch, one_core):
         real = transforms._kernel_block
 
         def failing(beta, log_ts, cfg, kind):
@@ -1533,15 +1512,15 @@ class TestBlockTasks:
         errors = []
         for cores in (None, 1):
             if cores:
-                _one_core(monkeypatch)
+                one_core()
             with pytest.raises(CapError) as err:
                 transforms._kernel_min(ExpPower(C=1.0, theta=0.5), log_ts, CFG, "xi1")
             errors.append((type(err.value), str(err.value)))
         assert errors[0] == errors[1] == (CapError, f"block at {starts[3]!r}")
 
-    def test_one_core_keeps_the_work_here(self, monkeypatch, tmp_path):
-        _one_core(monkeypatch)
-        pids = _record_pids(monkeypatch, tmp_path, "_wl_condition_sequence")
+    def test_one_core_keeps_the_work_here(self, monkeypatch, one_core, record_pids):
+        one_core()
+        pids = record_pids(transforms, "_wl_condition_sequence")
         got = _deep_log_points(_DEEP)
         assert pids() == {os.getpid()}
         monkeypatch.undo()
