@@ -22,7 +22,6 @@ from .ratefn import (
     RateFunction,
     Tabulated,
     fit_exponent,
-    monotone_envelope,
     rate_function_from_json,
 )
 from .transforms import (
@@ -60,11 +59,7 @@ from .optconst import (
     certify_inequality,
     dominates,
     empirical_rate,
-    optimal_sl,
-    optimal_sp,
     optimal_value,
-    optimal_wl,
-    optimal_wp,
 )
 
 __version__ = "0.1.0"

@@ -82,39 +82,32 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
     return log_grid(lo, hi, count)
 
 
-def _load_ratefn(path: str) -> RateFunction:
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path; an unreadable file or invalid JSON is a ConfigError naming ``what``."""
     try:
         with open(path) as fh:
-            return rate_function_from_json(json.load(fh))
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read rate function file: {exc}")
+        raise ConfigError(f"cannot read {what} file: {exc}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"rate function file is not valid JSON: {exc}")
+        raise ConfigError(f"{what} file is not valid JSON: {exc}")
+
+
+def _load_ratefn(path: str) -> RateFunction:
+    return rate_function_from_json(_read_json(path, "rate function"))
 
 
 def _load_config(path: Optional[str]) -> TransformConfig:
     if path is None:
         return TransformConfig()
-    try:
-        with open(path) as fh:
-            return TransformConfig.from_json_dict(json.load(fh))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}")
+    return TransformConfig.from_json_dict(_read_json(path, "config"))
 
 
 def _resolve_form(form_path: Optional[str], birth_death: Optional[str]):
     if (form_path is None) == (birth_death is None):
         raise ConfigError("provide exactly one of --form or --birth-death")
     if form_path is not None:
-        try:
-            form = FiniteDirichletForm.load(form_path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read form file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"form file is not valid JSON: {exc}")
-        return form, {"form": form_path}
+        return FiniteDirichletForm.from_json_dict(_read_json(form_path, "form")), {"form": form_path}
     try:
         kappa_s, c0_s, hw_s, n_s = birth_death.split(",")
         kappa, c0, hw, n = float(kappa_s), float(c0_s), float(hw_s), int(n_s)

@@ -161,11 +161,6 @@ class FiniteDirichletForm:
             json.dump(self.to_json_dict(), fh, sort_keys=True)
             fh.write("\n")
 
-    @classmethod
-    def load(cls, path) -> "FiniteDirichletForm":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 def truncation_sequence(f, delta: float, n: int) -> np.ndarray:
     """Level slice f_n = min((|f| - delta^(n/2))_+, delta^((n+1)/2) - delta^(n/2)).

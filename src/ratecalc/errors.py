@@ -1,11 +1,23 @@
 """Exception hierarchy with a fixed exit-code map for the CLI, and the
-checks on input numbers that raise ConfigError.
+checks on input numbers.
 
 0 ok, 2 config, 3 math-domain, 4 condition-failure, 5 cap, 6 solver.
+
+A scalar argument of a library call (the s of optimal_value,
+brute_force_oracle and n_zero, the t of xi1 and xi2, the argument of
+RateFunction.eval) must be a real, non-bool number, numpy scalars
+included, that is finite and > 0 (>= 0 for the oracle's s); _scalar
+raises MathDomainError for anything else.
 """
 
 import dataclasses
 import math
+import numbers
+
+__all__ = [
+    "RateCalcError", "ConfigError", "MathDomainError", "FitError", "SingularityError",
+    "DegenerateTransformError", "ConditionFailedError", "CapError", "SolverError",
+]
 
 
 class RateCalcError(Exception):
@@ -54,6 +66,19 @@ class SolverError(RateCalcError):
     """The variational solver failed to produce a usable value."""
 
     exit_code = 6
+
+
+def _scalar(x, what: str, allow_zero: bool = False) -> float:
+    """x as a float: a real, non-bool scalar that is finite and > 0 (>= 0 if allow_zero)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise MathDomainError(f"{what} must be a real number, got {x!r}")
+    try:
+        v = float(x)
+    except OverflowError:  # an int past double range
+        v = math.inf
+    if not (math.isfinite(v) and (v >= 0.0 if allow_zero else v > 0.0)):
+        raise MathDomainError(f"{what} must be finite and {'>= 0' if allow_zero else 'positive'}, got {x!r}")
+    return v
 
 
 def _json_number(v, what: str, integral: bool = False):

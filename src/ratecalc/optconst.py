@@ -56,14 +56,13 @@ coarse resolution.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .dirichlet import FiniteDirichletForm, spectral_gap
-from .errors import ConfigError, MathDomainError, SingularityError, SolverError
+from .errors import ConfigError, MathDomainError, SingularityError, SolverError, _scalar
 from .ratefn import RateFunction, Tabulated, _running_max_from_right
 
 __all__ = [
@@ -71,10 +70,6 @@ __all__ = [
     "SolverConfig",
     "EmpiricalRateFunction",
     "DominationReport",
-    "optimal_sp",
-    "optimal_sl",
-    "optimal_wl",
-    "optimal_wp",
     "optimal_value",
     "brute_force_oracle",
     "empirical_rate",
@@ -206,6 +201,13 @@ _KIND_ID = {k: i for i, k in enumerate(KINDS)}
 _FLOOR = {k: q.floor for k, q in _INEQUALITIES.items()}
 
 
+def _inequality(kind) -> _Inequality:
+    """The inequality of ``kind``; a kind not in KINDS raises ConfigError."""
+    if kind not in KINDS:
+        raise ConfigError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    return _INEQUALITIES[kind]
+
+
 class _Objective:
     """(a - s*b)/c of one kind on (m, n) blocks of rows.
 
@@ -216,10 +218,8 @@ class _Objective:
     """
 
     def __init__(self, kind: str, form: FiniteDirichletForm):
-        if kind not in KINDS:
-            raise ConfigError(f"unknown kind {kind!r}; expected one of {KINDS}")
+        self.ineq = _inequality(kind)
         self.kind = kind
-        self.ineq = _INEQUALITIES[kind]
         self.form = form
         self.mu = form.mu
         self.lap = form.laplacian
@@ -426,16 +426,6 @@ def _solve_grid(form: FiniteDirichletForm, kind: str, s: np.ndarray, cfg: Solver
     return np.maximum(best, obj.ineq.floor), best_f, iters
 
 
-def _trade_off(s, what: str, allow_zero: bool) -> float:
-    """s as a float: a real, non-bool scalar that is finite and > 0 (>= 0 if allow_zero)."""
-    if isinstance(s, bool) or not isinstance(s, numbers.Real):
-        raise MathDomainError(f"{what} must be a real number, got {s!r}")
-    x = float(s)
-    if not (math.isfinite(x) and (x >= 0.0 if allow_zero else x > 0.0)):
-        raise MathDomainError(f"{what} must be finite and {'>= 0' if allow_zero else 'positive'}, got {s!r}")
-    return x
-
-
 def optimal_value(
     form: FiniteDirichletForm,
     kind: str,
@@ -451,31 +441,11 @@ def optimal_value(
     bound of the kind (1 for SP, 0 otherwise).
     """
     cfg = cfg or SolverConfig()
-    s = _trade_off(s, "trade-off s", allow_zero=False)
+    s = _scalar(s, "trade-off s")
     values, best_f, iters = _solve_grid(form, kind, np.array([s]), cfg)
     if return_vector:
         return float(values[0]), best_f[0], int(iters[0])
     return float(values[0])
-
-
-def optimal_sp(form, s, cfg: Optional[SolverConfig] = None) -> float:
-    """Optimal super-Poincare constant at s (always >= 1)."""
-    return optimal_value(form, "SP", s, cfg)
-
-
-def optimal_sl(form, s, cfg: Optional[SolverConfig] = None) -> float:
-    """Optimal super log-Sobolev constant at s (>= 0)."""
-    return optimal_value(form, "SL", s, cfg)
-
-
-def optimal_wl(form, s, cfg: Optional[SolverConfig] = None) -> float:
-    """Optimal weak log-Sobolev constant at s (>= 0)."""
-    return optimal_value(form, "WL", s, cfg)
-
-
-def optimal_wp(form, s, cfg: Optional[SolverConfig] = None) -> float:
-    """Optimal weak Poincare constant at s (>= 0)."""
-    return optimal_value(form, "WP", s, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -778,13 +748,12 @@ def brute_force_oracle(
     not a real, finite number >= 0 (a bool included) raises
     MathDomainError; s = 0 is the WP case.
     """
-    s = _trade_off(s, "oracle trade-off s", allow_zero=True)
+    s = _scalar(s, "oracle trade-off s", allow_zero=True)
     if form.n > 4:
         raise ConfigError("brute-force oracle supports at most 4 states")
     if not (0 < resolution <= 1e-2):
         raise ConfigError("oracle resolution must be in (0, 1e-2]")
-    if kind not in KINDS:
-        raise ConfigError(f"unknown kind {kind!r}")
+    _inequality(kind)
     signed = kind == "WP"
     count = math.prod(size for _, size in _direction_axes(form.n, resolution, signed))
     if count > _ORACLE_MAX_DIRECTIONS:
@@ -942,8 +911,7 @@ def certify_inequality(
     admissible constant.  A non-finite beta raises MathDomainError and
     n_samples < 1 raises ConfigError, since neither can be checked.
     """
-    if kind not in KINDS:
-        raise ConfigError(f"unknown kind {kind!r}")
+    ineq = _inequality(kind)
     if n_samples < 1:
         raise ConfigError(f"certification needs at least one sample, got {n_samples!r}")
     if not math.isfinite(beta):
@@ -951,7 +919,7 @@ def certify_inequality(
     rng = np.random.default_rng((int(seed) & 0xFFFFFFFF, _KIND_ID[kind], n_samples))
     # One (n_samples, n) draw is the same stream as n_samples draws of n.
     F = rng.standard_normal((n_samples, form.n))
-    (a, _), (b, _), (c, _) = _INEQUALITIES[kind].terms(F, form.energy_many(F), None, form.mu)
+    (a, _), (b, _), (c, _) = ineq.terms(F, form.energy_many(F), None, form.mu)
     margins = (s * b + beta * (1.0 + _INFLATION) * c - a) / np.maximum(1.0, np.abs(a))
     worst = float(np.min(margins))
     return bool(np.all(np.isfinite(margins)) and worst >= -1e-12), worst

@@ -14,11 +14,11 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CapError, ConfigError, FitError, MathDomainError, _json_number, _require_finite
+from .errors import CapError, ConfigError, FitError, MathDomainError, _json_number, _require_finite, _scalar
 
 __all__ = [
     "RateFunction",
@@ -30,7 +30,6 @@ __all__ = [
     "Tabulated",
     "LogTabulated",
     "ExtendedValue",
-    "monotone_envelope",
     "fit_exponent",
     "rate_function_from_json",
 ]
@@ -62,9 +61,7 @@ class RateFunction(abc.ABC):
         """Vectorised evaluation at positive arguments."""
 
     def eval(self, s: float) -> float:
-        if not (isinstance(s, (int, float)) and math.isfinite(s) and s > 0):
-            raise MathDomainError(f"rate function argument must be positive, got {s!r}")
-        return float(self.eval_many(np.array([float(s)]))[0])
+        return float(self.eval_many(np.array([_scalar(s, "rate function argument")]))[0])
 
     def log_eval_many(self, s: np.ndarray) -> np.ndarray:
         """log(eval); overridden where direct evaluation can overflow."""
@@ -477,19 +474,18 @@ def rate_function_from_json(d: dict) -> RateFunction:
 
 @dataclass(frozen=True)
 class ExtendedValue:
-    """A nonnegative real, +infinity, or Undefined.
+    """A nonnegative real or Undefined.
 
     Undefined encodes an infimum over an empty feasible set (written
     inf(emptyset) = -inf in the source convention).  It is an explicit
-    sentinel: any attempt to read it as a number raises instead of
-    silently coercing.
+    sentinel: reading it as a number raises instead of silently
+    coercing, and ExtendedValues have no order.
     """
 
     tag: str
     _value: float = math.nan
 
     FINITE = "finite"
-    POS_INF = "pos_inf"
     UNDEFINED = "undefined"
 
     @classmethod
@@ -500,20 +496,12 @@ class ExtendedValue:
         return cls(cls.FINITE, value)
 
     @classmethod
-    def pos_infinity(cls) -> "ExtendedValue":
-        return cls(cls.POS_INF)
-
-    @classmethod
     def undefined(cls) -> "ExtendedValue":
         return cls(cls.UNDEFINED)
 
     @property
     def is_finite(self) -> bool:
         return self.tag == self.FINITE
-
-    @property
-    def is_pos_inf(self) -> bool:
-        return self.tag == self.POS_INF
 
     @property
     def is_undefined(self) -> bool:
@@ -525,53 +513,10 @@ class ExtendedValue:
             raise MathDomainError(f"extended value {self.tag} has no numeric value")
         return self._value
 
-    def _comparable(self, other: "ExtendedValue") -> None:
-        if self.is_undefined or other.is_undefined:
-            raise MathDomainError("comparison against Undefined is not allowed")
-
-    def _key(self) -> float:
-        return math.inf if self.is_pos_inf else self._value
-
-    def __lt__(self, other):
-        self._comparable(other)
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        self._comparable(other)
-        return self._key() <= other._key()
-
-    @staticmethod
-    def min_of(values: Iterable["ExtendedValue"]) -> "ExtendedValue":
-        """Minimum with Undefined absorbing (any Undefined wins)."""
-        out = None
-        for v in values:
-            if v.is_undefined:
-                return v
-            if out is None or v._key() < out._key():
-                out = v
-        if out is None:
-            raise MathDomainError("min_of needs at least one value")
-        return out
-
     def __repr__(self):
         if self.is_finite:
             return f"ExtendedValue.finite({self._value!r})"
         return f"ExtendedValue.{self.tag}"
-
-
-def monotone_envelope(points: Sequence[tuple]) -> Tabulated:
-    """Smallest non-increasing table pointwise >= the input values.
-
-    Input s values must be strictly increasing with nonnegative values;
-    the result is the running maximum from the right.
-    """
-    pts = list(points)
-    if not pts:
-        raise ConfigError("monotone_envelope needs a nonempty point list")
-    s = np.array([float(p[0]) for p in pts])
-    if len(set(s.tolist())) != len(pts):
-        raise ConfigError("monotone_envelope input has duplicate s values")
-    return Tabulated(points=tuple((float(a), float(b)) for a, b in pts))
 
 
 _FIT_MODELS = ("log-log-power", "log-log-log", "log-of-log")

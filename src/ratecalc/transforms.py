@@ -110,6 +110,7 @@ from .errors import (
     MathDomainError,
     _json_number,
     _require_finite,
+    _scalar,
 )
 from .ratefn import ExtendedValue, LogTabulated, RateFunction, Tabulated, _running_max_from_right
 
@@ -495,14 +496,12 @@ def _kernel_block(beta: RateFunction, log_ts: np.ndarray, cfg: TransformConfig, 
     log_b0 = beta.log_limit_at_zero()
     log_binf = beta.log_limit_at_inf()
 
+    # log t is always finite and log_limit_at_zero is never -inf, so these
+    # comparisons also give the right masks at an infinite limit.
     if kind == "xi1":
-        defined = log_ts + log_binf < 0.0 if math.isfinite(log_binf) else (
-            np.ones_like(log_ts, dtype=bool) if log_binf == -math.inf else np.zeros_like(log_ts, dtype=bool)
-        )
-        zero = log_ts + log_b0 < 0.0 if math.isfinite(log_b0) else np.zeros_like(log_ts, dtype=bool)
+        defined, zero = log_ts + log_binf < 0.0, log_ts + log_b0 < 0.0
     else:
-        defined = log_ts > log_binf
-        zero = log_ts > log_b0 if math.isfinite(log_b0) else np.zeros_like(log_ts, dtype=bool)
+        defined, zero = log_ts > log_binf, log_ts > log_b0
     zero = zero & defined
 
     out[zero] = 0.0
@@ -565,9 +564,7 @@ def _kernel_block(beta: RateFunction, log_ts: np.ndarray, cfg: TransformConfig, 
 
 
 def _as_log_t(t: float) -> float:
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
-        raise MathDomainError(f"kernel argument t must be positive, got {t!r}")
-    return math.log(float(t))
+    return math.log(_scalar(t, "kernel argument t"))
 
 
 def xi1(beta_sp: RateFunction, t: float, cfg: Optional[TransformConfig] = None) -> ExtendedValue:
@@ -1093,13 +1090,12 @@ def n_zero(beta_sp: RateFunction, s: float, cfg: Optional[TransformConfig] = Non
     qualifying set that reaches N_max raises a cap error.
     """
     cfg = cfg or TransformConfig()
-    if not (isinstance(s, (int, float)) and s > 0):
-        raise MathDomainError("n_zero requires s > 0")
+    s = _scalar(s, "n_zero trade-off s")
     if cfg.s0 is not None and s > cfg.s0:
         raise ConfigError(f"n_zero requires s <= s0 = {cfg.s0}")
     ns, values = _xi1_sequence(beta_sp, cfg)
     _gate(check_vanishing((ns, values), cfg), "the SP-to-SL map")
-    return int(_n_zero(ns, values, np.array([float(s)]), cfg)[0])
+    return int(_n_zero(ns, values, np.array([s]), cfg)[0])
 
 
 def _sl_map(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig, sequence=None) -> tuple:

@@ -18,11 +18,7 @@ from ratecalc import (
     dominates,
     empirical_rate,
     entropy,
-    optimal_sl,
-    optimal_sp,
     optimal_value,
-    optimal_wl,
-    optimal_wp,
     optconst,
     spectral_gap,
 )
@@ -34,15 +30,15 @@ class TestOptimalSp:
     def test_single_state_is_one(self):
         form = FiniteDirichletForm(mu=np.array([1.0]), weights=np.zeros((1, 1)))
         for s in (0.01, 1.0, 100.0):
-            assert optimal_sp(form, s, CFG) == 1.0
+            assert optimal_value(form, "SP", s, CFG) == 1.0
 
     def test_large_s_forces_constant_optimum(self, two_point_uniform):
-        assert optimal_sp(two_point_uniform, 10.0, CFG) == pytest.approx(1.0, abs=1e-6)
+        assert optimal_value(two_point_uniform, "SP", 10.0, CFG) == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_oracle_small_s(self, fixture_forms):
         form = fixture_forms["path3_skewed"]
         for s in (0.01, 0.1, 1.0):
-            sol = optimal_sp(form, s, CFG)
+            sol = optimal_value(form, "SP", s, CFG)
             ora = brute_force_oracle(form, "SP", s, 1e-3)
             assert sol == pytest.approx(ora, rel=0.01)
 
@@ -55,22 +51,22 @@ class TestOptimalSp:
         for _ in range(25):
             form = random_form(rng, n_max=4)
             s = float(rng.uniform(1e-3, 10.0))
-            assert optimal_sp(form, s, quick) >= 1.0
+            assert optimal_value(form, "SP", s, quick) >= 1.0
 
 
 class TestOptimalSl:
     def test_large_s_is_zero(self, two_point_uniform):
-        assert optimal_sl(two_point_uniform, 100.0, CFG) == pytest.approx(0.0, abs=1e-6)
+        assert optimal_value(two_point_uniform, "SL", 100.0, CFG) == pytest.approx(0.0, abs=1e-6)
 
     def test_nonincreasing_in_s(self, fixture_forms):
         form = fixture_forms["tri_skewed"]
-        vals = [optimal_sl(form, s, CFG) for s in (0.01, 0.1, 1.0)]
+        vals = [optimal_value(form, "SL", s, CFG) for s in (0.01, 0.1, 1.0)]
         assert vals[0] >= vals[1] - 1e-9 >= vals[2] - 2e-9
 
     def test_matches_oracle(self, fixture_forms):
         form = fixture_forms["path3_uniform"]
         for s in (0.01, 0.1):
-            sol = optimal_sl(form, s, CFG)
+            sol = optimal_value(form, "SL", s, CFG)
             ora = brute_force_oracle(form, "SL", s, 1e-3)
             assert sol == pytest.approx(ora, rel=0.01, abs=1e-9)
 
@@ -81,22 +77,22 @@ class TestOptimalWl:
             form = fixture_forms[name]
             s = math.log(1.0 / float(np.min(form.mu))) + 0.05
             assert brute_force_oracle(form, "WL", s, 1e-3) == pytest.approx(0.0, abs=1e-9)
-            assert optimal_wl(form, s, CFG) == pytest.approx(0.0, abs=1e-9)
+            assert optimal_value(form, "WL", s, CFG) == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_oracle_small_s(self, two_point_uniform):
-        sol = optimal_wl(two_point_uniform, 0.01, CFG)
+        sol = optimal_value(two_point_uniform, "WL", 0.01, CFG)
         ora = brute_force_oracle(two_point_uniform, "WL", 0.01, 1e-3)
         assert sol == pytest.approx(ora, rel=0.01)
 
     def test_nonincreasing_in_s(self, fixture_forms):
         form = fixture_forms["tri_uniform"]
-        vals = [optimal_wl(form, s, CFG) for s in (0.001, 0.01, 0.1)]
+        vals = [optimal_value(form, "WL", s, CFG) for s in (0.001, 0.01, 0.1)]
         assert vals[0] >= vals[1] - 1e-9 >= vals[2] - 2e-9
 
 
 class TestOptimalWp:
     def test_zero_for_s_at_least_one(self, two_point_uniform):
-        assert optimal_wp(two_point_uniform, 1.0, CFG) == 0.0
+        assert optimal_value(two_point_uniform, "WP", 1.0, CFG) == 0.0
 
     def test_oracle_quarter_on_two_point(self, two_point_uniform):
         # Var/E = 1/4 for every nonconstant f on this form, even at s = 0.
@@ -104,7 +100,7 @@ class TestOptimalWp:
 
     def test_small_s_recovers_poincare_constant(self, fixture_forms):
         for form in fixture_forms.values():
-            wp = optimal_wp(form, 1e-8, CFG)
+            wp = optimal_value(form, "WP", 1e-8, CFG)
             assert wp == pytest.approx(spectral_gap(form).poincare_constant, rel=0.02)
 
 
@@ -599,20 +595,16 @@ class TestTradeOffTypes:
     def test_solver_takes_any_real_scalar(self, two_point_uniform, s, monkeypatch):
         monkeypatch.setattr(optconst, "_MAX_ITERS", 50)
         cfg = SolverConfig(restarts=2, seed=1)
-        for kind, solve in zip(("SP", "SL", "WL", "WP"), (optimal_sp, optimal_sl, optimal_wl, optimal_wp)):
-            want = optimal_value(two_point_uniform, kind, float(s), cfg)
-            assert optimal_value(two_point_uniform, kind, s, cfg) == want
-            assert solve(two_point_uniform, s, cfg) == want
+        for kind in optconst.KINDS:
+            assert optimal_value(two_point_uniform, kind, s, cfg) == optimal_value(two_point_uniform, kind, float(s), cfg)
 
     @pytest.mark.parametrize("s", [True, False, np.bool_(True), "1", None, 1 + 0j])
     def test_non_reals_and_bools_refused(self, two_point_uniform, s):
         with pytest.raises(MathDomainError):
             brute_force_oracle(two_point_uniform, "WP", s, 1e-2)
-        for kind, solve in zip(("SP", "SL", "WL", "WP"), (optimal_sp, optimal_sl, optimal_wl, optimal_wp)):
+        for kind in optconst.KINDS:
             with pytest.raises(MathDomainError):
                 optimal_value(two_point_uniform, kind, s)
-            with pytest.raises(MathDomainError):
-                solve(two_point_uniform, s)
 
 
 class TestEmpiricalRate:

@@ -19,7 +19,6 @@ from ratecalc import (
     PolyPower,
     Tabulated,
     fit_exponent,
-    monotone_envelope,
     rate_function_from_json,
 )
 
@@ -160,25 +159,27 @@ class TestEvalAtLog:
 
 
 class TestMonotoneEnvelope:
+    """Tabulated takes the running maximum from the right of its values."""
+
     def test_running_max_from_right(self):
-        env = monotone_envelope([(1, 5), (2, 3), (3, 4)])
+        env = Tabulated(points=((1, 5), (2, 3), (3, 4)))
         assert [v for _, v in env.points] == [5.0, 4.0, 4.0]
 
     def test_already_monotone_unchanged(self):
-        env = monotone_envelope([(1, 5), (2, 4), (3, 3)])
+        env = Tabulated(points=((1, 5), (2, 4), (3, 3)))
         assert [v for _, v in env.points] == [5.0, 4.0, 3.0]
 
     def test_right_max_propagates(self):
-        env = monotone_envelope([(1, 1), (2, 7)])
+        env = Tabulated(points=((1, 1), (2, 7)))
         assert [v for _, v in env.points] == [7.0, 7.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            monotone_envelope([])
+            Tabulated(points=())
 
     def test_duplicate_s_rejected(self):
         with pytest.raises(ConfigError):
-            monotone_envelope([(1.0, 2.0), (1.0, 3.0)])
+            Tabulated(points=((1.0, 2.0), (1.0, 3.0)))
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(
@@ -188,10 +189,10 @@ class TestMonotoneEnvelope:
         if values[-1] <= 0:
             return  # all-positive requirement is tested separately
         pts = [(float(i + 1), v) for i, v in enumerate(values)]
-        env = monotone_envelope(pts)
+        env = Tabulated(points=tuple(pts))
         out = [v for _, v in env.points]
         assert all(a >= b for a, b in zip(out, values))
-        again = [v for _, v in monotone_envelope(list(env.points)).points]
+        again = [v for _, v in Tabulated(points=env.points).points]
         assert again == out
 
 
@@ -200,21 +201,9 @@ class TestExtendedValue:
         v = ExtendedValue.finite(2.5)
         assert v.is_finite and v.value == 2.5
 
-    def test_undefined_comparison_flagged(self):
-        u = ExtendedValue.undefined()
-        f = ExtendedValue.finite(1.0)
-        with pytest.raises(MathDomainError):
-            _ = u < f
-        with pytest.raises(MathDomainError):
-            _ = f <= u
-
-    def test_undefined_absorbs_min(self):
-        vals = [ExtendedValue.finite(1.0), ExtendedValue.undefined()]
-        assert ExtendedValue.min_of(vals).is_undefined
-
     def test_value_of_non_finite_raises(self):
         with pytest.raises(MathDomainError):
-            _ = ExtendedValue.pos_infinity().value
+            _ = ExtendedValue.undefined().value
 
     def test_negative_finite_rejected(self):
         with pytest.raises(MathDomainError):
