@@ -1,8 +1,8 @@
 """Finite-state Dirichlet forms and the functionals built on them.
 
 A form is a probability vector mu (all entries positive) together with
-a symmetric nonnegative weight matrix with zero diagonal; its energy is
-E(f) = 1/2 * sum_{i != j} w_ij (f_i - f_j)^2.  The module also provides
+weighted edges (i, j, w_ij >= 0) between distinct states; its energy is
+E(f) = sum over edges of w_ij (f_i - f_j)^2.  The module also provides
 the entropy functional, geometric truncation slices of a function, the
 level-set masses they live on, the spectral gap (with certificate
 vector), and a birth-death discretisation of measures exp(-c0*|x|^kappa)
@@ -11,6 +11,7 @@ on an interval.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -55,14 +56,20 @@ def entropy(mu, g) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FiniteDirichletForm:
-    """Probability measure plus symmetric edge weights on n states."""
+    """Probability measure plus edge weights on n states.
+
+    ``edges``, given as (i, j, weight) triples, is kept as the read-only
+    arrays (i, j, w) with i < j, sorted by (i, j), zero weights dropped.
+    ConfigError refuses a non-integral, out-of-range or equal pair of
+    indices, a pair of states joined twice, and a weight that is not a
+    number in [0, max double / 2] or whose state's total overflows.
+    """
 
     mu: np.ndarray
-    weights: np.ndarray
+    edges: tuple
 
     def __post_init__(self):
         mu = np.array(self.mu, dtype=float)
-        w = np.array(self.weights, dtype=float)
         if mu.ndim != 1 or mu.size < 1:
             raise ConfigError("mu must be a nonempty 1-D probability vector")
         if np.any(mu <= 0) or not np.all(np.isfinite(mu)):
@@ -72,75 +79,8 @@ class FiniteDirichletForm:
             raise ConfigError(f"mu must sum to 1 (got {total!r})")
         mu = mu / total
         n = mu.size
-        if w.shape != (n, n):
-            raise ConfigError(f"weights must be {n}x{n}")
-        if not np.all(np.isfinite(w)):
-            raise ConfigError("weights must be finite")
-        # Weights near the double limit overflow below; the checks after each step refuse the result.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if np.max(np.abs(w - w.T)) > 1e-12 * max(1.0, float(np.max(np.abs(w)))):
-                raise ConfigError("weights must be symmetric")
-            w = 0.5 * (w + w.T)
-            if not np.all(np.isfinite(w)):
-                raise ConfigError("symmetrised weights overflow double range")
-            if np.any(np.abs(np.diag(w)) > 0):
-                raise ConfigError("weights must have zero diagonal")
-            if np.any(w < 0):
-                raise ConfigError("weights must be nonnegative")
-            lap = np.diag(w.sum(axis=1)) - w
-        if not np.all(np.isfinite(lap)):
-            raise ConfigError("Laplacian overflows double range: a state's total weight exceeds it")
-        mu.flags.writeable = False
-        w.flags.writeable = False
-        lap.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_lap", lap)
-
-    @property
-    def n(self) -> int:
-        return self.mu.size
-
-    @property
-    def laplacian(self) -> np.ndarray:
-        return self._lap
-
-    def energy(self, f) -> float:
-        """E(f) = 1/2 sum_{i != j} w_ij (f_i - f_j)^2 = f' L f."""
-        f = np.asarray(f, dtype=float)
-        if f.shape != (self.n,):
-            raise MathDomainError(f"energy argument must have length {self.n}")
-        return max(float(f @ (self._lap @ f)), 0.0)
-
-    def energy_many(self, F: np.ndarray) -> np.ndarray:
-        """Energies of the rows of an (m, n) array."""
-        F = np.asarray(F, dtype=float)
-        return np.maximum(np.einsum("ij,jk,ik->i", F, self._lap, F), 0.0)
-
-    def to_json_dict(self) -> dict:
-        i, j = np.nonzero(np.triu(self.weights, 1) > 0)
-        edges = [[a, b, w] for a, b, w in zip(i.tolist(), j.tolist(), self.weights[i, j].tolist())]
-        return {"mu": self.mu.tolist(), "edges": edges}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FiniteDirichletForm":
-        """The form of {"mu": [numbers], "edges": [[i, j, weight], ...]}.
-
-        Anything else, a bool or a string where a number goes included,
-        raises ConfigError, and so does a second edge between the same two
-        states, in either orientation.
-        """
-        try:
-            mu, edges = d["mu"], d["edges"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed form JSON: {exc}")
-        if not isinstance(mu, (list, tuple)) or not isinstance(edges, (list, tuple)):
-            raise ConfigError("form JSON 'mu' and 'edges' must be lists")
-        mu = np.array([_json_number(x, "mu entry") for x in mu], dtype=float)
-        n = mu.size
-        w = np.zeros((n, n))
-        seen = {}  # (min(i, j), max(i, j)) -> position of its edge
-        for pos, edge in enumerate(edges):
+        seen, w = {}, []  # seen: (min(i, j), max(i, j)) -> (position, triple) of its edge
+        for pos, edge in enumerate(self.edges):
             if not isinstance(edge, (list, tuple)) or len(edge) != 3:
                 raise ConfigError(f"edge {edge!r} must be [i, j, weight]")
             i, j = (_json_number(k, "edge index", integral=True) for k in edge[:2])
@@ -148,13 +88,68 @@ class FiniteDirichletForm:
                 raise ConfigError(f"edge ({i}, {j}) out of range or a self-loop")
             pair = (min(i, j), max(i, j))
             if pair in seen:
-                raise ConfigError(
-                    f"edges[{seen[pair]}] = {edges[seen[pair]]!r} and edges[{pos}] = {edge!r} "
-                    f"both join states {pair[0]} and {pair[1]}"
-                )
-            seen[pair] = pos
-            w[i, j] = w[j, i] = _json_number(edge[2], "edge weight")
-        return cls(mu=mu, weights=w)
+                (first, other), (a, b) = seen[pair], pair
+                raise ConfigError(f"edges[{first}] = {other!r} and edges[{pos}] = {edge!r} both join states {a} and {b}")
+            seen[pair] = pos, edge
+            w.append(_json_number(edge[2], "edge weight"))
+        ij = np.array(list(seen), dtype=np.intp).reshape(-1, 2)
+        w = np.array(w, dtype=float)
+        if not np.all(np.isfinite(w)):
+            raise ConfigError("weights must be finite")
+        # 2w stays finite, so no sum over both orientations of one edge overflows.
+        if np.any(np.abs(w) > np.finfo(float).max / 2):
+            raise ConfigError("edge weights must be at most half the largest double")
+        if np.any(w < 0):
+            raise ConfigError("weights must be nonnegative")
+        if not np.all(np.isfinite(np.bincount(ij.ravel(), weights=np.repeat(w, 2), minlength=n))):
+            raise ConfigError("Laplacian overflows double range: a state's total weight exceeds it")
+        keep = np.flatnonzero(w)
+        order = keep[np.lexsort((ij[keep, 1], ij[keep, 0]))]
+        edges = (ij[order, 0], ij[order, 1], w[order])
+        for a in (mu, *edges):
+            a.flags.writeable = False
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "edges", edges)
+
+    @property
+    def n(self) -> int:
+        return self.mu.size
+
+    @functools.cached_property
+    def laplacian(self) -> np.ndarray:
+        """The dense n x n matrix L with E(f) = f' L f, built on first use."""
+        i, j, w = self.edges
+        W = np.zeros((self.n, self.n))
+        W[i, j] = W[j, i] = w
+        lap = np.diag(W.sum(axis=1)) - W
+        lap.flags.writeable = False
+        return lap
+
+    def energy(self, f) -> float:
+        """E(f) = 1/2 sum_{i != j} w_ij (f_i - f_j)^2 = f' L f."""
+        f = np.asarray(f, dtype=float)
+        if f.shape != (self.n,):
+            raise MathDomainError(f"energy argument must have length {self.n}")
+        return max(float(f @ (self.laplacian @ f)), 0.0)
+
+    def energy_many(self, F: np.ndarray) -> np.ndarray:
+        """Energies of the rows of an (m, n) array."""
+        F = np.asarray(F, dtype=float)
+        return np.maximum(np.einsum("ij,jk,ik->i", F, self.laplacian, F), 0.0)
+
+    def to_json_dict(self) -> dict:
+        return {"mu": self.mu.tolist(), "edges": [list(e) for e in zip(*(a.tolist() for a in self.edges))]}
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "FiniteDirichletForm":
+        """The form of {"mu": [numbers], "edges": [[i, j, weight], ...]}; anything else raises ConfigError."""
+        try:
+            mu, edges = d["mu"], d["edges"]
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed form JSON: {exc}")
+        if not isinstance(mu, (list, tuple)) or not isinstance(edges, (list, tuple)):
+            raise ConfigError("form JSON 'mu' and 'edges' must be lists")
+        return cls(mu=[_json_number(x, "mu entry") for x in mu], edges=edges)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -267,12 +262,9 @@ def build_birth_death(
         raise ConfigError("kappa, c0 and half_width must be positive")
     x = np.linspace(-half_width, half_width, n)
     h = x[1] - x[0]
-    pot = c0 * np.abs(x) ** kappa
-    log_mu = -pot
+    log_mu = -(c0 * np.abs(x) ** kappa)
     log_mu -= log_mu.max()
     mu = np.exp(log_mu)
     mu /= mu.sum()
-    w = np.zeros((n, n))
-    i = np.arange(n - 1)
-    w[i, i + 1] = w[i + 1, i] = (mu[:-1] + mu[1:]) / (2.0 * h * h)
-    return FiniteDirichletForm(mu=mu, weights=w)
+    w = (mu[:-1] + mu[1:]) / (2.0 * h * h)
+    return FiniteDirichletForm(mu=mu, edges=list(zip(range(n - 1), range(1, n), w.tolist())))

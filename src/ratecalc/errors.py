@@ -3,16 +3,18 @@ checks on input numbers.
 
 0 ok, 2 config, 3 math-domain, 4 condition-failure, 5 cap, 6 solver.
 
-A scalar argument of a library call (the s of optimal_value,
-brute_force_oracle and n_zero, the t of xi1 and xi2, the argument of
-RateFunction.eval) must be a real, non-bool number, numpy scalars
-included, that is finite and > 0 (>= 0 for the oracle's s); _scalar
-raises MathDomainError for anything else.
+A scalar argument of a library call (an s, the t of xi1 and xi2, the
+argument of RateFunction.eval) must be a real, non-bool number, numpy
+scalars included, that is finite and > 0 (>= 0 for the s of
+brute_force_oracle and certify_inequality); _scalar raises
+MathDomainError for anything else.  _s_grid is the one s-grid rule.
 """
 
 import dataclasses
 import math
 import numbers
+
+import numpy as np
 
 __all__ = [
     "RateCalcError", "ConfigError", "MathDomainError", "FitError", "SingularityError",
@@ -68,34 +70,55 @@ class SolverError(RateCalcError):
     exit_code = 6
 
 
-def _scalar(x, what: str, allow_zero: bool = False) -> float:
-    """x as a float: a real, non-bool scalar that is finite and > 0 (>= 0 if allow_zero)."""
+def _real(x, what: str) -> float:
+    """x as a float, inf for an int past double range: x must be a real, non-bool scalar."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise MathDomainError(f"{what} must be a real number, got {x!r}")
     try:
-        v = float(x)
-    except OverflowError:  # an int past double range
-        v = math.inf
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _scalar(x, what: str, allow_zero: bool = False) -> float:
+    """x as a float: a real, non-bool scalar that is finite and > 0 (>= 0 if allow_zero)."""
+    v = _real(x, what)
     if not (math.isfinite(v) and (v >= 0.0 if allow_zero else v > 0.0)):
         raise MathDomainError(f"{what} must be finite and {'>= 0' if allow_zero else 'positive'}, got {x!r}")
     return v
 
 
+def _s_grid(values) -> np.ndarray:
+    """values as a float array: a nonempty 1-D grid of finite reals, > 0 and strictly increasing.
+
+    A wrong shape, or an entry <= 0 or out of order, raises ConfigError; a non-real entry
+    (a bool or a string included) or a non-finite one raises MathDomainError.
+    """
+    raw = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if raw.ndim != 1 or raw.size < 1:
+        raise ConfigError("s grid must be a nonempty 1-D sequence")
+    s = raw.astype(float) if raw.dtype.kind in "iuf" else np.array([_real(x, "s grid entry") for x in raw])
+    if np.any(s <= 0) or np.any(np.diff(s) <= 0):
+        raise ConfigError("s grid must be ascending and positive")
+    if not np.all(np.isfinite(s)):
+        raise MathDomainError(f"s grid entries must be finite, got {float(s[~np.isfinite(s)][0])!r}")
+    return s
+
+
 def _json_number(v, what: str, integral: bool = False):
-    """A number read from JSON input, as given, or as int if ``integral``.
+    """A number of JSON input or of a form's edge triples, as given, or as int if ``integral``.
 
     A bool (JSON true or false), a string or another non-number raises
     ConfigError naming ``what``, and so does, if ``integral``, a number
-    that is not a finite integer.  The object built from the number
-    refuses an infinite one (_require_finite).
+    that is not a finite integer; numpy scalars are numbers.  The object
+    built from the number refuses an infinite one (_require_finite).
     """
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    # int and float come first: they spare most calls the slower abc check.
+    if isinstance(v, bool) or not isinstance(v, (int, float, numbers.Real)):
         raise ConfigError(f"{what} must be a number, got {v!r}")
-    if integral:
-        if not (math.isfinite(v) and v == math.floor(v)):
-            raise ConfigError(f"{what} must be an integer, got {v!r}")
-        return int(v)
-    return v
+    if integral and not isinstance(v, int) and not (math.isfinite(v) and v == math.floor(v)):
+        raise ConfigError(f"{what} must be an integer, got {v!r}")
+    return int(v) if integral else v
 
 
 def _require_finite(obj) -> None:

@@ -56,13 +56,14 @@ coarse resolution.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .dirichlet import FiniteDirichletForm, spectral_gap
-from .errors import ConfigError, MathDomainError, SingularityError, SolverError, _scalar
+from .errors import ConfigError, MathDomainError, SingularityError, SolverError, _real, _s_grid, _scalar
 from .ratefn import RateFunction, Tabulated, _running_max_from_right
 
 __all__ = [
@@ -187,7 +188,7 @@ class _Inequality:
 
 def _energy_floor(form: FiniteDirichletForm) -> float:
     """The energy per unit of b below which a row counts as constant: _E_TINY times the largest weight."""
-    return _E_TINY * max(float(np.max(form.weights)), 1e-30)
+    return _E_TINY * max(float(np.max(form.edges[2], initial=0.0)), 1e-30)
 
 
 _INEQUALITIES = {
@@ -198,7 +199,6 @@ _INEQUALITIES = {
 }
 KINDS = tuple(_INEQUALITIES)
 _KIND_ID = {k: i for i, k in enumerate(KINDS)}
-_FLOOR = {k: q.floor for k, q in _INEQUALITIES.items()}
 
 
 def _inequality(kind) -> _Inequality:
@@ -673,8 +673,7 @@ def _tile_bounds(
     sq_lo = np.where(straddle, 0.0, np.minimum(lo * lo, hi * hi)) - pad
     sq_hi = np.maximum(lo * lo, hi * hi) + pad
     m2_lo, m2_hi = mu @ sq_lo - pad, mu @ sq_hi + pad
-    i_idx, j_idx = np.nonzero(np.triu(form.weights, 1))
-    w = form.weights[i_idx, j_idx]
+    i_idx, j_idx, w = form.edges
     d_lo, d_hi = lo[i_idx] - hi[j_idx], hi[i_idx] - lo[j_idx]
     d_abs_hi = np.maximum(-d_lo, d_hi)
     d_abs_lo = np.maximum(np.maximum(d_lo, -d_hi), 0.0)
@@ -753,7 +752,7 @@ def brute_force_oracle(
         raise ConfigError("brute-force oracle supports at most 4 states")
     if not (0 < resolution <= 1e-2):
         raise ConfigError("oracle resolution must be in (0, 1e-2]")
-    _inequality(kind)
+    best = _inequality(kind).floor
     signed = kind == "WP"
     count = math.prod(size for _, size in _direction_axes(form.n, resolution, signed))
     if count > _ORACLE_MAX_DIRECTIONS:
@@ -761,10 +760,8 @@ def brute_force_oracle(
             f"oracle scan of {count} directions exceeds the limit of {_ORACLE_MAX_DIRECTIONS}; "
             "use a coarser resolution"
         )
-    i_idx, j_idx = np.nonzero(np.triu(form.weights, 1))
-    edges = list(zip(i_idx, j_idx, form.weights[i_idx, j_idx]))
+    edges = list(zip(*form.edges))
     e_floor = _energy_floor(form)
-    best = _FLOOR[kind]
     if form.n == 1:
         return max(best, float(_oracle_values(kind, np.ones((1, 1)), s, form.mu, edges, e_floor).max()))
     gap = None
@@ -844,13 +841,7 @@ def empirical_rate(
     value ``optimal_value`` gives it alone, whatever the rest of the grid.
     """
     cfg = cfg or SolverConfig()
-    s = np.asarray(list(s_grid), dtype=float)
-    if s.size < 1 or np.any(s <= 0) or np.any(np.diff(s) <= 0):
-        raise ConfigError("s grid must be ascending and positive")
-    bad = s[~np.isfinite(s)]
-    if bad.size:
-        raise MathDomainError(f"trade-off s must be positive, got {float(bad[0])!r}")
-
+    s = _s_grid(s_grid)
     raw, _, iters = _solve_grid(form, kind, s, cfg)
     env = _running_max_from_right(raw)
     return EmpiricalRateFunction(
@@ -908,14 +899,17 @@ def certify_inequality(
     Returns (passed, worst_margin), each margin (s*b + beta*c - a) /
     max(1, |a|); a certified beta has all margins finite and >= -1e-12.
     This converts the solver's lower-bound-biased output into a checked
-    admissible constant.  A non-finite beta raises MathDomainError and
-    n_samples < 1 raises ConfigError, since neither can be checked.
+    admissible constant.  An s or a beta that is not a finite real (s
+    >= 0; a bool is no real) raises MathDomainError, and an n_samples
+    that is not an integer >= 1 raises ConfigError.
     """
     ineq = _inequality(kind)
-    if n_samples < 1:
-        raise ConfigError(f"certification needs at least one sample, got {n_samples!r}")
+    s = _scalar(s, "certification trade-off s", allow_zero=True)
+    beta = _real(beta, "beta")
     if not math.isfinite(beta):
         raise MathDomainError(f"cannot certify a non-finite beta {beta!r}")
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral) or n_samples < 1:
+        raise ConfigError(f"certification needs an integer count of at least one sample, got {n_samples!r}")
     rng = np.random.default_rng((int(seed) & 0xFFFFFFFF, _KIND_ID[kind], n_samples))
     # One (n_samples, n) draw is the same stream as n_samples draws of n.
     F = rng.standard_normal((n_samples, form.n))

@@ -110,6 +110,7 @@ from .errors import (
     MathDomainError,
     _json_number,
     _require_finite,
+    _s_grid,
     _scalar,
 )
 from .ratefn import ExtendedValue, LogTabulated, RateFunction, Tabulated, _running_max_from_right
@@ -1019,30 +1020,18 @@ def _gate(verdict: ConditionVerdict, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _validate_s_grid(s_grid) -> np.ndarray:
-    s = np.asarray(s_grid, dtype=float)
-    if s.ndim != 1 or s.size < 1:
-        raise ConfigError("s grid must be a 1-D array of positive reals")
-    if np.any(s <= 0) or not np.all(np.isfinite(s)):
-        raise ConfigError("s grid entries must be positive and finite")
-    if np.any(np.diff(s) <= 0):
-        raise ConfigError("s grid must be strictly increasing")
-    return s
-
-
 def _clamped(s: np.ndarray, cfg: TransformConfig) -> np.ndarray:
     """The grid s clamped at cfg.s0, or at its own last point where s0 is None."""
     return np.minimum(s, cfg.s0 if cfg.s0 is not None else float(s[-1]))
 
 
 def _clamp_and_tabulate(s: np.ndarray, values: np.ndarray, s0: Optional[float], table=Tabulated):
+    """The table of values on s, held at its value at s0 above s0; the table takes the monotone envelope."""
     if s0 is not None:
         above = s > s0
         if np.any(above) and np.any(~above):
-            values = values.copy()
-            values[above] = values[~above][-1]
-    env = _running_max_from_right(values)
-    return table(tuple(zip(s.tolist(), env.tolist())))
+            values = np.where(above, values[~above][-1], values)
+    return table(tuple(zip(s.tolist(), values.tolist())))
 
 
 def _first_crossing(env: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -1112,7 +1101,7 @@ def _sl_map(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig, sequence
     ns, values = sequence if sequence is not None else _xi1_sequence(beta_sp, cfg)
 
     def table() -> Tabulated:
-        _validate_s_grid(s)
+        _s_grid(s)
         rates = math.log(cfg.delta) * (1 + _n_zero(ns, values, _clamped(s, cfg), cfg))
         return _clamp_and_tabulate(s, rates, cfg.s0)
 
@@ -1126,7 +1115,7 @@ def sl_from_sp(beta_sp: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     that gates the map and N0(s).
     """
     cfg = cfg or TransformConfig()
-    verdict, table = _sl_map(beta_sp, _validate_s_grid(s_grid), cfg)
+    verdict, table = _sl_map(beta_sp, _s_grid(s_grid), cfg)
     _gate(verdict, "the SP-to-SL map")
     return table()
 
@@ -1139,7 +1128,7 @@ def wl_from_sp(beta_sp: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     admissible k of the running sup is attained there because the sup is
     non-decreasing in k).
     """
-    return _wl_table(beta_sp, _validate_s_grid(s_grid), cfg or TransformConfig())
+    return _wl_table(beta_sp, _s_grid(s_grid), cfg or TransformConfig())
 
 
 def _wl_table(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig, sequence=None) -> Tabulated:
@@ -1193,7 +1182,7 @@ def _wl_map(beta_wl: RateFunction, s: np.ndarray, cfg: TransformConfig) -> tuple
     verdict, k_star, _ = _wl_walk(beta_wl, cfg, s_eff)
 
     def table() -> LogTabulated:
-        _validate_s_grid(s)
+        _s_grid(s)
         k_cap = min(cfg.k_max, cfg.N_max)
         over = np.flatnonzero(k_star > k_cap)
         if over.size:
@@ -1219,7 +1208,7 @@ def sp_from_wl(beta_wl: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     for any N_max.
     """
     cfg = cfg or TransformConfig()
-    verdict, table = _wl_map(beta_wl, _validate_s_grid(s_grid), cfg)
+    verdict, table = _wl_map(beta_wl, _s_grid(s_grid), cfg)
     _gate(verdict, "the WL-to-SP map")
     return table()
 
@@ -1233,7 +1222,7 @@ def sp_from_sl(beta_sl: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     past double range.
     """
     cfg = cfg or TransformConfig()
-    s = _validate_s_grid(s_grid)
+    s = _s_grid(s_grid)
     n0 = _start_index(beta_sl, cfg, "xi2")
 
     def xi2_at(ks):

@@ -45,22 +45,15 @@ def record_pids(monkeypatch, tmp_path):
     return wrap
 
 
-def _form(mu, edges, n):
-    w = np.zeros((n, n))
-    for i, j, wij in edges:
-        w[i, j] = w[j, i] = wij
-    return FiniteDirichletForm(mu=np.asarray(mu, dtype=float), weights=w)
-
-
 def make_fixture_forms():
     """Six small forms: three weight graphs, two measures each."""
     return {
-        "two_uniform": _form([0.5, 0.5], [(0, 1, 1.0)], 2),
-        "two_skewed": _form([0.3, 0.7], [(0, 1, 1.0)], 2),
-        "path3_uniform": _form([1 / 3, 1 / 3, 1 / 3], [(0, 1, 1.0), (1, 2, 0.5)], 3),
-        "path3_skewed": _form([0.2, 0.5, 0.3], [(0, 1, 1.0), (1, 2, 0.5)], 3),
-        "tri_uniform": _form([1 / 3, 1 / 3, 1 / 3], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], 3),
-        "tri_skewed": _form([0.6, 0.25, 0.15], [(0, 1, 0.8), (1, 2, 1.2), (0, 2, 0.4)], 3),
+        "two_uniform": FiniteDirichletForm(mu=[0.5, 0.5], edges=[(0, 1, 1.0)]),
+        "two_skewed": FiniteDirichletForm(mu=[0.3, 0.7], edges=[(0, 1, 1.0)]),
+        "path3_uniform": FiniteDirichletForm(mu=[1 / 3, 1 / 3, 1 / 3], edges=[(0, 1, 1.0), (1, 2, 0.5)]),
+        "path3_skewed": FiniteDirichletForm(mu=[0.2, 0.5, 0.3], edges=[(0, 1, 1.0), (1, 2, 0.5)]),
+        "tri_uniform": FiniteDirichletForm(mu=[1 / 3, 1 / 3, 1 / 3], edges=[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]),
+        "tri_skewed": FiniteDirichletForm(mu=[0.6, 0.25, 0.15], edges=[(0, 1, 0.8), (1, 2, 1.2), (0, 2, 0.4)]),
     }
 
 
@@ -79,16 +72,14 @@ def random_form(rng: np.random.Generator, n_max: int = 8) -> FiniteDirichletForm
     n = int(rng.integers(2, n_max + 1))
     mu = rng.uniform(0.1, 1.0, n)
     mu /= mu.sum()
-    w = np.zeros((n, n))
-    for i in range(n - 1):
-        w[i, i + 1] = w[i + 1, i] = rng.uniform(0.1, 2.0)
+    w = {(i, i + 1): rng.uniform(0.1, 2.0) for i in range(n - 1)}
     extra = int(rng.integers(0, n))
     for _ in range(extra):
         i, j = rng.integers(0, n, 2)
         if i != j:
-            wij = rng.uniform(0.0, 1.0)
-            w[i, j] = w[j, i] = w[i, j] + wij
-    return FiniteDirichletForm(mu=mu, weights=w)
+            pair = (int(min(i, j)), int(max(i, j)))
+            w[pair] = w.get(pair, 0.0) + rng.uniform(0.0, 1.0)
+    return FiniteDirichletForm(mu=mu, edges=[(i, j, wij) for (i, j), wij in w.items()])
 
 
 @pytest.fixture()

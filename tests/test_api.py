@@ -1,8 +1,8 @@
 """The library's argument rules and its documented exports.
 
 Every scalar entry point applies the one scalar rule (errors._scalar),
-every kind entry point the one kind lookup (optconst._inequality), and
-the README's "Library layout" table and the package's imports name only
+every grid entry point the one grid rule (errors._s_grid), every kind
+entry point the one kind lookup (optconst._inequality), and the README's "Library layout" table and the package's imports name only
 what their modules define and export.
 """
 
@@ -18,6 +18,7 @@ import pytest
 import ratecalc
 from ratecalc import (
     ConfigError,
+    Constant,
     ExpPower,
     FiniteDirichletForm,
     InversePower,
@@ -26,8 +27,13 @@ from ratecalc import (
     TransformConfig,
     brute_force_oracle,
     certify_inequality,
+    empirical_rate,
     n_zero,
     optimal_value,
+    sl_from_sp,
+    sp_from_sl,
+    sp_from_wl,
+    wl_from_sp,
     xi1,
     xi2,
 )
@@ -44,6 +50,16 @@ SCALAR_ENTRIES = {
     "xi2": (lambda x: xi2(INV, x), False),
     "n_zero": (lambda x: n_zero(INV, x, TransformConfig(n0=2)), False),
     "eval": (lambda x: ExpPower(C=1.0, theta=0.5).eval(x), False),
+    "certify_inequality": (lambda x: certify_inequality(FORM, "SP", x, 1.0, n_samples=10), True),
+}
+
+# Each grid entry point as a call of its s grid.
+GRID_ENTRIES = {
+    "empirical_rate": lambda g: empirical_rate(FORM, "SP", g, QUICK),
+    "sl_from_sp": lambda g: sl_from_sp(ExpPower(C=1.0, theta=0.5), g),
+    "wl_from_sp": lambda g: wl_from_sp(ExpPower(C=1.0, theta=0.5), g),
+    "sp_from_sl": lambda g: sp_from_sl(ExpPower(C=1.0, theta=0.5), g),
+    "sp_from_wl": lambda g: sp_from_wl(Constant(B=2.0), g, TransformConfig(n0=2)),
 }
 
 KIND_ENTRIES = {
@@ -74,6 +90,53 @@ class TestScalarRule:
     def test_numpy_scalar_admitted(self, entry, x, plain):
         call, _ = SCALAR_ENTRIES[entry]
         assert repr(call(x)) == repr(call(plain))
+
+
+@pytest.mark.parametrize("entry", GRID_ENTRIES)
+class TestGridRule:
+    @pytest.mark.parametrize(
+        "grid",
+        [[True, 2.0], ["0.5", 2.0], [None, 2.0], np.array([True, False]), [0.5, math.inf], [math.nan, 2.0], [0.5, 10**400]],
+        ids=["True", "'0.5'", "None", "bool-array", "inf", "nan", "10**400"],
+    )
+    def test_entries_refused(self, entry, grid):
+        with pytest.raises(MathDomainError):
+            GRID_ENTRIES[entry](grid)
+
+    @pytest.mark.parametrize(
+        "grid", [[], 0.5, [[0.5, 2.0]], [2.0, 0.5], [0.5, 0.5], [0.0, 2.0]],
+        ids=["empty", "scalar", "2-D", "descending", "repeated", "zero"],
+    )
+    def test_shape_and_order_refused(self, entry, grid):
+        with pytest.raises(ConfigError):
+            GRID_ENTRIES[entry](grid)
+
+    def test_numpy_grids_admitted(self, entry):
+        call = GRID_ENTRIES[entry]
+        want = repr(call([0.5, 2.0]))
+        for grid in ((np.float32(0.5), np.int64(2)), np.array([0.5, 2.0]), np.array([0.5, 2], dtype=object)):
+            assert repr(call(grid)) == want
+
+
+class TestCertifyArguments:
+    @pytest.mark.parametrize("beta", [True, "1.0", None, math.nan, math.inf, -math.inf, 10**400])
+    def test_beta_refused(self, beta):
+        with pytest.raises(MathDomainError):
+            certify_inequality(FORM, "SP", 0.5, beta, n_samples=10)
+
+    def test_beta_is_any_finite_real(self):
+        want = certify_inequality(FORM, "SP", 0.5, 0.5, n_samples=10)
+        assert repr(certify_inequality(FORM, "SP", 0.5, np.float32(0.5), n_samples=10)) == repr(want)
+        assert certify_inequality(FORM, "SP", 0.5, -1.0, n_samples=10)[0] is False
+
+    @pytest.mark.parametrize("n_samples", [True, 2.5, "10", None, 0, -3])
+    def test_sample_count_refused(self, n_samples):
+        with pytest.raises(ConfigError):
+            certify_inequality(FORM, "SP", 0.5, 1.0, n_samples=n_samples)
+
+    def test_numpy_sample_count_admitted(self):
+        want = certify_inequality(FORM, "SP", 0.5, 1.0, n_samples=10)
+        assert repr(certify_inequality(FORM, "SP", 0.5, 1.0, n_samples=np.int64(10))) == repr(want)
 
 
 @pytest.mark.parametrize("entry", KIND_ENTRIES)

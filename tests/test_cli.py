@@ -487,7 +487,7 @@ def _invoke(args):
 
 class TestVerify:
     def test_two_point_passes_with_degenerate_wl(self, runner, tmp_path):
-        form = FiniteDirichletForm(mu=np.array([0.5, 0.5]), weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        form = FiniteDirichletForm(mu=np.array([0.5, 0.5]), edges=[(0, 1, 1.0)])
         p = tmp_path / "form.json"
         form.save(p)
         out = tmp_path / "o"
@@ -624,10 +624,7 @@ class TestVerify:
         assert multiprocessing.active_children() == []
 
     def test_disconnected_exits_3(self, runner, tmp_path):
-        w = np.zeros((4, 4))
-        w[0, 1] = w[1, 0] = 1.0
-        w[2, 3] = w[3, 2] = 1.0
-        form = FiniteDirichletForm(mu=np.full(4, 0.25), weights=w)
+        form = FiniteDirichletForm(mu=np.full(4, 0.25), edges=[(0, 1, 1.0), (2, 3, 1.0)])
         p = tmp_path / "form.json"
         form.save(p)
         res = runner.invoke(main, ["verify", "--form", str(p), "--s-grid", "1e-3,1,6", "--out", str(tmp_path / "o")])
@@ -640,7 +637,7 @@ class TestVerify:
 
 class TestSpectrumAndOptimal:
     def test_spectrum_prints_gap(self, runner, tmp_path):
-        form = FiniteDirichletForm(mu=np.array([0.5, 0.5]), weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        form = FiniteDirichletForm(mu=np.array([0.5, 0.5]), edges=[(0, 1, 1.0)])
         p = tmp_path / "form.json"
         form.save(p)
         res = runner.invoke(main, ["spectrum", "--form", str(p), "--out", str(tmp_path / "o")])
@@ -679,14 +676,14 @@ class TestSpectrumAndOptimal:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
     def test_overflowing_weight_exits_2(self, runner, tmp_path, command):
-        # 1e308 + 1e308 overflows when the weights are symmetrised.
+        # 1e308 is above half the largest double: twice it overflows.
         p = tmp_path / "form.json"
         p.write_text(json.dumps({"mu": [0.5, 0.5], "edges": [[0, 1, 1e308]]}))
         out = tmp_path / "o"
         out.mkdir()
         res = runner.invoke(main, [command, "--form", str(p), "--out", str(out)])
         assert res.exit_code == 2, res.output
-        assert "symmetrised weights overflow double range" in res.output
+        assert "edge weights must be at most half the largest double" in res.output
         assert json.loads((out / "manifest.json").read_text())["pass"] is False
         assert sorted(os.listdir(out)) == ["manifest.json"]
 
@@ -704,7 +701,7 @@ class TestSpectrumAndOptimal:
         assert sorted(os.listdir(out)) == ["manifest.json"]
 
     def test_optimal_single_point(self, runner, tmp_path):
-        form = FiniteDirichletForm(mu=np.array([0.5, 0.5]), weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        form = FiniteDirichletForm(mu=np.array([0.5, 0.5]), edges=[(0, 1, 1.0)])
         p = tmp_path / "form.json"
         form.save(p)
         out = tmp_path / "o"
@@ -715,7 +712,7 @@ class TestSpectrumAndOptimal:
 
 
 def _two_point_form(tmp_path):
-    form = FiniteDirichletForm(mu=np.array([0.5, 0.5]), weights=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    form = FiniteDirichletForm(mu=np.array([0.5, 0.5]), edges=[(0, 1, 1.0)])
     p = tmp_path / "form.json"
     form.save(p)
     return str(p)

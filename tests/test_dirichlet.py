@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,37 +49,59 @@ class TestEnergy:
 
 
 class TestFormValidation:
-    def test_asymmetric_rejected(self):
-        w = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(ConfigError):
-            FiniteDirichletForm(mu=np.array([0.5, 0.5]), weights=w)
-
-    def test_nonzero_diagonal_rejected(self):
-        w = np.array([[1.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ConfigError):
-            FiniteDirichletForm(mu=np.array([0.5, 0.5]), weights=w)
+    def test_self_loop_rejected(self):
+        with pytest.raises(ConfigError, match="self-loop"):
+            FiniteDirichletForm(mu=np.array([0.5, 0.5]), edges=[(0, 0, 1.0), (0, 1, 1.0)])
 
     def test_negative_weight_rejected(self):
-        w = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        with pytest.raises(ConfigError):
-            FiniteDirichletForm(mu=np.array([0.5, 0.5]), weights=w)
+        with pytest.raises(ConfigError, match="nonnegative"):
+            FiniteDirichletForm(mu=np.array([0.5, 0.5]), edges=[(0, 1, -1.0)])
 
     def test_zero_mass_rejected(self):
-        w = np.zeros((2, 2))
         with pytest.raises(ConfigError):
-            FiniteDirichletForm(mu=np.array([0.0, 1.0]), weights=w)
+            FiniteDirichletForm(mu=np.array([0.0, 1.0]), edges=[])
 
     def test_unnormalised_mu_rejected(self):
-        w = np.zeros((2, 2))
         with pytest.raises(ConfigError):
-            FiniteDirichletForm(mu=np.array([0.5, 0.6]), weights=w)
+            FiniteDirichletForm(mu=np.array([0.5, 0.6]), edges=[])
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(7)
         form = random_form(rng)
         back = FiniteDirichletForm.from_json_dict(form.to_json_dict())
         np.testing.assert_allclose(back.mu, form.mu, rtol=1e-15)
-        np.testing.assert_allclose(back.weights, form.weights, rtol=1e-15)
+        for a, b in zip(back.edges, form.edges):
+            assert a.tobytes() == b.tobytes()
+
+    def test_edges_are_canonical(self):
+        # Either orientation, any order, zero weights (-0.0 too) dropped; numpy scalars are numbers.
+        form = FiniteDirichletForm(
+            mu=np.full(4, 0.25),
+            edges=[(3, 1, 0.5), (2, 0, 0.0), (np.int64(1), 0, 2.0), (0, 3, 1.5), (3, 2, -0.0), [2.0, 1, np.float32(4)]],
+        )
+        i, j, w = form.edges
+        assert i.tolist() == [0, 0, 1, 1] and j.tolist() == [1, 3, 2, 3] and w.tolist() == [2.0, 1.5, 4.0, 0.5]
+        assert not any(a.flags.writeable for a in (form.mu, *form.edges, form.laplacian))
+        again = FiniteDirichletForm(mu=form.mu, edges=list(zip(*form.edges)))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(again.edges, form.edges))
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([(0, 1)], "must be \\[i, j, weight\\]"),
+            ([(0, 1, True)], "edge weight must be a number"),
+            ([(0, np.bool_(True), 1.0)], "edge index must be a number"),
+            ([(0, "1", 1.0)], "edge index must be a number"),
+            ([(0, 1.5, 1.0)], "edge index must be an integer"),
+            ([(0, 2, 1.0)], "out of range"),
+            ([(0, 10**400, 1.0)], "out of range"),
+            ([(0, 1, math.inf)], "weights must be finite"),
+            ([(0, 1, 1.0), (1, 0, 1.0)], "both join states 0 and 1"),
+        ],
+    )
+    def test_constructor_checks_each_triple(self, edges, message):
+        with pytest.raises(ConfigError, match=message):
+            FiniteDirichletForm(mu=np.array([0.5, 0.5]), edges=edges)
 
     @pytest.mark.parametrize(
         "d",
@@ -113,7 +136,7 @@ class TestFormValidation:
     @pytest.mark.parametrize(
         "d,message",
         [
-            ({"mu": [0.5, 0.5], "edges": [[0, 1, 1e308]]}, "symmetrised weights overflow"),
+            ({"mu": [0.5, 0.5], "edges": [[0, 1, 1e308]]}, "at most half the largest double"),
             # each weight fits, their sum at state 0 does not
             ({"mu": [0.25] * 4, "edges": [[0, 1, 6e307], [0, 2, 6e307], [0, 3, 6e307]]}, "Laplacian overflows"),
         ],
@@ -132,6 +155,54 @@ class TestFormValidation:
         rng = np.random.default_rng(n)
         for form in (build_birth_death(4.0, 1.0, 2.0, n), random_form(rng, n_max=n)):
             assert json.dumps(form.to_json_dict()) == json.dumps(_loop_json_dict(form))
+
+
+def _dense_laplacian(n, triples):
+    """The Laplacian of a symmetrised dense weight matrix, kept as a reference."""
+    W = np.zeros((n, n))
+    for i, j, w in triples:
+        W[i, j] = W[j, i] = w
+    W = 0.5 * (W + W.T)
+    return np.diag(W.sum(axis=1)) - W
+
+
+class TestLaplacian:
+    def test_matches_dense_reference(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n = int(rng.integers(4, 13))
+            # A star on state 0 gives it degree 3 or more; other pairs join at random.
+            pairs = {(0, k) for k in range(1, 4)} | {
+                (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4
+            }
+            triples = []
+            for i, j in pairs:
+                w = 0.0 if rng.random() < 0.25 else float(10.0 ** rng.uniform(-8, 8))
+                triples.append((j, i, w) if rng.random() < 0.5 else (i, j, w))
+            rng.shuffle(triples)
+            mu = rng.uniform(0.1, 1.0, n)
+            form = FiniteDirichletForm(mu=mu / mu.sum(), edges=triples)
+            assert form.laplacian.tobytes() == _dense_laplacian(n, triples).tobytes()
+            assert form.edges[2].size == sum(w != 0.0 for *_, w in triples)
+
+    def test_energy_matches_edge_sum(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            form = random_form(rng)
+            f = rng.standard_normal(form.n)
+            i, j, w = form.edges
+            assert form.energy(f) == pytest.approx(float(np.sum(w * (f[i] - f[j]) ** 2)), rel=1e-12)
+
+    def test_chain_of_2001_states_peaks_under_1_mb(self):
+        blob = build_birth_death(4.0, 1.0, 3.0, 2001).to_json_dict()
+        for build in (lambda: build_birth_death(4.0, 1.0, 3.0, 2001), lambda: FiniteDirichletForm.from_json_dict(blob)):
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
 
 
 class TestEntropy:
@@ -237,10 +308,7 @@ class TestSpectralGap:
 
     def test_weighted_two_point_closed_form(self):
         for p, w in ((0.3, 1.0), (0.1, 2.5), (0.45, 0.2)):
-            form = FiniteDirichletForm(
-                mu=np.array([p, 1 - p]),
-                weights=np.array([[0.0, w], [w, 0.0]]),
-            )
+            form = FiniteDirichletForm(mu=np.array([p, 1 - p]), edges=[(0, 1, w)])
             gap = spectral_gap(form).gap
             # brute force the Rayleigh quotient over the circle
             phis = np.arange(0.0, math.pi, 1e-3)
@@ -257,7 +325,8 @@ class TestSpectralGap:
     def test_weight_scaling_doubles_gap(self):
         rng = np.random.default_rng(12)
         form = random_form(rng)
-        doubled = FiniteDirichletForm(mu=form.mu, weights=2.0 * form.weights)
+        i, j, w = form.edges
+        doubled = FiniteDirichletForm(mu=form.mu, edges=list(zip(i, j, 2.0 * w)))
         assert spectral_gap(doubled).gap == pytest.approx(2.0 * spectral_gap(form).gap, rel=1e-9)
 
     def test_certificate_achieves_gap(self):
@@ -279,10 +348,7 @@ class TestSpectralGap:
             assert var <= sg.poincare_constant * form.energy(f) * (1 + 1e-10) + 1e-12
 
     def test_disconnected_raises(self):
-        w = np.zeros((4, 4))
-        w[0, 1] = w[1, 0] = 1.0
-        w[2, 3] = w[3, 2] = 1.0
-        form = FiniteDirichletForm(mu=np.full(4, 0.25), weights=w)
+        form = FiniteDirichletForm(mu=np.full(4, 0.25), edges=[(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(SingularityError):
             spectral_gap(form)
 
@@ -301,7 +367,7 @@ class TestSpectralGap:
     def test_gap_against_characteristic_polynomial(self):
         # The mu-symmetrised generator B of a 2-state form has the
         # characteristic polynomial x^2 - tr(B) x + det(B).
-        form = FiniteDirichletForm(mu=np.array([0.3, 0.7]), weights=np.array([[0.0, 2.0], [2.0, 0.0]]))
+        form = FiniteDirichletForm(mu=np.array([0.3, 0.7]), edges=[(0, 1, 2.0)])
         d = 1.0 / np.sqrt(form.mu)
         B = d[:, None] * form.laplacian * d[None, :]
         tr, det = float(np.trace(B)), float(np.linalg.det(B))
@@ -341,27 +407,24 @@ class TestSpectralGap:
 
 
 def _loop_json_dict(form):
-    """to_json_dict written as a loop over all index pairs, kept as a reference."""
+    """to_json_dict written as a loop over all index pairs of the Laplacian, kept as a reference."""
     edges = []
     for i in range(form.n):
         for j in range(i + 1, form.n):
-            if form.weights[i, j] > 0:
-                edges.append([i, j, float(form.weights[i, j])])
+            if -form.laplacian[i, j] > 0:
+                edges.append([i, j, float(-form.laplacian[i, j])])
     return {"mu": [float(x) for x in form.mu], "edges": edges}
 
 
 def _loop_birth_death(kappa, c0, half_width, n):
-    """build_birth_death with its weights filled edge by edge, kept as a reference."""
+    """build_birth_death with its edge weights computed one by one, kept as a reference."""
     x = np.linspace(-half_width, half_width, n)
     h = x[1] - x[0]
     log_mu = -(c0 * np.abs(x) ** kappa)
     log_mu -= log_mu.max()
     mu = np.exp(log_mu)
     mu /= mu.sum()
-    w = np.zeros((n, n))
-    for i in range(n - 1):
-        w[i, i + 1] = w[i + 1, i] = (mu[i] + mu[i + 1]) / (2.0 * h * h)
-    return FiniteDirichletForm(mu=mu, weights=w)
+    return FiniteDirichletForm(mu=mu, edges=[(i, i + 1, (mu[i] + mu[i + 1]) / (2.0 * h * h)) for i in range(n - 1)])
 
 
 class TestBirthDeath:
@@ -371,7 +434,8 @@ class TestBirthDeath:
             form = build_birth_death(kappa, c0, half_width, n)
             ref = _loop_birth_death(kappa, c0, half_width, n)
             assert form.mu.tobytes() == ref.mu.tobytes()
-            assert form.weights.tobytes() == ref.weights.tobytes()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(form.edges, ref.edges))
+            assert form.laplacian.tobytes() == ref.laplacian.tobytes()
 
     def test_symmetry_of_measure(self):
         form = build_birth_death(kappa=2.0, c0=0.5, half_width=4.0, n=41)
@@ -379,11 +443,8 @@ class TestBirthDeath:
 
     def test_nearest_neighbour_only(self):
         form = build_birth_death(kappa=4.0, c0=1.0, half_width=2.0, n=11)
-        w = form.weights
-        for i in range(form.n):
-            for j in range(form.n):
-                if abs(i - j) > 1:
-                    assert w[i, j] == 0.0
+        i, j, w = form.edges
+        assert i.tolist() == list(range(form.n - 1)) and (j == i + 1).all() and (w > 0).all()
 
     def test_quartic_tails_lighter_than_gaussian(self):
         g2 = build_birth_death(kappa=2.0, c0=1.0, half_width=2.0, n=21)
