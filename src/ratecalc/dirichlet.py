@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MathDomainError, SingularityError, _json_number
+from .errors import ConfigError, MathDomainError, SingularityError, _json_number, _real
 
 __all__ = [
     "FiniteDirichletForm",
@@ -62,7 +62,8 @@ class FiniteDirichletForm:
     arrays (i, j, w) with i < j, sorted by (i, j), zero weights dropped.
     ConfigError refuses a non-integral, out-of-range or equal pair of
     indices, a pair of states joined twice, and a weight that is not a
-    number in [0, max double / 2] or whose state's total overflows.
+    number in [0, max double / 2] or whose state's total may overflow
+    when summed in any order.
     """
 
     mu: np.ndarray
@@ -91,7 +92,7 @@ class FiniteDirichletForm:
                 (first, other), (a, b) = seen[pair], pair
                 raise ConfigError(f"edges[{first}] = {other!r} and edges[{pos}] = {edge!r} both join states {a} and {b}")
             seen[pair] = pos, edge
-            w.append(_json_number(edge[2], "edge weight"))
+            w.append(_real(_json_number(edge[2], "edge weight"), "edge weight"))
         ij = np.array(list(seen), dtype=np.intp).reshape(-1, 2)
         w = np.array(w, dtype=float)
         if not np.all(np.isfinite(w)):
@@ -101,7 +102,10 @@ class FiniteDirichletForm:
             raise ConfigError("edge weights must be at most half the largest double")
         if np.any(w < 0):
             raise ConfigError("weights must be nonnegative")
-        if not np.all(np.isfinite(np.bincount(ij.ravel(), weights=np.repeat(w, 2), minlength=n))):
+        # The Laplacian's row sum takes another order, so a total of k > 2 weights may round up by k eps.
+        total = np.bincount(ij.ravel(), weights=np.repeat(w, 2), minlength=n)
+        degree = np.bincount(ij[w > 0].ravel(), minlength=n)
+        if np.any(total > np.finfo(float).max / (1 + np.where(degree > 2, degree, 0) * np.finfo(float).eps)):
             raise ConfigError("Laplacian overflows double range: a state's total weight exceeds it")
         keep = np.flatnonzero(w)
         order = keep[np.lexsort((ij[keep, 1], ij[keep, 0]))]
@@ -149,7 +153,7 @@ class FiniteDirichletForm:
             raise ConfigError(f"malformed form JSON: {exc}")
         if not isinstance(mu, (list, tuple)) or not isinstance(edges, (list, tuple)):
             raise ConfigError("form JSON 'mu' and 'edges' must be lists")
-        return cls(mu=[_json_number(x, "mu entry") for x in mu], edges=edges)
+        return cls(mu=[_real(_json_number(x, "mu entry"), "mu entry") for x in mu], edges=edges)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -72,7 +72,7 @@ class SolverError(RateCalcError):
 
 def _real(x, what: str) -> float:
     """x as a float, inf for an int past double range: x must be a real, non-bool scalar."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+    if isinstance(x, bool) or not isinstance(x, (int, float, numbers.Real)):
         raise MathDomainError(f"{what} must be a real number, got {x!r}")
     try:
         return float(x)
@@ -89,15 +89,12 @@ def _scalar(x, what: str, allow_zero: bool = False) -> float:
 
 
 def _s_grid(values) -> np.ndarray:
-    """values as a float array: a nonempty 1-D grid of finite reals, > 0 and strictly increasing.
-
-    A wrong shape, or an entry <= 0 or out of order, raises ConfigError; a non-real entry
-    (a bool or a string included) or a non-finite one raises MathDomainError.
-    """
-    raw = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    """values as a nonempty 1-D float grid, > 0 and strictly increasing: ConfigError refuses a wrong
+    shape, sign or order, MathDomainError a non-real entry (a bool, a string) or a non-finite one."""
+    raw = np.asarray(values, dtype=object)
     if raw.ndim != 1 or raw.size < 1:
         raise ConfigError("s grid must be a nonempty 1-D sequence")
-    s = raw.astype(float) if raw.dtype.kind in "iuf" else np.array([_real(x, "s grid entry") for x in raw])
+    s = np.array([_real(x, "s grid entry") for x in raw])
     if np.any(s <= 0) or np.any(np.diff(s) <= 0):
         raise ConfigError("s grid must be ascending and positive")
     if not np.all(np.isfinite(s)):

@@ -20,6 +20,8 @@ from ratecalc import (
 
 from conftest import random_form
 
+_HALF_MAX = np.finfo(float).max / 2
+
 
 class TestEnergy:
     def test_constant_function_zero(self, two_point_uniform):
@@ -96,6 +98,7 @@ class TestFormValidation:
             ([(0, 2, 1.0)], "out of range"),
             ([(0, 10**400, 1.0)], "out of range"),
             ([(0, 1, math.inf)], "weights must be finite"),
+            ([(0, 1, 10**400)], "weights must be finite"),
             ([(0, 1, 1.0), (1, 0, 1.0)], "both join states 0 and 1"),
         ],
     )
@@ -139,6 +142,14 @@ class TestFormValidation:
             ({"mu": [0.5, 0.5], "edges": [[0, 1, 1e308]]}, "at most half the largest double"),
             # each weight fits, their sum at state 0 does not
             ({"mu": [0.25] * 4, "edges": [[0, 1, 6e307], [0, 2, 6e307], [0, 3, 6e307]]}, "Laplacian overflows"),
+            # summed in edge order the total at state 0 is the largest double; the Laplacian's
+            # row sum (2^969 + h) + h rounds up twice to inf
+            (
+                {"mu": [0.25] * 4, "edges": [[0, 2, _HALF_MAX], [0, 3, _HALF_MAX], [0, 1, 2.0**969]]},
+                "Laplacian overflows",
+            ),
+            ({"mu": [10**400, 0.5], "edges": [[0, 1, 1.0]]}, "mu entries must be strictly positive and finite"),
+            ({"mu": [0.5, 0.5], "edges": [[0, 1, 10**400]]}, "weights must be finite"),
         ],
     )
     def test_overflowing_weights_are_config_error(self, d, message):
@@ -146,9 +157,31 @@ class TestFormValidation:
             FiniteDirichletForm.from_json_dict(d)
 
     @pytest.mark.filterwarnings("error")
+    def test_admitted_totals_stay_finite_in_the_laplacian(self):
+        # Weights whose state-0 total lands within a few ulps of the largest double.
+        rng = np.random.default_rng(5)
+        refused = 0
+        for _ in range(300):
+            k = int(rng.integers(3, 12))
+            w = rng.random(k)
+            w = w / w.sum() * np.finfo(float).max * (1 - rng.integers(-3, 4) * np.finfo(float).eps)
+            w = np.minimum(w, _HALF_MAX)
+            edges = [[0, int(j) + 1, float(x)] for j, x in zip(rng.permutation(k), w)]
+            try:
+                form = FiniteDirichletForm.from_json_dict({"mu": [1 / (k + 1)] * (k + 1), "edges": edges})
+            except ConfigError:
+                refused += 1
+                continue
+            assert np.isfinite(form.laplacian[0, 0])
+        assert 0 < refused < 300
+
+    @pytest.mark.filterwarnings("error")
     def test_weights_near_the_limit_admitted(self):
         form = FiniteDirichletForm.from_json_dict({"mu": [0.25] * 4, "edges": [[0, 1, 8e307], [0, 2, 8e307]]})
         assert form.laplacian[0, 0] == 1.6e308
+        # two weights sum to the same double in any order, so a total at the limit is kept
+        form = FiniteDirichletForm.from_json_dict({"mu": [0.25] * 4, "edges": [[0, 1, _HALF_MAX], [0, 2, _HALF_MAX]]})
+        assert form.laplacian[0, 0] == np.finfo(float).max
 
     @pytest.mark.parametrize("n", [3, 41, 201])
     def test_json_dict_matches_pair_loop(self, n):

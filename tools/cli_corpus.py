@@ -20,6 +20,7 @@ import subprocess
 import sys
 import tempfile
 
+_HALF_MAX = float.fromhex("0x1.fffffffffffffp+1022")  # half the largest double
 _TWO = {"mu": [0.5, 0.5], "edges": [[0, 1, 1.0]]}
 _TRI = {"mu": [0.6, 0.25, 0.15], "edges": [[0, 1, 0.8], [1, 2, 1.2], [0, 2, 0.4]]}
 # Every state has degree 3.
@@ -38,6 +39,10 @@ FORMS = {
     "weight_1e308": {"mu": [0.5, 0.5], "edges": [[0, 1, 1e308]]},
     "degree_overflow": {"mu": [0.25] * 4, "edges": [[0, 1, 6e307], [0, 2, 6e307], [0, 3, 6e307]]},
     "near_limit": {"mu": [0.25] * 4, "edges": [[0, 1, 8e307], [0, 2, 8e307]]},
+    # The total at state 0 is the largest double in edge order and inf in the Laplacian's order.
+    "order_overflow": {"mu": [0.25] * 4, "edges": [[0, 2, _HALF_MAX], [0, 3, _HALF_MAX], [0, 1, 2.0**969]]},
+    "huge_int_weight": {"mu": [0.5, 0.5], "edges": [[0, 1, 10**400]]},
+    "huge_int_mu": {"mu": [10**400, 0.5], "edges": [[0, 1, 1.0]]},
     "tiny_mass": {"mu": [1e-200, 1.0], "edges": [[0, 1, 1e150]]},
     "duplicate": {"mu": [0.4, 0.3, 0.3], "edges": [[0, 1, 1.0], [1, 0, 3.0]]},
     "self_loop": {"mu": [0.5, 0.5], "edges": [[0, 0, 1.0], [0, 1, 1.0]]},
