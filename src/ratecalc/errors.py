@@ -102,20 +102,23 @@ def _s_grid(values) -> np.ndarray:
     return s
 
 
-def _json_number(v, what: str, integral: bool = False):
+def _json_number(v, what: str, integral: bool = False, real: bool = False):
     """A number of JSON input or of a form's edge triples, as given, or as int if ``integral``.
 
     A bool (JSON true or false), a string or another non-number raises
-    ConfigError naming ``what``, and so does, if ``integral``, a number
-    that is not a finite integer; numpy scalars are numbers.  The object
-    built from the number refuses an infinite one (_require_finite).
+    ConfigError naming ``what``, and so do an int past double range
+    (``real`` returns _real's float, inf for it) and, if ``integral``, a
+    number that is not a finite integer; numpy scalars are numbers.  The
+    object built from the number refuses an infinite one.
     """
     # int and float come first: they spare most calls the slower abc check.
     if isinstance(v, bool) or not isinstance(v, (int, float, numbers.Real)):
         raise ConfigError(f"{what} must be a number, got {v!r}")
     if integral and not isinstance(v, int) and not (math.isfinite(v) and v == math.floor(v)):
         raise ConfigError(f"{what} must be an integer, got {v!r}")
-    return int(v) if integral else v
+    if not real and isinstance(v, int) and math.isinf(_real(v, what)):
+        raise ConfigError(f"{what} out of range: an integer past double range")
+    return int(v) if integral else _real(v, what) if real else v
 
 
 def _require_finite(obj) -> None:

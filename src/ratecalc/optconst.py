@@ -19,16 +19,16 @@ backtracking from structured starts and seeded random restarts.  All
 starts of one kind, at every s of the grid, ascend together as (m, n)
 blocks with s carried per row: each row keeps its own trade-off, step,
 backtracking, stall counter and iteration budget and leaves the block
-when it stops, and F L is computed once per accepted iterate for both
-the value and the next gradient.  The Armijo line search tests its 60
-halvings in rounds of 1, 2, 4, 8, 16 and 29 (_HALVING_ROUNDS): each row
-still searching stacks the round's candidate steps alpha * 2^-j into one
-evaluation and takes the first that passes, which is the step and
-iterate one halving at a time gives, since scaling by a power of two is
-exact.  Every row reduction is an einsum or
-elementwise form, never a BLAS product, so a row's path is bit for bit
-the same alone or in a block, and a grid point's value does not depend
-on the rest of the grid.  The structured starts, spectral certificate
+when it stops, and F L, which the form computes from its edges, is
+computed once per accepted iterate for both the value and the next
+gradient.  The Armijo line search tests its 60 halvings in rounds of 1,
+2, 4, 8, 16 and 29 (_HALVING_ROUNDS): each row still searching stacks
+the round's candidate steps alpha * 2^-j into one evaluation and takes
+the first that passes, which is the step and iterate one halving at a
+time gives, since scaling by a power of two is exact.  Every row
+reduction is an einsum or elementwise form, never a BLAS product, so a
+row's path is bit for bit the same alone or in a block, and a grid
+point's value does not depend on the rest of the grid.  The structured starts, spectral certificate
 included, are built once per kind; the flattened (s, start) rows run in
 blocks of at most _BLOCK_CELLS cells, so memory stays bounded for any
 grid.
@@ -222,12 +222,7 @@ class _Objective:
         self.kind = kind
         self.form = form
         self.mu = form.mu
-        self.lap = form.laplacian
         self.e_floor = _energy_floor(form)
-
-    def apply_lap(self, F: np.ndarray) -> np.ndarray:
-        """F L, row by row; L is symmetric, so row i is L f_i."""
-        return np.einsum("ij,jk->ik", F, self.lap)
 
     def project(self, F: np.ndarray) -> tuple:
         """Rows projected onto the domain, and the mask of admissible rows."""
@@ -243,7 +238,7 @@ class _Objective:
         return self.ineq.terms(F, np.maximum(np.einsum("ij,ij->i", F, LF), 0.0), LF, self.mu)
 
     def evaluate(self, F: np.ndarray, LF: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """(a - s*b)/c of each row of F at its s, given LF = apply_lap(F); -inf where inadmissible."""
+        """(a - s*b)/c of each row of F at its s, given LF = F L; -inf where inadmissible."""
         (a, _), (b, _), (c, _) = self._terms(F, LF)
         return np.where(self.ineq.admissible(b, c, self.e_floor), (a - s * b) / c, -math.inf)
 
@@ -309,7 +304,7 @@ def _ascend_block(obj: _Objective, F0: np.ndarray, s: np.ndarray) -> tuple:
     s = np.asarray(s, dtype=float)
     with np.errstate(all="ignore"):
         F, ok = obj.project(np.asarray(F0, dtype=float))
-        LF = obj.apply_lap(F)
+        LF = obj.form.apply(F)
         val = obj.evaluate(F, LF, s)
         ok &= np.isfinite(val)
         val[~ok] = -math.inf
@@ -341,7 +336,7 @@ def _ascend_block(obj: _Objective, F0: np.ndarray, s: np.ndarray) -> tuple:
                     i, j = np.nonzero(a >= _STEP_MIN)
                     rows, a = chunk[i], a[i, j]
                     P, pok = obj.project(base[rows] + a[:, None] * G[rows])
-                    LP = obj.apply_lap(P)
+                    LP = obj.form.apply(P)
                     pval = obj.evaluate(P, LP, base_s[rows])
                     good = np.flatnonzero(pok & (pval > base_val[rows] + _ARMIJO * a * g2[rows]))
                     # Stacks run row by row in increasing j: a row's first pass is its first entry.
@@ -772,7 +767,7 @@ def brute_force_oracle(
             pass
         # eigh's error is about 1e-15 of the generator's norm, here bounded
         # by Gershgorin: the cut's 1e-9 margin covers it for gaps over 1e-6 of that.
-        if gap is not None and gap < 1e-6 * 2.0 * float(np.max(np.diag(form.laplacian))) / float(np.min(form.mu)):
+        if gap is not None and gap < 1e-6 * 2.0 * float(np.max(form.totals)) / float(np.min(form.mu)):
             gap = None
     tiles = _AngleTiles(form.n, resolution, signed)
     # Bounded in slabs of _ORACLE_BLOCK // 4 tiles: the bound's temporaries,

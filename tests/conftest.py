@@ -67,6 +67,15 @@ def two_point_uniform(fixture_forms):
     return fixture_forms["two_uniform"]
 
 
+def dense_laplacian(n, triples):
+    """The Laplacian of a symmetrised dense weight matrix, kept as a reference."""
+    W = np.zeros((n, n))
+    for i, j, w in triples:
+        W[i, j] = W[j, i] = w
+    W = 0.5 * (W + W.T)
+    return np.diag(W.sum(axis=1)) - W
+
+
 def random_form(rng: np.random.Generator, n_max: int = 8) -> FiniteDirichletForm:
     """Random connected form for property tests."""
     n = int(rng.integers(2, n_max + 1))

@@ -97,6 +97,14 @@ class TestXi:
             ('{"family": "constant", "B": Infinity}', "B must be finite"),
             ('{"family": "poly_power", "C": true, "p": 1}', "'C' must be a number"),
             ('{"family": "poly_power", "C": "1.5", "p": 1}', "'C' must be a number"),
+            pytest.param(
+                '{"family": "constant", "B": 1%s}' % ("0" * 400), "'B' out of range: an integer past double range",
+                id="401-digit-B",
+            ),
+            pytest.param(
+                '{"family": "table", "points": [[1%s, 1.0]]}' % ("0" * 400), "points entry out of range",
+                id="401-digit-table-point",
+            ),
         ],
     )
     def test_non_numeric_or_infinite_ratefn_exits_2(self, runner, tmp_path, blob, message):
@@ -314,6 +322,9 @@ class TestTransform:
             ({"n0": 3.5}, "'n0' must be an integer"),
             ({"N_max": 1e400}, "'N_max' must be an integer"),
             ({"r_grid": {"count": 700.5}}, "'count' must be an integer"),
+            ({"delta": 10**400}, "'delta' out of range: an integer past double range"),
+            ({"N_max": 10**400}, "'N_max' out of range: an integer past double range"),
+            ({"r_grid": {"count": 10**400}}, "'count' out of range: an integer past double range"),
         ],
     )
     def test_malformed_config_exits_2(self, runner, tmp_path, config, message):

@@ -18,7 +18,7 @@ from ratecalc import (
     truncation_sequence,
 )
 
-from conftest import random_form
+from conftest import dense_laplacian, random_form
 
 _HALF_MAX = np.finfo(float).max / 2
 
@@ -83,7 +83,7 @@ class TestFormValidation:
         )
         i, j, w = form.edges
         assert i.tolist() == [0, 0, 1, 1] and j.tolist() == [1, 3, 2, 3] and w.tolist() == [2.0, 1.5, 4.0, 0.5]
-        assert not any(a.flags.writeable for a in (form.mu, *form.edges, form.laplacian))
+        assert not any(a.flags.writeable for a in (form.mu, *form.edges, form.totals))
         again = FiniteDirichletForm(mu=form.mu, edges=list(zip(*form.edges)))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(again.edges, form.edges))
 
@@ -172,31 +172,22 @@ class TestFormValidation:
             except ConfigError:
                 refused += 1
                 continue
-            assert np.isfinite(form.laplacian[0, 0])
+            assert np.isfinite(form.apply(np.eye(k + 1))[0, 0])
         assert 0 < refused < 300
 
     @pytest.mark.filterwarnings("error")
     def test_weights_near_the_limit_admitted(self):
         form = FiniteDirichletForm.from_json_dict({"mu": [0.25] * 4, "edges": [[0, 1, 8e307], [0, 2, 8e307]]})
-        assert form.laplacian[0, 0] == 1.6e308
+        assert form.apply(np.eye(4))[0, 0] == 1.6e308
         # two weights sum to the same double in any order, so a total at the limit is kept
         form = FiniteDirichletForm.from_json_dict({"mu": [0.25] * 4, "edges": [[0, 1, _HALF_MAX], [0, 2, _HALF_MAX]]})
-        assert form.laplacian[0, 0] == np.finfo(float).max
+        assert form.apply(np.eye(4))[0, 0] == np.finfo(float).max
 
     @pytest.mark.parametrize("n", [3, 41, 201])
     def test_json_dict_matches_pair_loop(self, n):
         rng = np.random.default_rng(n)
         for form in (build_birth_death(4.0, 1.0, 2.0, n), random_form(rng, n_max=n)):
             assert json.dumps(form.to_json_dict()) == json.dumps(_loop_json_dict(form))
-
-
-def _dense_laplacian(n, triples):
-    """The Laplacian of a symmetrised dense weight matrix, kept as a reference."""
-    W = np.zeros((n, n))
-    for i, j, w in triples:
-        W[i, j] = W[j, i] = w
-    W = 0.5 * (W + W.T)
-    return np.diag(W.sum(axis=1)) - W
 
 
 class TestLaplacian:
@@ -215,8 +206,59 @@ class TestLaplacian:
             rng.shuffle(triples)
             mu = rng.uniform(0.1, 1.0, n)
             form = FiniteDirichletForm(mu=mu / mu.sum(), edges=triples)
-            assert form.laplacian.tobytes() == _dense_laplacian(n, triples).tobytes()
+            lap = dense_laplacian(n, triples)
+            F = rng.standard_normal((5, n))
+            for got, want in ((form.apply(np.eye(n)), lap), (form.apply(F), np.einsum("ij,jk->ik", F, lap))):
+                if n < 8:
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    # numpy sums a row of 8 or more entries in 8 interleaved parts, so the
+                    # diagonal of a state of degree 3 or more may differ in its last bit.
+                    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
             assert form.edges[2].size == sum(w != 0.0 for *_, w in triples)
+
+    def test_apply_is_the_dense_product_bit_for_bit(self, fixture_forms):
+        rng = np.random.default_rng(23)
+        forms = [build_birth_death(4.0, 1.0, 2.0, n) for n in (3, 41, 201)] + list(fixture_forms.values())
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            hub = int(rng.integers(0, n))
+            # A star on a random hub, other pairs at random, some weights zero, some states isolated.
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if hub in (i, j) or rng.random() < 0.3]
+            triples = [(i, j, 0.0 if rng.random() < 0.2 else float(10.0 ** rng.uniform(-8, 8))) for i, j in pairs]
+            mu = rng.uniform(0.1, 1.0, n)
+            forms.append(FiniteDirichletForm(mu=mu / mu.sum(), edges=triples))
+        for form in forms:
+            n = form.n
+            lap = dense_laplacian(n, zip(*form.edges))
+            # Signed zeros and exact zeros test the dense sum's start from +0.
+            zeros = np.where(rng.random((4, n)) < 0.5, -0.0, 0.0) * rng.integers(0, 2, (4, n))
+            for F in (np.eye(n), rng.standard_normal((9, n)), zeros, -np.abs(rng.standard_normal((3, n)))):
+                got = form.apply(F)
+                assert got.flags.c_contiguous and got.tobytes() == np.einsum("ij,jk->ik", F, lap).tobytes(), n
+
+    def test_apply_refuses_a_wrong_shape(self, two_point_uniform):
+        for F in (np.zeros(2), np.zeros((1, 3)), np.zeros((1, 1, 2))):
+            with pytest.raises(MathDomainError, match="apply needs"):
+                two_point_uniform.apply(F)
+
+    def test_energy_is_energy_many_of_one_row(self):
+        rng = np.random.default_rng(24)
+        for form in (build_birth_death(4.0, 1.0, 2.0, 41), *(random_form(rng) for _ in range(20))):
+            for _ in range(20):
+                f = rng.standard_normal(form.n)
+                assert np.float64(form.energy(f)).tobytes() == form.energy_many(f[None])[0].tobytes()
+
+    def test_energy_many_on_2001_states_peaks_under_2_mb(self):
+        form = build_birth_death(4.0, 1.0, 3.0, 2001)
+        F = np.random.default_rng(25).standard_normal((32, form.n))
+        tracemalloc.start()
+        try:
+            form.energy_many(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_energy_matches_edge_sum(self):
         rng = np.random.default_rng(22)
@@ -402,14 +444,15 @@ class TestSpectralGap:
         # characteristic polynomial x^2 - tr(B) x + det(B).
         form = FiniteDirichletForm(mu=np.array([0.3, 0.7]), edges=[(0, 1, 2.0)])
         d = 1.0 / np.sqrt(form.mu)
-        B = d[:, None] * form.laplacian * d[None, :]
+        lap = dense_laplacian(2, [(0, 1, 2.0)])
+        B = d[:, None] * lap * d[None, :]
         tr, det = float(np.trace(B)), float(np.linalg.det(B))
         disc = math.sqrt(tr * tr - 4.0 * det)
         sg = spectral_gap(form)
         assert sg.gap == pytest.approx(0.5 * (tr + disc), rel=1e-12)
         # The certificate solves the generalised problem L f = gap * mu * f.
         f = sg.certificate
-        np.testing.assert_allclose(form.laplacian @ f, sg.gap * form.mu * f, atol=1e-10)
+        np.testing.assert_allclose(lap @ f, sg.gap * form.mu * f, atol=1e-10)
 
     def test_random_forms_certificate_attains_gap(self):
         rng = np.random.default_rng(15)
@@ -441,11 +484,12 @@ class TestSpectralGap:
 
 def _loop_json_dict(form):
     """to_json_dict written as a loop over all index pairs of the Laplacian, kept as a reference."""
+    lap = dense_laplacian(form.n, zip(*form.edges))
     edges = []
     for i in range(form.n):
         for j in range(i + 1, form.n):
-            if -form.laplacian[i, j] > 0:
-                edges.append([i, j, float(-form.laplacian[i, j])])
+            if -lap[i, j] > 0:
+                edges.append([i, j, float(-lap[i, j])])
     return {"mu": [float(x) for x in form.mu], "edges": edges}
 
 
@@ -468,7 +512,7 @@ class TestBirthDeath:
             ref = _loop_birth_death(kappa, c0, half_width, n)
             assert form.mu.tobytes() == ref.mu.tobytes()
             assert all(a.tobytes() == b.tobytes() for a, b in zip(form.edges, ref.edges))
-            assert form.laplacian.tobytes() == ref.laplacian.tobytes()
+            assert form.apply(np.eye(n)).tobytes() == dense_laplacian(n, zip(*ref.edges)).tobytes()
 
     def test_symmetry_of_measure(self):
         form = build_birth_death(kappa=2.0, c0=0.5, half_width=4.0, n=41)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import make_fixture_forms, random_form
+from conftest import dense_laplacian, make_fixture_forms, random_form
 
 from ratecalc import (
     ConfigError,
@@ -697,7 +697,7 @@ class _ScalarObjective:
 
     def __init__(self, kind, form, s):
         self.kind, self.form, self.s = kind, form, float(s)
-        self.mu, self.lap = form.mu, form.laplacian
+        self.mu, self.lap = form.mu, dense_laplacian(form.n, zip(*form.edges))
         wmax = float(np.max(form.edges[2], initial=0.0))
         self.e_floor = 1e-14 * max(wmax, 1e-30)
 
@@ -905,7 +905,7 @@ def _ascend_block_one_halving_per_round(obj, F0, s):
     s = np.asarray(s, dtype=float)
     with np.errstate(all="ignore"):
         F, ok = obj.project(np.asarray(F0, dtype=float))
-        LF = obj.apply_lap(F)
+        LF = obj.form.apply(F)
         val = obj.evaluate(F, LF, s)
         ok &= np.isfinite(val)
         val[~ok] = -math.inf
@@ -930,7 +930,7 @@ def _ascend_block_one_halving_per_round(obj, F0, s):
                     break
                 a = alpha[search]
                 P, pok = obj.project(base[search] + a[:, None] * G[search])
-                LP = obj.apply_lap(P)
+                LP = obj.form.apply(P)
                 pval = obj.evaluate(P, LP, base_s[search])
                 good = pok & (pval > base_val[search] + optconst._ARMIJO * a * g2[search])
                 hit = search[good]
@@ -1286,7 +1286,7 @@ class TestInequalityDefinition:
         for form in forms:
             obj = optconst._Objective(kind, form)
             F, s = _domain_block(obj, rng)
-            LF = obj.apply_lap(F)
+            LF = obj.form.apply(F)
             with np.errstate(all="ignore"):
                 pairs = [
                     (obj.evaluate(F, LF, s), _ladder_evaluate(obj, F, LF, s)),
@@ -1300,7 +1300,7 @@ class TestInequalityDefinition:
         form = fixture_forms["path3_skewed"]
         obj = optconst._Objective(kind, form)
         F, s = _domain_block(obj, np.random.default_rng(11))
-        LF = obj.apply_lap(F)
+        LF = obj.form.apply(F)
         with np.errstate(all="ignore"):
             vals = obj.evaluate(F, LF, s)
         # The zero row, then the constant and nearly constant rows.
@@ -1322,7 +1322,7 @@ class TestInequalityDefinition:
             obj = optconst._Objective(kind, form)
             F, s = _domain_block(obj, rng)
             with np.errstate(all="ignore"):
-                vals = obj.evaluate(F, obj.apply_lap(F), s)
+                vals = obj.evaluate(F, obj.form.apply(F), s)
             ok = np.isfinite(vals)
             F, s, vals = F[ok], s[ok], vals[ok]
             ineq = optconst._INEQUALITIES[kind]
@@ -1338,7 +1338,7 @@ class TestInequalityDefinition:
         form = FiniteDirichletForm(mu=np.array([1e-12, 1 - 1e-12]), edges=[(0, 1, 1e6)])
         obj = optconst._Objective(kind, form)
         F, ok = obj.project(np.array([[1.0, 0.0]]))
-        LF, s = obj.apply_lap(F), np.array([1e-3])
+        LF, s = obj.form.apply(F), np.array([1e-3])
         (a, _), (b, _), (c, _) = obj._terms(F, LF)
         assert ok[0] and 0.0 < c[0] < obj.e_floor * b[0]
         value = obj.evaluate(F, LF, s)

@@ -289,6 +289,9 @@ class TestJson:
             {"family": "table", "points": [[1e-3, True], [1.0, 1.0]]},
             {"family": "log_table", "log_points": [["1e-3", 900.0], [1.0, 800.0]]},
             {"family": ["constant"], "B": 1.0},
+            {"family": "constant", "B": 10**400},
+            {"family": "table", "points": [[10**400, 1.0]]},
+            {"family": "log_table", "log_points": [[1e-3, -(10**400)], [1.0, 800.0]]},
         ],
     )
     def test_bools_strings_and_infinities_refused(self, d):

@@ -393,6 +393,19 @@ class TestConfig:
             TransformConfig.from_json_dict({"delta": 4.0, "bogus": 1})
 
     @pytest.mark.parametrize(
+        "d,field",
+        [({"delta": 10**400}, "'delta'"), ({"C4": -(10**400)}, "'C4'"), ({"N_max": 10**400}, "'N_max'"),
+         ({"r_grid": {"count": 10**400}}, "'count'")],
+    )
+    def test_integer_past_double_range_rejected(self, d, field):
+        with pytest.raises(ConfigError, match=f"{field} out of range: an integer past double range"):
+            TransformConfig.from_json_dict(d)
+
+    def test_integers_in_range_kept_as_given(self):
+        cfg = TransformConfig.from_json_dict({"C4": 2, "delta": 5, "N_max": 2**62})
+        assert (type(cfg.C4), cfg.C4, type(cfg.delta), cfg.N_max) == (int, 2, int, 2**62)
+
+    @pytest.mark.parametrize(
         "name", ["delta", "s0", "C1", "C2", "C3", "C4", "C5", "C6", "theta_cond", "slope_tol", "n0", "k_max", "N_max"]
     )
     def test_infinite_number_rejected(self, name):

@@ -28,12 +28,19 @@ _K4 = {
     "mu": [0.1, 0.2, 0.3, 0.4],
     "edges": [[0, 1, 1.0], [2, 0, 0.5], [0, 3, 2.0], [1, 2, 1.5], [3, 1, 0.25], [2, 3, 0.75]],
 }
+# A hub joined to a cycle of 8: the hub has degree 8, every rim state degree 3.  A dense
+# row sum of 9 entries runs in 8 interleaved parts, so the diagonal may round otherwise.
+_WHEEL = {
+    "mu": [0.2] + [0.1] * 8,
+    "edges": [[0, k, 1.0 + 0.1 * k] for k in range(1, 9)] + [[k, k % 8 + 1, 0.3 + 0.07 * k] for k in range(1, 9)],
+}
 
 # Form files, valid or not; each one gets a verify and a spectrum run.
 FORMS = {
     "two": _TWO,
     "tri": _TRI,
     "k4": _K4,
+    "wheel": _WHEEL,
     "zero_weight": {"mu": [0.2, 0.5, 0.3], "edges": [[0, 1, 1.0], [1, 2, 0.5], [0, 2, 0.0]]},
     "disconnected": {"mu": [0.25] * 4, "edges": [[0, 1, 1.0], [2, 3, 1.0]]},
     "weight_1e308": {"mu": [0.5, 0.5], "edges": [[0, 1, 1e308]]},
@@ -58,6 +65,7 @@ RATEFNS = {
     "inverse_power": {"family": "inverse_power", "a": 1.0, "p": 1.0},
     "constant": {"family": "constant", "B": 2.0},
     "table": {"family": "table", "points": [[0.01, 50.0], [0.1, 5.0], [1.0, 1.0]]},
+    "huge_int": {"family": "constant", "B": 10**400},
 }
 
 # Every file the runs read, by the relative path they name it with.
@@ -65,6 +73,7 @@ INPUTS = {
     **{f"form_{k}.json": json.dumps(v) for k, v in FORMS.items()},
     **{f"rate_{k}.json": json.dumps(v) for k, v in RATEFNS.items()},
     "clamp.json": json.dumps({"C4": 2, "s0": 0.3, "delta": 5}),
+    "huge_int_config.json": json.dumps({"delta": 10**400}),
     "malformed.json": "{not json",
 }
 
@@ -77,6 +86,7 @@ def _runs() -> list:
     runs = [
         ("verify-chain-41", ["verify", "--birth-death", "4,1,2,41", *_VERIFY]),
         ("verify-chain-11", ["verify", "--birth-death", "4,1,2,11", *_VERIFY]),
+        ("verify-chain-201", ["verify", "--birth-death", "4,1,3,201", *_VERIFY]),
         ("verify-two-degenerate-wl", ["verify", "--form", "form_two.json", "--s-grid", "1e-3,1,8", "--seed", "7"]),
     ]
     for direction, family in _DIRECTIONS.items():
@@ -108,6 +118,8 @@ def _runs() -> list:
         ("exit2-malformed-config", [*sp2sl, "--ratefn", "rate_exp_power.json", "--config", "malformed.json"]),
         ("exit2-missing-form", ["spectrum", "--form", "missing.json"]),
         ("exit2-malformed-form", ["spectrum", "--form", "malformed.json"]),
+        ("exit2-huge-int-ratefn", ["xi", "--kernel", "xi1", "--ratefn", "rate_huge_int.json", "--t-grid", "0.01,10,9"]),
+        ("exit2-huge-int-config", [*sp2sl, "--ratefn", "rate_exp_power.json", "--config", "huge_int_config.json"]),
     ]
     return runs
 
