@@ -113,17 +113,17 @@ class FiniteDirichletForm:
         totals = np.bincount(col, weights=w, minlength=n)
         if not np.all(np.isfinite(totals)):
             raise ConfigError("Laplacian overflows double range: a state's total weight exceeds it")
-        # Then by rank within the column, and column: apply adds rank r of all columns at once.
+        # Then by rank within the column, and by `place`, most nonzeros first: rank r is a prefix.
         rank = np.arange(col.size) - np.searchsorted(col, col)
-        order = np.lexsort((col, rank))
-        col, row, value = col[order], row[order], np.where(row == col, totals[col], -w)[order]
-        ends, ranks = [0, *np.cumsum(np.bincount(rank)).tolist()], []
-        for lo, hi in zip(ends, ends[1:]):  # consecutive columns make a slice
-            c = col[lo:hi]
-            ranks.append((slice(int(c[0]), int(c[-1]) + 1) if c[-1] - c[0] == hi - lo - 1 else c, row[lo:hi], value[lo:hi]))
-        for x in (mu, *edges, totals, row, value):
+        place = np.empty(n, dtype=np.intp)
+        place[np.argsort(-np.bincount(col, minlength=n), kind="stable")] = np.arange(n)
+        order = np.lexsort((place[col], rank))
+        row, value = row[order], np.where(row == col, totals[col], -w)[order]
+        for x in (mu, *edges, totals, place, row, value):
             x.flags.writeable = False
-        for name, x in (("mu", mu), ("edges", edges), ("totals", totals), ("_ranks", tuple(ranks))):
+        ends = [0, *np.cumsum(np.bincount(rank)).tolist()]
+        ranks = tuple((row[lo:hi], value[lo:hi]) for lo, hi in zip(ends, ends[1:]))
+        for name, x in (("mu", mu), ("edges", edges), ("totals", totals), ("_place", place), ("_ranks", ranks)):
             object.__setattr__(self, name, x)
 
     @property
@@ -136,10 +136,10 @@ class FiniteDirichletForm:
         F = np.asarray(F, dtype=float)
         if F.ndim != 2 or F.shape[1] != self.n:
             raise MathDomainError(f"apply needs an (m, {self.n}) array, got shape {F.shape}")
-        out = np.zeros((F.shape[0], self.n))
-        for cols, rows, values in self._ranks:
-            out[:, cols] += np.take(F, rows, axis=1) * values
-        return out
+        out = np.zeros((F.shape[0], self.n))  # column k at out[:, _place[k]]
+        for rows, values in self._ranks:
+            out[:, : rows.size] += F.take(rows, axis=1) * values
+        return out.take(self._place, axis=1)
 
     def energy(self, f) -> float:
         """E(f) = 1/2 sum_{i != j} w_ij (f_i - f_j)^2 = f' L f: energy_many of the one row f."""

@@ -83,7 +83,8 @@ class TestFormValidation:
         )
         i, j, w = form.edges
         assert i.tolist() == [0, 0, 1, 1] and j.tolist() == [1, 3, 2, 3] and w.tolist() == [2.0, 1.5, 4.0, 0.5]
-        assert not any(a.flags.writeable for a in (form.mu, *form.edges, form.totals))
+        assert not any(a.flags.writeable for a in (form.mu, *form.edges, form.totals, form._place))
+        assert not any(a.flags.writeable for rank in form._ranks for a in rank)
         again = FiniteDirichletForm(mu=form.mu, edges=list(zip(*form.edges)))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(again.edges, form.edges))
 
