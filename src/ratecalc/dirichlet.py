@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MathDomainError, SingularityError, _json_number
+from .errors import ConfigError, MathDomainError, SingularityError, _number
 
 __all__ = [
     "FiniteDirichletForm",
@@ -60,19 +60,20 @@ class FiniteDirichletForm:
 
     ``edges``, given as (i, j, weight) triples, is kept as the read-only
     arrays (i, j, w) with i < j, sorted by (i, j), zero weights dropped;
-    ``totals`` holds each state's total weight.  ConfigError refuses a
-    non-integral, out-of-range or equal pair of indices, a pair of states
-    joined twice, a weight that is not a number in [0, max double / 2],
-    and a total that overflows.
+    ``totals`` holds each state's total weight.  ConfigError refuses a mu
+    entry that errors._number refuses, a non-integral, out-of-range or
+    equal pair of indices, a pair of states joined twice, a weight that
+    is not a number in [0, max double / 2], and a total that overflows.
     """
 
     mu: np.ndarray
     edges: tuple
 
     def __post_init__(self):
-        mu = np.array(self.mu, dtype=float)
+        mu = np.asarray(self.mu, dtype=object)
         if mu.ndim != 1 or mu.size < 1:
             raise ConfigError("mu must be a nonempty 1-D probability vector")
+        mu = np.array([_number(x, "mu entry") for x in mu], dtype=float)
         if np.any(mu <= 0) or not np.all(np.isfinite(mu)):
             raise ConfigError("mu entries must be strictly positive and finite")
         total = float(mu.sum())
@@ -84,7 +85,7 @@ class FiniteDirichletForm:
         for pos, edge in enumerate(self.edges):
             if not isinstance(edge, (list, tuple)) or len(edge) != 3:
                 raise ConfigError(f"edge {edge!r} must be [i, j, weight]")
-            i, j = (_json_number(k, "edge index", integral=True) for k in edge[:2])
+            i, j = (_number(k, "edge index", integral=True) for k in edge[:2])
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ConfigError(f"edge ({i}, {j}) out of range or a self-loop")
             pair = (min(i, j), max(i, j))
@@ -92,7 +93,7 @@ class FiniteDirichletForm:
                 (first, other), (a, b) = seen[pair], pair
                 raise ConfigError(f"edges[{first}] = {other!r} and edges[{pos}] = {edge!r} both join states {a} and {b}")
             seen[pair] = pos, edge
-            w.append(_json_number(edge[2], "edge weight", real=True))
+            w.append(_number(edge[2], "edge weight"))
         ij = np.array(list(seen), dtype=np.intp).reshape(-1, 2)
         del seen  # some 0.2 MB per 1000 edges
         w = np.array(w, dtype=float)
@@ -163,7 +164,7 @@ class FiniteDirichletForm:
             raise ConfigError(f"malformed form JSON: {exc}")
         if not isinstance(mu, (list, tuple)) or not isinstance(edges, (list, tuple)):
             raise ConfigError("form JSON 'mu' and 'edges' must be lists")
-        return cls(mu=[_json_number(x, "mu entry", real=True) for x in mu], edges=edges)
+        return cls(mu=mu, edges=edges)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -270,6 +271,8 @@ def build_birth_death(
     trapezoidal finite-volume approximation of int |f'|^2 dmu, so the
     spectral gap converges to the continuum one as n grows.
     """
+    kappa, c0 = _number(kappa, "birth-death kappa"), _number(c0, "birth-death c0")
+    half_width, n = _number(half_width, "birth-death half_width"), _number(n, "birth-death n", integral=True)
     if n < 3 or n % 2 == 0:
         raise ConfigError("birth-death chain needs an odd state count n >= 3")
     if not (kappa > 0 and c0 > 0 and half_width > 0):

@@ -8,6 +8,10 @@ argument of RateFunction.eval) must be a real, non-bool number, numpy
 scalars included, that is finite and > 0 (>= 0 for the s of
 brute_force_oracle and certify_inequality); _scalar raises
 MathDomainError for anything else.  _s_grid is the one s-grid rule.
+_number is the one rule for the numbers an input object is made of (its
+fields, table or form entries, log_grid's and build_birth_death's
+arguments); each constructor applies it, so the JSON readers only check
+structure and keys.
 """
 
 import dataclasses
@@ -102,23 +106,33 @@ def _s_grid(values) -> np.ndarray:
     return s
 
 
-def _json_number(v, what: str, integral: bool = False, real: bool = False):
-    """A number of JSON input or of a form's edge triples, as given, or as int if ``integral``.
+def _number(v, what: str, integral: bool = False):
+    """v, an int as given and any other number as a float, or as int if ``integral``.
 
-    A bool (JSON true or false), a string or another non-number raises
-    ConfigError naming ``what``, and so do an int past double range
-    (``real`` returns _real's float, inf for it) and, if ``integral``, a
-    number that is not a finite integer; numpy scalars are numbers.  The
-    object built from the number refuses an infinite one.
+    ConfigError, naming ``what``, refuses a bool, a string or another non-number, an int past double
+    range and, if ``integral``, a number that is not a finite integer (400.0 reads as 400); numpy
+    scalars are numbers.  The object built from the number refuses an infinite one itself.
     """
     # int and float come first: they spare most calls the slower abc check.
     if isinstance(v, bool) or not isinstance(v, (int, float, numbers.Real)):
         raise ConfigError(f"{what} must be a number, got {v!r}")
-    if integral and not isinstance(v, int) and not (math.isfinite(v) and v == math.floor(v)):
+    try:
+        x = float(v)
+    except OverflowError:
+        raise ConfigError(f"{what} out of range: an integer past double range") from None
+    if integral and not x.is_integer():
         raise ConfigError(f"{what} must be an integer, got {v!r}")
-    if not real and isinstance(v, int) and math.isinf(_real(v, what)):
-        raise ConfigError(f"{what} out of range: an integer past double range")
-    return int(v) if integral else _real(v, what) if real else v
+    return int(v) if integral else v if isinstance(v, int) else x
+
+
+def _number_fields(obj, what: str) -> None:
+    """Replace each field of the dataclass ``obj`` annotated int (integral) or float, as a string, by
+    its _number named "{what} field '<name>'", in field order; an Optional field may be None."""
+    for f in dataclasses.fields(obj):
+        kind = f.type.removeprefix("Optional[").removesuffix("]")
+        v = getattr(obj, f.name)
+        if kind in ("int", "float") and (v is not None or kind == f.type):
+            object.__setattr__(obj, f.name, _number(v, f"{what} field {f.name!r}", integral=kind == "int"))
 
 
 def _require_finite(obj) -> None:

@@ -56,14 +56,15 @@ coarse resolution.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .dirichlet import FiniteDirichletForm, spectral_gap
-from .errors import ConfigError, MathDomainError, SingularityError, SolverError, _real, _s_grid, _scalar
+from .errors import (
+    ConfigError, MathDomainError, SingularityError, SolverError, _number, _number_fields, _real, _s_grid, _scalar,
+)
 from .ratefn import RateFunction, Tabulated, _running_max_from_right
 
 __all__ = [
@@ -104,6 +105,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _number_fields(self, "solver config")
         if self.restarts < 1:
             raise ConfigError("solver needs at least one restart")
 
@@ -896,16 +898,18 @@ def certify_inequality(
     This converts the solver's lower-bound-biased output into a checked
     admissible constant.  An s or a beta that is not a finite real (s
     >= 0; a bool is no real) raises MathDomainError, and an n_samples
-    that is not an integer >= 1 raises ConfigError.
+    below 1 or a non-integral n_samples or seed raises ConfigError.
     """
     ineq = _inequality(kind)
     s = _scalar(s, "certification trade-off s", allow_zero=True)
     beta = _real(beta, "beta")
     if not math.isfinite(beta):
         raise MathDomainError(f"cannot certify a non-finite beta {beta!r}")
-    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral) or n_samples < 1:
+    n_samples = _number(n_samples, "certification sample count", integral=True)
+    seed = _number(seed, "certification seed", integral=True)
+    if n_samples < 1:
         raise ConfigError(f"certification needs an integer count of at least one sample, got {n_samples!r}")
-    rng = np.random.default_rng((int(seed) & 0xFFFFFFFF, _KIND_ID[kind], n_samples))
+    rng = np.random.default_rng((seed & 0xFFFFFFFF, _KIND_ID[kind], n_samples))
     # One (n_samples, n) draw is the same stream as n_samples draws of n.
     F = rng.standard_normal((n_samples, form.n))
     (a, _), (b, _), (c, _) = ineq.terms(F, form.energy_many(F), None, form.mu)

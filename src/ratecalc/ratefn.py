@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapError, ConfigError, FitError, MathDomainError, _json_number, _require_finite, _scalar
+from .errors import CapError, ConfigError, FitError, MathDomainError, _number, _number_fields, _require_finite, _scalar
 
 __all__ = [
     "RateFunction",
@@ -132,6 +132,7 @@ class ExpPower(RateFunction):
     theta: float
 
     def __post_init__(self):
+        _number_fields(self, "rate function")
         if not (self.C > 0):
             raise ConfigError("ExpPower requires C > 0")
         if not (self.theta >= 0.5):
@@ -173,6 +174,7 @@ class PolyPower(RateFunction):
     p: float
 
     def __post_init__(self):
+        _number_fields(self, "rate function")
         if not (self.C > 0 and self.p > 0):
             raise ConfigError("PolyPower requires C > 0 and p > 0")
         _require_finite(self)
@@ -208,6 +210,7 @@ class LogPower(RateFunction):
     q: float
 
     def __post_init__(self):
+        _number_fields(self, "rate function")
         if not (self.C > 0):
             raise ConfigError("LogPower requires C > 0")
         if not (self.q >= 0):
@@ -249,6 +252,7 @@ class InversePower(RateFunction):
     p: float
 
     def __post_init__(self):
+        _number_fields(self, "rate function")
         if not (self.a > 0 and self.p > 0):
             raise ConfigError("InversePower requires a > 0 and p > 0")
         _require_finite(self)
@@ -283,6 +287,7 @@ class Constant(RateFunction):
     B: float
 
     def __post_init__(self):
+        _number_fields(self, "rate function")
         if not (self.B > 0):
             raise ConfigError("Constant requires B > 0")
         _require_finite(self)
@@ -301,13 +306,12 @@ class Constant(RateFunction):
         return {"family": "constant", "B": self.B}
 
 
-def _table_knots(points) -> tuple[np.ndarray, np.ndarray]:
-    """Validated knot arrays (s, value) of a tabulated rate function."""
-    pts = tuple((float(a), float(b)) for a, b in points)
-    if not pts:
+def _table_knots(points, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validated knot arrays (s, value) of a tabulated rate function, each entry a number named ``what``."""
+    knots = np.array([(_number(a, what), _number(b, what)) for a, b in points], dtype=float).reshape(-1, 2)
+    if not knots.size:
         raise ConfigError("tabulated rate function needs at least one point")
-    s = np.array([p[0] for p in pts])
-    v = np.array([p[1] for p in pts])
+    s, v = knots.T
     if np.any(s <= 0) or not np.all(np.isfinite(s)):
         raise ConfigError("tabulated s values must be positive and finite")
     if np.any(np.diff(s) <= 0):
@@ -329,7 +333,7 @@ class Tabulated(RateFunction):
     points: tuple
 
     def __post_init__(self):
-        s, v = _table_knots(self.points)
+        s, v = _table_knots(self.points, "points entry")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             raise ConfigError("tabulated values must be nonnegative and finite")
         env = _running_max_from_right(v)
@@ -372,7 +376,7 @@ class LogTabulated(RateFunction):
     log_points: tuple
 
     def __post_init__(self):
-        s, log_v = _table_knots(self.log_points)
+        s, log_v = _table_knots(self.log_points, "log_points entry")
         if not np.all(np.isfinite(log_v)):
             raise ConfigError("tabulated log values must be finite")
         env = _running_max_from_right(log_v)
@@ -425,49 +429,33 @@ class LogTabulated(RateFunction):
         return {"family": "log_table", "log_points": [[a, b] for a, b in self.log_points]}
 
 
-def _param(d: dict, key: str) -> float:
-    return float(_json_number(d[key], f"rate function field {key!r}"))
-
-
-def _pairs(d: dict, key: str) -> tuple:
-    return tuple(
-        (float(_json_number(a, f"{key} entry")), float(_json_number(b, f"{key} entry"))) for a, b in d[key]
-    )
-
-
-# family -> (class, its fields); a table's field holds pairs, any other field a number.
 _FAMILIES = {
-    "exp_power": (ExpPower, ("C", "theta")),
-    "poly_power": (PolyPower, ("C", "p")),
-    "log_power": (LogPower, ("C", "q")),
-    "inverse_power": (InversePower, ("a", "p")),
-    "constant": (Constant, ("B",)),
-    "table": (Tabulated, ("points",)),
-    "log_table": (LogTabulated, ("log_points",)),
+    "exp_power": ExpPower, "poly_power": PolyPower, "log_power": LogPower, "inverse_power": InversePower,
+    "constant": Constant, "table": Tabulated, "log_table": LogTabulated,
 }
 
 
 def rate_function_from_json(d: dict) -> RateFunction:
     """Rebuild a rate function from its ``to_json_dict`` form.
 
-    Every parameter and table entry must be a finite JSON number: a bool,
-    a string, Infinity or NaN raises ConfigError, and so does a key that
-    the family does not take.
+    The family's constructor takes every parameter and table entry
+    through the number rule, so a bool, a string, Infinity or NaN raises
+    ConfigError, as does a key that the family does not take.
     """
     try:
         family = d["family"]
     except (TypeError, KeyError):
         raise ConfigError("rate function JSON must carry a 'family' key")
     try:
-        cls, keys = _FAMILIES[family]
+        cls = _FAMILIES[family]
     except (KeyError, TypeError):
         raise ConfigError(f"unknown rate function family {family!r}")
+    keys = cls.__dataclass_fields__
     unknown = set(d) - {"family", *keys}
     if unknown:
         raise ConfigError(f"unknown rate function keys for family {family!r}: {sorted(unknown)}")
-    read = _pairs if cls in (Tabulated, LogTabulated) else _param
     try:
-        return cls(**{key: read(d, key) for key in keys})
+        return cls(**{key: d[key] for key in keys})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed rate function JSON: {exc}")
 

@@ -108,7 +108,8 @@ from .errors import (
     ConfigError,
     DegenerateTransformError,
     MathDomainError,
-    _json_number,
+    _number,
+    _number_fields,
     _require_finite,
     _s_grid,
     _scalar,
@@ -183,11 +184,13 @@ _MAX_GRID_POINTS = 1_000_000
 
 def log_grid(lo: float, hi: float, count: int) -> np.ndarray:
     """Log-spaced grid between finite endpoints, exact at both, at most _MAX_GRID_POINTS points."""
+    lo, hi = _number(lo, "log grid lo"), _number(hi, "log grid hi")
+    count = _number(count, "log grid count", integral=True)
     if not (0 < lo < hi < math.inf) or count < 2:
         raise ConfigError("log grid needs finite 0 < lo < hi and count >= 2")
     if count > _MAX_GRID_POINTS:
         raise ConfigError(f"log grid of {count} points exceeds the limit of {_MAX_GRID_POINTS}")
-    return np.geomspace(lo, hi, int(count))
+    return np.geomspace(lo, hi, count)
 
 
 @dataclass(frozen=True)
@@ -199,6 +202,7 @@ class GridSpec:
     count: int = 600
 
     def __post_init__(self):
+        _number_fields(self, "r_grid")
         if not (self.r_min > 0 and self.r_min < self.r_max):
             raise ConfigError("grid requires 0 < r_min < r_max")
         if self.count < 100:
@@ -217,8 +221,7 @@ class GridSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSpec":
-        kwargs = _json_fields(d, cls, "r_grid")
-        return cls(**{k: v if k == "count" else float(v) for k, v in kwargs.items()})
+        return cls(**_json_fields(d, cls, "r_grid"))
 
 
 @dataclass(frozen=True)
@@ -248,17 +251,16 @@ class TransformConfig:
     slope_tol: float = 0.1
 
     def __post_init__(self):
+        _number_fields(self, "config")
         if not (self.delta > 2.0):
             raise ConfigError("delta must exceed 2")
         if self.n0 is not None and self.n0 < 2:
             raise ConfigError("n0 must be at least 2")
         if self.s0 is not None and not (self.s0 > 0):
             raise ConfigError("s0 must be positive")
-        for name in ("C1", "C2", "C3", "C4", "C5", "C6"):
+        for name in ("C1", "C2", "C3", "C4", "C5", "C6", "theta_cond"):
             if not (getattr(self, name) > 0):
                 raise ConfigError(f"{name} must be positive")
-        if not (self.theta_cond > 0):
-            raise ConfigError("theta_cond must be positive")
         if self.k_max < 2 or self.N_max < 2:
             raise ConfigError("k_max and N_max must be at least 2")
         if not (self.slope_tol > 0):
@@ -276,25 +278,14 @@ class TransformConfig:
         return cls(**kwargs)
 
 
-# Config fields that count, read as int; n0 and s0 may be null.
-_INTEGER_FIELDS = ("n0", "k_max", "N_max", "count")
-_NULLABLE_FIELDS = ("n0", "s0")
-
-
 def _json_fields(d, cls, what: str) -> dict:
-    """The fields of a JSON config object for ``cls``, each a number
-    (an integral one for _INTEGER_FIELDS, read as int) except r_grid."""
+    """The JSON object d as keyword arguments of ``cls``: a dict whose keys are its fields."""
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be a JSON object, got {type(d).__name__}")
     unknown = set(d) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    kwargs = dict(d)
-    for key, v in d.items():
-        if key == "r_grid" or (v is None and key in _NULLABLE_FIELDS):
-            continue
-        kwargs[key] = _json_number(v, f"{what} field {key!r}", integral=key in _INTEGER_FIELDS)
-    return kwargs
+    return dict(d)
 
 
 @dataclass(frozen=True)

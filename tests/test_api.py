@@ -1,7 +1,8 @@
 """The library's argument rules and its documented exports.
 
 Every scalar entry point applies the one scalar rule (errors._scalar),
-every grid entry point the one grid rule (errors._s_grid), every kind
+every grid entry point the one grid rule (errors._s_grid), every number
+an input object is made of the one number rule (errors._number), every kind
 entry point the one kind lookup (optconst._inequality), and the README's "Library layout" table and the package's imports name only
 what their modules define and export.
 """
@@ -21,13 +22,20 @@ from ratecalc import (
     Constant,
     ExpPower,
     FiniteDirichletForm,
+    GridSpec,
     InversePower,
+    LogPower,
+    LogTabulated,
     MathDomainError,
+    PolyPower,
     SolverConfig,
+    Tabulated,
     TransformConfig,
     brute_force_oracle,
+    build_birth_death,
     certify_inequality,
     empirical_rate,
+    log_grid,
     n_zero,
     optimal_value,
     sl_from_sp,
@@ -68,6 +76,59 @@ KIND_ENTRIES = {
     "certify_inequality": lambda kind: certify_inequality(FORM, kind, 0.5, 1.0, n_samples=10),
 }
 
+CHAIN = {"kappa": 4.0, "c0": 1.0, "half_width": 2.0, "n": 41}
+
+# Each number an input object is made of, as (call of the number, its name in messages, an
+# admitted value); an int value marks a number that must be integral.  A repr of what a call
+# returns shows every bit of it.
+FIELD_ENTRIES = {
+    f"{cls.__name__}.{name}": (
+        lambda x, cls=cls, base=base, name=name: cls(**{**base, name: x}),
+        f"{what} field '{name}'",
+        value,
+    )
+    for cls, base, what, values in [
+        (TransformConfig, {}, "config", {
+            "delta": 3.0, "n0": 3, "s0": 3.0, "C1": 3.0, "C2": 3.0, "C3": 3.0, "C4": 3.0, "C5": 3.0, "C6": 3.0,
+            "theta_cond": 3.0, "k_max": 300, "N_max": 300, "slope_tol": 3.0,
+        }),
+        (GridSpec, {}, "r_grid", {"r_min": 3.0, "r_max": 3.0e8, "count": 300}),
+        (SolverConfig, {}, "solver config", {"restarts": 3, "seed": 3}),
+        (ExpPower, {"C": 1.0, "theta": 1.0}, "rate function", {"C": 3.0, "theta": 3.0}),
+        (PolyPower, {"C": 1.0, "p": 1.0}, "rate function", {"C": 3.0, "p": 3.0}),
+        (LogPower, {"C": 1.0, "q": 1.0}, "rate function", {"C": 3.0, "q": 3.0}),
+        (InversePower, {"a": 1.0, "p": 1.0}, "rate function", {"a": 3.0, "p": 3.0}),
+        (Constant, {}, "rate function", {"B": 3.0}),
+    ]
+    for name, value in values.items()
+}
+FIELD_ENTRIES.update({
+    "Tabulated.s": (lambda x: Tabulated(points=((x, 1.0),)), "points entry", 3.0),
+    "Tabulated.value": (lambda x: Tabulated(points=((1.0, x),)), "points entry", 3.0),
+    "LogTabulated.s": (lambda x: LogTabulated(log_points=((x, 1.0),)), "log_points entry", 3.0),
+    "LogTabulated.log_value": (lambda x: LogTabulated(log_points=((1.0, x),)), "log_points entry", 3.0),
+    "form.mu": (lambda x: FiniteDirichletForm(mu=[x, 0.5], edges=[(0, 1, 1.0)]).to_json_dict(), "mu entry", 0.5),
+    "form.index": (lambda x: FiniteDirichletForm(mu=[0.5, 0.5], edges=[(0, x, 1.0)]).to_json_dict(), "edge index", 1),
+    "form.weight": (lambda x: FiniteDirichletForm(mu=[0.5, 0.5], edges=[(0, 1, x)]).to_json_dict(), "edge weight", 3.0),
+    **{
+        f"build_birth_death.{name}": (
+            lambda x, name=name: build_birth_death(**{**CHAIN, name: x}).to_json_dict(),
+            f"birth-death {name}",
+            value,
+        )
+        for name, value in {"kappa": 3.0, "c0": 3.0, "half_width": 3.0, "n": 41}.items()
+    },
+    "log_grid.lo": (lambda x: log_grid(x, 10.0, 5).tolist(), "log grid lo", 3.0),
+    "log_grid.hi": (lambda x: log_grid(1.0, x, 5).tolist(), "log grid hi", 3.0),
+    "log_grid.count": (lambda x: log_grid(1.0, 10.0, x).tolist(), "log grid count", 5),
+    "certify_inequality.n_samples": (
+        lambda x: certify_inequality(FORM, "SP", 0.5, 1.0, n_samples=x), "certification sample count", 10,
+    ),
+    "certify_inequality.seed": (
+        lambda x: certify_inequality(FORM, "SP", 0.5, 1.0, n_samples=10, seed=x), "certification seed", 7,
+    ),
+})
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -90,6 +151,27 @@ class TestScalarRule:
     def test_numpy_scalar_admitted(self, entry, x, plain):
         call, _ = SCALAR_ENTRIES[entry]
         assert repr(call(x)) == repr(call(plain))
+
+
+@pytest.mark.parametrize("entry", FIELD_ENTRIES)
+class TestFieldRule:
+    @pytest.mark.parametrize("x", [True, "1.0", 10**400], ids=["True", "'1.0'", "10**400"])
+    def test_refused_by_name(self, entry, x):
+        call, name, _ = FIELD_ENTRIES[entry]
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            call(x)
+
+    def test_fraction_refused_where_integral(self, entry):
+        call, name, value = FIELD_ENTRIES[entry]
+        if isinstance(value, int):
+            with pytest.raises(ConfigError, match=f"{re.escape(name)} must be an integer"):
+                call(2.5)
+
+    def test_numpy_scalars_admitted(self, entry):
+        call, _, value = FIELD_ENTRIES[entry]
+        want = repr(call(value))
+        for kind in (np.int64, np.float64, float) if isinstance(value, int) else (np.float64, np.float32):
+            assert repr(call(kind(value))) == want
 
 
 @pytest.mark.parametrize("entry", GRID_ENTRIES)

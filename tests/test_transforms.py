@@ -369,6 +369,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TransformConfig(n0=1)
 
+    def test_fractional_n0_refused(self):
+        # The maps' sums run over integers n >= n0; n0 = 2.5 used to build a table on n = 2.5, 3.5, ...
+        with pytest.raises(ConfigError, match="config field 'n0' must be an integer, got 2.5"):
+            sl_from_sp(ExpPower(C=1, theta=0.5), [1e-2, 1e-1], TransformConfig(n0=2.5))
+
     def test_grid_count_minimum(self):
         with pytest.raises(ConfigError):
             GridSpec(count=50)
@@ -409,9 +414,10 @@ class TestConfig:
         "name", ["delta", "s0", "C1", "C2", "C3", "C4", "C5", "C6", "theta_cond", "slope_tol", "n0", "k_max", "N_max"]
     )
     def test_infinite_number_rejected(self, name):
-        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        integral = name in ("n0", "k_max", "N_max")  # refused as non-integral first
+        with pytest.raises(ConfigError, match=f"{name}' must be an integer" if integral else f"{name} must be finite"):
             TransformConfig(**{name: math.inf})
-        if name not in ("n0", "k_max", "N_max"):  # JSON integers are refused as non-integral first
+        if not integral:
             with pytest.raises(ConfigError, match=f"{name} must be finite"):
                 TransformConfig.from_json_dict({name: math.inf})
 

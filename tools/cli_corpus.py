@@ -66,6 +66,7 @@ RATEFNS = {
     "constant": {"family": "constant", "B": 2.0},
     "table": {"family": "table", "points": [[0.01, 50.0], [0.1, 5.0], [1.0, 1.0]]},
     "huge_int": {"family": "constant", "B": 10**400},
+    "poly_power_int": {"family": "poly_power", "C": 1, "p": 1},
 }
 
 # Every file the runs read, by the relative path they name it with.
@@ -74,6 +75,8 @@ INPUTS = {
     **{f"rate_{k}.json": json.dumps(v) for k, v in RATEFNS.items()},
     "clamp.json": json.dumps({"C4": 2, "s0": 0.3, "delta": 5}),
     "huge_int_config.json": json.dumps({"delta": 10**400}),
+    # Integral fields written as floats, and a float field written as an int.
+    "integral_config.json": json.dumps({"k_max": 400.0, "n0": 2.0, "r_grid": {"r_max": 100000000, "count": 600.0}}),
     "malformed.json": "{not json",
 }
 
@@ -110,6 +113,14 @@ def _runs() -> list:
         if form != "two":
             runs.append((f"verify-form-{form}", ["verify", "--form", f"form_{form}.json", *_VERIFY]))
         runs.append((f"spectrum-form-{form}", ["spectrum", "--form", f"form_{form}.json"]))
+    runs += [
+        ("transform-sl2sp-int-fields", [
+            "transform", "--direction", "sl2sp", "--ratefn", "rate_poly_power_int.json", "--s-grid", "0.1,1,9"]),
+        ("xi-xi2-poly_power_int", ["xi", "--kernel", "xi2", "--ratefn", "rate_poly_power_int.json", "--t-grid", "0.01,10,9"]),
+        ("transform-sp2wl-integral-config", [
+            "transform", "--direction", "sp2wl", "--ratefn", "rate_exp_power.json", "--s-grid", "0.1,1,9",
+            "--config", "integral_config.json"]),
+    ]
     sp2sl = ["transform", "--direction", "sp2sl", "--s-grid", "0.1,1,9"]
     runs += [
         ("exit2-missing-ratefn", [*sp2sl, "--ratefn", "missing.json"]),
