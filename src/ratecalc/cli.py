@@ -50,7 +50,7 @@ from .transforms import (
     _start_index,
     _wl_map,
     _wl_table,
-    _xi1_sequence,
+    _wl_window_top,
     log_grid,
     sl_from_sp,
     sp2sl_window,
@@ -238,7 +238,7 @@ def _gate(run, name: str, direction: str, verdict) -> None:
 _DIRECTIONS = {
     "sp2wl": lambda beta, s, cfg: (None, functools.partial(wl_from_sp, beta, s, cfg)),
     "wl2sp": _wl_map,
-    "sp2sl": _sl_map,
+    "sp2sl": lambda beta, s, cfg: _sl_map(beta, s, cfg)[:2],
     "sl2sp": lambda beta, s, cfg: (None, functools.partial(sp_from_sl, beta, s, cfg)),
 }
 
@@ -328,15 +328,15 @@ def cmd_verify(run, form_path, birth_death, s_grid, config_path, seed, restarts)
 
     tab_sp = empirical["SP"].to_tabulated()
 
-    # One xi1 sequence on [n0, N_max] serves the SP-to-SL map and the sup window of the SP-to-WL map.
-    sequence = _xi1_sequence(tab_sp, cfg)
-    verdict, sl_table = _sl_map(tab_sp, s, cfg, sequence)
+    # One walk of the xi1 rows on [n0, N_max] serves the SP-to-SL map and
+    # hands back the rows of the SP-to-WL map's sup window.
+    verdict, sl_table, kept = _sl_map(tab_sp, s, cfg, _wl_window_top(tab_sp, s, cfg))
     _gate(run, "verdict_sp2sl.json", "sp2sl", verdict)
     trans_sl = sl_table()
     run.csv("transformed_sl.csv", "s,beta", [(_fmt(a), _fmt(b)) for a, b in trans_sl.points])
     dominations = {"sl": dominates(empirical["SL"], trans_sl).to_json_dict()}
     try:
-        trans_wl = _wl_table(tab_sp, s, cfg, sequence)
+        trans_wl = _wl_table(tab_sp, s, cfg, kept)
     except DegenerateTransformError as exc:
         # The kernel sequence vanished on the whole sup window: the form
         # is so small that every truncation slice is empty and the weak

@@ -178,6 +178,7 @@ def truncation_sequence(f, delta: float, n: int) -> np.ndarray:
     Slices at geometric thresholds; entrywise, nonnegative, bounded by
     the level width, and zero wherever |f| <= delta^(n/2).
     """
+    n = _number(n, "truncation index", integral=True)
     if not (delta > 2.0):
         raise ConfigError("truncation requires delta > 2")
     if n < 0:
@@ -203,6 +204,7 @@ class LevelData:
 
 def level_data(f, mu, delta: float, n_max: int) -> LevelData:
     """Exact level-set masses by enumeration."""
+    n_max = _number(n_max, "level data n_max", integral=True)
     if not (delta > 2.0):
         raise ConfigError("level data requires delta > 2")
     f = np.asarray(f, dtype=float)
@@ -238,7 +240,13 @@ def spectral_gap(form: FiniteDirichletForm) -> SpectralGap:
     within 1e-8 relative.  Raises SingularityError when the weight graph
     is disconnected (gap numerically zero) or when a generator entry
     L[i, j] / sqrt(mu_i mu_j) leaves double range, as a valid form allows.
+    The immutable form keeps its gap, so every caller, a forked worker
+    too, reads one eigh (on n >= 30 states each eigh leaves an OpenBLAS
+    thread spinning for about 130 ms of CPU).
     """
+    cached = form.__dict__.get("_spectral_gap")
+    if cached is not None:
+        return cached
     if form.n < 2:
         raise ConfigError("spectral gap needs at least 2 states")
     d = 1.0 / np.sqrt(form.mu)
@@ -258,7 +266,8 @@ def spectral_gap(form: FiniteDirichletForm) -> SpectralGap:
         cert = -cert
     cert = cert / np.linalg.norm(cert)
     cert.flags.writeable = False
-    return SpectralGap(gap=gap, certificate=cert)
+    object.__setattr__(form, "_spectral_gap", SpectralGap(gap=gap, certificate=cert))
+    return form._spectral_gap
 
 
 def build_birth_death(
@@ -275,8 +284,14 @@ def build_birth_death(
     half_width, n = _number(half_width, "birth-death half_width"), _number(n, "birth-death n", integral=True)
     if n < 3 or n % 2 == 0:
         raise ConfigError("birth-death chain needs an odd state count n >= 3")
+    for name, v in (("kappa", kappa), ("c0", c0), ("half_width", half_width)):
+        if not math.isfinite(v):
+            raise ConfigError(f"birth-death {name} must be finite, got {v!r}")
     if not (kappa > 0 and c0 > 0 and half_width > 0):
         raise ConfigError("kappa, c0 and half_width must be positive")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(c0 * np.float64(half_width) ** kappa):  # the largest -log mu before normalising
+            raise ConfigError("birth-death c0 * half_width**kappa out of range: it leaves double range")
     x = np.linspace(-half_width, half_width, n)
     h = x[1] - x[0]
     log_mu = -(c0 * np.abs(x) ** kappa)

@@ -534,10 +534,11 @@ def fit_exponent(samples: Sequence[tuple], model: str, s_range: tuple) -> float:
     """
     if model not in _FIT_MODELS:
         raise ConfigError(f"unknown fit model {model!r}; expected one of {_FIT_MODELS}")
-    lo, hi = float(s_range[0]), float(s_range[1])
+    lo, hi = float(_number(s_range[0], "fit range lo")), float(_number(s_range[1], "fit range hi"))
     if not (0 < lo < hi):
         raise ConfigError("fit range must satisfy 0 < lo < hi")
-    pts = [(float(s), float(v)) for s, v in samples if lo <= float(s) <= hi]
+    pts = [(float(_number(s, "fit sample s")), float(_number(v, "fit sample value"))) for s, v in samples]
+    pts = [(s, v) for s, v in pts if lo <= s <= hi]
     if len(pts) < 8:
         raise FitError(f"need at least 8 in-range samples, got {len(pts)}")
     s = np.array([p[0] for p in pts])

@@ -22,52 +22,57 @@ sp_from_wl requires the vanishing condition
 lim_n beta_WL(delta^-n n^-theta)/n = 0 and sl_from_sp requires
 lim_n n*xi1(delta^(-n+1)) = 0; both are checked empirically on a finite
 index window before the maps are applied.  Both gated maps have one
-shape: _wl_map and _sl_map read their index sequence once and return
-its verdict with a call that finishes the map from the same sequence,
-so each map gates on the verdict of the sequence it reads itself.
+shape and one walk: _wl_map and _sl_map walk their index sequence once
+(_walk) and return its verdict with a call that finishes the map from
+the same walk, so each map gates on the verdict of the sequence it
+reads itself.
 
 Every map reads an index sequence on a window and takes the first index
 where a non-increasing envelope of it crosses s: the running minimum of
 C2*k*delta^-k (wl_from_sp) or of xi2(k*log delta) (sp_from_sl), the
 suffix maximum of C4*n*xi1(delta^(-n+1)) (N0(s) is one index before its
 crossing) and the suffix supremum of beta_WL(delta^-n n^-theta)/n
-(sp_from_wl).  One searchsorted finds the crossing for every s at once.
-wl_from_sp and sp_from_sl evaluate their k-window in blocks only up to
-the first block that admits the smallest s.
+(sp_from_wl).  wl_from_sp and sp_from_sl evaluate their k-window in
+blocks only up to the first block that admits the smallest s, and one
+searchsorted finds the crossing for every s at once.
 
 Everything here is pure and deterministic: identical configuration
 produces bit-identical output tables.  Kernel evaluation works with
 log(t) and log(beta) internally so that arguments far beyond the
 double-precision underflow threshold remain exact, and takes any number
 of rows in blocks of _ROWS, so its memory stays bounded.  sp_from_wl
-likewise evaluates beta_WL from log(delta^-n n^-theta) and walks its
-index window once, in blocks from N_max down, for both the vanishing
-verdict and k*(s).  Each block is built in arrays reused from block to
-block, and the log n it computes for the argument also serves the
-verdict's log-log fit.  Blocks of _BLOCK = 2^15 indices keep those
-arrays (about 1.5 MB) in a core's L2 cache, so the walk of 1.5e8
-indices takes about half as long as in blocks of 2^20, and its memory
-is a few MB for any N_max.  sp_from_wl and sp_from_sl return
-log(beta_SP), exact past double range.
+likewise evaluates beta_WL from log(delta^-n n^-theta).  Each gated map
+walks its index window once, in blocks from N_max down, for both the
+vanishing verdict and the crossing of every s, so its memory is a few
+MB for any N_max: sl_from_sp in kernel blocks of _ROWS rows, sp_from_wl
+in blocks of _BLOCK = 2^15 indices, whose arrays (about 1.5 MB) stay in
+a core's L2 cache, so the WL walk of 1.5e8 indices takes about half as
+long as in blocks of 2^20.  A block is built in arrays reused from block
+to block, and its log n also serves the verdict's log-log fit.
+sp_from_wl and sp_from_sl return log(beta_SP), exact past double range.
 
 Three loops spread over the usable cores through _in_order: the
-kernel's blocks of rows, the walk's blocks in groups of 16, and the
-solves of cli.cmd_verify's four kinds.  A worker reduces each block of
-the walk to what the fold needs of it (_verdict_part and _sup_part),
-and this process folds those from right to left, carrying S just right
-of the block.  With L the block's own suffix sup, S(n) = max(L(n),
-carry) <= s iff L(n) <= s and carry <= s, so a block builds L only for
-the s between its last value and its maximum (one searchsorted on the
-sorted s) or where S is asked for at its indices; each s at or above
-the maximum admits the whole block once the carry admits it.  The same tasks run in this process, one after the
-other, where the work is too small to pay for a pool, one core is
-usable or the caller is a daemonic process; there is no setting.  No
-value depends on where a task ran: kernel rows do not depend on their
-block, and the verdict's fit sums are numpy's pairwise reductions, not
-BLAS dots, whose rounding depends on the BLAS thread count.  On a
-2-core x86 machine the walk of 1.5e8 indices took 1.33-1.43 s in two
-workers against 1.99-2.23 s in one process, and the 4e5 xi1 rows of
-example11 sp2sl 0.37-0.42 s against 0.49-0.66 s (three runs each).
+kernel's blocks of rows (the SP-to-SL walk's blocks among them), the WL
+walk's blocks in groups of 16, and the solves of cli.cmd_verify's four
+kinds.  A worker reduces each block of a walk to what the fold needs of
+it (_verdict_part and _sup_part), and this process folds those from
+right to left, carrying S just right of the block.  With L the block's
+own suffix sup, S(n) = max(L(n), carry) <= s iff L(n) <= s and
+carry <= s, so a block builds L only for the s between its last value
+and its maximum (one searchsorted on the sorted s) or where S is asked
+for at its indices; each s at or above the maximum admits the whole
+block once the carry admits it.  The same tasks run in this process,
+one after the other, where the work is too small to pay for a pool, one
+core is usable or the caller is a daemonic process; there is no
+setting.  No value depends on where a task ran: kernel rows do not
+depend on their block, and the verdict's fit sums are numpy's pairwise
+reductions, not BLAS dots, whose rounding depends on the BLAS thread
+count.  The fit sums are merged block by block, so the trend slope of
+a window of several blocks may differ in its last digits from that of
+check_vanishing on the whole array.  On a 2-core x86 machine the WL
+walk of 1.5e8 indices took 1.33-1.43 s in two workers against
+1.99-2.23 s in one process, and the 4e5 xi1 rows of example11 sp2sl
+0.37-0.42 s against 0.49-0.66 s (three runs each).
 
 The grid infimum of a block of T kernel arguments over R grid points is
 a row-minima problem on a (T x R) matrix that is never formed.  Write
@@ -114,7 +119,7 @@ from .errors import (
     _s_grid,
     _scalar,
 )
-from .ratefn import ExtendedValue, LogTabulated, RateFunction, Tabulated, _running_max_from_right
+from .ratefn import ExtendedValue, LogTabulated, RateFunction, Tabulated
 
 __all__ = [
     "GridSpec",
@@ -142,6 +147,12 @@ _EDGE_FRACTION = 0.125
 
 # Refinement pass around the grid argmin uses a 10x denser local grid.
 _REFINE_POINTS = 21
+# Rows per step of the refinement pass.  Its (rows x 21) arrays, 86 KB at
+# 512 rows, stay below glibc's 128 KiB mmap threshold.  At 4096 rows each
+# was mapped and faulted in afresh: the walk of the 4e5 xi1 rows of
+# example11 sp2sl took 79k page faults and 1.07 s in one process, against
+# none and 0.50-0.74 s at 512 rows (2-core x86 machine).
+_REFINE_ROWS = 512
 
 # Grid extension budget when the minimiser falls outside the base grid.
 _R_ABS_MIN = 1e-280
@@ -158,8 +169,8 @@ _EXT_DECADES = 22.0
 # again, from the fixed cost per block.
 _BLOCK = 1 << 15
 
-# Kernel rows per block, and indices per block when wl_from_sp and
-# sp_from_sl scan their k-window.
+# Kernel rows per block, indices per block of the SP-to-SL walk, and
+# indices per block when wl_from_sp and sp_from_sl scan their k-window.
 _ROWS = 4096
 
 # Indices per task of the WL walk: 16 blocks of 2^15.  On a 2-core x86
@@ -450,11 +461,14 @@ def _refine_rows(
     ratio: float,
     kind: str,
 ) -> np.ndarray:
-    """One 10x-denser local pass around per-row argmins."""
-    steps = np.linspace(-1.0, 1.0, _REFINE_POINTS)
-    local = centers[:, None] * ratio ** steps[None, :]
-    log_b = beta.log_eval_many(local.ravel()).reshape(local.shape)
-    return _cells(log_ts[:, None], local, log_b, kind).min(axis=1)
+    """One 10x-denser local pass around per-row argmins, _REFINE_ROWS rows at a time."""
+    steps = ratio ** np.linspace(-1.0, 1.0, _REFINE_POINTS)
+    out = np.empty(centers.shape)
+    for i in range(0, centers.size, _REFINE_ROWS):
+        local = centers[i : i + _REFINE_ROWS, None] * steps
+        log_b = beta.log_eval_many(local.ravel()).reshape(local.shape)
+        out[i : i + _REFINE_ROWS] = _cells(log_ts[i : i + _REFINE_ROWS, None], local, log_b, kind).min(axis=1)
+    return out
 
 
 def _kernel_min(beta: RateFunction, log_ts: np.ndarray, cfg: TransformConfig, kind: str) -> np.ndarray:
@@ -644,7 +658,8 @@ def check_vanishing(seq, cfg: TransformConfig) -> ConditionVerdict:
     ns, vals = seq
     ns, vals = np.asarray(ns, dtype=int), np.asarray(vals, dtype=float)
     first, last = (int(ns[0]), int(ns[-1])) if ns.size else (0, 0)
-    return _vanishing_verdict([(ns, np.log(ns), vals)], ns.size, first, last, cfg)
+    layout = _verdict_layout(ns.size, first, last)
+    return _fold_verdict([_verdict_part(layout, 0, ns, np.log(ns), vals)], layout, cfg)
 
 
 class _Layout(NamedTuple):
@@ -792,45 +807,14 @@ def _fold_verdict(parts, layout: _Layout, cfg: TransformConfig) -> ConditionVerd
     return ConditionVerdict(INCONCLUSIVE, tail, slope)
 
 
-def _vanishing_verdict(blocks, size: int, n_first: int, n_last: int, cfg: TransformConfig) -> ConditionVerdict:
-    """The rules of ``check_vanishing`` over ``size`` entries in blocks.
-
-    ``blocks`` yields (ns, log(ns), vals) pieces of the sequence from
-    right to left, the last index first; ns may be integral floats.
-    """
-    layout = _verdict_layout(size, n_first, n_last)
-
-    def parts():
-        pos = size
-        for ns, log_n, vals in blocks:
-            pos -= vals.size
-            yield _verdict_part(layout, pos, ns, log_n, vals)
-
-    return _fold_verdict(parts(), layout, cfg)
-
-
 def _xi1_terms(beta_sp: RateFunction, cfg: TransformConfig, ns: np.ndarray) -> np.ndarray:
-    """n*xi1(delta^(-n+1)) at the integers ``ns`` in one kernel call; NaN = Undefined."""
+    """n*xi1(delta^(-n+1)) at the integers ``ns`` (perhaps integral floats) in one kernel call; NaN = Undefined."""
     return ns * _kernel_min(beta_sp, -(ns - 1) * math.log(cfg.delta), cfg, "xi1")
 
 
-def _sp_kernel_sequence(
-    beta_sp: RateFunction, cfg: TransformConfig, n0: int, n_hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(n, n*xi1(delta^(-n+1))) for n in [n0, n_hi]; NaN = Undefined."""
-    ns = np.arange(n0, n_hi + 1)
-    return ns, _xi1_terms(beta_sp, cfg, ns)
-
-
-def _xi1_sequence(beta_sp: RateFunction, cfg: TransformConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(ns, values): n*xi1(delta^(-n+1)) on [n0, N_max]."""
-    return _sp_kernel_sequence(beta_sp, cfg, _start_index(beta_sp, cfg, "xi1"), cfg.N_max)
-
-
 def sp2sl_condition(beta_sp: RateFunction, cfg: Optional[TransformConfig] = None) -> ConditionVerdict:
-    """Check lim_n n*xi1(delta^(-n+1)) = 0 on the configured window [n0, N_max]."""
-    cfg = cfg or TransformConfig()
-    return check_vanishing(_xi1_sequence(beta_sp, cfg), cfg)
+    """Check lim_n n*xi1(delta^(-n+1)) = 0 on the window [n0, N_max], by the walk of ``sl_from_sp``."""
+    return _walk(beta_sp, cfg or TransformConfig(), sequence="xi1")[0]
 
 
 def sp2sl_window(beta_sp: RateFunction, cfg: TransformConfig, n_near: int, n_far: int) -> tuple[float, float]:
@@ -869,18 +853,23 @@ def _wl_condition_sequence(
         return np.divide(beta_wl.eval_at_log_many(log_args), ns, out=out)
 
 
-def _wl_walk(beta_wl: RateFunction, cfg: TransformConfig, s=(), at=()):
-    """One walk of the WL condition sequence g on [n0, N_max], in blocks from N_max down.
+def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str = "wl", keep: int = 0):
+    """One walk of a gated map's index sequence g on [n0, N_max], in blocks from N_max down.
 
-    Returns the vanishing verdict on g, k*(s) for every s in ``s`` (the
-    smallest k >= n0 with S(k) = sup_{k<=n<=N_max} g(n) <= s) and S at
-    the indices ``at``.  The blocks go to ``_in_order`` in groups of
-    about _GROUP indices, the top group first; each gives the parts of
-    its blocks (``_walk_group``), and this process folds them from right
-    to left, carrying S just right of the block.  The values do not
-    depend on where a group runs, and memory stays bounded for any N_max.
+    ``sequence`` names g: "wl", beta_WL(delta^-n n^-theta)/n of
+    ``sp_from_wl``, or "xi1", n*xi1(delta^(-n+1)) of ``sl_from_sp``.
+    With G = g ("wl") or C4*g ("xi1") and S(k) = sup_{k<=n<=N_max} G(n),
+    returns the vanishing verdict on g, k*(s) for every s in ``s`` (the
+    smallest k >= n0 with S(k) <= s, N_max + 1 if none), S at the indices
+    ``at`` and g on [n0, min(keep, N_max)].  The blocks, of _BLOCK
+    indices or of _ROWS kernel rows, go to ``_in_order`` in groups of
+    about _GROUP indices or one kernel block, the top group first; each
+    gives the parts of its blocks (``_walk_group``), and this process
+    folds them from right to left, carrying S just right of the block.
+    The values do not depend on where a group runs, and memory stays
+    bounded for any N_max.
     """
-    n0 = _start_index(beta_wl, cfg, "wl")
+    n0 = _start_index(beta, cfg, sequence)
     layout = _verdict_layout(cfg.N_max - n0 + 1, n0, cfg.N_max)
     s, at = np.asarray(s, dtype=float), np.asarray(at, dtype=int)
     order = np.argsort(s, kind="stable")
@@ -891,16 +880,17 @@ def _wl_walk(beta_wl: RateFunction, cfg: TransformConfig, s=(), at=()):
     whole = np.zeros(s.size + 1, dtype=np.int64)
     crossed = np.zeros(s.size, dtype=np.int64)
     sup_at = np.full(at.shape, np.nan)
+    kept = []
 
-    starts = range(n0, cfg.N_max + 1, _BLOCK)
-    per = max(1, _GROUP // _BLOCK)
+    block, per = (_BLOCK, max(1, _GROUP // _BLOCK)) if sequence == "wl" else (_ROWS, 1)
+    starts = range(n0, cfg.N_max + 1, block)
     groups = [starts[i : i + per] for i in reversed(range(0, len(starts), per))]
-    task = functools.partial(_walk_group, beta_wl, cfg, layout, n0, s_sorted, at)
+    task = functools.partial(_walk_group, beta, cfg, layout, n0, s_sorted, at, sequence, keep)
 
     def parts():
         carry = -math.inf  # S just right of the block
         for group in _in_order(task, groups):
-            for part, (top, i0, i1, counts, inside, local) in group:
+            for part, (top, i0, i1, counts, inside, local), head in group:
                 # S(n) = max(local sup, carry) <= s iff both are: only s_sorted[c0:] can admit n.
                 c0 = int(s_sorted.searchsorted(carry))
                 whole[max(c0, i1)] += part[0]
@@ -909,44 +899,53 @@ def _wl_walk(beta_wl: RateFunction, cfg: TransformConfig, s=(), at=()):
                     crossed[c:i1] += counts[c - i0 :]
                     sup_at[inside] = np.maximum(local, carry)
                 carry = float(np.maximum(carry, top))
+                if head is not None:
+                    kept.append(head)
                 yield part
 
     verdict = _fold_verdict(parts(), layout, cfg)
     k_star = np.empty(s.shape, dtype=np.int64)
     k_star[order] = cfg.N_max + 1 - np.cumsum(whole[:-1]) - crossed
-    return verdict, k_star, sup_at
+    return verdict, k_star, sup_at, np.concatenate(kept[::-1]) if kept else np.empty(0)
 
 
-def _walk_group(beta_wl, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, at, starts: range) -> list:
-    """(verdict part, sup part) of each WL walk block that starts at ``starts``, the top block first.
+def _walk_group(beta, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, at, sequence: str, keep: int,
+                starts: range) -> list:
+    """(verdict part, sup part, kept values or None) of each walk block that starts at ``starts``, the top block first.
 
     The blocks are built in arrays reused from block to block, and the
-    log n each computes for the argument also serves the verdict's fit.
-    The sup part is ``_sup_part``'s.  Once a block decreases, the blocks
+    log n each computes for the argument or the kernel row also serves
+    the verdict's fit.  The sup part is ``_sup_part``'s, on C4*g for the
+    kernel rows as N0(s) reads them, and the kept values are g at the
+    block's indices up to ``keep``.  Once a block decreases, the blocks
     after it here skip the decrease test (see ``_verdict_part``).
     """
-    rows = np.empty((4, min(_BLOCK, cfg.N_max - starts[0] + 1)))  # one block's ns, log n, work and g
+    rows = np.empty((4, min(starts.step, cfg.N_max - starts[0] + 1)))  # one block's ns, log n, work and G
     # the fit's two rows, while the group reaches into the last half
-    reaches_half = min(starts[-1] + _BLOCK, cfg.N_max + 1) - n0 > layout.half_start
+    reaches_half = min(starts[-1] + starts.step, cfg.N_max + 1) - n0 > layout.half_start
     scratch = np.empty((2, rows.shape[1])) if reaches_half else None
     ns = rows[0, :0]
     decreasing = False
     out = []
     for lo in reversed(starts):
-        hi = min(lo + _BLOCK - 1, cfg.N_max)
+        hi = min(lo + starts.step - 1, cfg.N_max)
         if ns.size == hi - lo + 1:
-            ns -= _BLOCK  # only a full block is followed by one of its size: the one below it
+            ns -= starts.step  # only a full block is followed by one of its size: the one below it
         else:  # the first block, and the first full block below a partial one
             ns, log_n, work, g = rows[:, : hi - lo + 1]
             ns[:] = np.arange(lo, hi + 1)
         np.log(ns, out=log_n)
-        _wl_condition_sequence(beta_wl, cfg, ns, log_n, work, g)
+        if sequence == "wl":
+            vals = _wl_condition_sequence(beta, cfg, ns, log_n, work, g)
+        else:
+            vals = _xi1_terms(beta, cfg, ns)
+            np.multiply(cfg.C4, vals, out=g)
         sup = _sup_part(g, work, s_sorted, at, lo, hi)
-        part = _verdict_part(layout, lo - n0, ns, log_n, g, scratch, not decreasing)
+        part = _verdict_part(layout, lo - n0, ns, log_n, vals, scratch, not decreasing)
         decreasing = decreasing or (part[6] is not None and part[6][1])
         if lo - n0 <= layout.half_start:
             scratch = None  # the half window is done: free its scratch
-        out.append((part, sup))
+        out.append((part, sup, vals[: keep - lo + 1].copy() if lo <= keep else None))
     return out
 
 
@@ -974,7 +973,7 @@ def _sup_part(g: np.ndarray, work: np.ndarray, s_sorted: np.ndarray, at: np.ndar
 
 def wl2sp_condition(beta_wl: RateFunction, cfg: Optional[TransformConfig] = None) -> ConditionVerdict:
     """Check lim_n beta_WL(delta^-n n^-theta)/n = 0 on the window, by the walk of ``sp_from_wl``."""
-    return _wl_walk(beta_wl, cfg or TransformConfig())[0]
+    return _walk(beta_wl, cfg or TransformConfig())[0]
 
 
 def wl2sp_window(beta_wl: RateFunction, cfg: TransformConfig, n_near: int, n_far: int) -> tuple[float, float]:
@@ -984,7 +983,7 @@ def wl2sp_window(beta_wl: RateFunction, cfg: TransformConfig, n_near: int, n_far
     both indices and pass the vanishing check.  Over this range k*(s) of
     ``sp_from_wl`` lies in (n_near, n_far].
     """
-    verdict, _, (sup_near, sup_far) = _wl_walk(beta_wl, cfg, at=(n_near, n_far))
+    verdict, _, (sup_near, sup_far), _ = _walk(beta_wl, cfg, at=(n_near, n_far))
     _gate(verdict, "the WL-to-SP map")
     lo, hi = 1.02 * float(sup_far), 0.98 * float(sup_near)
     if not (0.0 < lo < hi):
@@ -1047,66 +1046,67 @@ def _k_star(values_at, n0: int, cfg: TransformConfig, s: np.ndarray, s_eff: np.n
     raise CapError(f"no admissible k <= k_max={cfg.k_max} for s={float(s_eff[0]):g}; increase k_max")
 
 
-def _n_zero(ns: np.ndarray, values: np.ndarray, s: np.ndarray, cfg: TransformConfig) -> np.ndarray:
+def _n_zero(beta_sp: RateFunction, k_star: np.ndarray, s: np.ndarray, cfg: TransformConfig) -> np.ndarray:
     """N0(s), the largest n with C4*n*xi1(delta^(-n+1)) > s or n0 if none, for each ascending s.
 
-    ``values`` holds n*xi1(delta^(-n+1)) at ``ns``.  The suffix maximum
-    of C4*n*xi1 exceeds s exactly up to N0(s), so N0(s) is one index
-    before its first crossing of s.
+    ``k_star`` is the walk's k*(s) on C4*n*xi1(delta^(-n+1)): the suffix
+    maximum exceeds s exactly up to N0(s), so N0(s) is one index before
+    k*(s).  A k*(s[0]) past N_max raises CapError.
     """
-    idx = _first_crossing(_running_max_from_right(cfg.C4 * values), s)
-    if idx[0] == ns.size:
-        raise CapError(
-            f"qualifying set for s={float(s[0]):g} reaches N_max={int(ns[-1])}; increase N_max"
-        )
-    return ns[np.maximum(idx - 1, 0)]
+    if k_star[0] > cfg.N_max:
+        raise CapError(f"qualifying set for s={float(s[0]):g} reaches N_max={cfg.N_max}; increase N_max")
+    return np.maximum(k_star - 1, _start_index(beta_sp, cfg, "xi1"))
 
 
 def n_zero(beta_sp: RateFunction, s: float, cfg: Optional[TransformConfig] = None) -> int:
     """Largest n in [n0, N_max] with C4*n*xi1(delta^(-n+1)) > s.
 
     Returns n0 when no index qualifies.  The vanishing verdict of the
-    sequence on [n0, N_max] gates the search over that same sequence; a
-    qualifying set that reaches N_max raises a cap error.
+    sequence on [n0, N_max] gates the search, and both come from one
+    walk of that sequence; a qualifying set that reaches N_max raises a
+    cap error.
     """
     cfg = cfg or TransformConfig()
     s = _scalar(s, "n_zero trade-off s")
     if cfg.s0 is not None and s > cfg.s0:
         raise ConfigError(f"n_zero requires s <= s0 = {cfg.s0}")
-    ns, values = _xi1_sequence(beta_sp, cfg)
-    _gate(check_vanishing((ns, values), cfg), "the SP-to-SL map")
-    return int(_n_zero(ns, values, np.array([s]), cfg)[0])
+    s = np.array([s])
+    verdict, k_star, _, _ = _walk(beta_sp, cfg, s, sequence="xi1")
+    _gate(verdict, "the SP-to-SL map")
+    return int(_n_zero(beta_sp, k_star, s, cfg)[0])
 
 
-def _sl_map(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig, sequence=None) -> tuple:
-    """The SP-to-SL verdict on one xi1 sequence, and a call that finishes the map.
+def _sl_map(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig, keep: int = 0) -> tuple:
+    """The SP-to-SL verdict from one walk of the xi1 rows, a call that finishes the map, and the rows kept.
 
-    The sequence n*xi1(delta^(-n+1)) on [n0, N_max] is built once for
-    both, unless ``sequence`` is that of ``_xi1_sequence(beta_sp, cfg)``
-    already; a caller writes or gates the verdict before it makes the call.
-    The call checks the nonempty grid ``s`` (so ``transform`` refuses a
-    bad grid after writing the verdict, as it does for the other gated
-    map), finds N0(s), raising CapError where the qualifying set reaches
-    N_max, and returns the table of ``sl_from_sp``.
+    The walk of n*xi1(delta^(-n+1)) on [n0, N_max] gives the verdict and
+    k*(s) for the nonempty array ``s`` at once, and hands back the rows
+    of [n0, min(keep, N_max)]; a caller writes or gates the verdict
+    before it makes the call.  The call checks the grid (so ``transform``
+    refuses a bad grid after writing the verdict, as it does for the
+    other gated map), finds N0(s), raising CapError where the qualifying
+    set reaches N_max, and returns the table of ``sl_from_sp``.
     """
-    ns, values = sequence if sequence is not None else _xi1_sequence(beta_sp, cfg)
+    s_eff = _clamped(s, cfg)
+    verdict, k_star, _, kept = _walk(beta_sp, cfg, s_eff, sequence="xi1", keep=keep)
 
     def table() -> Tabulated:
         _s_grid(s)
-        rates = math.log(cfg.delta) * (1 + _n_zero(ns, values, _clamped(s, cfg), cfg))
+        rates = math.log(cfg.delta) * (1 + _n_zero(beta_sp, k_star, s_eff, cfg))
         return _clamp_and_tabulate(s, rates, cfg.s0)
 
-    return check_vanishing((ns, values), cfg), table
+    return verdict, table, kept
 
 
 def sl_from_sp(beta_sp: RateFunction, s_grid, cfg: Optional[TransformConfig] = None) -> Tabulated:
     """SL rate function log(delta)*(1 + N0(s)) from an SP rate function.
 
-    One xi1 sequence on [n0, N_max] gives both the vanishing verdict
-    that gates the map and N0(s).
+    One walk of the xi1 rows on [n0, N_max], in blocks from N_max down,
+    gives both the vanishing verdict that gates the map and N0(s), so
+    memory stays bounded for any N_max.
     """
     cfg = cfg or TransformConfig()
-    verdict, table = _sl_map(beta_sp, _s_grid(s_grid), cfg)
+    verdict, table, _ = _sl_map(beta_sp, _s_grid(s_grid), cfg)
     _gate(verdict, "the SP-to-SL map")
     return table()
 
@@ -1122,30 +1122,43 @@ def wl_from_sp(beta_sp: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     return _wl_table(beta_sp, _s_grid(s_grid), cfg or TransformConfig())
 
 
-def _wl_table(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig, sequence=None) -> Tabulated:
-    """The table of ``wl_from_sp`` on the checked grid ``s``.
-
-    Where ``sequence`` is that of ``_xi1_sequence(beta_sp, cfg)`` and
-    holds every k*(s), the sup window is read from it instead of being
-    evaluated again; kernel rows do not depend on their block, so the
-    values are the same.
-    """
-    n0 = _start_index(beta_sp, cfg, "xi1")
+def _wl_k_star(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig) -> np.ndarray:
+    """k*(s) of ``wl_from_sp`` on the grid ``s``, clamped: the smallest k >= n0 with C2*k*delta^-k <= s."""
 
     def thresholds(ks):
         with np.errstate(under="ignore"):
             return cfg.C2 * np.exp(np.log(ks) - ks * math.log(cfg.delta))
 
     s_eff = _clamped(s, cfg)
-    k_star = _k_star(thresholds, n0, cfg, s_eff, s_eff)
+    return _k_star(thresholds, _start_index(beta_sp, cfg, "xi1"), cfg, s_eff, s_eff)
 
+
+def _wl_window_top(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig) -> int:
+    """The last index of the sup window of ``wl_from_sp`` on the grid ``s``, or 0 where
+    k_max admits no k*(s): ``_wl_table`` raises that CapError."""
+    try:
+        return int(_wl_k_star(beta_sp, s, cfg).max())
+    except CapError:
+        return 0
+
+
+def _wl_table(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig, kept=None) -> Tabulated:
+    """The table of ``wl_from_sp`` on the checked grid ``s``.
+
+    Where ``kept`` holds n*xi1(delta^(-n+1)) on [n0, k] for a k at or
+    past every k*(s), as the walk of ``_sl_map`` hands it back, the sup
+    window is read from it instead of being evaluated again; kernel rows
+    do not depend on their block, so the values are the same.
+    """
+    n0 = _start_index(beta_sp, cfg, "xi1")
+    k_star = _wl_k_star(beta_sp, s, cfg)
     k_hi = int(k_star.max())
-    if sequence is not None and k_hi <= sequence[0][-1]:
-        ns, seq = (a[: k_hi - n0 + 1] for a in sequence)
+    if kept is not None and k_hi - n0 < kept.size:
+        seq = kept[: k_hi - n0 + 1]
     else:
-        ns, seq = _sp_kernel_sequence(beta_sp, cfg, n0, k_hi)
+        seq = _xi1_terms(beta_sp, cfg, np.arange(n0, k_hi + 1))
     if np.any(np.isnan(seq)):
-        bad = int(ns[np.flatnonzero(np.isnan(seq))[0]])
+        bad = n0 + int(np.flatnonzero(np.isnan(seq))[0])
         raise MathDomainError(
             f"xi1(delta^(-n+1)) is Undefined at n={bad} inside the sup window"
         )
@@ -1170,7 +1183,7 @@ def _wl_map(beta_wl: RateFunction, s: np.ndarray, cfg: TransformConfig) -> tuple
     the table of ``sp_from_wl``.
     """
     s_eff = _clamped(s, cfg)
-    verdict, k_star, _ = _wl_walk(beta_wl, cfg, s_eff)
+    verdict, k_star, _, _ = _walk(beta_wl, cfg, s_eff)
 
     def table() -> LogTabulated:
         _s_grid(s)

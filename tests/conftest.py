@@ -1,5 +1,7 @@
+import collections.abc
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -91,15 +93,40 @@ def random_form(rng: np.random.Generator, n_max: int = 8) -> FiniteDirichletForm
     return FiniteDirichletForm(mu=mu, edges=[(i, j, wij) for (i, j), wij in w.items()])
 
 
+class _Calls(collections.abc.Sequence):
+    """The arrays saved in ``folder``, one file per call, in the order the calls began."""
+
+    def __init__(self, folder):
+        self.folder = folder
+
+    def _paths(self):
+        return sorted(self.folder.glob("*.npy"), key=lambda p: tuple(map(int, p.stem.split("-"))))
+
+    def __iter__(self):
+        return iter([np.load(p) for p in self._paths()])
+
+    def __getitem__(self, i):
+        return list(self)[i]
+
+    def __len__(self):
+        return len(self._paths())
+
+    def clear(self):
+        for p in self._paths():
+            p.unlink()
+
+
 @pytest.fixture()
-def kernel_rows(monkeypatch):
-    """The log(t) of every kernel row evaluated while the test runs."""
-    rows = []
+def kernel_rows(monkeypatch, tmp_path):
+    """The log(t) of every kernel row evaluated while the test runs, one
+    array per kernel call, in this process or in a forked worker."""
+    folder = tmp_path / "kernel_rows"
+    folder.mkdir()
     real = transforms._kernel_min
 
     def recording(beta, log_ts, cfg, kind):
-        rows.append(np.array(log_ts, dtype=float))
+        np.save(folder / f"{time.monotonic_ns()}-{os.getpid()}.npy", np.array(log_ts, dtype=float))
         return real(beta, log_ts, cfg, kind)
 
     monkeypatch.setattr(transforms, "_kernel_min", recording)
-    return rows
+    return _Calls(folder)

@@ -12,6 +12,7 @@ import importlib
 import math
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -35,12 +36,15 @@ from ratecalc import (
     build_birth_death,
     certify_inequality,
     empirical_rate,
+    fit_exponent,
+    level_data,
     log_grid,
     n_zero,
     optimal_value,
     sl_from_sp,
     sp_from_sl,
     sp_from_wl,
+    truncation_sequence,
     wl_from_sp,
     xi1,
     xi2,
@@ -77,6 +81,8 @@ KIND_ENTRIES = {
 }
 
 CHAIN = {"kappa": 4.0, "c0": 1.0, "half_width": 2.0, "n": 41}
+# (s, 1/s) at s = 2^-10 .. 1, exact in float32 as in float64.
+SAMPLES = [(2.0**-k, 2.0**k) for k in range(11)]
 
 # Each number an input object is made of, as (call of the number, its name in messages, an
 # admitted value); an int value marks a number that must be integral.  A repr of what a call
@@ -127,6 +133,14 @@ FIELD_ENTRIES.update({
     "certify_inequality.seed": (
         lambda x: certify_inequality(FORM, "SP", 0.5, 1.0, n_samples=10, seed=x), "certification seed", 7,
     ),
+    "level_data.n_max": (lambda x: level_data([1.0, 3.0], [0.5, 0.5], 4.0, x), "level data n_max", 2),
+    "truncation_sequence.n": (lambda x: truncation_sequence([1.0, 30.0], 4.0, x).tolist(), "truncation index", 2),
+    "fit_exponent.lo": (lambda x: fit_exponent(SAMPLES, "log-log-power", (x, 1.0)), "fit range lo", 2.0**-10),
+    "fit_exponent.hi": (lambda x: fit_exponent(SAMPLES, "log-log-power", (2.0**-10, x)), "fit range hi", 0.5),
+    "fit_exponent.s": (lambda x: fit_exponent([(x, 3.0), *SAMPLES], "log-log-power", (2.0**-10, 1.0)), "fit sample s", 0.75),
+    "fit_exponent.value": (
+        lambda x: fit_exponent([(0.75, x), *SAMPLES], "log-log-power", (2.0**-10, 1.0)), "fit sample value", 3.0,
+    ),
 })
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -167,6 +181,13 @@ class TestFieldRule:
             with pytest.raises(ConfigError, match=f"{re.escape(name)} must be an integer"):
                 call(2.5)
 
+    def test_non_finite_refused_by_name(self, entry):
+        call, name, value = FIELD_ENTRIES[entry]
+        if entry.startswith("build_birth_death.") and not isinstance(value, int):
+            for x in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ConfigError, match=f"{re.escape(name)} must be finite"):
+                    call(x)
+
     def test_numpy_scalars_admitted(self, entry):
         call, _, value = FIELD_ENTRIES[entry]
         want = repr(call(value))
@@ -198,6 +219,15 @@ class TestGridRule:
         want = repr(call([0.5, 2.0]))
         for grid in ((np.float32(0.5), np.int64(2)), np.array([0.5, 2.0]), np.array([0.5, 2], dtype=object)):
             assert repr(call(grid)) == want
+
+
+@pytest.mark.parametrize("chain", [(4.0, 1.0, 1e200, 41), (400.0, 1.0, 10.0, 41), (4.0, 1e300, 1e3, 41)])
+def test_birth_death_exponent_past_double_range_refused(chain):
+    # Refused before numpy computes anything, so no RuntimeWarning either.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=re.escape("birth-death c0 * half_width**kappa out of range")):
+            build_birth_death(*chain)
 
 
 class TestCertifyArguments:

@@ -549,8 +549,8 @@ class TestVerify:
         real = cli._sl_map
 
         def inconclusive(*a):
-            verdict, table = real(*a)
-            return dataclasses.replace(verdict, status="inconclusive"), table
+            verdict, *rest = real(*a)
+            return (dataclasses.replace(verdict, status="inconclusive"), *rest)
 
         monkeypatch.setattr(cli, "_sl_map", inconclusive)
         out = tmp_path / "o"

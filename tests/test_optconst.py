@@ -1127,6 +1127,24 @@ class TestGridSolve:
             empirical_rate(fixture_forms["tri_skewed"], kind, np.geomspace(1e-3, 1.0, 6), CFG)
             assert len(calls) == 1, kind
 
+    def test_one_eigh_per_form(self, monkeypatch):
+        # The form keeps its gap: the structured starts of all four kinds
+        # and the WP oracle read the one eigh of the first call.
+        calls = []
+        real = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        form = make_fixture_forms()["tri_skewed"]
+        for kind in ("SP", "SL", "WL", "WP"):
+            empirical_rate(form, kind, np.geomspace(1e-3, 1.0, 6), CFG)
+        brute_force_oracle(form, "WP", 0.1, resolution=1e-2)
+        assert calls == [(3, 3)]
+        assert spectral_gap(form) is spectral_gap(form)
+
     def test_memory_bounded_by_block(self, monkeypatch):
         # 400 s x 31 starts x 41 states is 7.8 blocks of cells; the ascent
         # holds one block at a time, so only the per-s results grow.

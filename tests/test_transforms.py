@@ -314,10 +314,11 @@ class TestMonotoneRowMinima:
         n0 = transforms._auto_n0_xi1(beta, cfg)
         ts = np.log(np.geomspace(1e-3, 1e3, 40))
         inverse = [InversePower(a=a, p=1.0) for a in (0.5, 0.83, 1.37, 2.0)]
-        ns, seq = transforms._sp_kernel_sequence(beta, cfg, n0, cfg.N_max)
+        ns = np.arange(n0, cfg.N_max + 1)
+        seq = transforms._xi1_terms(beta, cfg, ns)
         xis = [transforms._kernel_min(b, ts, CFG, "xi1") for b in inverse]
         monkeypatch.setattr(transforms, "_grid_pass", dense_grid_pass)
-        _assert_same_bits(seq, transforms._sp_kernel_sequence(beta, cfg, n0, cfg.N_max)[1])
+        _assert_same_bits(seq, transforms._xi1_terms(beta, cfg, ns))
         for b, got in zip(inverse, xis):
             _assert_same_bits(got, transforms._kernel_min(b, ts, CFG, "xi1"))
 
@@ -434,6 +435,20 @@ class TestConfig:
         assert (cfg.n0, cfg.s0, cfg.delta, cfg.C3) == (None, None, 1e300, 1e-300)
 
 
+def vanishing_verdict(blocks, size, n_first, n_last, cfg):
+    """The rules of ``check_vanishing`` over ``size`` entries from the
+    (ns, log(ns), vals) pieces ``blocks``, right to left, by the walk's fold."""
+    layout = transforms._verdict_layout(size, n_first, n_last)
+
+    def parts():
+        pos = size
+        for ns, log_n, vals in blocks:
+            pos -= vals.size
+            yield transforms._verdict_part(layout, pos, ns, log_n, vals)
+
+    return transforms._fold_verdict(parts(), layout, cfg)
+
+
 def forward_vanishing_verdict(blocks, size, n_first, n_last, cfg):
     """Reference fold: the rules of ``check_vanishing`` over blocks fed
     from left to right, the order the first blocked implementation used."""
@@ -545,7 +560,7 @@ def _assert_reverse_fold_matches(ns, vals, block):
     chunks = [(ns[i : i + block], vals[i : i + block]) for i in range(0, ns.size, block)]
     want = forward_vanishing_verdict(chunks, ns.size, int(ns[0]), int(ns[-1]), CFG)
     reverse = [(n, np.log(n), v) for n, v in chunks[::-1]]
-    got = transforms._vanishing_verdict(reverse, ns.size, int(ns[0]), int(ns[-1]), CFG)
+    got = vanishing_verdict(reverse, ns.size, int(ns[0]), int(ns[-1]), CFG)
     assert got.status == want.status
     # as arrays, so that NaN entries compare equal
     np.testing.assert_array_equal(np.array(got.sequence_tail), np.array(want.sequence_tail))
@@ -600,7 +615,7 @@ class TestCheckVanishing:
         vals = 1.0 / ((ns - 2) // 7 + 1)
         whole = check_vanishing((ns, vals), CFG)
         blocks = [(ns[i : i + 7], np.log(ns[i : i + 7]), vals[i : i + 7]) for i in range(0, ns.size, 7)][::-1]
-        verdict = transforms._vanishing_verdict(blocks, ns.size, 2, 401, CFG)
+        verdict = vanishing_verdict(blocks, ns.size, 2, 401, CFG)
         assert whole.status == "holds_empirically"
         assert verdict.status == whole.status
         assert verdict.sequence_tail == whole.sequence_tail
@@ -650,6 +665,21 @@ class TestNZero:
     def test_gate_enforced(self):
         with pytest.raises(ConditionFailedError):
             n_zero(ExpPower(C=1.0, theta=1.0), 0.1, CFG)
+
+
+def whole_xi1_sequence(beta_sp, cfg):
+    """(ns, n*xi1(delta^(-n+1))) on [n0, N_max] from one kernel call: the
+    whole-array path the SP-to-SL map took before its walk, kept as the reference."""
+    ns = np.arange(transforms._start_index(beta_sp, cfg, "xi1"), cfg.N_max + 1)
+    return ns, transforms._xi1_terms(beta_sp, cfg, ns)
+
+
+def whole_n_zero(ns, values, s, cfg):
+    """N0(s) for each ascending s from the whole sequence and its suffix maximum, kept as the reference."""
+    idx = np.searchsorted(-np.maximum.accumulate((cfg.C4 * values)[::-1])[::-1], -s)
+    if idx[0] == ns.size:
+        raise CapError(f"qualifying set for s={float(s[0]):g} reaches N_max={int(ns[-1])}; increase N_max")
+    return ns[np.maximum(idx - 1, 0)]
 
 
 def old_n_zero_from_sequence(ns, seq, s, cfg):
@@ -727,17 +757,20 @@ _LEVELS = [0.0, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0]
 
 @st.composite
 def _n_zero_cases(draw):
-    """A sequence with ties and zeros, C4, s0 and an ascending s grid that hits its values exactly."""
+    """A sequence with ties and zeros, C4, s0, an ascending s grid that hits
+    its values exactly, and a block size.  The window [n0, N_max] holds at
+    least 2*n0, as the vanishing verdict of the walk needs."""
     size = draw(st.integers(4, 60))
     vals = np.array(draw(st.lists(st.sampled_from(_LEVELS) | st.floats(0.0, 10.0), min_size=size, max_size=size)))
-    n0 = draw(st.integers(2, 50))
+    n0 = draw(st.integers(2, size - 1))
     c4 = draw(st.sampled_from([1.0, 0.3, 2.5, 7.0]))
     s0 = draw(st.none() | st.sampled_from([1e-3, 0.1, 1.0]) | st.floats(1e-3, 20.0))
     exact = [float(v) for v in c4 * vals if v > 0]
     picks = draw(st.lists(st.sampled_from(exact) | st.floats(1e-4, 80.0) if exact else st.floats(1e-4, 80.0),
                           min_size=1, max_size=12))
     s = np.unique(np.array(picks))
-    return np.arange(n0, n0 + size), vals, TransformConfig(C4=c4, s0=s0), s
+    cfg = TransformConfig(C4=c4, s0=s0, n0=n0, N_max=n0 + size - 1)
+    return np.arange(n0, n0 + size), vals, cfg, s, draw(st.sampled_from([1, 3, 7, 4096]))
 
 
 class TestOneCrossingSearch:
@@ -746,10 +779,17 @@ class TestOneCrossingSearch:
     @settings(max_examples=300, deadline=None)
     @given(_n_zero_cases())
     def test_n_zero_matches_per_s_loop(self, case):
-        ns, vals, cfg, s = case
+        # The walk of the SP-to-SL map, its kernel rows replaced by the sequence.
+        ns, vals, cfg, s, rows = case
         s_eff = np.minimum(s, cfg.s0 if cfg.s0 is not None else s[-1])
         want = _outcome(lambda: old_sl_from_sp_n_zero(ns, vals, s, cfg))
-        assert _outcome(lambda: transforms._n_zero(ns, vals, s_eff, cfg)) == want
+        assert _outcome(lambda: whole_n_zero(ns, vals, s_eff, cfg)) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+            mp.setattr(transforms, "_ROWS", rows)
+            mp.setattr(transforms, "_xi1_terms", lambda beta, cfg, at: vals[at.astype(int) - ns[0]])
+            k_star = transforms._walk(None, cfg, s_eff, sequence="xi1")[1]
+            assert _outcome(lambda: transforms._n_zero(None, k_star, s_eff, cfg)) == want
 
     @pytest.mark.parametrize(
         "beta,cfg,grid",
@@ -763,7 +803,7 @@ class TestOneCrossingSearch:
         ],
     )
     def test_sl_from_sp_matches_per_s_loop(self, beta, cfg, grid, monkeypatch):
-        ns, vals = transforms._xi1_sequence(beta, cfg)
+        ns, vals = whole_xi1_sequence(beta, cfg)
         want = _outcome(lambda: old_sl_from_sp_n_zero(ns, vals, np.asarray(grid), cfg))
         got = _spy(monkeypatch, "_n_zero")
         try:
@@ -873,11 +913,11 @@ class TestBoundedWindows:
     def test_kernel_rows_in_blocks(self, monkeypatch):
         # 20 000 rows at once peak near 19 MB; blocks of 256 stay under 1.5 MB.
         beta, cfg = ExpPower(C=1.0, theta=0.5), TransformConfig(N_max=20_000)
-        whole = transforms._xi1_sequence(beta, cfg)[1]
+        whole = whole_xi1_sequence(beta, cfg)[1]
         monkeypatch.setattr(transforms, "_ROWS", 256)
         tracemalloc.start()
         try:
-            blocked = transforms._xi1_sequence(beta, cfg)[1]
+            blocked = whole_xi1_sequence(beta, cfg)[1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -912,6 +952,117 @@ class TestBoundedWindows:
         assert out.points == wl_from_sp(ExpPower(C=1.0, theta=2.0), grid, CFG).points
 
 
+_SL_INPUTS = [
+    ExpPower(C=1.0, theta=0.5),
+    ExpPower(C=1.0, theta=0.6),
+    PolyPower(C=1.0, p=1.0),
+    # bounded: the rows vanish from some index on
+    Tabulated(points=((1e-3, 40.0), (0.1, 6.0), (1.0, 1.5))),
+]
+
+_SL_IDS = ["ExpPower0.5", "ExpPower0.6", "PolyPower", "Tabulated"]
+
+
+def _sl_grids(ns, vals, cfg, block):
+    """An ascending s grid that C4*n*xi1 admits at every index (its suffix
+    maximum at block edges, next to them and between), and one that adds
+    an s below the last row, so its qualifying set reaches N_max."""
+    env = np.maximum.accumulate((cfg.C4 * vals)[::-1])[::-1]
+    edges = _walk_edges(ns[0], ns[-1], block) - ns[0]
+    s = np.concatenate([env[edges], np.nextafter(env[edges], np.inf), np.geomspace(1e-6, 1e3, 40)])
+    s = np.unique(s[s >= max(env[-1], 1e-300)])
+    return s, np.concatenate([[env[-1] / 2 if env[-1] > 0 else 1e-300], s])
+
+
+class TestSlWalk:
+    """The SP-to-SL map's walk against its whole-array path: the verdict
+    bit for bit but for the trend slope, and N0 at every s."""
+
+    def _check(self, beta, cfg):
+        ns, vals = whole_xi1_sequence(beta, cfg)
+        want = check_vanishing((ns, vals), cfg)
+        for s in _sl_grids(ns, vals, cfg, transforms._ROWS):
+            verdict, k_star, _, _ = transforms._walk(beta, cfg, s, sequence="xi1")
+            assert (verdict.status, verdict.sequence_tail) == (want.status, want.sequence_tail)
+            assert verdict.trend_slope == pytest.approx(want.trend_slope, rel=1e-12, nan_ok=True)
+            assert _outcome(lambda: transforms._n_zero(beta, k_star, s, cfg)) == _outcome(
+                lambda: whole_n_zero(ns, vals, s, cfg))
+        return want
+
+    @pytest.mark.parametrize("n0", [None, 5])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * 4096 + 17], ids=["block-1", "block", "block+1", "3block+17"])
+    @pytest.mark.parametrize("beta", _SL_INPUTS, ids=_SL_IDS)
+    def test_windows_around_blocks(self, beta, extra, n0):
+        start = n0 if n0 is not None else transforms._start_index(beta, CFG, "xi1")
+        cfg = TransformConfig(n0=n0, N_max=start + transforms._ROWS + extra - 1, C4=0.3 if n0 else 1.0)
+        assert cfg.N_max - start + 1 == transforms._ROWS + extra
+        assert self._check(beta, cfg).status == "holds_empirically"
+
+    @pytest.mark.parametrize("beta", _SL_INPUTS, ids=_SL_IDS)
+    def test_deep_window(self, beta):
+        # example11 sp2sl's window: 98 blocks, the top one partial.
+        cfg = TransformConfig(N_max=400_000)
+        self._check(beta, cfg)
+        grid = log_grid(1e-5, 1e-2, 60)
+        ns, vals = whole_xi1_sequence(beta, cfg)
+
+        def reference():
+            rates = math.log(cfg.delta) * (1 + whole_n_zero(ns, vals, grid, cfg))
+            return transforms._clamp_and_tabulate(grid, rates, None).points
+
+        def table_or_cap_error(fn):
+            try:
+                return fn()
+            except CapError as exc:  # ExpPower{1, 0.6}: N0(1e-5) passes 4e5
+                return str(exc)
+
+        assert table_or_cap_error(lambda: sl_from_sp(beta, grid, cfg).points) == table_or_cap_error(reference)
+
+    def test_failing_verdict(self):
+        # theta = 1: the rows do not vanish.
+        cfg = TransformConfig(N_max=3 * transforms._ROWS + 17)
+        assert self._check(ExpPower(C=1.0, theta=1.0), cfg).fails
+        with pytest.raises(ConditionFailedError):
+            sl_from_sp(ExpPower(C=1.0, theta=1.0), [1e-3, 1e-2], cfg)
+
+    def test_inconclusive_verdict(self, monkeypatch):
+        # 1 + 1/n decreases with a log-log slope below -slope_tol but ends above half its start.
+        monkeypatch.setattr(transforms, "_xi1_terms", lambda beta, cfg, ns: 1.0 + 1.0 / ns)
+        cfg = TransformConfig(n0=2, N_max=3 * transforms._ROWS + 17, slope_tol=1e-6)
+        ns = np.arange(2, cfg.N_max + 1)
+        want = check_vanishing((ns, 1.0 + 1.0 / ns), cfg)
+        assert want.status == "inconclusive"
+        verdict = transforms._walk(None, cfg, sequence="xi1")[0]
+        assert (verdict.status, verdict.sequence_tail) == (want.status, want.sequence_tail)
+        assert verdict.trend_slope == pytest.approx(want.trend_slope, rel=1e-12)
+
+    def test_cap_error(self):
+        cfg = TransformConfig(N_max=3 * transforms._ROWS + 17)
+        with pytest.raises(CapError, match=f"qualifying set for s=1e-09 reaches N_max={cfg.N_max}; increase N_max"):
+            sl_from_sp(ExpPower(C=1.0, theta=0.5), [1e-9, 1e-2], cfg)
+
+    def test_kept_rows(self):
+        beta, cfg = ExpPower(C=1.0, theta=0.6), TransformConfig(N_max=3 * transforms._ROWS + 17)
+        ns, vals = whole_xi1_sequence(beta, cfg)
+        for keep in (0, ns[0] - 1, ns[0], 40, transforms._ROWS + 5, cfg.N_max, cfg.N_max + 9):
+            kept = transforms._walk(beta, cfg, sequence="xi1", keep=keep)[3]
+            _assert_same_bits(kept, vals[: max(keep - ns[0] + 1, 0)])
+
+    def test_parent_peak_is_bounded(self, one_core):
+        # The whole-array path peaked at 14.0 MB at N_max = 4e5 and 49.7 MB at 1.6e6.
+        one_core()
+        peaks = {}
+        for n_max in (400_000, 1_600_000):
+            tracemalloc.start()
+            try:
+                sl_from_sp(ExpPower(C=1.0, theta=0.5), log_grid(1e-5, 1e-2, 60), TransformConfig(N_max=n_max))
+                peaks[n_max] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) < 6e6
+        assert peaks[1_600_000] <= peaks[400_000] + 1e6
+
+
 class TestSp2slWindow:
     BETA = ExpPower(C=1.0, theta=0.6)
 
@@ -919,7 +1070,7 @@ class TestSp2slWindow:
         # Two rows in their own kernel call give the sequence's bits.
         cfg = TransformConfig(N_max=3000)
         lo, hi = transforms.sp2sl_window(self.BETA, cfg, 100, 2000)
-        ns, vals = transforms._xi1_sequence(self.BETA, cfg)
+        ns, vals = whole_xi1_sequence(self.BETA, cfg)
         assert lo == 1.02 * float(vals[2000 - ns[0]])
         assert hi == float(vals[100 - ns[0]])
         assert n_zero(self.BETA, lo, cfg) < 2000
@@ -1002,17 +1153,18 @@ class TestWlFromSp:
         with pytest.raises(DegenerateTransformError):
             wl_from_sp(tab, log_grid(1e-3, 1.0, 12), CFG)
 
-    @pytest.mark.parametrize("n_max", [6, 7, 400])
-    def test_sup_window_read_from_the_xi1_sequence(self, n_max, kernel_rows):
-        # k* = 7 at s = 1e-3: a sequence to N_max >= 7 holds the sup window,
-        # a shorter one does not and the window is evaluated.
+    @pytest.mark.parametrize("keep", [6, 7, 400])
+    def test_sup_window_read_from_the_xi1_sequence(self, keep, kernel_rows):
+        # k* = 7 at s = 1e-3: the rows the walk keeps to index 7 or later hold
+        # the sup window, those to index 6 do not and the window is evaluated.
         beta, s = ExpPower(C=1.0, theta=0.5), log_grid(1e-3, 1.0, 6)
-        cfg = TransformConfig(k_max=400, N_max=n_max)
-        sequence = transforms._xi1_sequence(beta, cfg)
+        cfg = TransformConfig(k_max=400, N_max=400)
+        assert transforms._wl_window_top(beta, s, cfg) == 7
+        kept = transforms._sl_map(beta, s, cfg, keep)[2]
         want = wl_from_sp(beta, s, cfg).points
         kernel_rows.clear()
-        assert transforms._wl_table(beta, s, cfg, sequence).points == want
-        assert len(kernel_rows) == (n_max < 7)
+        assert transforms._wl_table(beta, s, cfg, kept).points == want
+        assert len(kernel_rows) == (keep < 7)
 
 
 class TestSpFromWl:
@@ -1143,7 +1295,7 @@ class TestSpFromWl:
 
         def run():
             verdict = wl2sp_condition(beta, cfg)
-            sup = transforms._wl_walk(beta, cfg, at=np.arange(2, 3001))[2]
+            sup = transforms._walk(beta, cfg, at=np.arange(2, 3001))[2]
             try:
                 out = sp_from_wl(beta, grid, cfg).log_points
             except ConditionFailedError:
@@ -1348,7 +1500,7 @@ def _walk_edges(lo, hi, block):
 
 
 class TestWalkMatchesReference:
-    """``_wl_walk`` against the walk before max-only blocks and reused arrays: equal bits."""
+    """``_walk`` of the WL sequence against the walk before max-only blocks and reused arrays: equal bits."""
 
     @pytest.mark.parametrize("config", _WALK_CONFIGS, ids=lambda c: f"delta{c[0]}-n0{c[1]}-theta{c[2]}")
     @pytest.mark.parametrize("beta", _WALK_INPUTS, ids=_WALK_IDS)
@@ -1371,7 +1523,7 @@ class TestWalkMatchesReference:
             dense = dense[(dense > 0) & np.isfinite(dense)]
             for s, at in ((sparse, np.array([], dtype=int)), (dense, edges)):
                 want = old_wl_walk(beta, cfg, s, at)
-                got = transforms._wl_walk(beta, cfg, s, at)
+                got = transforms._walk(beta, cfg, s, at)
                 assert got[0].status == want[0].status
                 # status, tail and trend slope, bit for bit and with NaN equal to NaN
                 assert repr(got[0]) == repr(want[0])
@@ -1390,7 +1542,7 @@ class TestWalkMatchesReference:
             edges = s_all[_walk_edges(2, 3000, block) - 2]
             for s in (carries, np.nextafter(carries, 0), np.nextafter(carries, np.inf),
                       np.concatenate([edges, np.nextafter(edges, 0)])):
-                want, got = old_wl_walk(beta, cfg, s), transforms._wl_walk(beta, cfg, s)
+                want, got = old_wl_walk(beta, cfg, s), transforms._walk(beta, cfg, s)
                 assert got[1].tolist() == want[1].tolist()
                 assert repr(got[0]) == repr(want[0])
 
@@ -1401,7 +1553,7 @@ class TestWalkMatchesReference:
         grid = log_grid(1e-3, 1e-2, 30)
         s_eff = np.minimum(grid, grid[-1])
         want = old_wl_walk(beta, cfg, s_eff)
-        got = transforms._wl_walk(beta, cfg, s_eff)
+        got = transforms._walk(beta, cfg, s_eff)
         assert got[1].tolist() == want[1].tolist()
         assert repr(got[0]) == repr(want[0])
         log_values = math.log(cfg.C3) + want[1] * math.log(cfg.delta)
@@ -1469,18 +1621,18 @@ class TestBlockTasks:
                                   2, _DEEP))
         at = np.concatenate([edges, [2, 3, 1_000_001, _DEEP - 1, _DEEP]])
         pids = record_pids(transforms, "_wl_condition_sequence")
-        sup = transforms._wl_walk(beta, cfg, at=at)[2]
+        sup = transforms._walk(beta, cfg, at=at)[2]
         finite = sup[np.isfinite(sup)]
         s = np.concatenate([log_grid(1e-4, 1e-2, 30), finite[:: max(1, finite.size // 200)],
                             np.nextafter(finite[::97], 0)])
         s = s[(s > 0) & np.isfinite(s)]
-        got = transforms._wl_walk(beta, cfg, s, at)
+        got = transforms._walk(beta, cfg, s, at)
         if len(os.sched_getaffinity(0)) > 1:
             assert pids() - {os.getpid()}, "no block ran in a worker"
         one_core()
         path = tmp_path / "_wl_condition_sequence.pids"
         path.unlink()
-        want = transforms._wl_walk(beta, cfg, s, at)
+        want = transforms._walk(beta, cfg, s, at)
         assert pids() == {os.getpid()}
         assert got[0].status == want[0].status
         # status, tail and trend slope, bit for bit and with NaN equal to NaN
@@ -1561,7 +1713,7 @@ class TestBlockTasks:
         code = (
             "import numpy as np\n"
             "from ratecalc import LogPower, TransformConfig, check_vanishing, transforms\n"
-            "walk = transforms._wl_walk(LogPower(C=1.0, q=0.25), TransformConfig(k_max=100_000, N_max=100_000))[0]\n"
+            "walk = transforms._walk(LogPower(C=1.0, q=0.25), TransformConfig(k_max=100_000, N_max=100_000))[0]\n"
             "ns = np.arange(2, 40_002)\n"
             "whole = check_vanishing((ns, ns**-1.5 * (1.0 + 0.5 * np.sin(ns))), TransformConfig())\n"
             "print(repr(walk.trend_slope), repr(whole.trend_slope))\n"

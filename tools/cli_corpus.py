@@ -78,6 +78,8 @@ INPUTS = {
     # Integral fields written as floats, and a float field written as an int.
     "integral_config.json": json.dumps({"k_max": 400.0, "n0": 2.0, "r_grid": {"r_max": 100000000, "count": 600.0}}),
     "malformed.json": "{not json",
+    # A window of 49 blocks of the SP-to-SL walk with a partial top block.
+    "n_max_200000.json": json.dumps({"N_max": 200000}),
 }
 
 _DIRECTIONS = {"sp2sl": "exp_power", "sp2wl": "exp_power", "sl2sp": "poly_power", "wl2sp": "log_power"}
@@ -120,6 +122,9 @@ def _runs() -> list:
         ("transform-sp2wl-integral-config", [
             "transform", "--direction", "sp2wl", "--ratefn", "rate_exp_power.json", "--s-grid", "0.1,1,9",
             "--config", "integral_config.json"]),
+        ("transform-sp2sl-n-max-200000", [
+            "transform", "--direction", "sp2sl", "--ratefn", "rate_exp_power.json", "--s-grid", "1e-5,1e-2,60",
+            "--config", "n_max_200000.json"]),
     ]
     sp2sl = ["transform", "--direction", "sp2sl", "--s-grid", "0.1,1,9"]
     runs += [
