@@ -21,8 +21,12 @@ blocks with s carried per row: each row keeps its own trade-off, step,
 backtracking, stall counter and iteration budget and leaves the block
 when it stops, and F L, which the form computes from its edges, is
 computed once per accepted iterate for both the value and the next
-gradient.  The Armijo line search tests its 60 halvings in rounds of 2,
-3, 5, 8, 13 and 29 (_HALVING_ROUNDS): each row still searching stacks
+gradient, which reuses the value's terms a, b and c.  A grid point where
+a closed-form bound puts the supremum at the kind's floor runs no
+ascent: SP at s*gap >= 1, since Var(|f|) <= E(f)/gap; WL at s >= 1/e,
+since Ent(f^2) <= |f|_inf^2/e; WP at s >= 1.  The Armijo line search
+tests its 60 halvings in rounds of 2, 3, 5, 8, 13 and 29
+(_HALVING_ROUNDS): each row still searching stacks
 the round's candidate steps alpha * 2^-j into one evaluation and takes
 the first that passes, which is the step and iterate one halving at a
 time gives, since scaling by a power of two is exact.  Every row
@@ -97,6 +101,9 @@ _STEP_MIN = 1e-18
 _HALVING_ROUNDS = (2, 3, 5, 8, 13, 29)
 # Relative slack of certify_inequality's beta.
 _INFLATION = 1e-9
+# Relative margin on s*gap of SP's closed-form floor: the eigensolver's
+# error on the gap of a form it does not call singular lies far below it.
+_GAP_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -133,35 +140,70 @@ def _ent_log_term(F: np.ndarray, F2: np.ndarray, m2: np.ndarray) -> np.ndarray:
     return np.where(F2 > _LOG_FLOOR, F * logs, 0.0)
 
 
-# Terms: (F, F2 = F*F, m2 = mu(F2), energies E, LF = F L, mu) -> (row values,
-# thunk of their gradients).
-def _mass2(F, F2, m2, E, LF, mu):
-    return m2, lambda: 2.0 * mu * F
+# Terms: value (F, F2 = F*F, m2 = mu(F2), energies E, mu) -> row values, and its
+# gradient (F, F2, m2, LF = F L, mu) -> rows.
+def _mass2(F, F2, m2, E, mu):
+    return m2
 
 
-def _mass1_sq(F, F2, m2, E, LF, mu):
+def _d_mass2(F, F2, m2, LF, mu):
+    return 2.0 * mu * F
+
+
+def _mass1_sq(F, F2, m2, E, mu):
     m1 = _rowdot(np.abs(F), mu)
-    return m1 * m1, lambda: 2.0 * m1[:, None] * mu * np.sign(F)
+    return m1 * m1
 
 
-def _ent(F, F2, m2, E, LF, mu):
-    return _entropy_rows(F2, m2, mu), lambda: 2.0 * mu * _ent_log_term(F, F2, m2)
+def _d_mass1_sq(F, F2, m2, LF, mu):
+    return 2.0 * _rowdot(np.abs(F), mu)[:, None] * mu * np.sign(F)
 
 
-def _var(F, F2, m2, E, LF, mu):
+def _ent(F, F2, m2, E, mu):
+    return _entropy_rows(F2, m2, mu)
+
+
+def _d_ent(F, F2, m2, LF, mu):
+    return 2.0 * mu * _ent_log_term(F, F2, m2)
+
+
+def _var(F, F2, m2, E, mu):
     D = F - _rowdot(F, mu)[:, None]
-    return _rowdot(D**2, mu), lambda: 2.0 * mu * D
+    return _rowdot(D**2, mu)
 
 
-def _energy(F, F2, m2, E, LF, mu):
-    return E, lambda: 2.0 * LF
+def _d_var(F, F2, m2, LF, mu):
+    return 2.0 * mu * (F - _rowdot(F, mu)[:, None])
 
 
-def _sup2(F, F2, m2, E, LF, mu):
+def _energy(F, F2, m2, E, mu):
+    return E
+
+
+def _d_energy(F, F2, m2, LF, mu):
+    return 2.0 * LF
+
+
+def _sup2(F, F2, m2, E, mu):
     """|f|_inf^2; its gradient is 2 f at the first argmax of |f| and 0 elsewhere."""
-    return np.max(np.abs(F), axis=1) ** 2, lambda: np.where(
-        np.arange(F.shape[1]) == np.argmax(np.abs(F), axis=1)[:, None], 2.0 * F, 0.0
-    )
+    return np.max(np.abs(F), axis=1) ** 2
+
+
+def _d_sup2(F, F2, m2, LF, mu):
+    return np.where(np.arange(F.shape[1]) == np.argmax(np.abs(F), axis=1)[:, None], 2.0 * F, 0.0)
+
+
+_GRADIENTS = {_mass2: _d_mass2, _mass1_sq: _d_mass1_sq, _ent: _d_ent, _var: _d_var, _energy: _d_energy,
+              _sup2: _d_sup2}
+
+
+def _sp_floor_from(form: FiniteDirichletForm) -> float:
+    """(1 + _GAP_MARGIN)/gap: from there on Var(|f|) <= E(f)/gap puts mu(f^2) - s E(f)
+    at or below mu(|f|)^2, so SP's supremum is its floor 1 (inf where the form has no gap)."""
+    try:
+        return (1.0 + _GAP_MARGIN) / spectral_gap(form).gap
+    except (ConfigError, SingularityError):
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -171,6 +213,10 @@ class _Inequality:
     The domain is f in [lo, 1]^n, or, with sphere, f >= lo = 0 scaled to
     mu(f^2) = 1.  A row is admissible where c > 0, or, where c is the
     energy, which vanishes on constants, where c > e_floor * b.
+    ``floor_from`` gives, for a form, an s from which on a closed-form
+    bound puts the supremum at the floor: SP at s*gap >= 1 (with
+    _GAP_MARGIN), WL at s >= 1/e (Ent(f^2) <= |f|_inf^2/e) and WP at
+    s >= 1 (Var(f) <= |f|_inf^2); SL has none.
     """
 
     a: Callable
@@ -178,13 +224,20 @@ class _Inequality:
     c: Callable
     floor: float
     sphere: bool
+    floor_from: Callable
     lo: float = 0.0
 
-    def terms(self, F: np.ndarray, E: np.ndarray, LF: Optional[np.ndarray], mu: np.ndarray) -> list:
-        """[(a, grad a), (b, grad b), (c, grad c)] of each row of F; the gradients need LF."""
+    def terms(self, F: np.ndarray, E: np.ndarray, mu: np.ndarray) -> list:
+        """[a, b, c] of each row of F, given its energies E."""
         F2 = F * F
         m2 = _rowdot(F2, mu)
-        return [t(F, F2, m2, E, LF, mu) for t in (self.a, self.b, self.c)]
+        return [t(F, F2, m2, E, mu) for t in (self.a, self.b, self.c)]
+
+    def gradients(self, F: np.ndarray, LF: np.ndarray, mu: np.ndarray) -> list:
+        """[grad a, grad b, grad c] of each row of F, given LF = F L."""
+        F2 = F * F
+        m2 = _rowdot(F2, mu)
+        return [_GRADIENTS[t](F, F2, m2, LF, mu) for t in (self.a, self.b, self.c)]
 
     def admissible(self, b: np.ndarray, c: np.ndarray, e_floor: float) -> np.ndarray:
         return c > e_floor * b if self.c is _energy else c > 0.0
@@ -196,10 +249,10 @@ def _energy_floor(form: FiniteDirichletForm) -> float:
 
 
 _INEQUALITIES = {
-    "SP": _Inequality(_mass2, _energy, _mass1_sq, floor=1.0, sphere=True),
-    "SL": _Inequality(_ent, _energy, _mass2, floor=0.0, sphere=True),
-    "WL": _Inequality(_ent, _sup2, _energy, floor=0.0, sphere=False),
-    "WP": _Inequality(_var, _sup2, _energy, floor=0.0, sphere=False, lo=-1.0),
+    "SP": _Inequality(_mass2, _energy, _mass1_sq, floor=1.0, sphere=True, floor_from=_sp_floor_from),
+    "SL": _Inequality(_ent, _energy, _mass2, floor=0.0, sphere=True, floor_from=lambda form: math.inf),
+    "WL": _Inequality(_ent, _sup2, _energy, floor=0.0, sphere=False, floor_from=lambda form: 1.0 / math.e),
+    "WP": _Inequality(_var, _sup2, _energy, floor=0.0, sphere=False, floor_from=lambda form: 1.0, lo=-1.0),
 }
 KINDS = tuple(_INEQUALITIES)
 _KIND_ID = {k: i for i, k in enumerate(KINDS)}
@@ -239,19 +292,22 @@ class _Objective:
         return P, np.max(np.abs(P), axis=1) >= 1e-12
 
     def _terms(self, F: np.ndarray, LF: np.ndarray) -> list:
-        return self.ineq.terms(F, np.maximum(np.einsum("ij,ij->i", F, LF), 0.0), LF, self.mu)
+        return self.ineq.terms(F, np.maximum(np.einsum("ij,ij->i", F, LF), 0.0), self.mu)
 
-    def evaluate(self, F: np.ndarray, LF: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """(a - s*b)/c of each row of F at its s, given LF = F L; -inf where inadmissible."""
-        (a, _), (b, _), (c, _) = self._terms(F, LF)
-        return np.where(self.ineq.admissible(b, c, self.e_floor), (a - s * b) / c, -math.inf)
+    def evaluate(self, F: np.ndarray, LF: np.ndarray, s: np.ndarray) -> tuple:
+        """(a - s*b)/c of each row of F at its s, given LF = F L, -inf where inadmissible, and the
+        rows' terms (a, b, c) as an (m, 3) array, which ``grad`` takes for the same rows."""
+        a, b, c = self._terms(F, LF)
+        return np.where(self.ineq.admissible(b, c, self.e_floor), (a - s * b) / c, -math.inf), np.stack((a, b, c), 1)
 
-    def grad(self, F: np.ndarray, LF: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """((grad a - s grad b) c - (a - s*b) grad c) / c^2 at each row of F at its s."""
-        (a, ga), (b, gb), (c, gc) = self._terms(F, LF)
-        g = ga() - s[:, None] * gb()
+    def grad(self, F: np.ndarray, LF: np.ndarray, s: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """((grad a - s grad b) c - (a - s*b) grad c) / c^2 at each row of F at its s, given the
+        rows' terms from ``evaluate``: the gradient computes no value again."""
+        a, b, c = terms.T
+        ga, gb, gc = self.ineq.gradients(F, LF, self.mu)
+        g = ga - s[:, None] * gb
         c = c[:, None]
-        return (g * c - (a - s * b)[:, None] * gc()) / np.maximum(c * c, 1e-300)
+        return (g * c - (a - s * b)[:, None] * gc) / np.maximum(c * c, 1e-300)
 
     def random_start(self, rng: np.random.Generator) -> np.ndarray:
         if self.ineq.sphere:
@@ -291,7 +347,8 @@ def _ascend_block(obj: _Objective, F0: np.ndarray, s: np.ndarray) -> tuple:
     halvings down to _STEP_MIN, stall counter and _MAX_ITERS.  A row
     leaves the active set when it stops.  LF = F L is computed once per
     accepted iterate; the line search uses it for the candidate's value
-    and the next iteration for its gradient.
+    and the next iteration for its gradient, which reuses the terms
+    (a, b, c) that the candidate's value computed.
 
     The line search runs in the rounds of _HALVING_ROUNDS, the first of
     two candidates, since most steps accept j = 0 or 1.  In a round,
@@ -310,7 +367,7 @@ def _ascend_block(obj: _Objective, F0: np.ndarray, s: np.ndarray) -> tuple:
     with np.errstate(all="ignore"):
         F, ok = obj.project(np.asarray(F0, dtype=float))
         LF = obj.form.apply(F)
-        val = obj.evaluate(F, LF, s)
+        val, terms = obj.evaluate(F, LF, s)
         ok &= np.isfinite(val)
         val[~ok] = -math.inf
         m = F.shape[0]
@@ -322,7 +379,7 @@ def _ascend_block(obj: _Objective, F0: np.ndarray, s: np.ndarray) -> tuple:
         act = np.flatnonzero(ok)
         while act.size:
             iters[act] += 1
-            G = obj.grad(F[act], LF[act], s[act])
+            G = obj.grad(F[act], LF[act], s[act], terms[act])
             g2 = np.einsum("ij,ij->i", G, G)
             live = np.isfinite(g2) & (g2 >= 1e-300)
             act, G, g2 = act[live], G[live], g2[live]
@@ -342,12 +399,12 @@ def _ascend_block(obj: _Objective, F0: np.ndarray, s: np.ndarray) -> tuple:
                     rows, a = chunk[i], a[i, j]
                     P, pok = obj.project(base[rows] + a[:, None] * G[rows])
                     LP = obj.form.apply(P)
-                    pval = obj.evaluate(P, LP, base_s[rows])
+                    pval, pterms = obj.evaluate(P, LP, base_s[rows])
                     good = np.flatnonzero(pok & (pval > base_val[rows] + _ARMIJO * a * g2[rows]))
                     # Stacks run row by row in increasing j: a row's first pass is its first entry.
                     hit, k = np.unique(rows[good], return_index=True)
                     k = good[k]
-                    F[act[hit]], LF[act[hit]] = P[k], LP[k]
+                    F[act[hit]], LF[act[hit]], terms[act[hit]] = P[k], LP[k], pterms[k]
                     new_val[hit], alpha[hit] = pval[k], a[k]
                     accepted[hit] = True
                 first += width
@@ -398,28 +455,36 @@ def _solve_grid(form: FiniteDirichletForm, kind: str, s: np.ndarray, cfg: Solver
     trivial bound of the kind (1 for SP, 0 otherwise), and the
     iterations of all its rows.  An s with no admissible row takes the
     floor and a zero vector where that is the supremum (n = 1, WL, WP).
+    An s at or past the kind's ``floor_from`` runs no ascent: it takes
+    the floor, 0 iterations and, for SP, the constant vector that
+    attains it, else a zero vector.
     """
     obj = _Objective(kind, form)
+    floored = s >= obj.ineq.floor_from(form)
+    best = np.where(floored, obj.ineq.floor, -math.inf)
+    best_f = np.zeros((s.size, form.n))
+    if obj.ineq.sphere:
+        best_f[floored] = obj.project(np.ones((1, form.n)))[0]
+    iters = np.zeros(s.size, dtype=int)
+    ascend = np.flatnonzero(~floored)
     structured = np.array(obj.structured_starts())
     per_s = structured.shape[0] + cfg.restarts
-    total = s.size * per_s
-    best = np.full(s.size, -math.inf)
-    best_f = np.zeros((s.size, form.n))
-    iters = np.zeros(s.size, dtype=int)
+    total = ascend.size * per_s
     rows = max(1, _BLOCK_CELLS // form.n)
     for lo in range(0, total, rows):
         hi = min(lo + rows, total)
         si, start = np.divmod(np.arange(lo, hi), per_s)
-        F0 = _start_block(obj, structured, s[si], start, cfg)
-        vals, F, it, _ = _ascend_block(obj, F0, s[si])
+        F0 = _start_block(obj, structured, s[ascend[si]], start, cfg)
+        vals, F, it, _ = _ascend_block(obj, F0, s[ascend[si]])
         for j in range(si[0], si[-1] + 1):
-            # The rows of s[j] in this block are rows a..b-1.
+            # The rows of s[ascend[j]] in this block are rows a..b-1.
             a, b = max(j * per_s, lo) - lo, min((j + 1) * per_s, hi) - lo
-            iters[j] += it[a:b].sum()
+            i = ascend[j]
+            iters[i] += it[a:b].sum()
             r = a + int(np.argmax(vals[a:b]))
             # Strictly larger only: an equal value in a later block is not the first best.
-            if vals[r] > best[j]:
-                best[j], best_f[j] = vals[r], F[r]
+            if vals[r] > best[i]:
+                best[i], best_f[i] = vals[r], F[r]
     # Admissible rows have finite values, so best stays -inf only where no row is admissible.
     if np.isneginf(best).any() and form.n > 1 and obj.ineq.sphere:
         raise SolverError(f"no restart produced an admissible value for kind {kind}")
@@ -915,7 +980,7 @@ def certify_inequality(
     rng = np.random.default_rng((seed & 0xFFFFFFFF, _KIND_ID[kind], n_samples))
     # One (n_samples, n) draw is the same stream as n_samples draws of n.
     F = rng.standard_normal((n_samples, form.n))
-    (a, _), (b, _), (c, _) = ineq.terms(F, form.energy_many(F), None, form.mu)
+    a, b, c = ineq.terms(F, form.energy_many(F), form.mu)
     margins = (s * b + beta * (1.0 + _INFLATION) * c - a) / np.maximum(1.0, np.abs(a))
     worst = float(np.min(margins))
     return bool(np.all(np.isfinite(margins)) and worst >= -1e-12), worst

@@ -51,6 +51,19 @@ long as in blocks of 2^20.  A block is built in arrays reused from block
 to block, and its log n also serves the verdict's log-log fit.
 sp_from_wl and sp_from_sl return log(beta_SP), exact past double range.
 
+The WL walk reads the left half of its window only where an answer
+needs it (_bounded_blocks).  delta^-n n^-theta falls as n grows and
+beta_WL does not increase, so on a block [lo, hi] the maximum of g
+lies between g(hi) and g(hi)*hi/lo.  The walk reads every index of the
+verdict's last half, of the lowest block (whose first value the verdict
+reads), of every block at or right of an index of ``at`` and of every
+block where an s that can still admit an index lies between g(hi) and
+that bound.  Of every other block it takes g(hi) alone, all of them in
+one call: the block then admits each such s whole or not at all, and
+the verdict reads nothing else of it.  On the window of 1.5e8 indices
+and 60 s of the benchmark's sp_from_wl, 84 of the 2 288 blocks left of
+the half are read.
+
 Three loops spread over the usable cores through _in_order: the
 kernel's blocks of rows (the SP-to-SL walk's blocks among them), the WL
 walk's blocks in groups of 16, and the solves of cli.cmd_verify's four
@@ -70,9 +83,10 @@ reductions, not BLAS dots, whose rounding depends on the BLAS thread
 count.  The fit sums are merged block by block, so the trend slope of
 a window of several blocks may differ in its last digits from that of
 check_vanishing on the whole array.  On a 2-core x86 machine the WL
-walk of 1.5e8 indices took 1.33-1.43 s in two workers against
-1.99-2.23 s in one process, and the 4e5 xi1 rows of example11 sp2sl
-0.37-0.42 s against 0.49-0.66 s (three runs each).
+walk of 1.5e8 indices and 60 s took 0.90-1.36 s in two workers against
+1.59-1.64 s in one process (1.52-1.96 s and 2.12-2.79 s when it read
+every index), and the 4e5 xi1 rows of example11 sp2sl 0.37-0.42 s
+against 0.49-0.66 s (three runs each).
 
 The grid infimum of a block of T kernel arguments over R grid points is
 a row-minima problem on a (T x R) matrix that is never formed.  Write
@@ -177,6 +191,13 @@ _ROWS = 4096
 # machine such a group takes 8-11 ms, about as long as a kernel block of
 # _ROWS rows on the default r-grid (8-15 ms).
 _GROUP = 1 << 19
+
+# Relative slack of the WL walk's block bounds (``_bounded_blocks``): an s
+# within it of a bound counts as undecided, and its block is read.  The
+# bounds are g(hi), computed outside its block, and g(hi)*hi/lo; both are
+# a few roundings from exact, and the computed beta_WL keeps its monotone
+# order to a few ulps (tests/test_ratefn.py checks it across log(tiny)).
+_SLACK = 1e-9
 
 # Fewest tasks of that size that _in_order hands to forked workers.  A
 # pool of two workers took 15-30 ms to start and join on that machine,
@@ -722,7 +743,8 @@ def _merge_fit(acc: tuple, part: tuple) -> tuple:
     )
 
 
-def _verdict_part(layout: _Layout, pos: int, ns, log_n, vals, scratch=None, check_decrease: bool = True) -> tuple:
+def _verdict_part(layout: _Layout, pos: int, ns, log_n, vals, scratch=None, check_decrease: bool = True,
+                  finite: Optional[bool] = None) -> tuple:
     """What the rules of ``check_vanishing`` need of the block ``vals``,
     the entries [pos, pos + vals.size) of the window.
 
@@ -735,8 +757,11 @@ def _verdict_part(layout: _Layout, pos: int, ns, log_n, vals, scratch=None, chec
     vals.size floats for the last half, made here if None.  Without
     ``check_decrease`` the decrease test is skipped and reads False: a
     block on the right, folded before this one, already decreases.
+    ``finite`` tells whether every value is finite, where the caller
+    knows; otherwise it is computed here.
     """
-    finite = bool(np.isfinite(vals).all())
+    if finite is None:
+        finite = bool(np.isfinite(vals).all())
     i, j = layout.picks.searchsorted((pos, pos + vals.size))
     sel = layout.picks[i:j] - pos
     pairs = list(zip(ns[sel].astype(int).tolist(), vals[sel].tolist()))
@@ -866,8 +891,9 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
     about _GROUP indices or one kernel block, the top group first; each
     gives the parts of its blocks (``_walk_group``), and this process
     folds them from right to left, carrying S just right of the block.
-    The values do not depend on where a group runs, and memory stays
-    bounded for any N_max.
+    The WL blocks that ``_bounded_blocks`` returns are not read: their
+    parts follow from g at their last index.  The values do not depend
+    on where a group runs, and memory stays bounded for any N_max.
     """
     n0 = _start_index(beta, cfg, sequence)
     layout = _verdict_layout(cfg.N_max - n0 + 1, n0, cfg.N_max)
@@ -884,24 +910,39 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
 
     block, per = (_BLOCK, max(1, _GROUP // _BLOCK)) if sequence == "wl" else (_ROWS, 1)
     starts = range(n0, cfg.N_max + 1, block)
-    groups = [starts[i : i + per] for i in reversed(range(0, len(starts), per))]
-    task = functools.partial(_walk_group, beta, cfg, layout, n0, s_sorted, at, sequence, keep)
+    bounded = _bounded_blocks(beta, cfg, layout, starts, s_sorted, at) if sequence == "wl" else {}
+    read = [lo for lo in reversed(starts) if lo not in bounded]
+    groups = [read[i : i + per] for i in range(0, len(read), per)]
+    task = functools.partial(_walk_group, beta, cfg, layout, n0, s_sorted, at, sequence, keep, block)
+
+    def blocks():
+        """(verdict part, sup part, kept values or None) of every block, the top block first."""
+        los = iter(reversed(starts))
+        for group in _in_order(task, groups):
+            for read_parts, lo in zip(group, los):
+                while lo in bounded:  # a bounded block above the next block read
+                    # No s that can still admit an index lies in [g(hi), max g]: one carry of g(hi) settles them.
+                    top = bounded[lo]
+                    i = int(s_sorted.searchsorted(top))
+                    size = min(block, cfg.N_max + 1 - lo)
+                    yield (size, math.nan, math.nan, True, [], -math.inf, None), (top, i, i, None, None, None), None
+                    lo = next(los)
+                yield read_parts
 
     def parts():
         carry = -math.inf  # S just right of the block
-        for group in _in_order(task, groups):
-            for part, (top, i0, i1, counts, inside, local), head in group:
-                # S(n) = max(local sup, carry) <= s iff both are: only s_sorted[c0:] can admit n.
-                c0 = int(s_sorted.searchsorted(carry))
-                whole[max(c0, i1)] += part[0]
-                if counts is not None:
-                    c = max(c0, i0)
-                    crossed[c:i1] += counts[c - i0 :]
-                    sup_at[inside] = np.maximum(local, carry)
-                carry = float(np.maximum(carry, top))
-                if head is not None:
-                    kept.append(head)
-                yield part
+        for part, (top, i0, i1, counts, inside, local), head in blocks():
+            # S(n) = max(local sup, carry) <= s iff both are: only s_sorted[c0:] can admit n.
+            c0 = int(s_sorted.searchsorted(carry))
+            whole[max(c0, i1)] += part[0]
+            if counts is not None:
+                c = max(c0, i0)
+                crossed[c:i1] += counts[c - i0 :]
+                sup_at[inside] = np.maximum(local, carry)
+            carry = float(np.maximum(carry, top))
+            if head is not None:
+                kept.append(head)
+            yield part
 
     verdict = _fold_verdict(parts(), layout, cfg)
     k_star = np.empty(s.shape, dtype=np.int64)
@@ -909,28 +950,62 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
     return verdict, k_star, sup_at, np.concatenate(kept[::-1]) if kept else np.empty(0)
 
 
-def _walk_group(beta, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, at, sequence: str, keep: int,
-                starts: range) -> list:
-    """(verdict part, sup part, kept values or None) of each walk block that starts at ``starts``, the top block first.
+def _bounded_blocks(beta: RateFunction, cfg: TransformConfig, layout: _Layout, starts: range, s_sorted, at) -> dict:
+    """The blocks of the WL walk that need not be read: {first index lo: g(hi) at the last index}.
 
+    The argument delta^-n n^-theta falls as n grows and beta_WL does not
+    increase (the RateFunction contract), so on a block [lo, hi]
+    g(hi) <= max g <= U = g(hi)*hi/lo.  The candidates are the blocks
+    left of the verdict's last half, above the lowest (whose first value
+    the verdict reads) and below every index of ``at`` (whose S needs the
+    exact maximum of every block right of it); their g(hi) come from one
+    call.  A candidate with a finite U is bounded when no s lies in
+    [max(g(hi), R), U], widened by _SLACK, where R is the largest g(hi)
+    of the candidates right of it: an s below R admits nothing there, an
+    s below g(hi) nothing of the block or left of it, and an s above U
+    the whole block.  Any other block is read in full.
+    """
+    block = starts.step
+    limit = min(starts.start + layout.half_start, int(at.min()) if at.size else cfg.N_max + 1)
+    los = np.arange(starts.start + block, limit - block + 1, block)  # each block ends below ``limit``
+    if not los.size:
+        return {}
+    ns, log_n, work, g = np.empty((4, los.size))
+    np.add(los, block - 1, out=ns)
+    np.log(ns, out=log_n)
+    g = _wl_condition_sequence(beta, cfg, ns, log_n, work, g)
+    upper = g * ns / los
+    right = np.append(np.maximum.accumulate(g[::-1])[::-1][1:], -math.inf)
+    low = s_sorted.searchsorted(np.maximum(g, right) * (1.0 - _SLACK))
+    high = s_sorted.searchsorted(upper * (1.0 + _SLACK), side="right")
+    bound = np.isfinite(upper) & (high <= low)
+    return dict(zip(los[bound].tolist(), g[bound].tolist()))
+
+
+def _walk_group(beta, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, at, sequence: str, keep: int,
+                block: int, los: list) -> list:
+    """(verdict part, sup part, kept values or None) of each walk block that starts at ``los``, the top block first.
+
+    ``los`` descends, each a block of ``block`` indices cut at N_max.
     The blocks are built in arrays reused from block to block, and the
     log n each computes for the argument or the kernel row also serves
     the verdict's fit.  The sup part is ``_sup_part``'s, on C4*g for the
     kernel rows as N0(s) reads them, and the kept values are g at the
-    block's indices up to ``keep``.  Once a block decreases, the blocks
+    block's indices up to ``keep``.  A block is finite where its maximum
+    is (g >= 0, and NaN propagates).  Once a block decreases, the blocks
     after it here skip the decrease test (see ``_verdict_part``).
     """
-    rows = np.empty((4, min(starts.step, cfg.N_max - starts[0] + 1)))  # one block's ns, log n, work and G
+    rows = np.empty((4, min(block, cfg.N_max - los[-1] + 1)))  # one block's ns, log n, work and G
     # the fit's two rows, while the group reaches into the last half
-    reaches_half = min(starts[-1] + starts.step, cfg.N_max + 1) - n0 > layout.half_start
+    reaches_half = min(los[0] + block, cfg.N_max + 1) - n0 > layout.half_start
     scratch = np.empty((2, rows.shape[1])) if reaches_half else None
     ns = rows[0, :0]
     decreasing = False
     out = []
-    for lo in reversed(starts):
-        hi = min(lo + starts.step - 1, cfg.N_max)
+    for lo in los:
+        hi = min(lo + block - 1, cfg.N_max)
         if ns.size == hi - lo + 1:
-            ns -= starts.step  # only a full block is followed by one of its size: the one below it
+            ns -= ns[0] - lo  # a block of the size of the one before: shift its indices
         else:  # the first block, and the first full block below a partial one
             ns, log_n, work, g = rows[:, : hi - lo + 1]
             ns[:] = np.arange(lo, hi + 1)
@@ -941,7 +1016,8 @@ def _walk_group(beta, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, 
             vals = _xi1_terms(beta, cfg, ns)
             np.multiply(cfg.C4, vals, out=g)
         sup = _sup_part(g, work, s_sorted, at, lo, hi)
-        part = _verdict_part(layout, lo - n0, ns, log_n, vals, scratch, not decreasing)
+        finite = math.isfinite(sup[0] if vals is g else float(vals.max()))
+        part = _verdict_part(layout, lo - n0, ns, log_n, vals, scratch, not decreasing, finite)
         decreasing = decreasing or (part[6] is not None and part[6][1])
         if lo - n0 <= layout.half_start:
             scratch = None  # the half window is done: free its scratch
@@ -972,7 +1048,11 @@ def _sup_part(g: np.ndarray, work: np.ndarray, s_sorted: np.ndarray, at: np.ndar
 
 
 def wl2sp_condition(beta_wl: RateFunction, cfg: Optional[TransformConfig] = None) -> ConditionVerdict:
-    """Check lim_n beta_WL(delta^-n n^-theta)/n = 0 on the window, by the walk of ``sp_from_wl``."""
+    """Check lim_n beta_WL(delta^-n n^-theta)/n = 0 on the window, by the walk of ``sp_from_wl``.
+
+    With no s to place, the walk reads the last half of the window and
+    its lowest block, and one value of each block between.
+    """
     return _walk(beta_wl, cfg or TransformConfig())[0]
 
 
@@ -1209,7 +1289,9 @@ def sp_from_wl(beta_wl: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     log(beta_SP) = log(C3) + k*(s)*log(delta), exact past double range.
     One walk of the index window from N_max down, in blocks, gives both
     the verdict that gates the map and k*(s), so memory stays bounded
-    for any N_max.
+    for any N_max.  Left of the verdict's last half the walk reads in
+    full the lowest block and the blocks where some k*(s) may lie, and
+    one value of every other block.
     """
     cfg = cfg or TransformConfig()
     verdict, table = _wl_map(beta_wl, _s_grid(s_grid), cfg)

@@ -811,8 +811,24 @@ def _at(s, F0):
     return np.full(F0.shape[0], float(s))
 
 
+def _closed_form_floor(form, kind, s):
+    """Whether a closed-form bound puts the supremum of ``kind`` at s at its floor, so the
+    solver runs no ascent there: SP at s*gap >= 1 + 1e-6, WL at s >= 1/e and WP at s >= 1."""
+    if kind == "SP":
+        return form.n > 1 and s >= (1.0 + 1e-6) / spectral_gap(form).gap
+    return s >= {"SL": math.inf, "WL": 1.0 / math.e, "WP": 1.0}[kind]
+
+
+def _assert_at_most_floor(value, kind):
+    """An ascent where the bound holds finds nothing above the floor, up to rounding."""
+    floor = optconst._inequality(kind).floor
+    assert value <= floor + 8 * np.finfo(float).eps * max(1.0, floor), (kind, value)
+
+
 def _ref_optimal_value(form, kind, s, cfg):
-    """(value, iterations) of the serial solver: one start at a time."""
+    """(value, iterations) of the serial solver: one start at a time.  At
+    a closed-form floor: the floor and no iterations, once the ascent
+    there is seen to find nothing above it."""
     _, starts = _starts(form, kind, s, cfg)
     obj = _ScalarObjective(kind, form, s)
     best, iters = -math.inf, 0
@@ -821,6 +837,9 @@ def _ref_optimal_value(form, kind, s, cfg):
         if res is not None:
             iters += res[2]
             best = max(best, res[0])
+    if _closed_form_floor(form, kind, s):
+        _assert_at_most_floor(best, kind)
+        return optconst._inequality(kind).floor, 0
     return max(best, optconst._inequality(kind).floor), iters
 
 
@@ -906,7 +925,7 @@ def _ascend_block_one_halving_per_round(obj, F0, s):
     with np.errstate(all="ignore"):
         F, ok = obj.project(np.asarray(F0, dtype=float))
         LF = obj.form.apply(F)
-        val = obj.evaluate(F, LF, s)
+        val = obj.evaluate(F, LF, s)[0]
         ok &= np.isfinite(val)
         val[~ok] = -math.inf
         m = F.shape[0]
@@ -916,7 +935,7 @@ def _ascend_block_one_halving_per_round(obj, F0, s):
         act = np.flatnonzero(ok)
         while act.size:
             iters[act] += 1
-            G = obj.grad(F[act], LF[act], s[act])
+            G = obj.grad(F[act], LF[act], s[act], obj.evaluate(F[act], LF[act], s[act])[1])
             g2 = np.einsum("ij,ij->i", G, G)
             live = np.isfinite(g2) & (g2 >= 1e-300)
             act, G, g2 = act[live], G[live], g2[live]
@@ -931,7 +950,7 @@ def _ascend_block_one_halving_per_round(obj, F0, s):
                 a = alpha[search]
                 P, pok = obj.project(base[search] + a[:, None] * G[search])
                 LP = obj.form.apply(P)
-                pval = obj.evaluate(P, LP, base_s[search])
+                pval = obj.evaluate(P, LP, base_s[search])[0]
                 good = pok & (pval > base_val[search] + optconst._ARMIJO * a * g2[search])
                 hit = search[good]
                 F[act[hit]], LF[act[hit]] = P[good], LP[good]
@@ -1034,10 +1053,16 @@ class TestHalvingRounds:
 
 def _per_s_solve(form, kind, s, cfg):
     """One s on its own: its starts ascend as one block, and the first best
-    admissible row is kept, clamped to the floor; (value, vector, iterations)."""
+    admissible row is kept, clamped to the floor; (value, vector, iterations).
+    At a closed-form floor: the floor, the constant vector (SP) or the zero
+    vector, and no iterations, once the ascent there is seen to find nothing
+    above the floor."""
     obj, F0 = _starts(form, kind, s, cfg)
     vals, F, iters, ok = optconst._ascend_block(obj, F0, _at(s, F0))
     floor = optconst._inequality(kind).floor
+    if _closed_form_floor(form, kind, s):
+        _assert_at_most_floor(vals.max(), kind)
+        return floor, obj.project(np.ones((1, form.n)))[0][0] if kind == "SP" else np.zeros(form.n), 0
     if not ok.any():
         return floor, np.zeros(form.n), int(iters.sum())
     best = int(np.argmax(vals))
@@ -1113,6 +1138,23 @@ class TestGridSolve:
         with pytest.raises(ConfigError):
             empirical_rate(fixture_forms["tri_skewed"], "SP", grid, CFG)
 
+    @pytest.mark.parametrize("kind", ["SP", "WL", "WP"])
+    def test_closed_form_floors(self, fixture_forms, kind):
+        # Just below its threshold a kind ascends; from the threshold on it
+        # takes the floor, with no iterations, and the ascent there (run by
+        # the per-s reference) finds nothing above the floor.
+        for form in [*fixture_forms.values(), build_birth_death(4.0, 1.0, 2.0, 41)]:
+            edge = {"SP": (1.0 + 1e-6) / spectral_gap(form).gap, "WL": 1.0 / math.e, "WP": 1.0}[kind]
+            grid = np.array([edge * (1.0 - 1e-3), edge, edge * 1.5])
+            values, vectors, iters = optconst._solve_grid(form, kind, grid, SolverConfig(restarts=4, seed=1))
+            floor = optconst._inequality(kind).floor
+            assert iters[0] > 0 and iters[1:].tolist() == [0, 0], (kind, form.n)
+            assert values[1:].tolist() == [floor, floor]
+            want = np.full(form.n, 1.0) if kind == "SP" else np.zeros(form.n)
+            np.testing.assert_allclose(vectors[1:], [want, want], rtol=1e-12)
+            for s in grid[1:]:
+                assert _per_s_solve(form, kind, float(s), SolverConfig(restarts=4, seed=1))[0] == floor
+
     def test_spectral_gap_once_per_kind(self, fixture_forms, monkeypatch):
         calls = []
         real = optconst.spectral_gap
@@ -1125,7 +1167,8 @@ class TestGridSolve:
         for kind in ("SP", "SL", "WL", "WP"):
             calls.clear()
             empirical_rate(fixture_forms["tri_skewed"], kind, np.geomspace(1e-3, 1.0, 6), CFG)
-            assert len(calls) == 1, kind
+            # SP reads the gap twice, for its closed-form floor and its certificate start; the form keeps it
+            assert len(calls) == (2 if kind == "SP" else 1), kind
 
     def test_one_eigh_per_form(self, monkeypatch):
         # The form keeps its gap: the structured starts of all four kinds
@@ -1307,8 +1350,8 @@ class TestInequalityDefinition:
             LF = obj.form.apply(F)
             with np.errstate(all="ignore"):
                 pairs = [
-                    (obj.evaluate(F, LF, s), _ladder_evaluate(obj, F, LF, s)),
-                    (obj.grad(F, LF, s), _ladder_grad(obj, F, LF, s)),
+                    (obj.evaluate(F, LF, s)[0], _ladder_evaluate(obj, F, LF, s)),
+                    (obj.grad(F, LF, s, obj.evaluate(F, LF, s)[1]), _ladder_grad(obj, F, LF, s)),
                 ]
             for got, want in pairs:
                 assert got.tobytes() == want.tobytes(), (kind, form.n)
@@ -1320,7 +1363,7 @@ class TestInequalityDefinition:
         F, s = _domain_block(obj, np.random.default_rng(11))
         LF = obj.form.apply(F)
         with np.errstate(all="ignore"):
-            vals = obj.evaluate(F, LF, s)
+            vals = obj.evaluate(F, LF, s)[0]
         # The zero row, then the constant and nearly constant rows.
         sphere = kind in ("SP", "SL")
         assert np.isneginf(vals[-3:]).tolist() == [True, not sphere, not sphere]
@@ -1340,11 +1383,11 @@ class TestInequalityDefinition:
             obj = optconst._Objective(kind, form)
             F, s = _domain_block(obj, rng)
             with np.errstate(all="ignore"):
-                vals = obj.evaluate(F, obj.form.apply(F), s)
+                vals = obj.evaluate(F, obj.form.apply(F), s)[0]
             ok = np.isfinite(vals)
             F, s, vals = F[ok], s[ok], vals[ok]
             ineq = optconst._INEQUALITIES[kind]
-            (a, _), (b, _), (c, _) = ineq.terms(F, form.energy_many(F), None, form.mu)
+            a, b, c = ineq.terms(F, form.energy_many(F), form.mu)
             scale = np.maximum.reduce([np.ones_like(a), np.abs(a), s * b, np.abs(vals) * c])
             assert np.all(np.abs(s * b + vals * c - a) <= 1e-12 * scale), (kind, form.n)
 
@@ -1357,7 +1400,7 @@ class TestInequalityDefinition:
         obj = optconst._Objective(kind, form)
         F, ok = obj.project(np.array([[1.0, 0.0]]))
         LF, s = obj.form.apply(F), np.array([1e-3])
-        (a, _), (b, _), (c, _) = obj._terms(F, LF)
+        a, b, c = obj._terms(F, LF)
         assert ok[0] and 0.0 < c[0] < obj.e_floor * b[0]
-        value = obj.evaluate(F, LF, s)
+        value = obj.evaluate(F, LF, s)[0]
         assert np.isfinite(value[0]) and value[0] == ((a - s * b) / c)[0]

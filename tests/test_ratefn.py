@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ratecalc import (
     fit_exponent,
     rate_function_from_json,
 )
+from ratecalc.transforms import _SLACK
 
 ALL_VARIANTS = [
     ExpPower(C=1.0, theta=1.0),
@@ -149,6 +151,37 @@ class TestEvalAtLog:
         new = LogPower(C=C, q=q)._eval_below_tiny(log_s)
         assert new.tobytes() == old.tobytes()
 
+    @pytest.mark.parametrize("rf", ALL_VARIANTS, ids=lambda r: type(r).__name__)
+    @pytest.mark.parametrize("order", ["prefix", "suffix", "middle"])
+    def test_straddling_vector_costs_its_output_and_its_parts(self, rf, order):
+        # Below-tiny entries that form a prefix or a suffix are evaluated on
+        # slices: the peak is the output and the bool mask over the larger
+        # part's own evaluation, with no masked copies (a suffix of 2^16
+        # entries peaked 1 block of floats higher with them).
+        n = 1 << 16
+        log_s = np.linspace(_TINY + 5.0, _TINY - 600.0, n)  # the last 99% below tiny
+        if order == "prefix":
+            log_s = log_s[::-1].copy()
+        elif order == "middle":
+            log_s = np.concatenate([log_s[: n // 2], log_s[n // 2 :][::-1]])
+
+        def peak(x):
+            with np.errstate(over="ignore"):
+                tracemalloc.start()
+                try:
+                    rf.eval_at_log_many(x)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        tiny = log_s < _TINY
+        parts = max(peak(log_s[tiny].copy()), peak(log_s[~tiny].copy()))
+        if order == "middle":
+            # the masked path: the copies of both parts and both masks on top
+            assert peak(log_s) > 8 * n + parts
+        else:
+            assert peak(log_s) <= 8 * n + n + parts + 4096
+
     @pytest.mark.parametrize(
         "rf", [PolyPower(C=1.0, p=0.01), InversePower(a=2.0, p=0.01), Constant(B=3.0)], ids=lambda r: type(r).__name__
     )
@@ -156,6 +189,46 @@ class TestEvalAtLog:
         tiny = math.log(np.finfo(float).tiny)
         below, above = rf.eval_at_log_many(np.array([tiny - 1e-9, tiny + 1e-9]))
         assert below == pytest.approx(above, rel=1e-9)
+
+
+_TINY = math.log(np.finfo(float).tiny)
+
+_RATE_FUNCTIONS = st.one_of(
+    st.builds(ExpPower, C=st.floats(1e-3, 10.0), theta=st.floats(0.5, 4.0)),
+    st.builds(PolyPower, C=st.floats(1e-3, 10.0), p=st.floats(1e-3, 4.0)),
+    st.builds(LogPower, C=st.floats(1e-3, 10.0), q=st.floats(0.0, 4.0)),
+    st.builds(InversePower, a=st.floats(1e-3, 10.0), p=st.floats(1e-3, 4.0)),
+    st.builds(Constant, B=st.floats(1e-3, 10.0)),
+    # knots on both sides of the smallest normal double, subnormal ones included
+    st.lists(st.tuples(st.floats(-760.0, -650.0), st.floats(0.0, 50.0)), min_size=1, max_size=6, unique_by=lambda p: p[0])
+    .map(lambda pts: [(math.exp(x), v) for x, v in sorted(pts)])
+    .filter(lambda pts: len({s for s, _ in pts}) == len(pts) and all(s > 0 for s, _ in pts) and pts[-1][1] > 0)
+    .flatmap(lambda pts: st.sampled_from([Tabulated(points=tuple(pts)), LogTabulated(log_points=tuple(pts))])),
+)
+
+
+class TestMonotoneAcrossUnderflow:
+    """The premise of the WL walk's block bounds (transforms._bounded_blocks): the values at
+    exp(log_s) do not increase as log_s grows, within the walk's slack, on both sides of
+    log(tiny), where eval_at_log_many switches from eval_many to the closed form in log(s)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rf=_RATE_FUNCTIONS, offsets=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=40))
+    def test_non_increasing_in_s(self, rf, offsets):
+        log_s = np.sort(np.concatenate([
+            _TINY + np.array(offsets), [_TINY, np.nextafter(_TINY, -np.inf), np.nextafter(_TINY, np.inf)],
+            _TINY + np.linspace(-3.0, 3.0, 101),
+        ]))
+        with np.errstate(over="ignore"):
+            values = rf.eval_at_log_many(log_s)
+        assert np.all(values[1:] <= values[:-1] * (1.0 + _SLACK))
+        # the slices of sorted arguments give the bits of masked copies, in any order
+        perm = np.random.default_rng(len(offsets)).permutation(log_s.size)
+        with np.errstate(over="ignore"):
+            shuffled = rf.eval_at_log_many(log_s[perm])
+            descending = rf.eval_at_log_many(log_s[::-1].copy())
+        assert shuffled.tobytes() == values[perm].tobytes()
+        assert descending.tobytes() == values[::-1].tobytes()
 
 
 class TestMonotoneEnvelope:

@@ -1218,6 +1218,9 @@ class TestSpFromWl:
         # Eight blocks of 2^16 indices; the verdict and k*(s) come from one
         # walk of the window, and the memory peak stays near one block's
         # evaluation (the fold and the suffix sup free theirs per block).
+        # The walk reads the last half (4 blocks) and the lowest block, and
+        # g at the last index of the 3 blocks between: every crossing of
+        # this grid lies in the lowest block, so those 3 are bounded.
         block = 1 << 16
         monkeypatch.setattr(transforms, "_BLOCK", block)
         cfg = TransformConfig(k_max=8 * block + 1, N_max=8 * block + 1)
@@ -1237,11 +1240,38 @@ class TestSpFromWl:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(elems) == cfg.N_max - 2 + 1
+        assert sum(elems) == 5 * block + 3
         assert peak < 9.5 * block * 8
         elems.clear()
         wl2sp_condition(beta, cfg)
-        assert sum(elems) == cfg.N_max - 2 + 1
+        assert sum(elems) == 5 * block + 3
+
+    def test_straddling_block_peaks_no_higher(self, monkeypatch):
+        # The lowest block holds the arguments on both sides of log(tiny):
+        # evaluated on two slices, it peaks no higher than the other blocks
+        # (7.1 blocks of floats against 5.1 below the half window, and 7.1
+        # in it, with masked copies).
+        block = 1 << 16
+        monkeypatch.setattr(transforms, "_BLOCK", block)
+        cfg = TransformConfig(k_max=8 * block + 1, N_max=8 * block + 1)
+        real = transforms._verdict_part
+        peaks = []
+
+        def measured(layout, pos, *args):
+            part = real(layout, pos, *args)
+            peaks.append((pos, tracemalloc.get_traced_memory()[1]))
+            tracemalloc.reset_peak()
+            return part
+
+        monkeypatch.setattr(transforms, "_verdict_part", measured)
+        # crossings in blocks 0, 2 and 6 of 8, so the walk reads blocks on both sides of the half
+        tracemalloc.start()
+        try:
+            transforms._walk(LogPower(C=1.0, q=0.5), cfg, [0.0015, 0.003, 0.02])
+        finally:
+            tracemalloc.stop()
+        assert [pos // block for pos, _ in peaks] == [7, 6, 5, 4, 3, 2, 0]
+        assert peaks[-1][1] <= max(peak for _, peak in peaks[:-1])
 
     def test_peak_does_not_grow_with_the_window(self, monkeypatch):
         # The walk builds every block in the arrays of the block before, so
@@ -1448,28 +1478,21 @@ class _NanBand(RateFunction):
         return {"family": "nan_band"}
 
 
-class _Jagged(RateFunction):
-    """Values 2 + sin(37 log s): not monotone, so the WL sequence rises and
-    falls from one index to the next and S(k) stays above g(k) inside blocks."""
-
-    def eval_many(self, s):
-        return self.eval_at_log_many(np.log(s))
-
-    def eval_at_log_many(self, log_s):
-        return 2.0 + np.sin(37.0 * np.asarray(log_s, dtype=float))
-
-    def limit_at_zero(self):
-        return 3.0
-
-    def limit_at_inf(self):
-        return 1.0
-
-    def to_json_dict(self):
-        return {"family": "jagged"}
+def _stairs(ns, ratio=3.0):
+    """A table whose value rises ``ratio``-fold just below delta^-n n^-1 (delta 4) for each n of
+    ``ns``: the WL sequence jumps up there and falls between, so S(k) stays above g(k) inside
+    blocks, while beta_WL keeps to the RateFunction contract that the walk's block bounds rest on."""
+    points = []
+    for k, n in enumerate(sorted(ns), start=1):
+        x = -(n * math.log(4.0) + math.log(n))  # log of the argument at n
+        points += [(math.exp(x + 0.3), ratio**k), (math.exp(x + 0.5), ratio ** (k - 1))]
+    return Tabulated(points=tuple(sorted(points)))
 
 
 # A step in beta_WL: a bump in the WL sequence near n = 47 (delta 4, theta 1).
 _STEP = Tabulated(points=((1e-30, 50.0), (1e-29, 1.0)))
+# Eight steps, all left of the last half of a window of 1000 (delta 4, theta 1).
+_STAIRS = _stairs((30, 70, 110, 150, 190, 230, 270, 310))
 
 _WALK_INPUTS = [
     LogPower(C=1.0, q=0.0),
@@ -1482,11 +1505,11 @@ _WALK_INPUTS = [
     ExpPower(C=1.0, theta=1.0),  # the sequence is +inf past its first few indices
     _STEP,
     _NanBand(LogPower(C=1.0, q=0.5), -900.0, -850.0),  # NaN near n = 610
-    _Jagged(),
+    _STAIRS,
 ]
 
 _WALK_IDS = ["LogPower0", "LogPower0.5", "LogPower1", "LogPower1.5", "Constant", "PolyPower", "InversePower",
-             "ExpPower", "TabulatedStep", "NanBand", "Jagged"]
+             "ExpPower", "TabulatedStep", "NanBand", "TabulatedStairs"]
 
 # (delta, n0, theta_cond, N_max)
 _WALK_CONFIGS = [(4.0, None, 1.0, 1000), (2.5, 3, 1.5, 801), (7.0, 11, 3.0, 700)]
@@ -1530,7 +1553,8 @@ class TestWalkMatchesReference:
                 assert got[1].tolist() == want[1].tolist()
                 assert repr(got[2].tolist()) == repr(want[2].tolist())
 
-    @pytest.mark.parametrize("beta", [LogPower(C=1.0, q=0.5), _Jagged(), _STEP], ids=["LogPower", "Jagged", "TabulatedStep"])
+    @pytest.mark.parametrize("beta", [LogPower(C=1.0, q=0.5), _STAIRS, _STEP],
+                             ids=["LogPower", "TabulatedStairs", "TabulatedStep"])
     def test_crossings_on_every_block_edge(self, beta, monkeypatch):
         # s = S at the first index of a block is the carry into the block
         # below, and lies in no other block's range [carry, top).
@@ -1558,6 +1582,88 @@ class TestWalkMatchesReference:
         assert repr(got[0]) == repr(want[0])
         log_values = math.log(cfg.C3) + want[1] * math.log(cfg.delta)
         assert [v for _, v in sp_from_wl(beta, grid, cfg).log_points] == log_values.tolist()
+
+
+_BOUNDED_INPUTS = [LogPower(C=1.0, q=0.5), LogPower(C=1.0, q=1.5), Constant(B=2.0), _STAIRS]
+_BOUNDED_IDS = ["LogPower0.5", "LogPower1.5", "Constant", "TabulatedStairs"]
+
+
+def _assert_walks_equal(beta, cfg, s, at=()):
+    want = old_wl_walk(beta, cfg, s, at)
+    got = transforms._walk(beta, cfg, s, at)
+    # status, tail and trend slope, bit for bit and with NaN equal to NaN
+    assert repr(got[0]) == repr(want[0])
+    assert got[1].tolist() == want[1].tolist()
+    assert repr(got[2].tolist()) == repr(want[2].tolist())
+
+
+class TestBoundedBlocks:
+    """The WL walk reads a block left of the verdict's last half only where an answer
+    needs it (``transforms._bounded_blocks``), and keeps the bits of the walk that reads
+    every index."""
+
+    @pytest.mark.parametrize("blocks, extra", [(1, 0), (2, 0), (64, 0), (64, 37)], ids=["1", "2", "64", "64+partial"])
+    @pytest.mark.parametrize("beta", _BOUNDED_INPUTS, ids=_BOUNDED_IDS)
+    def test_equals_reference(self, beta, blocks, extra, monkeypatch):
+        block = 64
+        monkeypatch.setattr(transforms, "_BLOCK", block)
+        n_max = 1 + blocks * block + extra
+        cfg = TransformConfig(k_max=n_max, N_max=n_max)
+        ns = np.arange(2, n_max + 1)
+        s_all = old_wl_walk(beta, cfg, at=ns)[2]
+        g = old_wl_condition_sequence(beta, cfg, 2, n_max)[1]
+        g_tops = g[np.arange(block - 1, ns.size, block)]  # g at the last index of every full block
+        half = transforms._verdict_layout(ns.size, 2, n_max).half_start
+        left = s_all[: half : 5]  # S in the left half: crossings there
+        s_sets = [
+            np.geomspace(1e-6, 1e3, 40),
+            g_tops,
+            np.concatenate([np.nextafter(g_tops, 0), np.nextafter(g_tops, np.inf)]),
+            np.concatenate([left, np.nextafter(left, 0), left[:-1] + np.diff(left) / 2]),
+        ]
+        at_sets = [(), [2, 5, max(2, half // 2), max(2, half - 1)], _walk_edges(2, n_max, block)]
+        for s in s_sets:
+            s = s[(s > 0) & np.isfinite(s)]
+            for at in at_sets:
+                _assert_walks_equal(beta, cfg, s, np.asarray(at, dtype=int))
+
+    def test_non_finite_last_value_is_read(self, monkeypatch):
+        # NaN at the last index of block 10 of 64, left of the half: its
+        # g(hi) is no bound, so the block is read and the verdict fails on it.
+        block = 64
+        monkeypatch.setattr(transforms, "_BLOCK", block)
+        n_max = 1 + 64 * block
+        cfg = TransformConfig(k_max=n_max, N_max=n_max)
+        hi = 2 + 11 * block - 1
+        beta = _NanBand(LogPower(C=1.0, q=0.5), _log_arg(hi) - 1e-9, _log_arg(hi) + 1e-9)
+        for s in (np.geomspace(1e-6, 1e3, 40), []):
+            _assert_walks_equal(beta, cfg, np.asarray(s, dtype=float))
+        assert transforms._walk(beta, cfg)[0].fails
+
+    def test_work_falls(self, monkeypatch):
+        # 64 blocks of the real _BLOCK.  k*(s) on this grid lies at 1.4e6 (the
+        # last half), 1.0e5, and 7.7e3 and 599 (the lowest block):
+        # the walk reads the last half, the lowest block and the few blocks
+        # around the crossing at 1.0e5, and one value of every other block.
+        block = transforms._BLOCK
+        cfg = TransformConfig(k_max=64 * block + 1, N_max=64 * block + 1)
+        beta = LogPower(C=1.0, q=0.5)
+        grid = log_grid(1e-3, 5e-2, 4)
+        elems = []
+        real = LogPower.eval_at_log_many
+
+        def counted(self, log_s):
+            elems.append(np.size(log_s))
+            return real(self, log_s)
+
+        monkeypatch.setattr(LogPower, "eval_at_log_many", counted)
+        got = transforms._walk(beta, cfg, grid)
+        assert sum(elems) <= 0.6 * (cfg.N_max - 1)
+        monkeypatch.undo()
+        want = old_wl_walk(beta, cfg, grid)
+        assert repr(got[0]) == repr(want[0])
+        assert got[1].tolist() == want[1].tolist()
+        assert want[1].tolist() == [1_388_304, 102_694, 7_679, 599]
 
 
 class _Raising(RateFunction):

@@ -80,6 +80,8 @@ INPUTS = {
     "malformed.json": "{not json",
     # A window of 49 blocks of the SP-to-SL walk with a partial top block.
     "n_max_200000.json": json.dumps({"N_max": 200000}),
+    # A WL window of 61 blocks of 2^15 and a part, whose crossings all lie left of its last half.
+    "n_max_2000000.json": json.dumps({"N_max": 2000000, "k_max": 2000000}),
 }
 
 _DIRECTIONS = {"sp2sl": "exp_power", "sp2wl": "exp_power", "sl2sp": "poly_power", "wl2sp": "log_power"}
@@ -125,6 +127,9 @@ def _runs() -> list:
         ("transform-sp2sl-n-max-200000", [
             "transform", "--direction", "sp2sl", "--ratefn", "rate_exp_power.json", "--s-grid", "1e-5,1e-2,60",
             "--config", "n_max_200000.json"]),
+        ("transform-wl2sp-n-max-2000000", [
+            "transform", "--direction", "wl2sp", "--ratefn", "rate_log_power.json", "--s-grid", "2e-3,0.1,20",
+            "--config", "n_max_2000000.json"]),
     ]
     sp2sl = ["transform", "--direction", "sp2sl", "--s-grid", "0.1,1,9"]
     runs += [
