@@ -222,10 +222,12 @@ def level_data(f, mu, delta: float, n_max: int) -> LevelData:
 
 @dataclass(frozen=True)
 class SpectralGap:
-    """Spectral gap with the vector achieving it."""
+    """Spectral gap with the vector achieving it, and the largest
+    eigenvalue, which scales the eigensolver's error on the gap."""
 
     gap: float
     certificate: np.ndarray
+    largest: float
 
     @property
     def poincare_constant(self) -> float:
@@ -266,7 +268,7 @@ def spectral_gap(form: FiniteDirichletForm) -> SpectralGap:
         cert = -cert
     cert = cert / np.linalg.norm(cert)
     cert.flags.writeable = False
-    object.__setattr__(form, "_spectral_gap", SpectralGap(gap=gap, certificate=cert))
+    object.__setattr__(form, "_spectral_gap", SpectralGap(gap=gap, certificate=cert, largest=float(w[-1])))
     return form._spectral_gap
 
 

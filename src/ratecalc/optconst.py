@@ -65,7 +65,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dirichlet import FiniteDirichletForm, spectral_gap
+from .dirichlet import FiniteDirichletForm, SpectralGap, spectral_gap
 from .errors import (
     ConfigError, MathDomainError, SingularityError, SolverError, _number, _number_fields, _real, _s_grid, _scalar,
 )
@@ -101,9 +101,13 @@ _STEP_MIN = 1e-18
 _HALVING_ROUNDS = (2, 3, 5, 8, 13, 29)
 # Relative slack of certify_inequality's beta.
 _INFLATION = 1e-9
-# Relative margin on s*gap of SP's closed-form floor: the eigensolver's
-# error on the gap of a form it does not call singular lies far below it.
-_GAP_MARGIN = 1e-6
+# The error of the computed gap, in units of n^2 * eps * the largest
+# eigenvalue: the symmetrised generator's entries carry a relative error of
+# at most about (n + 4) eps (a diagonal entry sums up to n - 1 weights), so
+# a perturbation of at most (n + 4) sqrt(n) eps times its norm, and eigh,
+# backward stable, adds a small multiple of n eps times that norm; by
+# Weyl's inequality the gap moves by at most their sum.
+_GAP_ERROR = 4.0
 
 
 @dataclass(frozen=True)
@@ -197,13 +201,24 @@ _GRADIENTS = {_mass2: _d_mass2, _mass1_sq: _d_mass1_sq, _ent: _d_ent, _var: _d_v
               _sup2: _d_sup2}
 
 
-def _sp_floor_from(form: FiniteDirichletForm) -> float:
-    """(1 + _GAP_MARGIN)/gap: from there on Var(|f|) <= E(f)/gap puts mu(f^2) - s E(f)
-    at or below mu(|f|)^2, so SP's supremum is its floor 1 (inf where the form has no gap)."""
+def _form_gap(form: FiniteDirichletForm) -> Optional[SpectralGap]:
+    """The form's spectral gap, None where it has none (one state, or a gap numerically zero)."""
+    if form.n < 2:
+        return None
     try:
-        return (1.0 + _GAP_MARGIN) / spectral_gap(form).gap
-    except (ConfigError, SingularityError):
+        return spectral_gap(form)
+    except SingularityError:
+        return None
+
+
+def _sp_floor_from(sg: Optional[SpectralGap]) -> float:
+    """(1 + margin)/gap, with the computed gap's error bound as margin: from there on
+    Var(|f|) <= E(f)/gap puts mu(f^2) - s E(f) at or below mu(|f|)^2, so SP's supremum is
+    its floor 1 (inf where the form has no gap)."""
+    if sg is None:
         return math.inf
+    margin = _GAP_ERROR * sg.certificate.size**2 * np.finfo(float).eps * sg.largest / sg.gap
+    return (1.0 + margin) / sg.gap
 
 
 @dataclass(frozen=True)
@@ -213,10 +228,11 @@ class _Inequality:
     The domain is f in [lo, 1]^n, or, with sphere, f >= lo = 0 scaled to
     mu(f^2) = 1.  A row is admissible where c > 0, or, where c is the
     energy, which vanishes on constants, where c > e_floor * b.
-    ``floor_from`` gives, for a form, an s from which on a closed-form
-    bound puts the supremum at the floor: SP at s*gap >= 1 (with
-    _GAP_MARGIN), WL at s >= 1/e (Ent(f^2) <= |f|_inf^2/e) and WP at
-    s >= 1 (Var(f) <= |f|_inf^2); SL has none.
+    ``floor_from`` gives, for a form's spectral gap (None where it has
+    none), an s from which on a closed-form bound puts the supremum at
+    the floor: SP at s*gap >= 1 (widened by the gap's error bound), WL
+    at s >= 1/e (Ent(f^2) <= |f|_inf^2/e) and WP at s >= 1
+    (Var(f) <= |f|_inf^2); SL has none.
     """
 
     a: Callable
@@ -250,9 +266,9 @@ def _energy_floor(form: FiniteDirichletForm) -> float:
 
 _INEQUALITIES = {
     "SP": _Inequality(_mass2, _energy, _mass1_sq, floor=1.0, sphere=True, floor_from=_sp_floor_from),
-    "SL": _Inequality(_ent, _energy, _mass2, floor=0.0, sphere=True, floor_from=lambda form: math.inf),
-    "WL": _Inequality(_ent, _sup2, _energy, floor=0.0, sphere=False, floor_from=lambda form: 1.0 / math.e),
-    "WP": _Inequality(_var, _sup2, _energy, floor=0.0, sphere=False, floor_from=lambda form: 1.0, lo=-1.0),
+    "SL": _Inequality(_ent, _energy, _mass2, floor=0.0, sphere=True, floor_from=lambda sg: math.inf),
+    "WL": _Inequality(_ent, _sup2, _energy, floor=0.0, sphere=False, floor_from=lambda sg: 1.0 / math.e),
+    "WP": _Inequality(_var, _sup2, _energy, floor=0.0, sphere=False, floor_from=lambda sg: 1.0, lo=-1.0),
 }
 KINDS = tuple(_INEQUALITIES)
 _KIND_ID = {k: i for i, k in enumerate(KINDS)}
@@ -271,7 +287,9 @@ class _Objective:
     Each row carries its own trade-off s.  Every reduction runs row by
     row (einsum or elementwise, never a BLAS product), so a row's
     projection, value and gradient are bit for bit the same whichever
-    rows share its block.
+    rows share its block.  ``gap`` is the form's spectral gap (None
+    where it has none), read once for the SP floor and the certificate
+    start.
     """
 
     def __init__(self, kind: str, form: FiniteDirichletForm):
@@ -280,6 +298,7 @@ class _Objective:
         self.form = form
         self.mu = form.mu
         self.e_floor = _energy_floor(form)
+        self.gap = _form_gap(form)
 
     def project(self, F: np.ndarray) -> tuple:
         """Rows projected onto the domain, and the mask of admissible rows."""
@@ -330,12 +349,9 @@ class _Objective:
             ind = np.zeros(n)
             ind[cut:] = 1.0
             starts.append(ind)
-        if n >= 2:
-            try:
-                cert = spectral_gap(self.form).certificate
-                starts.append(cert.copy() if self.ineq.lo < 0 else np.abs(cert))
-            except SingularityError:
-                pass
+        if self.gap is not None:
+            cert = self.gap.certificate
+            starts.append(cert.copy() if self.ineq.lo < 0 else np.abs(cert))
         return starts
 
 
@@ -460,7 +476,7 @@ def _solve_grid(form: FiniteDirichletForm, kind: str, s: np.ndarray, cfg: Solver
     attains it, else a zero vector.
     """
     obj = _Objective(kind, form)
-    floored = s >= obj.ineq.floor_from(form)
+    floored = s >= obj.ineq.floor_from(obj.gap)
     best = np.where(floored, obj.ineq.floor, -math.inf)
     best_f = np.zeros((s.size, form.n))
     if obj.ineq.sphere:

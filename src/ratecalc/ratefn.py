@@ -73,11 +73,7 @@ class RateFunction(abc.ABC):
 
         Arguments that exp maps to normal doubles go through
         ``eval_many``; smaller ones through ``_eval_below_tiny``, the
-        family's closed form written in log(s).  Where the smaller ones
-        form a prefix or a suffix of a contiguous vector, as for monotone
-        arguments, the two parts are evaluated on slices, not on masked
-        copies; both are contiguous, so numpy's vector loops give each
-        entry the bits of a copy.
+        family's closed form written in log(s).
         """
         log_s = np.asarray(log_s, dtype=float)
         tiny = log_s < _LOG_TINY
@@ -87,12 +83,6 @@ class RateFunction(abc.ABC):
         if k == log_s.size:
             return self._eval_below_tiny(log_s)
         out = np.empty(log_s.shape)
-        if log_s.ndim == 1 and log_s.flags.c_contiguous and (tiny[:k].all() or tiny[-k:].all()):
-            part = slice(None, k) if tiny[0] else slice(-k, None)
-            rest = slice(k, None) if tiny[0] else slice(None, -k)
-            out[part] = self._eval_below_tiny(log_s[part])
-            out[rest] = self.eval_many(np.exp(log_s[rest]))
-            return out
         out[tiny] = self._eval_below_tiny(log_s[tiny])
         out[~tiny] = self.eval_many(np.exp(log_s[~tiny]))
         return out

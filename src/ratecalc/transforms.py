@@ -44,17 +44,18 @@ of rows in blocks of _ROWS, so its memory stays bounded.  sp_from_wl
 likewise evaluates beta_WL from log(delta^-n n^-theta).  Each gated map
 walks its index window once, in blocks from N_max down, for both the
 vanishing verdict and the crossing of every s, so its memory is a few
-MB for any N_max: sl_from_sp in kernel blocks of _ROWS rows, sp_from_wl
-in blocks of _BLOCK = 2^15 indices, whose arrays (about 1.5 MB) stay in
-a core's L2 cache, so the WL walk of 1.5e8 indices takes about half as
-long as in blocks of 2^20.  A block is built in arrays reused from block
+MB and some 40 bytes per block of the window: sl_from_sp in kernel
+blocks of _ROWS rows, sp_from_wl in blocks of _BLOCK = 2^15 indices,
+whose arrays (about 1.5 MB) stay in a core's L2 cache, so the WL walk
+of 1.5e8 indices takes about half as long as in blocks of 2^20.  A block is built in arrays reused from block
 to block, and its log n also serves the verdict's log-log fit.
 sp_from_wl and sp_from_sl return log(beta_SP), exact past double range.
 
-The WL walk reads the left half of its window only where an answer
-needs it (_bounded_blocks).  delta^-n n^-theta falls as n grows and
-beta_WL does not increase, so on a block [lo, hi] the maximum of g
-lies between g(hi) and g(hi)*hi/lo.  The walk reads every index of the
+On the package's own rate functions, the WL walk reads the left half
+of its window only where an answer needs it (_bounded_blocks).
+delta^-n n^-theta falls as n grows and such a beta_WL does not
+increase, so on a block [lo, hi] the maximum of g lies between g(hi)
+and g(hi)*hi/lo.  The walk reads every index of the
 verdict's last half, of the lowest block (whose first value the verdict
 reads), of every block at or right of an index of ``at`` and of every
 block where an s that can still admit an index lies between g(hi) and
@@ -62,7 +63,8 @@ that bound.  Of every other block it takes g(hi) alone, all of them in
 one call: the block then admits each such s whole or not at all, and
 the verdict reads nothing else of it.  On the window of 1.5e8 indices
 and 60 s of the benchmark's sp_from_wl, 84 of the 2 288 blocks left of
-the half are read.
+the half are read.  A RateFunction of any other class is read in full:
+the walk cannot vouch that it does not rise, or turn NaN inside a block.
 
 Three loops spread over the usable cores through _in_order: the
 kernel's blocks of rows (the SP-to-SL walk's blocks among them), the WL
@@ -133,7 +135,7 @@ from .errors import (
     _s_grid,
     _scalar,
 )
-from .ratefn import ExtendedValue, LogTabulated, RateFunction, Tabulated
+from .ratefn import _FAMILIES, ExtendedValue, LogTabulated, RateFunction, Tabulated
 
 __all__ = [
     "GridSpec",
@@ -891,9 +893,12 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
     about _GROUP indices or one kernel block, the top group first; each
     gives the parts of its blocks (``_walk_group``), and this process
     folds them from right to left, carrying S just right of the block.
-    The WL blocks that ``_bounded_blocks`` returns are not read: their
+    The WL blocks that ``_bounded_blocks`` bounds are not read: their
     parts follow from g at their last index.  The values do not depend
-    on where a group runs, and memory stays bounded for any N_max.
+    on where a group runs.  Memory holds one block's arrays per process
+    and, for the fold, about 40 bytes per block of the window: g at the
+    last index of each block, and the first index of each block read in
+    its group (about 90 KB for the WL walk of 1.5e8 indices).
     """
     n0 = _start_index(beta, cfg, sequence)
     layout = _verdict_layout(cfg.N_max - n0 + 1, n0, cfg.N_max)
@@ -910,23 +915,26 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
 
     block, per = (_BLOCK, max(1, _GROUP // _BLOCK)) if sequence == "wl" else (_ROWS, 1)
     starts = range(n0, cfg.N_max + 1, block)
-    bounded = _bounded_blocks(beta, cfg, layout, starts, s_sorted, at) if sequence == "wl" else {}
-    read = [lo for lo in reversed(starts) if lo not in bounded]
-    groups = [read[i : i + per] for i in range(0, len(read), per)]
+    if sequence == "wl" and type(beta) in _FAMILIES.values():
+        tops = _bounded_blocks(beta, cfg, layout, starts, s_sorted, at)
+    else:
+        tops = np.full(len(starts), np.nan)
+    read = np.flatnonzero(np.isnan(tops))[::-1]  # the blocks read, by number, the top one first
+    groups = [starts.start + block * read[i : i + per] for i in range(0, read.size, per)]
     task = functools.partial(_walk_group, beta, cfg, layout, n0, s_sorted, at, sequence, keep, block)
 
     def blocks():
         """(verdict part, sup part, kept values or None) of every block, the top block first."""
-        los = iter(reversed(starts))
+        b = len(starts)  # the block above the next one read
         for group in _in_order(task, groups):
-            for read_parts, lo in zip(group, los):
-                while lo in bounded:  # a bounded block above the next block read
+            for read_parts in group:
+                b -= 1
+                while not math.isnan(tops[b]):  # a bounded block above the next block read: full, left of the half
                     # No s that can still admit an index lies in [g(hi), max g]: one carry of g(hi) settles them.
-                    top = bounded[lo]
+                    top = float(tops[b])
                     i = int(s_sorted.searchsorted(top))
-                    size = min(block, cfg.N_max + 1 - lo)
-                    yield (size, math.nan, math.nan, True, [], -math.inf, None), (top, i, i, None, None, None), None
-                    lo = next(los)
+                    yield (block, math.nan, math.nan, True, [], -math.inf, None), (top, i, i, None, None, None), None
+                    b -= 1
                 yield read_parts
 
     def parts():
@@ -950,12 +958,17 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
     return verdict, k_star, sup_at, np.concatenate(kept[::-1]) if kept else np.empty(0)
 
 
-def _bounded_blocks(beta: RateFunction, cfg: TransformConfig, layout: _Layout, starts: range, s_sorted, at) -> dict:
-    """The blocks of the WL walk that need not be read: {first index lo: g(hi) at the last index}.
+def _bounded_blocks(beta: RateFunction, cfg: TransformConfig, layout: _Layout, starts: range, s_sorted, at):
+    """g at the last index of each block of the WL walk that need not be read, NaN at every other block.
 
     The argument delta^-n n^-theta falls as n grows and beta_WL does not
-    increase (the RateFunction contract), so on a block [lo, hi]
-    g(hi) <= max g <= U = g(hi)*hi/lo.  The candidates are the blocks
+    increase, so on a block [lo, hi] g(hi) <= max g <= U = g(hi)*hi/lo.
+    The package's own families keep that contract by construction: the
+    closed forms (tests/test_ratefn.py checks them across log(tiny)) and
+    the tables through their envelope, with finite values wherever g(hi)
+    is finite.  The walk calls this for them alone and reads every block
+    of any other RateFunction, whose values it cannot vouch for: one that
+    rises in s, or is NaN inside a block.  The candidates are the blocks
     left of the verdict's last half, above the lowest (whose first value
     the verdict reads) and below every index of ``at`` (whose S needs the
     exact maximum of every block right of it); their g(hi) come from one
@@ -965,11 +978,12 @@ def _bounded_blocks(beta: RateFunction, cfg: TransformConfig, layout: _Layout, s
     s below g(hi) nothing of the block or left of it, and an s above U
     the whole block.  Any other block is read in full.
     """
+    tops = np.full(len(starts), np.nan)
     block = starts.step
     limit = min(starts.start + layout.half_start, int(at.min()) if at.size else cfg.N_max + 1)
-    los = np.arange(starts.start + block, limit - block + 1, block)  # each block ends below ``limit``
+    los = np.arange(starts.start + block, limit - block + 1, block)  # blocks 1, 2, ..., each ending below ``limit``
     if not los.size:
-        return {}
+        return tops
     ns, log_n, work, g = np.empty((4, los.size))
     np.add(los, block - 1, out=ns)
     np.log(ns, out=log_n)
@@ -979,11 +993,12 @@ def _bounded_blocks(beta: RateFunction, cfg: TransformConfig, layout: _Layout, s
     low = s_sorted.searchsorted(np.maximum(g, right) * (1.0 - _SLACK))
     high = s_sorted.searchsorted(upper * (1.0 + _SLACK), side="right")
     bound = np.isfinite(upper) & (high <= low)
-    return dict(zip(los[bound].tolist(), g[bound].tolist()))
+    tops[1 : 1 + los.size][bound] = g[bound]
+    return tops
 
 
 def _walk_group(beta, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, at, sequence: str, keep: int,
-                block: int, los: list) -> list:
+                block: int, los: np.ndarray) -> list:
     """(verdict part, sup part, kept values or None) of each walk block that starts at ``los``, the top block first.
 
     ``los`` descends, each a block of ``block`` indices cut at N_max.
@@ -1002,7 +1017,7 @@ def _walk_group(beta, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, 
     ns = rows[0, :0]
     decreasing = False
     out = []
-    for lo in los:
+    for lo in los.tolist():
         hi = min(lo + block - 1, cfg.N_max)
         if ns.size == hi - lo + 1:
             ns -= ns[0] - lo  # a block of the size of the one before: shift its indices
@@ -1051,7 +1066,8 @@ def wl2sp_condition(beta_wl: RateFunction, cfg: Optional[TransformConfig] = None
     """Check lim_n beta_WL(delta^-n n^-theta)/n = 0 on the window, by the walk of ``sp_from_wl``.
 
     With no s to place, the walk reads the last half of the window and
-    its lowest block, and one value of each block between.
+    its lowest block, and one value of each block between, where beta_WL
+    is one of the package's own rate functions; any other it reads in full.
     """
     return _walk(beta_wl, cfg or TransformConfig())[0]
 
@@ -1288,10 +1304,11 @@ def sp_from_wl(beta_wl: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     The output grows doubly exponentially, so the table carries
     log(beta_SP) = log(C3) + k*(s)*log(delta), exact past double range.
     One walk of the index window from N_max down, in blocks, gives both
-    the verdict that gates the map and k*(s), so memory stays bounded
-    for any N_max.  Left of the verdict's last half the walk reads in
-    full the lowest block and the blocks where some k*(s) may lie, and
-    one value of every other block.
+    the verdict that gates the map and k*(s), so memory holds one
+    block's arrays and about 40 bytes per block.  Where beta_WL is one of the package's own rate
+    functions, the walk reads in full, left of the verdict's last half,
+    the lowest block and the blocks where some k*(s) may lie, and one
+    value of every other block; any other RateFunction it reads in full.
     """
     cfg = cfg or TransformConfig()
     verdict, table = _wl_map(beta_wl, _s_grid(s_grid), cfg)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -813,10 +814,19 @@ def _at(s, F0):
 
 def _closed_form_floor(form, kind, s):
     """Whether a closed-form bound puts the supremum of ``kind`` at s at its floor, so the
-    solver runs no ascent there: SP at s*gap >= 1 + 1e-6, WL at s >= 1/e and WP at s >= 1."""
+    solver runs no ascent there: SP at s*gap >= 1 + the gap's error bound, WL at s >= 1/e
+    and WP at s >= 1."""
+    return s >= _floor_edge(form, kind)
+
+
+def _floor_edge(form, kind):
+    """The s from which on ``kind`` takes its closed-form floor on ``form``."""
     if kind == "SP":
-        return form.n > 1 and s >= (1.0 + 1e-6) / spectral_gap(form).gap
-    return s >= {"SL": math.inf, "WL": 1.0 / math.e, "WP": 1.0}[kind]
+        if form.n < 2:
+            return math.inf
+        sg = spectral_gap(form)
+        return (1.0 + 4.0 * form.n**2 * np.finfo(float).eps * sg.largest / sg.gap) / sg.gap
+    return {"SL": math.inf, "WL": 1.0 / math.e, "WP": 1.0}[kind]
 
 
 def _assert_at_most_floor(value, kind):
@@ -1144,7 +1154,7 @@ class TestGridSolve:
         # takes the floor, with no iterations, and the ascent there (run by
         # the per-s reference) finds nothing above the floor.
         for form in [*fixture_forms.values(), build_birth_death(4.0, 1.0, 2.0, 41)]:
-            edge = {"SP": (1.0 + 1e-6) / spectral_gap(form).gap, "WL": 1.0 / math.e, "WP": 1.0}[kind]
+            edge = _floor_edge(form, kind)
             grid = np.array([edge * (1.0 - 1e-3), edge, edge * 1.5])
             values, vectors, iters = optconst._solve_grid(form, kind, grid, SolverConfig(restarts=4, seed=1))
             floor = optconst._inequality(kind).floor
@@ -1154,6 +1164,28 @@ class TestGridSolve:
             np.testing.assert_allclose(vectors[1:], [want, want], rtol=1e-12)
             for s in grid[1:]:
                 assert _per_s_solve(form, kind, float(s), SolverConfig(restarts=4, seed=1))[0] == floor
+
+    @pytest.mark.parametrize("weak", [1e-4, 1e-7, 1e-9, 3e-10])
+    @pytest.mark.parametrize("mu", [(0.2, 0.3, 0.5), (0.001, 0.998, 0.001), (1 / 3, 1 / 3, 1 / 3)])
+    def test_sp_floor_margin_covers_the_gap_error(self, weak, mu):
+        # A path of three states whose second edge nearly cuts it: gap/largest
+        # falls to 1.4e-10, next to spectral_gap's singular cut of 1e-10, and
+        # the computed gap errs by up to 2.3e-7 of itself.  SP's floor starts
+        # no lower than 1/gap for the exact gap of the stored mu and weights,
+        # the smaller root of x^2 - trace x + minors, where trace and minors
+        # (the sum of the principal 2x2 minors) of M^-1 L are taken in rationals.
+        form = FiniteDirichletForm(mu=mu, edges=((0, 1, 1.0), (1, 2, weak)))
+        sg = spectral_gap(form)
+        m = [Fraction(x) for x in form.mu.tolist()]
+        L = [[Fraction(0)] * 3 for _ in range(3)]
+        for i, j, w in zip(*(a.tolist() for a in form.edges)):
+            L[i][j] = L[j][i] = -Fraction(w)
+            L[i][i] += Fraction(w)
+            L[j][j] += Fraction(w)
+        trace = sum(L[i][i] / m[i] for i in range(3))
+        minors = sum((L[i][i] * L[j][j] - L[i][j] ** 2) / (m[i] * m[j]) for i in range(3) for j in range(i + 1, 3))
+        exact = float(2 * minors / (trace + Fraction(math.sqrt(trace * trace - 4 * minors))))
+        assert 1.0 / exact <= optconst._sp_floor_from(sg)
 
     def test_spectral_gap_once_per_kind(self, fixture_forms, monkeypatch):
         calls = []
@@ -1167,8 +1199,7 @@ class TestGridSolve:
         for kind in ("SP", "SL", "WL", "WP"):
             calls.clear()
             empirical_rate(fixture_forms["tri_skewed"], kind, np.geomspace(1e-3, 1.0, 6), CFG)
-            # SP reads the gap twice, for its closed-form floor and its certificate start; the form keeps it
-            assert len(calls) == (2 if kind == "SP" else 1), kind
+            assert len(calls) == 1, kind
 
     def test_one_eigh_per_form(self, monkeypatch):
         # The form keeps its gap: the structured starts of all four kinds

@@ -1246,33 +1246,6 @@ class TestSpFromWl:
         wl2sp_condition(beta, cfg)
         assert sum(elems) == 5 * block + 3
 
-    def test_straddling_block_peaks_no_higher(self, monkeypatch):
-        # The lowest block holds the arguments on both sides of log(tiny):
-        # evaluated on two slices, it peaks no higher than the other blocks
-        # (7.1 blocks of floats against 5.1 below the half window, and 7.1
-        # in it, with masked copies).
-        block = 1 << 16
-        monkeypatch.setattr(transforms, "_BLOCK", block)
-        cfg = TransformConfig(k_max=8 * block + 1, N_max=8 * block + 1)
-        real = transforms._verdict_part
-        peaks = []
-
-        def measured(layout, pos, *args):
-            part = real(layout, pos, *args)
-            peaks.append((pos, tracemalloc.get_traced_memory()[1]))
-            tracemalloc.reset_peak()
-            return part
-
-        monkeypatch.setattr(transforms, "_verdict_part", measured)
-        # crossings in blocks 0, 2 and 6 of 8, so the walk reads blocks on both sides of the half
-        tracemalloc.start()
-        try:
-            transforms._walk(LogPower(C=1.0, q=0.5), cfg, [0.0015, 0.003, 0.02])
-        finally:
-            tracemalloc.stop()
-        assert [pos // block for pos, _ in peaks] == [7, 6, 5, 4, 3, 2, 0]
-        assert peaks[-1][1] <= max(peak for _, peak in peaks[:-1])
-
     def test_peak_does_not_grow_with_the_window(self, monkeypatch):
         # The walk builds every block in the arrays of the block before, so
         # 32 blocks of 2^16 indices peak within one block of 8 blocks.
@@ -1478,6 +1451,26 @@ class _NanBand(RateFunction):
         return {"family": "nan_band"}
 
 
+class _Jagged(RateFunction):
+    """Values 2 + sin(37 log s): not monotone, so the WL sequence rises and
+    falls from one index to the next and S(k) stays above g(k) inside blocks."""
+
+    def eval_many(self, s):
+        return self.eval_at_log_many(np.log(s))
+
+    def eval_at_log_many(self, log_s):
+        return 2.0 + np.sin(37.0 * np.asarray(log_s, dtype=float))
+
+    def limit_at_zero(self):
+        return 3.0
+
+    def limit_at_inf(self):
+        return 1.0
+
+    def to_json_dict(self):
+        return {"family": "jagged"}
+
+
 def _stairs(ns, ratio=3.0):
     """A table whose value rises ``ratio``-fold just below delta^-n n^-1 (delta 4) for each n of
     ``ns``: the WL sequence jumps up there and falls between, so S(k) stays above g(k) inside
@@ -1505,11 +1498,12 @@ _WALK_INPUTS = [
     ExpPower(C=1.0, theta=1.0),  # the sequence is +inf past its first few indices
     _STEP,
     _NanBand(LogPower(C=1.0, q=0.5), -900.0, -850.0),  # NaN near n = 610
+    _Jagged(),
     _STAIRS,
 ]
 
 _WALK_IDS = ["LogPower0", "LogPower0.5", "LogPower1", "LogPower1.5", "Constant", "PolyPower", "InversePower",
-             "ExpPower", "TabulatedStep", "NanBand", "TabulatedStairs"]
+             "ExpPower", "TabulatedStep", "NanBand", "Jagged", "TabulatedStairs"]
 
 # (delta, n0, theta_cond, N_max)
 _WALK_CONFIGS = [(4.0, None, 1.0, 1000), (2.5, 3, 1.5, 801), (7.0, 11, 3.0, 700)]
@@ -1553,8 +1547,8 @@ class TestWalkMatchesReference:
                 assert got[1].tolist() == want[1].tolist()
                 assert repr(got[2].tolist()) == repr(want[2].tolist())
 
-    @pytest.mark.parametrize("beta", [LogPower(C=1.0, q=0.5), _STAIRS, _STEP],
-                             ids=["LogPower", "TabulatedStairs", "TabulatedStep"])
+    @pytest.mark.parametrize("beta", [LogPower(C=1.0, q=0.5), _Jagged(), _STEP, _STAIRS],
+                             ids=["LogPower", "Jagged", "TabulatedStep", "TabulatedStairs"])
     def test_crossings_on_every_block_edge(self, beta, monkeypatch):
         # s = S at the first index of a block is the carry into the block
         # below, and lies in no other block's range [carry, top).
@@ -1627,18 +1621,35 @@ class TestBoundedBlocks:
             for at in at_sets:
                 _assert_walks_equal(beta, cfg, s, np.asarray(at, dtype=int))
 
-    def test_non_finite_last_value_is_read(self, monkeypatch):
-        # NaN at the last index of block 10 of 64, left of the half: its
-        # g(hi) is no bound, so the block is read and the verdict fails on it.
+    @pytest.mark.parametrize("offset", [0, 20], ids=["last", "inside"])
+    def test_other_rate_function_is_read_in_full(self, offset, monkeypatch):
+        # A NaN at the last index of block 10 of 64, left of the half, or 20
+        # indices below it, where g at the last index stays finite; the
+        # walk bounds that block of LogPower{1, 1/2} alone.  _NanBand is no
+        # family of the package, so the walk reads every index and fails on
+        # the NaN as the walk that reads every index does.
         block = 64
         monkeypatch.setattr(transforms, "_BLOCK", block)
         n_max = 1 + 64 * block
         cfg = TransformConfig(k_max=n_max, N_max=n_max)
-        hi = 2 + 11 * block - 1
-        beta = _NanBand(LogPower(C=1.0, q=0.5), _log_arg(hi) - 1e-9, _log_arg(hi) + 1e-9)
-        for s in (np.geomspace(1e-6, 1e3, 40), []):
-            _assert_walks_equal(beta, cfg, np.asarray(s, dtype=float))
-        assert transforms._walk(beta, cfg)[0].fails
+        base = LogPower(C=1.0, q=0.5)
+        s = np.geomspace(1e-6, 1e3, 40)
+        layout = transforms._verdict_layout(n_max - 1, 2, n_max)
+        assert not math.isnan(transforms._bounded_blocks(base, cfg, layout, range(2, n_max + 1, block), s, np.empty(0))[10])
+        n = 2 + 11 * block - 1 - offset
+        beta = _NanBand(base, _log_arg(n) - 1e-9, _log_arg(n) + 1e-9)
+        for grid in (s, np.empty(0)):
+            _assert_walks_equal(beta, cfg, grid)
+        elems = []
+        real = _NanBand.eval_at_log_many
+
+        def counted(self, log_s):
+            elems.append(np.size(log_s))
+            return real(self, log_s)
+
+        monkeypatch.setattr(_NanBand, "eval_at_log_many", counted)
+        assert transforms._walk(beta, cfg, s)[0].fails
+        assert sum(elems) == n_max - 1
 
     def test_work_falls(self, monkeypatch):
         # 64 blocks of the real _BLOCK.  k*(s) on this grid lies at 1.4e6 (the
