@@ -49,8 +49,6 @@ from .transforms import (
     _sl_map,
     _start_index,
     _wl_map,
-    _wl_table,
-    _wl_window_top,
     log_grid,
     sl_from_sp,
     sp2sl_window,
@@ -238,7 +236,7 @@ def _gate(run, name: str, direction: str, verdict) -> None:
 _DIRECTIONS = {
     "sp2wl": lambda beta, s, cfg: (None, functools.partial(wl_from_sp, beta, s, cfg)),
     "wl2sp": _wl_map,
-    "sp2sl": lambda beta, s, cfg: _sl_map(beta, s, cfg)[:2],
+    "sp2sl": _sl_map,
     "sl2sp": lambda beta, s, cfg: (None, functools.partial(sp_from_sl, beta, s, cfg)),
 }
 
@@ -328,15 +326,13 @@ def cmd_verify(run, form_path, birth_death, s_grid, config_path, seed, restarts)
 
     tab_sp = empirical["SP"].to_tabulated()
 
-    # One walk of the xi1 rows on [n0, N_max] serves the SP-to-SL map and
-    # hands back the rows of the SP-to-WL map's sup window.
-    verdict, sl_table, kept = _sl_map(tab_sp, s, cfg, _wl_window_top(tab_sp, s, cfg))
+    verdict, sl_table = _sl_map(tab_sp, s, cfg)
     _gate(run, "verdict_sp2sl.json", "sp2sl", verdict)
     trans_sl = sl_table()
     run.csv("transformed_sl.csv", "s,beta", [(_fmt(a), _fmt(b)) for a, b in trans_sl.points])
     dominations = {"sl": dominates(empirical["SL"], trans_sl).to_json_dict()}
     try:
-        trans_wl = _wl_table(tab_sp, s, cfg, kept)
+        trans_wl = wl_from_sp(tab_sp, s, cfg)
     except DegenerateTransformError as exc:
         # The kernel sequence vanished on the whole sup window: the form
         # is so small that every truncation slice is empty and the weak
@@ -399,7 +395,7 @@ def _example_default_grid(branch: str, theta: float, beta, cfg: TransformConfig)
     # wl2sp: example11 fits beta, so k*(s) stays below 380, where delta^k
     # fits in a double; the window spans at least a factor 20 in s.
     n0 = _start_index(beta, cfg, "wl")
-    s_lo, s_hi = wl2sp_window(beta, cfg, min(n0 + 3, cfg.N_max), min(380, cfg.k_max, cfg.N_max))
+    s_lo, s_hi = wl2sp_window(beta, cfg, n0 + 3, min(380, cfg.k_max))
     return log_grid(s_lo, max(s_hi, s_lo * 20.0), 40)
 
 

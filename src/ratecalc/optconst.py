@@ -845,16 +845,12 @@ def brute_force_oracle(
     e_floor = _energy_floor(form)
     if form.n == 1:
         return max(best, float(_oracle_values(kind, np.ones((1, 1)), s, form.mu, edges, e_floor).max()))
-    gap = None
-    if signed:
-        try:
-            gap = spectral_gap(form).gap
-        except SingularityError:
-            pass
-        # eigh's error is about 1e-15 of the generator's norm, here bounded
-        # by Gershgorin: the cut's 1e-9 margin covers it for gaps over 1e-6 of that.
-        if gap is not None and gap < 1e-6 * 2.0 * float(np.max(form.totals)) / float(np.min(form.mu)):
-            gap = None
+    sg = _form_gap(form) if signed else None
+    gap = None if sg is None else sg.gap
+    # eigh's error is about 1e-15 of the generator's norm, here bounded
+    # by Gershgorin: the cut's 1e-9 margin covers it for gaps over 1e-6 of that.
+    if gap is not None and gap < 1e-6 * 2.0 * float(np.max(form.totals)) / float(np.min(form.mu)):
+        gap = None
     tiles = _AngleTiles(form.n, resolution, signed)
     # Bounded in slabs of _ORACLE_BLOCK // 4 tiles: the bound's temporaries,
     # some twenty arrays of n x slab floats, stay within an evaluation block's.

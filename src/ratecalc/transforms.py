@@ -34,7 +34,11 @@ suffix maximum of C4*n*xi1(delta^(-n+1)) (N0(s) is one index before its
 crossing) and the suffix supremum of beta_WL(delta^-n n^-theta)/n
 (sp_from_wl).  wl_from_sp and sp_from_sl evaluate their k-window in
 blocks only up to the first block that admits the smallest s, and one
-searchsorted finds the crossing for every s at once.
+searchsorted finds the crossing for every s at once.  wl_from_sp then
+evaluates the xi1 rows of its own sup window [n0, max k*(s)], about
+log_delta(1/s) of them, in one kernel call; where cli.cmd_verify has
+walked the same rows for sl_from_sp, reading them again costs well
+under a millisecond, so the two maps share nothing.
 
 Everything here is pure and deterministic: identical configuration
 produces bit-identical output tables.  Kernel evaluation works with
@@ -880,20 +884,21 @@ def _wl_condition_sequence(
         return np.divide(beta_wl.eval_at_log_many(log_args), ns, out=out)
 
 
-def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str = "wl", keep: int = 0):
+def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str = "wl"):
     """One walk of a gated map's index sequence g on [n0, N_max], in blocks from N_max down.
 
     ``sequence`` names g: "wl", beta_WL(delta^-n n^-theta)/n of
     ``sp_from_wl``, or "xi1", n*xi1(delta^(-n+1)) of ``sl_from_sp``.
     With G = g ("wl") or C4*g ("xi1") and S(k) = sup_{k<=n<=N_max} G(n),
     returns the vanishing verdict on g, k*(s) for every s in ``s`` (the
-    smallest k >= n0 with S(k) <= s, N_max + 1 if none), S at the indices
-    ``at`` and g on [n0, min(keep, N_max)].  The blocks, of _BLOCK
-    indices or of _ROWS kernel rows, go to ``_in_order`` in groups of
-    about _GROUP indices or one kernel block, the top group first; each
-    gives the parts of its blocks (``_walk_group``), and this process
-    folds them from right to left, carrying S just right of the block.
-    The WL blocks that ``_bounded_blocks`` bounds are not read: their
+    smallest k >= n0 with S(k) <= s, N_max + 1 if none) and S at the
+    indices ``at``.  The blocks, of _BLOCK indices or of _ROWS kernel
+    rows, go to ``_in_order`` in groups of about _GROUP indices or one
+    kernel block, the top group first; each gives the parts of its
+    blocks (``_walk_group``), and this process folds them from right to
+    left, carrying S just right of the block.  The xi1 walk reads the
+    rows for its own map alone: ``wl_from_sp`` evaluates its sup window
+    itself.  The WL blocks that ``_bounded_blocks`` bounds are not read: their
     parts follow from g at their last index.  The values do not depend
     on where a group runs.  Memory holds one block's arrays per process
     and, for the fold, about 40 bytes per block of the window: g at the
@@ -911,7 +916,6 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
     whole = np.zeros(s.size + 1, dtype=np.int64)
     crossed = np.zeros(s.size, dtype=np.int64)
     sup_at = np.full(at.shape, np.nan)
-    kept = []
 
     block, per = (_BLOCK, max(1, _GROUP // _BLOCK)) if sequence == "wl" else (_ROWS, 1)
     starts = range(n0, cfg.N_max + 1, block)
@@ -921,10 +925,10 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
         tops = np.full(len(starts), np.nan)
     read = np.flatnonzero(np.isnan(tops))[::-1]  # the blocks read, by number, the top one first
     groups = [starts.start + block * read[i : i + per] for i in range(0, read.size, per)]
-    task = functools.partial(_walk_group, beta, cfg, layout, n0, s_sorted, at, sequence, keep, block)
+    task = functools.partial(_walk_group, beta, cfg, layout, n0, s_sorted, at, sequence, block)
 
     def blocks():
-        """(verdict part, sup part, kept values or None) of every block, the top block first."""
+        """(verdict part, sup part) of every block, the top block first."""
         b = len(starts)  # the block above the next one read
         for group in _in_order(task, groups):
             for read_parts in group:
@@ -933,13 +937,13 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
                     # No s that can still admit an index lies in [g(hi), max g]: one carry of g(hi) settles them.
                     top = float(tops[b])
                     i = int(s_sorted.searchsorted(top))
-                    yield (block, math.nan, math.nan, True, [], -math.inf, None), (top, i, i, None, None, None), None
+                    yield (block, math.nan, math.nan, True, [], -math.inf, None), (top, i, i, None, None, None)
                     b -= 1
                 yield read_parts
 
     def parts():
         carry = -math.inf  # S just right of the block
-        for part, (top, i0, i1, counts, inside, local), head in blocks():
+        for part, (top, i0, i1, counts, inside, local) in blocks():
             # S(n) = max(local sup, carry) <= s iff both are: only s_sorted[c0:] can admit n.
             c0 = int(s_sorted.searchsorted(carry))
             whole[max(c0, i1)] += part[0]
@@ -948,14 +952,12 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
                 crossed[c:i1] += counts[c - i0 :]
                 sup_at[inside] = np.maximum(local, carry)
             carry = float(np.maximum(carry, top))
-            if head is not None:
-                kept.append(head)
             yield part
 
     verdict = _fold_verdict(parts(), layout, cfg)
     k_star = np.empty(s.shape, dtype=np.int64)
     k_star[order] = cfg.N_max + 1 - np.cumsum(whole[:-1]) - crossed
-    return verdict, k_star, sup_at, np.concatenate(kept[::-1]) if kept else np.empty(0)
+    return verdict, k_star, sup_at
 
 
 def _bounded_blocks(beta: RateFunction, cfg: TransformConfig, layout: _Layout, starts: range, s_sorted, at):
@@ -997,16 +999,15 @@ def _bounded_blocks(beta: RateFunction, cfg: TransformConfig, layout: _Layout, s
     return tops
 
 
-def _walk_group(beta, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, at, sequence: str, keep: int,
-                block: int, los: np.ndarray) -> list:
-    """(verdict part, sup part, kept values or None) of each walk block that starts at ``los``, the top block first.
+def _walk_group(beta, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, at, sequence: str, block: int,
+                los: np.ndarray) -> list:
+    """(verdict part, sup part) of each walk block that starts at ``los``, the top block first.
 
     ``los`` descends, each a block of ``block`` indices cut at N_max.
     The blocks are built in arrays reused from block to block, and the
     log n each computes for the argument or the kernel row also serves
     the verdict's fit.  The sup part is ``_sup_part``'s, on C4*g for the
-    kernel rows as N0(s) reads them, and the kept values are g at the
-    block's indices up to ``keep``.  A block is finite where its maximum
+    kernel rows as N0(s) reads them.  A block is finite where its maximum
     is (g >= 0, and NaN propagates).  Once a block decreases, the blocks
     after it here skip the decrease test (see ``_verdict_part``).
     """
@@ -1036,7 +1037,7 @@ def _walk_group(beta, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, 
         decreasing = decreasing or (part[6] is not None and part[6][1])
         if lo - n0 <= layout.half_start:
             scratch = None  # the half window is done: free its scratch
-        out.append((part, sup, vals[: keep - lo + 1].copy() if lo <= keep else None))
+        out.append((part, sup))
     return out
 
 
@@ -1075,15 +1076,18 @@ def wl2sp_condition(beta_wl: RateFunction, cfg: Optional[TransformConfig] = None
 def wl2sp_window(beta_wl: RateFunction, cfg: TransformConfig, n_near: int, n_far: int) -> tuple[float, float]:
     """The s-range [1.02*S(n_far), 0.98*S(n_near)], S(k) = sup_{k<=n<=N_max} beta_WL(delta^-n n^-theta)/n.
 
-    S is read from one walk of the window [n0, N_max], which must hold
-    both indices and pass the vanishing check.  Over this range k*(s) of
-    ``sp_from_wl`` lies in (n_near, n_far].
+    S is read at the two indices, each clamped to [n0, N_max], from one
+    walk of that window, which must pass the vanishing check.  Over this
+    range k*(s) of ``sp_from_wl`` lies in (n_near, n_far].
     """
-    verdict, _, (sup_near, sup_far), _ = _walk(beta_wl, cfg, at=(n_near, n_far))
+    n0 = _start_index(beta_wl, cfg, "wl")
+    verdict, _, (sup_near, sup_far) = _walk(beta_wl, cfg, at=np.clip((n_near, n_far), n0, cfg.N_max))
     _gate(verdict, "the WL-to-SP map")
     lo, hi = 1.02 * float(sup_far), 0.98 * float(sup_near)
     if not (0.0 < lo < hi):
-        raise ConfigError(f"no s-window between indices {n_near} and {n_far}: S gives [{lo:g}, {hi:g}]")
+        raise ConfigError(
+            f"no s-window between indices {n_near} and {n_far} on [{n0}, {cfg.N_max}]: S gives [{lo:g}, {hi:g}]"
+        )
     return lo, hi
 
 
@@ -1167,31 +1171,32 @@ def n_zero(beta_sp: RateFunction, s: float, cfg: Optional[TransformConfig] = Non
     if cfg.s0 is not None and s > cfg.s0:
         raise ConfigError(f"n_zero requires s <= s0 = {cfg.s0}")
     s = np.array([s])
-    verdict, k_star, _, _ = _walk(beta_sp, cfg, s, sequence="xi1")
+    verdict, k_star, _ = _walk(beta_sp, cfg, s, sequence="xi1")
     _gate(verdict, "the SP-to-SL map")
     return int(_n_zero(beta_sp, k_star, s, cfg)[0])
 
 
-def _sl_map(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig, keep: int = 0) -> tuple:
-    """The SP-to-SL verdict from one walk of the xi1 rows, a call that finishes the map, and the rows kept.
+def _sl_map(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig) -> tuple:
+    """The SP-to-SL verdict from one walk of the xi1 rows, and a call that finishes the map.
 
-    The walk of n*xi1(delta^(-n+1)) on [n0, N_max] gives the verdict and
-    k*(s) for the nonempty array ``s`` at once, and hands back the rows
-    of [n0, min(keep, N_max)]; a caller writes or gates the verdict
-    before it makes the call.  The call checks the grid (so ``transform``
-    refuses a bad grid after writing the verdict, as it does for the
-    other gated map), finds N0(s), raising CapError where the qualifying
-    set reaches N_max, and returns the table of ``sl_from_sp``.
+    The same (verdict, table) pair as ``_wl_map``'s.  The walk of
+    n*xi1(delta^(-n+1)) on [n0, N_max] gives the verdict and k*(s) for
+    the nonempty array ``s`` at once; a caller writes or gates the
+    verdict before it makes the call.  The call checks the grid (so
+    ``transform`` refuses a bad grid after writing the verdict, as it
+    does for the other gated map), finds N0(s), raising CapError where
+    the qualifying set reaches N_max, and returns the table of
+    ``sl_from_sp``.  ``wl_from_sp`` reads none of the walk's rows.
     """
     s_eff = _clamped(s, cfg)
-    verdict, k_star, _, kept = _walk(beta_sp, cfg, s_eff, sequence="xi1", keep=keep)
+    verdict, k_star, _ = _walk(beta_sp, cfg, s_eff, sequence="xi1")
 
     def table() -> Tabulated:
         _s_grid(s)
         rates = math.log(cfg.delta) * (1 + _n_zero(beta_sp, k_star, s_eff, cfg))
         return _clamp_and_tabulate(s, rates, cfg.s0)
 
-    return verdict, table, kept
+    return verdict, table
 
 
 def sl_from_sp(beta_sp: RateFunction, s_grid, cfg: Optional[TransformConfig] = None) -> Tabulated:
@@ -1202,7 +1207,7 @@ def sl_from_sp(beta_sp: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     memory stays bounded for any N_max.
     """
     cfg = cfg or TransformConfig()
-    verdict, table, _ = _sl_map(beta_sp, _s_grid(s_grid), cfg)
+    verdict, table = _sl_map(beta_sp, _s_grid(s_grid), cfg)
     _gate(verdict, "the SP-to-SL map")
     return table()
 
@@ -1213,46 +1218,20 @@ def wl_from_sp(beta_sp: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     beta_WL(s) = C1 * sup_{n0<=n<=k*(s)} n*xi1(delta^(-n+1)) with k*(s)
     the smallest k >= n0 satisfying C2*k*delta^-k <= s (the inf over
     admissible k of the running sup is attained there because the sup is
-    non-decreasing in k).
+    non-decreasing in k).  The map evaluates its own sup window
+    [n0, max k*(s)], a few rows: about log_delta(1/s) of them.
     """
-    return _wl_table(beta_sp, _s_grid(s_grid), cfg or TransformConfig())
-
-
-def _wl_k_star(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig) -> np.ndarray:
-    """k*(s) of ``wl_from_sp`` on the grid ``s``, clamped: the smallest k >= n0 with C2*k*delta^-k <= s."""
+    cfg = cfg or TransformConfig()
+    s = _s_grid(s_grid)
+    n0 = _start_index(beta_sp, cfg, "xi1")
 
     def thresholds(ks):
         with np.errstate(under="ignore"):
             return cfg.C2 * np.exp(np.log(ks) - ks * math.log(cfg.delta))
 
     s_eff = _clamped(s, cfg)
-    return _k_star(thresholds, _start_index(beta_sp, cfg, "xi1"), cfg, s_eff, s_eff)
-
-
-def _wl_window_top(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig) -> int:
-    """The last index of the sup window of ``wl_from_sp`` on the grid ``s``, or 0 where
-    k_max admits no k*(s): ``_wl_table`` raises that CapError."""
-    try:
-        return int(_wl_k_star(beta_sp, s, cfg).max())
-    except CapError:
-        return 0
-
-
-def _wl_table(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig, kept=None) -> Tabulated:
-    """The table of ``wl_from_sp`` on the checked grid ``s``.
-
-    Where ``kept`` holds n*xi1(delta^(-n+1)) on [n0, k] for a k at or
-    past every k*(s), as the walk of ``_sl_map`` hands it back, the sup
-    window is read from it instead of being evaluated again; kernel rows
-    do not depend on their block, so the values are the same.
-    """
-    n0 = _start_index(beta_sp, cfg, "xi1")
-    k_star = _wl_k_star(beta_sp, s, cfg)
-    k_hi = int(k_star.max())
-    if kept is not None and k_hi - n0 < kept.size:
-        seq = kept[: k_hi - n0 + 1]
-    else:
-        seq = _xi1_terms(beta_sp, cfg, np.arange(n0, k_hi + 1))
+    k_star = _k_star(thresholds, n0, cfg, s_eff, s_eff)
+    seq = _xi1_terms(beta_sp, cfg, np.arange(n0, int(k_star.max()) + 1))
     if np.any(np.isnan(seq)):
         bad = n0 + int(np.flatnonzero(np.isnan(seq))[0])
         raise MathDomainError(
@@ -1279,7 +1258,7 @@ def _wl_map(beta_wl: RateFunction, s: np.ndarray, cfg: TransformConfig) -> tuple
     the table of ``sp_from_wl``.
     """
     s_eff = _clamped(s, cfg)
-    verdict, k_star, _, _ = _walk(beta_wl, cfg, s_eff)
+    verdict, k_star, _ = _walk(beta_wl, cfg, s_eff)
 
     def table() -> LogTabulated:
         _s_grid(s)

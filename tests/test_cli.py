@@ -525,25 +525,48 @@ class TestVerify:
 
     def test_one_sp2sl_sequence(self, runner, tmp_path, kernel_rows):
         # The SP-to-SL verdict and table read one sequence on [n0, N_max], and
-        # the SP-to-WL map reads its [n0, k*] sup window from it.
+        # the SP-to-WL map then evaluates its own [n0, k*] sup window.
         res = runner.invoke(
             main,
             ["verify", "--birth-death", "4,1,2,11", "--s-grid", "1e-3,1,6", "--seed", "7", "--out", str(tmp_path / "o")],
         )
         assert res.exit_code == 0, res.output
-        (sequence,) = (_row_indices([rows]) for rows in kernel_rows)
-        assert np.array_equal(sequence, np.arange(sequence[0], 401))
+        walk, window = (_row_indices([rows]) for rows in kernel_rows)
+        assert np.array_equal(walk, np.arange(walk[0], 401))
+        assert np.array_equal(window, np.arange(walk[0], 8))
         assert json.loads((tmp_path / "o" / "report.json").read_text())["wl_transform_degenerate"] is False
 
-    def test_each_xi1_row_once_on_the_n41_chain(self, runner, tmp_path, kernel_rows):
+    def test_two_kernel_calls_on_the_n41_chain(self, runner, tmp_path, kernel_rows):
+        # Two kernel calls: the walk's [n0, N_max], then wl_from_sp's [n0, k*] at s = 1e-3.
         res = runner.invoke(
             main,
             ["verify", "--birth-death", "4,1,2,41", "--s-grid", "1e-3,1,6", "--seed", "7", "--out", str(tmp_path / "o")],
         )
         assert res.exit_code == 0, res.output
-        _each_once(kernel_rows, 400)
-        assert _row_indices(kernel_rows).min() == 3
+        assert len(kernel_rows) == 2
+        _each_once(kernel_rows[:1], 400)
+        assert _row_indices(kernel_rows[1:]).tolist() == [3, 4, 5, 6, 7]
+        assert _row_indices(kernel_rows[:1]).min() == 3
         assert (tmp_path / "o" / "transformed_wl.csv").exists()
+
+    def test_wl_cap_error_after_the_sp2sl_files(self, runner, tmp_path):
+        # k_max = 5 admits no k* of the SP-to-WL map at s = 1e-3: the SP-to-SL
+        # verdict and table are written first, and the run stops with the cap error.
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+        cfg.write_text(json.dumps({"k_max": 5}))
+        res = runner.invoke(
+            main,
+            ["verify", "--birth-death", "4,1,2,11", "--s-grid", "1e-3,1,6", "--seed", "7", "--config", str(cfg),
+             "--out", str(out)],
+        )
+        assert res.exit_code == 5, res.output
+        assert "no admissible k <= k_max=5 for s=0.001; increase k_max" in res.output
+        empirical = [f"empirical_{kind.lower()}.{ext}" for kind in KINDS for ext in ("csv", "json")]
+        for name in [*empirical, "verdict_sp2sl.json", "transformed_sl.csv"]:
+            assert (out / name).exists(), name
+        assert not (out / "transformed_wl.csv").exists()
+        assert not (out / "report.json").exists()
+        assert json.loads((out / "manifest.json").read_text())["pass"] is False
 
     def test_inconclusive_sp2sl_verdict_is_reported(self, runner, tmp_path, monkeypatch):
         real = cli._sl_map

@@ -982,7 +982,7 @@ class TestSlWalk:
         ns, vals = whole_xi1_sequence(beta, cfg)
         want = check_vanishing((ns, vals), cfg)
         for s in _sl_grids(ns, vals, cfg, transforms._ROWS):
-            verdict, k_star, _, _ = transforms._walk(beta, cfg, s, sequence="xi1")
+            verdict, k_star, _ = transforms._walk(beta, cfg, s, sequence="xi1")
             assert (verdict.status, verdict.sequence_tail) == (want.status, want.sequence_tail)
             assert verdict.trend_slope == pytest.approx(want.trend_slope, rel=1e-12, nan_ok=True)
             assert _outcome(lambda: transforms._n_zero(beta, k_star, s, cfg)) == _outcome(
@@ -1041,13 +1041,6 @@ class TestSlWalk:
         with pytest.raises(CapError, match=f"qualifying set for s=1e-09 reaches N_max={cfg.N_max}; increase N_max"):
             sl_from_sp(ExpPower(C=1.0, theta=0.5), [1e-9, 1e-2], cfg)
 
-    def test_kept_rows(self):
-        beta, cfg = ExpPower(C=1.0, theta=0.6), TransformConfig(N_max=3 * transforms._ROWS + 17)
-        ns, vals = whole_xi1_sequence(beta, cfg)
-        for keep in (0, ns[0] - 1, ns[0], 40, transforms._ROWS + 5, cfg.N_max, cfg.N_max + 9):
-            kept = transforms._walk(beta, cfg, sequence="xi1", keep=keep)[3]
-            _assert_same_bits(kept, vals[: max(keep - ns[0] + 1, 0)])
-
     def test_parent_peak_is_bounded(self, one_core):
         # The whole-array path peaked at 14.0 MB at N_max = 4e5 and 49.7 MB at 1.6e6.
         one_core()
@@ -1079,6 +1072,24 @@ class TestSp2slWindow:
         cfg = TransformConfig(n0=1500, N_max=3000)
         with pytest.raises(ConfigError, match="no s-window"):
             transforms.sp2sl_window(self.BETA, cfg, 100, 1000)
+
+
+class TestWl2spWindow:
+    BETA = LogPower(C=1.0, q=0.5)
+    CFG = TransformConfig(N_max=1000, k_max=1000)
+
+    @pytest.mark.parametrize("n_near, n_far, clamped", [(5, 2000, (5, 1000)), (1, 400, (2, 400)), (-7, 10**6, (2, 1000))])
+    def test_indices_clamped_to_the_window(self, n_near, n_far, clamped):
+        assert transforms.wl2sp_window(self.BETA, self.CFG, n_near, n_far) == transforms.wl2sp_window(
+            self.BETA, self.CFG, *clamped)
+
+    def test_empty_window_names_no_nan(self):
+        # The far index 380 lies below n0 = 400 and reads S(400): the window is empty, and S is finite.
+        cfg = TransformConfig(n0=400, N_max=1000, k_max=1000)
+        with pytest.raises(ConfigError, match=r"no s-window between indices 403 and 380 on \[400, 1000\]") as err:
+            with pytest.warns(RuntimeWarning, match="inconclusive"):
+                transforms.wl2sp_window(self.BETA, cfg, 403, 380)
+        assert "nan" not in str(err.value)
 
 
 class TestSlFromSp:
@@ -1152,19 +1163,6 @@ class TestWlFromSp:
         tab = Tabulated(points=((0.001, 1.8), (1.0, 1.2)))
         with pytest.raises(DegenerateTransformError):
             wl_from_sp(tab, log_grid(1e-3, 1.0, 12), CFG)
-
-    @pytest.mark.parametrize("keep", [6, 7, 400])
-    def test_sup_window_read_from_the_xi1_sequence(self, keep, kernel_rows):
-        # k* = 7 at s = 1e-3: the rows the walk keeps to index 7 or later hold
-        # the sup window, those to index 6 do not and the window is evaluated.
-        beta, s = ExpPower(C=1.0, theta=0.5), log_grid(1e-3, 1.0, 6)
-        cfg = TransformConfig(k_max=400, N_max=400)
-        assert transforms._wl_window_top(beta, s, cfg) == 7
-        kept = transforms._sl_map(beta, s, cfg, keep)[2]
-        want = wl_from_sp(beta, s, cfg).points
-        kernel_rows.clear()
-        assert transforms._wl_table(beta, s, cfg, kept).points == want
-        assert len(kernel_rows) == (keep < 7)
 
 
 class TestSpFromWl:

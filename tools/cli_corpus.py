@@ -82,6 +82,10 @@ INPUTS = {
     "n_max_200000.json": json.dumps({"N_max": 200000}),
     # A WL window of 61 blocks of 2^15 and a part, whose crossings all lie left of its last half.
     "n_max_2000000.json": json.dumps({"N_max": 2000000, "k_max": 2000000}),
+    # k_max admits no k*(s) of the SP-to-WL map: verify stops after the SP-to-SL files.
+    "k_max_5.json": json.dumps({"k_max": 5}),
+    # n0 lies above example11 wl2sp's far index 380, which the window clamps into [n0, N_max].
+    "n0_400.json": json.dumps({"n0": 400, "k_max": 1000, "N_max": 1000}),
 }
 
 _DIRECTIONS = {"sp2sl": "exp_power", "sp2wl": "exp_power", "sl2sp": "poly_power", "wl2sp": "log_power"}
@@ -130,6 +134,8 @@ def _runs() -> list:
         ("transform-wl2sp-n-max-2000000", [
             "transform", "--direction", "wl2sp", "--ratefn", "rate_log_power.json", "--s-grid", "2e-3,0.1,20",
             "--config", "n_max_2000000.json"]),
+        ("verify-chain-11-k-max-5", ["verify", "--birth-death", "4,1,2,11", *_VERIFY, "--config", "k_max_5.json"]),
+        ("example11-wl2sp-n0-400", ["example11", "--theta", "2", "--branch", "wl2sp", "--config", "n0_400.json"]),
     ]
     sp2sl = ["transform", "--direction", "sp2sl", "--s-grid", "0.1,1,9"]
     runs += [
