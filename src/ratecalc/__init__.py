@@ -26,7 +26,6 @@ from .ratefn import (
 )
 from .transforms import (
     ConditionVerdict,
-    GridSpec,
     TransformConfig,
     check_vanishing,
     log_grid,

@@ -199,20 +199,17 @@ def main():
 @click.option("--kernel", type=click.Choice(["xi1", "xi2"]), required=True)
 @click.option("--ratefn", "ratefn_path", type=click.Path(), required=True)
 @click.option("--t-grid", "t_grid", required=True, help="min,max,count (log-spaced)")
-@click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_cli_errors
-def cmd_xi(run, kernel, ratefn_path, t_grid, config_path):
+def cmd_xi(run, kernel, ratefn_path, t_grid):
     """Evaluate a kernel on a t-grid and emit CSV (columns t,xi)."""
-    run.start(f"xi {kernel}", ratefn_path, config_path)
+    run.start(f"xi {kernel}", ratefn_path)
     beta = _load_ratefn(ratefn_path)
-    cfg = _load_config(config_path)
-    run.resolved_config = cfg.to_json_dict()
     ts = _parse_grid(t_grid, "t-grid")
     run.make_out_dir()
 
     # math.log, as xi1 and xi2 take it: np.log can differ in the last bit.
-    vals = _kernel_min(beta, np.array([math.log(t) for t in ts.tolist()]), cfg, kernel)
+    vals = _kernel_min(beta, np.array([math.log(t) for t in ts.tolist()]), kernel)
     rows = [(_fmt(t), "undefined" if np.isnan(v) else _fmt(v)) for t, v in zip(ts, vals)]
     run.csv("xi.csv", "t,xi", rows)
     run.finish(True, f"{kernel} evaluated at {len(rows)} points")

@@ -139,7 +139,7 @@ def _require_finite(obj) -> None:
     """Refuse an infinite number among the fields of the dataclass ``obj``, in field order.
 
     The range checks before it have refused NaN; fields that hold no
-    number (None, a nested config, a table) are skipped.
+    number (None, a table) are skipped.
     """
     for f in dataclasses.fields(obj):
         v = getattr(obj, f.name)

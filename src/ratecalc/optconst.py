@@ -108,6 +108,9 @@ _INFLATION = 1e-9
 # backward stable, adds a small multiple of n eps times that norm; by
 # Weyl's inequality the gap moves by at most their sum.
 _GAP_ERROR = 4.0
+# Relative slack of the brute-force oracle's Poincare cut: its tiles are
+# bounded with the gap scaled down by this much.
+_CUT_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -211,14 +214,18 @@ def _form_gap(form: FiniteDirichletForm) -> Optional[SpectralGap]:
         return None
 
 
+def _gap_error(sg: SpectralGap) -> float:
+    """A bound on the relative error of the computed gap: _GAP_ERROR n^2 eps largest/gap."""
+    return _GAP_ERROR * sg.certificate.size**2 * np.finfo(float).eps * sg.largest / sg.gap
+
+
 def _sp_floor_from(sg: Optional[SpectralGap]) -> float:
     """(1 + margin)/gap, with the computed gap's error bound as margin: from there on
     Var(|f|) <= E(f)/gap puts mu(f^2) - s E(f) at or below mu(|f|)^2, so SP's supremum is
     its floor 1 (inf where the form has no gap)."""
     if sg is None:
         return math.inf
-    margin = _GAP_ERROR * sg.certificate.size**2 * np.finfo(float).eps * sg.largest / sg.gap
-    return (1.0 + margin) / sg.gap
+    return (1.0 + _gap_error(sg)) / sg.gap
 
 
 @dataclass(frozen=True)
@@ -741,8 +748,8 @@ def _tile_bounds(
 
     Given the spectral gap (WP only; None where the oracle cannot trust
     it), Var(f) <= E(f)/gap also bounds the value by 1/lam -
-    s*sup2_lo/E_hi, with lam the gap scaled down by 1e-9 relative.  Near the
-    constant direction, where E is tiny, the rounding of Var (an O(1)
+    s*sup2_lo/E_hi, with lam the gap scaled down by _CUT_SLACK relative.
+    Near the constant direction, where E is tiny, the rounding of Var (an O(1)
     cancellation) divided by E can lift a computed Var/E above 1/gap, so
     this cut is taken only on tiles whose E_lo keeps that lift under a
     quarter of the margin.
@@ -790,8 +797,8 @@ def _tile_bounds(
     spread = (np.abs(a_hi) + s * np.abs(b_hi)) / np.where(bounded, c_lo, 1.0)
     bound = np.where(bounded, bound + pad * (1.0 + np.abs(bound) + spread), math.inf)
     if gap is not None:
-        cut = E_lo * 1e-9 >= 4.0 * pad * (1.0 + s) * gap
-        poincare = 1.0 / (gap * (1.0 - 1e-9)) - s * sup2_lo / np.where(cut, E_hi, 1.0)
+        cut = E_lo * _CUT_SLACK >= 4.0 * pad * (1.0 + s) * gap
+        poincare = 1.0 / (gap * (1.0 - _CUT_SLACK)) - s * sup2_lo / np.where(cut, E_hi, 1.0)
         bound = np.where(cut, np.minimum(bound, poincare + pad * (1.0 + np.abs(poincare))), bound)
     return bound
 
@@ -846,11 +853,9 @@ def brute_force_oracle(
     if form.n == 1:
         return max(best, float(_oracle_values(kind, np.ones((1, 1)), s, form.mu, edges, e_floor).max()))
     sg = _form_gap(form) if signed else None
-    gap = None if sg is None else sg.gap
-    # eigh's error is about 1e-15 of the generator's norm, here bounded
-    # by Gershgorin: the cut's 1e-9 margin covers it for gaps over 1e-6 of that.
-    if gap is not None and gap < 1e-6 * 2.0 * float(np.max(form.totals)) / float(np.min(form.mu)):
-        gap = None
+    # The Poincare cut scales the gap down by _CUT_SLACK relative, so it is
+    # taken only where the computed gap's error bound stays within that.
+    gap = sg.gap if sg is not None and _gap_error(sg) <= _CUT_SLACK else None
     tiles = _AngleTiles(form.n, resolution, signed)
     # Bounded in slabs of _ORACLE_BLOCK // 4 tiles: the bound's temporaries,
     # some twenty arrays of n x slab floats, stay within an evaluation block's.

@@ -6,8 +6,11 @@ The two kernels are infimum transforms over a trade-off radius r > 0:
     xi1(t) = inf { r / (1 - t*beta_SP(r)) : 1 - t*beta_SP(r) > 0 }
     xi2(t) = inf { r / (t - beta_SL(r))   : t - beta_SL(r) > 0 }
 
-with an empty feasible set reported as Undefined.  The four maps
-between rate functions are
+with an empty feasible set reported as Undefined.  Like the paper's,
+they are functions of beta and t alone: the infimum runs over a fixed
+base grid of 600 points log-spaced over [1e-8, 1e8], extended at an
+edge where an argmin lands there, and one local refinement
+(_kernel_block).  The four maps between rate functions are
 
     wl_from_sp: beta_WL(s) = C1 * inf{ sup_{n0<=n<=k} n*xi1(delta^(-n+1))
                                        : k >= n0, C2*k*delta^-k <= s }
@@ -122,7 +125,7 @@ import functools
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -142,7 +145,6 @@ from .errors import (
 from .ratefn import _FAMILIES, ExtendedValue, LogTabulated, RateFunction, Tabulated
 
 __all__ = [
-    "GridSpec",
     "TransformConfig",
     "ConditionVerdict",
     "xi1",
@@ -174,6 +176,15 @@ _REFINE_POINTS = 21
 # none and 0.50-0.74 s at 512 rows (2-core x86 machine).
 _REFINE_ROWS = 512
 
+# The kernels' base r-grid: _R_COUNT points log-spaced over [_R_MIN, _R_MAX].
+# It is no setting: over 5 families, both kernels and 200 t in [1e-12, 1e3],
+# doubling the count moved xi1 and xi2 by at most 4.8e-5 relative, and a
+# range of [1e-3, 1e3] or [1e-12, 1e12] at the same density by at most
+# 1.0e-4, since the grid is extended wherever an argmin lands on an edge.
+_R_MIN = 1e-8
+_R_MAX = 1e8
+_R_COUNT = 600
+
 # Grid extension budget when the minimiser falls outside the base grid.
 _R_ABS_MIN = 1e-280
 _R_ABS_MAX = 1e280
@@ -195,7 +206,7 @@ _ROWS = 4096
 
 # Indices per task of the WL walk: 16 blocks of 2^15.  On a 2-core x86
 # machine such a group takes 8-11 ms, about as long as a kernel block of
-# _ROWS rows on the default r-grid (8-15 ms).
+# _ROWS rows on the base r-grid (8-15 ms).
 _GROUP = 1 << 19
 
 # Relative slack of the WL walk's block bounds (``_bounded_blocks``): an s
@@ -232,45 +243,16 @@ def log_grid(lo: float, hi: float, count: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Log-spaced search grid for the kernel infimum over r."""
-
-    r_min: float = 1e-8
-    r_max: float = 1e8
-    count: int = 600
-
-    def __post_init__(self):
-        _number_fields(self, "r_grid")
-        if not (self.r_min > 0 and self.r_min < self.r_max):
-            raise ConfigError("grid requires 0 < r_min < r_max")
-        if self.count < 100:
-            raise ConfigError("grid count must be at least 100")
-        _require_finite(self)
-
-    def points(self) -> np.ndarray:
-        return np.geomspace(self.r_min, self.r_max, self.count)
-
-    @property
-    def step_ratio(self) -> float:
-        return (self.r_max / self.r_min) ** (1.0 / (self.count - 1))
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GridSpec":
-        return cls(**_json_fields(d, cls, "r_grid"))
-
-
-@dataclass(frozen=True)
 class TransformConfig:
-    """Free constants of the rate-function maps plus numeric grid settings.
+    """Free constants of the rate-function maps, their index caps and the verdict's slope tolerance.
 
     The maps hold for arbitrary positive constants C1..C6, any
     delta > 2 and any start index n0 >= 2, so all of them default to 1
     (delta to 4) and are exposed here.  n0 = None auto-detects the
     smallest usable kernel index; s0 = None disables clamping (the
-    formula is evaluated on the whole caller grid).
+    formula is evaluated on the whole caller grid).  k_max and N_max cap
+    the index windows.  The kernels' r-grid is not a setting: see
+    _R_MIN, _R_MAX and _R_COUNT.
     """
 
     delta: float = 4.0
@@ -283,7 +265,6 @@ class TransformConfig:
     C5: float = 1.0
     C6: float = 1.0
     theta_cond: float = 1.0
-    r_grid: GridSpec = field(default_factory=GridSpec)
     k_max: int = 400
     N_max: int = 400
     slope_tol: float = 0.1
@@ -310,10 +291,7 @@ class TransformConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TransformConfig":
-        kwargs = _json_fields(d, cls, "config")
-        if "r_grid" in kwargs:
-            kwargs["r_grid"] = GridSpec.from_json_dict(kwargs["r_grid"])
-        return cls(**kwargs)
+        return cls(**_json_fields(d, cls, "config"))
 
 
 def _json_fields(d, cls, what: str) -> dict:
@@ -498,7 +476,7 @@ def _refine_rows(
     return out
 
 
-def _kernel_min(beta: RateFunction, log_ts: np.ndarray, cfg: TransformConfig, kind: str) -> np.ndarray:
+def _kernel_min(beta: RateFunction, log_ts: np.ndarray, kind: str) -> np.ndarray:
     """Kernel values for a vector of log(t); NaN marks Undefined.
 
     Rows do not depend on each other, so they are evaluated in blocks of
@@ -509,16 +487,16 @@ def _kernel_min(beta: RateFunction, log_ts: np.ndarray, cfg: TransformConfig, ki
     log_ts = np.asarray(log_ts, dtype=float)
     out = np.empty(log_ts.shape)
     starts = range(0, log_ts.size, _ROWS)
-    blocks = _in_order(lambda i: _kernel_block(beta, log_ts[i : i + _ROWS], cfg, kind), starts)
+    blocks = _in_order(lambda i: _kernel_block(beta, log_ts[i : i + _ROWS], kind), starts)
     for i, vals in zip(starts, blocks):
         out[i : i + _ROWS] = vals
     return out
 
 
-def _kernel_block(beta: RateFunction, log_ts: np.ndarray, cfg: TransformConfig, kind: str) -> np.ndarray:
+def _kernel_block(beta: RateFunction, log_ts: np.ndarray, kind: str) -> np.ndarray:
     """Kernel values for a block of log(t); NaN marks Undefined.
 
-    The infimum is taken over the configured log-spaced r-grid with one
+    The infimum is taken over the base log-spaced r-grid with one
     local refinement pass.  Emptiness of the feasible set and the
     vanishing infimum at r -> 0 are decided analytically from the tail
     limits of beta, so neither is a grid artifact.  When the grid argmin
@@ -544,9 +522,9 @@ def _kernel_block(beta: RateFunction, log_ts: np.ndarray, cfg: TransformConfig, 
 
     idx_todo = np.flatnonzero(todo)
     lts = log_ts[idx_todo]
-    base = cfg.r_grid.points()
-    ratio = cfg.r_grid.step_ratio
-    per_decade = (cfg.r_grid.count - 1) / math.log10(cfg.r_grid.r_max / cfg.r_grid.r_min)
+    base = np.geomspace(_R_MIN, _R_MAX, _R_COUNT)
+    ratio = (_R_MAX / _R_MIN) ** (1.0 / (_R_COUNT - 1))
+    per_decade = (_R_COUNT - 1) / math.log10(_R_MAX / _R_MIN)
 
     best = np.full(lts.shape, np.inf)
     center = np.full(lts.shape, np.nan)
@@ -565,26 +543,19 @@ def _kernel_block(beta: RateFunction, log_ts: np.ndarray, cfg: TransformConfig, 
 
     # Minimiser at (or feasibility beyond) a grid edge: extend in that
     # direction with the same per-decade density until the argmin moves
-    # inside or the absolute budget runs out.
-    lo_edge = cfg.r_grid.r_min
-    while left_rows.size and lo_edge > _R_ABS_MIN:
-        new_lo = max(lo_edge * 10.0 ** (-_EXT_DECADES), _R_ABS_MIN)
-        count = max(int(math.ceil(math.log10(lo_edge / new_lo) * per_decade)) + 1, 8)
-        grid = np.geomspace(new_lo, lo_edge, count)
-        vals, argm = sweep(left_rows, grid)
-        left_rows = left_rows[(argm == 0) & np.isfinite(vals)]
-        lo_edge = new_lo
-
-    hi_edge = cfg.r_grid.r_max
-    while right_rows.size and hi_edge < _R_ABS_MAX:
-        new_hi = min(hi_edge * 10.0 ** _EXT_DECADES, _R_ABS_MAX)
-        count = max(int(math.ceil(math.log10(new_hi / hi_edge) * per_decade)) + 1, 8)
-        grid = np.geomspace(hi_edge, new_hi, count)
-        vals, argm = sweep(right_rows, grid)
-        feasible = np.isfinite(vals)
-        still_infeasible = ~feasible & ~np.isfinite(best[right_rows])
-        right_rows = right_rows[((argm == grid.size - 1) & feasible) | still_infeasible]
-        hi_edge = new_hi
+    # inside or the absolute budget runs out.  A row keeps going while its
+    # argmin sits at the far end of the extension or it has no feasible
+    # point yet; only rows on the right can lack one.
+    for rows, edge, decades in ((left_rows, _R_MIN, -_EXT_DECADES), (right_rows, _R_MAX, _EXT_DECADES)):
+        while rows.size and _R_ABS_MIN < edge < _R_ABS_MAX:
+            new_edge = min(max(edge * 10.0 ** decades, _R_ABS_MIN), _R_ABS_MAX)
+            lo, hi = sorted((edge, new_edge))
+            count = max(int(math.ceil(math.log10(hi / lo) * per_decade)) + 1, 8)
+            grid = np.geomspace(lo, hi, count)
+            vals, argm = sweep(rows, grid)
+            far = argm == (0 if decades < 0 else grid.size - 1)
+            rows = rows[(far & np.isfinite(vals)) | ~np.isfinite(best[rows])]
+            edge = new_edge
 
     if np.any(~np.isfinite(best)):
         # Feasibility was certified analytically, so this can only mean
@@ -600,17 +571,15 @@ def _as_log_t(t: float) -> float:
     return math.log(_scalar(t, "kernel argument t"))
 
 
-def xi1(beta_sp: RateFunction, t: float, cfg: Optional[TransformConfig] = None) -> ExtendedValue:
+def xi1(beta_sp: RateFunction, t: float) -> ExtendedValue:
     """Infimum of r / (1 - t*beta_SP(r)) over the feasible r > 0."""
-    cfg = cfg or TransformConfig()
-    val = _kernel_min(beta_sp, np.array([_as_log_t(t)]), cfg, "xi1")[0]
+    val = _kernel_min(beta_sp, np.array([_as_log_t(t)]), "xi1")[0]
     return ExtendedValue.undefined() if math.isnan(val) else ExtendedValue.finite(val)
 
 
-def xi2(beta_sl: RateFunction, t: float, cfg: Optional[TransformConfig] = None) -> ExtendedValue:
+def xi2(beta_sl: RateFunction, t: float) -> ExtendedValue:
     """Infimum of r / (t - beta_SL(r)) over the feasible r > 0."""
-    cfg = cfg or TransformConfig()
-    val = _kernel_min(beta_sl, np.array([_as_log_t(t)]), cfg, "xi2")[0]
+    val = _kernel_min(beta_sl, np.array([_as_log_t(t)]), "xi2")[0]
     return ExtendedValue.undefined() if math.isnan(val) else ExtendedValue.finite(val)
 
 
@@ -840,7 +809,7 @@ def _fold_verdict(parts, layout: _Layout, cfg: TransformConfig) -> ConditionVerd
 
 def _xi1_terms(beta_sp: RateFunction, cfg: TransformConfig, ns: np.ndarray) -> np.ndarray:
     """n*xi1(delta^(-n+1)) at the integers ``ns`` (perhaps integral floats) in one kernel call; NaN = Undefined."""
-    return ns * _kernel_min(beta_sp, -(ns - 1) * math.log(cfg.delta), cfg, "xi1")
+    return ns * _kernel_min(beta_sp, -(ns - 1) * math.log(cfg.delta), "xi1")
 
 
 def sp2sl_condition(beta_sp: RateFunction, cfg: Optional[TransformConfig] = None) -> ConditionVerdict:
@@ -1308,7 +1277,7 @@ def sp_from_sl(beta_sl: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     n0 = _start_index(beta_sl, cfg, "xi2")
 
     def xi2_at(ks):
-        return _kernel_min(beta_sl, np.log(ks * math.log(cfg.delta)), cfg, "xi2")
+        return _kernel_min(beta_sl, np.log(ks * math.log(cfg.delta)), "xi2")
 
     s_eff = _clamped(s, cfg)
     k_star = _k_star(xi2_at, n0, cfg, cfg.C6 * s_eff, s_eff)

@@ -124,9 +124,9 @@ def kernel_rows(monkeypatch, tmp_path):
     folder.mkdir()
     real = transforms._kernel_min
 
-    def recording(beta, log_ts, cfg, kind):
+    def recording(beta, log_ts, kind):
         np.save(folder / f"{time.monotonic_ns()}-{os.getpid()}.npy", np.array(log_ts, dtype=float))
-        return real(beta, log_ts, cfg, kind)
+        return real(beta, log_ts, kind)
 
     monkeypatch.setattr(transforms, "_kernel_min", recording)
     return _Calls(folder)

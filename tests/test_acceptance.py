@@ -63,11 +63,11 @@ class TestCriterion1Kernels:
         inv = InversePower(a=1.0, p=1.0)
         worst1 = 0.0
         for t in np.geomspace(1e-3, 1e3, 20):
-            v = xi1(inv, float(t), CFG).value
+            v = xi1(inv, float(t)).value
             worst1 = max(worst1, abs(v - 4 * t) / (4 * t))
         worst2 = 0.0
         for t in np.geomspace(1.0, 1e3, 20):
-            v = xi2(inv, float(t), CFG).value
+            v = xi2(inv, float(t)).value
             worst2 = max(worst2, abs(v - 4 / t**2) / (4 / t**2))
         elapsed = time.perf_counter() - t0
         ok = worst1 < 1e-4 and worst2 < 1e-4 and elapsed < 1.0
@@ -298,12 +298,12 @@ class TestCriterion5Properties:
         for _ in range(200):
             beta = families[int(rng.integers(0, len(families)))](rng)
             t1, t2 = sorted(rng.uniform(1e-6, 2.0, 2))
-            v1, v2 = xi1(beta, float(t1), CFG), xi1(beta, float(t2), CFG)
+            v1, v2 = xi1(beta, float(t1)), xi1(beta, float(t2))
             if v1.is_finite and v2.is_finite:
                 assert v1.value <= v2.value * (1 + 1e-6) + 1e-12
                 checked += 1
             u1, u2 = sorted(rng.uniform(0.5, 1e4, 2))
-            w1, w2 = xi2(beta, float(u1), CFG), xi2(beta, float(u2), CFG)
+            w1, w2 = xi2(beta, float(u1)), xi2(beta, float(u2))
             if w1.is_finite and w2.is_finite:
                 assert w2.value <= w1.value * (1 + 1e-6) + 1e-12
                 checked += 1

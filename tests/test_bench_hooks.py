@@ -16,11 +16,12 @@ from ratecalc import (
     sp_from_wl,
     wl2sp_condition,
     wl_from_sp,
+    xi1,
 )
 import ratecalc
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACED_MAPS = ("sp_from_wl", "wl2sp_condition", "sl_from_sp", "sp2sl_condition", "sp_from_sl", "wl_from_sp")
+TRACED_MAPS = ("sp_from_wl", "wl2sp_condition", "sl_from_sp", "sp2sl_condition", "sp_from_sl", "wl_from_sp", "xi1")
 
 
 def test_tracer_hooks_cover_the_benchmark_metrics(monkeypatch):
@@ -41,6 +42,7 @@ def test_tracer_hooks_cover_the_benchmark_metrics(monkeypatch):
             ratecalc.sp2sl_condition(InversePower(a=1.0, p=1.0), cfg)
             ratecalc.sp_from_sl(PolyPower(C=1.0, p=1.0), [0.05, 0.5], cfg)
             ratecalc.wl_from_sp(InversePower(a=1.0, p=1.0), [0.2, 1.0], cfg)
+            ratecalc.xi1(InversePower(a=1.0, p=1.0), 0.5)
 
         tracer.op = 0
         tracer.call("op.maps", maps)
@@ -50,7 +52,7 @@ def test_tracer_hooks_cover_the_benchmark_metrics(monkeypatch):
     assert ratecalc.sp_from_wl is sp_from_wl and ratecalc.wl2sp_condition is wl2sp_condition
     assert ratecalc.sl_from_sp is sl_from_sp and ratecalc.sp_from_sl is sp_from_sl
     assert ratecalc.sp2sl_condition is sp2sl_condition
-    assert ratecalc.wl_from_sp is wl_from_sp
+    assert ratecalc.wl_from_sp is wl_from_sp and ratecalc.xi1 is xi1
 
     for name in TRACED_MAPS:
         spans = tracer.named(f"transforms.{name}")

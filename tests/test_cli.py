@@ -64,8 +64,22 @@ class TestXi:
         assert res.exit_code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["pass"] is True
+        assert (manifest["config_paths"], manifest["resolved_config"]) == ([rf], {})
         for name in manifest["outputs"]:
             assert (out / name).exists()
+
+    def test_config_option_is_refused(self, runner, tmp_path):
+        # The kernels read no config: xi takes no --config.
+        rf = _write_ratefn(tmp_path / "rf.json", {"family": "constant", "B": 1.0})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        out = tmp_path / "out"
+        res = runner.invoke(
+            main, ["xi", "--kernel", "xi1", "--ratefn", rf, "--t-grid", "0.1,1,3", "--config", str(cfg), "--out", str(out)]
+        )
+        assert res.exit_code == 2
+        assert "No such option" in res.output and "--config" in res.output
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "kernel,family,grid,undefined",
@@ -310,21 +324,17 @@ class TestTransform:
         [
             ([], "config must be a JSON object"),
             (3, "config must be a JSON object"),
-            ({"r_grid": 5}, "r_grid must be a JSON object"),
-            ({"r_grid": [1e-8, 1e8]}, "r_grid must be a JSON object"),
-            ({"r_grid": {"cnt": 1200}}, "unknown r_grid keys: ['cnt']"),
+            # The kernels' r-grid is no setting.
+            ({"r_grid": {"count": 1200}}, "unknown config keys: ['r_grid']"),
             ({"delta": "4"}, "'delta' must be a number"),
             ({"n0": "abc"}, "'n0' must be a number"),
             ({"k_max": True}, "'k_max' must be a number"),
             ({"C2": None}, "'C2' must be a number"),
-            ({"r_grid": {"r_min": "1e-3"}}, "'r_min' must be a number"),
             ({"k_max": 2.9}, "'k_max' must be an integer"),
             ({"n0": 3.5}, "'n0' must be an integer"),
             ({"N_max": 1e400}, "'N_max' must be an integer"),
-            ({"r_grid": {"count": 700.5}}, "'count' must be an integer"),
             ({"delta": 10**400}, "'delta' out of range: an integer past double range"),
             ({"N_max": 10**400}, "'N_max' out of range: an integer past double range"),
-            ({"r_grid": {"count": 10**400}}, "'count' out of range: an integer past double range"),
         ],
     )
     def test_malformed_config_exits_2(self, runner, tmp_path, config, message):
@@ -351,7 +361,6 @@ class TestTransform:
             ({"theta_cond": math.inf}, "theta_cond must be finite"),
             ({"slope_tol": math.inf}, "slope_tol must be finite"),
             ({"s0": math.inf}, "s0 must be finite"),
-            ({"r_grid": {"r_max": math.inf}}, "r_max must be finite"),
         ],
     )
     def test_infinite_config_exits_2(self, runner, tmp_path, config, message):
@@ -375,7 +384,7 @@ class TestTransform:
     def test_integral_floats_and_nulls_are_accepted(self, runner, tmp_path):
         rf = _write_ratefn(tmp_path / "rf.json", {"family": "inverse_power", "a": 1.0, "p": 1.0})
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n0": 2.0, "s0": None, "k_max": 500.0, "r_grid": {"r_min": 1, "count": 601.0}}))
+        cfg.write_text(json.dumps({"n0": 2.0, "s0": None, "k_max": 500.0, "delta": 4, "C2": 1}))
         out = tmp_path / "o"
         res = runner.invoke(
             main,
@@ -385,7 +394,9 @@ class TestTransform:
         assert res.exit_code == 0, res.output
         resolved = json.loads((out / "manifest.json").read_text())["resolved_config"]
         assert (resolved["n0"], resolved["s0"], resolved["k_max"]) == (2, None, 500)
-        assert resolved["r_grid"] == {"r_min": 1.0, "r_max": 1e8, "count": 601}
+        # integral floats read as ints, and a float field written as an int keeps it
+        assert [type(resolved[k]) for k in ("n0", "k_max", "delta", "C2")] == [int] * 4
+        assert (resolved["delta"], resolved["C2"]) == (4, 1)
 
 
 class TestExample11:

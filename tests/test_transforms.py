@@ -15,7 +15,6 @@ from ratecalc import (
     Constant,
     ConfigError,
     ExpPower,
-    GridSpec,
     InversePower,
     LogPower,
     LogTabulated,
@@ -42,6 +41,7 @@ from ratecalc.errors import DegenerateTransformError
 from conftest import MANY_CORES
 
 CFG = TransformConfig()
+R_GRID = np.geomspace(transforms._R_MIN, transforms._R_MAX, transforms._R_COUNT)  # the kernels' base grid
 
 
 def dense_xi1(beta_eval, t, lo=1e-10, hi=1e10, count=2_000_001):
@@ -85,27 +85,27 @@ class _Scaled(RateFunction):
 class TestKernels:
     def test_xi1_inverse_power_closed_form(self):
         inv = InversePower(a=1.0, p=1.0)
-        v = xi1(inv, 0.5, CFG).value
+        v = xi1(inv, 0.5).value
         assert v == pytest.approx(2.0, rel=1e-4)
         oracle = dense_xi1(lambda r: 1.0 / r, 0.5)
         assert v == pytest.approx(oracle, rel=1e-5)
 
     def test_xi1_constant_vanishing_infimum(self):
-        v = xi1(Constant(B=2.0), 0.25, CFG)
+        v = xi1(Constant(B=2.0), 0.25)
         assert v.is_finite and v.value == 0.0
 
     def test_xi1_constant_empty_feasible_set(self):
-        assert xi1(Constant(B=2.0), 1.0, CFG).is_undefined
+        assert xi1(Constant(B=2.0), 1.0).is_undefined
 
     def test_xi2_inverse_power_closed_form(self):
         inv = InversePower(a=1.0, p=1.0)
-        v = xi2(inv, 2.0, CFG).value
+        v = xi2(inv, 2.0).value
         assert v == pytest.approx(1.0, rel=1e-4)
         oracle = dense_xi2(lambda r: 1.0 / r, 2.0)
         assert v == pytest.approx(oracle, rel=1e-5)
 
     def test_xi2_constant_undefined(self):
-        assert xi2(Constant(B=5.0), 4.0, CFG).is_undefined
+        assert xi2(Constant(B=5.0), 4.0).is_undefined
 
     def test_xi1_exp_power_log_order(self):
         # For beta(r) = exp(C(1+r**-theta)) the kernel is bounded above
@@ -113,7 +113,7 @@ class TestKernels:
         beta = ExpPower(C=1.0, theta=0.5)
         ratios = []
         for t in np.geomspace(1e-8, 1e-3, 15):
-            v = xi1(beta, float(t), CFG).value
+            v = xi1(beta, float(t)).value
             ratios.append(v * math.log1p(1.0 / t) ** 2)
         assert 1.0 < min(ratios) <= max(ratios) < 4.0
         assert max(ratios) / min(ratios) < 2.5
@@ -122,7 +122,7 @@ class TestKernels:
         beta = PolyPower(C=1.0, p=1.0)
         ratios = []
         for t in np.geomspace(100.0, 1e5, 15):
-            v = xi2(beta, float(t), CFG).value
+            v = xi2(beta, float(t)).value
             ratios.append(v * t**2)
         assert 3.9 < min(ratios) <= max(ratios) < 4.2
 
@@ -137,7 +137,7 @@ class TestKernels:
         for beta in betas:
             for _ in range(25):
                 t1, t2 = sorted(rng.uniform(1e-6, 0.3, 2))
-                v1, v2 = xi1(beta, float(t1), CFG), xi1(beta, float(t2), CFG)
+                v1, v2 = xi1(beta, float(t1)), xi1(beta, float(t2))
                 if v1.is_finite and v2.is_finite:
                     assert v1.value <= v2.value * (1 + 1e-6) + 1e-12
 
@@ -147,7 +147,7 @@ class TestKernels:
         for beta in betas:
             for _ in range(25):
                 t1, t2 = sorted(rng.uniform(1.0, 1e4, 2))
-                v1, v2 = xi2(beta, float(t1), CFG), xi2(beta, float(t2), CFG)
+                v1, v2 = xi2(beta, float(t1)), xi2(beta, float(t2))
                 if v1.is_finite and v2.is_finite:
                     assert v2.value <= v1.value * (1 + 1e-6) + 1e-12
 
@@ -155,7 +155,7 @@ class TestKernels:
         base = PolyPower(C=1.0, p=1.0)
         scaled = _Scaled(base, 2.0)
         for t in (1e-4, 1e-3, 1e-2):
-            v1, v2 = xi1(base, t, CFG), xi1(scaled, t, CFG)
+            v1, v2 = xi1(base, t), xi1(scaled, t)
             if v1.is_finite and v2.is_finite:
                 assert v2.value >= v1.value * (1 - 1e-6) - 1e-12
 
@@ -163,32 +163,28 @@ class TestKernels:
         base = PolyPower(C=1.0, p=1.0)
         scaled = _Scaled(base, 0.5)
         for t in (10.0, 100.0, 1e3):
-            v1, v2 = xi2(base, t, CFG), xi2(scaled, t, CFG)
+            v1, v2 = xi2(base, t), xi2(scaled, t)
             if v1.is_finite and v2.is_finite:
                 assert v2.value <= v1.value * (1 + 1e-6) + 1e-12
 
-    def test_grid_refinement_stability(self):
-        fine = TransformConfig(r_grid=GridSpec(count=1200))
+    def test_grid_refinement_stability(self, monkeypatch):
         inv = InversePower(a=1.0, p=1.0)
         exp = ExpPower(C=1.0, theta=0.5)
-        for t in np.geomspace(1e-3, 1e3, 8):
-            a = xi1(inv, float(t), CFG).value
-            b = xi1(inv, float(t), fine).value
-            assert abs(a - b) <= 0.01 * abs(b)
-        for t in np.geomspace(1e-6, 1e-3, 5):
-            a = xi1(exp, float(t), CFG).value
-            b = xi1(exp, float(t), fine).value
-            assert abs(a - b) <= 0.01 * abs(b)
-        for t in np.geomspace(10.0, 1e3, 5):
-            a = xi2(PolyPower(C=1.0, p=1.0), float(t), CFG).value
-            b = xi2(PolyPower(C=1.0, p=1.0), float(t), fine).value
-            assert abs(a - b) <= 0.01 * abs(b)
+        cases = [(xi1, inv, t) for t in np.geomspace(1e-3, 1e3, 8)]
+        cases += [(xi1, exp, t) for t in np.geomspace(1e-6, 1e-3, 5)]
+        cases += [(xi2, PolyPower(C=1.0, p=1.0), t) for t in np.geomspace(10.0, 1e3, 5)]
+        base = [xi(beta, float(t)).value for xi, beta, t in cases]
+        monkeypatch.setattr(transforms, "_R_COUNT", 1200)
+        fine = [xi(beta, float(t)).value for xi, beta, t in cases]
+        assert base != fine  # the count took effect
+        for a, b in zip(base, fine):
+            assert abs(a - b) <= 1e-4 * abs(b)
 
     def test_bad_t_rejected(self):
         with pytest.raises(MathDomainError):
-            xi1(Constant(B=1.0), 0.0, CFG)
+            xi1(Constant(B=1.0), 0.0)
         with pytest.raises(MathDomainError):
-            xi2(Constant(B=1.0), -1.0, CFG)
+            xi2(Constant(B=1.0), -1.0)
 
 
 def dense_grid_pass(beta, log_ts, r, kind):
@@ -245,7 +241,7 @@ class TestMonotoneRowMinima:
     @pytest.mark.parametrize("beta", FAMILIES, ids=lambda b: type(b).__name__ + repr(b.to_json_dict())[:30])
     def test_grid_pass_matches_dense(self, beta, kind):
         rng = np.random.default_rng(5)
-        r = CFG.r_grid.points()
+        r = R_GRID
         log_ts = rng.uniform(*LOG_T_RANGE[kind], 3000)
         log_ts = np.concatenate([log_ts, log_ts[:300], np.full(7, log_ts[0])])  # duplicates
         rng.shuffle(log_ts)
@@ -259,7 +255,7 @@ class TestMonotoneRowMinima:
     def test_infeasible_rows(self, kind):
         # Constant{2}: xi1 is infeasible for t >= 1/2, xi2 for t <= 2.
         beta = Constant(B=2.0)
-        r = CFG.r_grid.points()
+        r = R_GRID
         log_ts = np.log(np.array([0.1, 0.6, 5.0, 0.3, 1.0, 2.0, 0.5, 7.0, 30.0]))
         best, idx = transforms._grid_pass(beta, log_ts, r, kind)
         want_best, want_idx = dense_grid_pass(beta, log_ts, r, kind)
@@ -276,10 +272,10 @@ class TestMonotoneRowMinima:
         rng = np.random.default_rng(6)
         log_ts = np.concatenate([rng.uniform(*LOG_T_RANGE[kind], 400), [LOG_T_RANGE[kind][0]] * 3])
         rng.shuffle(log_ts)
-        got = transforms._kernel_min(beta, log_ts, CFG, kind)
-        single = [transforms._kernel_min(beta, log_ts[i : i + 1], CFG, kind)[0] for i in range(0, 400, 37)]
+        got = transforms._kernel_min(beta, log_ts, kind)
+        single = [transforms._kernel_min(beta, log_ts[i : i + 1], kind)[0] for i in range(0, 400, 37)]
         monkeypatch.setattr(transforms, "_grid_pass", dense_grid_pass)
-        _assert_same_bits(got, transforms._kernel_min(beta, log_ts, CFG, kind))
+        _assert_same_bits(got, transforms._kernel_min(beta, log_ts, kind))
         _assert_same_bits(single, got[0:400:37])
 
     def test_grid_extensions_match_dense(self, monkeypatch):
@@ -299,12 +295,12 @@ class TestMonotoneRowMinima:
             return real(beta, log_ts, r, kind)
 
         monkeypatch.setattr(transforms, "_grid_pass", recording)
-        got = [transforms._kernel_min(beta, lts, CFG, kind) for beta, lts, kind in cases]
-        assert any(hi == CFG.r_grid.r_min for _, hi in grids)  # a left extension ran
-        assert any(lo == CFG.r_grid.r_max for lo, _ in grids)  # a right extension ran
+        got = [transforms._kernel_min(beta, lts, kind) for beta, lts, kind in cases]
+        assert any(hi == transforms._R_MIN for _, hi in grids)  # a left extension ran
+        assert any(lo == transforms._R_MAX for lo, _ in grids)  # a right extension ran
         monkeypatch.setattr(transforms, "_grid_pass", dense_grid_pass)
         for (beta, lts, kind), values in zip(cases, got):
-            _assert_same_bits(values, transforms._kernel_min(beta, lts, CFG, kind))
+            _assert_same_bits(values, transforms._kernel_min(beta, lts, kind))
 
     def test_benchmark_inputs_match_dense(self, monkeypatch):
         # transform sp2sl on ExpPower{1, 1/2} with N_max = 2e5, and
@@ -316,11 +312,11 @@ class TestMonotoneRowMinima:
         inverse = [InversePower(a=a, p=1.0) for a in (0.5, 0.83, 1.37, 2.0)]
         ns = np.arange(n0, cfg.N_max + 1)
         seq = transforms._xi1_terms(beta, cfg, ns)
-        xis = [transforms._kernel_min(b, ts, CFG, "xi1") for b in inverse]
+        xis = [transforms._kernel_min(b, ts, "xi1") for b in inverse]
         monkeypatch.setattr(transforms, "_grid_pass", dense_grid_pass)
         _assert_same_bits(seq, transforms._xi1_terms(beta, cfg, ns))
         for b, got in zip(inverse, xis):
-            _assert_same_bits(got, transforms._kernel_min(b, ts, CFG, "xi1"))
+            _assert_same_bits(got, transforms._kernel_min(b, ts, "xi1"))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -354,7 +350,7 @@ class TestMonotoneRowMinima:
         monkeypatch.setattr(transforms, "_cells", counting)
         beta = ExpPower(C=1.0, theta=0.5)
         log_ts = -np.arange(1, 200_001) * math.log(4.0)
-        r = CFG.r_grid.points()
+        r = R_GRID
         transforms._grid_pass(beta, log_ts, r, "xi1")
         rows, cols = log_ts.size, r.size
         assert sum(cells) < cols * (math.log2(rows) + 2) + 2 * rows
@@ -375,10 +371,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="config field 'n0' must be an integer, got 2.5"):
             sl_from_sp(ExpPower(C=1, theta=0.5), [1e-2, 1e-1], TransformConfig(n0=2.5))
 
-    def test_grid_count_minimum(self):
-        with pytest.raises(ConfigError):
-            GridSpec(count=50)
-
     def test_json_round_trip(self):
         cfg = TransformConfig(delta=3.0, n0=2, s0=0.5, C1=2.0, k_max=100)
         back = TransformConfig.from_json_dict(cfg.to_json_dict())
@@ -390,7 +382,6 @@ class TestConfig:
         assert cfg.to_json_dict() == {
             "delta": cfg.delta, "n0": cfg.n0, "s0": cfg.s0, "C1": cfg.C1, "C2": cfg.C2, "C3": cfg.C3,
             "C4": cfg.C4, "C5": cfg.C5, "C6": cfg.C6, "theta_cond": cfg.theta_cond,
-            "r_grid": {"r_min": 1e-8, "r_max": 1e8, "count": 600},
             "k_max": cfg.k_max, "N_max": cfg.N_max, "slope_tol": cfg.slope_tol,
         }
 
@@ -400,8 +391,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "d,field",
-        [({"delta": 10**400}, "'delta'"), ({"C4": -(10**400)}, "'C4'"), ({"N_max": 10**400}, "'N_max'"),
-         ({"r_grid": {"count": 10**400}}, "'count'")],
+        [({"delta": 10**400}, "'delta'"), ({"C4": -(10**400)}, "'C4'"), ({"N_max": 10**400}, "'N_max'")],
     )
     def test_integer_past_double_range_rejected(self, d, field):
         with pytest.raises(ConfigError, match=f"{field} out of range: an integer past double range"):
@@ -421,14 +411,6 @@ class TestConfig:
         if not integral:
             with pytest.raises(ConfigError, match=f"{name} must be finite"):
                 TransformConfig.from_json_dict({name: math.inf})
-
-    @pytest.mark.parametrize("name", ["r_min", "r_max", "count"])
-    def test_infinite_grid_number_rejected(self, name):
-        with pytest.raises(ConfigError):
-            GridSpec(**{name: math.inf})
-        if name == "r_max":
-            with pytest.raises(ConfigError, match="r_max must be finite"):
-                TransformConfig.from_json_dict({"r_grid": {"r_max": math.inf}})
 
     def test_null_start_and_clamp_admitted(self):
         cfg = TransformConfig.from_json_dict({"n0": None, "s0": None, "delta": 1e300, "C3": 1e-300})
@@ -717,7 +699,7 @@ def old_wl_from_sp_k_star(n0, s, cfg):
 def old_sp_from_sl_k_star(beta, n0, s, cfg):
     """k*(s) of sp_from_sl from one kernel call on the whole window [n0, k_max]."""
     ks = np.arange(n0, cfg.k_max + 1)
-    xi_vals = transforms._kernel_min(beta, np.log(ks * math.log(cfg.delta)), cfg, "xi2")
+    xi_vals = transforms._kernel_min(beta, np.log(ks * math.log(cfg.delta)), "xi2")
     xi_vals = np.where(np.isnan(xi_vals), np.inf, xi_vals)
     s_eff = np.minimum(s, cfg.s0 if cfg.s0 is not None else float(s[-1]))
     idx = np.searchsorted(-np.minimum.accumulate(xi_vals), -cfg.C6 * s_eff)
@@ -1764,11 +1746,11 @@ class TestBlockTasks:
         else:
             beta, log_ts = PolyPower(C=1.0, p=1.0), np.log(ns * math.log(4.0))
         pids = record_pids(transforms, "_kernel_block")
-        got = transforms._kernel_min(beta, log_ts, CFG, kind)
+        got = transforms._kernel_min(beta, log_ts, kind)
         if len(os.sched_getaffinity(0)) > 1:
             assert pids() - {os.getpid()}, "no block ran in a worker"
         one_core()
-        _assert_same_bits(got, transforms._kernel_min(beta, log_ts, CFG, kind))
+        _assert_same_bits(got, transforms._kernel_min(beta, log_ts, kind))
 
     @MANY_CORES
     def test_walk_error_is_the_first_in_walk_order(self, one_core):
@@ -1787,10 +1769,10 @@ class TestBlockTasks:
     def test_kernel_error_is_the_first_in_row_order(self, monkeypatch, one_core):
         real = transforms._kernel_block
 
-        def failing(beta, log_ts, cfg, kind):
+        def failing(beta, log_ts, kind):
             if log_ts.size == transforms._ROWS and log_ts[0] in (starts[3], starts[6]):
                 raise CapError(f"block at {log_ts[0]!r}")
-            return real(beta, log_ts, cfg, kind)
+            return real(beta, log_ts, kind)
 
         log_ts = -np.arange(1, 10 * transforms._ROWS + 1) * math.log(4.0)
         starts = log_ts[:: transforms._ROWS]
@@ -1800,7 +1782,7 @@ class TestBlockTasks:
             if cores:
                 one_core()
             with pytest.raises(CapError) as err:
-                transforms._kernel_min(ExpPower(C=1.0, theta=0.5), log_ts, CFG, "xi1")
+                transforms._kernel_min(ExpPower(C=1.0, theta=0.5), log_ts, "xi1")
             errors.append((type(err.value), str(err.value)))
         assert errors[0] == errors[1] == (CapError, f"block at {starts[3]!r}")
 

@@ -1,6 +1,7 @@
 """Run a fixed corpus of ratecalc CLI invocations and record what each one did.
 
     python tools/cli_corpus.py SRC_ROOT OUT
+    python tools/cli_corpus.py --diff A.json B.json
 
 SRC_ROOT is a checkout of this repository; its ``src`` directory is put
 on PYTHONPATH, so two checkouts can be compared.  Every invocation runs
@@ -11,7 +12,10 @@ and every file it wrote, with manifest.json parsed and its one
 run-dependent field, wall_clock_seconds, removed.  The runs go one after
 another and the JSON is written with sorted keys, so two trees that
 behave the same on the corpus give byte-equal OUT files (compare them
-with ``cmp``).  The package never imports this script.
+with ``cmp``).  With --diff, it compares two such OUT files instead: it
+prints one line per invocation and path (a manifest key, say) where they
+differ, with both values, and exits 1 if it printed any.  The package
+never imports this script.
 """
 
 import json
@@ -76,7 +80,9 @@ INPUTS = {
     "clamp.json": json.dumps({"C4": 2, "s0": 0.3, "delta": 5}),
     "huge_int_config.json": json.dumps({"delta": 10**400}),
     # Integral fields written as floats, and a float field written as an int.
-    "integral_config.json": json.dumps({"k_max": 400.0, "n0": 2.0, "r_grid": {"r_max": 100000000, "count": 600.0}}),
+    "integral_config.json": json.dumps({"k_max": 400.0, "n0": 2.0, "delta": 4}),
+    # The kernels' r-grid is no setting: an unknown key.
+    "r_grid_config.json": json.dumps({"r_grid": {"count": 1200}}),
     "malformed.json": "{not json",
     # A window of 49 blocks of the SP-to-SL walk with a partial top block.
     "n_max_200000.json": json.dumps({"N_max": 200000}),
@@ -147,6 +153,10 @@ def _runs() -> list:
         ("exit2-malformed-form", ["spectrum", "--form", "malformed.json"]),
         ("exit2-huge-int-ratefn", ["xi", "--kernel", "xi1", "--ratefn", "rate_huge_int.json", "--t-grid", "0.01,10,9"]),
         ("exit2-huge-int-config", [*sp2sl, "--ratefn", "rate_exp_power.json", "--config", "huge_int_config.json"]),
+        ("exit2-r-grid-config", [*sp2sl, "--ratefn", "rate_exp_power.json", "--config", "r_grid_config.json"]),
+        ("exit2-xi-config", [
+            "xi", "--kernel", "xi1", "--ratefn", "rate_inverse_power.json", "--t-grid", "0.01,10,9",
+            "--config", "clamp.json"]),
     ]
     return runs
 
@@ -189,9 +199,42 @@ def corpus(src_root: str) -> dict:
     return records
 
 
+_ABSENT = "<absent>"
+
+
+def _diffs(a, b, path: tuple = ()):
+    """(path, a value, b value) of every leaf where the JSON values a and b differ.
+
+    Dicts are walked key by key, a key on one side only read as _ABSENT
+    on the other; any other value is a leaf.
+    """
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            yield from _diffs(a.get(key, _ABSENT), b.get(key, _ABSENT), (*path, key))
+    elif a != b or type(a) is not type(b):
+        yield path, a, b
+
+
+def _short(value) -> str:
+    text = value if value is _ABSENT else json.dumps(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def diff(a_path: str, b_path: str) -> int:
+    """Print one line per invocation and path where the corpus files differ; 1 if any, else 0."""
+    with open(a_path) as fa, open(b_path) as fb:
+        a, b = json.load(fa), json.load(fb)
+    lines = [f"{'/'.join(path)}: {_short(x)} -> {_short(y)}" for path, x, y in _diffs(a, b)]
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
+
+
 def main(argv: list) -> int:
+    if len(argv) == 4 and argv[1] == "--diff":
+        return diff(argv[2], argv[3])
     if len(argv) != 3:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        print("\n".join(line.strip() for line in __doc__.strip().splitlines()[2:4]), file=sys.stderr)
         return 2
     records = corpus(argv[1])
     with open(argv[2], "w") as fh:
