@@ -1,8 +1,10 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import multiprocessing
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -324,17 +326,24 @@ class TestTransform:
         [
             ([], "config must be a JSON object"),
             (3, "config must be a JSON object"),
-            # The kernels' r-grid is no setting.
-            ({"r_grid": {"count": 1200}}, "unknown config keys: ['r_grid']"),
+            # The kernels' r-grid is no setting: r_grid is refused as a key,
+            # before any of the values it once took is read.
+            ({"r_grid": 5}, "unknown config keys: ['r_grid']"),
+            ({"r_grid": [1e-8, 1e8]}, "unknown config keys: ['r_grid']"),
+            ({"r_grid": {"cnt": 1200}}, "unknown config keys: ['r_grid']"),
             ({"delta": "4"}, "'delta' must be a number"),
             ({"n0": "abc"}, "'n0' must be a number"),
             ({"k_max": True}, "'k_max' must be a number"),
             ({"C2": None}, "'C2' must be a number"),
+            ({"r_grid": {"r_min": "1e-3"}}, "unknown config keys: ['r_grid']"),
             ({"k_max": 2.9}, "'k_max' must be an integer"),
             ({"n0": 3.5}, "'n0' must be an integer"),
             ({"N_max": 1e400}, "'N_max' must be an integer"),
+            ({"r_grid": {"count": 700.5}}, "unknown config keys: ['r_grid']"),
             ({"delta": 10**400}, "'delta' out of range: an integer past double range"),
             ({"N_max": 10**400}, "'N_max' out of range: an integer past double range"),
+            ({"r_grid": {"count": 10**400}}, "unknown config keys: ['r_grid']"),
+            ({"r_grid": {"count": 1200}}, "unknown config keys: ['r_grid']"),
         ],
     )
     def test_malformed_config_exits_2(self, runner, tmp_path, config, message):
@@ -361,6 +370,7 @@ class TestTransform:
             ({"theta_cond": math.inf}, "theta_cond must be finite"),
             ({"slope_tol": math.inf}, "slope_tol must be finite"),
             ({"s0": math.inf}, "s0 must be finite"),
+            ({"r_grid": {"r_max": math.inf}}, "unknown config keys: ['r_grid']"),
         ],
     )
     def test_infinite_config_exits_2(self, runner, tmp_path, config, message):
@@ -854,3 +864,58 @@ class TestRunRecord:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["pass"] is False
         assert manifest["outputs"] == []
+
+
+def _corpus_tool():
+    """tools/cli_corpus.py, loaded as a module: the package never imports it."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_corpus.py"
+    spec = importlib.util.spec_from_file_location("cli_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCorpusDiff:
+    """``python tools/cli_corpus.py --diff A.json B.json`` on two corpus records."""
+
+    RECORD = {
+        "xi-inverse-power": {"exit_code": 0, "files": {"manifest.json": {"resolved_config": {"delta": 4.0}}}},
+        "exit2-malformed": {"exit_code": 2, "stderr": "Error: bad\n"},
+    }
+
+    def _diff(self, tmp_path, capsys, a, b):
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa.write_text(json.dumps(a))
+        pb.write_text(json.dumps(b))
+        code = _corpus_tool().main(["cli_corpus.py", "--diff", str(pa), str(pb)])
+        return code, capsys.readouterr().out.splitlines()
+
+    def test_equal_records_print_nothing(self, tmp_path, capsys):
+        assert self._diff(tmp_path, capsys, self.RECORD, json.loads(json.dumps(self.RECORD))) == (0, [])
+
+    def test_one_line_per_differing_path(self, tmp_path, capsys):
+        b = json.loads(json.dumps(self.RECORD))
+        b["xi-inverse-power"]["files"]["manifest.json"]["resolved_config"] = {}
+        b["exit2-malformed"]["exit_code"] = 2.0  # equal as numbers, not as JSON
+        b["exit2-new"] = {"exit_code": 2}
+        code, lines = self._diff(tmp_path, capsys, self.RECORD, b)
+        assert code == 1
+        assert lines == [
+            "exit2-malformed/exit_code: 2 -> 2.0",
+            "exit2-new: <absent> -> {\"exit_code\": 2}",
+            "xi-inverse-power/files/manifest.json/resolved_config/delta: 4.0 -> <absent>",
+        ]
+
+    def test_long_values_are_shortened(self, tmp_path, capsys):
+        a = {"run": {"stdout": "x" * 200}}
+        code, lines = self._diff(tmp_path, capsys, a, {"run": {"stdout": "y"}})
+        assert code == 1
+        assert lines == ["run/stdout: " + '"' + "x" * 76 + "... -> " + '"y"']
+
+    def test_wrong_arguments_print_both_usages(self, tmp_path, capsys):
+        # --diff with one file is a usage error, not a corpus run from SRC_ROOT "--diff" into that file.
+        a = tmp_path / "a.json"
+        assert _corpus_tool().main(["cli_corpus.py", "--diff", str(a)]) == 2
+        assert not a.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["python tools/cli_corpus.py SRC_ROOT OUT", "python tools/cli_corpus.py --diff A.json B.json"]

@@ -265,6 +265,27 @@ def _four_state_path():
     return FiniteDirichletForm(mu=np.full(4, 0.25), edges=[(i, i + 1, 1.0) for i in range(3)])
 
 
+def _exact_gap(form):
+    """The exact gap of a form's stored mu and weights on two or three states.
+
+    The nonzero eigenvalues of M^-1 L are then trace on two states, and the
+    roots of x^2 - trace x + minors on three (minors the sum of the
+    principal 2x2 minors); trace and minors are taken in rationals."""
+    n = form.n
+    m = [Fraction(x) for x in form.mu.tolist()]
+    L = [[Fraction(0)] * n for _ in range(n)]
+    for i, j, w in zip(*(a.tolist() for a in form.edges)):
+        L[i][j] = L[j][i] = -Fraction(w)
+        L[i][i] += Fraction(w)
+        L[j][j] += Fraction(w)
+    trace = sum(L[i][i] / m[i] for i in range(n))
+    if n == 2:
+        return float(trace)
+    assert n == 3
+    minors = sum((L[i][i] * L[j][j] - L[i][j] ** 2) / (m[i] * m[j]) for i in range(n) for j in range(i + 1, n))
+    return float(2 * minors / (trace + Fraction(math.sqrt(trace * trace - 4 * minors))))
+
+
 class TestOracle:
     def test_rejects_large_forms(self):
         rng = np.random.default_rng(30)
@@ -523,6 +544,26 @@ class TestTiledOracle:
         gaps.clear()
         brute_force_oracle(_four_state_path(), "WP", 0.1, 1e-2)
         assert gaps and all(g == spectral_gap(_four_state_path()).gap for g in gaps)
+
+    @pytest.mark.parametrize("name", list(make_fixture_forms()))
+    def test_poincare_cut_kept_where_the_gap_error_is_small(self, fixture_forms, name, monkeypatch):
+        # The oracle and SP's floor share one bound on the computed gap's
+        # error; it is a true bound here, and so far inside the cut's slack
+        # that every tile is bounded with the gap.
+        form = fixture_forms[name]
+        sg = spectral_gap(form)
+        assert abs(sg.gap - _exact_gap(form)) <= optconst._gap_error(sg) * sg.gap
+        assert optconst._gap_error(sg) <= 1e-13 < optconst._CUT_SLACK
+        gaps = []
+        real = optconst._tile_bounds
+
+        def recording(kind, form, s, lo, hi, gap):
+            gaps.append(gap)
+            return real(kind, form, s, lo, hi, gap)
+
+        monkeypatch.setattr(optconst, "_tile_bounds", recording)
+        brute_force_oracle(form, "WP", 0.1, 1e-2)
+        assert gaps and all(g == sg.gap for g in gaps)
 
     def test_prunes_most_of_a_wp_scan(self, fixture_forms, monkeypatch):
         counted = []
@@ -1176,16 +1217,9 @@ class TestGridSolve:
         # (the sum of the principal 2x2 minors) of M^-1 L are taken in rationals.
         form = FiniteDirichletForm(mu=mu, edges=((0, 1, 1.0), (1, 2, weak)))
         sg = spectral_gap(form)
-        m = [Fraction(x) for x in form.mu.tolist()]
-        L = [[Fraction(0)] * 3 for _ in range(3)]
-        for i, j, w in zip(*(a.tolist() for a in form.edges)):
-            L[i][j] = L[j][i] = -Fraction(w)
-            L[i][i] += Fraction(w)
-            L[j][j] += Fraction(w)
-        trace = sum(L[i][i] / m[i] for i in range(3))
-        minors = sum((L[i][i] * L[j][j] - L[i][j] ** 2) / (m[i] * m[j]) for i in range(3) for j in range(i + 1, 3))
-        exact = float(2 * minors / (trace + Fraction(math.sqrt(trace * trace - 4 * minors))))
+        exact = _exact_gap(form)
         assert 1.0 / exact <= optconst._sp_floor_from(sg)
+        assert abs(sg.gap - exact) <= optconst._gap_error(sg) * sg.gap
 
     def test_spectral_gap_once_per_kind(self, fixture_forms, monkeypatch):
         calls = []

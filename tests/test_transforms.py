@@ -1,6 +1,9 @@
+import dataclasses
+import inspect
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -180,6 +183,35 @@ class TestKernels:
         for a, b in zip(base, fine):
             assert abs(a - b) <= 1e-4 * abs(b)
 
+    @pytest.mark.parametrize(
+        "fn, params",
+        [
+            (xi1, ["beta_sp", "t"]),
+            (xi2, ["beta_sl", "t"]),
+            (transforms._kernel_min, ["beta", "log_ts", "kind"]),
+            (transforms._kernel_block, ["beta", "log_ts", "kind"]),
+        ],
+        ids=["xi1", "xi2", "_kernel_min", "_kernel_block"],
+    )
+    def test_kernels_take_beta_and_t_alone(self, fn, params):
+        # As the paper writes them, with no config; a tracer reads xi1's
+        # arguments by the names beta_sp and t.
+        assert list(inspect.signature(fn).parameters) == params
+
+    def test_base_grid_is_the_former_default(self, monkeypatch):
+        # 600 points log-spaced over [1e-8, 1e8], the default of the grid
+        # setting the constants replaced, so no kernel value moved.
+        grids = []
+        real = transforms._grid_pass
+
+        def recording(beta, log_ts, r, kind):
+            grids.append(np.array(r))
+            return real(beta, log_ts, r, kind)
+
+        monkeypatch.setattr(transforms, "_grid_pass", recording)
+        xi2(PolyPower(C=1.0, p=1.0), 10.0)
+        _assert_same_bits(grids[0], np.geomspace(1e-8, 1e8, 600))
+
     def test_bad_t_rejected(self):
         with pytest.raises(MathDomainError):
             xi1(Constant(B=1.0), 0.0)
@@ -215,6 +247,42 @@ def _assert_same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
+
+
+def mirrored_extension_sweeps(grid_pass, beta, lts, kind):
+    """The (log t, r-grid) of every extension sweep of _kernel_block, as
+    two mirrored loops, left edge then right edge, built them."""
+    T = transforms
+    base = np.geomspace(T._R_MIN, T._R_MAX, T._R_COUNT)
+    per_decade = (T._R_COUNT - 1) / math.log10(T._R_MAX / T._R_MIN)
+    vals, argm = grid_pass(beta, lts, base, kind)
+    found = np.isfinite(vals)
+    left_rows = np.flatnonzero((argm == 0) & found)
+    right_rows = np.flatnonzero(((argm == base.size - 1) & found) | ~found)
+    sweeps = []
+
+    lo_edge = T._R_MIN
+    while left_rows.size and lo_edge > T._R_ABS_MIN:
+        new_lo = max(lo_edge * 10.0 ** (-T._EXT_DECADES), T._R_ABS_MIN)
+        count = max(int(math.ceil(math.log10(lo_edge / new_lo) * per_decade)) + 1, 8)
+        grid = np.geomspace(new_lo, lo_edge, count)
+        sweeps.append((lts[left_rows], grid))
+        vals, argm = grid_pass(beta, lts[left_rows], grid, kind)
+        left_rows = left_rows[(argm == 0) & np.isfinite(vals)]
+        lo_edge = new_lo
+
+    hi_edge = T._R_MAX
+    while right_rows.size and hi_edge < T._R_ABS_MAX:
+        new_hi = min(hi_edge * 10.0 ** T._EXT_DECADES, T._R_ABS_MAX)
+        count = max(int(math.ceil(math.log10(new_hi / hi_edge) * per_decade)) + 1, 8)
+        grid = np.geomspace(hi_edge, new_hi, count)
+        sweeps.append((lts[right_rows], grid))
+        vals, argm = grid_pass(beta, lts[right_rows], grid, kind)
+        feasible = np.isfinite(vals)
+        found[right_rows] |= feasible
+        right_rows = right_rows[((argm == grid.size - 1) & feasible) | ~found[right_rows]]
+        hi_edge = new_hi
+    return sweeps
 
 
 FAMILIES = [
@@ -302,6 +370,38 @@ class TestMonotoneRowMinima:
         for (beta, lts, kind), values in zip(cases, got):
             _assert_same_bits(values, transforms._kernel_min(beta, lts, kind))
 
+    @pytest.mark.parametrize(
+        "beta, log_ts, kind",
+        [
+            # argmins below _R_ABS_MIN: the left extension stops there
+            (LogPower(C=1.0, q=0.5), -np.arange(1, 3001) * math.log(4.0), "xi1"),
+            (InversePower(a=1.0, p=1.0), np.log(np.geomspace(1e-12, 1e14, 300)), "xi1"),
+            (InversePower(a=1.0, p=1.0), np.log(np.geomspace(1e-14, 1e12, 300)), "xi2"),
+            # feasible only past r = 1e20 .. 1e140: rows stay in the right loop infeasible
+            (InversePower(a=1.0, p=0.1), np.log(np.geomspace(1e-14, 1e-2, 50)), "xi2"),
+        ],
+        ids=["LogPower-xi1", "InversePower-xi1", "InversePower-xi2", "InversePower-p0.1-xi2"],
+    )
+    def test_extension_loop_builds_the_mirrored_loops_sweeps(self, beta, log_ts, kind, monkeypatch):
+        # _kernel_block extends the base grid at both edges in one loop; it
+        # must sweep the same rows over the same grids, bit for bit, as the
+        # two mirrored loops it replaced.
+        sweeps = []
+        real = transforms._grid_pass
+
+        def recording(beta, lts, r, kind):
+            sweeps.append((np.array(lts), np.array(r)))
+            return real(beta, lts, r, kind)
+
+        monkeypatch.setattr(transforms, "_grid_pass", recording)
+        transforms._kernel_block(beta, log_ts, kind)
+        (lts, base), *extensions = sweeps
+        want = mirrored_extension_sweeps(real, beta, lts, kind)
+        assert extensions and len(extensions) == len(want)
+        for (got_lts, got_grid), (want_lts, want_grid) in zip(extensions, want):
+            _assert_same_bits(got_lts, want_lts)
+            _assert_same_bits(got_grid, want_grid)
+
     def test_benchmark_inputs_match_dense(self, monkeypatch):
         # transform sp2sl on ExpPower{1, 1/2} with N_max = 2e5, and
         # xi --kernel xi1 on InversePower{a, 1} over t in [1e-3, 1e3].
@@ -384,6 +484,22 @@ class TestConfig:
             "C4": cfg.C4, "C5": cfg.C5, "C6": cfg.C6, "theta_cond": cfg.theta_cond,
             "k_max": cfg.k_max, "N_max": cfg.N_max, "slope_tol": cfg.slope_tol,
         }
+
+    @pytest.mark.parametrize(
+        "grid",
+        [{}, {"count": 600}, {"count": 99}, {"count": 10**400}, {"r_min": math.inf}, {"r_max": math.inf}, {"count": math.inf}],
+        ids=["empty", "count-600", "count-99", "count-10**400", "r_min-inf", "r_max-inf", "count-inf"],
+    )
+    def test_r_grid_refused_as_unknown_key(self, grid):
+        # The kernels' r-grid is no setting: a config that holds r_grid, even
+        # the former default written out, is refused by the key alone.
+        with pytest.raises(ConfigError, match=re.escape("unknown config keys: ['r_grid']")):
+            TransformConfig.from_json_dict({"delta": 4.0, "r_grid": grid})
+
+    def test_r_grid_is_no_field(self):
+        assert "r_grid" not in [f.name for f in dataclasses.fields(TransformConfig)]
+        with pytest.raises(TypeError, match="r_grid"):
+            TransformConfig(r_grid={"count": 600})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):

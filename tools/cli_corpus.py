@@ -231,9 +231,9 @@ def diff(a_path: str, b_path: str) -> int:
 
 
 def main(argv: list) -> int:
-    if len(argv) == 4 and argv[1] == "--diff":
+    if argv[1:2] == ["--diff"] and len(argv) == 4:
         return diff(argv[2], argv[3])
-    if len(argv) != 3:
+    if len(argv) != 3 or argv[1] == "--diff":
         print("\n".join(line.strip() for line in __doc__.strip().splitlines()[2:4]), file=sys.stderr)
         return 2
     records = corpus(argv[1])
