@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MathDomainError, SingularityError, _number
+from .errors import ConfigError, MathDomainError, SingularityError, _json_fields, _number
 
 __all__ = [
     "FiniteDirichletForm",
@@ -158,9 +158,10 @@ class FiniteDirichletForm:
     @classmethod
     def from_json_dict(cls, d: dict) -> "FiniteDirichletForm":
         """The form of {"mu": [numbers], "edges": [[i, j, weight], ...]}; anything else raises ConfigError."""
+        d = _json_fields(d, ("mu", "edges"), "form")
         try:
             mu, edges = d["mu"], d["edges"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ConfigError(f"malformed form JSON: {exc}")
         if not isinstance(mu, (list, tuple)) or not isinstance(edges, (list, tuple)):
             raise ConfigError("form JSON 'mu' and 'edges' must be lists")

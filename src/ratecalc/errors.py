@@ -11,7 +11,9 @@ MathDomainError for anything else.  _s_grid is the one s-grid rule.
 _number is the one rule for the numbers an input object is made of (its
 fields, table or form entries, log_grid's and build_birth_death's
 arguments); each constructor applies it, so the JSON readers only check
-structure and keys.
+structure and keys.  _json_fields is the one rule for the shape of an
+input JSON object (a config, a form, a rate function): a JSON object
+whose keys are those its reader takes.
 """
 
 import dataclasses
@@ -104,6 +106,17 @@ def _s_grid(values) -> np.ndarray:
     if not np.all(np.isfinite(s)):
         raise MathDomainError(f"s grid entries must be finite, got {float(s[~np.isfinite(s)][0])!r}")
     return s
+
+
+def _json_fields(d, keys, what: str) -> dict:
+    """The JSON value d, which must be an object whose keys lie among ``keys`` (any key where
+    ``keys`` is None); ConfigError, naming ``what``, refuses any other value."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(d).__name__}")
+    unknown = set(d) - set(d if keys is None else keys)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return d
 
 
 def _number(v, what: str, integral: bool = False):

@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapError, ConfigError, FitError, MathDomainError, _number, _number_fields, _require_finite, _scalar
+from .errors import CapError, ConfigError, FitError, MathDomainError
+from .errors import _json_fields, _number, _number_fields, _require_finite, _scalar
 
 __all__ = [
     "RateFunction",
@@ -443,10 +444,9 @@ def rate_function_from_json(d: dict) -> RateFunction:
     through the number rule, so a bool, a string, Infinity or NaN raises
     ConfigError, as does a key that the family does not take.
     """
-    try:
-        family = d["family"]
-    except (TypeError, KeyError):
+    if "family" not in _json_fields(d, None, "rate function"):
         raise ConfigError("rate function JSON must carry a 'family' key")
+    family = d["family"]
     try:
         cls = _FAMILIES[family]
     except (KeyError, TypeError):

@@ -136,6 +136,7 @@ from .errors import (
     ConfigError,
     DegenerateTransformError,
     MathDomainError,
+    _json_fields,
     _number,
     _number_fields,
     _require_finite,
@@ -244,15 +245,15 @@ def log_grid(lo: float, hi: float, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransformConfig:
-    """Free constants of the rate-function maps, their index caps and the verdict's slope tolerance.
+    """Free constants of the rate-function maps and their index caps.
 
     The maps hold for arbitrary positive constants C1..C6, any
     delta > 2 and any start index n0 >= 2, so all of them default to 1
     (delta to 4) and are exposed here.  n0 = None auto-detects the
-    smallest usable kernel index; s0 = None disables clamping (the
-    formula is evaluated on the whole caller grid).  k_max and N_max cap
-    the index windows.  The kernels' r-grid is not a setting: see
-    _R_MIN, _R_MAX and _R_COUNT.
+    smallest usable kernel index.  Each map is evaluated at min(s, s0)
+    (at s where s0 = None), so it holds its value at s0 above s0.  k_max
+    caps the k-windows, N_max the walks' windows [n0, N_max].  Neither
+    the kernels' r-grid nor the verdict's _SLOPE_TOL is a setting.
     """
 
     delta: float = 4.0
@@ -267,7 +268,6 @@ class TransformConfig:
     theta_cond: float = 1.0
     k_max: int = 400
     N_max: int = 400
-    slope_tol: float = 0.1
 
     def __post_init__(self):
         _number_fields(self, "config")
@@ -282,8 +282,6 @@ class TransformConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.k_max < 2 or self.N_max < 2:
             raise ConfigError("k_max and N_max must be at least 2")
-        if not (self.slope_tol > 0):
-            raise ConfigError("slope_tol must be positive")
         _require_finite(self)
 
     def to_json_dict(self) -> dict:
@@ -291,17 +289,7 @@ class TransformConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TransformConfig":
-        return cls(**_json_fields(d, cls, "config"))
-
-
-def _json_fields(d, cls, what: str) -> dict:
-    """The JSON object d as keyword arguments of ``cls``: a dict whose keys are its fields."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {type(d).__name__}")
-    unknown = set(d) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    return dict(d)
+        return cls(**_json_fields(d, cls.__dataclass_fields__, "config"))
 
 
 @dataclass(frozen=True)
@@ -594,17 +582,16 @@ def _auto_n0_xi1(beta_sp: RateFunction, cfg: TransformConfig) -> int:
     Indices whose argument sits within _EDGE_FRACTION of the
     infeasibility edge t = 1/lim_inf(beta) are skipped: there the kernel
     is finite but inflated by an unbounded constant, which would poison
-    the running supremum.  Any n0 >= 2 is a valid start index.
+    the running supremum.  Any n0 >= 2 is a valid start index.  No cap
+    applies here: sl_from_sp walks [n0, N_max], and wl_from_sp refuses
+    an n0 past k_max when it finds no k*(s) in [n0, k_max].
     """
     log_binf = beta_sp.log_limit_at_inf()
     if log_binf == -math.inf:
         return 2
     # need -(n-1)*log(delta) + log_binf <= log(_EDGE_FRACTION)
     need = (log_binf - math.log(_EDGE_FRACTION)) / math.log(cfg.delta) + 1.0
-    n0 = max(2, int(math.ceil(need - 1e-12)))
-    if n0 > cfg.k_max:
-        raise CapError("auto-detected n0 exceeds k_max; increase k_max or set n0")
-    return n0
+    return max(2, int(math.ceil(need - 1e-12)))
 
 
 def _auto_n0_xi2(beta_sl: RateFunction, cfg: TransformConfig) -> int:
@@ -637,7 +624,7 @@ def _start_index(beta: RateFunction, cfg: TransformConfig, sequence: str) -> int
 # ---------------------------------------------------------------------------
 
 
-def check_vanishing(seq, cfg: TransformConfig) -> ConditionVerdict:
+def check_vanishing(seq) -> ConditionVerdict:
     """Empirical verdict on whether an indexed sequence vanishes.
 
     ``seq`` is a pair (ns, values) of arrays; NaN marks an Undefined
@@ -646,8 +633,8 @@ def check_vanishing(seq, cfg: TransformConfig) -> ConditionVerdict:
     1. any Undefined or +inf entry: fails;
     2. the last quarter is (numerically) all zero: holds;
     3. the last half never decreases: fails;
-    4. the log-log trend slope over the last half is above -slope_tol
-       (the tail is too flat to vanish): fails;
+    4. the log-log trend slope over the last half is above -_SLOPE_TOL
+       = -0.1 (the tail is too flat to vanish): fails;
     5. final value below half the starting value: holds, else
        inconclusive.
     """
@@ -655,7 +642,7 @@ def check_vanishing(seq, cfg: TransformConfig) -> ConditionVerdict:
     ns, vals = np.asarray(ns, dtype=int), np.asarray(vals, dtype=float)
     first, last = (int(ns[0]), int(ns[-1])) if ns.size else (0, 0)
     layout = _verdict_layout(ns.size, first, last)
-    return _fold_verdict([_verdict_part(layout, 0, ns, np.log(ns), vals)], layout, cfg)
+    return _fold_verdict([_verdict_part(layout, 0, ns, np.log(ns), vals)], layout)
 
 
 class _Layout(NamedTuple):
@@ -764,7 +751,12 @@ def _verdict_part(layout: _Layout, pos: int, ns, log_n, vals, scratch=None, chec
     return vals.size, float(vals[0]), float(vals[-1]), finite, pairs, tail_max, half
 
 
-def _fold_verdict(parts, layout: _Layout, cfg: TransformConfig) -> ConditionVerdict:
+# Rule 4 of check_vanishing fails a trend slope above -_SLOPE_TOL.  No setting: every
+# slope that rule 4 met on the package's inputs lies below -0.33 or above -0.003.
+_SLOPE_TOL = 0.1
+
+
+def _fold_verdict(parts, layout: _Layout) -> ConditionVerdict:
     """The rules of ``check_vanishing`` from the ``_verdict_part`` of
     every block of the window, from right to left, the last index first."""
     pos = layout.size
@@ -800,7 +792,7 @@ def _fold_verdict(parts, layout: _Layout, cfg: TransformConfig) -> ConditionVerd
         return ConditionVerdict(HOLDS, tail, slope)
     if not decreases:
         return ConditionVerdict(FAILS, tail, slope)
-    if not (slope < -cfg.slope_tol):
+    if not (slope < -_SLOPE_TOL):
         return ConditionVerdict(FAILS, tail, slope)
     if last < 0.5 * first:
         return ConditionVerdict(HOLDS, tail, slope)
@@ -923,7 +915,7 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
             carry = float(np.maximum(carry, top))
             yield part
 
-    verdict = _fold_verdict(parts(), layout, cfg)
+    verdict = _fold_verdict(parts(), layout)
     k_star = np.empty(s.shape, dtype=np.int64)
     k_star[order] = cfg.N_max + 1 - np.cumsum(whole[:-1]) - crossed
     return verdict, k_star, sup_at
@@ -1080,17 +1072,8 @@ def _gate(verdict: ConditionVerdict, what: str) -> None:
 
 
 def _clamped(s: np.ndarray, cfg: TransformConfig) -> np.ndarray:
-    """The grid s clamped at cfg.s0, or at its own last point where s0 is None."""
-    return np.minimum(s, cfg.s0 if cfg.s0 is not None else float(s[-1]))
-
-
-def _clamp_and_tabulate(s: np.ndarray, values: np.ndarray, s0: Optional[float], table=Tabulated):
-    """The table of values on s, held at its value at s0 above s0; the table takes the monotone envelope."""
-    if s0 is not None:
-        above = s > s0
-        if np.any(above) and np.any(~above):
-            values = np.where(above, values[~above][-1], values)
-    return table(tuple(zip(s.tolist(), values.tolist())))
+    """The s at which a map is evaluated for the grid s: min(s, s0), or s itself where s0 is None."""
+    return s if cfg.s0 is None else np.minimum(s, cfg.s0)
 
 
 def _first_crossing(env: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -1163,7 +1146,7 @@ def _sl_map(beta_sp: RateFunction, s: np.ndarray, cfg: TransformConfig) -> tuple
     def table() -> Tabulated:
         _s_grid(s)
         rates = math.log(cfg.delta) * (1 + _n_zero(beta_sp, k_star, s_eff, cfg))
-        return _clamp_and_tabulate(s, rates, cfg.s0)
+        return Tabulated(tuple(zip(s.tolist(), rates.tolist())))
 
     return verdict, table
 
@@ -1213,7 +1196,7 @@ def wl_from_sp(beta_sp: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
             "kernel sequence vanishes on the sup window; the weak log-Sobolev "
             "content of this input is degenerate (bounded rate function at 0+)"
         )
-    return _clamp_and_tabulate(s, values, cfg.s0)
+    return Tabulated(tuple(zip(s.tolist(), values.tolist())))
 
 
 def _wl_map(beta_wl: RateFunction, s: np.ndarray, cfg: TransformConfig) -> tuple:
@@ -1238,7 +1221,7 @@ def _wl_map(beta_wl: RateFunction, s: np.ndarray, cfg: TransformConfig) -> tuple
                 f"no admissible k <= {k_cap} for s={float(s_eff[over[0]]):g}; increase k_max/N_max"
             )
         log_values = math.log(cfg.C3) + k_star * math.log(cfg.delta)
-        return _clamp_and_tabulate(s, log_values, cfg.s0, LogTabulated)
+        return LogTabulated(tuple(zip(s.tolist(), log_values.tolist())))
 
     return verdict, table
 
@@ -1282,4 +1265,4 @@ def sp_from_sl(beta_sl: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     s_eff = _clamped(s, cfg)
     k_star = _k_star(xi2_at, n0, cfg, cfg.C6 * s_eff, s_eff)
     log_values = math.log(cfg.C5) + k_star * math.log(cfg.delta)
-    return _clamp_and_tabulate(s, log_values, cfg.s0, LogTabulated)
+    return LogTabulated(tuple(zip(s.tolist(), log_values.tolist())))

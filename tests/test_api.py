@@ -95,7 +95,7 @@ FIELD_ENTRIES = {
     for cls, base, what, values in [
         (TransformConfig, {}, "config", {
             "delta": 3.0, "n0": 3, "s0": 3.0, "C1": 3.0, "C2": 3.0, "C3": 3.0, "C4": 3.0, "C5": 3.0, "C6": 3.0,
-            "theta_cond": 3.0, "k_max": 300, "N_max": 300, "slope_tol": 3.0,
+            "theta_cond": 3.0, "k_max": 300, "N_max": 300,
         }),
         (SolverConfig, {}, "solver config", {"restarts": 3, "seed": 3}),
         (ExpPower, {"C": 1.0, "theta": 1.0}, "rate function", {"C": 3.0, "theta": 3.0}),

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from ratecalc import FiniteDirichletForm, KINDS, SolverConfig, SolverError, empirical_rate, log_grid
-from ratecalc import cli, optconst, rate_function_from_json, xi1, xi2
+from ratecalc import cli, optconst, rate_function_from_json, transforms, xi1, xi2
 from ratecalc.cli import main
 
 
@@ -344,6 +344,13 @@ class TestTransform:
             ({"N_max": 10**400}, "'N_max' out of range: an integer past double range"),
             ({"r_grid": {"count": 10**400}}, "unknown config keys: ['r_grid']"),
             ({"r_grid": {"count": 1200}}, "unknown config keys: ['r_grid']"),
+            # The verdict's slope threshold is no setting either.
+            ({"slope_tol": 0.1}, "unknown config keys: ['slope_tol']"),
+        ],
+        ids=[
+            "list", "int", "r_grid-int", "r_grid-list", "r_grid-cnt", "delta-str", "n0-str", "k_max-bool", "C2-null",
+            "r_grid-r_min-str", "k_max-2.9", "n0-3.5", "N_max-1e400", "r_grid-count-700.5", "delta-10**400",
+            "N_max-10**400", "r_grid-count-10**400", "r_grid-count-1200", "slope_tol",
         ],
     )
     def test_malformed_config_exits_2(self, runner, tmp_path, config, message):
@@ -368,10 +375,11 @@ class TestTransform:
             ({"C2": math.inf}, "C2 must be finite"),
             ({"C1": -math.inf}, "C1 must be positive"),
             ({"theta_cond": math.inf}, "theta_cond must be finite"),
-            ({"slope_tol": math.inf}, "slope_tol must be finite"),
+            ({"slope_tol": math.inf}, "unknown config keys: ['slope_tol']"),
             ({"s0": math.inf}, "s0 must be finite"),
             ({"r_grid": {"r_max": math.inf}}, "unknown config keys: ['r_grid']"),
         ],
+        ids=["delta", "C2", "C1", "theta_cond", "slope_tol", "s0", "r_grid-r_max"],
     )
     def test_infinite_config_exits_2(self, runner, tmp_path, config, message):
         # JSON Infinity; {"delta": Infinity} used to exit 0 with beta = 1.88e-280.
@@ -444,12 +452,11 @@ class TestExample11:
         assert ns.max() == 100_000
         assert np.array_equal(np.bincount(ns - n0), np.where(np.arange(100_001 - n0) <= 50_000 - n0, 2, 1))
 
-    def test_sp2sl_failing_condition_exits_4(self, runner, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"slope_tol": 50.0}))
+    def test_sp2sl_failing_condition_exits_4(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(transforms, "_SLOPE_TOL", 50.0)
         res = runner.invoke(
             main,
-            ["example11", "--theta", "0.5", "--branch", "sp2sl", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            ["example11", "--theta", "0.5", "--branch", "sp2sl", "--out", str(tmp_path / "o")],
         )
         assert res.exit_code == 4, res.output
 
@@ -716,6 +723,29 @@ class TestSpectrumAndOptimal:
         out.mkdir()
         res = runner.invoke(main, ["spectrum", "--form", str(p), "--out", str(out)])
         assert res.exit_code == 2, res.output
+        assert json.loads((out / "manifest.json").read_text())["pass"] is False
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    @pytest.mark.parametrize(
+        "form,message",
+        [
+            ([[0.5, 0.5], [[0, 1, 1.0]]], "error: form must be a JSON object, got list"),
+            ({"mu": [0.5, 0.5], "edges": [[0, 1, 1.0]], "weights": 7}, "error: unknown form keys: ['weights']"),
+            ({"edges": [[0, 1, 1.0]]}, "error: malformed form JSON: 'mu'"),
+        ],
+        ids=["list", "unknown-key", "no-mu"],
+    )
+    def test_form_shape_exits_2(self, runner, tmp_path, command, form, message):
+        # The one rule for an input JSON object: a list once failed on Python's "list indices
+        # must be integers or slices", and an unknown key was read past.
+        p = tmp_path / "form.json"
+        p.write_text(json.dumps(form))
+        out = tmp_path / "o"
+        out.mkdir()
+        res = runner.invoke(main, [command, "--form", str(p), "--s-grid", "1e-3,1,6", "--out", str(out)]
+                            if command == "verify" else [command, "--form", str(p), "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
         assert json.loads((out / "manifest.json").read_text())["pass"] is False
 
     def test_repeated_edge_exits_2(self, runner, tmp_path):

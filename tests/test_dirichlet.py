@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -121,6 +122,21 @@ class TestFormValidation:
     )
     def test_malformed_json_is_config_error(self, d):
         with pytest.raises(ConfigError):
+            FiniteDirichletForm.from_json_dict(d)
+
+    @pytest.mark.parametrize(
+        "d,message",
+        [
+            ([[0.5, 0.5], [[0, 1, 1.0]]], "form must be a JSON object, got list"),
+            ("mu", "form must be a JSON object, got str"),
+            ({"mu": [0.5, 0.5], "edges": [[0, 1, 1.0]], "weights": 7}, "unknown form keys: ['weights']"),
+            ({"edges": [[0, 1, 1.0]]}, "malformed form JSON: 'mu'"),
+            ({"mu": [0.5, 0.5]}, "malformed form JSON: 'edges'"),
+        ],
+        ids=["list", "str", "unknown-key", "no-mu", "no-edges"],
+    )
+    def test_json_shape_is_config_error(self, d, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             FiniteDirichletForm.from_json_dict(d)
 
     @pytest.mark.parametrize(

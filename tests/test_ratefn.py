@@ -310,8 +310,13 @@ class TestJson:
             rate_function_from_json({"family": "mystery"})
 
     def test_missing_family(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="rate function JSON must carry a 'family' key"):
             rate_function_from_json({})
+
+    @pytest.mark.parametrize("d", [[1], "exp_power", None], ids=["list", "str", "null"])
+    def test_not_an_object(self, d):
+        with pytest.raises(ConfigError, match=f"rate function must be a JSON object, got {type(d).__name__}"):
+            rate_function_from_json(d)
 
     @pytest.mark.parametrize(
         "d",

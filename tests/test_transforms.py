@@ -482,7 +482,7 @@ class TestConfig:
         assert cfg.to_json_dict() == {
             "delta": cfg.delta, "n0": cfg.n0, "s0": cfg.s0, "C1": cfg.C1, "C2": cfg.C2, "C3": cfg.C3,
             "C4": cfg.C4, "C5": cfg.C5, "C6": cfg.C6, "theta_cond": cfg.theta_cond,
-            "k_max": cfg.k_max, "N_max": cfg.N_max, "slope_tol": cfg.slope_tol,
+            "k_max": cfg.k_max, "N_max": cfg.N_max,
         }
 
     @pytest.mark.parametrize(
@@ -505,6 +505,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TransformConfig.from_json_dict({"delta": 4.0, "bogus": 1})
 
+    @pytest.mark.parametrize("value", [0.1, 50.0, math.inf], ids=["0.1", "50", "inf"])
+    def test_slope_tol_refused_as_unknown_key(self, value):
+        # The verdict's slope threshold is the constant _SLOPE_TOL, no setting.
+        with pytest.raises(ConfigError, match=re.escape("unknown config keys: ['slope_tol']")):
+            TransformConfig.from_json_dict({"slope_tol": value})
+
+    def test_slope_tol_is_no_field(self):
+        assert "slope_tol" not in [f.name for f in dataclasses.fields(TransformConfig)]
+        with pytest.raises(TypeError, match="slope_tol"):
+            TransformConfig(slope_tol=0.1)
+
     @pytest.mark.parametrize(
         "d,field",
         [({"delta": 10**400}, "'delta'"), ({"C4": -(10**400)}, "'C4'"), ({"N_max": 10**400}, "'N_max'")],
@@ -518,7 +529,7 @@ class TestConfig:
         assert (type(cfg.C4), cfg.C4, type(cfg.delta), cfg.N_max) == (int, 2, int, 2**62)
 
     @pytest.mark.parametrize(
-        "name", ["delta", "s0", "C1", "C2", "C3", "C4", "C5", "C6", "theta_cond", "slope_tol", "n0", "k_max", "N_max"]
+        "name", ["delta", "s0", "C1", "C2", "C3", "C4", "C5", "C6", "theta_cond", "n0", "k_max", "N_max"]
     )
     def test_infinite_number_rejected(self, name):
         integral = name in ("n0", "k_max", "N_max")  # refused as non-integral first
@@ -533,7 +544,7 @@ class TestConfig:
         assert (cfg.n0, cfg.s0, cfg.delta, cfg.C3) == (None, None, 1e300, 1e-300)
 
 
-def vanishing_verdict(blocks, size, n_first, n_last, cfg):
+def vanishing_verdict(blocks, size, n_first, n_last):
     """The rules of ``check_vanishing`` over ``size`` entries from the
     (ns, log(ns), vals) pieces ``blocks``, right to left, by the walk's fold."""
     layout = transforms._verdict_layout(size, n_first, n_last)
@@ -544,10 +555,10 @@ def vanishing_verdict(blocks, size, n_first, n_last, cfg):
             pos -= vals.size
             yield transforms._verdict_part(layout, pos, ns, log_n, vals)
 
-    return transforms._fold_verdict(parts(), layout, cfg)
+    return transforms._fold_verdict(parts(), layout)
 
 
-def forward_vanishing_verdict(blocks, size, n_first, n_last, cfg):
+def forward_vanishing_verdict(blocks, size, n_first, n_last):
     """Reference fold: the rules of ``check_vanishing`` over blocks fed
     from left to right, the order the first blocked implementation used."""
     if size < 4:
@@ -602,7 +613,7 @@ def forward_vanishing_verdict(blocks, size, n_first, n_last, cfg):
         return transforms.ConditionVerdict(transforms.HOLDS, tail, slope)
     if not decreases:
         return transforms.ConditionVerdict(transforms.FAILS, tail, slope)
-    if not (slope < -cfg.slope_tol):
+    if not (slope < -transforms._SLOPE_TOL):
         return transforms.ConditionVerdict(transforms.FAILS, tail, slope)
     if last < 0.5 * first:
         return transforms.ConditionVerdict(transforms.HOLDS, tail, slope)
@@ -656,9 +667,9 @@ def _any_sequences(draw):
 
 def _assert_reverse_fold_matches(ns, vals, block):
     chunks = [(ns[i : i + block], vals[i : i + block]) for i in range(0, ns.size, block)]
-    want = forward_vanishing_verdict(chunks, ns.size, int(ns[0]), int(ns[-1]), CFG)
+    want = forward_vanishing_verdict(chunks, ns.size, int(ns[0]), int(ns[-1]))
     reverse = [(n, np.log(n), v) for n, v in chunks[::-1]]
-    got = vanishing_verdict(reverse, ns.size, int(ns[0]), int(ns[-1]), CFG)
+    got = vanishing_verdict(reverse, ns.size, int(ns[0]), int(ns[-1]))
     assert got.status == want.status
     # as arrays, so that NaN entries compare equal
     np.testing.assert_array_equal(np.array(got.sequence_tail), np.array(want.sequence_tail))
@@ -669,33 +680,33 @@ def _assert_reverse_fold_matches(ns, vals, block):
 class TestCheckVanishing:
     def test_one_over_n_holds(self):
         ns = np.arange(2, 401)
-        verdict = check_vanishing((ns, 1.0 / ns), CFG)
+        verdict = check_vanishing((ns, 1.0 / ns))
         assert verdict.status == "holds_empirically"
         assert verdict.trend_slope == pytest.approx(-1.0, abs=1e-6)
 
     def test_constant_fails(self):
         ns = np.arange(2, 401)
-        verdict = check_vanishing((ns, np.ones_like(ns, dtype=float)), CFG)
+        verdict = check_vanishing((ns, np.ones_like(ns, dtype=float)))
         assert verdict.status == "fails_empirically"
 
     def test_undefined_entry_fails(self):
         ns = np.arange(2, 101)
         vals = 1.0 / ns
         vals[10] = np.nan
-        verdict = check_vanishing((ns, vals), CFG)
+        verdict = check_vanishing((ns, vals))
         assert verdict.status == "fails_empirically"
 
     def test_exact_zero_tail_holds(self):
         ns = np.arange(2, 101)
         vals = np.where(ns < 10, 1.0 / ns, 0.0)
-        verdict = check_vanishing((ns, vals), CFG)
+        verdict = check_vanishing((ns, vals))
         assert verdict.status == "holds_empirically"
 
     def test_slow_flattening_fails(self):
         # decreasing but converging to a positive limit
         ns = np.arange(2, 401)
         vals = 0.7 + 1.0 / ns
-        verdict = check_vanishing((ns, vals), CFG)
+        verdict = check_vanishing((ns, vals))
         assert verdict.status == "fails_empirically"
 
     def test_exp_power_theta_one_kernel_sequence_fails(self):
@@ -711,9 +722,9 @@ class TestCheckVanishing:
         # A staircase that only decreases from one block to the next.
         ns = np.arange(2, 402)
         vals = 1.0 / ((ns - 2) // 7 + 1)
-        whole = check_vanishing((ns, vals), CFG)
+        whole = check_vanishing((ns, vals))
         blocks = [(ns[i : i + 7], np.log(ns[i : i + 7]), vals[i : i + 7]) for i in range(0, ns.size, 7)][::-1]
-        verdict = vanishing_verdict(blocks, ns.size, 2, 401, CFG)
+        verdict = vanishing_verdict(blocks, ns.size, 2, 401)
         assert whole.status == "holds_empirically"
         assert verdict.status == whole.status
         assert verdict.sequence_tail == whole.sequence_tail
@@ -734,7 +745,7 @@ class TestCheckVanishing:
     def test_window_too_short_rejected(self):
         ns = np.arange(10, 16)
         with pytest.raises(ConfigError):
-            check_vanishing((ns, 1.0 / ns), CFG)
+            check_vanishing((ns, 1.0 / ns))
 
 
 class TestNZero:
@@ -910,9 +921,8 @@ class TestOneCrossingSearch:
             out = None
         assert got == [want]
         if out is not None:
-            ld = math.log(cfg.delta)
-            assert out.points == transforms._clamp_and_tabulate(
-                np.asarray(grid), ld * (1 + np.array(want)), cfg.s0).points
+            rates = math.log(cfg.delta) * (1 + np.array(want))
+            assert out.points == Tabulated(tuple(zip(np.asarray(grid).tolist(), rates.tolist()))).points
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1078,7 +1088,7 @@ class TestSlWalk:
 
     def _check(self, beta, cfg):
         ns, vals = whole_xi1_sequence(beta, cfg)
-        want = check_vanishing((ns, vals), cfg)
+        want = check_vanishing((ns, vals))
         for s in _sl_grids(ns, vals, cfg, transforms._ROWS):
             verdict, k_star, _ = transforms._walk(beta, cfg, s, sequence="xi1")
             assert (verdict.status, verdict.sequence_tail) == (want.status, want.sequence_tail)
@@ -1106,7 +1116,7 @@ class TestSlWalk:
 
         def reference():
             rates = math.log(cfg.delta) * (1 + whole_n_zero(ns, vals, grid, cfg))
-            return transforms._clamp_and_tabulate(grid, rates, None).points
+            return Tabulated(tuple(zip(grid.tolist(), rates.tolist()))).points
 
         def table_or_cap_error(fn):
             try:
@@ -1124,11 +1134,12 @@ class TestSlWalk:
             sl_from_sp(ExpPower(C=1.0, theta=1.0), [1e-3, 1e-2], cfg)
 
     def test_inconclusive_verdict(self, monkeypatch):
-        # 1 + 1/n decreases with a log-log slope below -slope_tol but ends above half its start.
+        # 1 + 1/n decreases with a log-log slope below -_SLOPE_TOL but ends above half its start.
         monkeypatch.setattr(transforms, "_xi1_terms", lambda beta, cfg, ns: 1.0 + 1.0 / ns)
-        cfg = TransformConfig(n0=2, N_max=3 * transforms._ROWS + 17, slope_tol=1e-6)
+        monkeypatch.setattr(transforms, "_SLOPE_TOL", 1e-6)
+        cfg = TransformConfig(n0=2, N_max=3 * transforms._ROWS + 17)
         ns = np.arange(2, cfg.N_max + 1)
-        want = check_vanishing((ns, 1.0 + 1.0 / ns), cfg)
+        want = check_vanishing((ns, 1.0 + 1.0 / ns))
         assert want.status == "inconclusive"
         verdict = transforms._walk(None, cfg, sequence="xi1")[0]
         assert (verdict.status, verdict.sequence_tail) == (want.status, want.sequence_tail)
@@ -1223,6 +1234,56 @@ class TestSlFromSp:
         out = sl_from_sp(inv, [0.05, 0.1, 0.5, 1.0], cfg)
         assert out.eval(0.5) == out.eval(0.2)
         assert out.eval(1.0) == out.eval(0.2)
+
+
+_CLAMP = TransformConfig(C4=2, s0=0.3, delta=5)
+
+
+class TestS0Clamp:
+    """Each map holds its value at s0 at every knot above s0, whatever knots lie below."""
+
+    @pytest.mark.parametrize(
+        "transform,beta,cfg,grid",
+        [
+            (sl_from_sp, ExpPower(C=1.0, theta=0.5), _CLAMP, log_grid(0.1, 1.0, 9)),
+            (wl_from_sp, ExpPower(C=1.0, theta=4.0), TransformConfig(s0=3e-3, delta=5), [1e-4, 1e-2, 0.1, 1.0]),
+            (sp_from_sl, PolyPower(C=1.0, p=1.0), _CLAMP, log_grid(0.1, 1.0, 9)),
+            (sp_from_sl, PolyPower(C=1.0, p=1.0), TransformConfig(s0=0.05), [0.01, 0.03, 0.07, 0.09]),
+            (sp_from_wl, LogPower(C=1.0, q=0.5), _CLAMP, log_grid(0.1, 1.0, 9)),
+        ],
+        ids=["sl_from_sp", "wl_from_sp", "sp_from_sl", "sp_from_sl-s0-0.05", "sp_from_wl"],
+    )
+    def test_knots_above_s0_hold_the_value_at_s0(self, transform, beta, cfg, grid):
+        def values(table):
+            return [v for _, v in getattr(table, "log_points", None) or table.points]
+
+        (at_s0,) = values(transform(beta, [cfg.s0], cfg))
+        grid = np.asarray(grid)
+        above = grid[grid > cfg.s0]
+        with_below = values(transform(beta, grid, cfg))
+        assert with_below[grid.size - above.size :] == [at_s0] * above.size
+        # Below s0 the map takes s as it is.
+        assert with_below[: grid.size - above.size] == values(transform(beta, grid[grid <= cfg.s0], cfg))
+        # The knot below s0 held another value, which the knots above it once took.
+        assert with_below[grid.size - above.size - 1] != at_s0
+        assert values(transform(beta, above, cfg)) == [at_s0] * above.size
+
+
+class TestKMaxCapsKWindowsOnly:
+    """k_max caps the k-windows; the SP-to-SL walk reads [n0, N_max] whatever k_max is."""
+
+    BETA = ExpPower(C=300.0, theta=0.5)  # auto n0 = 219
+
+    def test_sp2sl_walk_ignores_k_max(self):
+        assert transforms._start_index(self.BETA, TransformConfig(k_max=100), "xi1") == 219
+        small = sp2sl_condition(self.BETA, TransformConfig(k_max=100, N_max=100_000))
+        large = sp2sl_condition(self.BETA, TransformConfig(k_max=1000, N_max=100_000))
+        assert repr(small) == repr(large)
+        assert small.holds
+
+    def test_wl_from_sp_still_refuses_n0_past_k_max(self):
+        with pytest.raises(CapError, match=re.escape("no admissible k <= k_max=100 for s=0.001; increase k_max")):
+            wl_from_sp(self.BETA, [1e-3, 1e-2], TransformConfig(k_max=100, N_max=100_000))
 
 
 class TestWlFromSp:
@@ -1441,7 +1502,7 @@ def old_merge_fit(acc, x, y):
     )
 
 
-def old_vanishing_verdict(blocks, size, n_first, n_last, cfg):
+def old_vanishing_verdict(blocks, size, n_first, n_last):
     """The reverse fold over (ns, vals) blocks, the last index first."""
     if size < 4:
         raise ConfigError("vanishing check needs at least 4 sequence values")
@@ -1494,7 +1555,7 @@ def old_vanishing_verdict(blocks, size, n_first, n_last, cfg):
         return transforms.ConditionVerdict(transforms.HOLDS, tail, slope)
     if not decreases:
         return transforms.ConditionVerdict(transforms.FAILS, tail, slope)
-    if not (slope < -cfg.slope_tol):
+    if not (slope < -transforms._SLOPE_TOL):
         return transforms.ConditionVerdict(transforms.FAILS, tail, slope)
     if last < 0.5 * first:
         return transforms.ConditionVerdict(transforms.HOLDS, tail, slope)
@@ -1519,7 +1580,7 @@ def old_wl_walk(beta_wl, cfg, s=(), at=()):
             sup_at[inside] = rsup[ns[-1] - at[inside]]
             yield ns, g
 
-    verdict = old_vanishing_verdict(blocks(), cfg.N_max - n0 + 1, n0, cfg.N_max, cfg)
+    verdict = old_vanishing_verdict(blocks(), cfg.N_max - n0 + 1, n0, cfg.N_max)
     return verdict, k_star, sup_at
 
 
@@ -1928,7 +1989,7 @@ class TestBlockTasks:
             "from ratecalc import LogPower, TransformConfig, check_vanishing, transforms\n"
             "walk = transforms._walk(LogPower(C=1.0, q=0.25), TransformConfig(k_max=100_000, N_max=100_000))[0]\n"
             "ns = np.arange(2, 40_002)\n"
-            "whole = check_vanishing((ns, ns**-1.5 * (1.0 + 0.5 * np.sin(ns))), TransformConfig())\n"
+            "whole = check_vanishing((ns, ns**-1.5 * (1.0 + 0.5 * np.sin(ns))))\n"
             "print(repr(walk.trend_slope), repr(whole.trend_slope))\n"
         )
         src = os.path.dirname(os.path.dirname(transforms.__file__))

@@ -71,6 +71,8 @@ RATEFNS = {
     "table": {"family": "table", "points": [[0.01, 50.0], [0.1, 5.0], [1.0, 1.0]]},
     "huge_int": {"family": "constant", "B": 10**400},
     "poly_power_int": {"family": "poly_power", "C": 1, "p": 1},
+    # Auto n0 = 219, above k_max = 100 of k_max_100.json.
+    "exp_power_300": {"family": "exp_power", "C": 300.0, "theta": 0.5},
 }
 
 # Every file the runs read, by the relative path they name it with.
@@ -92,6 +94,13 @@ INPUTS = {
     "k_max_5.json": json.dumps({"k_max": 5}),
     # n0 lies above example11 wl2sp's far index 380, which the window clamps into [n0, N_max].
     "n0_400.json": json.dumps({"n0": 400, "k_max": 1000, "N_max": 1000}),
+    # k_max caps the k-windows alone: the SP-to-SL walk reads [n0, N_max] past it.
+    "k_max_100.json": json.dumps({"k_max": 100, "N_max": 100000}),
+    # The vanishing verdict's slope threshold is no setting: an unknown key.
+    "slope_tol_config.json": json.dumps({"slope_tol": 0.1}),
+    # Form files of the wrong shape, refused by the one rule for an input JSON object.
+    "form_list.json": json.dumps([_TWO["mu"], _TWO["edges"]]),
+    "form_unknown_key.json": json.dumps({**_TWO, "weights": 7}),
 }
 
 _DIRECTIONS = {"sp2sl": "exp_power", "sp2wl": "exp_power", "sl2sp": "poly_power", "wl2sp": "log_power"}
@@ -110,6 +119,10 @@ def _runs() -> list:
         args = ["transform", "--direction", direction, "--ratefn", f"rate_{family}.json", "--s-grid", "0.1,1,9"]
         runs.append((f"transform-{direction}", args))
         runs.append((f"transform-{direction}-clamped", [*args, "--config", "clamp.json"]))
+        if direction != "sp2wl":
+            # Every knot above s0 = 0.3: the map holds its value at s0 on each.
+            runs.append((f"transform-{direction}-clamped-above-s0", [
+                *args[:-1], "0.4,1,4", "--config", "clamp.json"]))
     for kernel in ("xi1", "xi2"):
         for family in ("inverse_power", "poly_power", "constant", "log_power", "table"):
             runs.append((f"xi-{kernel}-{family}", [
@@ -142,6 +155,9 @@ def _runs() -> list:
             "--config", "n_max_2000000.json"]),
         ("verify-chain-11-k-max-5", ["verify", "--birth-death", "4,1,2,11", *_VERIFY, "--config", "k_max_5.json"]),
         ("example11-wl2sp-n0-400", ["example11", "--theta", "2", "--branch", "wl2sp", "--config", "n0_400.json"]),
+        ("transform-sp2sl-n0-past-k-max", [
+            "transform", "--direction", "sp2sl", "--ratefn", "rate_exp_power_300.json", "--s-grid", "1,100,5",
+            "--config", "k_max_100.json"]),
     ]
     sp2sl = ["transform", "--direction", "sp2sl", "--s-grid", "0.1,1,9"]
     runs += [
@@ -154,6 +170,9 @@ def _runs() -> list:
         ("exit2-huge-int-ratefn", ["xi", "--kernel", "xi1", "--ratefn", "rate_huge_int.json", "--t-grid", "0.01,10,9"]),
         ("exit2-huge-int-config", [*sp2sl, "--ratefn", "rate_exp_power.json", "--config", "huge_int_config.json"]),
         ("exit2-r-grid-config", [*sp2sl, "--ratefn", "rate_exp_power.json", "--config", "r_grid_config.json"]),
+        ("exit2-slope-tol-config", [*sp2sl, "--ratefn", "rate_exp_power.json", "--config", "slope_tol_config.json"]),
+        ("exit2-list-form", ["spectrum", "--form", "form_list.json"]),
+        ("exit2-unknown-key-form", ["spectrum", "--form", "form_unknown_key.json"]),
         ("exit2-xi-config", [
             "xi", "--kernel", "xi1", "--ratefn", "rate_inverse_power.json", "--t-grid", "0.01,10,9",
             "--config", "clamp.json"]),
