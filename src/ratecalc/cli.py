@@ -11,12 +11,14 @@ the wall clock, which is its only run-dependent field.
 Each run keeps one record (_Run) that writes its files and its
 manifest, so the manifest lists exactly the files that run wrote.  A
 command that stops on an error still writes a manifest, with pass false
-and the error as its summary, once --out exists; files an earlier run
-left in --out are not listed.
+and the error as its summary, once --out exists; so does a usage error
+that click finds in the arguments.  Files an earlier run left in --out
+are not listed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -189,7 +191,49 @@ def _cli_errors(fn):
     return wrapper
 
 
-@click.group()
+def _out_arg(args: list) -> Optional[str]:
+    """The value of the last --out among raw command-line arguments, as click takes it, or None."""
+    out = None
+    for i, arg in enumerate(args):
+        if arg == "--":
+            break
+        if arg == "--out" and i + 1 < len(args):
+            out = args[i + 1]
+        elif arg.startswith("--out="):
+            out = arg[len("--out="):]
+    return out
+
+
+class _Main(click.Group):
+    """The command group.  A usage error that click finds in the arguments
+    (an unknown option, a bad choice, a missing value) writes a failing
+    manifest into --out where that names an existing directory, as a
+    library error does, before click reports it and exits 2."""
+
+    def parse_args(self, ctx, args):
+        ctx.meta["ratecalc.args"] = list(args)
+        with self._manifest_on_usage_error(ctx):
+            return super().parse_args(ctx, args)
+
+    def invoke(self, ctx):
+        with self._manifest_on_usage_error(ctx):
+            return super().invoke(ctx)
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _manifest_on_usage_error(ctx):
+        try:
+            yield
+        except click.UsageError as exc:
+            out = _out_arg(ctx.meta["ratecalc.args"])
+            if out is not None and os.path.isdir(out):
+                run = _Run(out)
+                run.start(ctx.invoked_subcommand or "")
+                run.finish(False, exc.format_message())
+            raise
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__)
 def main():
     """Rate-function transforms and their numerical verification."""

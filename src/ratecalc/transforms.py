@@ -51,27 +51,35 @@ of rows in blocks of _ROWS, so its memory stays bounded.  sp_from_wl
 likewise evaluates beta_WL from log(delta^-n n^-theta).  Each gated map
 walks its index window once, in blocks from N_max down, for both the
 vanishing verdict and the crossing of every s, so its memory is a few
-MB and some 40 bytes per block of the window: sl_from_sp in kernel
+MB and some 100 bytes per block of the window: sl_from_sp in kernel
 blocks of _ROWS rows, sp_from_wl in blocks of _BLOCK = 2^15 indices,
 whose arrays (about 1.5 MB) stay in a core's L2 cache, so the WL walk
-of 1.5e8 indices takes about half as long as in blocks of 2^20.  A block is built in arrays reused from block
-to block, and its log n also serves the verdict's log-log fit.
+of 1.5e8 indices took about half as long as in blocks of 2^20 when it
+read every index.  A block is built in arrays reused from block to
+block, and its log n also serves the verdict's log-log fit.
 sp_from_wl and sp_from_sl return log(beta_SP), exact past double range.
 
-On the package's own rate functions, the WL walk reads the left half
-of its window only where an answer needs it (_bounded_blocks).
-delta^-n n^-theta falls as n grows and such a beta_WL does not
-increase, so on a block [lo, hi] the maximum of g lies between g(hi)
-and g(hi)*hi/lo.  The walk reads every index of the
-verdict's last half, of the lowest block (whose first value the verdict
-reads), of every block at or right of an index of ``at`` and of every
-block where an s that can still admit an index lies between g(hi) and
-that bound.  Of every other block it takes g(hi) alone, all of them in
-one call: the block then admits each such s whole or not at all, and
-the verdict reads nothing else of it.  On the window of 1.5e8 indices
-and 60 s of the benchmark's sp_from_wl, 84 of the 2 288 blocks left of
-the half are read.  A RateFunction of any other class is read in full:
-the walk cannot vouch that it does not rise, or turn NaN inside a block.
+On the package's own rate functions, the WL walk reads only the blocks
+that an answer needs (_bounded_blocks).  delta^-n n^-theta falls as n
+grows and such a beta_WL does not increase, so n*g(n) does not
+decrease, and on a block [lo, hi] cut into 8 sub-blocks [a_j, b_j] the
+maximum of g lies between g(hi) and U = max_j g(b_j)*b_j/a_j.  The walk
+takes g(hi) of every block in one call, and reads every index of the
+top block and the lowest (rule 5's last and first values), of every
+block at or right of an index of ``at``, of every block where an s that
+can still admit an index lies between g(hi) and U, and of every block
+of the last quarter whose bounds straddle rule 2's threshold.  Rule 1
+follows from g(N_max), as every value is finite where it is.  Rule 3
+reads the last half from the top down to its first decrease, the top
+block alone on a vanishing sequence; no step into an index past 1.001e9
+can be one.  Rule 4 fits at most 2^16 strided indices, evaluated apart,
+and the 64 tail picks are evaluated as points.  Every other block gives
+g(hi) alone, and a run of such blocks is folded in one step: it admits
+each such s whole or not at all, and no rule reads more of it.  On the
+window of 1.5e8 indices and 60 s of the benchmark's sp_from_wl, 57-61
+of the 4 578 blocks are read (seeds 1-3).  A RateFunction of any other
+class is read in full: the walk cannot vouch that it does not rise, or
+turn NaN inside a block.
 
 Three loops spread over the usable cores through _in_order: the
 kernel's blocks of rows (the SP-to-SL walk's blocks among them), the WL
@@ -89,13 +97,14 @@ core is usable or the caller is a daemonic process; there is no
 setting.  No value depends on where a task ran: kernel rows do not
 depend on their block, and the verdict's fit sums are numpy's pairwise
 reductions, not BLAS dots, whose rounding depends on the BLAS thread
-count.  The fit sums are merged block by block, so the trend slope of
-a window of several blocks may differ in its last digits from that of
+count.  The fit sums are merged block by block, or chunk by chunk
+where the WL walk fits its sample apart, so the trend slope of a window
+of several blocks may differ in its last digits from that of
 check_vanishing on the whole array.  On a 2-core x86 machine the WL
-walk of 1.5e8 indices and 60 s took 0.90-1.36 s in two workers against
-1.59-1.64 s in one process (1.52-1.96 s and 2.12-2.79 s when it read
-every index), and the 4e5 xi1 rows of example11 sp2sl 0.37-0.42 s
-against 0.49-0.66 s (three runs each).
+walk of 1.5e8 indices and 60 s took 0.03-0.06 s in this process (seeds
+1-3), against 0.90-1.36 s in two workers when it read the whole last
+half, and the 4e5 xi1 rows of example11 sp2sl 0.37-0.42 s in two
+workers against 0.49-0.66 s in one (three runs each).
 
 The grid infimum of a block of T kernel arguments over R grid points is
 a row-minima problem on a (T x R) matrix that is never formed.  Write
@@ -122,6 +131,7 @@ same minima and the same leftmost argmins as a full sweep.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import warnings
@@ -211,11 +221,18 @@ _ROWS = 4096
 _GROUP = 1 << 19
 
 # Relative slack of the WL walk's block bounds (``_bounded_blocks``): an s
-# within it of a bound counts as undecided, and its block is read.  The
-# bounds are g(hi), computed outside its block, and g(hi)*hi/lo; both are
-# a few roundings from exact, and the computed beta_WL keeps its monotone
-# order to a few ulps (tests/test_ratefn.py checks it across log(tiny)).
+# or a threshold within it of a bound counts as undecided, and its block is
+# read.  The bounds are g(hi), computed outside its block, and
+# max_j g(b_j)*b_j/a_j over its sub-blocks; both are a few roundings from
+# exact, and the computed beta_WL keeps its monotone order to a few ulps
+# (tests/test_ratefn.py checks it across log(tiny)).
 _SLACK = 1e-9
+
+# Sub-blocks per block of the WL walk's upper bound.  On the 60 s of
+# maps-deep's window of 1.5e8 indices the bound g(hi)*hi/lo of a whole block
+# left 88-91 blocks undecided, where at most 60 hold a crossing; bounds from
+# 8 sub-blocks leave 54-58 (seeds 1-3, the top and lowest blocks aside).
+_SUB = 8
 
 # Fewest tasks of that size that _in_order hands to forked workers.  A
 # pool of two workers took 15-30 ms to start and join on that machine,
@@ -632,17 +649,36 @@ def check_vanishing(seq) -> ConditionVerdict:
 
     1. any Undefined or +inf entry: fails;
     2. the last quarter is (numerically) all zero: holds;
-    3. the last half never decreases: fails;
-    4. the log-log trend slope over the last half is above -_SLOPE_TOL
-       = -0.1 (the tail is too flat to vanish): fails;
+    3. the last half never decreases (no step falls by more than
+       _DECREASE = 1e-9 of its value): fails;
+    4. the log-log trend slope is above -_SLOPE_TOL = -0.1 (the tail is
+       too flat to vanish): fails;
     5. final value below half the starting value: holds, else
        inconclusive.
+
+    The trend slope is the least-squares slope of log(value) on log(n)
+    over the last-half entries at N_max, N_max - stride, ..., with
+    stride = ceil(half / _FIT_POINTS) and _FIT_POINTS = 2^16: every
+    entry of a last half of at most 2^16 entries, and at most 2^16
+    entries of a longer one.
     """
     ns, vals = seq
     ns, vals = np.asarray(ns, dtype=int), np.asarray(vals, dtype=float)
     first, last = (int(ns[0]), int(ns[-1])) if ns.size else (0, 0)
     layout = _verdict_layout(ns.size, first, last)
     return _fold_verdict([_verdict_part(layout, 0, ns, np.log(ns), vals)], layout)
+
+
+# Rule 3 of check_vanishing counts a step as a decrease where it falls by more
+# than this share of its value.
+_DECREASE = 1e-9
+
+# Rule 4 of check_vanishing fits its slope on at most this many entries of the
+# last half.  No setting: on the WL sequence of LogPower{1, 1/2} (N_max 1e6 and
+# 2e7) the strided fit was within 2.6e-9 relative of the fit on every entry, and
+# on the xi1 rows of ExpPower{1, 1/2} and {1, 3/4} (N_max 2e5 and 4e5) within
+# 1.1e-6; no status moved.
+_FIT_POINTS = 1 << 16
 
 
 class _Layout(NamedTuple):
@@ -652,6 +688,7 @@ class _Layout(NamedTuple):
     tail_start: int  # the last quarter
     half_start: int  # the last half
     picks: np.ndarray  # positions of the verdict's sequence_tail, at most 64 of the last quarter
+    stride: int  # rule 4's sample: positions size - 1, size - 1 - stride, ... of the last half
 
 
 def _verdict_layout(size: int, n_first: int, n_last: int) -> _Layout:
@@ -666,7 +703,7 @@ def _verdict_layout(size: int, n_first: int, n_last: int) -> _Layout:
         picks = np.arange(tail_start, size)
     else:
         picks = tail_start + np.linspace(0, tail_len - 1, 64).astype(int)
-    return _Layout(size, tail_start, half_start, picks)
+    return _Layout(size, tail_start, half_start, picks, -(-(size - half_start) // _FIT_POINTS))
 
 
 def _fit_sums(x: np.ndarray, y: np.ndarray, dx: np.ndarray) -> tuple:
@@ -706,7 +743,7 @@ def _merge_fit(acc: tuple, part: tuple) -> tuple:
 
 
 def _verdict_part(layout: _Layout, pos: int, ns, log_n, vals, scratch=None, check_decrease: bool = True,
-                  finite: Optional[bool] = None) -> tuple:
+                  finite: Optional[bool] = None, fit: bool = True) -> tuple:
     """What the rules of ``check_vanishing`` need of the block ``vals``,
     the entries [pos, pos + vals.size) of the window.
 
@@ -714,13 +751,15 @@ def _verdict_part(layout: _Layout, pos: int, ns, log_n, vals, scratch=None, chec
     as (n, value) pairs, the maximum of the block's part of the last
     quarter or -inf, half).  ``half`` is None for a block left of the
     last half; otherwise (that part finite, it decreases somewhere, its
-    first value, its fit sums or None where it is not finite).  ``ns``
-    may be integral floats.  ``scratch`` is two rows of at least
-    vals.size floats for the last half, made here if None.  Without
-    ``check_decrease`` the decrease test is skipped and reads False: a
-    block on the right, folded before this one, already decreases.
-    ``finite`` tells whether every value is finite, where the caller
-    knows; otherwise it is computed here.
+    first value, the fit sums of its entries in rule 4's sample, or None
+    where it holds none or is not finite).  ``ns`` may be integral
+    floats.  ``scratch`` is two rows of at least vals.size floats for
+    the last half, made here if None.  Without ``check_decrease`` the
+    decrease test is skipped and reads False: a block on the right,
+    folded before this one, already decreases, or the caller settles
+    rule 3 itself.  Without ``fit`` the fit sums are None: the caller
+    fits rule 4's sample itself.  ``finite`` tells whether every value
+    is finite, where the caller knows; otherwise it is computed here.
     """
     if finite is None:
         finite = bool(np.isfinite(vals).all())
@@ -733,21 +772,26 @@ def _verdict_part(layout: _Layout, pos: int, ns, log_n, vals, scratch=None, chec
     half = None
     if h < vals.size:
         half_finite = finite or bool(np.isfinite(vals[h:]).all())
-        decreases, fit = False, None
-        if half_finite:
+        decreases, sums = False, None
+        # the block's first entry in rule 4's sample, which runs down from the window's last
+        p = h + (layout.size - 1 - pos - h) % layout.stride
+        fit = fit and p < vals.size
+        if half_finite and (check_decrease or fit):
             m = vals.size - h
             if scratch is None:
                 scratch = np.empty((2, m))
             if check_decrease:
-                # run[i+1] - run[i] < -1e-9 |run[i]| on the run vals[h:], as in np.diff
+                # run[i+1] - run[i] < -_DECREASE |run[i]| on the run vals[h:], as in np.diff
                 step, bound = scratch[:, : m - 1]
                 np.subtract(vals[h + 1 :], vals[h:-1], out=step)
-                np.multiply(np.abs(vals[h:-1], out=bound), -1e-9, out=bound)
+                np.multiply(np.abs(vals[h:-1], out=bound), -_DECREASE, out=bound)
                 decreases = bool((step < bound).any())
-            y, dx = scratch[:, :m]
-            np.log(np.maximum(vals[h:], 1e-300, out=y), out=y)
-            fit = _fit_sums(log_n[h:], y, dx)
-        half = (half_finite, decreases, float(vals[h]), fit)
+            if fit:
+                x = log_n[p :: layout.stride]
+                y, dx = scratch[:, : x.size]
+                np.log(np.maximum(vals[p :: layout.stride], 1e-300, out=y), out=y)
+                sums = _fit_sums(x, y, dx)
+        half = (half_finite, decreases, float(vals[h]), sums)
     return vals.size, float(vals[0]), float(vals[-1]), finite, pairs, tail_max, half
 
 
@@ -756,9 +800,17 @@ def _verdict_part(layout: _Layout, pos: int, ns, log_n, vals, scratch=None, chec
 _SLOPE_TOL = 0.1
 
 
-def _fold_verdict(parts, layout: _Layout) -> ConditionVerdict:
+def _fold_verdict(parts, layout: _Layout, fit: Optional[tuple] = None) -> ConditionVerdict:
     """The rules of ``check_vanishing`` from the ``_verdict_part`` of
-    every block of the window, from right to left, the last index first."""
+    every block of the window, from right to left, the last index first.
+
+    ``fit`` holds the sums of rule 4's sample where the caller fitted it
+    apart from the blocks; otherwise the parts' sums are merged.  A part
+    may stand for a run of blocks that the caller did not read (see
+    ``_walk``): the caller then vouches that each rule reads exact
+    inputs, or inputs on the same side of its threshold, wherever the
+    rules before it leave the verdict open.
+    """
     pos = layout.size
     first = last = math.nan
     undefined = False
@@ -766,7 +818,7 @@ def _fold_verdict(parts, layout: _Layout) -> ConditionVerdict:
     decreases = False
     half_finite = True
     nxt = None  # the first value of the half window in the block on the right
-    fit = (0, 0.0, 0.0, 0.0, 0.0)
+    sums = (0, 0.0, 0.0, 0.0, 0.0) if fit is None else fit
     pairs = []
     for size, head, end, finite, block_pairs, block_tail_max, half in parts:
         if pos == layout.size:
@@ -780,11 +832,12 @@ def _fold_verdict(parts, layout: _Layout) -> ConditionVerdict:
             half_finite, block_decreases, half_head, block_fit = half
             if half_finite:
                 # a decrease inside the block, or from its last value to the block on the right
-                decreases = decreases or block_decreases or (nxt is not None and nxt - end < -1e-9 * abs(end))
+                decreases = decreases or block_decreases or (nxt is not None and nxt - end < -_DECREASE * abs(end))
                 nxt = half_head
-                fit = _merge_fit(fit, block_fit)
+                if block_fit is not None:
+                    sums = _merge_fit(sums, block_fit)
 
-    slope = fit[4] / fit[3] if half_finite else math.nan
+    slope = sums[4] / sums[3] if half_finite else math.nan
     tail = tuple(pairs)
     if undefined:
         return ConditionVerdict(FAILS, tail, slope)
@@ -845,6 +898,12 @@ def _wl_condition_sequence(
         return np.divide(beta_wl.eval_at_log_many(log_args), ns, out=out)
 
 
+def _wl_at(beta: RateFunction, cfg: TransformConfig, ns) -> np.ndarray:
+    """g = beta_WL(delta^-n n^-theta)/n at the integers ``ns`` in one call: the bits a block read gives there."""
+    ns = np.asarray(ns, dtype=float)
+    return _wl_condition_sequence(beta, cfg, ns, np.log(ns), np.empty_like(ns), np.empty_like(ns))
+
+
 def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str = "wl"):
     """One walk of a gated map's index sequence g on [n0, N_max], in blocks from N_max down.
 
@@ -859,12 +918,22 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
     blocks (``_walk_group``), and this process folds them from right to
     left, carrying S just right of the block.  The xi1 walk reads the
     rows for its own map alone: ``wl_from_sp`` evaluates its sup window
-    itself.  The WL blocks that ``_bounded_blocks`` bounds are not read: their
-    parts follow from g at their last index.  The values do not depend
-    on where a group runs.  Memory holds one block's arrays per process
-    and, for the fold, about 40 bytes per block of the window: g at the
-    last index of each block, and the first index of each block read in
-    its group (about 90 KB for the WL walk of 1.5e8 indices).
+    itself.  The values do not depend on where a group runs.
+
+    The xi1 walk, and the WL walk of a RateFunction outside the
+    package's families or of a window of at most two blocks, read every
+    index.  The WL walk of a family reads the blocks that
+    ``_bounded_blocks`` cannot bound, the top and the lowest among them,
+    and what rule 3 needs: the last half from the top down to its first
+    decrease.  No step into an index at or past _FLAT can be one, so it
+    reads the highest block of the half below _FLAT first, in this
+    process, and every block of the half below that one where it does
+    not decrease.  It takes rule 4's sample (``_sample_fit``) and the
+    tail picks apart, in single calls, and folds each run of blocks it
+    does not read in one step, from g at their last indices.  Memory
+    holds one block's arrays per process and, for the fold, some 100
+    bytes per block of the window (about 0.5 MB for the WL walk of
+    1.5e8 indices).
     """
     n0 = _start_index(beta, cfg, sequence)
     layout = _verdict_layout(cfg.N_max - n0 + 1, n0, cfg.N_max)
@@ -880,42 +949,90 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
 
     block, per = (_BLOCK, max(1, _GROUP // _BLOCK)) if sequence == "wl" else (_ROWS, 1)
     starts = range(n0, cfg.N_max + 1, block)
-    if sequence == "wl" and type(beta) in _FAMILIES.values():
-        tops = _bounded_blocks(beta, cfg, layout, starts, s_sorted, at)
-    else:
-        tops = np.full(len(starts), np.nan)
-    read = np.flatnonzero(np.isnan(tops))[::-1]  # the blocks read, by number, the top one first
-    groups = [starts.start + block * read[i : i + per] for i in range(0, read.size, per)]
     task = functools.partial(_walk_group, beta, cfg, layout, n0, s_sorted, at, sequence, block)
+    tops = np.full(len(starts), np.nan)  # g at the last index of each block not read, NaN at each block read
+    pre, fit = {}, None  # the part of the block read first for rule 3, by number; rule 4's sums where fitted apart
+    if sequence == "wl" and type(beta) in _FAMILIES.values() and len(starts) > 2:
+        tops = _bounded_blocks(beta, cfg, layout, starts, s_sorted, at)
+        picks = _wl_at(beta, cfg, n0 + layout.picks)
+        task = functools.partial(task, fit=False)
+        settled = True  # whether rule 3 needs no more of the blocks read below
+        if math.isfinite(picks[-1]):  # g(N_max) is finite, and so is every value: rules 3 and 4 read them
+            # Rule 3 reads the last half from the top down; no step into an index at or past _FLAT decreases.
+            low, b = layout.half_start // block, min(len(starts) - 1, (_FLAT - 1 - n0) // block)
+            if b >= low:
+                pre[b] = task(np.array([starts[b]]))[0]
+                tops[b] = math.nan
+                if not pre[b][0][6][1]:  # it does not decrease: the walk reads every block of the half below it
+                    tops[low:b] = math.nan
+                    settled = False
+            fit = _sample_fit(beta, cfg, layout, n0, block)
+        if settled:
+            task = functools.partial(task, check_decrease=False)
+    read = np.isnan(tops)
+    main = np.array([b for b in np.flatnonzero(read)[::-1].tolist() if b not in pre], dtype=int)  # read here, top first
+    groups = [starts.start + block * main[i : i + per] for i in range(0, main.size, per)]
+    run_low = np.maximum.accumulate(np.where(read, np.arange(read.size), -1)) + 1  # where each run not read begins
+
+    def run(a: int, b: int) -> tuple:
+        """The verdict part of blocks a..b, none of them read, from g at their last indices.
+
+        They are full blocks with finite bounds, as the top one is read:
+        all finite where g(N_max) is, and their part of the last quarter
+        peaks at or above its g(hi) (see ``_bounded_blocks``).  Rule 3
+        reads none of them, so they decrease nowhere and give no first
+        value to the block on their left.
+        """
+        i, j = layout.picks.searchsorted((a * block, (b + 1) * block))
+        pairs = list(zip((n0 + layout.picks[i:j]).tolist(), picks[i:j].tolist()))
+        quarter = tops[max(a, layout.tail_start // block) : b + 1]
+        half = (True, False, math.nan, None) if b >= layout.half_start // block else None
+        tail_max = float(quarter.max()) if quarter.size else -math.inf
+        return (b - a + 1) * block, math.nan, float(tops[b]), True, pairs, tail_max, half
 
     def blocks():
-        """(verdict part, sup part) of every block, the top block first."""
-        b = len(starts)  # the block above the next one read
-        for group in _in_order(task, groups):
-            for read_parts in group:
-                b -= 1
-                while not math.isnan(tops[b]):  # a bounded block above the next block read: full, left of the half
-                    # No s that can still admit an index lies in [g(hi), max g]: one carry of g(hi) settles them.
-                    top = float(tops[b])
-                    i = int(s_sorted.searchsorted(top))
-                    yield (block, math.nan, math.nan, True, [], -math.inf, None), (top, i, i, None, None, None)
+        """(verdict part, sup part) of every block read, and of every run of blocks between, the top first."""
+        b = len(starts) - 1  # the next block to yield
+
+        def down_to(c: int):
+            """The parts above block c of the block read first for rule 3 and of the runs not read."""
+            nonlocal b
+            while b > c:
+                if b in pre:
+                    yield pre[b]
                     b -= 1
-                yield read_parts
+                else:
+                    a = int(run_low[b])
+                    yield run(a, b), tops[b : a - 1 if a else None : -1]
+                    b = a - 1
+
+        for got, num in zip(itertools.chain.from_iterable(_in_order(task, groups)), main.tolist()):
+            yield from down_to(num)
+            yield got
+            b -= 1
+        yield from down_to(-1)
 
     def parts():
         carry = -math.inf  # S just right of the block
-        for part, (top, i0, i1, counts, inside, local) in blocks():
+        for part, sup in blocks():
             # S(n) = max(local sup, carry) <= s iff both are: only s_sorted[c0:] can admit n.
-            c0 = int(s_sorted.searchsorted(carry))
-            whole[max(c0, i1)] += part[0]
-            if counts is not None:
-                c = max(c0, i0)
-                crossed[c:i1] += counts[c - i0 :]
-                sup_at[inside] = np.maximum(local, carry)
-            carry = float(np.maximum(carry, top))
+            if isinstance(sup, np.ndarray):  # a run not read: g(hi) of each block, the top first
+                # each admits s_sorted[max(c0, i1):] whole, its own i1 the place of g(hi)
+                right = np.maximum.accumulate(np.append(carry, sup[:-1]))
+                np.add.at(whole, np.maximum(s_sorted.searchsorted(right), s_sorted.searchsorted(sup)), block)
+                carry = float(np.maximum(right[-1], sup[-1]))
+            else:
+                top, i0, i1, counts, inside, local = sup
+                c0 = int(s_sorted.searchsorted(carry))
+                whole[max(c0, i1)] += part[0]
+                if counts is not None:
+                    c = max(c0, i0)
+                    crossed[c:i1] += counts[c - i0 :]
+                    sup_at[inside] = np.maximum(local, carry)
+                carry = float(np.maximum(carry, top))
             yield part
 
-    verdict = _fold_verdict(parts(), layout)
+    verdict = _fold_verdict(parts(), layout, fit)
     k_star = np.empty(s.shape, dtype=np.int64)
     k_star[order] = cfg.N_max + 1 - np.cumsum(whole[:-1]) - crossed
     return verdict, k_star, sup_at
@@ -925,43 +1042,100 @@ def _bounded_blocks(beta: RateFunction, cfg: TransformConfig, layout: _Layout, s
     """g at the last index of each block of the WL walk that need not be read, NaN at every other block.
 
     The argument delta^-n n^-theta falls as n grows and beta_WL does not
-    increase, so on a block [lo, hi] g(hi) <= max g <= U = g(hi)*hi/lo.
-    The package's own families keep that contract by construction: the
-    closed forms (tests/test_ratefn.py checks them across log(tiny)) and
-    the tables through their envelope, with finite values wherever g(hi)
-    is finite.  The walk calls this for them alone and reads every block
-    of any other RateFunction, whose values it cannot vouch for: one that
-    rises in s, or is NaN inside a block.  The candidates are the blocks
-    left of the verdict's last half, above the lowest (whose first value
-    the verdict reads) and below every index of ``at`` (whose S needs the
-    exact maximum of every block right of it); their g(hi) come from one
-    call.  A candidate with a finite U is bounded when no s lies in
-    [max(g(hi), R), U], widened by _SLACK, where R is the largest g(hi)
-    of the candidates right of it: an s below R admits nothing there, an
-    s below g(hi) nothing of the block or left of it, and an s above U
-    the whole block.  Any other block is read in full.
+    increase, so n*g(n) does not decrease.  On a block [lo, hi], cut into
+    _SUB sub-blocks [a_j, b_j], that gives g(hi) <= max g <= U, with
+    U = max_j g(b_j)*b_j/a_j.  The package's own families keep that
+    contract by construction: the closed forms (tests/test_ratefn.py
+    checks them across log(tiny)) and the tables through their envelope,
+    with finite values wherever g(hi) is finite.  The walk calls this for
+    them alone and reads every block of any other RateFunction, whose
+    values it cannot vouch for: one that rises in s, or is NaN inside a
+    block.
+
+    g(hi) of every block, and g(n0), come from one call.  The top block
+    and the lowest are read, for rule 5's last and first values, and so
+    is every block at or right of an index of ``at``, whose S needs the
+    exact maximum of every block right of it.  Any other block is read
+    where its bounds leave one of these open, widened by _SLACK:
+      - an s in [max(g(hi), R), U], where R is the largest g(hi) right of
+        it.  An s below R admits nothing there, an s below g(hi) nothing
+        of the block or left of it, and an s above U the whole block.
+      - In the last quarter, rule 2's threshold 1e-12*(1 + |g(n0)|) in
+        [g(hi), U], unless g(N_max) is not finite or a g(hi) there lies
+        above it.  Rule 2 then reads the exact maximum of each block read
+        and g(hi) of every other, which lies on the same side of the
+        threshold as that block's maximum.
+    U comes from the ends of the sub-blocks, one more call, only for the
+    blocks that the bound g(hi)*hi/lo of the whole block leaves open.
     """
-    tops = np.full(len(starts), np.nan)
-    block = starts.step
-    limit = min(starts.start + layout.half_start, int(at.min()) if at.size else cfg.N_max + 1)
-    los = np.arange(starts.start + block, limit - block + 1, block)  # blocks 1, 2, ..., each ending below ``limit``
-    if not los.size:
-        return tops
-    ns, log_n, work, g = np.empty((4, los.size))
-    np.add(los, block - 1, out=ns)
-    np.log(ns, out=log_n)
-    g = _wl_condition_sequence(beta, cfg, ns, log_n, work, g)
-    upper = g * ns / los
-    right = np.append(np.maximum.accumulate(g[::-1])[::-1][1:], -math.inf)
-    low = s_sorted.searchsorted(np.maximum(g, right) * (1.0 - _SLACK))
-    high = s_sorted.searchsorted(upper * (1.0 + _SLACK), side="right")
-    bound = np.isfinite(upper) & (high <= low)
-    tops[1 : 1 + los.size][bound] = g[bound]
-    return tops
+    block, n0 = starts.step, starts.start
+    los = np.arange(n0, cfg.N_max + 1, block)
+    his = np.minimum(los + block - 1, cfg.N_max)
+    g = _wl_at(beta, cfg, np.append(his, n0))
+    tops, thr = g[:-1], 1e-12 * (1.0 + abs(float(g[-1])))
+    read = np.zeros(los.size, dtype=bool)
+    read[[0, -1]] = True
+    if at.size:
+        read[(int(at.min()) - n0) // block :] = True
+    quarter = his >= n0 + layout.tail_start
+    rule2 = math.isfinite(tops[-1]) and not bool((tops[quarter] > thr).any())  # rule 2 left open by g(hi)
+    right = np.append(np.maximum.accumulate(tops[::-1])[::-1][1:], -math.inf)
+    low = s_sorted.searchsorted(np.maximum(tops, right) * (1.0 - _SLACK))
+
+    def open_(i: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """Whether the bounds [g(hi), upper] of the blocks ``i`` leave an s or rule 2 open."""
+        upper = upper * (1.0 + _SLACK)
+        high = s_sorted.searchsorted(upper, side="right")
+        return np.isnan(upper) | (high > low[i]) | (rule2 & quarter[i] & (upper > thr))
+
+    i = np.flatnonzero(~read)
+    i = i[open_(i, tops[i] * his[i] / los[i])]
+    sub = min(_SUB, block)
+    if i.size and sub > 1:
+        a = los[i, None] + np.arange(sub) * block // sub  # the sub-blocks' first indices
+        b = np.append(a[:, 1:] - 1, his[i, None], axis=1)  # and their last
+        gb = np.append(_wl_at(beta, cfg, b[:, :-1].ravel()).reshape(b.shape[0], -1), tops[i, None], axis=1)
+        i = i[open_(i, (gb * b / a).max(axis=1))]
+    read[i] = True
+    return np.where(read, math.nan, tops)
+
+
+# No step into an index at or past _FLAT is a decrease of rule 3 in the WL
+# sequence of a family: beta_WL does not increase, so g(n + 1) >= g(n) n/(n + 1),
+# a fall of at most 1/1.001e9 of g(n), below _DECREASE by far more than the few
+# ulps by which the computed values may stray.
+_FLAT = 1_001_000_000
+
+
+def _sample_fit(beta: RateFunction, cfg: TransformConfig, layout: _Layout, n0: int, block: int) -> tuple:
+    """The fit sums of rule 4's sample of the WL sequence, in chunks of at most ``block`` points, the top first.
+
+    The sample is N_max, N_max - stride, ... down to the last half.
+    Chunk c holds its indices in [n0 + c*block*stride,
+    n0 + (c + 1)*block*stride), so at stride 1 the chunks are the parts
+    of the walk's blocks in the last half, and the sums keep the bits of
+    the walk that reads every index.
+    """
+    stride = layout.stride
+    span = block * stride
+    low = cfg.N_max - (cfg.N_max - n0 - layout.half_start) // stride * stride  # the sample's lowest index
+    rows = np.empty((4, min(block, (cfg.N_max - low) // stride + 1)))
+    sums = (0, 0.0, 0.0, 0.0, 0.0)
+    for c in range((cfg.N_max - n0) // span, (low - n0) // span - 1, -1):
+        lo = max(n0 + c * span, low)
+        lo += (cfg.N_max - lo) % stride  # the chunk's lowest index in the sample
+        hi = min(n0 + (c + 1) * span - 1, cfg.N_max)
+        ns, log_n, y, dx = rows[:, : (hi - lo) // stride + 1]
+        ns[:] = np.arange(lo, hi + 1, stride)
+        np.log(ns, out=log_n)
+        g = _wl_condition_sequence(beta, cfg, ns, log_n, y, dx)
+        np.log(np.maximum(g, 1e-300, out=y), out=y)
+        sums = _merge_fit(sums, _fit_sums(log_n, y, dx))
+    return sums
 
 
 def _walk_group(beta, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, at, sequence: str, block: int,
-                los: np.ndarray) -> list:
+                los: np.ndarray, check_decrease: bool = True, fit: bool = True) -> list:
     """(verdict part, sup part) of each walk block that starts at ``los``, the top block first.
 
     ``los`` descends, each a block of ``block`` indices cut at N_max.
@@ -970,14 +1144,17 @@ def _walk_group(beta, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, 
     the verdict's fit.  The sup part is ``_sup_part``'s, on C4*g for the
     kernel rows as N0(s) reads them.  A block is finite where its maximum
     is (g >= 0, and NaN propagates).  Once a block decreases, the blocks
-    after it here skip the decrease test (see ``_verdict_part``).
+    after it here skip the decrease test (see ``_verdict_part``); without
+    ``check_decrease`` every block skips it, and without ``fit`` the
+    parts hold no fit sums: the WL walk of a family settles rules 3 and
+    4 apart.
     """
     rows = np.empty((4, min(block, cfg.N_max - los[-1] + 1)))  # one block's ns, log n, work and G
-    # the fit's two rows, while the group reaches into the last half
-    reaches_half = min(los[0] + block, cfg.N_max + 1) - n0 > layout.half_start
+    # the verdict's two rows, while the group reaches into the last half
+    reaches_half = min(los[0] + block, cfg.N_max + 1) - n0 > layout.half_start and (check_decrease or fit)
     scratch = np.empty((2, rows.shape[1])) if reaches_half else None
     ns = rows[0, :0]
-    decreasing = False
+    decreasing = not check_decrease
     out = []
     for lo in los.tolist():
         hi = min(lo + block - 1, cfg.N_max)
@@ -994,7 +1171,7 @@ def _walk_group(beta, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, 
             np.multiply(cfg.C4, vals, out=g)
         sup = _sup_part(g, work, s_sorted, at, lo, hi)
         finite = math.isfinite(sup[0] if vals is g else float(vals.max()))
-        part = _verdict_part(layout, lo - n0, ns, log_n, vals, scratch, not decreasing, finite)
+        part = _verdict_part(layout, lo - n0, ns, log_n, vals, scratch, not decreasing, finite, fit)
         decreasing = decreasing or (part[6] is not None and part[6][1])
         if lo - n0 <= layout.half_start:
             scratch = None  # the half window is done: free its scratch
@@ -1027,9 +1204,11 @@ def _sup_part(g: np.ndarray, work: np.ndarray, s_sorted: np.ndarray, at: np.ndar
 def wl2sp_condition(beta_wl: RateFunction, cfg: Optional[TransformConfig] = None) -> ConditionVerdict:
     """Check lim_n beta_WL(delta^-n n^-theta)/n = 0 on the window, by the walk of ``sp_from_wl``.
 
-    With no s to place, the walk reads the last half of the window and
-    its lowest block, and one value of each block between, where beta_WL
-    is one of the package's own rate functions; any other it reads in full.
+    Where beta_WL is one of the package's own rate functions, the walk
+    reads, with no s to place, the top block and the lowest, the blocks
+    that rules 2 and 3 need, which on a vanishing sequence are usually
+    none more, and rule 4's sample of at most 2^16 indices, and one value
+    of every other block; any other RateFunction it reads in full.
     """
     return _walk(beta_wl, cfg or TransformConfig())[0]
 
@@ -1236,10 +1415,12 @@ def sp_from_wl(beta_wl: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     log(beta_SP) = log(C3) + k*(s)*log(delta), exact past double range.
     One walk of the index window from N_max down, in blocks, gives both
     the verdict that gates the map and k*(s), so memory holds one
-    block's arrays and about 40 bytes per block.  Where beta_WL is one of the package's own rate
-    functions, the walk reads in full, left of the verdict's last half,
-    the lowest block and the blocks where some k*(s) may lie, and one
-    value of every other block; any other RateFunction it reads in full.
+    block's arrays and some 100 bytes per block.  Where beta_WL is one
+    of the package's own rate functions, the walk reads in full the top
+    block and the lowest, the blocks where some k*(s) may lie and the
+    blocks that the verdict's rules 2 and 3 need, takes rule 4's sample
+    of at most 2^16 indices, and one value of every other block; any
+    other RateFunction it reads in full.
     """
     cfg = cfg or TransformConfig()
     verdict, table = _wl_map(beta_wl, _s_grid(s_grid), cfg)

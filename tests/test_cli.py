@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import pathlib
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -894,6 +895,46 @@ class TestRunRecord:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["pass"] is False
         assert manifest["outputs"] == []
+
+
+class TestUsageErrors:
+    """A usage error that click finds in the arguments writes a failing manifest into --out
+    where that is an existing directory; click's message and exit 2 stay as they were."""
+
+    @pytest.mark.parametrize(
+        "args, out_form, message",
+        [
+            (["optimal", "--kind", "XX", "--s", "1e-8", "--birth-death", "4,1,2,5"], "separate",
+             "Invalid value for '--kind': 'XX' is not one of"),
+            (["spectrum", "--birth-death", "4,1,2,5", "--bogus", "1"], "joined", "No such option '--bogus'"),
+        ],
+        ids=["bad-choice", "unknown-option"],
+    )
+    def test_manifest_in_existing_out(self, runner, tmp_path, args, out_form, message):
+        out = tmp_path / "o"
+        out.mkdir()
+        res = runner.invoke(main, args + (["--out", str(out)] if out_form == "separate" else [f"--out={out}"]))
+        assert res.exit_code == 2
+        assert f"Error: {message}" in res.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == _MANIFEST_KEYS
+        assert (manifest["command"], manifest["pass"], manifest["outputs"]) == (args[0], False, [])
+        assert manifest["summary"].startswith(message)
+
+    def test_missing_out_is_not_created(self, runner, tmp_path):
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["optimal", "--kind", "XX", "--s", "1e-8", "--out", str(out)])
+        assert res.exit_code == 2
+        assert "Invalid value for '--kind'" in res.output
+        assert not out.exists()
+
+    def test_usage_error_raises_without_standalone_mode(self, tmp_path):
+        # as perfbench calls the CLI: click raises the usage error in place of exiting
+        out = tmp_path / "o"
+        out.mkdir()
+        with pytest.raises(click.UsageError, match="No such option '--bogus'"):
+            main.main(args=["spectrum", "--bogus", "1", "--out", str(out)], standalone_mode=False)
+        assert json.loads((out / "manifest.json").read_text())["pass"] is False
 
 
 def _corpus_tool():

@@ -1375,9 +1375,11 @@ class TestSpFromWl:
         # Eight blocks of 2^16 indices; the verdict and k*(s) come from one
         # walk of the window, and the memory peak stays near one block's
         # evaluation (the fold and the suffix sup free theirs per block).
-        # The walk reads the last half (4 blocks) and the lowest block, and
-        # g at the last index of the 3 blocks between: every crossing of
-        # this grid lies in the lowest block, so those 3 are bounded.
+        # The walk takes g at the last index of the 8 blocks and at n0, and
+        # at the 64 tail picks, in two calls; it reads the top block, which
+        # decreases (rule 3), rule 4's sample of 2^16 of the last half's
+        # 2^18 indices, and the lowest block, where every crossing of this
+        # grid lies.  The 6 blocks between are bounded.
         block = 1 << 16
         monkeypatch.setattr(transforms, "_BLOCK", block)
         cfg = TransformConfig(k_max=8 * block + 1, N_max=8 * block + 1)
@@ -1397,11 +1399,11 @@ class TestSpFromWl:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(elems) == 5 * block + 3
+        assert sum(elems) == 3 * block + 9 + 64
         assert peak < 9.5 * block * 8
         elems.clear()
         wl2sp_condition(beta, cfg)
-        assert sum(elems) == 5 * block + 3
+        assert sum(elems) == 3 * block + 9 + 64
 
     def test_peak_does_not_grow_with_the_window(self, monkeypatch):
         # The walk builds every block in the arrays of the block before, so
@@ -1584,6 +1586,26 @@ def old_wl_walk(beta_wl, cfg, s=(), at=()):
     return verdict, k_star, sup_at
 
 
+def strided_fit(ns, vals, points=1 << 16):
+    """Rule 4's slope in one pass: the least-squares slope of log(value) on log(n) over the
+    last-half entries at N_max, N_max - stride, ..., with stride = ceil(half / points)."""
+    half = int(math.ceil(ns.size / 2))
+    stride = -(-half // points)
+    x = np.log(ns[::-1][:half:stride].astype(float))
+    y = np.log(np.maximum(vals[::-1][:half:stride], 1e-300))
+    dx = x - x.mean()
+    return float((dx * (y - y.mean())).sum() / (dx * dx).sum())
+
+
+def _assert_strided_verdict(got, want, beta_wl, cfg):
+    """``got`` has the status and the tail of ``want``, the verdict of the walk that reads and
+    fits every index, bit for bit, and the slope of rule 4's strided sample."""
+    assert (got.status, repr(got.sequence_tail)) == (want.status, repr(want.sequence_tail))
+    n0 = cfg.n0 if cfg.n0 is not None else 2
+    assert got.trend_slope == pytest.approx(strided_fit(*old_wl_condition_sequence(beta_wl, cfg, n0, cfg.N_max)),
+                                            rel=1e-12)
+
+
 class _NanBand(RateFunction):
     """``base`` with NaN for log(s) in [lo, hi]: an Undefined stretch of the WL sequence."""
 
@@ -1723,6 +1745,7 @@ class TestWalkMatchesReference:
 
     def test_sp_from_wl_unchanged(self):
         # The deep window of acceptance 2e, cut to 2.5e6 indices: 76 blocks of 2^15 and a part.
+        # The last half holds 1.25e6 indices, so rule 4 fits every 20th.
         cfg = TransformConfig(k_max=2_500_000, N_max=2_500_000)
         beta = LogPower(C=1.0, q=0.5)
         grid = log_grid(1e-3, 1e-2, 30)
@@ -1730,7 +1753,7 @@ class TestWalkMatchesReference:
         want = old_wl_walk(beta, cfg, s_eff)
         got = transforms._walk(beta, cfg, s_eff)
         assert got[1].tolist() == want[1].tolist()
-        assert repr(got[0]) == repr(want[0])
+        _assert_strided_verdict(got[0], want[0], beta, cfg)
         log_values = math.log(cfg.C3) + want[1] * math.log(cfg.delta)
         assert [v for _, v in sp_from_wl(beta, grid, cfg).log_points] == log_values.tolist()
 
@@ -1829,9 +1852,120 @@ class TestBoundedBlocks:
         assert sum(elems) <= 0.6 * (cfg.N_max - 1)
         monkeypatch.undo()
         want = old_wl_walk(beta, cfg, grid)
-        assert repr(got[0]) == repr(want[0])
+        _assert_strided_verdict(got[0], want[0], beta, cfg)
         assert got[1].tolist() == want[1].tolist()
         assert want[1].tolist() == [1_388_304, 102_694, 7_679, 599]
+
+
+class TestStridedFit:
+    """Rule 4 fits its slope on the last-half indices N_max, N_max - stride, ...: check_vanishing,
+    the xi1 walk and the WL walk agree on it where the stride exceeds 1 (_FIT_POINTS = 64)."""
+
+    @pytest.mark.parametrize("config", _WALK_CONFIGS, ids=lambda c: f"delta{c[0]}-n0{c[1]}-theta{c[2]}")
+    @pytest.mark.parametrize("beta", _WALK_INPUTS, ids=_WALK_IDS)
+    def test_wl_walk_equals_whole_sequence(self, beta, config, monkeypatch):
+        monkeypatch.setattr(transforms, "_FIT_POINTS", 64)
+        delta, n0, theta, n_max = config
+        cfg = TransformConfig(delta=delta, n0=n0, theta_cond=theta, k_max=n_max, N_max=n_max)
+        lo = n0 if n0 is not None else 2
+        ns, g = old_wl_condition_sequence(beta, cfg, lo, n_max)
+        assert transforms._verdict_layout(ns.size, lo, n_max).stride > 1
+        want = check_vanishing((ns, g))
+        if not math.isnan(want.trend_slope):  # NaN where the last half is not finite
+            assert want.trend_slope == pytest.approx(strided_fit(ns, g, 64), rel=1e-12)
+        s_all = old_wl_walk(beta, cfg, at=ns)[2]
+        for block in (7, 64, transforms._BLOCK):
+            monkeypatch.setattr(transforms, "_BLOCK", block)
+            edges = _walk_edges(lo, n_max, block)
+            s = np.concatenate([np.geomspace(1e-6, 1e3, 40), s_all[edges - lo]])
+            s = s[(s > 0) & np.isfinite(s)]
+            for at in (np.array([], dtype=int), edges):
+                got, ref = transforms._walk(beta, cfg, s, at), old_wl_walk(beta, cfg, s, at)
+                # status and tail bit for bit, with NaN equal to NaN
+                assert (got[0].status, repr(got[0].sequence_tail)) == (want.status, repr(want.sequence_tail))
+                assert got[0].trend_slope == pytest.approx(want.trend_slope, rel=1e-12, nan_ok=True)
+                assert got[1].tolist() == ref[1].tolist()
+                assert repr(got[2].tolist()) == repr(ref[2].tolist())
+
+    @pytest.mark.parametrize("n0", [None, 5])
+    @pytest.mark.parametrize("beta", _SL_INPUTS, ids=_SL_IDS)
+    def test_xi1_walk_equals_whole_sequence(self, beta, n0, monkeypatch):
+        monkeypatch.setattr(transforms, "_FIT_POINTS", 64)
+        cfg = TransformConfig(n0=n0, N_max=3 * transforms._ROWS + 17, C4=0.3 if n0 else 1.0)
+        ns, vals = whole_xi1_sequence(beta, cfg)
+        assert transforms._verdict_layout(ns.size, int(ns[0]), cfg.N_max).stride > 1
+        want = check_vanishing((ns, vals))
+        assert want.trend_slope == pytest.approx(strided_fit(ns, vals, 64), rel=1e-12)
+        for s in _sl_grids(ns, vals, cfg, transforms._ROWS):
+            verdict, k_star, _ = transforms._walk(beta, cfg, s, sequence="xi1")
+            assert (verdict.status, verdict.sequence_tail) == (want.status, want.sequence_tail)
+            assert verdict.trend_slope == pytest.approx(want.trend_slope, rel=1e-12, nan_ok=True)
+            assert _outcome(lambda: transforms._n_zero(beta, k_star, s, cfg)) == _outcome(
+                lambda: whole_n_zero(ns, vals, s, cfg))
+
+    def test_stride_one_up_to_2_16(self):
+        assert transforms._verdict_layout(2 * (1 << 16), 2, 2 * (1 << 16) + 1).stride == 1
+        assert transforms._verdict_layout(2 * (1 << 16) + 1, 2, 2 * (1 << 16) + 2).stride == 2
+
+
+def _flat_then_rising(n_flat, n_max, value=50.0, delta=4.0):
+    """A table on which the WL sequence (theta 1) is value/n up to ``n_flat`` and rises after it,
+    as beta_WL grows by 1 per unit of log(1/s) from there: so rule 3 finds decreases up to n_flat
+    alone.  Its knots lie inside double range while n_max stays below about 530."""
+
+    def log_arg(n):
+        return -(n * math.log(delta) + math.log(n))
+
+    x_flat, x_end = log_arg(n_flat), log_arg(n_max) - 1.0
+    return Tabulated(points=((math.exp(x_end), value + (x_flat - x_end)), (math.exp(x_flat), value)))
+
+
+class TestVerdictReads:
+    """The WL walk of a family reads, for the verdict, the blocks that decide a rule, and its
+    verdict stays that of the walk that reads every index."""
+
+    def test_deep_window_reads_few_indices(self, monkeypatch, one_core):
+        # acceptance 2e's window of 1.5e8 indices; the walk that read its last half passed 7.8e7
+        one_core()
+        sizes = []
+        real = transforms._wl_condition_sequence
+
+        def counting(beta, cfg, ns, *rest):
+            sizes.append(ns.size)
+            return real(beta, cfg, ns, *rest)
+
+        monkeypatch.setattr(transforms, "_wl_condition_sequence", counting)
+        cfg = TransformConfig(k_max=150_000_000, N_max=150_000_000)
+        sp_from_wl(LogPower(C=1.0, q=0.5), log_grid(1e-4, 1e-2, 60), cfg)
+        assert sum(sizes) <= 4_000_000
+
+    @pytest.mark.parametrize("block", [1, 16])
+    @pytest.mark.parametrize("n_flat, status", [(245, "fails_empirically"), (252, "holds_empirically"),
+                                                (257, "holds_empirically")], ids=["none", "inside", "to-its-end"])
+    def test_decrease_in_the_lowest_half_block_alone(self, n_flat, status, block, monkeypatch):
+        # The last half of [2, 500] starts at n = 251, in the block of n 242..257 at 16 a block.  A
+        # slope tolerance of -10 lets any slope pass rule 4, so rule 3 decides: fails without a decrease,
+        # and otherwise rule 5 holds (g(500) is below half of g(2) = 25).
+        monkeypatch.setattr(transforms, "_BLOCK", block)
+        monkeypatch.setattr(transforms, "_SLOPE_TOL", -10.0)
+        cfg = TransformConfig(k_max=500, N_max=500)
+        beta = _flat_then_rising(n_flat, 500)
+        for s in (np.empty(0), np.geomspace(1e-3, 10.0, 30)):
+            _assert_walks_equal(beta, cfg, s)
+            assert transforms._walk(beta, cfg, s)[0].status == status
+
+    @pytest.mark.parametrize("ratio, status", [(1.001, "fails_empirically"), (0.999, "holds_empirically")])
+    def test_last_quarter_block_straddles_rule_2(self, ratio, status, monkeypatch):
+        # g = B/n on [2, 1000]: the last quarter starts at n = 751, in the block of n 706..769 at 64
+        # a block, and B puts g(751) at ratio times rule 2's threshold 1e-12*(1 + B/2), above g(769).
+        # A slope tolerance of 50 fails rule 4, so rule 2 decides: it holds where g(751) lies below.
+        monkeypatch.setattr(transforms, "_BLOCK", 64)
+        monkeypatch.setattr(transforms, "_SLOPE_TOL", 50.0)
+        cfg = TransformConfig(k_max=1000, N_max=1000)
+        beta = Constant(B=ratio * 1e-12 / (1.0 / 751 - 0.5e-12 * ratio))
+        for s in (np.empty(0), np.geomspace(1e-16, 1e-9, 30)):
+            _assert_walks_equal(beta, cfg, s)
+            assert transforms._walk(beta, cfg, s)[0].status == status
 
 
 class _Raising(RateFunction):
