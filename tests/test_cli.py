@@ -921,6 +921,15 @@ class TestUsageErrors:
         assert (manifest["command"], manifest["pass"], manifest["outputs"]) == (args[0], False, [])
         assert manifest["summary"].startswith(message)
 
+    def test_group_option_error_names_no_command(self, runner, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        res = runner.invoke(main, ["--bogus", "spectrum", "--birth-death", "4,1,2,5", "--out", str(out)])
+        assert res.exit_code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["command"], manifest["pass"]) == ("", False)
+        assert manifest["summary"].startswith("No such option '--bogus'")
+
     def test_missing_out_is_not_created(self, runner, tmp_path):
         out = tmp_path / "o"
         res = runner.invoke(main, ["optimal", "--kind", "XX", "--s", "1e-8", "--out", str(out)])
