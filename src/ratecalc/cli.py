@@ -361,7 +361,7 @@ def cmd_verify(run, form_path, birth_death, s_grid, config_path, seed, restarts)
     sg = spectral_gap(form)
     solve = functools.partial(empirical_rate, form, s_grid=s, cfg=SolverConfig(restarts=restarts, seed=seed))
     empirical = {}
-    for emp in _in_order(solve, KINDS, min_tasks=2):
+    for emp in _in_order(solve, KINDS):
         empirical[emp.kind] = emp
         _emit_empirical(run, emp)
 

@@ -137,9 +137,14 @@ class FiniteDirichletForm:
         F = np.asarray(F, dtype=float)
         if F.ndim != 2 or F.shape[1] != self.n:
             raise MathDomainError(f"apply needs an (m, {self.n}) array, got shape {F.shape}")
-        out = np.zeros((F.shape[0], self.n))  # column k at out[:, _place[k]]
-        for rows, values in self._ranks:
-            out[:, : rows.size] += F.take(rows, axis=1) * values
+        (rows, values), *rest = self._ranks
+        out = F.take(rows, axis=1)  # column k at out[:, _place[k]]: rank 0 holds every column's first nonzero
+        out *= values
+        out += 0.0  # as the sum from 0 does: -0.0 reads +0.0
+        for rows, values in rest:
+            part = F.take(rows, axis=1)
+            part *= values
+            out[:, : rows.size] += part
         return out.take(self._place, axis=1)
 
     def energy(self, f) -> float:

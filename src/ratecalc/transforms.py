@@ -103,8 +103,9 @@ of several blocks may differ in its last digits from that of
 check_vanishing on the whole array.  On a 2-core x86 machine the WL
 walk of 1.5e8 indices and 60 s took 0.03-0.06 s in this process (seeds
 1-3), against 0.90-1.36 s in two workers when it read the whole last
-half, and the 4e5 xi1 rows of example11 sp2sl 0.37-0.42 s in two
-workers against 0.49-0.66 s in one (three runs each).
+half, and the 4e5 xi1 rows of example11 sp2sl 0.15-0.28 s (median
+0.16 s) in two workers against 0.24-0.26 s (median 0.25 s) in one
+(nproc 2, five runs each).
 
 The grid infimum of a block of T kernel arguments over R grid points is
 a row-minima problem on a (T x R) matrix that is never formed.  Write
@@ -211,13 +212,24 @@ _EXT_DECADES = 22.0
 # again, from the fixed cost per block.
 _BLOCK = 1 << 15
 
-# Kernel rows per block, indices per block of the SP-to-SL walk, and
-# indices per block when wl_from_sp and sp_from_sl scan their k-window.
-_ROWS = 4096
+# Kernel rows per block, and indices per block of the SP-to-SL walk.  Each
+# block pays a fixed cost: a base sweep, an edge-extension sweep, ~14
+# divide-and-conquer levels and, in a walk, one task.  On the 4e5 xi1 rows
+# of example11 sp2sl, in one process on a 2-core x86 machine (nproc 2), the
+# kernel took 0.32 s in blocks of 4096 rows, 0.26 s of 8192, 0.22 s of
+# 16384, 0.20 s of 32768 and 0.22 s of 65536 (best of three).  A block's
+# arrays grow with it: sl_from_sp's traced peak is 4.1 MB, against 1.1 MB
+# in blocks of 4096.
+_ROWS = 16384
+
+# Indices per block when wl_from_sp and sp_from_sl scan their k-window up
+# to the first block that admits the smallest s: a larger block would read
+# more rows past that crossing.
+_SCAN_ROWS = 4096
 
 # Indices per task of the WL walk: 16 blocks of 2^15.  On a 2-core x86
 # machine such a group takes 8-11 ms, about as long as a kernel block of
-# _ROWS rows on the base r-grid (8-15 ms).
+# _ROWS rows (5-12 ms, median 9 ms, on example11 sp2sl's rows).
 _GROUP = 1 << 19
 
 # Relative slack of the WL walk's block bounds (``_bounded_blocks``): an s
@@ -234,11 +246,14 @@ _SLACK = 1e-9
 # 8 sub-blocks leave 54-58 (seeds 1-3, the top and lowest blocks aside).
 _SUB = 8
 
-# Fewest tasks of that size that _in_order hands to forked workers.  A
-# pool of two workers took 15-30 ms to start and join on that machine,
-# so at 8 tasks, 60-120 ms of work, two workers save 30-60 ms of it,
-# more than the pool costs.
-_POOL_MIN_TASKS = 8
+# The least work that _in_order hands to forked workers: 8 groups of the
+# WL walk, 60-90 ms of work, or 32768 kernel rows, 2 blocks of 5-12 ms.
+# A pool of two workers took 7-12 ms to start and join on that machine.
+# The walk of the benchmark's 2e5 xi1 rows (13 blocks) took 0.08-0.18 s,
+# median 0.087 s, in two workers against 0.12-0.16 s, median 0.126 s, in
+# one (five runs each).
+_POOL_MIN_GROUPS = 8
+_POOL_MIN_ROWS = 1 << 15
 
 HOLDS = "holds_empirically"
 FAILS = "fails_empirically"
@@ -344,24 +359,24 @@ class ConditionVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _in_order(task, items, min_tasks=_POOL_MIN_TASKS):
+def _in_order(task, items, pool: bool = True):
     """Yield task(item) for every item, in item order.
 
     The items go as a queue to min(usable cores, items) worker processes
     forked from this one.  They inherit ``task`` with the process image,
     so it need not pickle; only items and results do.  The tasks run
     here instead, one after the other, when one core is usable, when
-    there are fewer than ``min_tasks`` of them (_POOL_MIN_TASKS for the
-    maps' tasks of about 10 ms; cli.cmd_verify passes 2 for its solves
-    of about 0.5 s) or when this process is daemonic, which may not have
-    children.  There is no user setting.  A result does not depend
-    on where its task ran.  A task that raises raises here, the first in
-    item order, with its own type and message, and every worker has
-    ended before the generator finishes.
+    ``pool`` is false (the caller's work is too small to pay for a pool:
+    see _POOL_MIN_GROUPS and _POOL_MIN_ROWS; cli.cmd_verify's four solves
+    of about 0.5 s always do) or when this process is daemonic, which may
+    not have children.  There is no user setting.  A result does not
+    depend on where its task ran.  A task that raises raises here, the
+    first in item order, with its own type and message, and every worker
+    has ended before the generator finishes.
     """
     items = list(items)
     workers = min(len(os.sched_getaffinity(0)), len(items))
-    if workers > 1 and len(items) >= min_tasks:
+    if pool and workers > 1:
         # Imported here: calls that stay in this process do not pay for it.
         import multiprocessing
 
@@ -471,13 +486,22 @@ def _refine_rows(
     ratio: float,
     kind: str,
 ) -> np.ndarray:
-    """One 10x-denser local pass around per-row argmins, _REFINE_ROWS rows at a time."""
+    """One 10x-denser local pass around per-row argmins, _REFINE_ROWS rows at a time.
+
+    The argmins are grid points that many rows share, so beta is read
+    once per distinct center, in one call, and gathered for each row.
+    That gives the bits of a read per row, as log_eval_many is
+    elementwise on contiguous arrays (tests/test_transforms.py checks it
+    for every family).
+    """
     steps = ratio ** np.linspace(-1.0, 1.0, _REFINE_POINTS)
+    distinct, which = np.unique(centers, return_inverse=True)
+    log_b = beta.log_eval_many((distinct[:, None] * steps).ravel()).reshape(distinct.size, steps.size)
     out = np.empty(centers.shape)
     for i in range(0, centers.size, _REFINE_ROWS):
-        local = centers[i : i + _REFINE_ROWS, None] * steps
-        log_b = beta.log_eval_many(local.ravel()).reshape(local.shape)
-        out[i : i + _REFINE_ROWS] = _cells(log_ts[i : i + _REFINE_ROWS, None], local, log_b, kind).min(axis=1)
+        rows = slice(i, i + _REFINE_ROWS)
+        local = centers[rows, None] * steps
+        out[rows] = _cells(log_ts[rows, None], local, log_b[which[rows]], kind).min(axis=1)
     return out
 
 
@@ -485,14 +509,16 @@ def _kernel_min(beta: RateFunction, log_ts: np.ndarray, kind: str) -> np.ndarray
     """Kernel values for a vector of log(t); NaN marks Undefined.
 
     Rows do not depend on each other, so they are evaluated in blocks of
-    _ROWS, each a task of ``_in_order``: memory stays bounded for any
-    number of rows, and a row's value does not depend on its block or
-    on where the block runs.
+    _ROWS, each a task of ``_in_order`` from _POOL_MIN_ROWS rows on:
+    memory stays bounded for any number of rows, and a row's value does
+    not depend on its block or on where the block runs.
     """
     log_ts = np.asarray(log_ts, dtype=float)
     out = np.empty(log_ts.shape)
     starts = range(0, log_ts.size, _ROWS)
-    blocks = _in_order(lambda i: _kernel_block(beta, log_ts[i : i + _ROWS], kind), starts)
+    blocks = _in_order(
+        lambda i: _kernel_block(beta, log_ts[i : i + _ROWS], kind), starts, pool=log_ts.size >= _POOL_MIN_ROWS
+    )
     for i, vals in zip(starts, blocks):
         out[i : i + _ROWS] = vals
     return out
@@ -1006,7 +1032,8 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
                     yield run(a, b), tops[b : a - 1 if a else None : -1]
                     b = a - 1
 
-        for got, num in zip(itertools.chain.from_iterable(_in_order(task, groups)), main.tolist()):
+        pool = len(groups) >= _POOL_MIN_GROUPS if sequence == "wl" else layout.size >= _POOL_MIN_ROWS
+        for got, num in zip(itertools.chain.from_iterable(_in_order(task, groups, pool)), main.tolist()):
             yield from down_to(num)
             yield got
             b -= 1
@@ -1264,12 +1291,12 @@ def _k_star(values_at, n0: int, cfg: TransformConfig, s: np.ndarray, s_eff: np.n
     """The smallest k in [n0, k_max] with values_at(k) <= s, for each ascending s.
 
     ``values_at`` maps an array of k to values, NaN for none.  The window
-    is read in blocks of _ROWS up to the first block that admits s[0],
-    so it holds every k*(s).  The cap error reports s_eff[0].
+    is read in blocks of _SCAN_ROWS up to the first block that admits
+    s[0], so it holds every k*(s).  The cap error reports s_eff[0].
     """
     parts = []
-    for lo in range(n0, cfg.k_max + 1, _ROWS):
-        vals = values_at(np.arange(lo, min(lo + _ROWS, cfg.k_max + 1)))
+    for lo in range(n0, cfg.k_max + 1, _SCAN_ROWS):
+        vals = values_at(np.arange(lo, min(lo + _SCAN_ROWS, cfg.k_max + 1)))
         parts.append(np.where(np.isnan(vals), np.inf, vals))
         if np.any(parts[-1] <= s[0]):
             # The first k with values_at(k) <= s is the first where their running minimum is.

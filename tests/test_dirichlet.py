@@ -1,12 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ratecalc
 from ratecalc import (
     ConfigError,
     FiniteDirichletForm,
@@ -254,6 +258,28 @@ class TestLaplacian:
                 got = form.apply(F)
                 assert got.flags.c_contiguous and got.tobytes() == np.einsum("ij,jk->ik", F, lap).tobytes(), n
 
+    def test_apply_keeps_the_bits_of_a_sum_from_zero(self, fixture_forms):
+        # Each entry is 0.0 + F[r, j0] L[j0, k] + ...: a first product of -0.0,
+        # here from underflow, reads +0.0, and a later -0.0 adds nothing.
+        # np.array_equal cannot see a zero's sign, so the bits are compared.
+        def summed_from_zero(form, F):
+            out = np.zeros((F.shape[0], form.n))
+            for rows, values in form._ranks:
+                out[:, : rows.size] += F.take(rows, axis=1) * values
+            return out.take(form._place, axis=1)
+
+        rng = np.random.default_rng(26)
+        forms = [build_birth_death(4.0, 1.0, 2.0, n) for n in (3, 41)] + list(fixture_forms.values())
+        forms += [FiniteDirichletForm(mu=[1.0], edges=[])] + [random_form(rng) for _ in range(30)]
+        for form in forms:
+            n = form.n
+            signs = np.where(rng.random((6, n)) < 0.5, -1.0, 1.0)
+            for F in (signs * 0.0, signs * 1e-300, signs * rng.choice([0.0, 1e-300, 1.0, np.inf], (6, n)),
+                      rng.standard_normal((7, n))):
+                with np.errstate(invalid="ignore", under="ignore"):
+                    got, want = form.apply(F), summed_from_zero(form, F)
+                assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), n
+
     def test_apply_refuses_a_wrong_shape(self, two_point_uniform):
         for F in (np.zeros(2), np.zeros((1, 3)), np.zeros((1, 1, 2))):
             with pytest.raises(MathDomainError, match="apply needs"):
@@ -286,15 +312,24 @@ class TestLaplacian:
             assert form.energy(f) == pytest.approx(float(np.sum(w * (f[i] - f[j]) ** 2)), rel=1e-12)
 
     def test_chain_of_2001_states_peaks_under_1_mb(self):
-        blob = build_birth_death(4.0, 1.0, 3.0, 2001).to_json_dict()
-        for build in (lambda: build_birth_death(4.0, 1.0, 3.0, 2001), lambda: FiniteDirichletForm.from_json_dict(blob)):
-            tracemalloc.start()
-            try:
-                build()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 1_000_000
+        # Each build is traced in a fresh interpreter: tracemalloc counts the
+        # allocations of every thread, and threads that earlier tests leave
+        # running here would count against the build.
+        code = (
+            "import tracemalloc\n"
+            "from ratecalc import FiniteDirichletForm, build_birth_death\n"
+            "blob = build_birth_death(4.0, 1.0, 3.0, 2001).to_json_dict()\n"
+            "for build in (lambda: build_birth_death(4.0, 1.0, 3.0, 2001), lambda: FiniteDirichletForm.from_json_dict(blob)):\n"
+            "    tracemalloc.start()\n"
+            "    build()\n"
+            "    print(tracemalloc.get_traced_memory()[1])\n"
+            "    tracemalloc.stop()\n"
+        )
+        src = os.path.dirname(os.path.dirname(ratecalc.__file__))
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True).stdout
+        peaks = [int(line) for line in out.split()]
+        assert len(peaks) == 2 and max(peaks) < 1_000_000
 
 
 class TestEntropy:

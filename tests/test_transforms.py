@@ -39,7 +39,7 @@ from ratecalc import (
     xi1,
     xi2,
 )
-from ratecalc import transforms
+from ratecalc import ratefn, transforms
 from ratecalc.errors import DegenerateTransformError
 from conftest import MANY_CORES
 
@@ -988,7 +988,7 @@ class TestOneCrossingSearch:
             return [n0 + int(i[0]) for i in ok]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(transforms, "_ROWS", rows)
+            mp.setattr(transforms, "_SCAN_ROWS", rows)
             got = _outcome(lambda: transforms._k_star(lambda ks: vals[ks - n0], n0, cfg, s, s))
         assert got == _outcome(per_s)
 
@@ -1098,7 +1098,9 @@ class TestSlWalk:
         return want
 
     @pytest.mark.parametrize("n0", [None, 5])
-    @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * 4096 + 17], ids=["block-1", "block", "block+1", "3block+17"])
+    @pytest.mark.parametrize(
+        "extra", [-1, 0, 1, 2 * transforms._ROWS + 17], ids=["block-1", "block", "block+1", "3block+17"]
+    )
     @pytest.mark.parametrize("beta", _SL_INPUTS, ids=_SL_IDS)
     def test_windows_around_blocks(self, beta, extra, n0):
         start = n0 if n0 is not None else transforms._start_index(beta, CFG, "xi1")
@@ -1108,7 +1110,7 @@ class TestSlWalk:
 
     @pytest.mark.parametrize("beta", _SL_INPUTS, ids=_SL_IDS)
     def test_deep_window(self, beta):
-        # example11 sp2sl's window: 98 blocks, the top one partial.
+        # example11 sp2sl's window: 25 blocks, the top one partial.
         cfg = TransformConfig(N_max=400_000)
         self._check(beta, cfg)
         grid = log_grid(1e-5, 1e-2, 60)
@@ -2078,14 +2080,16 @@ class TestBlockTasks:
 
     @MANY_CORES
     def test_kernel_error_is_the_first_in_row_order(self, monkeypatch, one_core):
+        # Blocks 1 and 3 of blocks 0-4 raise.  Block 1's error comes first in
+        # workers as here, though a worker may reach block 3 before block 1 ends.
         real = transforms._kernel_block
 
         def failing(beta, log_ts, kind):
-            if log_ts.size == transforms._ROWS and log_ts[0] in (starts[3], starts[6]):
+            if log_ts.size == transforms._ROWS and log_ts[0] in (starts[1], starts[3]):
                 raise CapError(f"block at {log_ts[0]!r}")
             return real(beta, log_ts, kind)
 
-        log_ts = -np.arange(1, 10 * transforms._ROWS + 1) * math.log(4.0)
+        log_ts = -np.arange(1, 5 * transforms._ROWS + 1) * math.log(4.0)
         starts = log_ts[:: transforms._ROWS]
         monkeypatch.setattr(transforms, "_kernel_block", failing)
         errors = []
@@ -2095,7 +2099,7 @@ class TestBlockTasks:
             with pytest.raises(CapError) as err:
                 transforms._kernel_min(ExpPower(C=1.0, theta=0.5), log_ts, "xi1")
             errors.append((type(err.value), str(err.value)))
-        assert errors[0] == errors[1] == (CapError, f"block at {starts[3]!r}")
+        assert errors[0] == errors[1] == (CapError, f"block at {starts[1]!r}")
 
     def test_one_core_keeps_the_work_here(self, monkeypatch, one_core, record_pids):
         one_core()
@@ -2134,6 +2138,139 @@ class TestBlockTasks:
         ]
         assert slopes[0] == slopes[1]
         assert len(slopes[0].split()) == 2
+
+
+_BLOCK_SIZE_INPUTS = [
+    ExpPower(C=1.0, theta=0.5),
+    ExpPower(C=1.0, theta=0.75),
+    PolyPower(C=1.0, p=1.0),
+    InversePower(a=1.0, p=1.0),
+]
+
+_BLOCK_SIZE_IDS = ["ExpPower0.5", "ExpPower0.75", "PolyPower", "InversePower"]
+
+
+class TestKernelBlockSize:
+    """Kernel rows and the maps built on them do not depend on the rows per
+    kernel block: 16384 against the 4096 of earlier versions.  The window of
+    50 000 indices is 4 blocks of one and 13 of the other."""
+
+    @pytest.mark.parametrize("kind", ["xi1", "xi2"])
+    @pytest.mark.parametrize("beta", _BLOCK_SIZE_INPUTS, ids=_BLOCK_SIZE_IDS)
+    def test_kernel_rows(self, beta, kind, monkeypatch):
+        ns = np.arange(2, 50_001)
+        log_ts = -(ns - 1) * math.log(4.0) if kind == "xi1" else np.log(ns * math.log(4.0))
+        got = []
+        for rows in (4096, 16384):
+            monkeypatch.setattr(transforms, "_ROWS", rows)
+            got.append(transforms._kernel_min(beta, log_ts, kind))
+        _assert_same_bits(*got)
+
+    @pytest.mark.parametrize("beta", _BLOCK_SIZE_INPUTS, ids=_BLOCK_SIZE_IDS)
+    def test_walk_and_k_window(self, beta, monkeypatch):
+        # xi1: the SP-to-SL walk's status, tail, k* and N0(s), at s on both sides of
+        # the suffix maximum at each edge of a 4096-row block; xi2: the k* of sp_from_sl.
+        cfg = TransformConfig(N_max=50_000, k_max=50_000)
+        s = _sl_grids(*whole_xi1_sequence(beta, cfg), cfg, 4096)[0]
+        s_xi2 = log_grid(1e-5, 1e-1, 40)
+        got = []
+        for rows in (4096, 16384):
+            monkeypatch.setattr(transforms, "_ROWS", rows)
+            verdict, k_star, _ = transforms._walk(beta, cfg, s, sequence="xi1")
+            n0 = _outcome(lambda: transforms._n_zero(beta, k_star, s, cfg))
+            log_sp = np.array(sp_from_sl(beta, s_xi2, cfg).log_points)
+            got.append((verdict, k_star.tolist(), n0, log_sp.tobytes()))
+        (v4, *rest4), (v16, *rest16) = got
+        assert (v4.status, repr(v4.sequence_tail)) == (v16.status, repr(v16.sequence_tail))
+        assert rest4 == rest16
+        # The fit sums merge block by block, so the slope may move in its last digits.
+        assert v16.trend_slope == pytest.approx(v4.trend_slope, rel=1e-12, nan_ok=True)
+
+
+def per_row_refine(beta, log_ts, centers, ratio, kind):
+    """The refinement pass that read beta at the 21 points of each row, kept as the reference."""
+    steps = ratio ** np.linspace(-1.0, 1.0, transforms._REFINE_POINTS)
+    out = np.empty(centers.shape)
+    for i in range(0, centers.size, transforms._REFINE_ROWS):
+        local = centers[i : i + transforms._REFINE_ROWS, None] * steps
+        log_b = beta.log_eval_many(local.ravel()).reshape(local.shape)
+        out[i : i + transforms._REFINE_ROWS] = transforms._cells(
+            log_ts[i : i + transforms._REFINE_ROWS, None], local, log_b, kind).min(axis=1)
+    return out
+
+
+_EVERY_FAMILY = [
+    ExpPower(C=1.0, theta=0.5),
+    PolyPower(C=1.0, p=1.0),
+    LogPower(C=1.0, q=0.5),
+    InversePower(a=1.0, p=1.0),
+    Constant(B=2.0),
+    Tabulated(points=((1e-3, 40.0), (0.1, 6.0), (1.0, 1.5))),
+    LogTabulated(log_points=((1e-30, 900.0), (1e-3, 40.0), (1.0, -2.0))),
+]
+
+_EVERY_FAMILY_IDS = ["ExpPower", "PolyPower", "LogPower", "InversePower", "Constant", "Tabulated", "LogTabulated"]
+
+
+class TestRefinementPerCenter:
+    """The refinement reads beta once per distinct center and gathers it per
+    row; that keeps the bits of a read per row on every family."""
+
+    def test_every_family(self):
+        assert {type(beta) for beta in _EVERY_FAMILY} == set(ratefn._FAMILIES.values())
+
+    @pytest.mark.parametrize("beta", _EVERY_FAMILY, ids=_EVERY_FAMILY_IDS)
+    def test_log_eval_many_is_elementwise(self, beta):
+        # A point's value does not depend on the contiguous array it is read in:
+        # its length, its other points or its offset in memory.
+        rng = np.random.default_rng(41)
+        s = np.concatenate([10.0 ** rng.uniform(-280.0, 280.0, 4000), R_GRID])
+        whole = beta.log_eval_many(s)
+        for size in (1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 21, 63, 64, 65, 999):
+            pick = rng.choice(s.size, size)
+            _assert_same_bits(beta.log_eval_many(s[pick]), whole[pick])
+        for start in range(1, 8):
+            _assert_same_bits(beta.log_eval_many(s[start : start + 101]), whole[start : start + 101])
+
+    @pytest.mark.parametrize("kind", ["xi1", "xi2"])
+    @pytest.mark.parametrize("beta", _EVERY_FAMILY, ids=_EVERY_FAMILY_IDS)
+    def test_refine_rows_equals_per_row(self, beta, kind):
+        # Shared grid centers, in and out of order, over more than one step of rows.
+        rng = np.random.default_rng(42)
+        ratio = (transforms._R_MAX / transforms._R_MIN) ** (1.0 / (transforms._R_COUNT - 1))
+        centers = rng.choice(np.concatenate([R_GRID, np.geomspace(1e-280, 1e-8, 400)]), 60)
+        centers = np.concatenate([np.repeat(centers, rng.integers(1, 40, centers.size)), np.sort(centers)])
+        log_ts = rng.uniform(-40.0, 10.0, centers.size)
+        assert centers.size > transforms._REFINE_ROWS
+        _assert_same_bits(transforms._refine_rows(beta, log_ts, centers, ratio, kind),
+                          per_row_refine(beta, log_ts, centers, ratio, kind))
+
+    @pytest.mark.parametrize("kind", ["xi1", "xi2"])
+    @pytest.mark.parametrize("beta", _EVERY_FAMILY, ids=_EVERY_FAMILY_IDS)
+    def test_kernel_rows_equal_per_row_refinement(self, beta, kind, monkeypatch):
+        ns = np.arange(2, 3000)
+        log_ts = -(ns - 1) * math.log(4.0) if kind == "xi1" else np.log(ns * math.log(4.0))
+        log_ts = np.concatenate([log_ts, np.linspace(-60.0, 8.0, 997)])
+        got = transforms._kernel_min(beta, log_ts, kind)
+        monkeypatch.setattr(transforms, "_refine_rows", per_row_refine)
+        _assert_same_bits(got, transforms._kernel_min(beta, log_ts, kind))
+
+
+class TestPoolThreshold:
+    """Kernel rows and the SP-to-SL walk go to workers from _POOL_MIN_ROWS rows on, not below."""
+
+    def test_rows(self, tmp_path, record_pids):
+        beta = ExpPower(C=1.0, theta=0.5)
+        pids = record_pids(transforms, "_kernel_block")
+        for rows in (transforms._POOL_MIN_ROWS - 1, transforms._POOL_MIN_ROWS):
+            for run in (lambda: transforms._kernel_min(beta, -np.arange(1, rows + 1) * math.log(4.0), "xi1"),
+                        lambda: sp2sl_condition(beta, TransformConfig(n0=2, N_max=rows + 1))):
+                run()
+                if rows < transforms._POOL_MIN_ROWS:
+                    assert pids() == {os.getpid()}
+                elif len(os.sched_getaffinity(0)) > 1:
+                    assert os.getpid() not in pids()
+                (tmp_path / "_kernel_block.pids").unlink()
 
 
 class TestSpFromSl:

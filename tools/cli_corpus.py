@@ -86,8 +86,10 @@ INPUTS = {
     # The kernels' r-grid is no setting: an unknown key.
     "r_grid_config.json": json.dumps({"r_grid": {"count": 1200}}),
     "malformed.json": "{not json",
-    # A window of 49 blocks of the SP-to-SL walk with a partial top block.
+    # A window of 13 kernel blocks of the SP-to-SL walk with a partial top block.
     "n_max_200000.json": json.dumps({"N_max": 200000}),
+    # A window of 4 kernel blocks, the top one partial: past the 32768 rows from which the walk forks workers.
+    "n_max_50000.json": json.dumps({"N_max": 50000}),
     # A WL window of 61 blocks of 2^15 and a part, whose crossings all lie left of its last half.
     "n_max_2000000.json": json.dumps({"N_max": 2000000, "k_max": 2000000}),
     # k_max admits no k*(s) of the SP-to-WL map: verify stops after the SP-to-SL files.
@@ -150,6 +152,9 @@ def _runs() -> list:
         ("transform-sp2sl-n-max-200000", [
             "transform", "--direction", "sp2sl", "--ratefn", "rate_exp_power.json", "--s-grid", "1e-5,1e-2,60",
             "--config", "n_max_200000.json"]),
+        ("transform-sp2sl-n-max-50000", [
+            "transform", "--direction", "sp2sl", "--ratefn", "rate_exp_power.json", "--s-grid", "3e-5,1e-2,40",
+            "--config", "n_max_50000.json"]),
         ("transform-wl2sp-n-max-2000000", [
             "transform", "--direction", "wl2sp", "--ratefn", "rate_log_power.json", "--s-grid", "2e-3,0.1,20",
             "--config", "n_max_2000000.json"]),
