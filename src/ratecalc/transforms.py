@@ -56,7 +56,8 @@ blocks of _ROWS rows, sp_from_wl in blocks of _BLOCK = 2^15 indices,
 whose arrays (about 1.5 MB) stay in a core's L2 cache, so the WL walk
 of 1.5e8 indices took about half as long as in blocks of 2^20 when it
 read every index.  A block is built in arrays reused from block to
-block, and its log n also serves the verdict's log-log fit.
+block.  Rule 4's sample of at most 2^16 indices is held whole, in two
+rows of floats, for its one fit.
 sp_from_wl and sp_from_sl return log(beta_SP), exact past double range.
 
 On the package's own rate functions, the WL walk reads only the blocks
@@ -72,10 +73,11 @@ of the last quarter whose bounds straddle rule 2's threshold.  Rule 1
 follows from g(N_max), as every value is finite where it is.  Rule 3
 reads the last half from the top down to its first decrease, the top
 block alone on a vanishing sequence; no step into an index past 1.001e9
-can be one.  Rule 4 fits at most 2^16 strided indices, evaluated apart,
-and the 64 tail picks are evaluated as points.  Every other block gives
-g(hi) alone, and a run of such blocks is folded in one step: it admits
-each such s whole or not at all, and no rule reads more of it.  On the
+can be one.  Rule 4's sample of at most 2^16 strided indices is
+evaluated apart, once the blocks are folded, and the 64 tail picks as
+points.  Every other block gives g(hi) alone, and a run of such blocks
+is folded in one step: it admits each such s whole or not at all, and
+no rule reads more of it.  On the
 window of 1.5e8 indices and 60 s of the benchmark's sp_from_wl, 57-61
 of the 4 578 blocks are read (seeds 1-3).  A RateFunction of any other
 class is read in full: the walk cannot vouch that it does not rise, or
@@ -94,18 +96,17 @@ for at its indices; each s at or above the maximum admits the whole
 block once the carry admits it.  The same tasks run in this process,
 one after the other, where the work is too small to pay for a pool, one
 core is usable or the caller is a daemonic process; there is no
-setting.  No value depends on where a task ran: kernel rows do not
-depend on their block, and the verdict's fit sums are numpy's pairwise
+setting.  No value depends on where a task ran or where the window is
+cut into blocks: kernel rows do not depend on their block, and rule 4
+fits its whole sample once, ascending in n, with numpy's pairwise
 reductions, not BLAS dots, whose rounding depends on the BLAS thread
-count.  The fit sums are merged block by block, or chunk by chunk
-where the WL walk fits its sample apart, so the trend slope of a window
-of several blocks may differ in its last digits from that of
-check_vanishing on the whole array.  On a 2-core x86 machine the WL
-walk of 1.5e8 indices and 60 s took 0.03-0.06 s in this process (seeds
-1-3), against 0.90-1.36 s in two workers when it read the whole last
-half, and the 4e5 xi1 rows of example11 sp2sl 0.15-0.28 s (median
-0.16 s) in two workers against 0.24-0.26 s (median 0.25 s) in one
-(nproc 2, five runs each).
+count.  So every walk's trend slope is that of check_vanishing on the
+whole array, bit for bit.  On a 2-core x86 machine the WL walk of
+1.5e8 indices and 60 s took 0.03-0.06 s in this process (seeds 1-3),
+against 0.90-1.36 s in two workers when it read the whole last half,
+and the 4e5 xi1 rows of example11 sp2sl 0.15-0.28 s (median 0.16 s) in
+two workers against 0.24-0.26 s (median 0.25 s) in one (nproc 2, five
+runs each).
 
 The grid infimum of a block of T kernel arguments over R grid points is
 a row-minima problem on a (T x R) matrix that is never formed.  Write
@@ -204,7 +205,7 @@ _EXT_DECADES = 22.0
 
 # Indices per block when the WL-to-SP map walks its index window.  A
 # block's arrays (ns, log n, the WL sequence, one work array and the
-# verdict fit's two scratch rows) take 6 x 256 KiB at 2^15, inside a
+# decrease test's two scratch rows) take 6 x 256 KiB at 2^15, inside a
 # core's 2 MiB L2, where at 2^20 they took 48 MB and each of the ~10
 # passes per block streamed from L3 or memory.  On a 2-core x86 machine
 # the walk of 1.5e8 indices took 2.0-2.3 s at 2^15 against 3.9-4.5 s at
@@ -692,7 +693,7 @@ def check_vanishing(seq) -> ConditionVerdict:
     ns, vals = np.asarray(ns, dtype=int), np.asarray(vals, dtype=float)
     first, last = (int(ns[0]), int(ns[-1])) if ns.size else (0, 0)
     layout = _verdict_layout(ns.size, first, last)
-    return _fold_verdict([_verdict_part(layout, 0, ns, np.log(ns), vals)], layout)
+    return _fold_verdict([_verdict_part(layout, 0, ns, vals)], layout)
 
 
 # Rule 3 of check_vanishing counts a step as a decrease where it falls by more
@@ -732,44 +733,8 @@ def _verdict_layout(size: int, n_first: int, n_last: int) -> _Layout:
     return _Layout(size, tail_start, half_start, picks, -(-(size - half_start) // _FIT_POINTS))
 
 
-def _fit_sums(x: np.ndarray, y: np.ndarray, dx: np.ndarray) -> tuple:
-    """(count, mean x, mean y, Sxx, Sxy) of one block, the sums centred on its means.
-
-    ``y`` is overwritten and ``dx`` is scratch of x.size floats.  The
-    sums are numpy's pairwise reductions, never a BLAS dot: OpenBLAS
-    splits a dot of more than 10 000 entries over its threads, so its
-    rounding, and the trend slope, would depend on their number.
-    """
-    mx, my = float(x.mean()), float(y.mean())
-    np.subtract(x, mx, out=dx)
-    np.subtract(y, my, out=y)
-    sxy = float(np.multiply(dx, y, out=y).sum())
-    sxx = float(np.multiply(dx, dx, out=dx).sum())
-    return x.size, mx, my, sxx, sxy
-
-
-def _merge_fit(acc: tuple, part: tuple) -> tuple:
-    """Fold a block's least-squares sums into running ones (Chan et al. 1979).
-
-    Both are (count, mean x, mean y, Sxx, Sxy) with centred sums, so the
-    slope Sxy/Sxx stays accurate over any number of blocks.
-    """
-    n_a, mx_a, my_a, sxx_a, sxy_a = acc
-    m, mx_b, my_b, sxx_b, sxy_b = part
-    n = n_a + m
-    ddx, ddy = mx_b - mx_a, my_b - my_a
-    w = n_a * m / n
-    return (
-        n,
-        mx_a + ddx * m / n,
-        my_a + ddy * m / n,
-        sxx_a + sxx_b + ddx * ddx * w,
-        sxy_a + sxy_b + ddx * ddy * w,
-    )
-
-
-def _verdict_part(layout: _Layout, pos: int, ns, log_n, vals, scratch=None, check_decrease: bool = True,
-                  finite: Optional[bool] = None, fit: bool = True) -> tuple:
+def _verdict_part(layout: _Layout, pos: int, ns, vals, scratch=None, check_decrease: bool = True,
+                  finite: Optional[bool] = None) -> tuple:
     """What the rules of ``check_vanishing`` need of the block ``vals``,
     the entries [pos, pos + vals.size) of the window.
 
@@ -777,15 +742,15 @@ def _verdict_part(layout: _Layout, pos: int, ns, log_n, vals, scratch=None, chec
     as (n, value) pairs, the maximum of the block's part of the last
     quarter or -inf, half).  ``half`` is None for a block left of the
     last half; otherwise (that part finite, it decreases somewhere, its
-    first value, the fit sums of its entries in rule 4's sample, or None
-    where it holds none or is not finite).  ``ns`` may be integral
-    floats.  ``scratch`` is two rows of at least vals.size floats for
-    the last half, made here if None.  Without ``check_decrease`` the
-    decrease test is skipped and reads False: a block on the right,
-    folded before this one, already decreases, or the caller settles
-    rule 3 itself.  Without ``fit`` the fit sums are None: the caller
-    fits rule 4's sample itself.  ``finite`` tells whether every value
-    is finite, where the caller knows; otherwise it is computed here.
+    first value, its slice of rule 4's sample as n and value in two
+    rows, or None where it holds none or is not finite).  ``ns`` may be
+    integral floats.  ``scratch`` is two rows of at least vals.size
+    floats for the decrease test on the last half, made here if None.
+    Without ``check_decrease`` the decrease test is skipped and reads
+    False: a block on the right, folded before this one, already
+    decreases, or the caller settles rule 3 itself.  ``finite`` tells
+    whether every value is finite, where the caller knows; otherwise it
+    is computed here.
     """
     if finite is None:
         finite = bool(np.isfinite(vals).all())
@@ -798,26 +763,22 @@ def _verdict_part(layout: _Layout, pos: int, ns, log_n, vals, scratch=None, chec
     half = None
     if h < vals.size:
         half_finite = finite or bool(np.isfinite(vals[h:]).all())
-        decreases, sums = False, None
-        # the block's first entry in rule 4's sample, which runs down from the window's last
-        p = h + (layout.size - 1 - pos - h) % layout.stride
-        fit = fit and p < vals.size
-        if half_finite and (check_decrease or fit):
-            m = vals.size - h
-            if scratch is None:
-                scratch = np.empty((2, m))
+        decreases, sample = False, None
+        if half_finite:
             if check_decrease:
+                m = vals.size - h
+                if scratch is None:
+                    scratch = np.empty((2, m))
                 # run[i+1] - run[i] < -_DECREASE |run[i]| on the run vals[h:], as in np.diff
                 step, bound = scratch[:, : m - 1]
                 np.subtract(vals[h + 1 :], vals[h:-1], out=step)
                 np.multiply(np.abs(vals[h:-1], out=bound), -_DECREASE, out=bound)
                 decreases = bool((step < bound).any())
-            if fit:
-                x = log_n[p :: layout.stride]
-                y, dx = scratch[:, : x.size]
-                np.log(np.maximum(vals[p :: layout.stride], 1e-300, out=y), out=y)
-                sums = _fit_sums(x, y, dx)
-        half = (half_finite, decreases, float(vals[h]), sums)
+            # the block's first entry in rule 4's sample, which runs down from the window's last
+            p = h + (layout.size - 1 - pos - h) % layout.stride
+            if p < vals.size:
+                sample = np.stack((ns[p :: layout.stride], vals[p :: layout.stride]))
+        half = (half_finite, decreases, float(vals[h]), sample)
     return vals.size, float(vals[0]), float(vals[-1]), finite, pairs, tail_max, half
 
 
@@ -826,16 +787,20 @@ def _verdict_part(layout: _Layout, pos: int, ns, log_n, vals, scratch=None, chec
 _SLOPE_TOL = 0.1
 
 
-def _fold_verdict(parts, layout: _Layout, fit: Optional[tuple] = None) -> ConditionVerdict:
+def _fold_verdict(parts, layout: _Layout, sample=None) -> ConditionVerdict:
     """The rules of ``check_vanishing`` from the ``_verdict_part`` of
     every block of the window, from right to left, the last index first.
 
-    ``fit`` holds the sums of rule 4's sample where the caller fitted it
-    apart from the blocks; otherwise the parts' sums are merged.  A part
-    may stand for a run of blocks that the caller did not read (see
-    ``_walk``): the caller then vouches that each rule reads exact
-    inputs, or inputs on the same side of its threshold, wherever the
-    rules before it leave the verdict open.
+    Rule 4's slope is one least-squares fit of the whole sample,
+    ascending in n, wherever the window was cut: each part's slice goes
+    to its place in one buffer.  Where the caller takes the sample apart,
+    ``sample()`` returns that buffer instead, n and value in two rows;
+    it is called after the parts are folded, where the last half is
+    finite, and the parts' slices are dropped.  A part may stand for a
+    run of blocks that the caller did not read (see ``_walk``): the
+    caller then vouches that each rule reads exact inputs, or inputs on
+    the same side of its threshold, wherever the rules before it leave
+    the verdict open.
     """
     pos = layout.size
     first = last = math.nan
@@ -844,7 +809,9 @@ def _fold_verdict(parts, layout: _Layout, fit: Optional[tuple] = None) -> Condit
     decreases = False
     half_finite = True
     nxt = None  # the first value of the half window in the block on the right
-    sums = (0, 0.0, 0.0, 0.0, 0.0) if fit is None else fit
+    # rule 4's sample, filled from the right as the parts come
+    free = (layout.size - 1 - layout.half_start) // layout.stride + 1
+    xy = np.empty((2, free)) if sample is None else None
     pairs = []
     for size, head, end, finite, block_pairs, block_tail_max, half in parts:
         if pos == layout.size:
@@ -855,15 +822,27 @@ def _fold_verdict(parts, layout: _Layout, fit: Optional[tuple] = None) -> Condit
         pairs[:0] = block_pairs
         tail_max = max(tail_max, block_tail_max)
         if half is not None and half_finite:
-            half_finite, block_decreases, half_head, block_fit = half
+            half_finite, block_decreases, half_head, block_sample = half
             if half_finite:
                 # a decrease inside the block, or from its last value to the block on the right
                 decreases = decreases or block_decreases or (nxt is not None and nxt - end < -_DECREASE * abs(end))
                 nxt = half_head
-                if block_fit is not None:
-                    sums = _merge_fit(sums, block_fit)
+                if xy is not None and block_sample is not None:
+                    free -= block_sample.shape[1]
+                    xy[:, free : free + block_sample.shape[1]] = block_sample
 
-    slope = sums[4] / sums[3] if half_finite else math.nan
+    slope = math.nan
+    if half_finite:
+        # In place, with numpy's pairwise sums, never a BLAS dot: OpenBLAS splits
+        # a dot of more than 10 000 entries over its threads, so its rounding,
+        # and the slope, would depend on their number.
+        x, y = xy if sample is None else sample()
+        np.log(x, out=x)
+        np.log(np.maximum(y, 1e-300, out=y), out=y)
+        x -= x.mean()
+        y -= y.mean()
+        sxy = float(np.multiply(x, y, out=y).sum())
+        slope = sxy / float(np.multiply(x, x, out=x).sum())
     tail = tuple(pairs)
     if undefined:
         return ConditionVerdict(FAILS, tail, slope)
@@ -954,12 +933,12 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
     decrease.  No step into an index at or past _FLAT can be one, so it
     reads the highest block of the half below _FLAT first, in this
     process, and every block of the half below that one where it does
-    not decrease.  It takes rule 4's sample (``_sample_fit``) and the
-    tail picks apart, in single calls, and folds each run of blocks it
-    does not read in one step, from g at their last indices.  Memory
-    holds one block's arrays per process and, for the fold, some 100
-    bytes per block of the window (about 0.5 MB for the WL walk of
-    1.5e8 indices).
+    not decrease.  It takes the tail picks apart in one call, and rule
+    4's sample (``_sample``) once the blocks are folded, and folds each
+    run of blocks it does not read in one step, from g at their last
+    indices.  Memory holds one block's arrays per process, rule 4's
+    sample (at most 1 MB) and, for the fold, some 100 bytes per block of
+    the window (about 0.5 MB for the WL walk of 1.5e8 indices).
     """
     n0 = _start_index(beta, cfg, sequence)
     layout = _verdict_layout(cfg.N_max - n0 + 1, n0, cfg.N_max)
@@ -977,11 +956,11 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
     starts = range(n0, cfg.N_max + 1, block)
     task = functools.partial(_walk_group, beta, cfg, layout, n0, s_sorted, at, sequence, block)
     tops = np.full(len(starts), np.nan)  # g at the last index of each block not read, NaN at each block read
-    pre, fit = {}, None  # the part of the block read first for rule 3, by number; rule 4's sums where fitted apart
+    pre, sample = {}, None  # the part of the block read first for rule 3, by number; rule 4's sample where taken apart
     if sequence == "wl" and type(beta) in _FAMILIES.values() and len(starts) > 2:
         tops = _bounded_blocks(beta, cfg, layout, starts, s_sorted, at)
         picks = _wl_at(beta, cfg, n0 + layout.picks)
-        task = functools.partial(task, fit=False)
+        sample = functools.partial(_sample, beta, cfg, layout, n0, block)
         settled = True  # whether rule 3 needs no more of the blocks read below
         if math.isfinite(picks[-1]):  # g(N_max) is finite, and so is every value: rules 3 and 4 read them
             # Rule 3 reads the last half from the top down; no step into an index at or past _FLAT decreases.
@@ -992,7 +971,6 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
                 if not pre[b][0][6][1]:  # it does not decrease: the walk reads every block of the half below it
                     tops[low:b] = math.nan
                     settled = False
-            fit = _sample_fit(beta, cfg, layout, n0, block)
         if settled:
             task = functools.partial(task, check_decrease=False)
     read = np.isnan(tops)
@@ -1059,7 +1037,7 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
                 carry = float(np.maximum(carry, top))
             yield part
 
-    verdict = _fold_verdict(parts(), layout, fit)
+    verdict = _fold_verdict(parts(), layout, sample)
     k_star = np.empty(s.shape, dtype=np.int64)
     k_star[order] = cfg.N_max + 1 - np.cumsum(whole[:-1]) - crossed
     return verdict, k_star, sup_at
@@ -1134,51 +1112,41 @@ def _bounded_blocks(beta: RateFunction, cfg: TransformConfig, layout: _Layout, s
 _FLAT = 1_001_000_000
 
 
-def _sample_fit(beta: RateFunction, cfg: TransformConfig, layout: _Layout, n0: int, block: int) -> tuple:
-    """The fit sums of rule 4's sample of the WL sequence, in chunks of at most ``block`` points, the top first.
+def _sample(beta: RateFunction, cfg: TransformConfig, layout: _Layout, n0: int, block: int) -> np.ndarray:
+    """Rule 4's sample of the WL sequence, N_max, N_max - stride, ... down to the last half.
 
-    The sample is N_max, N_max - stride, ... down to the last half.
-    Chunk c holds its indices in [n0 + c*block*stride,
-    n0 + (c + 1)*block*stride), so at stride 1 the chunks are the parts
-    of the walk's blocks in the last half, and the sums keep the bits of
-    the walk that reads every index.
+    Returns n and g in two rows, ascending in n, as ``_fold_verdict``
+    fits them.  g is evaluated in chunks of at most ``block`` points;
+    values do not depend on their chunk.
     """
     stride = layout.stride
-    span = block * stride
     low = cfg.N_max - (cfg.N_max - n0 - layout.half_start) // stride * stride  # the sample's lowest index
-    rows = np.empty((4, min(block, (cfg.N_max - low) // stride + 1)))
-    sums = (0, 0.0, 0.0, 0.0, 0.0)
-    for c in range((cfg.N_max - n0) // span, (low - n0) // span - 1, -1):
-        lo = max(n0 + c * span, low)
-        lo += (cfg.N_max - lo) % stride  # the chunk's lowest index in the sample
-        hi = min(n0 + (c + 1) * span - 1, cfg.N_max)
-        ns, log_n, y, dx = rows[:, : (hi - lo) // stride + 1]
-        ns[:] = np.arange(lo, hi + 1, stride)
-        np.log(ns, out=log_n)
-        g = _wl_condition_sequence(beta, cfg, ns, log_n, y, dx)
-        np.log(np.maximum(g, 1e-300, out=y), out=y)
-        sums = _merge_fit(sums, _fit_sums(log_n, y, dx))
-    return sums
+    xy = np.empty((2, (cfg.N_max - low) // stride + 1))
+    scratch = np.empty((2, min(block, xy.shape[1])))  # a chunk's log n and work array
+    for i in range(0, xy.shape[1], block):
+        ns, g = xy[:, i : i + block]
+        log_n, work = scratch[:, : ns.size]
+        ns[:] = np.arange(low + i * stride, low + (i + ns.size) * stride, stride)
+        _wl_condition_sequence(beta, cfg, ns, np.log(ns, out=log_n), work, g)
+    return xy
 
 
 def _walk_group(beta, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, at, sequence: str, block: int,
-                los: np.ndarray, check_decrease: bool = True, fit: bool = True) -> list:
+                los: np.ndarray, check_decrease: bool = True) -> list:
     """(verdict part, sup part) of each walk block that starts at ``los``, the top block first.
 
     ``los`` descends, each a block of ``block`` indices cut at N_max.
-    The blocks are built in arrays reused from block to block, and the
-    log n each computes for the argument or the kernel row also serves
-    the verdict's fit.  The sup part is ``_sup_part``'s, on C4*g for the
-    kernel rows as N0(s) reads them.  A block is finite where its maximum
-    is (g >= 0, and NaN propagates).  Once a block decreases, the blocks
-    after it here skip the decrease test (see ``_verdict_part``); without
-    ``check_decrease`` every block skips it, and without ``fit`` the
-    parts hold no fit sums: the WL walk of a family settles rules 3 and
-    4 apart.
+    The blocks are built in arrays reused from block to block; log n
+    serves the WL argument alone.  The sup part is ``_sup_part``'s, on
+    C4*g for the kernel rows as N0(s) reads them.  A block is finite
+    where its maximum is (g >= 0, and NaN propagates).  Once a block
+    decreases, the blocks after it here skip the decrease test (see
+    ``_verdict_part``); without ``check_decrease`` every block skips it:
+    the WL walk of a family settles rule 3 apart.
     """
     rows = np.empty((4, min(block, cfg.N_max - los[-1] + 1)))  # one block's ns, log n, work and G
-    # the verdict's two rows, while the group reaches into the last half
-    reaches_half = min(los[0] + block, cfg.N_max + 1) - n0 > layout.half_start and (check_decrease or fit)
+    # the decrease test's two rows, while the group reaches into the last half
+    reaches_half = min(los[0] + block, cfg.N_max + 1) - n0 > layout.half_start and check_decrease
     scratch = np.empty((2, rows.shape[1])) if reaches_half else None
     ns = rows[0, :0]
     decreasing = not check_decrease
@@ -1190,15 +1158,14 @@ def _walk_group(beta, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, 
         else:  # the first block, and the first full block below a partial one
             ns, log_n, work, g = rows[:, : hi - lo + 1]
             ns[:] = np.arange(lo, hi + 1)
-        np.log(ns, out=log_n)
         if sequence == "wl":
-            vals = _wl_condition_sequence(beta, cfg, ns, log_n, work, g)
+            vals = _wl_condition_sequence(beta, cfg, ns, np.log(ns, out=log_n), work, g)
         else:
             vals = _xi1_terms(beta, cfg, ns)
             np.multiply(cfg.C4, vals, out=g)
         sup = _sup_part(g, work, s_sorted, at, lo, hi)
         finite = math.isfinite(sup[0] if vals is g else float(vals.max()))
-        part = _verdict_part(layout, lo - n0, ns, log_n, vals, scratch, not decreasing, finite, fit)
+        part = _verdict_part(layout, lo - n0, ns, vals, scratch, not decreasing, finite)
         decreasing = decreasing or (part[6] is not None and part[6][1])
         if lo - n0 <= layout.half_start:
             scratch = None  # the half window is done: free its scratch
@@ -1234,8 +1201,10 @@ def wl2sp_condition(beta_wl: RateFunction, cfg: Optional[TransformConfig] = None
     Where beta_WL is one of the package's own rate functions, the walk
     reads, with no s to place, the top block and the lowest, the blocks
     that rules 2 and 3 need, which on a vanishing sequence are usually
-    none more, and rule 4's sample of at most 2^16 indices, and one value
-    of every other block; any other RateFunction it reads in full.
+    none more, rule 4's sample of at most 2^16 indices, after the
+    blocks, and one value of every other block; any other RateFunction
+    it reads in full.  Either way the verdict, its trend slope included,
+    is that of ``check_vanishing`` on the whole window, bit for bit.
     """
     return _walk(beta_wl, cfg or TransformConfig())[0]
 
@@ -1445,9 +1414,11 @@ def sp_from_wl(beta_wl: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     block's arrays and some 100 bytes per block.  Where beta_WL is one
     of the package's own rate functions, the walk reads in full the top
     block and the lowest, the blocks where some k*(s) may lie and the
-    blocks that the verdict's rules 2 and 3 need, takes rule 4's sample
-    of at most 2^16 indices, and one value of every other block; any
-    other RateFunction it reads in full.
+    blocks that the verdict's rules 2 and 3 need, rule 4's sample of at
+    most 2^16 indices, after the blocks, and one value of every other
+    block; any other RateFunction it reads in full.  Either way the
+    verdict is that of ``check_vanishing`` on the whole window, bit for
+    bit.
     """
     cfg = cfg or TransformConfig()
     verdict, table = _wl_map(beta_wl, _s_grid(s_grid), cfg)

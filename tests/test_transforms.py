@@ -546,16 +546,28 @@ class TestConfig:
 
 def vanishing_verdict(blocks, size, n_first, n_last):
     """The rules of ``check_vanishing`` over ``size`` entries from the
-    (ns, log(ns), vals) pieces ``blocks``, right to left, by the walk's fold."""
+    (ns, vals) pieces ``blocks``, right to left, by the walk's fold."""
     layout = transforms._verdict_layout(size, n_first, n_last)
 
     def parts():
         pos = size
-        for ns, log_n, vals in blocks:
+        for ns, vals in blocks:
             pos -= vals.size
-            yield transforms._verdict_part(layout, pos, ns, log_n, vals)
+            yield transforms._verdict_part(layout, pos, ns, vals)
 
     return transforms._fold_verdict(parts(), layout)
+
+
+def last_half_fit(ns, vals, points=1 << 16):
+    """Rule 4's slope over the last half (ns, vals) in one pass, ascending in n: the least-squares
+    slope of log(value) on log(n) at its entries N_max, N_max - stride, ..., with
+    stride = ceil(half / points).  The sums are numpy's pairwise ones, as in the fold."""
+    stride = -(-ns.size // points)
+    first = (ns.size - 1) % stride
+    x = np.log(ns[first::stride].astype(float))
+    y = np.log(np.maximum(vals[first::stride], 1e-300))
+    dx = x - x.mean()
+    return float((dx * (y - y.mean())).sum() / (dx * dx).sum())
 
 
 def forward_vanishing_verdict(blocks, size, n_first, n_last):
@@ -581,7 +593,7 @@ def forward_vanishing_verdict(blocks, size, n_first, n_last):
     decreases = False
     half_finite = True
     prev = np.empty(0)
-    fit = (0, 0.0, 0.0, 0.0, 0.0)
+    half = []  # the (ns, vals) of the last half, left to right
     pairs = []
     for ns, vals in blocks:
         if pos == 0:
@@ -600,12 +612,10 @@ def forward_vanishing_verdict(blocks, size, n_first, n_last):
                 run = np.concatenate([prev, vals[h:]])
                 decreases = decreases or bool(np.any(np.diff(run) < -1e-9 * np.abs(run[:-1])))
                 prev = run[-1:]
-                log_n = np.log(ns[h:].astype(float))
-                y = np.log(np.maximum(vals[h:], 1e-300))
-                fit = transforms._merge_fit(fit, transforms._fit_sums(log_n, y, np.empty_like(log_n)))
+                half.append((ns[h:], vals[h:]))
         pos += vals.size
 
-    slope = fit[4] / fit[3] if half_finite else math.nan
+    slope = last_half_fit(*map(np.concatenate, zip(*half))) if half_finite else math.nan
     tail = tuple(pairs)
     if undefined:
         return transforms.ConditionVerdict(transforms.FAILS, tail, slope)
@@ -668,8 +678,7 @@ def _any_sequences(draw):
 def _assert_reverse_fold_matches(ns, vals, block):
     chunks = [(ns[i : i + block], vals[i : i + block]) for i in range(0, ns.size, block)]
     want = forward_vanishing_verdict(chunks, ns.size, int(ns[0]), int(ns[-1]))
-    reverse = [(n, np.log(n), v) for n, v in chunks[::-1]]
-    got = vanishing_verdict(reverse, ns.size, int(ns[0]), int(ns[-1]))
+    got = vanishing_verdict(chunks[::-1], ns.size, int(ns[0]), int(ns[-1]))
     assert got.status == want.status
     # as arrays, so that NaN entries compare equal
     np.testing.assert_array_equal(np.array(got.sequence_tail), np.array(want.sequence_tail))
@@ -723,12 +732,10 @@ class TestCheckVanishing:
         ns = np.arange(2, 402)
         vals = 1.0 / ((ns - 2) // 7 + 1)
         whole = check_vanishing((ns, vals))
-        blocks = [(ns[i : i + 7], np.log(ns[i : i + 7]), vals[i : i + 7]) for i in range(0, ns.size, 7)][::-1]
+        blocks = [(ns[i : i + 7], vals[i : i + 7]) for i in range(0, ns.size, 7)][::-1]
         verdict = vanishing_verdict(blocks, ns.size, 2, 401)
         assert whole.status == "holds_empirically"
-        assert verdict.status == whole.status
-        assert verdict.sequence_tail == whole.sequence_tail
-        assert verdict.trend_slope == pytest.approx(whole.trend_slope, rel=1e-12)
+        assert repr(verdict) == repr(whole)
 
     @pytest.mark.parametrize("rule", sorted(_RULE_STATUS))
     @settings(max_examples=60, deadline=None)
@@ -1084,15 +1091,14 @@ def _sl_grids(ns, vals, cfg, block):
 
 class TestSlWalk:
     """The SP-to-SL map's walk against its whole-array path: the verdict
-    bit for bit but for the trend slope, and N0 at every s."""
+    bit for bit, and N0 at every s."""
 
     def _check(self, beta, cfg):
         ns, vals = whole_xi1_sequence(beta, cfg)
         want = check_vanishing((ns, vals))
         for s in _sl_grids(ns, vals, cfg, transforms._ROWS):
             verdict, k_star, _ = transforms._walk(beta, cfg, s, sequence="xi1")
-            assert (verdict.status, verdict.sequence_tail) == (want.status, want.sequence_tail)
-            assert verdict.trend_slope == pytest.approx(want.trend_slope, rel=1e-12, nan_ok=True)
+            assert repr(verdict) == repr(want)
             assert _outcome(lambda: transforms._n_zero(beta, k_star, s, cfg)) == _outcome(
                 lambda: whole_n_zero(ns, vals, s, cfg))
         return want
@@ -1144,8 +1150,7 @@ class TestSlWalk:
         want = check_vanishing((ns, 1.0 + 1.0 / ns))
         assert want.status == "inconclusive"
         verdict = transforms._walk(None, cfg, sequence="xi1")[0]
-        assert (verdict.status, verdict.sequence_tail) == (want.status, want.sequence_tail)
-        assert verdict.trend_slope == pytest.approx(want.trend_slope, rel=1e-12)
+        assert repr(verdict) == repr(want)
 
     def test_cap_error(self):
         cfg = TransformConfig(N_max=3 * transforms._ROWS + 17)
@@ -1471,9 +1476,8 @@ class TestSpFromWl:
         verdict, sup, blocked = run()
         np.testing.assert_array_equal(sup, whole_sup)
         assert blocked == whole
-        assert verdict.status == whole_verdict.status
-        assert verdict.sequence_tail == whole_verdict.sequence_tail
-        assert verdict.trend_slope == pytest.approx(whole_verdict.trend_slope, rel=1e-12, nan_ok=True)
+        # status, tail and trend slope, bit for bit and with NaN equal to NaN
+        assert repr(verdict) == repr(whole_verdict)
 
 
 # The block walk of the WL-to-SP map as it was before its blocks reused
@@ -1486,24 +1490,6 @@ def old_wl_condition_sequence(beta_wl, cfg, lo, hi):
     log_args = -(ns * math.log(cfg.delta) + cfg.theta_cond * np.log(ns))
     with np.errstate(over="ignore"):
         return ns, beta_wl.eval_at_log_many(log_args) / ns
-
-
-def old_merge_fit(acc, x, y):
-    # The sums are numpy's pairwise ones, as in the walk: a BLAS dot's
-    # rounding depends on its thread count.
-    n_a, mx_a, my_a, sxx_a, sxy_a = acc
-    mx_b, my_b = float(x.mean()), float(y.mean())
-    dx = x - mx_b
-    n = n_a + x.size
-    ddx, ddy = mx_b - mx_a, my_b - my_a
-    w = n_a * x.size / n
-    return (
-        n,
-        mx_a + ddx * x.size / n,
-        my_a + ddy * x.size / n,
-        sxx_a + float((dx * dx).sum()) + ddx * ddx * w,
-        sxy_a + float((dx * (y - my_b)).sum()) + ddx * ddy * w,
-    )
 
 
 def old_vanishing_verdict(blocks, size, n_first, n_last):
@@ -1528,7 +1514,7 @@ def old_vanishing_verdict(blocks, size, n_first, n_last):
     decreases = False
     half_finite = True
     nxt = np.empty(0)
-    fit = (0, 0.0, 0.0, 0.0, 0.0)
+    half = []  # the (ns, vals) of the last half, right to left
     pairs = []
     for ns, vals in blocks:
         pos -= vals.size
@@ -1548,10 +1534,9 @@ def old_vanishing_verdict(blocks, size, n_first, n_last):
                 run = np.concatenate([vals[h:], nxt])
                 decreases = decreases or bool(np.any(np.diff(run) < -1e-9 * np.abs(run[:-1])))
                 nxt = vals[h : h + 1].copy()
-                log_n = np.log(ns[h:].astype(float))
-                fit = old_merge_fit(fit, log_n, np.log(np.maximum(vals[h:], 1e-300)))
+                half.append((ns[h:], vals[h:].copy()))
 
-    slope = fit[4] / fit[3] if half_finite else math.nan
+    slope = last_half_fit(*map(np.concatenate, zip(*half[::-1]))) if half_finite else math.nan
     tail = tuple(pairs)
     if undefined:
         return transforms.ConditionVerdict(transforms.FAILS, tail, slope)
@@ -1589,23 +1574,17 @@ def old_wl_walk(beta_wl, cfg, s=(), at=()):
 
 
 def strided_fit(ns, vals, points=1 << 16):
-    """Rule 4's slope in one pass: the least-squares slope of log(value) on log(n) over the
-    last-half entries at N_max, N_max - stride, ..., with stride = ceil(half / points)."""
+    """Rule 4's slope of the whole window (ns, vals): ``last_half_fit`` of its last half."""
     half = int(math.ceil(ns.size / 2))
-    stride = -(-half // points)
-    x = np.log(ns[::-1][:half:stride].astype(float))
-    y = np.log(np.maximum(vals[::-1][:half:stride], 1e-300))
-    dx = x - x.mean()
-    return float((dx * (y - y.mean())).sum() / (dx * dx).sum())
+    return last_half_fit(ns[-half:], vals[-half:], points)
 
 
 def _assert_strided_verdict(got, want, beta_wl, cfg):
-    """``got`` has the status and the tail of ``want``, the verdict of the walk that reads and
-    fits every index, bit for bit, and the slope of rule 4's strided sample."""
+    """``got`` has the status and the tail of ``want``, the verdict of the walk that reads
+    every index, and the slope of rule 4's strided sample, bit for bit."""
     assert (got.status, repr(got.sequence_tail)) == (want.status, repr(want.sequence_tail))
     n0 = cfg.n0 if cfg.n0 is not None else 2
-    assert got.trend_slope == pytest.approx(strided_fit(*old_wl_condition_sequence(beta_wl, cfg, n0, cfg.N_max)),
-                                            rel=1e-12)
+    assert repr(got.trend_slope) == repr(strided_fit(*old_wl_condition_sequence(beta_wl, cfg, n0, cfg.N_max)))
 
 
 class _NanBand(RateFunction):
@@ -1861,7 +1840,8 @@ class TestBoundedBlocks:
 
 class TestStridedFit:
     """Rule 4 fits its slope on the last-half indices N_max, N_max - stride, ...: check_vanishing,
-    the xi1 walk and the WL walk agree on it where the stride exceeds 1 (_FIT_POINTS = 64)."""
+    the xi1 walk and the WL walk agree on it bit for bit where the stride exceeds 1 (_FIT_POINTS = 64),
+    at any block size, in this process and in workers."""
 
     @pytest.mark.parametrize("config", _WALK_CONFIGS, ids=lambda c: f"delta{c[0]}-n0{c[1]}-theta{c[2]}")
     @pytest.mark.parametrize("beta", _WALK_INPUTS, ids=_WALK_IDS)
@@ -1874,7 +1854,7 @@ class TestStridedFit:
         assert transforms._verdict_layout(ns.size, lo, n_max).stride > 1
         want = check_vanishing((ns, g))
         if not math.isnan(want.trend_slope):  # NaN where the last half is not finite
-            assert want.trend_slope == pytest.approx(strided_fit(ns, g, 64), rel=1e-12)
+            assert repr(want.trend_slope) == repr(strided_fit(ns, g, 64))
         s_all = old_wl_walk(beta, cfg, at=ns)[2]
         for block in (7, 64, transforms._BLOCK):
             monkeypatch.setattr(transforms, "_BLOCK", block)
@@ -1883,9 +1863,8 @@ class TestStridedFit:
             s = s[(s > 0) & np.isfinite(s)]
             for at in (np.array([], dtype=int), edges):
                 got, ref = transforms._walk(beta, cfg, s, at), old_wl_walk(beta, cfg, s, at)
-                # status and tail bit for bit, with NaN equal to NaN
-                assert (got[0].status, repr(got[0].sequence_tail)) == (want.status, repr(want.sequence_tail))
-                assert got[0].trend_slope == pytest.approx(want.trend_slope, rel=1e-12, nan_ok=True)
+                # status, tail and trend slope, bit for bit and with NaN equal to NaN
+                assert repr(got[0]) == repr(want)
                 assert got[1].tolist() == ref[1].tolist()
                 assert repr(got[2].tolist()) == repr(ref[2].tolist())
 
@@ -1897,13 +1876,42 @@ class TestStridedFit:
         ns, vals = whole_xi1_sequence(beta, cfg)
         assert transforms._verdict_layout(ns.size, int(ns[0]), cfg.N_max).stride > 1
         want = check_vanishing((ns, vals))
-        assert want.trend_slope == pytest.approx(strided_fit(ns, vals, 64), rel=1e-12)
+        assert repr(want.trend_slope) == repr(strided_fit(ns, vals, 64))
         for s in _sl_grids(ns, vals, cfg, transforms._ROWS):
             verdict, k_star, _ = transforms._walk(beta, cfg, s, sequence="xi1")
-            assert (verdict.status, verdict.sequence_tail) == (want.status, want.sequence_tail)
-            assert verdict.trend_slope == pytest.approx(want.trend_slope, rel=1e-12, nan_ok=True)
+            assert repr(verdict) == repr(want)
             assert _outcome(lambda: transforms._n_zero(beta, k_star, s, cfg)) == _outcome(
                 lambda: whole_n_zero(ns, vals, s, cfg))
+
+    @pytest.mark.parametrize("beta", _SL_INPUTS, ids=_SL_IDS)
+    def test_xi1_walk_at_any_block_size(self, beta, monkeypatch):
+        monkeypatch.setattr(transforms, "_FIT_POINTS", 64)
+        cfg = TransformConfig(N_max=1000)
+        ns, vals = whole_xi1_sequence(beta, cfg)
+        want = check_vanishing((ns, vals))
+        for rows in (7, 64, transforms._ROWS):
+            monkeypatch.setattr(transforms, "_ROWS", rows)
+            assert repr(sp2sl_condition(beta, cfg)) == repr(want)
+
+    @pytest.mark.parametrize("sequence, beta", [("xi1", ExpPower(C=1.0, theta=0.5)), ("wl", LogPower(C=1.0, q=0.5)),
+                                                ("wl", _Jagged())], ids=["xi1", "wl-family", "wl-other"])
+    def test_pooled_walk_equals_whole_sequence(self, sequence, beta, monkeypatch, record_pids):
+        # Blocks of 64 go to workers from the first group on, two blocks a group in the WL walk.
+        for name, value in (("_FIT_POINTS", 64), ("_BLOCK", 64), ("_ROWS", 64), ("_GROUP", 128),
+                            ("_POOL_MIN_ROWS", 1), ("_POOL_MIN_GROUPS", 1)):
+            monkeypatch.setattr(transforms, name, value)
+        cfg = TransformConfig(k_max=3000, N_max=3000)
+        if sequence == "xi1":
+            ns, vals = whole_xi1_sequence(beta, cfg)
+        else:
+            ns, vals = old_wl_condition_sequence(beta, cfg, 2, cfg.N_max)
+        want = check_vanishing((ns, vals))
+        assert transforms._verdict_layout(ns.size, int(ns[0]), cfg.N_max).stride > 1
+        pids = record_pids(transforms, "_xi1_terms" if sequence == "xi1" else "_wl_condition_sequence")
+        got = transforms._walk(beta, cfg, np.geomspace(1e-6, 1e3, 40), sequence=sequence)[0]
+        if len(os.sched_getaffinity(0)) > 1:
+            assert pids() - {os.getpid()}, "no block ran in a worker"
+        assert repr(got) == repr(want)
 
     def test_stride_one_up_to_2_16(self):
         assert transforms._verdict_layout(2 * (1 << 16), 2, 2 * (1 << 16) + 1).stride == 1
@@ -2120,15 +2128,17 @@ class TestBlockTasks:
         assert got == _deep_log_points(_DEEP)
 
     def test_fit_sums_do_not_depend_on_blas_threads(self):
-        # OpenBLAS splits a dot of more than 10 000 entries over its threads;
-        # the fit sums of both a walk and a half window of 20 000 entries do not.
+        # OpenBLAS splits a dot of more than 10 000 entries over its threads; the
+        # trend slopes of a WL walk, an xi1 walk of 3 kernel blocks and a half
+        # window of 20 000 entries do not.
         code = (
             "import numpy as np\n"
-            "from ratecalc import LogPower, TransformConfig, check_vanishing, transforms\n"
+            "from ratecalc import ExpPower, LogPower, TransformConfig, check_vanishing, sp2sl_condition, transforms\n"
             "walk = transforms._walk(LogPower(C=1.0, q=0.25), TransformConfig(k_max=100_000, N_max=100_000))[0]\n"
+            "xi1 = sp2sl_condition(ExpPower(C=1.0, theta=0.5), TransformConfig(N_max=40_000))\n"
             "ns = np.arange(2, 40_002)\n"
             "whole = check_vanishing((ns, ns**-1.5 * (1.0 + 0.5 * np.sin(ns))))\n"
-            "print(repr(walk.trend_slope), repr(whole.trend_slope))\n"
+            "print(repr(walk.trend_slope), repr(xi1.trend_slope), repr(whole.trend_slope))\n"
         )
         src = os.path.dirname(os.path.dirname(transforms.__file__))
         slopes = [
@@ -2137,7 +2147,7 @@ class TestBlockTasks:
             for threads in ("1", "2")
         ]
         assert slopes[0] == slopes[1]
-        assert len(slopes[0].split()) == 2
+        assert len(slopes[0].split()) == 3
 
 
 _BLOCK_SIZE_INPUTS = [
@@ -2168,7 +2178,7 @@ class TestKernelBlockSize:
 
     @pytest.mark.parametrize("beta", _BLOCK_SIZE_INPUTS, ids=_BLOCK_SIZE_IDS)
     def test_walk_and_k_window(self, beta, monkeypatch):
-        # xi1: the SP-to-SL walk's status, tail, k* and N0(s), at s on both sides of
+        # xi1: the SP-to-SL walk's verdict, k* and N0(s), at s on both sides of
         # the suffix maximum at each edge of a 4096-row block; xi2: the k* of sp_from_sl.
         cfg = TransformConfig(N_max=50_000, k_max=50_000)
         s = _sl_grids(*whole_xi1_sequence(beta, cfg), cfg, 4096)[0]
@@ -2181,10 +2191,9 @@ class TestKernelBlockSize:
             log_sp = np.array(sp_from_sl(beta, s_xi2, cfg).log_points)
             got.append((verdict, k_star.tolist(), n0, log_sp.tobytes()))
         (v4, *rest4), (v16, *rest16) = got
-        assert (v4.status, repr(v4.sequence_tail)) == (v16.status, repr(v16.sequence_tail))
+        # status, tail and trend slope, bit for bit and with NaN equal to NaN
+        assert repr(v4) == repr(v16)
         assert rest4 == rest16
-        # The fit sums merge block by block, so the slope may move in its last digits.
-        assert v16.trend_slope == pytest.approx(v4.trend_slope, rel=1e-12, nan_ok=True)
 
 
 def per_row_refine(beta, log_ts, centers, ratio, kind):
