@@ -51,9 +51,9 @@ of rows in blocks of _ROWS, so its memory stays bounded.  sp_from_wl
 likewise evaluates beta_WL from log(delta^-n n^-theta).  Each gated map
 walks its index window once, in blocks from N_max down, for both the
 vanishing verdict and the crossing of every s, so its memory is a few
-MB and some 100 bytes per block of the window: sl_from_sp in kernel
+MB and a few numbers per block of the window: sl_from_sp in kernel
 blocks of _ROWS rows, sp_from_wl in blocks of _BLOCK = 2^15 indices,
-whose arrays (about 1.5 MB) stay in a core's L2 cache, so the WL walk
+whose arrays (about 1.3 MB) stay in a core's L2 cache, so the WL walk
 of 1.5e8 indices took about half as long as in blocks of 2^20 when it
 read every index.  A block is built in arrays reused from block to
 block.  Rule 4's sample of at most 2^16 indices is held whole, in two
@@ -75,28 +75,29 @@ reads the last half from the top down to its first decrease, the top
 block alone on a vanishing sequence; no step into an index past 1.001e9
 can be one.  Rule 4's sample of at most 2^16 strided indices is
 evaluated apart, once the blocks are folded, and the 64 tail picks as
-points.  Every other block gives g(hi) alone, and a run of such blocks
-is folded in one step: it admits each such s whole or not at all, and
-no rule reads more of it.  On the
-window of 1.5e8 indices and 60 s of the benchmark's sp_from_wl, 57-61
-of the 4 578 blocks are read (seeds 1-3).  A RateFunction of any other
-class is read in full: the walk cannot vouch that it does not rise, or
-turn NaN inside a block.
+points.  Every other block gives g(hi) alone, and the fold takes such
+blocks together as arrays: each admits every s whole or not at all,
+and no rule reads more of it.  On the window of 1.5e8 indices and 60 s
+of the benchmark's sp_from_wl, 57-61 of the 4 578 blocks are read
+(seeds 1-3).  A RateFunction of any other class is read in full: the
+walk cannot vouch that it does not rise, or turn NaN inside a block.
 
 Three loops spread over the usable cores through _in_order: the
 kernel's blocks of rows (the SP-to-SL walk's blocks among them), the WL
 walk's blocks in groups of 16, and the solves of cli.cmd_verify's four
 kinds.  A worker reduces each block of a walk to what the fold needs of
-it (_verdict_part and _sup_part), and this process folds those from
-right to left, carrying S just right of the block.  With L the block's
-own suffix sup, S(n) = max(L(n), carry) <= s iff L(n) <= s and
-carry <= s, so a block builds L only for the s between its last value
-and its maximum (one searchsorted on the sorted s) or where S is asked
-for at its indices; each s at or above the maximum admits the whole
-block once the carry admits it.  The same tasks run in this process,
-one after the other, where the work is too small to pay for a pool, one
-core is usable or the caller is a daemonic process; there is no
-setting.  No value depends on where a task ran or where the window is
+it (_verdict_part and _sup_part), and this process folds those in
+whatever order they come, as each part carries its position.  With L
+the block's own suffix sup and R the largest maximum of the blocks
+right of it, S(n) = max(L(n), R) <= s iff L(n) <= s and R <= s.  So,
+once every block is folded, each s is settled in the first block from
+the right whose maximum exceeds it, and a block builds L only for the
+s between its last value and its maximum (one searchsorted on the
+sorted s) or where S is asked for at its indices: an s at or above the
+maximum is settled further left or nowhere.  The same tasks run in
+this process, one after the other, where the work is too small to pay
+for a pool, one core is usable or the caller is a daemonic process;
+there is no setting.  No value depends on where a task ran or where the window is
 cut into blocks: kernel rows do not depend on their block, and rule 4
 fits its whole sample once, ascending in n, with numpy's pairwise
 reductions, not BLAS dots, whose rounding depends on the BLAS thread
@@ -137,6 +138,7 @@ import itertools
 import math
 import os
 import warnings
+from array import array
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
@@ -204,10 +206,10 @@ _R_ABS_MAX = 1e280
 _EXT_DECADES = 22.0
 
 # Indices per block when the WL-to-SP map walks its index window.  A
-# block's arrays (ns, log n, the WL sequence, one work array and the
-# decrease test's two scratch rows) take 6 x 256 KiB at 2^15, inside a
-# core's 2 MiB L2, where at 2^20 they took 48 MB and each of the ~10
-# passes per block streamed from L3 or memory.  On a 2-core x86 machine
+# block's arrays (ns, the WL sequence, one work array and the decrease
+# test's two scratch rows) take 5 x 256 KiB at 2^15, inside a core's
+# 2 MiB L2, where at 2^20 they take 40 MB and each of the ~10 passes
+# per block streams from L3 or memory.  On a 2-core x86 machine
 # the walk of 1.5e8 indices took 2.0-2.3 s at 2^15 against 3.9-4.5 s at
 # 2^20; 2^14 to 2^17 were within noise of 2^15, and 2^13 was slower
 # again, from the fixed cost per block.
@@ -738,8 +740,8 @@ def _verdict_part(layout: _Layout, pos: int, ns, vals, scratch=None, check_decre
     """What the rules of ``check_vanishing`` need of the block ``vals``,
     the entries [pos, pos + vals.size) of the window.
 
-    Returns (size, first value, last value, all finite, the tail picks
-    as (n, value) pairs, the maximum of the block's part of the last
+    Returns (pos, size, first value, last value, all finite, the tail
+    picks as (n, value) pairs, the maximum of the block's part of the last
     quarter or -inf, half).  ``half`` is None for a block left of the
     last half; otherwise (that part finite, it decreases somewhere, its
     first value, its slice of rule 4's sample as n and value in two
@@ -747,16 +749,15 @@ def _verdict_part(layout: _Layout, pos: int, ns, vals, scratch=None, check_decre
     integral floats.  ``scratch`` is two rows of at least vals.size
     floats for the decrease test on the last half, made here if None.
     Without ``check_decrease`` the decrease test is skipped and reads
-    False: a block on the right, folded before this one, already
-    decreases, or the caller settles rule 3 itself.  ``finite`` tells
-    whether every value is finite, where the caller knows; otherwise it
-    is computed here.
+    False: another block already decreases, or the caller settles rule 3
+    itself.  ``finite`` tells whether every value is finite, where the
+    caller knows; otherwise it is computed here.
     """
     if finite is None:
         finite = bool(np.isfinite(vals).all())
     i, j = layout.picks.searchsorted((pos, pos + vals.size))
     sel = layout.picks[i:j] - pos
-    pairs = list(zip(ns[sel].astype(int).tolist(), vals[sel].tolist()))
+    pairs = tuple(zip(ns[sel].astype(int).tolist(), vals[sel].tolist()))
     t = max(layout.tail_start - pos, 0)
     tail_max = float(vals[t:].max()) if t < vals.size else -math.inf
     h = max(layout.half_start - pos, 0)
@@ -779,7 +780,7 @@ def _verdict_part(layout: _Layout, pos: int, ns, vals, scratch=None, check_decre
             if p < vals.size:
                 sample = np.stack((ns[p :: layout.stride], vals[p :: layout.stride]))
         half = (half_finite, decreases, float(vals[h]), sample)
-    return vals.size, float(vals[0]), float(vals[-1]), finite, pairs, tail_max, half
+    return pos, vals.size, float(vals[0]), float(vals[-1]), finite, pairs, tail_max, half
 
 
 # Rule 4 of check_vanishing fails a trend slope above -_SLOPE_TOL.  No setting: every
@@ -787,52 +788,69 @@ def _verdict_part(layout: _Layout, pos: int, ns, vals, scratch=None, check_decre
 _SLOPE_TOL = 0.1
 
 
-def _fold_verdict(parts, layout: _Layout, sample=None) -> ConditionVerdict:
+def _fold_verdict(parts, layout: _Layout, sample=None, unread=None) -> ConditionVerdict:
     """The rules of ``check_vanishing`` from the ``_verdict_part`` of
-    every block of the window, from right to left, the last index first.
+    every block of the window, in any order.
 
-    Rule 4's slope is one least-squares fit of the whole sample,
-    ascending in n, wherever the window was cut: each part's slice goes
-    to its place in one buffer.  Where the caller takes the sample apart,
+    Each part carries its position, so no rule depends on the order of
+    the parts: the tail picks are sorted by n, each slice of rule 4's
+    sample goes to the slots of one buffer that its position gives, and
+    rule 3 tests the steps between blocks once, after the parts, on the
+    blocks of the last half sorted by position.  Rule 4's slope is one
+    least-squares fit of the whole sample, ascending in n, wherever the
+    window was cut.  Where the caller takes the sample apart,
     ``sample()`` returns that buffer instead, n and value in two rows;
     it is called after the parts are folded, where the last half is
-    finite, and the parts' slices are dropped.  A part may stand for a
-    run of blocks that the caller did not read (see ``_walk``): the
-    caller then vouches that each rule reads exact inputs, or inputs on
-    the same side of its threshold, wherever the rules before it leave
-    the verdict open.
+    finite, and the parts' slices are dropped.
+
+    ``unread`` holds the blocks that the caller did not read (see
+    ``_walk``) as arrays: the last position of each, the value there,
+    and the tail picks in them as (n, value) pairs.  Such a block is
+    finite, rule 2 reads its last value as the maximum of its part of
+    the last quarter, and rule 3 finds no decrease inside it or in the
+    step into it.  The caller vouches that each rule reads exact inputs,
+    or inputs on the same side of its threshold, wherever the rules
+    before it leave the verdict open.
     """
-    pos = layout.size
     first = last = math.nan
     undefined = False
     tail_max = -math.inf
     decreases = False
     half_finite = True
-    nxt = None  # the first value of the half window in the block on the right
-    # rule 4's sample, filled from the right as the parts come
-    free = (layout.size - 1 - layout.half_start) // layout.stride + 1
-    xy = np.empty((2, free)) if sample is None else None
     pairs = []
-    for size, head, end, finite, block_pairs, block_tail_max, half in parts:
-        if pos == layout.size:
+    steps = array("d")  # of each block in the last half: its last position, last value and first value there
+    free = (layout.size - 1 - layout.half_start) // layout.stride + 1  # rule 4's sample
+    low = layout.size - 1 - (free - 1) * layout.stride  # the position of its first entry
+    xy = np.empty((2, free)) if sample is None else None
+    for pos, size, head, end, finite, block_pairs, block_tail_max, half in parts:
+        if pos == 0:
+            first = head
+        if pos + size == layout.size:
             last = end
-        pos -= size
-        first = head
         undefined = undefined or not finite
-        pairs[:0] = block_pairs
+        pairs += block_pairs
         tail_max = max(tail_max, block_tail_max)
-        if half is not None and half_finite:
-            half_finite, block_decreases, half_head, block_sample = half
-            if half_finite:
-                # a decrease inside the block, or from its last value to the block on the right
-                decreases = decreases or block_decreases or (nxt is not None and nxt - end < -_DECREASE * abs(end))
-                nxt = half_head
-                if xy is not None and block_sample is not None:
-                    free -= block_sample.shape[1]
-                    xy[:, free : free + block_sample.shape[1]] = block_sample
+        if half is not None:
+            block_finite, block_decreases, half_head, block_sample = half
+            half_finite = half_finite and block_finite
+            decreases = decreases or block_decreases
+            steps.extend((pos + size - 1, end, half_head))
+            if xy is not None and block_sample is not None:
+                i = -(-max(pos - low, 0) // layout.stride)  # the slot of the block's first entry
+                xy[:, i : i + block_sample.shape[1]] = block_sample
+    steps = np.frombuffer(steps).reshape(-1, 3)
+    if unread is not None:
+        ends, values, unread_pairs = unread
+        pairs += unread_pairs
+        tail_max = max(tail_max, float(values[ends >= layout.tail_start].max(initial=-math.inf)))
+        half = ends >= layout.half_start
+        steps = np.concatenate((steps, np.stack((ends[half], values[half], np.full(half.sum(), math.nan)), axis=1)))
 
     slope = math.nan
     if half_finite:
+        # a decrease from a block's last value to the first of the block on its right
+        end, head = steps[steps[:, 0].argsort(), 1:].T
+        decreases = decreases or bool((head[1:] - end[:-1] < -_DECREASE * np.abs(end[:-1])).any())
         # In place, with numpy's pairwise sums, never a BLAS dot: OpenBLAS splits
         # a dot of more than 10 000 entries over its threads, so its rounding,
         # and the slope, would depend on their number.
@@ -843,7 +861,7 @@ def _fold_verdict(parts, layout: _Layout, sample=None) -> ConditionVerdict:
         y -= y.mean()
         sxy = float(np.multiply(x, y, out=y).sum())
         slope = sxy / float(np.multiply(x, x, out=x).sum())
-    tail = tuple(pairs)
+    tail = tuple(sorted(pairs))
     if undefined:
         return ConditionVerdict(FAILS, tail, slope)
     if tail_max <= 1e-12 * (1.0 + abs(first)):
@@ -888,16 +906,16 @@ def sp2sl_window(beta_sp: RateFunction, cfg: TransformConfig, n_near: int, n_far
 
 
 def _wl_condition_sequence(
-    beta_wl: RateFunction, cfg: TransformConfig, ns: np.ndarray, log_n: np.ndarray, work: np.ndarray, out: np.ndarray
+    beta_wl: RateFunction, cfg: TransformConfig, ns: np.ndarray, work: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """beta_WL(delta^-n n^-theta)/n at the integral floats ``ns``, written into ``out``.
 
-    ``log_n`` holds log(ns) and ``work`` is scratch of the same size.
-    The argument is passed as its logarithm, so indices whose argument
-    lies far below double range are evaluated exactly.
+    ``work`` is scratch of the same size, and ``out`` holds theta*log(n)
+    on the way.  The argument is passed as its logarithm, so indices
+    whose argument lies far below double range are evaluated exactly.
     """
     log_args = np.multiply(ns, math.log(cfg.delta), out=work)
-    log_args += np.multiply(log_n, cfg.theta_cond, out=out)
+    log_args += np.multiply(np.log(ns, out=out), cfg.theta_cond, out=out)
     np.negative(log_args, out=log_args)
     with np.errstate(over="ignore"):
         return np.divide(beta_wl.eval_at_log_many(log_args), ns, out=out)
@@ -906,7 +924,7 @@ def _wl_condition_sequence(
 def _wl_at(beta: RateFunction, cfg: TransformConfig, ns) -> np.ndarray:
     """g = beta_WL(delta^-n n^-theta)/n at the integers ``ns`` in one call: the bits a block read gives there."""
     ns = np.asarray(ns, dtype=float)
-    return _wl_condition_sequence(beta, cfg, ns, np.log(ns), np.empty_like(ns), np.empty_like(ns))
+    return _wl_condition_sequence(beta, cfg, ns, np.empty_like(ns), np.empty_like(ns))
 
 
 def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str = "wl"):
@@ -920,10 +938,20 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
     indices ``at``.  The blocks, of _BLOCK indices or of _ROWS kernel
     rows, go to ``_in_order`` in groups of about _GROUP indices or one
     kernel block, the top group first; each gives the parts of its
-    blocks (``_walk_group``), and this process folds them from right to
-    left, carrying S just right of the block.  The xi1 walk reads the
-    rows for its own map alone: ``wl_from_sp`` evaluates its sup window
-    itself.  The values do not depend on where a group runs.
+    blocks (``_walk_group``), and this process folds them
+    (``_fold_verdict``), in whatever order they come.  The xi1 walk reads
+    the rows for its own map alone: ``wl_from_sp`` evaluates its sup
+    window itself.  The values do not depend on where a group runs.
+
+    k*(s) and S come after the fold, from the maximum of each block: its
+    exact maximum where it is read, g at its last index where it is not.
+    S(n) <= s iff L(n) <= s, with L the suffix sup of n's own block, and
+    every block right of it has its maximum at or below s.  So each s is
+    settled in the first block, counting from the right, whose running
+    maximum exceeds it, and k*(s) = hi + 1 - c, with hi that block's last
+    index and c its count of n with L(n) <= s (``_sup_part``); c is 0
+    where s lies below g(hi).  S(n) is L(n) or the maximum of the blocks
+    right of n's, the larger.
 
     The xi1 walk, and the WL walk of a RateFunction outside the
     package's families or of a window of at most two blocks, read every
@@ -934,29 +962,24 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
     reads the highest block of the half below _FLAT first, in this
     process, and every block of the half below that one where it does
     not decrease.  It takes the tail picks apart in one call, and rule
-    4's sample (``_sample``) once the blocks are folded, and folds each
-    run of blocks it does not read in one step, from g at their last
+    4's sample (``_sample``) once the blocks are folded, and hands the
+    blocks it does not read to the fold as arrays, with g at their last
     indices.  Memory holds one block's arrays per process, rule 4's
-    sample (at most 1 MB) and, for the fold, some 100 bytes per block of
-    the window (about 0.5 MB for the WL walk of 1.5e8 indices).
+    sample (at most 1 MB), the parts of one group and, in arrays, a few
+    numbers per block of the window: its maximum and, for the fold, its
+    last position and two values where it lies in the last half.
     """
     n0 = _start_index(beta, cfg, sequence)
     layout = _verdict_layout(cfg.N_max - n0 + 1, n0, cfg.N_max)
     s, at = np.asarray(s, dtype=float), np.asarray(at, dtype=int)
     order = np.argsort(s, kind="stable")
     s_sorted = s[order]
-    # S is non-increasing in n, so k*(s) is N_max + 1 less the count of n with
-    # S(n) <= s: ``whole[k]`` counts, as differences over k, the blocks that all
-    # of s_sorted[k:] admit whole, and ``crossed`` the rest.
-    whole = np.zeros(s.size + 1, dtype=np.int64)
-    crossed = np.zeros(s.size, dtype=np.int64)
-    sup_at = np.full(at.shape, np.nan)
-
     block, per = (_BLOCK, max(1, _GROUP // _BLOCK)) if sequence == "wl" else (_ROWS, 1)
     starts = range(n0, cfg.N_max + 1, block)
     task = functools.partial(_walk_group, beta, cfg, layout, n0, s_sorted, at, sequence, block)
-    tops = np.full(len(starts), np.nan)  # g at the last index of each block not read, NaN at each block read
-    pre, sample = {}, None  # the part of the block read first for rule 3, by number; rule 4's sample where taken apart
+    tops = np.full(len(starts), np.nan)  # the maximum of each block: g(hi) where it is not read, NaN until it is
+    pre, first = [], -1  # the (part, sup) of the block that rule 3 reads first, and its number
+    unread, sample = None, None  # the blocks not read, for the fold; rule 4's sample where taken apart
     if sequence == "wl" and type(beta) in _FAMILIES.values() and len(starts) > 2:
         tops = _bounded_blocks(beta, cfg, layout, starts, s_sorted, at)
         picks = _wl_at(beta, cfg, n0 + layout.picks)
@@ -966,81 +989,43 @@ def _walk(beta: RateFunction, cfg: TransformConfig, s=(), at=(), sequence: str =
             # Rule 3 reads the last half from the top down; no step into an index at or past _FLAT decreases.
             low, b = layout.half_start // block, min(len(starts) - 1, (_FLAT - 1 - n0) // block)
             if b >= low:
-                pre[b] = task(np.array([starts[b]]))[0]
+                pre, first = task(np.array([starts[b]])), b
                 tops[b] = math.nan
-                if not pre[b][0][6][1]:  # it does not decrease: the walk reads every block of the half below it
+                if not pre[0][0][7][1]:  # it does not decrease: the walk reads every block of the half below it
                     tops[low:b] = math.nan
                     settled = False
         if settled:
             task = functools.partial(task, check_decrease=False)
-    read = np.isnan(tops)
-    main = np.array([b for b in np.flatnonzero(read)[::-1].tolist() if b not in pre], dtype=int)  # read here, top first
+        skipped = np.flatnonzero(~np.isnan(tops))
+        mine = np.isin(layout.picks // block, skipped)  # the tail picks in them
+        pairs = list(zip((n0 + layout.picks[mine]).tolist(), picks[mine].tolist()))
+        unread = (skipped * block + block - 1, tops[skipped], pairs)
+    main = np.flatnonzero(np.isnan(tops))[::-1]  # the blocks read, the top first
+    main = main[main != first]
     groups = [starts.start + block * main[i : i + per] for i in range(0, main.size, per)]
-    run_low = np.maximum.accumulate(np.where(read, np.arange(read.size), -1)) + 1  # where each run not read begins
-
-    def run(a: int, b: int) -> tuple:
-        """The verdict part of blocks a..b, none of them read, from g at their last indices.
-
-        They are full blocks with finite bounds, as the top one is read:
-        all finite where g(N_max) is, and their part of the last quarter
-        peaks at or above its g(hi) (see ``_bounded_blocks``).  Rule 3
-        reads none of them, so they decrease nowhere and give no first
-        value to the block on their left.
-        """
-        i, j = layout.picks.searchsorted((a * block, (b + 1) * block))
-        pairs = list(zip((n0 + layout.picks[i:j]).tolist(), picks[i:j].tolist()))
-        quarter = tops[max(a, layout.tail_start // block) : b + 1]
-        half = (True, False, math.nan, None) if b >= layout.half_start // block else None
-        tail_max = float(quarter.max()) if quarter.size else -math.inf
-        return (b - a + 1) * block, math.nan, float(tops[b]), True, pairs, tail_max, half
-
-    def blocks():
-        """(verdict part, sup part) of every block read, and of every run of blocks between, the top first."""
-        b = len(starts) - 1  # the next block to yield
-
-        def down_to(c: int):
-            """The parts above block c of the block read first for rule 3 and of the runs not read."""
-            nonlocal b
-            while b > c:
-                if b in pre:
-                    yield pre[b]
-                    b -= 1
-                else:
-                    a = int(run_low[b])
-                    yield run(a, b), tops[b : a - 1 if a else None : -1]
-                    b = a - 1
-
-        pool = len(groups) >= _POOL_MIN_GROUPS if sequence == "wl" else layout.size >= _POOL_MIN_ROWS
-        for got, num in zip(itertools.chain.from_iterable(_in_order(task, groups, pool)), main.tolist()):
-            yield from down_to(num)
-            yield got
-            b -= 1
-        yield from down_to(-1)
+    pool = len(groups) >= _POOL_MIN_GROUPS if sequence == "wl" else layout.size >= _POOL_MIN_ROWS
+    held = np.full(s.size, -1)  # for each s of s_sorted, the highest block read with g(hi) <= s < its maximum
+    count = np.zeros(s.size, dtype=np.int64)  # and that block's count of n with L(n) <= s
+    sup_at = np.full(at.shape, np.nan)  # L at the indices ``at``
 
     def parts():
-        carry = -math.inf  # S just right of the block
-        for part, sup in blocks():
-            # S(n) = max(local sup, carry) <= s iff both are: only s_sorted[c0:] can admit n.
-            if isinstance(sup, np.ndarray):  # a run not read: g(hi) of each block, the top first
-                # each admits s_sorted[max(c0, i1):] whole, its own i1 the place of g(hi)
-                right = np.maximum.accumulate(np.append(carry, sup[:-1]))
-                np.add.at(whole, np.maximum(s_sorted.searchsorted(right), s_sorted.searchsorted(sup)), block)
-                carry = float(np.maximum(right[-1], sup[-1]))
-            else:
-                top, i0, i1, counts, inside, local = sup
-                c0 = int(s_sorted.searchsorted(carry))
-                whole[max(c0, i1)] += part[0]
-                if counts is not None:
-                    c = max(c0, i0)
-                    crossed[c:i1] += counts[c - i0 :]
-                    sup_at[inside] = np.maximum(local, carry)
-                carry = float(np.maximum(carry, top))
+        for part, (top, i0, counts, inside, local) in itertools.chain(
+            pre, itertools.chain.from_iterable(_in_order(task, groups, pool))
+        ):
+            b = part[0] // block
+            tops[b] = top
+            if counts is not None:
+                i = i0 + np.flatnonzero(held[i0 : i0 + counts.size] < b)
+                held[i], count[i] = b, counts[i - i0]
+                sup_at[inside] = local
             yield part
 
-    verdict = _fold_verdict(parts(), layout, sample)
+    verdict = _fold_verdict(parts(), layout, sample, unread)
+    right = np.maximum.accumulate(tops[::-1])  # at j, the largest maximum of the j + 1 blocks on the right
+    settle = len(starts) - 1 - right.searchsorted(s_sorted, side="right")  # the block that settles each s, or -1
     k_star = np.empty(s.shape, dtype=np.int64)
-    k_star[order] = cfg.N_max + 1 - np.cumsum(whole[:-1]) - crossed
-    return verdict, k_star, sup_at
+    k_star[order] = np.minimum(n0 + (settle + 1) * block, cfg.N_max + 1) - np.where(held == settle, count, 0)
+    return verdict, k_star, np.maximum(sup_at, np.append(right[-2::-1], -math.inf)[(at - n0) // block])
 
 
 def _bounded_blocks(beta: RateFunction, cfg: TransformConfig, layout: _Layout, starts: range, s_sorted, at):
@@ -1122,12 +1107,11 @@ def _sample(beta: RateFunction, cfg: TransformConfig, layout: _Layout, n0: int, 
     stride = layout.stride
     low = cfg.N_max - (cfg.N_max - n0 - layout.half_start) // stride * stride  # the sample's lowest index
     xy = np.empty((2, (cfg.N_max - low) // stride + 1))
-    scratch = np.empty((2, min(block, xy.shape[1])))  # a chunk's log n and work array
+    work = np.empty(min(block, xy.shape[1]))  # a chunk's scratch
     for i in range(0, xy.shape[1], block):
         ns, g = xy[:, i : i + block]
-        log_n, work = scratch[:, : ns.size]
         ns[:] = np.arange(low + i * stride, low + (i + ns.size) * stride, stride)
-        _wl_condition_sequence(beta, cfg, ns, np.log(ns, out=log_n), work, g)
+        _wl_condition_sequence(beta, cfg, ns, work[: ns.size], g)
     return xy
 
 
@@ -1136,15 +1120,15 @@ def _walk_group(beta, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, 
     """(verdict part, sup part) of each walk block that starts at ``los``, the top block first.
 
     ``los`` descends, each a block of ``block`` indices cut at N_max.
-    The blocks are built in arrays reused from block to block; log n
-    serves the WL argument alone.  The sup part is ``_sup_part``'s, on
-    C4*g for the kernel rows as N0(s) reads them.  A block is finite
-    where its maximum is (g >= 0, and NaN propagates).  Once a block
-    decreases, the blocks after it here skip the decrease test (see
-    ``_verdict_part``); without ``check_decrease`` every block skips it:
-    the WL walk of a family settles rule 3 apart.
+    The blocks are built in arrays reused from block to block.  The sup
+    part is ``_sup_part``'s, on C4*g for the kernel rows as N0(s) reads
+    them.  A block is finite where its maximum is (g >= 0, and NaN
+    propagates).  Once a block decreases, the blocks after it here skip
+    the decrease test (see ``_verdict_part``); without
+    ``check_decrease`` every block skips it: the WL walk of a family
+    settles rule 3 apart.
     """
-    rows = np.empty((4, min(block, cfg.N_max - los[-1] + 1)))  # one block's ns, log n, work and G
+    rows = np.empty((3, min(block, cfg.N_max - los[-1] + 1)))  # one block's ns, work and G
     # the decrease test's two rows, while the group reaches into the last half
     reaches_half = min(los[0] + block, cfg.N_max + 1) - n0 > layout.half_start and check_decrease
     scratch = np.empty((2, rows.shape[1])) if reaches_half else None
@@ -1156,17 +1140,17 @@ def _walk_group(beta, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, 
         if ns.size == hi - lo + 1:
             ns -= ns[0] - lo  # a block of the size of the one before: shift its indices
         else:  # the first block, and the first full block below a partial one
-            ns, log_n, work, g = rows[:, : hi - lo + 1]
+            ns, work, g = rows[:, : hi - lo + 1]
             ns[:] = np.arange(lo, hi + 1)
         if sequence == "wl":
-            vals = _wl_condition_sequence(beta, cfg, ns, np.log(ns, out=log_n), work, g)
+            vals = _wl_condition_sequence(beta, cfg, ns, work, g)
         else:
             vals = _xi1_terms(beta, cfg, ns)
             np.multiply(cfg.C4, vals, out=g)
         sup = _sup_part(g, work, s_sorted, at, lo, hi)
         finite = math.isfinite(sup[0] if vals is g else float(vals.max()))
         part = _verdict_part(layout, lo - n0, ns, vals, scratch, not decreasing, finite)
-        decreasing = decreasing or (part[6] is not None and part[6][1])
+        decreasing = decreasing or (part[7] is not None and part[7][1])
         if lo - n0 <= layout.half_start:
             scratch = None  # the half window is done: free its scratch
         out.append((part, sup))
@@ -1174,25 +1158,27 @@ def _walk_group(beta, cfg: TransformConfig, layout: _Layout, n0: int, s_sorted, 
 
 
 def _sup_part(g: np.ndarray, work: np.ndarray, s_sorted: np.ndarray, at: np.ndarray, lo: int, hi: int) -> tuple:
-    """What k*(s) and S at ``at`` need of the block g = g(lo..hi), whatever S is right of it.
+    """What k*(s) and S at ``at`` need of the block g = g(lo..hi), whatever lies right of it.
 
-    With L(n) = max g[n..hi], the local suffix sup, S(n) = max(L(n), S(hi + 1)).
-    Returns (max g, i0, i1, counts, inside, local): s_sorted[:i0] lie
-    below g[hi], so no L(n) is at or below them, and s_sorted[i1:] at or
-    above max g, which every L(n) is; ``counts`` holds the count of n
-    with L(n) <= s for s_sorted[i0:i1], ``inside`` the positions in
+    With L(n) = max g[n..hi], the local suffix sup, returns (max g, i0,
+    counts, inside, local): s_sorted[:i0] lie below g[hi], so no L(n) is
+    at or below them; ``counts`` holds the count of n with L(n) <= s for
+    each s of s_sorted[i0:] below max g, ``inside`` the positions in
     ``at`` of the indices in the block and ``local`` their L.  Only a
     block with such an s or such an index builds L, in ``work``;
-    otherwise counts and local are None.  NaN in g makes i0, i1 = 0,
-    s_sorted.size, and L reads NaN from it on.
+    otherwise counts, inside and local are None.  NaN in g makes i0 = 0
+    and counts cover every s, and L reads NaN from it on.  The walk
+    reads the count of the one block that settles s, and S from L and
+    the maxima of the blocks on the right, once every block is folded
+    (see ``_walk``).
     """
     top = float(g.max())
     i0, i1 = (0, s_sorted.size) if math.isnan(top) else s_sorted.searchsorted((g[-1], top)).tolist()
     inside = np.flatnonzero((at >= lo) & (at <= hi))
     if i0 == i1 and not inside.size:
-        return top, i0, i1, None, inside, None
+        return top, i0, None, None, None
     local = np.maximum.accumulate(g[::-1], out=work)  # L at ns[::-1]
-    return top, i0, i1, local.searchsorted(s_sorted[i0:i1], side="right"), inside, local[hi - at[inside]]
+    return top, i0, local.searchsorted(s_sorted[i0:i1], side="right"), inside, local[hi - at[inside]]
 
 
 def wl2sp_condition(beta_wl: RateFunction, cfg: Optional[TransformConfig] = None) -> ConditionVerdict:
@@ -1411,7 +1397,7 @@ def sp_from_wl(beta_wl: RateFunction, s_grid, cfg: Optional[TransformConfig] = N
     log(beta_SP) = log(C3) + k*(s)*log(delta), exact past double range.
     One walk of the index window from N_max down, in blocks, gives both
     the verdict that gates the map and k*(s), so memory holds one
-    block's arrays and some 100 bytes per block.  Where beta_WL is one
+    block's arrays and a few numbers per block.  Where beta_WL is one
     of the package's own rate functions, the walk reads in full the top
     block and the lowest, the blocks where some k*(s) may lie and the
     blocks that the verdict's rules 2 and 3 need, rule 4's sample of at

@@ -745,9 +745,16 @@ class TestCheckVanishing:
         assert _assert_reverse_fold_matches(ns, vals, block).status == _RULE_STATUS[rule]
 
     @settings(max_examples=200, deadline=None)
-    @given(_any_sequences())
-    def test_reverse_fold_matches_forward_reference_anywhere(self, case):
+    @given(_any_sequences(), st.randoms(use_true_random=False))
+    def test_reverse_fold_matches_forward_reference_anywhere(self, case, rng):
         _assert_reverse_fold_matches(*case)
+        # the same blocks' parts, folded in any order
+        ns, vals, block = case
+        layout = transforms._verdict_layout(ns.size, int(ns[0]), int(ns[-1]))
+        parts = [transforms._verdict_part(layout, i, ns[i : i + block], vals[i : i + block])
+                 for i in range(0, ns.size, block)]
+        rng.shuffle(parts)
+        assert repr(transforms._fold_verdict(parts, layout)) == repr(check_vanishing((ns, vals)))
 
     def test_window_too_short_rejected(self):
         ns = np.arange(10, 16)
@@ -1434,7 +1441,7 @@ class TestSpFromWl:
     @pytest.mark.parametrize("extra", [1, 0], ids=["whole-blocks", "partial-top-block"])
     def test_peak_at_the_production_block_size(self, extra):
         # 64 blocks of the real _BLOCK peak near 7 blocks of floats: the
-        # block's four arrays, the fold's two scratch rows and the
+        # block's three arrays, the fold's two scratch rows and the
         # evaluation's temporaries.  A partial top block shares the arrays
         # of the full blocks below it instead of being followed by new ones.
         block = transforms._BLOCK
@@ -1446,6 +1453,28 @@ class TestSpFromWl:
         finally:
             tracemalloc.stop()
         assert peak <= 10 * 8 * block
+
+    def test_fold_memory_per_block(self, monkeypatch, one_core):
+        # A RateFunction outside the package's families is read in full, so the
+        # walk holds what it keeps of every block: 2 000 and 20 000 blocks of 64
+        # in this process, in groups of 8192 blocks.  The walk that carried S
+        # from block to block took about 358 bytes a block, most of them one
+        # group's parts.
+        class Other(LogPower):
+            pass
+
+        one_core()
+        monkeypatch.setattr(transforms, "_BLOCK", 64)
+        peaks = {}
+        for blocks in (2_000, 20_000):
+            cfg = TransformConfig(k_max=64 * blocks + 1, N_max=64 * blocks + 1)
+            tracemalloc.start()
+            try:
+                sp_from_wl(Other(C=1.0, q=0.5), log_grid(0.02, 0.05, 10), cfg)
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20_000] - peaks[2_000] <= 400 * 18_000
 
     @pytest.mark.parametrize(
         "beta",
